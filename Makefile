@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short test-race bench bench-throughput bench-updates bench-mvcc bench-cluster bench-shard bench-serve bench-ocb check-determinism repro repro-short examples serve fuzz-wire sim sim-crash sim-long sim-shard sim-ocb cover clean
+.PHONY: all build vet test test-short test-race bench bench-throughput bench-updates bench-mvcc bench-cluster bench-shard bench-serve bench-ocb bench-check check-determinism repro repro-short examples serve fuzz-wire sim sim-crash sim-long sim-shard sim-ocb cover clean
 
 all: build vet test
 
@@ -84,6 +84,14 @@ ifeq ($(SHORT),)
 else
 	$(GO) run ./cmd/gombench -figure ocb $(SHORT) -out /tmp/BENCH_ocb_short.json
 endif
+
+# benchmark/ is a module of its own (it imports gomdb/internal/...), so the
+# root module's build and tests do not see it: vet it and run its tests here,
+# so an internal/ API change that breaks the benchmark fails CI instead of the
+# next benchmark run.
+bench-check:
+	$(GO) vet -C benchmark .
+	$(GO) test -C benchmark ./...
 
 # Writer interference: reader ops/sec with a background writer holding the
 # engine, MVCC snapshot reads vs. the DisableMVCC RWMutex baseline (merges

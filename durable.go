@@ -7,20 +7,24 @@ import (
 	"sort"
 
 	"gomdb/internal/core"
-	"gomdb/internal/object"
 	"gomdb/internal/storage"
 )
 
 // Durable databases. With Config.Path set, the simulated disk gains a real
 // file-backed page store behind it (storage.PageStore): at every checkpoint
 // point — Flush, Batch end, Materialize, Dematerialize, Close, or an explicit
-// Checkpoint call — the pages written since the last checkpoint plus a
-// metadata blob are made durable atomically through a physical write-ahead
-// log with page-level redo records and checksums. Reopening the directory
-// replays the WAL, restores the object base, and rebuilds every GMR from its
-// persisted catalog description.
+// Checkpoint call — the pages written since the last checkpoint, the OID
+// directory ops journaled since then and a small metadata header are made
+// durable atomically through a physical write-ahead log with page-level redo
+// records and checksums. Reopening the directory replays the WAL, restores
+// the object base, and rebuilds every GMR from its persisted catalog
+// description.
 //
-// Two properties are deliberate:
+// Three properties are deliberate:
+//
+//   - A checkpoint costs what changed since the last one, not what the base
+//     holds: dirty pages, journaled directory ops, and a header whose only
+//     base-dependent part is the object heap's page list.
 //
 //   - The simulated Clock is bit-identical whether durability is on or off:
 //     checkpoint I/O is real I/O, charged to nothing, and the dirty-page
@@ -45,17 +49,21 @@ var errRestrictedDurable = errors.New(
 	"gomdb: restricted GMRs (Restriction/AtomicArgs) are not supported on durable databases: " +
 		"their predicates are code and cannot be rebuilt on recovery")
 
-// durableMeta is the engine metadata blob of one checkpoint. It is
+// durableMeta is the engine metadata header of one checkpoint. It is
 // deterministic JSON: every map is exported as a sorted slice, so identical
-// engine states serialize to identical bytes (the golden-file tests rely on
-// it).
+// engine states serialize to identical bytes. The OID directory is not in it:
+// the store keeps that as a snapshot plus per-checkpoint deltas, and DirSeq
+// names the checkpoint sequence number the directory must have been replayed
+// to for this header to describe it.
 type durableMeta struct {
-	Version    int              `json:"version"`
-	SchemaSig  uint64           `json:"schemaSig"`
-	NextPage   uint32           `json:"nextPage"`
-	Objects    object.Directory `json:"objects"`
-	ResultObjs []OID            `json:"resultObjs,omitempty"`
-	GMRs       []core.GMRMeta   `json:"gmrs,omitempty"`
+	Version    int             `json:"version"`
+	SchemaSig  uint64          `json:"schemaSig"`
+	NextPage   uint32          `json:"nextPage"`
+	NextOID    OID             `json:"nextOID"`
+	Heap       storage.HeapDir `json:"heap"`
+	DirSeq     uint64          `json:"dirSeq"`
+	ResultObjs []OID           `json:"resultObjs,omitempty"`
+	GMRs       []core.GMRMeta  `json:"gmrs,omitempty"`
 	// Pending records the deferred-queue length at checkpoint time (nonzero
 	// only for checkpoints taken outside flush points, e.g. Materialize);
 	// recovery reports it as PendingDiscarded.
@@ -77,6 +85,10 @@ type RecoveryInfo struct {
 	WALTailDiscarded bool
 	// ObjectsRestored is the number of objects in the recovered base.
 	ObjectsRestored int
+	// DirOpsReplayed counts the journaled directory ops (create, move,
+	// delete) replayed over the directory snapshot; 0 when the last
+	// checkpoint wrote a fresh snapshot.
+	DirOpsReplayed int
 	// GMRsRebuilt is the number of GMRs re-materialized from the catalog.
 	GMRsRebuilt int
 	// CachesReset names the incremental (non-complete) GMRs that came back
@@ -103,6 +115,7 @@ func OpenAt(cfg Config) (*Database, error) {
 	db.Disk.EnableDurability()
 	ps.SetTornWriteHook(db.Disk.CheckTornWrite)
 	db.store = ps
+	db.Objects.EnableDirJournal()
 	// A panic below — typically a DefineSchema callback using the MustDefine*
 	// helpers, or a recovery assertion — must not escape with the store still
 	// open: that leaks the file descriptors and the directory lock, so the
@@ -156,11 +169,16 @@ func (db *Database) recoverFrom(img *storage.RecoveredImage) error {
 	// Restore the object heap's pages; every other page of the previous
 	// incarnation (GMR extensions, indexes, RRR) is reclaimed as free space,
 	// since those structures are rebuilt below.
-	if err := db.Disk.Restore(img.Pages, meta.Objects.Heap.Pages, storage.PageID(meta.NextPage)); err != nil {
+	if meta.DirSeq != img.Seq {
+		return fmt.Errorf("gomdb: recovery: metadata describes the directory at checkpoint %d, the store recovered checkpoint %d",
+			meta.DirSeq, img.Seq)
+	}
+	if err := db.Disk.Restore(img.Pages, meta.Heap.Pages, storage.PageID(meta.NextPage)); err != nil {
 		return fmt.Errorf("gomdb: recovery: %w", err)
 	}
-	heap := storage.RestoreHeapFile(db.Pool, meta.Objects.Heap, false)
-	if err := db.Objects.RestoreDirectory(heap, meta.Objects); err != nil {
+	heap := storage.RestoreHeapFile(db.Pool, meta.Heap, false)
+	dirOps, err := db.Objects.RestoreDirectory(heap, meta.NextOID, img.DirSnapshot, img.DirDeltas)
+	if err != nil {
 		return fmt.Errorf("gomdb: recovery: %w", err)
 	}
 	db.GMRs.RestoreResultObjects(meta.ResultObjs)
@@ -170,6 +188,7 @@ func (db *Database) recoverFrom(img *storage.RecoveredImage) error {
 		TornPagesRepaired: img.TornPagesRepaired,
 		WALTailDiscarded:  img.WALTailDiscarded,
 		ObjectsRestored:   db.Objects.NumObjects(),
+		DirOpsReplayed:    dirOps,
 		PendingDiscarded:  meta.Pending,
 	}
 	for _, gm := range meta.GMRs {
@@ -193,16 +212,22 @@ func (db *Database) recoverFrom(img *storage.RecoveredImage) error {
 // the union of pages physically written since the last checkpoint and pages
 // dirty in the buffer pool (whose latest content only the pool has); both
 // sets are read through the charge-free snapshot path, so the simulated Clock
-// never observes a checkpoint.
+// never observes a checkpoint. The directory travels as the ops journaled
+// since the last checkpoint (or a fresh snapshot, when the object manager
+// says the journal has outgrown the base); the journal, like the dirty sets,
+// is cleared only once the store has committed.
 func (db *Database) checkpointLocked() error {
 	if db.store == nil {
 		return nil
 	}
+	nextOID, heapDir := db.Objects.DirectoryHeader()
 	meta := durableMeta{
 		Version:    storage.FormatVersion,
 		SchemaSig:  db.Schema.Fingerprint(),
 		NextPage:   uint32(db.Disk.NextPage()),
-		Objects:    db.Objects.ExportDirectory(),
+		NextOID:    nextOID,
+		Heap:       heapDir,
+		DirSeq:     db.store.NextSeq(),
 		ResultObjs: db.GMRs.ResultObjectIDs(),
 		GMRs:       db.GMRs.ExportCatalog(),
 		Pending:    db.GMRs.PendingLen(),
@@ -216,11 +241,15 @@ func (db *Database) checkpointLocked() error {
 		dirty = append(dirty, id)
 	}
 	dirty = dedupSorted(dirty)
-	if err := db.store.Checkpoint(dirty, db.Pool.ReadSnapshot, blob); err != nil {
+	dirPayload, dirSnapshot := db.Objects.DirCheckpoint()
+	err = db.store.CheckpointDir(dirty, db.Pool.ReadSnapshot, blob,
+		storage.DirUpdate{Snapshot: dirSnapshot, Payload: dirPayload})
+	if err != nil {
 		return err
 	}
 	db.Disk.ClearDurableDirty()
 	db.Pool.ClearDurableDirty()
+	db.Objects.DirCheckpointDone(dirSnapshot)
 	return nil
 }
 

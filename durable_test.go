@@ -8,6 +8,7 @@ package gomdb_test
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -379,5 +380,100 @@ func TestDurableChargeParity(t *testing.T) {
 	if memClock != durClock {
 		t.Fatalf("durability changed the simulated cost accounting:\n  in-memory: %+v\n  durable:   %+v",
 			memClock, durClock)
+	}
+}
+
+// TestDurableDirectoryJournalAcrossCheckpoints drives the OID directory
+// through many small checkpoints — creates and deletes, so extension order
+// depends on swap-removal history — past the point where the journaled ops
+// outnumber the live objects and a checkpoint compacts them into a fresh
+// snapshot, then crashes with uncheckpointed work in flight. Recovery must
+// replay exactly the ops of the deltas since that snapshot and land on the
+// directory of the last checkpoint: same entries, same extension order.
+func TestDurableDirectoryJournalAcrossCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	db, err := gomdb.OpenAt(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	geo, err := fixtures.PopulateGeometry(db, 10, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	materializeGvw(t, db, gomdb.Immediate)
+
+	compactions, deltas := 0, 0
+	for round := 0; round < 40; round++ {
+		for i := 0; i < 3; i++ {
+			geo.CreateRandomCuboid()
+		}
+		for i := 0; i < 3; i++ {
+			if err := geo.DeleteRandomCuboid(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pending, since := db.Objects.DirJournalStats()
+		if pending == 0 {
+			t.Fatalf("round %d: creates and deletes journaled nothing", round)
+		}
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		switch gotPending, gotSince := db.Objects.DirJournalStats(); {
+		case gotPending != 0:
+			t.Fatalf("round %d: checkpoint left %d ops in the journal", round, gotPending)
+		case gotSince == 0:
+			compactions++
+		case gotSince == since+pending:
+			deltas++
+		default:
+			t.Fatalf("round %d: %d ops since the snapshot after shipping %d on top of %d", round, gotSince, pending, since)
+		}
+	}
+	if compactions == 0 || deltas == 0 {
+		t.Fatalf("%d compactions and %d delta checkpoints in 40 rounds: the test must see both", compactions, deltas)
+	}
+	// End on deltas, so recovery has ops to replay.
+	for _, since := db.Objects.DirJournalStats(); since == 0; _, since = db.Objects.DirJournalStats() {
+		geo.CreateRandomCuboid()
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, wantOps := db.Objects.DirJournalStats()
+	want := db.Objects.ExportDirectory()
+	wantVolumes := allVolumes(t, db, geo.Cuboids)
+
+	// Work after the last checkpoint dies with the crash.
+	geo.CreateRandomCuboid()
+	if err := db.Delete(geo.Cuboids[0]); err != nil {
+		t.Fatal(err)
+	}
+	db.Crash()
+
+	db2, err := gomdb.OpenAt(durableConfig(dir))
+	if err != nil {
+		t.Fatalf("reopen after crash: %v", err)
+	}
+	defer db2.Close()
+	if got := db2.Recovery.DirOpsReplayed; got != wantOps {
+		t.Fatalf("DirOpsReplayed = %d, want the %d ops shipped since the last snapshot", got, wantOps)
+	}
+	got := db2.Objects.ExportDirectory()
+	if !reflect.DeepEqual(got.RIDs, want.RIDs) || !reflect.DeepEqual(got.Extents, want.Extents) || got.NextOID != want.NextOID {
+		t.Fatal("recovered directory is not the last checkpoint's")
+	}
+	if _, since := db2.Objects.DirJournalStats(); since != wantOps {
+		t.Fatalf("recovered journal counts %d ops since the snapshot, want %d", since, wantOps)
+	}
+	if msgs := db2.Objects.AuditDirectory(); len(msgs) != 0 {
+		t.Fatalf("directory audit after recovery: %v", msgs)
+	}
+	rep, err := db2.CheckConsistency("Gvw", 1e-9, true)
+	if err != nil || rep.Err() != nil {
+		t.Fatalf("CheckConsistency after recovery: %v %+v", err, rep)
+	}
+	if got := allVolumes(t, db2, geo.Cuboids[:len(wantVolumes)]); !reflect.DeepEqual(got, wantVolumes) {
+		t.Fatal("recovered base computes different volumes")
 	}
 }

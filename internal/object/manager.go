@@ -121,6 +121,10 @@ type Manager struct {
 	verMu   sync.RWMutex
 	ridVers map[OID][]ridCapture
 	extVers map[string][]extCapture
+
+	// journal, non-nil only while a durable store is attached, records every
+	// directory mutation since the last checkpoint (see directory.go).
+	journal *dirJournal
 }
 
 // ridCapture is a pre-image of one OID-directory entry as of publish ver.
@@ -385,12 +389,10 @@ func (m *Manager) store(o *Obj) (OID, error) {
 		defer m.verMu.Unlock()
 	}
 	m.rids[o.OID] = rid
-	ext := m.extents[o.Type]
-	if ext == nil {
-		ext = &extent{pos: make(map[OID]int)}
-		m.extents[o.Type] = ext
+	addToExtent(m.extents, o.Type, o.OID)
+	if m.journal != nil {
+		m.journal.create(o.OID, o.Type, rid)
 	}
-	ext.add(o.OID)
 	m.Writes++
 	return o.OID, nil
 }
@@ -467,6 +469,9 @@ func (m *Manager) Put(o *Obj) error {
 		} else {
 			m.rids[o.OID] = newRID
 		}
+		if m.journal != nil {
+			m.journal.move(o.OID, newRID)
+		}
 	}
 	m.Writes++
 	return nil
@@ -495,6 +500,9 @@ func (m *Manager) Delete(oid OID) error {
 	delete(m.rids, oid)
 	if ext := m.extents[o.Type]; ext != nil {
 		ext.remove(oid)
+	}
+	if m.journal != nil {
+		m.journal.delete(oid, o.Type)
 	}
 	return nil
 }

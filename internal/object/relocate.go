@@ -46,6 +46,9 @@ func (m *Manager) Relocate(order []OID) (int, error) {
 		newRID := remap[ridOrder[i]]
 		if newRID != ridOrder[i] {
 			moved++
+			if m.journal != nil {
+				m.journal.move(oid, newRID)
+			}
 		}
 		m.rids[oid] = newRID
 	}

@@ -85,7 +85,7 @@ func TestDirectoryExportRestoreAfterRelocate(t *testing.T) {
 	}
 	dir := m.ExportDirectory()
 
-	if err := m.RestoreDirectory(m.heap, dir); err != nil {
+	if _, err := m.RestoreDirectory(m.heap, dir.NextOID, dir.Snapshot(), nil); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	if msgs := m.AuditDirectory(); len(msgs) != 0 {

@@ -46,6 +46,7 @@ func TestOCBMatrix(t *testing.T) {
 				if testing.Short() {
 					seeds = 1
 				}
+				cuts := 0
 				for seed := int64(300); seed < 300+seeds; seed++ {
 					run := cfg
 					if run.Durable {
@@ -56,12 +57,17 @@ func TestOCBMatrix(t *testing.T) {
 					if opt.Crashes && !traceContains(res.Trace, "crash") {
 						t.Fatal("crash cell generated no crash ops (vacuous)")
 					}
+					cuts += countCutsFired(res.Trace)
 					if opt.Recluster && !traceContains(res.Trace, "recluster") {
 						t.Fatal("recluster cell generated no recluster ops (vacuous)")
 					}
 					if opt.Faults && !traceContains(res.Trace, "fault") {
 						t.Fatal("fault cell generated no fault windows (vacuous)")
 					}
+				}
+				// One seed (-short) arms too few cuts to demand that one fired.
+				if opt.Crashes && !testing.Short() && cuts == 0 {
+					t.Fatal("crash cell: no mid-checkpoint cut fired across the seeds")
 				}
 			})
 		}

@@ -52,9 +52,13 @@ func TestShardedDurableCrashes(t *testing.T) {
 		t.Skip("durable sharded crash campaign skipped in -short")
 	}
 	cfg := EngineConfig{Strategy: "immediate", Shards: 2, Durable: true}
+	cuts := 0
 	for seed := int64(1); seed <= 3; seed++ {
 		plan := Generate(seed, GenOptions{Ops: 60, Crashes: true})
-		requireClean(t, cfg, plan)
+		cuts += countCutsFired(requireClean(t, cfg, plan).Trace)
+	}
+	if cuts == 0 {
+		t.Fatal("no mid-checkpoint cut fired on any shard across the seeds")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -228,34 +229,57 @@ func TestTornWriteFaultPlan(t *testing.T) {
 }
 
 // goldenScript drives a deterministic checkpoint sequence against dir and
-// abandons the store mid-crash, leaving all three files in a state that
-// exercises every on-disk structure: applied records, a committed WAL batch,
-// a torn data record, and a stale meta file.
+// abandons the store mid-crash, leaving all four files in a state that
+// exercises every on-disk structure: applied records, a directory snapshot
+// with a delta after it, a committed WAL batch carrying the next delta, a
+// torn data record, and a stale meta file.
 func goldenScript(t *testing.T, dir string) {
 	t.Helper()
 	ps, img := mustOpenStore(t, dir)
 	if img.Exists {
 		t.Fatal("golden script needs a fresh directory")
 	}
-	if err := ps.Checkpoint([]PageID{1, 2}, memReader(map[PageID]*[PageSize]byte{1: fillPage(1), 2: fillPage(2)}), []byte(`{"golden":1}`)); err != nil {
+	err := ps.CheckpointDir([]PageID{1, 2}, memReader(map[PageID]*[PageSize]byte{1: fillPage(1), 2: fillPage(2)}),
+		[]byte(`{"golden":1}`), DirUpdate{Snapshot: true, Payload: []byte("golden snapshot")})
+	if err != nil {
 		t.Fatalf("golden checkpoint 1: %v", err)
 	}
+	err = ps.CheckpointDir([]PageID{1}, memReader(map[PageID]*[PageSize]byte{1: fillPage(11)}),
+		[]byte(`{"golden":2}`), DirUpdate{Payload: []byte("golden delta 2")})
+	if err != nil {
+		t.Fatalf("golden checkpoint 2: %v", err)
+	}
 	ps.SetTornWriteHook(func(id PageID) bool { return id == 2 })
-	err := ps.Checkpoint([]PageID{2, 3}, memReader(map[PageID]*[PageSize]byte{2: fillPage(22), 3: fillPage(33)}), []byte(`{"golden":2}`))
+	err = ps.CheckpointDir([]PageID{2, 3}, memReader(map[PageID]*[PageSize]byte{2: fillPage(22), 3: fillPage(33)}),
+		[]byte(`{"golden":3}`), DirUpdate{Payload: []byte("golden delta 3")})
 	if !errors.Is(err, ErrSimulatedCrash) {
-		t.Fatalf("golden checkpoint 2: err=%v, want ErrSimulatedCrash", err)
+		t.Fatalf("golden checkpoint 3: err=%v, want ErrSimulatedCrash", err)
 	}
 	ps.Abandon()
 }
 
-var goldenFiles = []string{"data.gomdb", "wal.gomdb", "meta.gomdb"}
+var goldenFiles = []string{"data.gomdb", "wal.gomdb", "dir.gomdb", "meta.gomdb"}
+
+// copyStoreFiles copies the named store files from one directory to another.
+func copyStoreFiles(t *testing.T, from, to string, names ...string) {
+	t.Helper()
+	for _, name := range names {
+		data, err := os.ReadFile(filepath.Join(from, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(to, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
 
 // TestGoldenOnDiskFormat locks the on-disk format: the byte-exact files the
 // golden script produces are committed under testdata/golden. A failure here
 // means the format changed — if that is intentional, bump FormatVersion and
 // regenerate with GOLDEN_UPDATE=1 go test ./internal/storage -run Golden.
 func TestGoldenOnDiskFormat(t *testing.T) {
-	if FormatVersion != 1 {
+	if FormatVersion != 2 {
 		t.Fatalf("FormatVersion = %d: regenerate testdata/golden and update this check", FormatVersion)
 	}
 	goldenDir := filepath.Join("testdata", "golden")
@@ -266,15 +290,7 @@ func TestGoldenOnDiskFormat(t *testing.T) {
 		if err := os.MkdirAll(goldenDir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		for _, name := range goldenFiles {
-			data, err := os.ReadFile(filepath.Join(dir, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(goldenDir, name), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
+		copyStoreFiles(t, dir, goldenDir, goldenFiles...)
 		t.Log("golden files regenerated")
 		return
 	}
@@ -295,36 +311,50 @@ func TestGoldenOnDiskFormat(t *testing.T) {
 
 // TestGoldenRecovery proves a current build recovers a database written in
 // the committed format: the golden directory (which ends mid-torn-write with
-// a committed WAL batch) must recover to checkpoint 2's state.
+// a committed WAL batch) must recover to checkpoint 3's state.
 func TestGoldenRecovery(t *testing.T) {
-	goldenDir := filepath.Join("testdata", "golden")
-	if _, err := os.Stat(goldenDir); err != nil {
-		t.Skipf("golden files not present: %v", err)
-	}
 	// Recovery mutates the files (finishes the interrupted checkpoint), so
 	// work on a copy.
 	dir := t.TempDir()
-	for _, name := range goldenFiles {
-		data, err := os.ReadFile(filepath.Join(goldenDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	copyStoreFiles(t, filepath.Join("testdata", "golden"), dir, goldenFiles...)
 	ps, img := mustOpenStore(t, dir)
 	defer ps.Close()
 	if !img.Exists {
 		t.Fatal("golden directory recovered as empty")
 	}
-	if string(img.Meta) != `{"golden":2}` {
-		t.Fatalf("recovered meta %q, want golden checkpoint 2", img.Meta)
+	if string(img.Meta) != `{"golden":3}` || img.Seq != 3 {
+		t.Fatalf("recovered meta %q at sequence %d, want golden checkpoint 3", img.Meta, img.Seq)
 	}
 	if img.TornPagesRepaired != 1 {
 		t.Fatalf("TornPagesRepaired = %d, want 1", img.TornPagesRepaired)
 	}
-	if *img.Pages[1] != *fillPage(1) || *img.Pages[2] != *fillPage(22) || *img.Pages[3] != *fillPage(33) {
+	if *img.Pages[1] != *fillPage(11) || *img.Pages[2] != *fillPage(22) || *img.Pages[3] != *fillPage(33) {
 		t.Fatal("golden recovery produced wrong page content")
+	}
+	if string(img.DirSnapshot) != "golden snapshot" || len(img.DirDeltas) != 2 ||
+		string(img.DirDeltas[0]) != "golden delta 2" || string(img.DirDeltas[1]) != "golden delta 3" {
+		t.Fatalf("golden recovery produced directory %q + %q", img.DirSnapshot, img.DirDeltas)
+	}
+}
+
+// TestFormatV1Refused: there is no reader for the version 1 format (the OID
+// directory inside the metadata blob). The last golden directory that format
+// produced is kept as a fixture, and opening it must fail with the version
+// error rather than misread it.
+func TestFormatV1Refused(t *testing.T) {
+	dir := t.TempDir()
+	copyStoreFiles(t, filepath.Join("testdata", "golden_v1"), dir, "data.gomdb", "wal.gomdb", "meta.gomdb")
+	ps, _, err := OpenPageStore(dir)
+	if err == nil {
+		ps.Close()
+		t.Fatal("a version 1 directory opened")
+	}
+	if want := "format version 1, this build reads version 2"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want it to say %q", err, want)
+	}
+	// Refusing must not take the lock with it: a second attempt fails the
+	// same way, not with "locked by another process".
+	if _, _, err2 := OpenPageStore(dir); err2 == nil || err2.Error() != err.Error() {
+		t.Fatalf("second open: %v, want %v", err2, err)
 	}
 }
