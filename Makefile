@@ -148,22 +148,25 @@ sim-crash:
 
 # Sharded campaign: every plan through the 4-shard scatter-gather router with
 # fault windows on single shards and crash points at divergent per-shard
-# checkpoint horizons, under the race detector.
+# checkpoint horizons (each op's selector mod 4 picks its shard), under the
+# race detector.
 sim-shard:
 	$(GO) run -race ./cmd/gomsim -shards 4 -faults -durable -crashes -seeds 15 -ops 150
 
 # Generated-base campaign: every plan against an OCB-style synthetic object
 # base (internal/ocb demo parameters) instead of the hand-built fixture,
-# with fault windows, under the race detector.
+# with fault windows, under the race detector — on one engine, then through
+# the 4-shard router with crash points as well.
 sim-ocb:
 	$(GO) run -race ./cmd/gomsim -ocb -faults -seeds 10 -ops 150
+	$(GO) run -race ./cmd/gomsim -ocb -shards 4 -faults -durable -crashes -seeds 10 -ops 150
 
 # Nightly-style campaign: more seeds, longer workloads, scripted fault
 # windows, and the race detector over the whole sim test suite. Rotate the
 # seed window with SIM_SEED_BASE (e.g. SIM_SEED_BASE=$$(date +%Y%m%d)).
 SIM_SEED_BASE ?= 1
 sim-long:
-	$(GO) test -race -run 'TestSim|TestMatrix|TestFault|TestMutation|TestCharge|TestCrash|TestDurable' ./internal/sim/
+	$(GO) test -race ./internal/sim/
 	$(GO) run ./cmd/gomsim -seed-base $(SIM_SEED_BASE) -seeds 40 -ops 250 -faults
 	$(GO) run ./cmd/gomsim -seed-base $(SIM_SEED_BASE) -seeds 20 -ops 200 -durable -crashes -faults
 

@@ -79,7 +79,7 @@ func main() {
 		runServe(sc, jsonOut(*out, "BENCH_serve.json"), *csv, *plot)
 		return
 	case "ocb":
-		runOCB(sc, jsonOut(*out, "BENCH_ocb.json"), *csv, *plot)
+		runSyntheticGrid(sc, jsonOut(*out, "BENCH_ocb.json"), *csv, *plot)
 		return
 	}
 
@@ -253,9 +253,9 @@ func runCluster(sc bench.Scale, out string, csv, plot bool) {
 	fmt.Printf("  (cluster completed in %v wall time)\n\n", time.Since(t0).Round(time.Millisecond))
 }
 
-// runOCB runs the synthetic-workload grid (generated object bases, all
-// simulated charges) and writes the JSON report.
-func runOCB(sc bench.Scale, out string, csv, plot bool) {
+// runSyntheticGrid runs the synthetic-workload grid (generated object bases,
+// all simulated charges) and writes the JSON report.
+func runSyntheticGrid(sc bench.Scale, out string, csv, plot bool) {
 	t0 := time.Now()
 	rep, fig, err := bench.OCB(sc)
 	if err != nil {

@@ -8,11 +8,12 @@
 //
 //	gomsim -seeds 25                         # 25 seeds, all strategies
 //	gomsim -seed 42 -strategy deferred -v    # one seed, one config, full trace
-//	gomsim -seeds 100 -faults -long          # nightly-style fault campaign
+//	gomsim -seeds 100 -faults -ops 250       # nightly-style fault campaign
 //	gomsim -seed-base 20260805 -seeds 50     # rotating nightly seed window
 //	gomsim -durable -crashes -seeds 25       # crash-recovery campaign
 //	gomsim -shards 4 -faults -durable -crashes  # sharded fault+crash campaign
 //	gomsim -ocb -seeds 25                    # generated OCB-style object bases
+//	gomsim -ocb -shards 4 -faults -durable -crashes  # ... through the router
 //	gomsim -replay testdata/sim/repro.json   # re-run a saved reproducer
 //
 // With -durable each run executes against a file-backed store; -crashes
@@ -22,14 +23,15 @@
 // land inside fault windows and next to crash points); the directory ↔ heap
 // auditor then verifies every relocation left the base intact. With
 // -shards N every plan runs through the internal/shard scatter-gather router
-// over N engines; fault windows target one shard's disk, crash points kill
-// all shards with the mid-checkpoint injection armed on one, and the audits
-// add the router's cross-shard routing invariants. With -ocb each workload
-// runs against a generated OCB-style object base (internal/ocb demo
-// parameters) instead of the hand-built fixture; -ocb composes with every
-// axis except -shards. A violating durable run
-// is re-executed with its store pinned under -out, so the on-disk state that
-// fed recovery ships alongside the shrunk reproducer.
+// over N engines; a fault window targets one shard's disk and a crash point
+// kills all shards with the mid-checkpoint cut armed on one (the op's selector
+// mod N picks it, so a campaign reaches every shard), and the audits add the
+// router's cross-shard routing invariants. With -ocb each workload runs
+// against a generated OCB-style object base (internal/ocb demo parameters)
+// instead of the hand-built fixture. One runner executes every combination:
+// -ocb and -shards are independent of each other and of all the other axes.
+// A violating durable run is re-executed with its store pinned under -out, so
+// the on-disk state that fed recovery ships alongside the shrunk reproducer.
 //
 // Exit status is 0 when every run is clean (or a replayed artifact
 // reproduces its recorded outcome) and 1 otherwise.
@@ -61,7 +63,7 @@ func main() {
 		faults    = flag.Bool("faults", false, "insert scripted fault windows into each plan")
 		recl      = flag.Bool("recluster", false, "insert trace-driven reclustering passes into each plan")
 		nomvcc    = flag.Bool("nomvcc", false, "disable the MVCC snapshot read path")
-		useOCB    = flag.Bool("ocb", false, "run each workload against a generated OCB-style object base (demo parameters; incompatible with -shards)")
+		useOCB    = flag.Bool("ocb", false, "run each workload against a generated OCB-style object base (demo parameters)")
 		durable   = flag.Bool("durable", false, "run against a file-backed store (checkpoints + WAL + recovery)")
 		crashes   = flag.Bool("crashes", false, "insert crash-restart points into each plan (implies -durable)")
 		broken    = flag.Bool("broken", false, "arm the deliberately-broken invalidation path (audits must fail)")
@@ -82,10 +84,6 @@ func main() {
 	}
 	if *crashes {
 		*durable = true
-	}
-	if *useOCB && *shards > 0 {
-		fmt.Fprintln(os.Stderr, "gomsim: -ocb cannot be combined with -shards (router parity for generated bases is pinned in internal/ocb)")
-		os.Exit(1)
 	}
 	var ocbParams *ocb.Params
 	if *useOCB {

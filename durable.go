@@ -270,17 +270,17 @@ func dedupSorted(ids []storage.PageID) []storage.PageID {
 
 // Checkpoint makes the current state durable immediately; a no-op on an
 // in-memory database. It does not flush the deferred queue (use Flush for a
-// combined flush point + checkpoint). With Config.ReclusterOnCheckpoint set,
-// a trace-driven reclustering pass runs first (under the reader barrier
-// relocation requires), so the checkpoint commits the clustered layout and
-// recovery replays to it. With Config.AutoRecluster > 0 the pass runs only
-// when the forward-trace access statistics say the base is scattered (see
-// autoReclusterDue).
+// combined flush point + checkpoint). With Config.AutoRecluster > 0, a
+// trace-driven reclustering pass runs first (under the reader barrier
+// relocation requires) whenever the forward-trace access statistics say the
+// base is scattered (see autoReclusterDue), so the checkpoint commits the
+// clustered layout and recovery replays to it. Recluster followed by
+// Checkpoint does the same unconditionally.
 func (db *Database) Checkpoint() error {
-	if db.reclusterOnCkpt || db.autoRecluster > 0 {
+	if db.autoRecluster > 0 {
 		db.lockBarrier()
 		defer db.unlockBarrier()
-		if db.reclusterOnCkpt || db.autoReclusterDue() {
+		if db.autoReclusterDue() {
 			if _, err := db.reclusterLocked(); err != nil {
 				return err
 			}

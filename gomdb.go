@@ -179,13 +179,6 @@ type Config struct {
 	// materialize. Required when Path is set and the directory holds an
 	// existing database.
 	DefineSchema func(*Database) error
-	// ReclusterOnCheckpoint runs a trace-driven reclustering pass (see
-	// Database.Recluster) at every explicit Checkpoint call, before the state
-	// is made durable — so the checkpoint commits the clustered layout and
-	// crash recovery replays to it. Flush/Batch/Materialize checkpoint points
-	// are NOT recluster points: they run under the plain write lock, and
-	// relocation needs the reader barrier. Off by default.
-	ReclusterOnCheckpoint bool
 	// DisableMVCC turns off the versioned snapshot read path: a
 	// read-classified operation that finds the engine write-locked blocks on
 	// the reader/writer lock instead of answering from a pinned snapshot —
@@ -208,10 +201,13 @@ type Config struct {
 	// threshold (each traced object sitting on nearly its own page — the
 	// signature of a scattered base), a trace-driven reclustering pass
 	// (Database.Recluster) runs under the reader barrier before the state is
-	// made durable. Ratios near 1.0 mean fully scattered; well-clustered
-	// bases run well below 0.3. GMRs with fewer than 16 traced objects are
-	// ignored (too little signal). 0 disables the policy;
-	// ReclusterOnCheckpoint forces a pass unconditionally.
+	// made durable — so the checkpoint commits the clustered layout and
+	// crash recovery replays to it. Flush/Batch/Materialize checkpoint points
+	// are NOT recluster points: they run under the plain write lock, and
+	// relocation needs the reader barrier. Ratios near 1.0 mean fully
+	// scattered; well-clustered bases run well below 0.3. GMRs with fewer
+	// than 16 traced objects are ignored (too little signal). 0 disables the
+	// policy; for an unconditional pass call Recluster and then Checkpoint.
 	AutoRecluster float64
 }
 
@@ -269,8 +265,6 @@ type Database struct {
 	// be versioned. See internal/mvcc.
 	mvccSt *mvcc.State
 
-	// reclusterOnCkpt mirrors Config.ReclusterOnCheckpoint.
-	reclusterOnCkpt bool
 	// autoRecluster mirrors Config.AutoRecluster (0 = disabled).
 	autoRecluster float64
 
@@ -331,8 +325,7 @@ func newDatabase(cfg Config) *Database {
 		GMRs:    mgr,
 		Queries: query.NewExecutor(en, mgr),
 
-		reclusterOnCkpt: cfg.ReclusterOnCheckpoint,
-		autoRecluster:   cfg.AutoRecluster,
+		autoRecluster: cfg.AutoRecluster,
 	}
 	if !cfg.DisableMVCC {
 		st := mvcc.NewState()
@@ -552,6 +545,17 @@ func (db *Database) Delete(oid OID) error {
 	db.lockWrite()
 	defer db.unlockWrite()
 	return db.Engine.Delete(oid)
+}
+
+// Exists reports whether oid denotes a live object: a directory probe under
+// the shared lock, touching no page and charging nothing. A create or delete
+// that returned an error may or may not have taken effect (their hooks run
+// after the store and before the removal); this is how a coordinator finds
+// out which.
+func (db *Database) Exists(oid OID) bool {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.Objects.Exists(oid)
 }
 
 // Set performs the elementary update oid.set_attr(v).

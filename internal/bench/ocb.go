@@ -188,7 +188,7 @@ func OCB(sc Scale) (*OCBReport, *Figure, error) {
 
 	for mi, def := range mixes {
 		fig.X = append(fig.X, float64(mi))
-		mix, err := runOCBMix(def)
+		mix, err := measureOCBMix(def)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", def.Name, err)
 		}
@@ -240,8 +240,8 @@ func OCB(sc Scale) (*OCBReport, *Figure, error) {
 	return rep, fig, nil
 }
 
-// runOCBMix measures all six cells of one grid point.
-func runOCBMix(def ocbMixDef) (*OCBMix, error) {
+// measureOCBMix measures all six cells of one grid point.
+func measureOCBMix(def ocbMixDef) (*OCBMix, error) {
 	// Probe build: learn the heap footprint so the pool holds a quarter of it.
 	base, err := ocb.Gen(def.P, ocbSeed)
 	if err != nil {
@@ -275,7 +275,7 @@ func runOCBMix(def ocbMixDef) (*OCBMix, error) {
 	mix.ResultsIdentical = true
 	for _, clustered := range []bool{false, true} {
 		for _, strat := range ocbStrategies {
-			cell, results, err := runOCBCell(def, base, stream, strat.S, strat.Name, clustered, pool)
+			cell, results, err := measureOCBCell(def, base, stream, strat.S, strat.Name, clustered, pool)
 			if err != nil {
 				return nil, fmt.Errorf("%s clustered=%v: %w", strat.Name, clustered, err)
 			}
@@ -305,7 +305,7 @@ func runOCBMix(def ocbMixDef) (*OCBMix, error) {
 	return mix, nil
 }
 
-func runOCBCell(def ocbMixDef, base *ocb.Base, stream []ocb.Op, strat gomdb.Strategy, stratName string, clustered bool, pool int) (*OCBCell, []string, error) {
+func measureOCBCell(def ocbMixDef, base *ocb.Base, stream []ocb.Op, strat gomdb.Strategy, stratName string, clustered bool, pool int) (*OCBCell, []string, error) {
 	db := gomdb.Open(gomdb.Config{BufferPages: pool})
 	if err := ocb.Define(db, def.P); err != nil {
 		return nil, nil, err

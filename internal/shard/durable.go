@@ -9,12 +9,14 @@ import (
 
 	"gomdb"
 	"gomdb/internal/object"
+	"gomdb/internal/storage"
 )
 
 // Durable layout: Config.Engine.Path is the router root. Shard i keeps its
 // page store under <root>/shard-<i>/, and the router persists its own small
-// metadata file at <root>/router.json (written tmp+rename, so it is always
-// either the old or the new version). There is no cross-shard atomic
+// metadata file at <root>/router.json (storage.ReplaceFile: fsynced tmp,
+// rename, fsynced directory — after a power loss it is either the old or the
+// complete new version, never empty). There is no cross-shard atomic
 // commit: every shard checkpoints independently, and a crash mid-fan-out
 // leaves the shards at different checkpoint horizons. Recovery tolerates
 // that — each shard replays to its own last committed checkpoint, and the
@@ -22,6 +24,16 @@ import (
 // multi-shard batch is NOT atomic across a crash, only per shard. (A
 // two-phase commit across shards is the served-process tier's problem;
 // within one process the paper's recovery unit is the engine.)
+//
+// What a crash may expose, rule by rule (ROADMAP 5(d); this list grows as
+// the sim audits more of it):
+//
+//  1. A GMR exists on the router iff it exists on ALL shards. Materialize
+//     and Dematerialize fan out shard by shard with a checkpoint each, so a
+//     crash mid-fan-out recovers the GMR on shards 0..k only; OpenAt drops
+//     it from those (dropPartialGMRs) and the materialization is simply
+//     lost, like any work after the last checkpoint. Without the rule every
+//     later fan-out on that name fails half-way, forever.
 //
 // OID safety across crashes does not depend on router.json freshness: on
 // reopen the allocator is seeded past both the persisted floor and the
@@ -82,8 +94,8 @@ func (db *DB) saveMeta() error {
 	return db.saveMetaLocked()
 }
 
-// saveMetaLocked writes router.json tmp+rename. Caller holds db.mu (read or
-// write). In-memory routers skip it.
+// saveMetaLocked replaces router.json atomically and durably. Caller holds
+// db.mu (read or write). In-memory routers skip it.
 func (db *DB) saveMetaLocked() error {
 	if db.path == "" {
 		return nil
@@ -101,11 +113,7 @@ func (db *DB) saveMetaLocked() error {
 	if err != nil {
 		return err
 	}
-	tmp := db.metaPath() + ".tmp"
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, db.metaPath())
+	return storage.ReplaceFile(db.path, "router.json", raw)
 }
 
 // recoverRouting rebuilds the owner table after the shards have recovered:
@@ -139,9 +147,33 @@ func (db *DB) recoverRouting() error {
 	return nil
 }
 
+// dropPartialGMRs enforces rule 1 of the file header after the shards have
+// recovered: a GMR some shard lacks is dematerialized on the shards that have
+// it (a checkpoint point each, so the drop itself survives the next crash).
+func (db *DB) dropPartialGMRs() error {
+	on := make(map[string]int)
+	for _, sh := range db.shards {
+		for _, name := range sh.GMRs.GMRs() {
+			on[name]++
+		}
+	}
+	for i, sh := range db.shards {
+		for _, name := range sh.GMRs.GMRs() {
+			if on[name] == len(db.shards) {
+				continue
+			}
+			if err := sh.Dematerialize(name); err != nil {
+				return fmt.Errorf("shard %d: dropping partially recovered GMR %s: %w", i, name, err)
+			}
+		}
+	}
+	return nil
+}
+
 // OpenAt opens (or creates) a durable sharded database rooted at
-// Config.Engine.Path, running each shard's recovery in shard order and then
-// rebuilding the routing table from the recovered state.
+// Config.Engine.Path, running each shard's recovery in shard order, dropping
+// GMRs that did not survive on every shard, and then rebuilding the routing
+// table from the recovered state.
 func OpenAt(cfg Config) (*DB, error) {
 	if cfg.Engine.Path == "" {
 		return nil, fmt.Errorf("shard: OpenAt requires Config.Engine.Path")

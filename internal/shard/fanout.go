@@ -244,13 +244,17 @@ func (tx *Tx) New(typeName string, attrs ...gomdb.Value) (gomdb.OID, error) {
 	if !constrained {
 		sh = db.ShardFor(uint64(db.alloc.PeekOID()))
 	}
-	oid, err := tx.txs[sh].New(typeName, attrs...)
-	if err != nil {
-		return 0, err
-	}
-	db.owner[oid] = sh
-	db.partitioned[typeName] = true
-	return oid, nil
+	return tx.create(sh, typeName, func(t *gomdb.Tx) (gomdb.OID, error) { return t.New(typeName, attrs...) })
+}
+
+// create runs create in shard sh's open batch and records ownership
+// (DB.createLocked; the batch holds every shard's lock, so the shard is
+// probed directly).
+func (tx *Tx) create(sh int, typeName string, create func(*gomdb.Tx) (gomdb.OID, error)) (gomdb.OID, error) {
+	db := tx.db
+	next := db.alloc.PeekOID()
+	oid, err := create(tx.txs[sh])
+	return db.routeCreatedLocked(sh, typeName, next, oid, err, db.shards[sh].Objects.Exists)
 }
 
 // NewOn creates a tuple-structured instance on an explicit shard inside the
@@ -260,13 +264,7 @@ func (tx *Tx) NewOn(sh int, typeName string, attrs ...gomdb.Value) (gomdb.OID, e
 	if err := db.checkRefsOnLocked(sh, attrs); err != nil {
 		return 0, err
 	}
-	oid, err := tx.txs[sh].New(typeName, attrs...)
-	if err != nil {
-		return 0, err
-	}
-	db.owner[oid] = sh
-	db.partitioned[typeName] = true
-	return oid, nil
+	return tx.create(sh, typeName, func(t *gomdb.Tx) (gomdb.OID, error) { return t.New(typeName, attrs...) })
 }
 
 // NewSet creates a set-structured instance inside the batch, placed like
@@ -280,13 +278,7 @@ func (tx *Tx) NewSet(typeName string, elems ...gomdb.Value) (gomdb.OID, error) {
 	if !constrained {
 		sh = db.ShardFor(uint64(db.alloc.PeekOID()))
 	}
-	oid, err := tx.txs[sh].NewSet(typeName, elems...)
-	if err != nil {
-		return 0, err
-	}
-	db.owner[oid] = sh
-	db.partitioned[typeName] = true
-	return oid, nil
+	return tx.create(sh, typeName, func(t *gomdb.Tx) (gomdb.OID, error) { return t.NewSet(typeName, elems...) })
 }
 
 // Delete removes an object inside the batch (DB.Delete).
@@ -296,16 +288,11 @@ func (tx *Tx) Delete(oid gomdb.OID) error {
 	if !ok {
 		return fmt.Errorf("%w: oid %v", ErrUnknownOID, oid)
 	}
-	delete(db.owner, oid)
-	if sh == replicated {
-		for i, t := range tx.txs {
-			if err := t.Delete(oid); err != nil {
-				return fmt.Errorf("shard %d replica: %w", i, err)
-			}
-		}
-		return nil
+	err := deleteOn(sh, len(tx.txs), func(i int) error { return tx.txs[i].Delete(oid) })
+	if err == nil || !liveOn(sh, len(tx.txs), func(i int) bool { return db.shards[i].Objects.Exists(oid) }) {
+		delete(db.owner, oid)
 	}
-	return tx.txs[sh].Delete(oid)
+	return err
 }
 
 // Set performs an elementary update inside the batch (DB.Set).

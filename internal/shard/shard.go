@@ -214,7 +214,11 @@ func open(cfg Config) (*DB, error) {
 		db.shards = append(db.shards, sh)
 	}
 	if durable {
-		if err := db.recoverRouting(); err != nil {
+		err := db.dropPartialGMRs()
+		if err == nil {
+			err = db.recoverRouting()
+		}
+		if err != nil {
 			for _, sh := range db.shards {
 				sh.Crash()
 			}
@@ -329,9 +333,9 @@ func (db *DB) New(typeName string, attrs ...gomdb.Value) (gomdb.OID, error) {
 	if !constrained {
 		sh = db.ShardFor(uint64(db.alloc.PeekOID()))
 	}
-	return db.createLocked(sh, func(s *gomdb.Database) (gomdb.OID, error) {
+	return db.createLocked(sh, typeName, func(s *gomdb.Database) (gomdb.OID, error) {
 		return s.New(typeName, attrs...)
-	}, typeName)
+	})
 }
 
 // NewOn creates a tuple-structured instance on an explicit shard — the
@@ -343,9 +347,9 @@ func (db *DB) NewOn(sh int, typeName string, attrs ...gomdb.Value) (gomdb.OID, e
 	if err := db.checkRefsOnLocked(sh, attrs); err != nil {
 		return 0, err
 	}
-	return db.createLocked(sh, func(s *gomdb.Database) (gomdb.OID, error) {
+	return db.createLocked(sh, typeName, func(s *gomdb.Database) (gomdb.OID, error) {
 		return s.New(typeName, attrs...)
-	}, typeName)
+	})
 }
 
 // NewSet creates a set- or list-structured instance, routed like New.
@@ -359,21 +363,40 @@ func (db *DB) NewSet(typeName string, elems ...gomdb.Value) (gomdb.OID, error) {
 	if !constrained {
 		sh = db.ShardFor(uint64(db.alloc.PeekOID()))
 	}
-	return db.createLocked(sh, func(s *gomdb.Database) (gomdb.OID, error) {
+	return db.createLocked(sh, typeName, func(s *gomdb.Database) (gomdb.OID, error) {
 		return s.NewSet(typeName, elems...)
-	}, typeName)
+	})
 }
 
 // createLocked runs create against shard sh and records ownership. Caller
 // holds db.mu exclusively (creates serialize through the router so the
 // PeekOID-based placement and the owner table stay coherent).
-func (db *DB) createLocked(sh int, create func(*gomdb.Database) (gomdb.OID, error), typeName string) (gomdb.OID, error) {
+func (db *DB) createLocked(sh int, typeName string, create func(*gomdb.Database) (gomdb.OID, error)) (gomdb.OID, error) {
+	next := db.alloc.PeekOID()
 	oid, err := create(db.shards[sh])
+	return db.routeCreatedLocked(sh, typeName, next, oid, err, db.shards[sh].Exists)
+}
+
+// routeCreatedLocked records the routing entry of a create on shard sh. The
+// engine stores an object BEFORE it runs the type's new-object hooks, so a
+// hook that fails (a GMR insert hitting a disk fault) returns an error over
+// an object that exists: next, the OID the allocator was about to hand out,
+// is then live on the shard and must be routed like any other — a live
+// object without an entry can be neither reached nor deleted. The caller
+// still gets the error. exists probes the shard (under its lock at top
+// level, directly inside a batch that already holds it).
+func (db *DB) routeCreatedLocked(sh int, typeName string, next, oid gomdb.OID, err error, exists func(gomdb.OID) bool) (gomdb.OID, error) {
 	if err != nil {
-		return 0, err
+		if !exists(next) {
+			return 0, err
+		}
+		oid = next
 	}
 	db.owner[oid] = sh
 	db.partitioned[typeName] = true
+	if err != nil {
+		return 0, err
+	}
 	return oid, nil
 }
 
@@ -431,7 +454,9 @@ func (db *DB) route(oid gomdb.OID) (int, error) {
 }
 
 // Delete removes an object: point-routed to its owner, or broadcast to every
-// replica in shard order for a replicated object.
+// replica in shard order for a replicated object. The engine runs the forget
+// hooks before it removes the object, so a failed delete can leave the object
+// alive; its routing entry then stays (the mirror of routeCreatedLocked).
 func (db *DB) Delete(oid gomdb.OID) error {
 	db.mu.Lock()
 	sh, ok := db.owner[oid]
@@ -441,15 +466,41 @@ func (db *DB) Delete(oid gomdb.OID) error {
 	}
 	delete(db.owner, oid)
 	db.mu.Unlock()
-	if sh == replicated {
-		for i, s := range db.shards {
-			if err := s.Delete(oid); err != nil {
-				return fmt.Errorf("shard %d replica: %w", i, err)
-			}
-		}
-		return nil
+	err := deleteOn(sh, len(db.shards), func(i int) error { return db.shards[i].Delete(oid) })
+	if err != nil && liveOn(sh, len(db.shards), func(i int) bool { return db.shards[i].Exists(oid) }) {
+		db.mu.Lock()
+		db.owner[oid] = sh
+		db.mu.Unlock()
 	}
-	return db.shards[sh].Delete(oid)
+	return err
+}
+
+// deleteOn runs del on owner sh, or on every one of n replicas in shard
+// order, stopping at the first error.
+func deleteOn(sh, n int, del func(i int) error) error {
+	if sh != replicated {
+		return del(sh)
+	}
+	for i := 0; i < n; i++ {
+		if err := del(i); err != nil {
+			return fmt.Errorf("shard %d replica: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// liveOn reports whether an object still exists on its owner sh (on any of
+// the n replicas for a replicated object).
+func liveOn(sh, n int, exists func(i int) bool) bool {
+	if sh != replicated {
+		return exists(sh)
+	}
+	for i := 0; i < n; i++ {
+		if exists(i) {
+			return true
+		}
+	}
+	return false
 }
 
 // Set performs the elementary update oid.set_attr(v), point-routed to the

@@ -5,6 +5,7 @@ import (
 
 	"gomdb"
 	"gomdb/internal/object"
+	"gomdb/internal/shard"
 )
 
 // auditTol is the relative tolerance for comparing stored results against
@@ -105,5 +106,62 @@ func auditRRRSupport(db *gomdb.Database, name string, g *gomdb.GMR) []string {
 		}
 		return true
 	})
+	return out
+}
+
+// AuditSharded runs the single-engine auditor battery on every shard
+// (messages prefixed with the shard index) and then checks the router's
+// cross-shard invariants:
+//
+//  1. Ownership residence — every routing-table entry resolves to a live
+//     object on its owning shard, and a replicated entry resolves on EVERY
+//     shard.
+//  2. Placement exclusivity — a non-replicated OID lives on exactly the one
+//     shard the routing table names; an OID on multiple shards must be a
+//     registered replica.
+//  3. Extension completeness — the union of the per-shard type extensions
+//     is exactly the routed population: no object is missing from the merge
+//     and none appears under two owners.
+func AuditSharded(db *shard.DB) []string {
+	var out []string
+	db.EachShard(func(i int, sh *gomdb.Database) error {
+		for _, m := range Audit(sh) {
+			out = append(out, fmt.Sprintf("shard %d: %s", i, m))
+		}
+		return nil
+	})
+
+	n := db.Shards()
+	present := make(map[gomdb.OID]int) // OID -> count of shards holding it
+	where := make(map[gomdb.OID]int)   // OID -> some shard holding it
+	db.EachShard(func(i int, sh *gomdb.Database) error {
+		for _, oid := range sh.Objects.AllOIDs() {
+			present[oid]++
+			where[oid] = i
+		}
+		return nil
+	})
+	for oid, cnt := range present {
+		own, ok := db.Owner(oid)
+		if !ok {
+			out = append(out, fmt.Sprintf("router: object %v on shard %d has no routing entry", oid, where[oid]))
+			continue
+		}
+		switch {
+		case own == -1 && cnt != n:
+			out = append(out, fmt.Sprintf("router: replicated %v present on %d/%d shards", oid, cnt, n))
+		case own >= 0 && cnt != 1:
+			out = append(out, fmt.Sprintf("router: %v owned by shard %d but present on %d shards", oid, own, cnt))
+		case own >= 0 && where[oid] != own:
+			out = append(out, fmt.Sprintf("router: %v routed to shard %d but lives on shard %d", oid, own, where[oid]))
+		}
+	}
+	// Every routing entry must resolve to a live object.
+	for _, oid := range db.RoutedOIDs() {
+		if present[oid] == 0 {
+			own, _ := db.Owner(oid)
+			out = append(out, fmt.Sprintf("router: routing entry %v -> %d resolves to no live object", oid, own))
+		}
+	}
 	return out
 }

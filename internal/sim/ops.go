@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 
+	"gomdb/internal/ocb"
 	"gomdb/internal/storage"
 )
 
@@ -56,8 +58,10 @@ const (
 	// Skipped while a fault window is open (invariants may legitimately be
 	// broken until recovery).
 	OpAudit OpKind = "audit"
-	// OpFault arms the scriptable fault plan Rules on the simulated disk and
-	// opens a fault window: subsequent op errors are tolerated and recorded.
+	// OpFault arms the scriptable fault plan Rules on the simulated disk of
+	// engine X mod the engine count (the one engine, or one shard of the
+	// router) and opens a fault window: subsequent op errors are tolerated
+	// and recorded.
 	OpFault OpKind = "fault"
 	// OpFaultClear disarms fault injection, closes the window, and runs
 	// recovery (flush + rebuild of every materialized GMR) so the next audit
@@ -84,7 +88,8 @@ const (
 	// bytes while committing Sub; "mid-flush" and "mid-mat" cut the
 	// checkpoint of a Flush or of materializing catalog entry X the same
 	// way; "torn" arms the Rule fault plan (FaultTornWrite) so the batch
-	// checkpoint's data-file apply tears a page write in half. After the
+	// checkpoint's data-file apply tears a page write in half. Cuts and the
+	// torn write are armed on engine X mod the engine count. After the
 	// trigger the database is crashed and reopened: a recovery error is a
 	// violation, and the recovered state is audited immediately.
 	OpCrash OpKind = "crash"
@@ -190,12 +195,54 @@ func Generate(seed int64, opt GenOptions) Plan {
 		injectFaultWindows(rng, &p)
 	}
 	if opt.Crashes {
-		injectCrashes(rng, &p)
+		injectCrashes(rng, &p, len(catalog), genUpdateOp)
 	}
 	if opt.Recluster {
 		injectReclusters(rng, &p)
 	}
 	return p
+}
+
+// GenerateOCB derives a complete workload plan over a synthetic OCB base:
+// the op stream comes from ocb.GenStream (all randomness consumed at
+// generation time, targets resolved to indices), and the injectors — fault
+// windows, crash-restart points, reclustering passes — are the ones Generate
+// uses, applied after generation so base plans stay byte-identical whether or
+// not an option is on. Run the plan with an EngineConfig whose OCB field
+// carries the same Params.
+func GenerateOCB(seed int64, p ocb.Params, opt GenOptions) Plan {
+	n := opt.Ops
+	if n <= 0 {
+		n = 150
+	}
+	plan := Plan{Seed: seed, Ops: convertOCBOps(ocb.GenStream(p, seed, ocb.StreamOptions{Ops: n}))}
+	rng := rand.New(rand.NewSource(seed))
+	if opt.Faults {
+		injectFaultWindows(rng, &plan)
+	}
+	if opt.Crashes {
+		// Streams over a generated base never create or delete objects, so a
+		// crash op's batch body draws from the one elementary update there is.
+		injectCrashes(rng, &plan, len(ocb.Catalog(p)), func(rng *rand.Rand) Op {
+			return Op{Kind: OpSetValue, X: rng.Intn(1 << 16), N: rng.Intn(p.Classes),
+				S: fmt.Sprintf("N%d", rng.Intn(p.NumAttrs)), F: []float64{10 + rng.Float64()*90}}
+		})
+	}
+	if opt.Recluster {
+		injectReclusters(rng, &plan)
+	}
+	return plan
+}
+
+func convertOCBOps(stream []ocb.Op) []Op {
+	ops := make([]Op, len(stream))
+	for i, o := range stream {
+		ops[i] = Op{Kind: OpKind(o.Kind), X: o.X, N: o.N, S: o.S, F: o.F}
+		if len(o.Sub) > 0 {
+			ops[i].Sub = convertOCBOps(o.Sub)
+		}
+	}
+	return ops
 }
 
 // genOp draws one weighted operation.
@@ -278,12 +325,16 @@ func genCreate(rng *rand.Rand) Op {
 // offsets (N) span zero to well past a typical checkpoint batch, so crashes
 // land before the first record, mid-record, between records, and after the
 // commit (in which case the trigger succeeds and the crash is merely
-// post-commit).
-func genCrash(rng *rand.Rand) Op {
+// post-commit). ncat is the fixture's catalog size and genSub its batch-body
+// vocabulary. X picks the engine the cut or torn write is armed on (X mod the
+// engine count): target for the batch and flush points, the catalog index
+// itself for mid-mat. target is the op's insertion index rather than a draw
+// of its own, so plans keep the rng sequence they always had.
+func genCrash(rng *rand.Rand, target, ncat int, genSub func(*rand.Rand) Op) Op {
 	batch := func() []Op {
 		sub := make([]Op, 1+rng.Intn(4))
 		for i := range sub {
-			sub[i] = genUpdateOp(rng)
+			sub[i] = genSub(rng)
 		}
 		return sub
 	}
@@ -291,13 +342,13 @@ func genCrash(rng *rand.Rand) Op {
 	case 0:
 		return Op{Kind: OpCrash, S: "now"}
 	case 1:
-		return Op{Kind: OpCrash, S: "mid-batch", N: rng.Intn(20000), Sub: batch()}
+		return Op{Kind: OpCrash, S: "mid-batch", X: target, N: rng.Intn(20000), Sub: batch()}
 	case 2:
-		return Op{Kind: OpCrash, S: "mid-flush", N: rng.Intn(20000)}
+		return Op{Kind: OpCrash, S: "mid-flush", X: target, N: rng.Intn(20000)}
 	case 3:
-		return Op{Kind: OpCrash, S: "mid-mat", X: rng.Intn(len(catalog)), N: rng.Intn(20000)}
+		return Op{Kind: OpCrash, S: "mid-mat", X: rng.Intn(ncat), N: rng.Intn(20000)}
 	default:
-		return Op{Kind: OpCrash, S: "torn", Sub: batch(), Rule: []storage.FaultRule{
+		return Op{Kind: OpCrash, S: "torn", X: target, Sub: batch(), Rule: []storage.FaultRule{
 			{Op: storage.FaultTornWrite, After: rng.Intn(3), Count: 1},
 		}}
 	}
@@ -305,11 +356,11 @@ func genCrash(rng *rand.Rand) Op {
 
 // injectCrashes inserts one to three crash-restart points into the plan at
 // random positions.
-func injectCrashes(rng *rand.Rand, p *Plan) {
+func injectCrashes(rng *rand.Rand, p *Plan, ncat int, genSub func(*rand.Rand) Op) {
 	n := 1 + rng.Intn(3)
 	for i := 0; i < n; i++ {
 		at := rng.Intn(len(p.Ops) + 1)
-		op := genCrash(rng)
+		op := genCrash(rng, at, ncat, genSub)
 		p.Ops = append(p.Ops[:at], append([]Op{op}, p.Ops[at:]...)...)
 	}
 }
@@ -331,7 +382,9 @@ func injectReclusters(rng *rand.Rand, p *Plan) {
 // injectFaultWindows inserts one or two [OpFault ... OpFaultClear] windows
 // into the plan at random positions. Rules are transient or persistent (a
 // persistent rule lives until the window's OpFaultClear), target reads,
-// writes, or both, and optionally a single heap file.
+// writes, or both, and optionally a single heap file. A window is armed on
+// ONE engine, X mod the engine count; X is the arm op's insertion index (no
+// rng draw of its own), which spreads windows over the shards of a router.
 func injectFaultWindows(rng *rand.Rand, p *Plan) {
 	windows := 1 + rng.Intn(2)
 	for w := 0; w < windows; w++ {
@@ -357,6 +410,6 @@ func injectFaultWindows(rng *rand.Rand, p *Plan) {
 		}
 		// Insert the clear first so the arm index stays valid.
 		p.Ops = append(p.Ops[:end], append([]Op{{Kind: OpFaultClear}}, p.Ops[end:]...)...)
-		p.Ops = append(p.Ops[:at], append([]Op{{Kind: OpFault, Rule: rules}}, p.Ops[at:]...)...)
+		p.Ops = append(p.Ops[:at], append([]Op{{Kind: OpFault, X: at, Rule: rules}}, p.Ops[at:]...)...)
 	}
 }

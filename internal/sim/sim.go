@@ -29,7 +29,6 @@ import (
 	"strings"
 
 	"gomdb"
-	"gomdb/internal/fixtures"
 	"gomdb/internal/ocb"
 	"gomdb/internal/storage"
 )
@@ -50,9 +49,9 @@ type EngineConfig struct {
 	BufferShards int `json:"bufferShards,omitempty"`
 	// Shards runs the plan against a horizontally sharded router
 	// (internal/shard) over this many engine instances instead of a single
-	// database. 0 means the legacy single-engine path; Shards >= 1
-	// exercises the scatter-gather router, including at 1 where it must
-	// behave like a plain engine.
+	// database. 0 means one plain engine; Shards >= 1 exercises the
+	// scatter-gather router, including at 1 where it must behave like a
+	// plain engine.
 	Shards int `json:"shards,omitempty"`
 	// RematWorkers bounds the deferred-flush worker pool (0 = GOMAXPROCS).
 	RematWorkers int `json:"rematWorkers,omitempty"`
@@ -81,9 +80,8 @@ type EngineConfig struct {
 	// OCB switches the run from the hand-built geometry fixture to a
 	// synthetic object base generated from these parameters and the plan's
 	// seed (internal/ocb). Plans for this axis come from GenerateOCB; the
-	// auditors are unchanged — they are fixture-agnostic. Not combinable
-	// with Shards (the router's OCB parity is pinned in the ocb package's
-	// own tests instead).
+	// auditors are unchanged — they are fixture-agnostic. Combines with
+	// every other field, Shards included.
 	OCB *ocb.Params `json:"ocb,omitempty"`
 }
 
@@ -164,83 +162,38 @@ type Result struct {
 	FaultsInjected int
 }
 
-// api is the operation surface shared by *gomdb.Database (per-op locking)
-// and *gomdb.Tx (inside one Batch critical section), so the same op applier
-// serves both paths.
-type api interface {
-	New(typeName string, attrs ...gomdb.Value) (gomdb.OID, error)
-	Delete(oid gomdb.OID) error
-	Set(oid gomdb.OID, attr string, v gomdb.Value) error
-	GetAttr(oid gomdb.OID, attr string) (gomdb.Value, error)
-	Call(fn string, args ...gomdb.Value) (gomdb.Value, error)
-}
-
-// world is the mutable execution state of one run.
-type world struct {
-	db  *gomdb.Database
+// runner is the mutable execution state of one run: the engine under test
+// behind the backend seam, the object base behind the fixture seam, and the
+// bookkeeping neither owns.
+type runner struct {
 	cfg EngineConfig
 	// dir is the durable store's directory ("" on in-memory runs); OpCrash
 	// reopens it.
 	dir string
-
-	cuboids []gomdb.OID
-	robots  []gomdb.OID
-	mats    []gomdb.OID
-	nextID  int64
+	b   backend
+	fx  fixture
+	cat []gmrSpec
 
 	matted     map[int]bool // catalog index -> currently materialized
 	faultsOpen bool
 	faults     int // total faults injected across closed windows
 }
 
-// openSim opens the database one run (or one post-crash recovery) executes
-// against: in-memory when dir is empty, file-backed (gomdb.OpenAt) otherwise.
-// The geometry schema is defined either way — durable opens run it through
-// Config.DefineSchema so recovery can fingerprint-check it.
-func openSim(cfg EngineConfig, dir string) (*gomdb.Database, error) {
-	gc := gomdb.Config{
-		BufferPages:  cfg.BufferPages,
-		BufferShards: cfg.BufferShards,
-		RematWorkers: cfg.RematWorkers,
-		DisableMVCC:  cfg.DisableMVCC,
-	}
-	if dir == "" {
-		db := gomdb.Open(gc)
-		if err := fixtures.DefineGeometry(db, false); err != nil {
-			return nil, fmt.Errorf("schema: %w", err)
-		}
-		return db, nil
-	}
-	gc.Path = dir
-	gc.DefineSchema = func(db *gomdb.Database) error { return fixtures.DefineGeometry(db, false) }
-	return gomdb.OpenAt(gc)
-}
-
 // Run executes plan against cfg and returns the trace, cost snapshot, and
 // first invariant violation (if any).
 func Run(cfg EngineConfig, plan Plan) (res *Result) {
-	if cfg.OCB != nil {
-		return runOCB(cfg, plan)
-	}
-	if cfg.Shards > 0 {
-		return RunSharded(cfg, plan)
-	}
 	res = &Result{}
-	var w *world
-	var db *gomdb.Database
+	r := &runner{cfg: cfg, matted: make(map[int]bool)}
 	removeDir := ""
 	cur := -1
 	defer func() {
-		if r := recover(); r != nil {
-			res.Violation = &Violation{OpIndex: cur, Msgs: []string{fmt.Sprintf("panic: %v", r)}}
+		if p := recover(); p != nil {
+			res.Violation = &Violation{OpIndex: cur, Msgs: []string{fmt.Sprintf("panic: %v", p)}}
 		}
-		if w != nil {
-			res.Clock = w.db.Clock.Snapshot()
-			res.FaultsInjected = w.faults + w.db.Disk.FaultsInjected()
-			db = w.db
-		}
-		if db != nil {
-			db.Crash() // release the durable store's file handles (no-op in-memory)
+		if r.b != nil {
+			res.Clock = r.b.Snapshot()
+			res.FaultsInjected = r.faults + r.faultsNow()
+			r.b.Crash() // release the durable store's file handles (no-op in-memory)
 		}
 		if removeDir != "" {
 			os.RemoveAll(removeDir)
@@ -252,203 +205,182 @@ func Run(cfg EngineConfig, plan Plan) (res *Result) {
 		}
 		res.TraceHash = h.Sum64()
 	}()
-
-	dir := ""
-	if cfg.Durable {
-		dir = cfg.CrashDir
-		if dir == "" {
-			tmp, err := os.MkdirTemp("", "gomsim-durable-")
-			if err != nil {
-				res.Violation = &Violation{OpIndex: -1, Msgs: []string{"durable dir: " + err.Error()}}
-				return res
-			}
-			dir, removeDir = tmp, tmp
-		} else if err := os.RemoveAll(dir); err != nil {
-			// A stale store from a previous run of the same artifact directory
-			// must not leak into this one.
-			res.Violation = &Violation{OpIndex: -1, Msgs: []string{"durable dir: " + err.Error()}}
-			return res
+	setup := func(stage string, err error) bool {
+		if err != nil {
+			res.Violation = &Violation{OpIndex: -1, Msgs: []string{stage + ": " + err.Error()}}
 		}
+		return err == nil
 	}
 
 	var err error
-	db, err = openSim(cfg, dir)
-	if err != nil {
-		res.Violation = &Violation{OpIndex: -1, Msgs: []string{"open: " + err.Error()}}
+	if r.fx, err = newFixture(cfg, plan.Seed); !setup("params", err) {
 		return res
 	}
-	geo, err := fixtures.PopulateGeometry(db, plan.Init, plan.Seed)
-	if err != nil {
-		res.Violation = &Violation{OpIndex: -1, Msgs: []string{"populate: " + err.Error()}}
+	r.cat = r.fx.catalog()
+	if cfg.Durable {
+		r.dir = cfg.CrashDir
+		if r.dir == "" {
+			r.dir, err = os.MkdirTemp("", "gomsim-durable-")
+			removeDir = r.dir
+		} else {
+			// A stale store from a previous run of the same artifact directory
+			// must not leak into this one.
+			err = os.RemoveAll(r.dir)
+		}
+		if !setup("durable dir", err) {
+			return res
+		}
+	}
+	if r.b, err = openBackend(cfg, r.dir, r.fx.define); !setup("open", err) {
+		return res
+	}
+	if !setup("populate", r.fx.populate(r.b, plan)) {
 		return res
 	}
 	// Make the initial object base durable so the earliest possible crash
 	// still recovers a populated world.
-	if err := db.Checkpoint(); err != nil {
-		res.Violation = &Violation{OpIndex: -1, Msgs: []string{"populate checkpoint: " + err.Error()}}
+	if !setup("populate checkpoint", r.b.Checkpoint()) {
 		return res
 	}
-	db.GMRs.TestingBreakInvalidation(cfg.Broken)
-	w = &world{
-		db:      db,
-		cfg:     cfg,
-		dir:     dir,
-		cuboids: append([]gomdb.OID(nil), geo.Cuboids...),
-		robots:  append([]gomdb.OID(nil), geo.Robots...),
-		mats:    append([]gomdb.OID(nil), geo.MaterialO...),
-		nextID:  geo.NextID,
-		matted:  make(map[int]bool),
-	}
+	r.breakInvalidation()
 
-	for i, op := range plan.Ops {
-		cur = i
-		detail, bad := w.apply(op)
-		res.Trace = append(res.Trace, fmt.Sprintf("%04d %-10s %s", i, op.Kind, detail))
-		if bad != nil {
-			bad.OpIndex = i
-			res.Violation = bad
-			return res
-		}
-	}
-
-	// Implicit final quiescent point: close any window the plan (or
-	// shrinking) left open, then audit.
-	cur = len(plan.Ops)
-	if w.faultsOpen {
-		detail, bad := w.applyFaultClear()
-		res.Trace = append(res.Trace, fmt.Sprintf("%04d %-10s %s", cur, OpFaultClear, detail))
+	// step records one trace line and reports whether the run goes on.
+	step := func(kind OpKind, detail string, bad *Violation) bool {
+		res.Trace = append(res.Trace, fmt.Sprintf("%04d %-10s %s", cur, kind, detail))
 		if bad != nil {
 			bad.OpIndex = cur
 			res.Violation = bad
+		}
+		return bad == nil
+	}
+	for i, op := range plan.Ops {
+		cur = i
+		detail, bad := r.apply(op)
+		if !step(op.Kind, detail, bad) {
 			return res
 		}
 	}
-	detail, bad := w.applyAudit()
-	res.Trace = append(res.Trace, fmt.Sprintf("%04d %-10s %s", cur, "final-audit", detail))
-	if bad != nil {
-		bad.OpIndex = cur
-		res.Violation = bad
+	// Implicit final quiescent point: close any window the plan (or
+	// shrinking) left open, then audit.
+	cur = len(plan.Ops)
+	if r.faultsOpen {
+		detail, bad := r.applyFaultClear()
+		if !step(OpFaultClear, detail, bad) {
+			return res
+		}
 	}
+	detail, bad := r.applyAudit()
+	step("final-audit", detail, bad)
 	return res
 }
 
-// cuboid resolves an op's object selector against the live cuboid list.
-func (w *world) cuboid(x int) (gomdb.OID, bool) {
-	if len(w.cuboids) == 0 {
-		return 0, false
+// breakInvalidation arms (or not) the deliberately-broken invalidation path
+// on every engine; a reopened engine starts with it off.
+func (r *runner) breakInvalidation() {
+	for _, e := range r.b.engines() {
+		e.GMRs.TestingBreakInvalidation(r.cfg.Broken)
 	}
-	return w.cuboids[x%len(w.cuboids)], true
+}
+
+func (r *runner) faultsNow() int {
+	total := 0
+	for _, e := range r.b.engines() {
+		total += e.Disk.FaultsInjected()
+	}
+	return total
 }
 
 // apply executes one op, returning the canonical trace detail and a
 // violation if an invariant broke at this op. Operational errors are
 // recorded in the detail, not escalated — the auditors decide what counts as
 // engine misbehavior.
-func (w *world) apply(op Op) (string, *Violation) {
+func (r *runner) apply(op Op) (string, *Violation) {
 	switch op.Kind {
 	case OpMat:
-		return w.applyMat(op), nil
+		return r.applyMat(op.X), nil
 	case OpDemat:
-		spec := catalog[op.X%len(catalog)]
-		err := w.db.Dematerialize(spec.Name)
+		ci := op.X % len(r.cat)
+		err := r.b.Dematerialize(r.cat[ci].Name)
 		if err == nil {
-			delete(w.matted, op.X%len(catalog))
+			delete(r.matted, ci)
 		}
-		return spec.Name + " " + errStr(err), nil
-	case OpCreate:
-		oid, err := w.createCuboid(w.db, op)
-		if err != nil {
-			return "ERR " + err.Error(), nil
-		}
-		return fmt.Sprintf("cuboid %s (n=%d)", oid, len(w.cuboids)), nil
-	case OpDelete:
-		oid, ok := w.cuboid(op.X)
-		if !ok {
-			return "skip (no cuboids)", nil
-		}
-		err := w.db.Delete(oid)
-		if !w.db.Objects.Exists(oid) {
-			w.dropCuboid(oid)
-		}
-		return fmt.Sprintf("cuboid %s (n=%d) %s", oid, len(w.cuboids), errStr(err)), nil
-	case OpSetValue, OpSetVertex, OpScale, OpTranslate, OpRotate:
-		detail, err := w.applyUpdate(w.db, op)
-		if err != nil {
-			detail += " ERR " + err.Error()
-		}
-		return detail, nil
+		return r.cat[ci].Name + " " + errStr(err), nil
+	case OpCreate, OpDelete, OpSetValue, OpSetVertex, OpScale, OpTranslate, OpRotate:
+		return r.fx.mutate(r.b.direct(), op, false), nil
 	case OpForward:
-		oid, ok := w.cuboid(op.X)
+		args, ok := r.fx.callArgs(op)
 		if !ok {
-			return "skip (no cuboids)", nil
+			return r.skipEmpty(), nil
 		}
-		args := []gomdb.Value{gomdb.Ref(oid)}
-		if op.S == "Cuboid.distance" {
-			args = append(args, gomdb.Ref(w.robots[op.N%len(w.robots)]))
-		}
-		v, err := w.db.Call(op.S, args...)
+		v, err := r.b.Call(op.S, args...)
 		if err != nil {
 			return op.S + " ERR " + err.Error(), nil
 		}
-		return fmt.Sprintf("%s(%s) = %s", op.S, oid, v), nil
+		return fmt.Sprintf("%s(%s) = %s", op.S, args[0].R, v), nil
 	case OpBackward:
-		ms, err := w.db.Backward(op.S, op.F[0], op.F[1])
+		ms, err := r.b.Backward(op.S, op.F[0], op.F[1])
 		if err != nil {
 			return op.S + " ERR " + err.Error(), nil
 		}
 		return fmt.Sprintf("%s[%g,%g] %s", op.S, op.F[0], op.F[1], matchStr(ms)), nil
 	case OpSum:
-		if len(w.cuboids) == 0 {
-			return "skip (no cuboids)", nil
+		roots := r.fx.roots()
+		if len(roots) == 0 {
+			return r.skipEmpty(), nil
 		}
-		k := 1 + op.N%len(w.cuboids)
-		oids := append([]gomdb.OID(nil), w.cuboids[:k]...)
-		s, err := w.db.Sum(op.S, oids)
+		k := 1 + op.N%len(roots)
+		s, err := r.b.Sum(op.S, append([]gomdb.OID(nil), roots[:k]...))
 		if err != nil {
 			return op.S + " ERR " + err.Error(), nil
 		}
 		return fmt.Sprintf("%s over %d = %g", op.S, k, s), nil
 	case OpRetrieve:
-		spec := catalog[op.X%len(catalog)]
+		spec := r.cat[op.X%len(r.cat)]
 		specs := make([]gomdb.FieldSpec, spec.NumArgs+len(spec.Funcs))
 		for i := range specs {
 			specs[i] = gomdb.AnySpec()
 		}
 		specs[spec.NumArgs] = gomdb.RangeSpec(op.F[0], op.F[1])
-		rows, err := w.db.Retrieve(spec.Name, specs)
+		rows, err := r.b.Retrieve(spec.Name, specs)
 		if err != nil {
 			return spec.Name + " ERR " + err.Error(), nil
 		}
 		return fmt.Sprintf("%s[%g,%g] %s", spec.Name, op.F[0], op.F[1], rowStr(rows)), nil
 	case OpFlush:
-		return errStr(w.db.Flush()), nil
+		return errStr(r.b.Flush()), nil
 	case OpBatch:
-		return w.applyBatch(op), nil
+		return r.applyBatch(op.Sub), nil
 	case OpGC:
-		ngc, err := w.db.GMRs.CollectResultGarbage()
-		if err != nil {
-			return "ERR " + err.Error(), nil
-		}
-		nrr, err := w.db.GMRs.ReorganizeRRR()
-		if err != nil {
-			return "ERR " + err.Error(), nil
+		ngc, nrr := 0, 0
+		for _, e := range r.b.engines() {
+			n, err := e.GMRs.CollectResultGarbage()
+			if err != nil {
+				return "ERR " + err.Error(), nil
+			}
+			ngc += n
+			if n, err = e.GMRs.ReorganizeRRR(); err != nil {
+				return "ERR " + err.Error(), nil
+			}
+			nrr += n
 		}
 		return fmt.Sprintf("collected %d, reorganized %d", ngc, nrr), nil
 	case OpAudit:
-		if w.faultsOpen {
+		if r.faultsOpen {
 			return "skipped (faults armed)", nil
 		}
-		return w.applyAudit()
+		return r.applyAudit()
 	case OpSnapRead:
-		return w.applySnapRead(op)
+		return r.applySnapRead(op)
 	case OpFault:
-		w.db.Disk.SetFaultPlan(storage.FaultPlan{Rules: op.Rule})
-		w.faultsOpen = true
-		return storage.FaultPlan{Rules: op.Rule}.String(), nil
+		eng, label := r.b.target(op.X)
+		fp := storage.FaultPlan{Rules: op.Rule}
+		eng.Disk.SetFaultPlan(fp)
+		r.faultsOpen = true
+		return label + fp.String(), nil
 	case OpFaultClear:
-		return w.applyFaultClear()
+		return r.applyFaultClear()
 	case OpRecluster:
-		rep, err := w.db.Recluster()
+		rep, err := r.b.Recluster()
 		if err != nil {
 			// Inside a fault window a relocation may abort; the abort is
 			// all-or-nothing, so the auditors — not error-freedom — judge it.
@@ -457,160 +389,96 @@ func (w *world) apply(op Op) (string, *Violation) {
 		return fmt.Sprintf("moved %d/%d (hot=%d chains=%d traces=%d)",
 			rep.Moved, rep.Objects, rep.HotObjects, rep.Chains, rep.Traces), nil
 	case OpCrash:
-		return w.applyCrash(op)
+		return r.applyCrash(op)
 	}
 	return "unknown op", &Violation{Msgs: []string{"unknown op kind " + string(op.Kind)}}
 }
 
-// applyCrash kills the durable database at the op's chosen point and reopens
-// it. A recovery error is a violation — crash-safety is the invariant under
-// test — and the recovered state is audited immediately, so a recovery that
-// resurrects stale GMR entries or loses committed objects fails at this op,
-// not at some later audit. On in-memory runs the op is a recorded no-op
-// (plans stay portable across the durability axis).
-func (w *world) applyCrash(op Op) (string, *Violation) {
-	if w.dir == "" {
+// skipEmpty is the detail of an op that found no root object to select.
+func (r *runner) skipEmpty() string {
+	noun, _ := r.fx.census()
+	return "skip (no " + noun + ")"
+}
+
+// applyCrash kills the durable backend at the op's chosen point and reopens
+// it. The mid-checkpoint cuts and the torn write are armed on ONE engine (X
+// mod the engine count), so under the router the surviving checkpoint
+// horizons diverge across shards and recovery must rebuild a coherent routing
+// table from that divergence. A recovery error is a violation — crash-safety
+// is the invariant under test — and the recovered state is audited
+// immediately, so a recovery that resurrects stale GMR entries or loses
+// committed objects fails at this op, not at some later audit. On in-memory
+// runs the op is a recorded no-op (plans stay portable across the durability
+// axis).
+func (r *runner) applyCrash(op Op) (string, *Violation) {
+	if r.dir == "" {
 		return op.S + " skip (in-memory)", nil
 	}
+	eng, _ := r.b.target(op.X)
 	var trigger string
 	switch op.S {
 	case "mid-batch":
-		w.db.TestingFailNextCheckpoint(int64(op.N))
-		trigger = fmt.Sprintf("mid-batch@%d %s", op.N, w.applyBatch(Op{Kind: OpBatch, Sub: op.Sub}))
+		eng.TestingFailNextCheckpoint(int64(op.N))
+		trigger = fmt.Sprintf("mid-batch@%d %s", op.N, r.applyBatch(op.Sub))
 	case "mid-flush":
-		w.db.TestingFailNextCheckpoint(int64(op.N))
-		trigger = fmt.Sprintf("mid-flush@%d %s", op.N, errStr(w.db.Flush()))
+		eng.TestingFailNextCheckpoint(int64(op.N))
+		trigger = fmt.Sprintf("mid-flush@%d %s", op.N, errStr(r.b.Flush()))
 	case "mid-mat":
-		w.db.TestingFailNextCheckpoint(int64(op.N))
-		trigger = fmt.Sprintf("mid-mat@%d %s", op.N, w.applyMat(Op{Kind: OpMat, X: op.X}))
+		eng.TestingFailNextCheckpoint(int64(op.N))
+		trigger = fmt.Sprintf("mid-mat@%d %s", op.N, r.applyMat(op.X))
 	case "torn":
-		w.db.Disk.SetFaultPlan(storage.FaultPlan{Rules: op.Rule})
-		trigger = "torn " + w.applyBatch(Op{Kind: OpBatch, Sub: op.Sub})
+		eng.Disk.SetFaultPlan(storage.FaultPlan{Rules: op.Rule})
+		trigger = "torn " + r.applyBatch(op.Sub)
 	default:
 		trigger = "now"
 	}
-	w.faults += w.db.Disk.FaultsInjected()
-	w.db.Crash()
-	w.faultsOpen = false // the crash wiped any armed fault plan
-	db, err := openSim(w.cfg, w.dir)
+	r.faults += r.faultsNow()
+	r.b.Crash()
+	r.faultsOpen = false // the crash wiped any armed fault plan
+	b, err := openBackend(r.cfg, r.dir, r.fx.define)
 	if err != nil {
 		return trigger + " -> recovery FAILED", &Violation{Msgs: []string{"recovery: " + err.Error()}}
 	}
-	w.db = db
-	db.GMRs.TestingBreakInvalidation(w.cfg.Broken)
-	w.resync()
-	rec := "fresh"
-	if info := db.Recovery; info != nil && info.Recovered {
-		rec = fmt.Sprintf("objs=%d gmrs=%d pend=%d wal=%d torn=%d",
-			info.ObjectsRestored, info.GMRsRebuilt, info.PendingDiscarded,
-			info.WALPagesReplayed, info.TornPagesRepaired)
-	}
-	detail, bad := w.applyAudit()
-	return fmt.Sprintf("%s -> recovered(%s); audit %s", trigger, rec, detail), bad
-}
-
-// resync rebuilds the world's object and GMR bookkeeping from the recovered
-// database: work after the last committed checkpoint is gone (created
-// cuboids vanish, deletes un-happen) and only checkpointed GMRs come back.
-// Extent order is insertion order, preserved verbatim through checkpoint and
-// recovery, so the resynced lists are deterministic.
-func (w *world) resync() {
-	w.cuboids = w.db.Objects.Extension("Cuboid")
-	w.robots = w.db.Objects.Extension("Robot")
-	w.mats = w.db.Objects.Extension("Material")
-	w.matted = make(map[int]bool)
-	for ci, spec := range catalog {
-		if _, ok := w.db.GMRs.Get(spec.Name); ok {
-			w.matted[ci] = true
+	r.b = b
+	r.breakInvalidation()
+	// Only checkpointed GMRs come back; a GMR exists on the router iff it
+	// exists on every shard, so the first engine speaks for all.
+	r.fx.resync(b)
+	r.matted = make(map[int]bool)
+	for ci, spec := range r.cat {
+		if _, ok := b.engines()[0].GMRs.Get(spec.Name); ok {
+			r.matted[ci] = true
 		}
 	}
+	detail, bad := r.applyAudit()
+	return fmt.Sprintf("%s -> recovered(%s); audit %s", trigger, b.recovered(r.fx.census()), detail), bad
 }
 
-func (w *world) applyMat(op Op) string {
-	ci := op.X % len(catalog)
-	spec := catalog[ci]
-	_, err := w.db.Materialize(gomdb.MaterializeOptions{
+func (r *runner) applyMat(x int) string {
+	ci := x % len(r.cat)
+	spec := r.cat[ci]
+	err := r.b.materialize(gomdb.MaterializeOptions{
 		Name:         spec.Name,
 		Funcs:        spec.Funcs,
-		Strategy:     w.cfg.strategy(),
+		Strategy:     r.cfg.strategy(),
 		Complete:     spec.Complete,
 		MaxEntries:   spec.MaxEntries,
-		SecondChance: w.cfg.SecondChance,
-		UseMDS:       w.cfg.UseMDS,
-		MemoCache:    w.cfg.Memo,
+		SecondChance: r.cfg.SecondChance,
+		UseMDS:       r.cfg.UseMDS,
+		MemoCache:    r.cfg.Memo,
 	})
 	if err == nil {
-		w.matted[ci] = true
+		r.matted[ci] = true
 	}
 	return spec.Name + " " + errStr(err)
 }
 
-func (w *world) applyUpdate(a api, op Op) (string, error) {
-	oid, ok := w.cuboid(op.X)
-	if !ok {
-		return "skip (no cuboids)", nil
-	}
-	switch op.Kind {
-	case OpSetValue:
-		return fmt.Sprintf("%s.Value=%g", oid, op.F[0]),
-			a.Set(oid, "Value", gomdb.Float(op.F[0]))
-	case OpSetVertex:
-		attr := fmt.Sprintf("V%d", 1+op.N%8)
-		vref, err := a.GetAttr(oid, attr)
-		if err != nil {
-			return oid.String() + "." + attr, err
-		}
-		return fmt.Sprintf("%s.%s.%s=%g", oid, attr, op.S, op.F[0]),
-			a.Set(vref.R, op.S, gomdb.Float(op.F[0]))
-	case OpScale, OpTranslate:
-		vec, err := a.New("Vertex", gomdb.Float(op.F[0]), gomdb.Float(op.F[1]), gomdb.Float(op.F[2]))
-		if err != nil {
-			return "new vertex", err
-		}
-		opName := "Cuboid.scale"
-		if op.Kind == OpTranslate {
-			opName = "Cuboid.translate"
-		}
-		_, err = a.Call(opName, gomdb.Ref(oid), gomdb.Ref(vec))
-		return fmt.Sprintf("%s(%s, [%g %g %g])", opName, oid, op.F[0], op.F[1], op.F[2]), err
-	case OpRotate:
-		_, err := a.Call("Cuboid.rotate", gomdb.Ref(oid), gomdb.Float(op.F[0]), gomdb.Str(op.S))
-		return fmt.Sprintf("rotate(%s, %g, %s)", oid, op.F[0], op.S), err
-	}
-	return "", fmt.Errorf("sim: %s is not an update op", op.Kind)
-}
-
-func (w *world) applyBatch(op Op) string {
+func (r *runner) applyBatch(sub []Op) string {
 	var parts []string
-	err := w.db.Batch(func(tx *gomdb.Tx) error {
-		for _, sub := range op.Sub {
-			var detail string
-			var serr error
-			switch sub.Kind {
-			case OpCreate:
-				var oid gomdb.OID
-				oid, serr = w.createCuboid(tx, sub)
-				detail = "create " + oid.String()
-			case OpDelete:
-				oid, ok := w.cuboid(sub.X)
-				if !ok {
-					parts = append(parts, "delete skip")
-					continue
-				}
-				serr = tx.Delete(oid)
-				if !w.db.Objects.Exists(oid) {
-					w.dropCuboid(oid)
-				}
-				detail = "delete " + oid.String()
-			default:
-				detail, serr = w.applyUpdate(tx, sub)
-			}
-			if serr != nil {
-				detail += " ERR " + serr.Error()
-			}
-			parts = append(parts, detail)
+	err := r.b.batch(func(tx mutator) {
+		for _, op := range sub {
+			parts = append(parts, r.fx.mutate(tx, op, true))
 		}
-		return nil
 	})
 	out := fmt.Sprintf("{%s}", strings.Join(parts, "; "))
 	if err != nil {
@@ -624,10 +492,10 @@ func (w *world) applyBatch(op Op) string {
 // Read errors are workload outcomes (a fault window may be open); a stale
 // snapshot result or a leaked pin is a violation. All view reads charge a
 // throwaway clock, so this op never perturbs the run's cost snapshot.
-func (w *world) applySnapRead(op Op) (string, *Violation) {
-	view, err := w.db.SnapshotView()
-	if err != nil {
-		return "ERR " + err.Error(), nil
+func (r *runner) applySnapRead(op Op) (string, *Violation) {
+	view, detail := r.b.view()
+	if view == nil {
+		return detail, nil
 	}
 	defer view.Release()
 	// The pinned version itself stays out of the trace: durable runs publish
@@ -635,41 +503,37 @@ func (w *world) applySnapRead(op Op) (string, *Violation) {
 	// axis is part of the determinism contract.
 	parts := []string{"pinned"}
 
-	if oid, ok := w.cuboid(op.X); ok {
-		args := []gomdb.Value{gomdb.Ref(oid)}
-		if op.S == "Cuboid.distance" {
-			args = append(args, gomdb.Ref(w.robots[op.N%len(w.robots)]))
-		}
+	if args, ok := r.fx.callArgs(op); ok {
 		if v, err := view.Call(op.S, args...); err != nil {
 			parts = append(parts, op.S+" ERR "+err.Error())
 		} else {
-			parts = append(parts, fmt.Sprintf("%s(%s)=%s", op.S, oid, v))
+			parts = append(parts, fmt.Sprintf("%s(%s)=%s", op.S, args[0].R, v))
 		}
 	}
-	parts = append(parts, fmt.Sprintf("ext=%d", len(view.Extension("Cuboid"))))
+	parts = append(parts, fmt.Sprintf("ext=%d", len(view.Extension(r.fx.rootType()))))
 
 	// Congruence at the pinned version for one materialized catalog entry.
 	// Skipped inside fault windows, like OpAudit: invariants may legitimately
 	// be broken until the window's recovery. Completeness is not checked —
 	// mid-plan the extension moves with every create/delete; congruence of
 	// the stored results is the snapshot-level invariant.
-	ci := op.X % len(catalog)
-	if w.matted[ci] && !w.faultsOpen {
-		spec := catalog[ci]
-		rep, err := view.CheckConsistency(spec.Name, auditTol, false)
+	ci := op.X % len(r.cat)
+	if r.matted[ci] && !r.faultsOpen {
+		name := r.cat[ci].Name
+		rep, err := view.CheckConsistency(name, auditTol, false)
 		switch {
 		case err != nil:
-			parts = append(parts, "audit "+spec.Name+" ERR "+err.Error())
+			parts = append(parts, "audit "+name+" ERR "+err.Error())
 		case rep.Err() != nil:
 			return strings.Join(parts, " "),
-				&Violation{Msgs: []string{"snapshot audit " + spec.Name + ": " + rep.Err().Error()}}
+				&Violation{Msgs: []string{"snapshot audit " + name + ": " + rep.Err().Error()}}
 		default:
-			parts = append(parts, "audit "+spec.Name+" ok")
+			parts = append(parts, "audit "+name+" ok")
 		}
 	}
 
 	view.Release()
-	if n := w.db.MVCCStats().ActivePins; n != 0 {
+	if n := r.b.engines()[0].MVCCStats().ActivePins; n != 0 {
 		return strings.Join(parts, " "),
 			&Violation{Msgs: []string{fmt.Sprintf("snapshot pin leak: %d active after release", n)}}
 	}
@@ -681,23 +545,30 @@ func (w *world) applySnapRead(op Op) (string, *Violation) {
 // so the engine returns to a state the auditors are entitled to judge.
 // Recovery errors (with injection disarmed) are violations: a fault must
 // never wedge the engine.
-func (w *world) applyFaultClear() (string, *Violation) {
-	w.faults += w.db.Disk.FaultsInjected()
-	w.db.Disk.ClearFaults()
-	w.faultsOpen = false
+func (r *runner) applyFaultClear() (string, *Violation) {
+	r.faults += r.faultsNow()
+	for _, e := range r.b.engines() {
+		e.Disk.ClearFaults()
+	}
+	r.faultsOpen = false
 	var msgs []string
-	if err := w.db.Flush(); err != nil {
+	if err := r.b.Flush(); err != nil {
 		msgs = append(msgs, "recovery flush: "+err.Error())
 	}
+	matted := make([]int, 0, len(r.matted))
+	for ci := range r.matted {
+		matted = append(matted, ci)
+	}
+	sort.Ints(matted)
 	rebuilt := 0
-	for _, ci := range w.mattedIndices() {
-		spec := catalog[ci]
-		if err := w.db.Dematerialize(spec.Name); err != nil {
-			msgs = append(msgs, "recovery demat "+spec.Name+": "+err.Error())
+	for _, ci := range matted {
+		name := r.cat[ci].Name
+		if err := r.b.Dematerialize(name); err != nil {
+			msgs = append(msgs, "recovery demat "+name+": "+err.Error())
 			continue
 		}
-		delete(w.matted, ci)
-		if s := w.applyMat(Op{Kind: OpMat, X: ci}); !strings.HasSuffix(s, " ok") {
+		delete(r.matted, ci)
+		if s := r.applyMat(ci); !strings.HasSuffix(s, " ok") {
 			msgs = append(msgs, "recovery remat "+s)
 			continue
 		}
@@ -706,69 +577,21 @@ func (w *world) applyFaultClear() (string, *Violation) {
 	if len(msgs) > 0 {
 		return "recovery FAILED", &Violation{Msgs: msgs}
 	}
-	return fmt.Sprintf("recovered (%d GMRs rebuilt, %d faults so far)", rebuilt, w.faults), nil
-}
-
-func (w *world) mattedIndices() []int {
-	out := make([]int, 0, len(w.matted))
-	for ci := range w.matted {
-		out = append(out, ci)
-	}
-	sort.Ints(out)
-	return out
+	return fmt.Sprintf("recovered (%d GMRs rebuilt, %d faults so far)", rebuilt, r.faults), nil
 }
 
 // applyAudit is a quiescent point: drain the deferred queue, then run every
 // invariant auditor.
-func (w *world) applyAudit() (string, *Violation) {
-	if err := w.db.Flush(); err != nil {
+func (r *runner) applyAudit() (string, *Violation) {
+	if err := r.b.Flush(); err != nil {
 		return "flush ERR", &Violation{Msgs: []string{"audit flush: " + err.Error()}}
 	}
-	msgs := Audit(w.db)
+	msgs := r.b.audit()
 	if len(msgs) > 0 {
 		return fmt.Sprintf("FAILED (%d violations)", len(msgs)), &Violation{Msgs: msgs}
 	}
-	return fmt.Sprintf("ok (%d gmrs, %d cuboids)", len(w.matted), len(w.cuboids)), nil
-}
-
-// createCuboid builds one cuboid through the error-checked path (the fixture
-// helper panics on failure, which a fault window must not).
-func (w *world) createCuboid(a api, op Op) (gomdb.OID, error) {
-	ox, oy, oz := op.F[0], op.F[1], op.F[2]
-	l, wd, h := op.F[3], op.F[4], op.F[5]
-	corners := [8][3]float64{
-		{ox, oy, oz}, {ox + l, oy, oz}, {ox + l, oy + wd, oz}, {ox, oy + wd, oz},
-		{ox, oy, oz + h}, {ox + l, oy, oz + h}, {ox + l, oy + wd, oz + h}, {ox, oy + wd, oz + h},
-	}
-	attrs := make([]gomdb.Value, 0, 11)
-	for _, c := range corners {
-		v, err := a.New("Vertex", gomdb.Float(c[0]), gomdb.Float(c[1]), gomdb.Float(c[2]))
-		if err != nil {
-			return 0, err
-		}
-		attrs = append(attrs, gomdb.Ref(v))
-	}
-	w.nextID++
-	attrs = append(attrs,
-		gomdb.Ref(w.mats[op.N%len(w.mats)]),
-		gomdb.Float(op.F[6]),
-		gomdb.Int(w.nextID),
-	)
-	oid, err := a.New("Cuboid", attrs...)
-	if err != nil {
-		return 0, err
-	}
-	w.cuboids = append(w.cuboids, oid)
-	return oid, nil
-}
-
-func (w *world) dropCuboid(oid gomdb.OID) {
-	for i, c := range w.cuboids {
-		if c == oid {
-			w.cuboids = append(w.cuboids[:i], w.cuboids[i+1:]...)
-			return
-		}
-	}
+	noun, n := r.fx.census()
+	return fmt.Sprintf("ok (%d gmrs, %d %s%s)", len(r.matted), n, noun, r.b.scope()), nil
 }
 
 func errStr(err error) string {

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -116,10 +117,8 @@ func firstTraceDiff(a, b []string) string {
 			return "base: " + a[i] + "\n got: " + b[i]
 		}
 	}
-	return "traces differ in length: " + itoa(len(a)) + " vs " + itoa(len(b))
+	return "traces differ in length: " + strconv.Itoa(len(a)) + " vs " + strconv.Itoa(len(b))
 }
-
-func itoa(n int) string { return strings.TrimSpace(string(rune('0' + n%10))) }
 
 // TestSeedStability: the same seed must expand to the same plan — the
 // generator is the other half of the determinism contract.

@@ -302,10 +302,12 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// replaceFile atomically and durably replaces dir/name with content: the
+// ReplaceFile atomically and durably replaces dir/name with content: the
 // bytes are fsynced under a .tmp name before the rename and the directory
 // after it, so a crash leaves either the old file or the complete new one.
-func replaceFile(dir, name string, content []byte) error {
+// Exported for the other small metadata files that sit beside page stores
+// (the shard router's router.json).
+func ReplaceFile(dir, name string, content []byte) error {
 	tmp := filepath.Join(dir, name+".tmp")
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -557,7 +559,7 @@ func (ps *PageStore) applyDirRecord(d dirRecord) error {
 		return nil
 	}
 	content := appendDirRecord(fileHeader(dirMagic, 0), d)
-	if err := replaceFile(ps.dir, "dir.gomdb", content); err != nil {
+	if err := ReplaceFile(ps.dir, "dir.gomdb", content); err != nil {
 		return err
 	}
 	f, err := os.OpenFile(filepath.Join(ps.dir, "dir.gomdb"), os.O_RDWR, 0o644)
@@ -627,7 +629,7 @@ func (ps *PageStore) writeMetaFile(seq uint64, meta []byte) error {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(meta)))
 	buf = append(buf, meta...)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[fileHeaderSize:], castagnoli))
-	return replaceFile(ps.dir, "meta.gomdb", buf)
+	return ReplaceFile(ps.dir, "meta.gomdb", buf)
 }
 
 // readMetaFile reads and validates meta.gomdb; a missing file returns

@@ -210,10 +210,11 @@ func TestReclusterDurableCheckpointCommitsClusteredLayout(t *testing.T) {
 	}
 }
 
+// TestReclusterOnCheckpointConfig: an unconditional checkpoint-time pass is
+// two explicit calls, Recluster then Checkpoint (Config.AutoRecluster is the
+// automatic policy).
 func TestReclusterOnCheckpointConfig(t *testing.T) {
-	cfg := gomdb.DefaultConfig()
-	cfg.ReclusterOnCheckpoint = true
-	db := gomdb.Open(cfg)
+	db := gomdb.Open(gomdb.DefaultConfig())
 	if err := fixtures.DefineGeometry(db, false); err != nil {
 		t.Fatal(err)
 	}
@@ -224,14 +225,16 @@ func TestReclusterOnCheckpointConfig(t *testing.T) {
 	materializeGvw(t, db, gomdb.Immediate)
 	want := allVolumes(t, db, geo.Cuboids)
 	before := db.Objects.ExportDirectory()
-	// Checkpoint on an in-memory database persists nothing but still runs
-	// the configured reclustering pass.
+	if _, err := db.Recluster(); err != nil {
+		t.Fatal(err)
+	}
+	// Checkpoint on an in-memory database persists nothing.
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	after := db.Objects.ExportDirectory()
 	if reflect.DeepEqual(before.RIDs, after.RIDs) {
-		t.Fatal("ReclusterOnCheckpoint did not relocate anything")
+		t.Fatal("Recluster + Checkpoint did not relocate anything")
 	}
 	if msgs := db.Objects.AuditDirectory(); len(msgs) != 0 {
 		t.Fatalf("directory audit: %v", msgs)
