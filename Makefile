@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short test-race bench bench-throughput bench-updates bench-mvcc bench-cluster bench-shard bench-serve bench-ocb bench-check check-determinism repro repro-short examples serve fuzz-wire sim sim-crash sim-long sim-shard sim-ocb cover clean
+.PHONY: all build vet test test-short test-race ci bench bench-throughput bench-updates bench-mvcc bench-cluster bench-shard bench-serve bench-ocb bench-check check-determinism repro repro-short examples serve fuzz-wire sim sim-crash sim-long sim-shard sim-ocb cover clean
 
 all: build vet test
 
@@ -22,6 +22,35 @@ test-short:
 # detector; CI runs this on every push.
 test-race:
 	$(GO) test -race ./...
+
+# The whole CI gate, in the order .github/workflows/ci.yml declares it (the
+# workflow only checks out, sets up Go, runs this target and uploads
+# artifacts), so a local `make ci` and the workflow run the same text.
+# Smoke outputs and sim reproducers go under OUT.
+OUT ?= /tmp
+ci:
+	$(GO) build ./...
+	$(GO) vet ./...
+	$(GO) test ./...
+	$(GO) test -race ./...
+	$(MAKE) bench-check
+	$(GO) test -bench=. -benchtime=1x -short ./...
+	$(GO) run ./cmd/gombench -figure updates -short -out $(OUT)/BENCH_updates_ci.json
+	$(GO) run ./cmd/gombench -figure mvcc -short -out $(OUT)/BENCH_throughput_ci.json
+	$(MAKE) bench-cluster SHORT=-short
+	$(MAKE) bench-shard SHORT=-short
+	$(GO) test -race -run 'TestConformanceMatrix' ./internal/server/
+	$(GO) test -race -run 'TestOCB|TestGen|TestShardCountParity|TestDegenerateParams|TestHotSkew|TestValidate' ./internal/ocb/ ./internal/sim/ ./internal/server/
+	$(MAKE) bench-ocb SHORT=-short
+	$(GO) run -race ./cmd/gomsim -ocb -seeds 5 -ops 100 -out $(OUT)/sim-artifacts
+	$(MAKE) bench-serve SHORT=-short
+	$(MAKE) fuzz-wire FUZZ_TIME=15s
+	$(MAKE) check-determinism
+	$(GO) run -race ./cmd/gomsim -seeds 17 -ops 100 -out $(OUT)/sim-artifacts
+	$(GO) run -race ./cmd/gomsim -durable -crashes -seeds 25 -ops 100 -out $(OUT)/recovery-artifacts
+	$(GO) run -race ./cmd/gomsim -shards 2 -seeds 8 -ops 100 -out $(OUT)/sim-artifacts
+	$(GO) run -race ./cmd/gomsim -ocb -shards 2 -seeds 5 -ops 100 -out $(OUT)/sim-artifacts
+	$(MAKE) cover
 
 # One testing.B benchmark per table/figure plus micro-benchmarks, at reduced
 # scale; the full-scale reproduction is `make repro`.
@@ -49,7 +78,7 @@ bench-cluster:
 ifeq ($(SHORT),)
 	$(GO) run ./cmd/gombench -figure cluster
 else
-	$(GO) run ./cmd/gombench -figure cluster $(SHORT) -out /tmp/BENCH_cluster_short.json
+	$(GO) run ./cmd/gombench -figure cluster $(SHORT) -out $(OUT)/BENCH_cluster_short.json
 endif
 
 # Horizontal sharding: wall-clock router throughput (forward/backward/
@@ -60,7 +89,7 @@ bench-shard:
 ifeq ($(SHORT),)
 	$(GO) run ./cmd/gombench -figure shard
 else
-	$(GO) run ./cmd/gombench -figure shard $(SHORT) -out /tmp/BENCH_shard_short.json
+	$(GO) run ./cmd/gombench -figure shard $(SHORT) -out $(OUT)/BENCH_shard_short.json
 endif
 
 # Network service: wall-clock ops/sec through a real TCP client/server pair
@@ -70,7 +99,7 @@ bench-serve:
 ifeq ($(SHORT),)
 	$(GO) run ./cmd/gombench -figure serve
 else
-	$(GO) run ./cmd/gombench -figure serve $(SHORT) -out /tmp/BENCH_serve_short.json
+	$(GO) run ./cmd/gombench -figure serve $(SHORT) -out $(OUT)/BENCH_serve_short.json
 endif
 
 # OCB-style synthetic workload grid: generated object bases (class count,
@@ -82,7 +111,7 @@ bench-ocb:
 ifeq ($(SHORT),)
 	$(GO) run ./cmd/gombench -figure ocb
 else
-	$(GO) run ./cmd/gombench -figure ocb $(SHORT) -out /tmp/BENCH_ocb_short.json
+	$(GO) run ./cmd/gombench -figure ocb $(SHORT) -out $(OUT)/BENCH_ocb_short.json
 endif
 
 # benchmark/ is a module of its own (it imports gomdb/internal/...), so the
