@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short test-race ci bench bench-throughput bench-updates bench-mvcc bench-cluster bench-shard bench-serve bench-ocb bench-check check-determinism repro repro-short examples serve fuzz-wire sim sim-crash sim-long sim-shard sim-ocb cover clean
+.PHONY: all build vet test test-short test-race ci bench bench-throughput bench-updates bench-cluster bench-shard bench-serve bench-ocb bench-check check-determinism repro repro-short examples serve fuzz-wire sim sim-crash sim-long sim-shard sim-ocb cover clean
 
 all: build vet test
 
@@ -36,7 +36,6 @@ ci:
 	$(MAKE) bench-check
 	$(GO) test -bench=. -benchtime=1x -short ./...
 	$(GO) run ./cmd/gombench -figure updates -short -out $(OUT)/BENCH_updates_ci.json
-	$(GO) run ./cmd/gombench -figure mvcc -short -out $(OUT)/BENCH_throughput_ci.json
 	$(MAKE) bench-cluster SHORT=-short
 	$(MAKE) bench-shard SHORT=-short
 	$(GO) test -race -run 'TestConformanceMatrix' ./internal/server/
@@ -121,13 +120,6 @@ endif
 bench-check:
 	$(GO) vet -C benchmark .
 	$(GO) test -C benchmark ./...
-
-# Writer interference: reader ops/sec with a background writer holding the
-# engine, MVCC snapshot reads vs. the DisableMVCC RWMutex baseline (merges
-# the writer_interference section into BENCH_throughput.json).
-bench-mvcc:
-	$(GO) test -run '^$$' -bench 'ParallelForwardWithWriter' -cpu 1,2,4,8 -benchtime=200ms .
-	$(GO) run ./cmd/gombench -figure mvcc
 
 # The simulated figures must not depend on scheduling, core count, or worker
 # pools: regenerate the short-scale suite and compare it (modulo wall-time

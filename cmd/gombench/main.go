@@ -25,13 +25,13 @@ import (
 )
 
 func main() {
-	figure := flag.String("figure", "all", "experiment id (table1, figure7..figure15, ablation, throughput, updates, mvcc, cluster, shard, serve, ocb) or 'all'")
+	figure := flag.String("figure", "all", "experiment id (table1, figure7..figure15, ablation, throughput, updates, cluster, shard, serve, ocb) or 'all'")
 	short := flag.Bool("short", false, "run at reduced scale")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	cuboids := flag.Int("cuboids", 0, "override Cuboid database size (default 8000, paper scale)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	plot := flag.Bool("plot", false, "additionally render an ASCII log-scale plot")
-	out := flag.String("out", "", "output path for -figure throughput/updates/mvcc (default BENCH_throughput.json for both throughput and mvcc)")
+	out := flag.String("out", "", "output path for -figure throughput/updates/cluster/shard/serve/ocb (default BENCH_<figure>.json)")
 	flag.Parse()
 
 	if *list {
@@ -40,7 +40,6 @@ func main() {
 		}
 		fmt.Println("throughput")
 		fmt.Println("updates")
-		fmt.Println("mvcc")
 		fmt.Println("cluster")
 		fmt.Println("shard")
 		fmt.Println("serve")
@@ -65,9 +64,6 @@ func main() {
 		return
 	case "updates":
 		runUpdates(sc, jsonOut(*out, "BENCH_updates.json"), *csv, *plot)
-		return
-	case "mvcc":
-		runMVCC(sc, jsonOut(*out, "BENCH_throughput.json"), *csv, *plot)
 		return
 	case "cluster":
 		runCluster(sc, jsonOut(*out, "BENCH_cluster.json"), *csv, *plot)
@@ -99,14 +95,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "gombench: %s: %v\n", id, err)
 			os.Exit(1)
 		}
-		if *csv {
-			fig.PrintCSV(os.Stdout)
-		} else {
-			fig.Print(os.Stdout)
-		}
-		if *plot {
-			fig.PrintPlot(os.Stdout)
-		}
+		printFigure(fig, *csv, *plot)
 		fmt.Printf("  (%s completed in %v wall time)\n\n", id, time.Since(t0).Round(time.Millisecond))
 	}
 }
@@ -117,6 +106,19 @@ func jsonOut(out, def string) string {
 		return def
 	}
 	return out
+}
+
+// printFigure renders a figure as an aligned table (or CSV), optionally
+// followed by its ASCII plot.
+func printFigure(fig *bench.Figure, csv, plot bool) {
+	if csv {
+		fig.PrintCSV(os.Stdout)
+	} else {
+		fig.Print(os.Stdout)
+	}
+	if plot {
+		fig.PrintPlot(os.Stdout)
+	}
 }
 
 // writeJSON marshals the report and writes it to out.
@@ -152,14 +154,7 @@ func runShard(sc bench.Scale, out string, csv, plot bool) {
 		fmt.Fprintf(os.Stderr, "gombench: shard: %v\n", err)
 		os.Exit(1)
 	}
-	if csv {
-		fig.PrintCSV(os.Stdout)
-	} else {
-		fig.Print(os.Stdout)
-	}
-	if plot {
-		fig.PrintPlot(os.Stdout)
-	}
+	printFigure(fig, csv, plot)
 	for _, m := range rep.Mixes {
 		last := m.Points[len(m.Points)-1]
 		fmt.Printf("  %-10s 1 shard %8.0f ops/s -> %d shards %8.0f ops/s (%.2fx)\n",
@@ -184,14 +179,7 @@ func runServe(sc bench.Scale, out string, csv, plot bool) {
 		fmt.Fprintf(os.Stderr, "gombench: serve: %v\n", err)
 		os.Exit(1)
 	}
-	if csv {
-		fig.PrintCSV(os.Stdout)
-	} else {
-		fig.Print(os.Stdout)
-	}
-	if plot {
-		fig.PrintPlot(os.Stdout)
-	}
+	printFigure(fig, csv, plot)
 	for _, m := range rep.Mixes {
 		last := m.Points[len(m.Points)-1]
 		fmt.Printf("  %-10s 1 client %8.0f ops/s -> %d clients %8.0f ops/s (%.2fx)\n",
@@ -214,14 +202,7 @@ func runUpdates(sc bench.Scale, out string, csv, plot bool) {
 		fmt.Fprintf(os.Stderr, "gombench: updates: %v\n", err)
 		os.Exit(1)
 	}
-	if csv {
-		fig.PrintCSV(os.Stdout)
-	} else {
-		fig.Print(os.Stdout)
-	}
-	if plot {
-		fig.PrintPlot(os.Stdout)
-	}
+	printFigure(fig, csv, plot)
 	writeJSON(rep, out, "updates")
 	fmt.Printf("  (updates completed in %v wall time)\n\n", time.Since(t0).Round(time.Millisecond))
 }
@@ -235,14 +216,7 @@ func runCluster(sc bench.Scale, out string, csv, plot bool) {
 		fmt.Fprintf(os.Stderr, "gombench: cluster: %v\n", err)
 		os.Exit(1)
 	}
-	if csv {
-		fig.PrintCSV(os.Stdout)
-	} else {
-		fig.Print(os.Stdout)
-	}
-	if plot {
-		fig.PrintPlot(os.Stdout)
-	}
+	printFigure(fig, csv, plot)
 	for _, m := range rep.Mixes {
 		fmt.Printf("  %-18s reads %6d -> %6d (%.1f%% reduction), miss rate %.3f -> %.3f, moved %d/%d, identical=%v\n",
 			m.Name, m.Scattered.PhysReads, m.Clustered.PhysReads, 100*m.ReadReduction,
@@ -262,14 +236,7 @@ func runSyntheticGrid(sc bench.Scale, out string, csv, plot bool) {
 		fmt.Fprintf(os.Stderr, "gombench: ocb: %v\n", err)
 		os.Exit(1)
 	}
-	if csv {
-		fig.PrintCSV(os.Stdout)
-	} else {
-		fig.Print(os.Stdout)
-	}
-	if plot {
-		fig.PrintPlot(os.Stdout)
-	}
+	printFigure(fig, csv, plot)
 	for _, m := range rep.Mixes {
 		fmt.Printf("  %-15s classes=%d fanout=%d depth=%d objects=%d heap=%dp pool=%dp lazy/deferred CPU=%.2f identical=%v\n",
 			m.Name, m.Params.Classes, m.Params.FanOut, m.Params.Depth,
@@ -282,8 +249,7 @@ func runSyntheticGrid(sc bench.Scale, out string, csv, plot bool) {
 	fmt.Printf("  (ocb completed in %v wall time)\n\n", time.Since(t0).Round(time.Millisecond))
 }
 
-// runThroughput runs the wall-clock suite (quiescent mixes plus the
-// writer-interference section) and writes the JSON report.
+// runThroughput runs the wall-clock suite and writes the JSON report.
 func runThroughput(sc bench.Scale, out string, csv, plot bool) {
 	t0 := time.Now()
 	warnNumCPU()
@@ -292,54 +258,7 @@ func runThroughput(sc bench.Scale, out string, csv, plot bool) {
 		fmt.Fprintf(os.Stderr, "gombench: throughput: %v\n", err)
 		os.Exit(1)
 	}
-	irep, ifig, err := bench.WriterInterference(sc)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gombench: throughput: %v\n", err)
-		os.Exit(1)
-	}
-	rep.WriterInterference = irep
-	for _, f := range []*bench.Figure{fig, ifig} {
-		if csv {
-			f.PrintCSV(os.Stdout)
-		} else {
-			f.Print(os.Stdout)
-		}
-		if plot {
-			f.PrintPlot(os.Stdout)
-		}
-	}
+	printFigure(fig, csv, plot)
 	writeJSON(rep, out, "throughput")
 	fmt.Printf("  (throughput completed in %v wall time)\n\n", time.Since(t0).Round(time.Millisecond))
-}
-
-// runMVCC runs only the writer-interference suite and merges it into the
-// existing throughput report (or writes a fresh report holding just that
-// section when none exists yet).
-func runMVCC(sc bench.Scale, out string, csv, plot bool) {
-	t0 := time.Now()
-	warnNumCPU()
-	irep, fig, err := bench.WriterInterference(sc)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gombench: mvcc: %v\n", err)
-		os.Exit(1)
-	}
-	if csv {
-		fig.PrintCSV(os.Stdout)
-	} else {
-		fig.Print(os.Stdout)
-	}
-	if plot {
-		fig.PrintPlot(os.Stdout)
-	}
-	rep := &bench.ThroughputReport{}
-	if data, err := os.ReadFile(out); err == nil {
-		if err := json.Unmarshal(data, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "gombench: mvcc: existing %s is not a throughput report: %v\n", out, err)
-			os.Exit(1)
-		}
-	}
-	rep.WriterInterference = irep
-	rep.NumCPUWarning = bench.NumCPUWarning()
-	writeJSON(rep, out, "mvcc")
-	fmt.Printf("  (mvcc completed in %v wall time)\n\n", time.Since(t0).Round(time.Millisecond))
 }

@@ -62,7 +62,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "deferred-flush worker count (0 = GOMAXPROCS)")
 		faults    = flag.Bool("faults", false, "insert scripted fault windows into each plan")
 		recl      = flag.Bool("recluster", false, "insert trace-driven reclustering passes into each plan")
-		nomvcc    = flag.Bool("nomvcc", false, "disable the MVCC snapshot read path")
 		useOCB    = flag.Bool("ocb", false, "run each workload against a generated OCB-style object base (demo parameters)")
 		durable   = flag.Bool("durable", false, "run against a file-backed store (checkpoints + WAL + recovery)")
 		crashes   = flag.Bool("crashes", false, "insert crash-restart points into each plan (implies -durable)")
@@ -94,7 +93,7 @@ func main() {
 		configs = append(configs, sim.EngineConfig{
 			Strategy: s, Memo: *memo, SecondChance: *sc, UseMDS: *mds,
 			BufferShards: *bufShards, Shards: *shards, RematWorkers: *workers,
-			Broken: *broken, Durable: *durable, DisableMVCC: *nomvcc,
+			Broken: *broken, Durable: *durable,
 			OCB: ocbParams,
 		})
 	}

@@ -179,14 +179,6 @@ type Config struct {
 	// materialize. Required when Path is set and the directory holds an
 	// existing database.
 	DefineSchema func(*Database) error
-	// DisableMVCC turns off the versioned snapshot read path: a
-	// read-classified operation that finds the engine write-locked blocks on
-	// the reader/writer lock instead of answering from a pinned snapshot —
-	// the pre-MVCC behaviour. The switch exists as the contended baseline of
-	// the writer-interference benchmark and for bisecting; leave it false
-	// otherwise. Simulated cost accounting is identical either way: snapshot
-	// reads charge a throwaway clock, never the database's.
-	DisableMVCC bool
 	// OIDAllocator, when non-nil, replaces the engine's private OID counter
 	// with a shared allocator. The shard router (internal/shard) injects one
 	// global allocator into all of its engine instances so the same logical
@@ -237,8 +229,7 @@ func DefaultConfig() Config {
 // When it is not, read-classified operations do not wait for the writer:
 // they pin the current stable version and answer from an MVCC snapshot (see
 // DESIGN.md, "MVCC snapshot reads"), so a long update batch no longer stalls
-// the read side. Config.DisableMVCC restores the blocking behaviour.
-// Classification is static and charge-free (schema metadata only), and
+// the read side. Classification is static and charge-free (schema metadata only), and
 // snapshot reads charge a throwaway clock, so a single-threaded program
 // observes bit-identical simulated cost accounting with or without
 // concurrent-safety in play. The embedded field pointers (Engine, GMRs, ...)
@@ -259,9 +250,8 @@ type Database struct {
 	GMRs    *core.Manager
 	Queries *query.Executor
 
-	// mvccSt is the version state shared by the MVCC snapshot read path
-	// (nil when Config.DisableMVCC is set): the stable version, the reader
-	// pin registry, and the barrier taken by the few operations that cannot
+	// mvccSt is the version state shared by the MVCC snapshot read path:
+	// the stable version, the reader pin registry, and the barrier taken by the few operations that cannot
 	// be versioned. See internal/mvcc.
 	mvccSt *mvcc.State
 
@@ -315,7 +305,11 @@ func newDatabase(cfg Config) *Database {
 	en := schema.NewEngine(sch, objs, clock)
 	mgr := core.NewManager(en, pool)
 	mgr.SetRematWorkers(cfg.RematWorkers)
-	db := &Database{
+	st := mvcc.NewState()
+	pool.SetMVCC(st)
+	objs.SetMVCC(st)
+	mgr.SetMVCC(st)
+	return &Database{
 		Clock:   clock,
 		Disk:    disk,
 		Pool:    pool,
@@ -325,16 +319,9 @@ func newDatabase(cfg Config) *Database {
 		GMRs:    mgr,
 		Queries: query.NewExecutor(en, mgr),
 
+		mvccSt:        st,
 		autoRecluster: cfg.AutoRecluster,
 	}
-	if !cfg.DisableMVCC {
-		st := mvcc.NewState()
-		db.mvccSt = st
-		pool.SetMVCC(st)
-		objs.SetMVCC(st)
-		mgr.SetMVCC(st)
-	}
-	return db
 }
 
 // lockWrite acquires the exclusive engine lock for a write-classified
@@ -355,13 +342,18 @@ func (db *Database) lockWrite() {
 // tagged with an older stable version stays valid for every reader at or
 // below it.
 func (db *Database) unlockWrite() {
-	if db.mvccSt != nil {
-		floor := db.mvccSt.Publish()
-		db.Pool.ReclaimVersions(floor)
-		db.Objects.ReclaimVersions(floor)
-		db.GMRs.ReclaimEntryCaptures(floor)
-	}
+	db.publish()
 	db.mu.Unlock()
+}
+
+// publish makes the mutated state the new stable version and reclaims the
+// pre-image captures no pinned reader can still reach. Caller holds db.mu
+// exclusively.
+func (db *Database) publish() {
+	floor := db.mvccSt.Publish()
+	db.Pool.ReclaimVersions(floor)
+	db.Objects.ReclaimVersions(floor)
+	db.GMRs.ReclaimEntryCaptures(floor)
 }
 
 // lockBarrier acquires the exclusive lock AND the reader barrier, for the
@@ -374,21 +366,14 @@ func (db *Database) unlockWrite() {
 // it cannot deadlock.
 func (db *Database) lockBarrier() {
 	db.mu.Lock()
-	if db.mvccSt != nil {
-		db.mvccSt.BeginBarrier()
-	}
+	db.mvccSt.BeginBarrier()
 }
 
 // unlockBarrier publishes, reclaims (trivially: the barrier guarantees no
 // pins, so every capture goes), lifts the barrier, and unlocks.
 func (db *Database) unlockBarrier() {
-	if db.mvccSt != nil {
-		floor := db.mvccSt.Publish()
-		db.Pool.ReclaimVersions(floor)
-		db.Objects.ReclaimVersions(floor)
-		db.GMRs.ReclaimEntryCaptures(floor)
-		db.mvccSt.EndBarrier()
-	}
+	db.publish()
+	db.mvccSt.EndBarrier()
 	db.mu.Unlock()
 }
 
@@ -398,29 +383,17 @@ func (db *Database) unlockBarrier() {
 // quiescent; materialize statements and statements the classifier cannot
 // prove side effect free execute exclusively. A read-only statement that
 // finds the engine write-locked does not wait for the writer: it pins the
-// current stable version and answers from an MVCC snapshot (unless
-// Config.DisableMVCC).
+// current stable version and answers from an MVCC snapshot.
 func (db *Database) Query(src string, params map[string]Value) (*QueryResult, error) {
 	q, err := query.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	if db.mvccSt == nil {
-		db.mu.RLock()
-		if db.GMRs.Quiescent() && db.Queries.ReadOnlyPlan(q) {
-			defer db.mu.RUnlock()
-			return db.Queries.RunQuery(q, params)
-		}
-		db.mu.RUnlock()
-		db.lockWrite()
-		defer db.unlockWrite()
-		return db.Queries.RunQuery(q, params)
-	}
 	var readOnly bool
 	if db.mu.TryRLock() {
-		// Uncontended: the historical shared fast path, charge-identical to
-		// the pre-MVCC engine for single-threaded programs (TryRLock cannot
-		// fail without a concurrent writer).
+		// Uncontended: the shared fast path, charge-identical to a blocking
+		// engine for single-threaded programs (TryRLock cannot fail without a
+		// concurrent writer).
 		readOnly = db.Queries.ReadOnlyPlan(q)
 		if readOnly && db.GMRs.Quiescent() {
 			defer db.mu.RUnlock()
@@ -568,18 +541,13 @@ func (db *Database) Set(oid OID, attr string, v Value) error {
 // GetAttr reads attribute attr of oid. When a writer holds the engine the
 // read is answered from an MVCC snapshot instead of waiting.
 func (db *Database) GetAttr(oid OID, attr string) (Value, error) {
-	if db.mvccSt != nil {
-		if db.mu.TryRLock() {
-			defer db.mu.RUnlock()
-			return db.Engine.ReadAttr(Ref(oid), attr)
-		}
-		ver, release := db.mvccSt.Pin()
-		defer release()
-		return db.GMRs.SnapshotAt(ver).Engine().ReadAttr(Ref(oid), attr)
+	if db.mu.TryRLock() {
+		defer db.mu.RUnlock()
+		return db.Engine.ReadAttr(Ref(oid), attr)
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.Engine.ReadAttr(Ref(oid), attr)
+	ver, release := db.mvccSt.Pin()
+	defer release()
+	return db.GMRs.SnapshotAt(ver).Engine().ReadAttr(Ref(oid), attr)
 }
 
 // Insert performs the elementary update set.insert(elem).
@@ -606,17 +574,6 @@ func (db *Database) Remove(set OID, elem Value) error {
 // snapshot recomputes entries that were invalid at its version without
 // storing anything). All other calls run exclusively.
 func (db *Database) Call(fn string, args ...Value) (Value, error) {
-	if db.mvccSt == nil {
-		db.mu.RLock()
-		if db.readOnlyCall(fn) {
-			defer db.mu.RUnlock()
-			return db.Engine.Invoke(fn, args...)
-		}
-		db.mu.RUnlock()
-		db.lockWrite()
-		defer db.unlockWrite()
-		return db.Engine.Invoke(fn, args...)
-	}
 	if db.mu.TryRLock() {
 		if db.readOnlyCall(fn) {
 			defer db.mu.RUnlock()
@@ -820,17 +777,6 @@ func (db *Database) Materialize(opts MaterializeOptions) (*GMR, error) {
 // waiting (invalid columns are recomputed at the snapshot version, not
 // repaired in place).
 func (db *Database) Retrieve(gmrName string, spec []FieldSpec) ([]Row, error) {
-	if db.mvccSt == nil {
-		db.mu.RLock()
-		if db.GMRs.Quiescent() {
-			defer db.mu.RUnlock()
-			return db.GMRs.Retrieve(gmrName, spec)
-		}
-		db.mu.RUnlock()
-		db.lockWrite()
-		defer db.unlockWrite()
-		return db.GMRs.Retrieve(gmrName, spec)
-	}
 	if db.mu.TryRLock() {
 		if db.GMRs.Quiescent() {
 			defer db.mu.RUnlock()
@@ -852,10 +798,7 @@ func (db *Database) Retrieve(gmrName string, spec []FieldSpec) ([]Row, error) {
 // them first and runs exclusively. When a writer holds the engine the query
 // is answered from an MVCC snapshot instead of waiting.
 func (db *Database) Backward(fid string, lb, ub float64) ([]Match, error) {
-	if db.mvccSt == nil || db.mu.TryRLock() {
-		if db.mvccSt == nil {
-			db.mu.RLock()
-		}
+	if db.mu.TryRLock() {
 		if db.GMRs.Quiescent() {
 			defer db.mu.RUnlock()
 			return db.GMRs.Backward(fid, lb, ub)
@@ -895,18 +838,13 @@ func (db *Database) Sum(fid string, oids []OID) (float64, error) {
 // holds the engine, against an MVCC snapshot, verifying Definition 3.2
 // congruence at the pinned version.
 func (db *Database) CheckConsistency(gmrName string, tol float64, checkComplete bool) (*ConsistencyReport, error) {
-	if db.mvccSt != nil {
-		if db.mu.TryRLock() {
-			defer db.mu.RUnlock()
-			return db.GMRs.CheckConsistency(gmrName, tol, checkComplete)
-		}
-		ver, release := db.mvccSt.Pin()
-		defer release()
-		return db.GMRs.SnapshotAt(ver).CheckConsistency(gmrName, tol, checkComplete)
+	if db.mu.TryRLock() {
+		defer db.mu.RUnlock()
+		return db.GMRs.CheckConsistency(gmrName, tol, checkComplete)
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.GMRs.CheckConsistency(gmrName, tol, checkComplete)
+	ver, release := db.mvccSt.Pin()
+	defer release()
+	return db.GMRs.SnapshotAt(ver).CheckConsistency(gmrName, tol, checkComplete)
 }
 
 // SetTrace installs (or, with nil, removes) a callback observing every
@@ -931,18 +869,13 @@ func (db *Database) Dematerialize(name string) error {
 // When a writer holds the engine the extension is reconstructed from an MVCC
 // snapshot instead of waiting.
 func (db *Database) Extension(typeName string) []OID {
-	if db.mvccSt != nil {
-		if db.mu.TryRLock() {
-			defer db.mu.RUnlock()
-			return db.Objects.Extension(typeName)
-		}
-		ver, release := db.mvccSt.Pin()
-		defer release()
-		return db.Objects.ExtensionVersioned(typeName, ver)
+	if db.mu.TryRLock() {
+		defer db.mu.RUnlock()
+		return db.Objects.Extension(typeName)
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.Objects.Extension(typeName)
+	ver, release := db.mvccSt.Pin()
+	defer release()
+	return db.Objects.ExtensionVersioned(typeName, ver)
 }
 
 // SimSeconds returns the simulated seconds of work performed so far. The

@@ -67,10 +67,6 @@ type ThroughputReport struct {
 	Goroutines    []int              `json:"goroutine_counts"`
 	Configs       []ThroughputConfig `json:"configs"`
 	Notes         string             `json:"notes"`
-	// WriterInterference is the reader-throughput-under-a-writer suite
-	// (mvcc.go); `gombench -figure throughput` fills it alongside the
-	// quiescent mixes, and `gombench -figure mvcc` refreshes it alone.
-	WriterInterference *InterferenceReport `json:"writer_interference,omitempty"`
 }
 
 // throughputGoroutines are the measured concurrency levels (the -cpu 1,2,4,8

@@ -187,11 +187,6 @@ func (r *RRR) Lookup(o object.OID) ([]Tuple, error) {
 	return out, nil
 }
 
-// HasEntriesFor reports whether any tuple references object o; the Figure 5
-// delete operation uses ObjDepFct for this, but tests use the relation
-// directly.
-func (r *RRR) HasEntriesFor(o object.OID) bool { return len(r.byObj[o]) > 0 }
-
 // FctCount returns the number of tuples for the (o, f) pair.
 func (r *RRR) FctCount(o object.OID, f string) int { return r.dep[depKey{o, f}] }
 

@@ -311,7 +311,6 @@ func (p *srcParser) parseBlock(terminators ...string) ([]Stmt, error) {
 func (p *srcParser) parseStmt() (Stmt, error) {
 	switch {
 	case p.keyword("return"):
-		p.skipInlineSpace()
 		t := p.peek()
 		if t.kind == sNewline || t.kind == sEOF ||
 			(t.kind == sPunct && t.text == ";") ||
@@ -386,8 +385,6 @@ func (p *srcParser) parseStmt() (Stmt, error) {
 	}
 	return ExprStmt{E: e}, nil
 }
-
-func (p *srcParser) skipInlineSpace() {} // newlines are significant; nothing to do
 
 // Expression precedence climbing.
 

@@ -51,15 +51,14 @@ func Audit(db *gomdb.Database) []string {
 	if n := db.Pool.PinnedCount(); n != 0 {
 		out = append(out, fmt.Sprintf("pin leak: %d frames pinned at quiescent point", n))
 	}
-	if st := db.MVCCStats(); st.Enabled {
-		if st.ActivePins != 0 {
-			out = append(out, fmt.Sprintf("mvcc: %d snapshot pins active at quiescent point", st.ActivePins))
-		}
-		if st.PageCaptures != 0 || st.ObjectCaptures != 0 || st.EntryCaptures != 0 {
-			out = append(out, fmt.Sprintf(
-				"mvcc: captures leaked at quiescent point (pages=%d objects=%d entries=%d)",
-				st.PageCaptures, st.ObjectCaptures, st.EntryCaptures))
-		}
+	st := db.MVCCStats()
+	if st.ActivePins != 0 {
+		out = append(out, fmt.Sprintf("mvcc: %d snapshot pins active at quiescent point", st.ActivePins))
+	}
+	if st.PageCaptures != 0 || st.ObjectCaptures != 0 || st.EntryCaptures != 0 {
+		out = append(out, fmt.Sprintf(
+			"mvcc: captures leaked at quiescent point (pages=%d objects=%d entries=%d)",
+			st.PageCaptures, st.ObjectCaptures, st.EntryCaptures))
 	}
 	for _, name := range db.GMRs.GMRs() {
 		g, ok := db.GMRs.Get(name)

@@ -86,7 +86,6 @@ func openBackend(cfg EngineConfig, dir string, define func(*gomdb.Database) erro
 		BufferPages:  cfg.BufferPages,
 		BufferShards: cfg.BufferShards,
 		RematWorkers: cfg.RematWorkers,
-		DisableMVCC:  cfg.DisableMVCC,
 	}
 	if dir != "" {
 		gc.Path, gc.DefineSchema = dir, define
@@ -166,13 +165,7 @@ func (s single) target(int) (*gomdb.Database, string) { return s.Database, "" }
 func (s single) audit() []string                      { return Audit(s.Database) }
 func (s single) scope() string                        { return "" }
 
-func (s single) view() (*gomdb.SnapshotView, string) {
-	v, err := s.SnapshotView()
-	if err != nil {
-		return nil, "ERR " + err.Error()
-	}
-	return v, ""
-}
+func (s single) view() (*gomdb.SnapshotView, string) { return s.SnapshotView(), "" }
 
 func (s single) recovered(string, int) string {
 	info := s.Recovery

@@ -137,8 +137,8 @@ func TestTraceGolden(t *testing.T) {
 
 // TestTraceDump is the refactoring aid behind the golden: with -dump=FILE it
 // writes every trace line (and violation) of a wider matrix — the golden's
-// option sets plus everything-at-once, Broken, memo+2c+mds and MVCC-off —
-// over 12 seeds, so two binaries can be diffed line by line.
+// option sets plus everything-at-once, Broken and memo+2c+mds — over 12
+// seeds, so two binaries can be diffed line by line.
 func TestTraceDump(t *testing.T) {
 	if *dumpTraces == "" {
 		t.Skip("no -dump file given")
@@ -149,7 +149,6 @@ func TestTraceDump(t *testing.T) {
 		simCell{name: "broken", cfg: EngineConfig{Broken: true}, opt: GenOptions{Ops: 100}},
 		simCell{name: "memo+2c+mds", cfg: EngineConfig{Memo: true, SecondChance: true, UseMDS: true},
 			opt: GenOptions{Ops: 100, Faults: true}},
-		simCell{name: "nomvcc", cfg: EngineConfig{DisableMVCC: true}, opt: GenOptions{Ops: 100}},
 	)
 	seeds := make([]int64, 12)
 	for i := range seeds {

@@ -16,7 +16,7 @@ var ocbTestParams = ocb.Params{Classes: 4, FanOut: 2, Depth: 2, NumAttrs: 3,
 
 // TestOCBMatrix crosses the OCB fixture with the axes the hand-built fixture
 // already covers: strategies x {base, durable, durable+crashes, faults,
-// recluster, MVCC-off, 1 and 4 router shards}. The auditors are the same
+// recluster, 1 and 4 router shards}. The auditors are the same
 // fixture-agnostic ones — Def 3.2 congruence, RRR support, pins, directory,
 // and under the router the routing table — now judging object bases nobody
 // hand-designed. Every run is repeated and must reproduce its trace.
@@ -32,7 +32,6 @@ func TestOCBMatrix(t *testing.T) {
 		{"durable+crashes", EngineConfig{Durable: true}, GenOptions{Ops: 120, Crashes: true}},
 		{"faults", EngineConfig{}, GenOptions{Ops: 120, Faults: true}},
 		{"recluster", EngineConfig{}, GenOptions{Ops: 120, Recluster: true}},
-		{"nomvcc", EngineConfig{DisableMVCC: true}, GenOptions{Ops: 120}},
 		{"sharded1", EngineConfig{Shards: 1}, GenOptions{Ops: 120}},
 		{"sharded4", EngineConfig{Shards: 4}, GenOptions{Ops: 120}},
 	}

@@ -63,10 +63,6 @@ type EngineConfig struct {
 	// violations. Exists so the mutation smoke test can prove the auditors
 	// have teeth.
 	Broken bool `json:"broken,omitempty"`
-	// DisableMVCC turns off the versioned snapshot read path, so plans
-	// exercise the blocking reader/writer lock instead. Reclustering must
-	// hold its invariants in both modes.
-	DisableMVCC bool `json:"disableMVCC,omitempty"`
 	// Durable runs the plan against a file-backed database (gomdb.OpenAt):
 	// checkpoints become real I/O and OpCrash ops kill + reopen the store.
 	// The simulated Clock is unaffected by durability, so traces and cost
@@ -118,9 +114,6 @@ func (c EngineConfig) String() string {
 	}
 	if c.RematWorkers != 0 {
 		s += fmt.Sprintf("+workers%d", c.RematWorkers)
-	}
-	if c.DisableMVCC {
-		s += "+nomvcc"
 	}
 	if c.Durable {
 		s += "+durable"

@@ -299,46 +299,44 @@ func TestSnapshotReadsDontPerturbCharges(t *testing.T) {
 }
 
 // TestReclusterMatrix runs plans with injected reclustering passes across
-// the full strategy x durability x MVCC matrix. Every quiescent audit —
-// including the directory <-> heap correspondence auditor — must pass in
-// every cell, and at least one pass per cell must actually move objects, or
-// the coverage is vacuous.
+// the full strategy x durability matrix. Every quiescent audit — including
+// the directory <-> heap correspondence auditor — must pass in every cell,
+// and at least one pass per cell must actually move objects, or the coverage
+// is vacuous.
 func TestReclusterMatrix(t *testing.T) {
 	for _, strat := range []string{"immediate", "lazy", "deferred"} {
 		for _, durable := range []bool{false, true} {
-			for _, nomvcc := range []bool{false, true} {
-				cfg := EngineConfig{Strategy: strat, Durable: durable, DisableMVCC: nomvcc}
-				t.Run(cfg.String(), func(t *testing.T) {
-					t.Parallel()
-					seeds := int64(3)
-					if testing.Short() {
-						seeds = 1
-					}
-					moved := false
-					for seed := int64(7000); seed < 7000+seeds; seed++ {
-						plan := Generate(seed, GenOptions{Ops: 90, Recluster: true})
-						reclusters := 0
-						for _, op := range plan.Ops {
-							if op.Kind == OpRecluster {
-								reclusters++
-							}
-						}
-						if reclusters == 0 {
-							t.Fatalf("seed %d: generator injected no recluster ops", seed)
-						}
-						res := requireClean(t, cfg, plan)
-						for _, line := range res.Trace {
-							if strings.Contains(line, string(OpRecluster)) && strings.Contains(line, "moved") &&
-								!strings.Contains(line, "moved 0/") {
-								moved = true
-							}
+			cfg := EngineConfig{Strategy: strat, Durable: durable}
+			t.Run(cfg.String(), func(t *testing.T) {
+				t.Parallel()
+				seeds := int64(3)
+				if testing.Short() {
+					seeds = 1
+				}
+				moved := false
+				for seed := int64(7000); seed < 7000+seeds; seed++ {
+					plan := Generate(seed, GenOptions{Ops: 90, Recluster: true})
+					reclusters := 0
+					for _, op := range plan.Ops {
+						if op.Kind == OpRecluster {
+							reclusters++
 						}
 					}
-					if !moved {
-						t.Fatal("no reclustering pass moved anything in any seed; coverage is vacuous")
+					if reclusters == 0 {
+						t.Fatalf("seed %d: generator injected no recluster ops", seed)
 					}
-				})
-			}
+					res := requireClean(t, cfg, plan)
+					for _, line := range res.Trace {
+						if strings.Contains(line, string(OpRecluster)) && strings.Contains(line, "moved") &&
+							!strings.Contains(line, "moved 0/") {
+							moved = true
+						}
+					}
+				}
+				if !moved {
+					t.Fatal("no reclustering pass moved anything in any seed; coverage is vacuous")
+				}
+			})
 		}
 	}
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -338,12 +339,21 @@ func TestGoldenRecovery(t *testing.T) {
 }
 
 // TestFormatV1Refused: there is no reader for the version 1 format (the OID
-// directory inside the metadata blob). The last golden directory that format
-// produced is kept as a fixture, and opening it must fail with the version
-// error rather than misread it.
+// directory inside the metadata blob). A directory whose store files carry a
+// version 1 header must fail with the version error rather than be misread;
+// the header is all the refusal reads, so the test builds just that.
 func TestFormatV1Refused(t *testing.T) {
 	dir := t.TempDir()
-	copyStoreFiles(t, filepath.Join("testdata", "golden_v1"), dir, "data.gomdb", "wal.gomdb", "meta.gomdb")
+	for _, f := range []struct {
+		name, magic string
+		extra       uint32
+	}{{"data.gomdb", dataMagic, pageRecSize}, {"wal.gomdb", walMagic, 0}} {
+		hdr := fileHeader(f.magic, f.extra)
+		binary.LittleEndian.PutUint32(hdr[8:], 1)
+		if err := os.WriteFile(filepath.Join(dir, f.name), hdr, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	ps, _, err := OpenPageStore(dir)
 	if err == nil {
 		ps.Close()

@@ -71,8 +71,8 @@ func TestReaderDoesNotStallBehindWriter(t *testing.T) {
 		t.Fatal("reader stalled behind the update batch")
 	}
 
-	// Query, Retrieve, GetAttr, Extension, CheckConsistency must all be
-	// answerable while the writer still holds the engine.
+	// Query, Retrieve, GetAttr, Extension, CheckConsistency and Backward must
+	// all be answerable while the writer still holds the engine.
 	qr, err := db.Query(`range r: Rectangle retrieve r.Width where r.area >= 4.0 and r.area <= 8.0`, nil)
 	if err != nil {
 		t.Fatalf("snapshot query: %v", err)
@@ -104,6 +104,17 @@ func TestReaderDoesNotStallBehindWriter(t *testing.T) {
 	if err := rep.Err(); err != nil {
 		t.Fatalf("snapshot audit: %v", err)
 	}
+	// Pre-batch areas in [0, 4] are those of widths 1 and 2.
+	ms, err := db.Backward("Rectangle.area", 0, 4)
+	if err != nil {
+		t.Fatalf("snapshot Backward: %v", err)
+	}
+	if len(ms) != 2 {
+		t.Fatalf("snapshot Backward matches = %d, want 2", len(ms))
+	}
+	if st := db.MVCCStats(); st.ActivePins != 0 {
+		t.Fatalf("%d pins leaked by the snapshot reads", st.ActivePins)
+	}
 
 	close(hold)
 	if err := <-batchDone; err != nil {
@@ -123,10 +134,7 @@ func TestReaderDoesNotStallBehindWriter(t *testing.T) {
 // updates, inserts, and deletes after the pin are all invisible.
 func TestSnapshotViewConsistency(t *testing.T) {
 	db, oids, gmrName := materializedRectangleDB(t, 6)
-	view, err := db.SnapshotView()
-	if err != nil {
-		t.Fatal(err)
-	}
+	view := db.SnapshotView()
 	defer view.Release()
 
 	if err := db.Set(oids[0], "Width", gomdb.Float(50)); err != nil {
@@ -222,10 +230,7 @@ func TestSnapshotSeesInvalidEntriesRecomputed(t *testing.T) {
 	if err := db.Set(oids[0], "Width", gomdb.Float(10)); err != nil {
 		t.Fatal(err)
 	}
-	view, err := db.SnapshotView()
-	if err != nil {
-		t.Fatal(err)
-	}
+	view := db.SnapshotView()
 	defer view.Release()
 	// Move the live base past the pin.
 	if err := db.Set(oids[0], "Width", gomdb.Float(30)); err != nil {
@@ -250,10 +255,7 @@ func TestSnapshotSeesInvalidEntriesRecomputed(t *testing.T) {
 // protocol cannot version wait for pinned readers to drain.
 func TestBarrierExcludesPinnedReaders(t *testing.T) {
 	db, _, gmrName := materializedRectangleDB(t, 3)
-	view, err := db.SnapshotView()
-	if err != nil {
-		t.Fatal(err)
-	}
+	view := db.SnapshotView()
 	done := make(chan error, 1)
 	go func() { done <- db.Dematerialize(gmrName) }()
 	select {
@@ -272,24 +274,5 @@ func TestBarrierExcludesPinnedReaders(t *testing.T) {
 	}
 	if st.PageCaptures != 0 || st.ObjectCaptures != 0 || st.EntryCaptures != 0 {
 		t.Fatalf("captures leaked after barrier: %+v", st)
-	}
-}
-
-// TestDisableMVCC covers the baseline switch: no snapshot state is wired,
-// SnapshotView refuses, and the read paths still work (blocking).
-func TestDisableMVCC(t *testing.T) {
-	cfg := gomdb.DefaultConfig()
-	cfg.DisableMVCC = true
-	db := gomdb.Open(cfg)
-	db.MustDefineType(gomdb.NewTupleType("P", gomdb.PubAttr("X", "float")))
-	oid := db.MustNew("P", gomdb.Float(4))
-	if _, err := db.SnapshotView(); err == nil {
-		t.Fatal("SnapshotView succeeded with MVCC disabled")
-	}
-	if st := db.MVCCStats(); st.Enabled {
-		t.Fatal("MVCCStats reports enabled")
-	}
-	if v, err := db.GetAttr(oid, "X"); err != nil || v.F != 4 {
-		t.Fatalf("GetAttr = %v, %v", v, err)
 	}
 }

@@ -1,7 +1,6 @@
 package gomdb
 
 import (
-	"errors"
 	"fmt"
 
 	"gomdb/internal/core"
@@ -26,18 +25,11 @@ type SnapshotView struct {
 	release func()
 }
 
-// errMVCCDisabled reports a snapshot request against a database opened with
-// Config.DisableMVCC.
-var errMVCCDisabled = errors.New("gomdb: MVCC is disabled (Config.DisableMVCC)")
-
 // SnapshotView pins the current stable version and returns a view of it.
 // The caller must Release it (releasing twice is harmless).
-func (db *Database) SnapshotView() (*SnapshotView, error) {
-	if db.mvccSt == nil {
-		return nil, errMVCCDisabled
-	}
+func (db *Database) SnapshotView() *SnapshotView {
 	ver, release := db.mvccSt.Pin()
-	return &SnapshotView{db: db, snap: db.GMRs.SnapshotAt(ver), release: release}, nil
+	return &SnapshotView{db: db, snap: db.GMRs.SnapshotAt(ver), release: release}
 }
 
 // Version returns the pinned stable version.
@@ -99,9 +91,6 @@ func (v *SnapshotView) CheckConsistency(gmrName string, tol float64, checkComple
 // audits and tests: the simulation harness asserts ActivePins == 0 and all
 // capture counts reclaimed once its readers stop.
 type MVCCStats struct {
-	// Enabled is false when the database was opened with DisableMVCC (all
-	// other fields are then zero).
-	Enabled bool
 	// StableVersion is the last published version.
 	StableVersion uint64
 	// ActivePins is the number of currently pinned readers.
@@ -120,11 +109,7 @@ type MVCCStats struct {
 // are sampled independently; concurrent operations may shift them between
 // reads.
 func (db *Database) MVCCStats() MVCCStats {
-	if db.mvccSt == nil {
-		return MVCCStats{}
-	}
 	return MVCCStats{
-		Enabled:        true,
 		StableVersion:  db.mvccSt.Stable(),
 		ActivePins:     db.mvccSt.Active(),
 		PinnedVersions: db.mvccSt.PinnedVersions(),

@@ -147,13 +147,13 @@ func BenchmarkParallelQueryMix(b *testing.B) {
 	})
 }
 
-// withWriter runs the forward-lookup benchmark with one background writer
-// continuously moving vertices (each move invalidates and immediately
-// rematerializes the GMR entry under the exclusive lock). disableMVCC
-// selects the historical blocking read path; the default engine answers the
-// contended reads from MVCC snapshots instead.
-func forwardParallelWithWriter(b *testing.B, disableMVCC bool) {
-	db := gomdb.Open(gomdb.Config{BufferPages: 8192, DisableMVCC: disableMVCC})
+// BenchmarkParallelForwardWithWriter measures reader latency under writer
+// interference: one background writer continuously moves vertices (each move
+// invalidates and immediately rematerializes the GMR entry under the
+// exclusive lock), and contended reads take the MVCC snapshot path instead of
+// queueing behind it.
+func BenchmarkParallelForwardWithWriter(b *testing.B) {
+	db := gomdb.Open(gomdb.Config{BufferPages: 8192})
 	if err := fixtures.DefineGeometry(db, false); err != nil {
 		b.Fatal(err)
 	}
@@ -213,12 +213,3 @@ func forwardParallelWithWriter(b *testing.B, disableMVCC bool) {
 	close(stop)
 	<-writerDone
 }
-
-// BenchmarkParallelForwardWithWriter measures reader latency under writer
-// interference on the default engine: contended reads take the MVCC
-// snapshot path instead of queueing behind the writer.
-func BenchmarkParallelForwardWithWriter(b *testing.B) { forwardParallelWithWriter(b, false) }
-
-// BenchmarkParallelForwardWithWriterRWMutex is the blocking baseline
-// (Config.DisableMVCC): every reader waits for the writer's RWMutex.
-func BenchmarkParallelForwardWithWriterRWMutex(b *testing.B) { forwardParallelWithWriter(b, true) }
