@@ -95,7 +95,14 @@ func main() {
 			fmt.Fprintf(os.Stderr, "gombench: %s: %v\n", id, err)
 			os.Exit(1)
 		}
-		printFigure(fig, *csv, *plot)
+		if *csv {
+			fig.PrintCSV(os.Stdout)
+		} else {
+			fig.Print(os.Stdout)
+		}
+		if *plot {
+			fig.PrintPlot(os.Stdout)
+		}
 		fmt.Printf("  (%s completed in %v wall time)\n\n", id, time.Since(t0).Round(time.Millisecond))
 	}
 }
@@ -106,19 +113,6 @@ func jsonOut(out, def string) string {
 		return def
 	}
 	return out
-}
-
-// printFigure renders a figure as an aligned table (or CSV), optionally
-// followed by its ASCII plot.
-func printFigure(fig *bench.Figure, csv, plot bool) {
-	if csv {
-		fig.PrintCSV(os.Stdout)
-	} else {
-		fig.Print(os.Stdout)
-	}
-	if plot {
-		fig.PrintPlot(os.Stdout)
-	}
 }
 
 // writeJSON marshals the report and writes it to out.
@@ -154,7 +148,14 @@ func runShard(sc bench.Scale, out string, csv, plot bool) {
 		fmt.Fprintf(os.Stderr, "gombench: shard: %v\n", err)
 		os.Exit(1)
 	}
-	printFigure(fig, csv, plot)
+	if csv {
+		fig.PrintCSV(os.Stdout)
+	} else {
+		fig.Print(os.Stdout)
+	}
+	if plot {
+		fig.PrintPlot(os.Stdout)
+	}
 	for _, m := range rep.Mixes {
 		last := m.Points[len(m.Points)-1]
 		fmt.Printf("  %-10s 1 shard %8.0f ops/s -> %d shards %8.0f ops/s (%.2fx)\n",
@@ -179,7 +180,14 @@ func runServe(sc bench.Scale, out string, csv, plot bool) {
 		fmt.Fprintf(os.Stderr, "gombench: serve: %v\n", err)
 		os.Exit(1)
 	}
-	printFigure(fig, csv, plot)
+	if csv {
+		fig.PrintCSV(os.Stdout)
+	} else {
+		fig.Print(os.Stdout)
+	}
+	if plot {
+		fig.PrintPlot(os.Stdout)
+	}
 	for _, m := range rep.Mixes {
 		last := m.Points[len(m.Points)-1]
 		fmt.Printf("  %-10s 1 client %8.0f ops/s -> %d clients %8.0f ops/s (%.2fx)\n",
@@ -202,7 +210,14 @@ func runUpdates(sc bench.Scale, out string, csv, plot bool) {
 		fmt.Fprintf(os.Stderr, "gombench: updates: %v\n", err)
 		os.Exit(1)
 	}
-	printFigure(fig, csv, plot)
+	if csv {
+		fig.PrintCSV(os.Stdout)
+	} else {
+		fig.Print(os.Stdout)
+	}
+	if plot {
+		fig.PrintPlot(os.Stdout)
+	}
 	writeJSON(rep, out, "updates")
 	fmt.Printf("  (updates completed in %v wall time)\n\n", time.Since(t0).Round(time.Millisecond))
 }
@@ -216,7 +231,14 @@ func runCluster(sc bench.Scale, out string, csv, plot bool) {
 		fmt.Fprintf(os.Stderr, "gombench: cluster: %v\n", err)
 		os.Exit(1)
 	}
-	printFigure(fig, csv, plot)
+	if csv {
+		fig.PrintCSV(os.Stdout)
+	} else {
+		fig.Print(os.Stdout)
+	}
+	if plot {
+		fig.PrintPlot(os.Stdout)
+	}
 	for _, m := range rep.Mixes {
 		fmt.Printf("  %-18s reads %6d -> %6d (%.1f%% reduction), miss rate %.3f -> %.3f, moved %d/%d, identical=%v\n",
 			m.Name, m.Scattered.PhysReads, m.Clustered.PhysReads, 100*m.ReadReduction,
@@ -236,7 +258,14 @@ func runSyntheticGrid(sc bench.Scale, out string, csv, plot bool) {
 		fmt.Fprintf(os.Stderr, "gombench: ocb: %v\n", err)
 		os.Exit(1)
 	}
-	printFigure(fig, csv, plot)
+	if csv {
+		fig.PrintCSV(os.Stdout)
+	} else {
+		fig.Print(os.Stdout)
+	}
+	if plot {
+		fig.PrintPlot(os.Stdout)
+	}
 	for _, m := range rep.Mixes {
 		fmt.Printf("  %-15s classes=%d fanout=%d depth=%d objects=%d heap=%dp pool=%dp lazy/deferred CPU=%.2f identical=%v\n",
 			m.Name, m.Params.Classes, m.Params.FanOut, m.Params.Depth,
@@ -258,7 +287,14 @@ func runThroughput(sc bench.Scale, out string, csv, plot bool) {
 		fmt.Fprintf(os.Stderr, "gombench: throughput: %v\n", err)
 		os.Exit(1)
 	}
-	printFigure(fig, csv, plot)
+	if csv {
+		fig.PrintCSV(os.Stdout)
+	} else {
+		fig.Print(os.Stdout)
+	}
+	if plot {
+		fig.PrintPlot(os.Stdout)
+	}
 	writeJSON(rep, out, "throughput")
 	fmt.Printf("  (throughput completed in %v wall time)\n\n", time.Since(t0).Round(time.Millisecond))
 }

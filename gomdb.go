@@ -229,9 +229,9 @@ func DefaultConfig() Config {
 // When it is not, read-classified operations do not wait for the writer:
 // they pin the current stable version and answer from an MVCC snapshot (see
 // DESIGN.md, "MVCC snapshot reads"), so a long update batch no longer stalls
-// the read side. Classification is static and charge-free (schema metadata only), and
-// snapshot reads charge a throwaway clock, so a single-threaded program
-// observes bit-identical simulated cost accounting with or without
+// the read side. Classification is static and charge-free (schema metadata
+// only), and snapshot reads charge a throwaway clock, so a single-threaded
+// program observes bit-identical simulated cost accounting with or without
 // concurrent-safety in play. The embedded field pointers (Engine, GMRs, ...)
 // remain exported for single-threaded tooling such as the benchmark driver;
 // concurrent clients must go through Database methods.
@@ -251,8 +251,8 @@ type Database struct {
 	Queries *query.Executor
 
 	// mvccSt is the version state shared by the MVCC snapshot read path:
-	// the stable version, the reader pin registry, and the barrier taken by the few operations that cannot
-	// be versioned. See internal/mvcc.
+	// the stable version, the reader pin registry, and the barrier taken by
+	// the few operations that cannot be versioned. See internal/mvcc.
 	mvccSt *mvcc.State
 
 	// autoRecluster mirrors Config.AutoRecluster (0 = disabled).
@@ -391,9 +391,9 @@ func (db *Database) Query(src string, params map[string]Value) (*QueryResult, er
 	}
 	var readOnly bool
 	if db.mu.TryRLock() {
-		// Uncontended: the shared fast path, charge-identical to a blocking
-		// engine for single-threaded programs (TryRLock cannot fail without a
-		// concurrent writer).
+		// Uncontended: the historical shared fast path, charge-identical to
+		// the pre-MVCC engine for single-threaded programs (TryRLock cannot
+		// fail without a concurrent writer).
 		readOnly = db.Queries.ReadOnlyPlan(q)
 		if readOnly && db.GMRs.Quiescent() {
 			defer db.mu.RUnlock()

@@ -149,9 +149,8 @@ func TestFaultWindows(t *testing.T) {
 			if testing.Short() {
 				seeds = 3
 			}
-			// The window starts at 493 because 493..495 all inject under
-			// every strategy, so the -short run is not vacuous; 500..502,
-			// the old start, inject nothing.
+			// 493..495 all inject under every strategy, so the -short run
+			// is not vacuous.
 			for seed := int64(493); seed < 493+seeds; seed++ {
 				plan := Generate(seed, GenOptions{Ops: 100, Faults: true})
 				res := requireClean(t, EngineConfig{Strategy: strat}, plan)
