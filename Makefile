@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short test-race ci bench bench-throughput bench-updates bench-cluster bench-shard bench-serve bench-ocb bench-check check-determinism repro repro-short examples serve fuzz-wire sim sim-crash sim-long sim-shard sim-ocb cover clean
+.PHONY: all build vet test test-short test-race ci bench bench-throughput bench-updates bench-cluster bench-shard bench-serve bench-ocb bench-check check-determinism repro repro-short examples serve fuzz-wire fuzz-object sim sim-crash sim-long sim-shard sim-ocb cover clean
 
 all: build vet test
 
@@ -44,6 +44,8 @@ ci:
 	$(GO) run -race ./cmd/gomsim -ocb -seeds 5 -ops 100 -out $(OUT)/sim-artifacts
 	$(MAKE) bench-serve SHORT=-short
 	$(MAKE) fuzz-wire FUZZ_TIME=15s
+	$(MAKE) fuzz-object FUZZ_TIME=15s
+	$(GO) test -race -count=10 -run TestRecycledFramesSnapshotStress ./internal/storage/
 	$(MAKE) check-determinism
 	$(GO) run -race ./cmd/gomsim -seeds 17 -ops 100 -out $(OUT)/sim-artifacts
 	$(GO) run -race ./cmd/gomsim -durable -crashes -seeds 25 -ops 100 -out $(OUT)/recovery-artifacts
@@ -152,6 +154,12 @@ FUZZ_TIME ?= 15s
 fuzz-wire:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzDecodeRequest -fuzztime $(FUZZ_TIME)
+
+# Fuzz the object-record decoders (full decode and the field reader) from
+# the committed corpus in internal/object/testdata/fuzz: arbitrary bytes must
+# never panic, and the two readers must agree on every attribute.
+fuzz-object:
+	$(GO) test ./internal/object/ -run '^$$' -fuzz FuzzObjectRecord -fuzztime $(FUZZ_TIME)
 
 # Deterministic simulation smoke: a window of seeded random workloads against
 # all three strategies, invariant audits at every quiescent point. Violations

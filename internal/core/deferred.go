@@ -206,7 +206,7 @@ func (m *Manager) Flush() error {
 		// pool sees the same access sequence a serial evaluation would have
 		// produced, so physical I/O is identical to a 1-worker drain.
 		for _, oid := range wk.trace {
-			if _, err := m.Objs.Get(oid); err != nil {
+			if _, err := m.Objs.TypeOf(oid); err != nil {
 				return err
 			}
 		}

@@ -512,11 +512,11 @@ func (m *Manager) dispatch(fn *lang.Function, args []object.Value) *lang.Functio
 	if dot < 0 || len(args) == 0 || args[0].Kind != object.KRef {
 		return fn
 	}
-	o, err := m.Objs.Get(args[0].R)
+	typ, err := m.Objs.TypeOf(args[0].R)
 	if err != nil {
 		return fn
 	}
-	if variant, ok := m.Sch.ResolveOp(o.Type, fn.Name[dot+1:]); ok {
+	if variant, ok := m.Sch.ResolveOp(typ, fn.Name[dot+1:]); ok {
 		return variant
 	}
 	return fn

@@ -173,11 +173,11 @@ func (r *RRR) Lookup(o object.OID) ([]Tuple, error) {
 	sort.Strings(keys)
 	out := make([]Tuple, 0, len(m))
 	for _, k := range keys {
-		rec, err := r.heap.Read(m[k])
-		if err != nil {
-			return nil, err
-		}
-		t, err := decodeTuple(rec)
+		var t Tuple
+		err := r.heap.View(m[k], func(rec []byte) (err error) {
+			t, err = decodeTuple(rec)
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}

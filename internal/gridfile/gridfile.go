@@ -120,7 +120,7 @@ func (g *GridFile) writeBucket(b *bucket) error {
 // touchBucket charges the read of a bucket page.
 func (g *GridFile) touchBucket(b *bucket) {
 	if !b.rid.IsZero() {
-		_, _ = g.heap.Read(b.rid)
+		_ = g.heap.View(b.rid, func([]byte) error { return nil })
 	}
 }
 

@@ -114,18 +114,6 @@ func (d *decoder) rid() storage.RID {
 	return storage.RID{Page: storage.PageID(d.uvarint()), Slot: uint16(d.uvarint())}
 }
 
-// count reads an element count and bounds it by the bytes left, each element
-// taking at least min of them, so a corrupt count cannot drive a huge
-// allocation.
-func (d *decoder) count(min int) int {
-	n := d.uvarint()
-	if n > uint64(len(d.buf)-d.off)/uint64(min) {
-		d.fail("object: directory count %d exceeds the %d bytes left", n, len(d.buf)-d.off)
-		return 0
-	}
-	return int(n)
-}
-
 // Directory ops, as journaled and as stored in a delta record: the op byte,
 // the OID, then the RID (create, move) and the type name (create, delete).
 const (

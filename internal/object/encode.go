@@ -3,7 +3,10 @@ package object
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
+	"sync"
+	"sync/atomic"
 )
 
 // Binary record encoding for objects and values. Records must be compact:
@@ -123,21 +126,52 @@ func (d *decoder) f64() float64 {
 	return v
 }
 
-func (d *decoder) str() string {
+// rawStr returns the bytes of a length-prefixed string. The slice aliases the
+// record being decoded.
+func (d *decoder) rawStr() []byte {
 	n := d.uvarint()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	// Compare in the uint64 domain: a hostile 64-bit length must not wrap
 	// negative under int conversion and slip past the bound (the slice
 	// expression below would panic). len-off is never negative.
 	if n > uint64(len(d.buf)-d.off) {
 		d.fail("object: truncated record (string of %d at %d)", n, d.off)
-		return ""
+		return nil
 	}
-	s := string(d.buf[d.off : d.off+int(n)])
+	b := d.buf[d.off : d.off+int(n)]
 	d.off += int(n)
-	return s
+	return b
+}
+
+func (d *decoder) str() string { return string(d.rawStr()) }
+
+// count reads the length prefix of a run of encoded items, each taking at
+// least min bytes, and bounds it by the bytes left. The comparison is in the
+// uint64 domain: an int conversion of a hostile 64-bit count can wrap
+// negative, pass a signed comparison, and panic in make or be accepted as an
+// empty run.
+func (d *decoder) count(min int) int {
+	n := d.uvarint()
+	if n > uint64(len(d.buf)-d.off)/uint64(min) {
+		d.fail("object: count %d exceeds the %d bytes left", n, len(d.buf)-d.off)
+		return 0
+	}
+	return int(n)
+}
+
+// values decodes a count-prefixed run of values.
+func (d *decoder) values() []Value {
+	n := d.count(1)
+	if d.err != nil {
+		return nil
+	}
+	vs := make([]Value, n)
+	for i := range vs {
+		vs[i] = d.value()
+	}
+	return vs
 }
 
 func (d *decoder) value() Value {
@@ -157,33 +191,48 @@ func (d *decoder) value() Value {
 		return Ref(OID(d.uvarint()))
 	case KTuple:
 		tn := d.str()
-		// Bound the arity by the remaining bytes in the uint64 domain: an
-		// int conversion of a hostile 64-bit count can wrap negative, pass
-		// a signed comparison, and panic in make.
-		n := d.uvarint()
-		if d.err != nil || n > uint64(len(d.buf)-d.off) {
-			d.fail("object: bad tuple arity %d", n)
+		elems := d.values()
+		if d.err != nil {
 			return Null()
-		}
-		elems := make([]Value, int(n))
-		for i := range elems {
-			elems[i] = d.value()
 		}
 		return Value{Kind: KTuple, TupleType: tn, Elems: elems}
 	case KSet, KList:
-		n := d.uvarint()
-		if d.err != nil || n > uint64(len(d.buf)-d.off) {
-			d.fail("object: bad collection arity %d", n)
+		elems := d.values()
+		if d.err != nil {
 			return Null()
-		}
-		elems := make([]Value, int(n))
-		for i := range elems {
-			elems[i] = d.value()
 		}
 		return Value{Kind: k, Elems: elems}
 	default:
 		d.fail("object: unknown value kind %d", k)
 		return Null()
+	}
+}
+
+// skipValue advances over one encoded value exactly as value would, without
+// building it.
+func (d *decoder) skipValue() {
+	k := Kind(d.u8())
+	switch k {
+	case KNull:
+	case KBool:
+		d.u8()
+	case KInt:
+		d.varint()
+	case KFloat:
+		d.f64()
+	case KString:
+		d.rawStr()
+	case KRef:
+		d.uvarint()
+	case KTuple, KSet, KList:
+		if k == KTuple {
+			d.rawStr()
+		}
+		for n := d.count(1); n > 0 && d.err == nil; n-- {
+			d.skipValue()
+		}
+	default:
+		d.fail("object: unknown value kind %d", k)
 	}
 }
 
@@ -222,32 +271,70 @@ func encodeObj(o *Obj) []byte {
 	return e.buf
 }
 
-func decodeObj(oid OID, buf []byte) (*Obj, error) {
+// decodeObj decodes a whole object record. The type name and the ObjDepFct
+// ids are interned, so buf may alias a pinned page: nothing decoded refers
+// back into it.
+func (m *Manager) decodeObj(oid OID, buf []byte) (*Obj, error) {
 	d := decoder{buf: buf}
-	o := &Obj{OID: oid}
-	o.Type = d.str()
-	nAttrs := int(d.uvarint())
-	if d.err == nil && nAttrs <= len(buf) {
-		o.Attrs = make([]Value, nAttrs)
-		for i := range o.Attrs {
-			o.Attrs[i] = d.value()
-		}
-	}
-	nElems := int(d.uvarint())
-	if d.err == nil && nElems <= len(buf) {
-		o.Elems = make([]Value, nElems)
-		for i := range o.Elems {
-			o.Elems[i] = d.value()
-		}
-	}
-	nDep := int(d.uvarint())
-	if d.err == nil && nDep <= len(buf) {
-		if nDep > 0 {
-			o.DepFcts = make([]string, nDep)
-			for i := range o.DepFcts {
-				o.DepFcts[i] = d.str()
-			}
+	o := &Obj{OID: oid, Type: m.Reg.internName(d.rawStr())}
+	o.Attrs = d.values()
+	o.Elems = d.values()
+	if n := d.count(1); n > 0 {
+		o.DepFcts = make([]string, n)
+		for i := range o.DepFcts {
+			o.DepFcts[i] = m.depFcts.intern(d.rawStr())
 		}
 	}
 	return o, d.err
+}
+
+// attr decodes attribute i of an object record whose type tag has already
+// been read, skipping the attributes before it without building them.
+func (d *decoder) attr(i int) Value {
+	if n := d.count(1); d.err == nil && i >= n {
+		d.fail("object: attribute %d of %d", i, n)
+	}
+	for ; i > 0 && d.err == nil; i-- {
+		d.skipValue()
+	}
+	return d.value()
+}
+
+// internTable hands out one shared string per distinct byte sequence, so
+// decoding a recurring string from a record allocates nothing. Lookups take
+// no lock: the table is an immutable map behind an atomic pointer, and adding
+// an entry replaces it with a copy. It suits small, stable vocabularies; past
+// maxInterned entries new strings are returned uninterned instead of growing
+// the table (a corrupt or hostile record cannot inflate it).
+type internTable struct {
+	mu sync.Mutex
+	m  atomic.Pointer[map[string]string]
+}
+
+const maxInterned = 1024
+
+func (t *internTable) intern(b []byte) string {
+	if m := t.m.Load(); m != nil {
+		if s, ok := (*m)[string(b)]; ok {
+			return s
+		}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var cur map[string]string
+	if m := t.m.Load(); m != nil {
+		cur = *m
+	}
+	if s, ok := cur[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(cur) >= maxInterned {
+		return s
+	}
+	next := make(map[string]string, len(cur)+1)
+	maps.Copy(next, cur)
+	next[s] = s
+	t.m.Store(&next)
+	return s
 }

@@ -105,6 +105,10 @@ type Manager struct {
 	layouts  map[string][]AttrDef
 	attrIdx  map[string]map[string]int
 
+	// depFcts interns the ObjDepFct ids decoded from records (type names
+	// are interned through Reg).
+	depFcts internTable
+
 	// Reads counts Get calls; used by tests and diagnostics. Updated
 	// atomically: Get runs on the concurrent read path.
 	Reads int64
@@ -223,7 +227,7 @@ func (m *Manager) GetVersioned(oid OID, ver uint64) (*Obj, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeObj(oid, rec)
+	return m.decodeObj(oid, rec)
 }
 
 // ExtensionVersioned returns the OIDs of all instances of typeName and its
@@ -403,30 +407,77 @@ func (m *Manager) Exists(oid OID) bool {
 	return ok
 }
 
-// TypeOf returns the type name of oid without charging a full record decode.
-// It still reads the record (and thus charges I/O) because the type tag is
-// stored with the object.
-func (m *Manager) TypeOf(oid OID) (string, error) {
-	o, err := m.Get(oid)
-	if err != nil {
-		return "", err
+// view runs fn over oid's record on its pinned page, charging the access the
+// way every charged object read is charged: the page Pin/Unpin,
+// AddCPU(1+len/64) and one Reads increment. rec is valid only during fn.
+func (m *Manager) view(oid OID, fn func(rec []byte) error) error {
+	rid, ok := m.rids[oid]
+	if !ok {
+		return fmt.Errorf("object: dangling reference %v", oid)
 	}
-	return o.Type, nil
+	return m.heap.View(rid, func(rec []byte) error {
+		m.Clock.AddCPU(1 + int64(len(rec))/64)
+		atomic.AddInt64(&m.Reads, 1)
+		return fn(rec)
+	})
+}
+
+// TypeOf returns the type name of oid, decoding only the record's type tag.
+// It charges what Get charges: the type tag is stored with the object, so
+// the record is still read.
+func (m *Manager) TypeOf(oid OID) (string, error) {
+	var typ string
+	err := m.view(oid, func(rec []byte) error {
+		d := decoder{buf: rec}
+		typ = m.Reg.internName(d.rawStr())
+		return d.err
+	})
+	return typ, err
 }
 
 // Get reads and decodes the object with the given OID.
 func (m *Manager) Get(oid OID) (*Obj, error) {
-	rid, ok := m.rids[oid]
-	if !ok {
-		return nil, fmt.Errorf("object: dangling reference %v", oid)
+	var o *Obj
+	err := m.view(oid, func(rec []byte) (err error) {
+		o, err = m.decodeObj(oid, rec)
+		return err
+	})
+	return o, err
+}
+
+// ReadAttr reads attribute attr of the tuple object oid straight from its
+// pinned page: it decodes the type tag, skips the attributes before attr and
+// decodes only that value. It charges what Get charges.
+func (m *Manager) ReadAttr(oid OID, attr string) (Value, error) {
+	var v Value
+	err := m.view(oid, func(rec []byte) error {
+		d := decoder{buf: rec}
+		typ := m.Reg.internName(d.rawStr())
+		if d.err != nil {
+			return d.err
+		}
+		i := m.AttrIndex(typ, attr)
+		if i < 0 {
+			return noAttr(typ, attr)
+		}
+		v = d.attr(i)
+		return d.err
+	})
+	return v, err
+}
+
+// AttrOf returns attribute attr of an already decoded object, failing the
+// way ReadAttr does when the object's type has no such attribute.
+func (m *Manager) AttrOf(o *Obj, attr string) (Value, error) {
+	i := m.AttrIndex(o.Type, attr)
+	if i < 0 || i >= len(o.Attrs) {
+		return Null(), noAttr(o.Type, attr)
 	}
-	rec, err := m.heap.Read(rid)
-	if err != nil {
-		return nil, err
-	}
-	m.Clock.AddCPU(1 + int64(len(rec))/64)
-	atomic.AddInt64(&m.Reads, 1)
-	return decodeObj(oid, rec)
+	return o.Attrs[i], nil
+}
+
+func noAttr(typ, attr string) error {
+	return fmt.Errorf("object: type %q has no attribute %q", typ, attr)
 }
 
 // GetSnapshot reads and decodes the object with the given OID through the
@@ -445,7 +496,7 @@ func (m *Manager) GetSnapshot(oid OID) (*Obj, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeObj(oid, rec)
+	return m.decodeObj(oid, rec)
 }
 
 // Put writes back a (possibly mutated) object.

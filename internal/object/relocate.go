@@ -96,7 +96,7 @@ func (m *Manager) AuditDirectory() []string {
 			out = append(out, fmt.Sprintf("directory: object %v does not resolve to a live heap slot: %v", oid, err))
 			continue
 		}
-		if _, err := decodeObj(oid, rec); err != nil {
+		if _, err := m.decodeObj(oid, rec); err != nil {
 			out = append(out, fmt.Sprintf("directory: object %v resolves to an undecodable record at %v: %v", oid, rid, err))
 		}
 	}

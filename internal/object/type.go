@@ -157,6 +157,16 @@ func (r *Registry) Register(t *Type) error {
 // Lookup returns the descriptor for name, or nil.
 func (r *Registry) Lookup(name string) *Type { return r.types[name] }
 
+// internName returns the registered type name spelled by b, sharing the
+// registry's string, or a new string when no such type is registered. The
+// object decoder uses it for type tags, which then cost no allocation.
+func (r *Registry) internName(b []byte) string {
+	if t := r.types[string(b)]; t != nil {
+		return t.Name
+	}
+	return string(b)
+}
+
 // MustLookup returns the descriptor for name or panics; for internal use
 // where the schema has already validated the name.
 func (r *Registry) MustLookup(name string) *Type {

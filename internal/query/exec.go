@@ -301,11 +301,11 @@ func (ex *Executor) step(cur object.Value, curType, seg string) (object.Value, s
 	case object.KRef:
 		dispatch := curType
 		if dispatch == "" || ex.En.Sch.Reg.HasSubtypes(dispatch) {
-			o, err := ex.En.GetObject(cur.R)
+			typ, err := ex.En.TypeOf(cur.R)
 			if err != nil {
 				return object.Null(), "", err
 			}
-			dispatch = o.Type
+			dispatch = typ
 		}
 		if at, ok := ex.En.Sch.AttrType(dispatch, seg); ok {
 			v, err := ex.En.ReadAttr(cur, seg)
@@ -330,11 +330,11 @@ func (ex *Executor) step(cur object.Value, curType, seg string) (object.Value, s
 func (ex *Executor) invoke(fn string, args []object.Value) (object.Value, error) {
 	if !strings.Contains(fn, ".") {
 		if _, ok := ex.En.Sch.ResolveStatic(fn); !ok && len(args) > 0 && args[0].Kind == object.KRef {
-			o, err := ex.En.GetObject(args[0].R)
+			typ, err := ex.En.TypeOf(args[0].R)
 			if err != nil {
 				return object.Null(), err
 			}
-			fn = o.Type + "." + fn
+			fn = typ + "." + fn
 		}
 	}
 	return ex.En.CallFunction(fn, args)

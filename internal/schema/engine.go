@@ -101,16 +101,21 @@ func (en *Engine) Tracking() bool { return len(en.trackers) > 0 && en.suspend ==
 func (en *Engine) ReadAttr(recv object.Value, attr string) (object.Value, error) {
 	switch recv.Kind {
 	case object.KRef:
+		if en.shadow == nil {
+			// The charged path reads just the one field from the pinned page.
+			v, err := en.Objs.ReadAttr(recv.R, attr)
+			if err != nil {
+				return object.Null(), err
+			}
+			en.track(recv.R)
+			return v, nil
+		}
 		o, err := en.getObject(recv.R)
 		if err != nil {
 			return object.Null(), err
 		}
 		en.track(o.OID)
-		i := en.Objs.AttrIndex(o.Type, attr)
-		if i < 0 {
-			return object.Null(), fmt.Errorf("schema: type %q has no attribute %q", o.Type, attr)
-		}
-		return o.Attrs[i], nil
+		return en.Objs.AttrOf(o, attr)
 	case object.KTuple:
 		layout := en.Objs.Layout(recv.TupleType)
 		for i, a := range layout {
@@ -165,11 +170,11 @@ func (en *Engine) resolveCall(name string, args []object.Value) (*lang.Function,
 	// without touching the argument object, as the paper's rewrite into a
 	// forward query implies.
 	if len(args) > 0 && args[0].Kind == object.KRef && en.Sch.Reg.HasSubtypes(declType) {
-		o, err := en.getObject(args[0].R)
+		typ, err := en.TypeOf(args[0].R)
 		if err != nil {
 			return nil, "", err
 		}
-		dispatchType = o.Type
+		dispatchType = typ
 	}
 	fn, ok := en.Sch.ResolveOp(dispatchType, opName)
 	if !ok {
@@ -291,10 +296,10 @@ func (en *Engine) EvalTrackedOrdered(fn *lang.Function, args []object.Value) (ob
 	// itself: if it is a public operation of a strictly encapsulated type,
 	// only the argument objects are marked, none of their subobjects.
 	if dot := strings.IndexByte(fn.Name, '.'); dot >= 0 && len(args) > 0 && args[0].Kind == object.KRef {
-		if o, err := en.getObject(args[0].R); err == nil {
-			t := en.Sch.Reg.Lookup(o.Type)
-			if t != nil && t.StrictEncapsulated && en.Sch.HasInvalidatedFctDecl(o.Type) &&
-				en.Sch.IsPublic(o.Type, fn.Name[dot+1:]) {
+		if typ, err := en.TypeOf(args[0].R); err == nil {
+			t := en.Sch.Reg.Lookup(typ)
+			if t != nil && t.StrictEncapsulated && en.Sch.HasInvalidatedFctDecl(typ) &&
+				en.Sch.IsPublic(typ, fn.Name[dot+1:]) {
 				en.suspend++
 				defer func() { en.suspend-- }()
 			}

@@ -97,12 +97,21 @@ func (en *Engine) TraceObject(oid object.OID) {
 	}
 }
 
-// GetObject fetches an object through the engine's evaluation read path:
-// charged on a normal engine, snapshot/versioned on a shadow clone. Callers
-// outside the package (the query executor) use it so the same code runs
-// against live and pinned-snapshot engines.
-func (en *Engine) GetObject(oid object.OID) (*object.Obj, error) {
-	return en.getObject(oid)
+// TypeOf returns the dynamic type of oid through the engine's evaluation read
+// path. A normal engine decodes only the record's type tag, at the charge of
+// a full read; a shadow or snapshot clone fetches the object as getObject
+// does, so the access is traced for replay. Callers outside the package (the
+// query executor) use it so the same code runs against live and
+// pinned-snapshot engines.
+func (en *Engine) TypeOf(oid object.OID) (string, error) {
+	if en.shadow == nil {
+		return en.Objs.TypeOf(oid)
+	}
+	o, err := en.getObject(oid)
+	if err != nil {
+		return "", err
+	}
+	return o.Type, nil
 }
 
 // ExtensionOf returns the extension of typeName through the engine's read

@@ -16,6 +16,11 @@ import (
 var PinDebug atomic.Bool
 
 // Frame is a buffer-pool frame holding a cached page.
+//
+// A *Frame is valid only while the caller holds it pinned. Eviction recycles
+// frames: the next miss or PinNew reuses an evicted frame's memory for a
+// different page, so after Unpin neither the pointer nor anything read
+// through it (ID, Data) may be used. Take the page id before unpinning.
 type Frame struct {
 	id    PageID
 	Data  [PageSize]byte
@@ -170,8 +175,9 @@ func (bp *BufferPool) shardFor(id PageID) *shard {
 }
 
 // Pin fetches page id into the pool (reading from disk on a miss), pins it,
-// and returns its frame. Every Pin must be matched by an Unpin. Hits touch
-// only the page's shard; misses fall into the serialized miss path.
+// and returns its frame. Every Pin must be matched by an Unpin, and the
+// returned frame is valid only until that Unpin (see Frame). Hits touch only
+// the page's shard; misses fall into the serialized miss path.
 func (bp *BufferPool) Pin(id PageID) (*Frame, error) {
 	bp.clock.addLogRead()
 	sh := bp.shardFor(id)
@@ -204,11 +210,11 @@ func (bp *BufferPool) pinMiss(id PageID) (*Frame, error) {
 	}
 	sh.mu.Unlock()
 	bp.misses.Add(1)
-	if err := bp.evictIfFull(); err != nil {
+	f, err := bp.evictIfFull()
+	if err != nil {
 		return nil, err
 	}
-	f := &Frame{id: id}
-	f.pins.Store(1)
+	f.reset(id)
 	if err := bp.disk.read(id, &f.Data); err != nil {
 		return nil, err
 	}
@@ -229,13 +235,15 @@ func (bp *BufferPool) PinNew() (*Frame, error) { return bp.PinNewOwned("") }
 func (bp *BufferPool) PinNewOwned(owner string) (*Frame, error) {
 	bp.missMu.Lock()
 	defer bp.missMu.Unlock()
-	if err := bp.evictIfFull(); err != nil {
+	f, err := bp.evictIfFull()
+	if err != nil {
 		return nil, err
 	}
 	id := bp.disk.Allocate()
 	bp.disk.tagOwner(id, owner)
-	f := &Frame{id: id, dirty: true, durDirty: true}
-	f.pins.Store(1)
+	f.reset(id)
+	f.Data = [PageSize]byte{}
+	f.dirty, f.durDirty = true, true
 	sh := bp.shardFor(id)
 	sh.mu.Lock()
 	f.stamp = bp.tick.Add(1)
@@ -270,11 +278,22 @@ func (bp *BufferPool) Unpin(id PageID, dirty bool) error {
 	return nil
 }
 
-// evictIfFull frees one frame using exact global LRU (minimum recency stamp
-// over all unpinned frames), writing it back if dirty. Caller holds missMu,
-// so no frame is concurrently inserted or removed; concurrent hits may pin
-// or re-stamp frames, which the second, locked check below accounts for.
-func (bp *BufferPool) evictIfFull() error {
+// reset readies a frame — fresh, or recycled by evictIfFull — to hold page
+// id, clean and pinned once. The caller fills Data.
+func (f *Frame) reset(id PageID) {
+	f.id = id
+	f.dirty, f.durDirty = false, false
+	f.pins.Store(1)
+}
+
+// evictIfFull returns a frame for the caller to install a page in: when the
+// pool is full, the frame it evicts using exact global LRU (minimum recency
+// stamp over all unpinned frames), written back first if dirty; otherwise a
+// new one. A recycled frame still holds its old page's bytes. Caller holds
+// missMu, so no frame is concurrently inserted or removed; concurrent hits
+// may pin or re-stamp frames, which the second, locked check below accounts
+// for.
+func (bp *BufferPool) evictIfFull() (*Frame, error) {
 	for int(bp.count.Load()) >= bp.cap {
 		var victim *Frame
 		var vsh *shard
@@ -292,7 +311,7 @@ func (bp *BufferPool) evictIfFull() error {
 			sh.mu.Unlock()
 		}
 		if victim == nil {
-			return fmt.Errorf("storage: buffer pool exhausted: all %d frames pinned", bp.cap)
+			return nil, fmt.Errorf("storage: buffer pool exhausted: all %d frames pinned", bp.cap)
 		}
 		vsh.mu.Lock()
 		if f, ok := vsh.frames[victim.id]; !ok || f != victim || f.pins.Load() > 0 {
@@ -304,15 +323,15 @@ func (bp *BufferPool) evictIfFull() error {
 		if victim.dirty {
 			if err := bp.disk.write(victim.id, &victim.Data); err != nil {
 				vsh.mu.Unlock()
-				return err
+				return nil, err
 			}
 		}
 		delete(vsh.frames, victim.id)
 		vsh.mu.Unlock()
 		bp.count.Add(-1)
-		return nil
+		return victim, nil
 	}
-	return nil
+	return new(Frame), nil
 }
 
 // FreePage drops page id from the pool (without write-back — the content is

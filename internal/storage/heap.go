@@ -143,6 +143,7 @@ func (h *HeapFile) Insert(rec []byte) (RID, error) {
 	if err != nil {
 		return RID{}, err
 	}
+	id := f.ID()
 	var slot uint16
 	var ok bool
 	h.pool.MutatePage(f, func() {
@@ -151,38 +152,54 @@ func (h *HeapFile) Insert(rec []byte) (RID, error) {
 		slot, ok = p.insert(rec)
 	})
 	if !ok {
-		if err := h.pool.Unpin(f.ID(), false); err != nil {
+		if err := h.pool.Unpin(id, false); err != nil {
 			return RID{}, err
 		}
 		return RID{}, fmt.Errorf("storage: record of %d bytes does not fit fresh page in %s", len(rec), h.name)
 	}
-	if err := h.unpinDirty(f.ID()); err != nil {
+	if err := h.unpinDirty(id); err != nil {
 		return RID{}, err
 	}
-	h.pages = append(h.pages, f.ID())
+	h.pages = append(h.pages, id)
 	h.freeHint = len(h.pages) - 1
 	h.count++
-	return RID{Page: f.ID(), Slot: slot}, nil
+	return RID{Page: id, Slot: slot}, nil
+}
+
+// View calls fn with the record stored at rid while its page is pinned. It
+// charges the page pin and copies nothing. The slice aliases the buffer-pool
+// frame: it is valid only during the call, and fn must neither retain nor
+// modify it. View returns fn's error.
+func (h *HeapFile) View(rid RID, fn func(rec []byte) error) error {
+	f, err := h.pool.Pin(rid.Page)
+	if err != nil {
+		return err
+	}
+	p := slotted{&f.Data}
+	data, ok := p.read(rid.Slot)
+	var ferr error
+	if ok {
+		ferr = fn(data)
+	}
+	if err := h.pool.Unpin(rid.Page, false); err != nil {
+		return err
+	}
+	if !ok {
+		return fmt.Errorf("storage: no record at %v in %s", rid, h.name)
+	}
+	return ferr
 }
 
 // Read returns a copy of the record stored at rid.
 func (h *HeapFile) Read(rid RID) ([]byte, error) {
-	f, err := h.pool.Pin(rid.Page)
+	var out []byte
+	err := h.View(rid, func(rec []byte) error {
+		out = make([]byte, len(rec))
+		copy(out, rec)
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	p := slotted{&f.Data}
-	data, ok := p.read(rid.Slot)
-	var out []byte
-	if ok {
-		out = make([]byte, len(data))
-		copy(out, data)
-	}
-	if err := h.pool.Unpin(rid.Page, false); err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("storage: no record at %v in %s", rid, h.name)
 	}
 	return out, nil
 }

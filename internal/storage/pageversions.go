@@ -28,14 +28,22 @@ type pageVersions struct {
 type pvStripe struct {
 	mu sync.RWMutex
 	m  map[PageID][]pageCapture
+	// spare holds emptied capture slices for reuse, so a page's first
+	// capture of an epoch does not allocate a new slice.
+	spare [][]pageCapture
 }
 
 // pageCapture is one pre-image: the page bytes as of publish ver. Captures
-// for a page are kept sorted by ascending ver.
+// for a page are kept sorted by ascending ver. data comes from capturePool
+// and goes back to it when dropBelow reclaims the capture.
 type pageCapture struct {
 	ver  uint64
-	data [PageSize]byte
+	data *[PageSize]byte
 }
+
+// capturePool recycles pre-image buffers: nearly every capture is reclaimed
+// at the next publish, so steady-state capturing allocates nothing.
+var capturePool = sync.Pool{New: func() any { return new([PageSize]byte) }}
 
 func newPageVersions(st *mvcc.State) *pageVersions {
 	pv := &pageVersions{st: st}
@@ -56,10 +64,15 @@ func (pv *pageVersions) mutate(f *Frame, fn func()) {
 	s := pv.stripe(f.id)
 	stable := pv.st.Stable()
 	s.mu.Lock()
-	caps := s.m[f.id]
+	caps, ok := s.m[f.id]
+	if !ok && len(s.spare) > 0 {
+		caps = s.spare[len(s.spare)-1]
+		s.spare = s.spare[:len(s.spare)-1]
+	}
 	if n := len(caps); n == 0 || caps[n-1].ver < stable {
-		caps = append(caps, pageCapture{ver: stable, data: f.Data})
-		s.m[f.id] = caps
+		data := capturePool.Get().(*[PageSize]byte)
+		*data = f.Data
+		s.m[f.id] = append(caps, pageCapture{ver: stable, data: data})
 	}
 	fn()
 	s.mu.Unlock()
@@ -77,14 +90,17 @@ func (pv *pageVersions) readAt(bp *BufferPool, id PageID, ver uint64, dst *[Page
 	caps := s.m[id]
 	i := sort.Search(len(caps), func(i int) bool { return caps[i].ver >= ver })
 	if i < len(caps) {
-		*dst = caps[i].data
+		*dst = *caps[i].data
 		return nil
 	}
 	return bp.ReadSnapshot(id, dst)
 }
 
 // dropBelow reclaims every capture tagged below floor — no pinned reader
-// can reach them. Called from the facade's publish point.
+// can reach them. Called from the facade's publish point. The buffers go
+// back to capturePool under the stripe lock, which readAt holds while it
+// copies one; an emptied capture slice is kept on the stripe's spare list
+// for the next page captured there.
 func (pv *pageVersions) dropBelow(floor uint64) {
 	for i := range pv.stripes {
 		s := &pv.stripes[i]
@@ -92,12 +108,19 @@ func (pv *pageVersions) dropBelow(floor uint64) {
 		for id, caps := range s.m {
 			j := 0
 			for j < len(caps) && caps[j].ver < floor {
+				capturePool.Put(caps[j].data)
 				j++
 			}
-			if j == len(caps) {
+			if j == 0 {
+				continue
+			}
+			n := copy(caps, caps[j:])
+			clear(caps[n:])
+			if n == 0 {
 				delete(s.m, id)
-			} else if j > 0 {
-				s.m[id] = append([]pageCapture(nil), caps[j:]...)
+				s.spare = append(s.spare, caps[:0])
+			} else {
+				s.m[id] = caps[:n]
 			}
 		}
 		s.mu.Unlock()

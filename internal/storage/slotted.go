@@ -156,29 +156,22 @@ func (p slotted) update(i uint16, rec []byte) bool {
 	return true
 }
 
-// compact slides all live records to the high end of the page, squeezing out
-// holes left by deletions and updates.
+// compact slides all live records to the high end of the page in slot order,
+// squeezing out holes left by deletions and updates. The records are laid out
+// from one stack copy of the page, so compaction allocates nothing; bytes
+// outside the rewritten record area are left as they were.
 func (p slotted) compact() {
+	src := *p.data
 	n := p.numSlots()
-	type rec struct {
-		slot uint16
-		data []byte
-	}
-	var live []rec
+	high := PageSize
 	for i := uint16(0); i < n; i++ {
 		off, length := p.slot(i)
 		if off == 0 {
 			continue
 		}
-		cp := make([]byte, length)
-		copy(cp, p.data[off:off+length])
-		live = append(live, rec{i, cp})
-	}
-	high := PageSize
-	for _, r := range live {
-		high -= len(r.data)
-		copy(p.data[high:high+len(r.data)], r.data)
-		p.setSlot(r.slot, uint16(high), uint16(len(r.data)))
+		high -= int(length)
+		copy(p.data[high:], src[off:off+length])
+		p.setSlot(i, uint16(high), length)
 	}
 	p.setFreeHigh(uint16(high))
 }

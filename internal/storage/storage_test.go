@@ -171,8 +171,8 @@ func TestBufferPoolLRUAndCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.Data[0] = byte(i)
-		pool.Unpin(f.ID(), true)
 		ids = append(ids, f.ID())
+		pool.Unpin(f.ID(), true)
 	}
 	// Pages 0 and 1 must have been evicted (written back).
 	if pool.Resident(ids[0]) || pool.Resident(ids[1]) {
@@ -206,12 +206,15 @@ func TestBufferPoolPinnedPagesNotEvicted(t *testing.T) {
 	if _, err := pool.PinNew(); err == nil {
 		t.Fatal("pool allowed eviction of pinned page")
 	}
-	pool.Unpin(f1.ID(), false)
+	// f1 is invalid once unpinned (its frame is recycled by the next
+	// eviction), so its page id is taken first.
+	id1 := f1.ID()
+	pool.Unpin(id1, false)
 	f3, err := pool.PinNew()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pool.Resident(f1.ID()) {
+	if pool.Resident(id1) {
 		t.Fatal("unpinned page not chosen for eviction")
 	}
 	if !pool.Resident(f2.ID()) || !pool.Resident(f3.ID()) {
