@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short test-race ci bench bench-throughput bench-updates bench-cluster bench-shard bench-serve bench-ocb bench-check check-determinism repro repro-short examples serve fuzz-wire fuzz-object sim sim-crash sim-long sim-shard sim-ocb cover clean
+.PHONY: all build vet test test-short test-race ci bench bench-throughput bench-updates bench-cluster bench-shard bench-serve bench-ocb bench-check check-determinism repro repro-short examples serve fuzz-wire fuzz-object fuzz-pred sim sim-crash sim-long sim-shard sim-ocb cover clean
 
 all: build vet test
 
@@ -45,6 +45,7 @@ ci:
 	$(MAKE) bench-serve SHORT=-short
 	$(MAKE) fuzz-wire FUZZ_TIME=15s
 	$(MAKE) fuzz-object FUZZ_TIME=15s
+	$(MAKE) fuzz-pred FUZZ_TIME=15s
 	$(GO) test -race -count=10 -run TestRecycledFramesSnapshotStress ./internal/storage/
 	$(MAKE) check-determinism
 	$(GO) run -race ./cmd/gomsim -seeds 17 -ops 100 -out $(OUT)/sim-artifacts
@@ -64,8 +65,8 @@ bench-throughput:
 	$(GO) test -run '^$$' -bench 'Parallel' -cpu 1,2,4,8 -benchtime=200ms .
 	$(GO) run ./cmd/gombench -figure throughput
 
-# Burst-update cost: immediate vs lazy vs deferred, plus the deferred
-# worker-pool sweep (writes BENCH_updates.json).
+# Burst-update cost: immediate vs lazy vs deferred (writes
+# BENCH_updates.json).
 bench-updates:
 	$(GO) run ./cmd/gombench -figure updates
 
@@ -123,8 +124,8 @@ bench-check:
 	$(GO) vet -C benchmark .
 	$(GO) test -C benchmark ./...
 
-# The simulated figures must not depend on scheduling, core count, or worker
-# pools: regenerate the short-scale suite and compare it (modulo wall-time
+# The simulated figures must not depend on scheduling or core count:
+# regenerate the short-scale suite and compare it (modulo wall-time
 # lines) against the committed golden.
 check-determinism:
 	$(GO) run ./cmd/gombench -figure all -short | grep -v "wall time" | \
@@ -160,6 +161,12 @@ fuzz-wire:
 # never panic, and the two readers must agree on every attribute.
 fuzz-object:
 	$(GO) test ./internal/object/ -run '^$$' -fuzz FuzzObjectRecord -fuzztime $(FUZZ_TIME)
+
+# Fuzz the GMR applicability test from the committed corpus in
+# internal/pred/testdata/fuzz: Covers must agree with the exact brute-force
+# grid oracle on every decoded restriction/query pair.
+fuzz-pred:
+	$(GO) test ./internal/pred/ -run '^$$' -fuzz FuzzCovers -fuzztime $(FUZZ_TIME)
 
 # Deterministic simulation smoke: a window of seeded random workloads against
 # all three strategies, invariant audits at every quiescent point. Violations

@@ -59,7 +59,6 @@ func main() {
 		mds       = flag.Bool("mds", false, "maintain the multidimensional index")
 		shards    = flag.Int("shards", 0, "horizontal shard count: run plans through the scatter-gather router over this many engines (0 = single engine)")
 		bufShards = flag.Int("buffer-shards", 0, "buffer pool lock-stripe count (0 = default)")
-		workers   = flag.Int("workers", 0, "deferred-flush worker count (0 = GOMAXPROCS)")
 		faults    = flag.Bool("faults", false, "insert scripted fault windows into each plan")
 		recl      = flag.Bool("recluster", false, "insert trace-driven reclustering passes into each plan")
 		useOCB    = flag.Bool("ocb", false, "run each workload against a generated OCB-style object base (demo parameters)")
@@ -92,7 +91,7 @@ func main() {
 	for _, s := range strategies {
 		configs = append(configs, sim.EngineConfig{
 			Strategy: s, Memo: *memo, SecondChance: *sc, UseMDS: *mds,
-			BufferShards: *bufShards, Shards: *shards, RematWorkers: *workers,
+			BufferShards: *bufShards, Shards: *shards,
 			Broken: *broken, Durable: *durable,
 			OCB: ocbParams,
 		})

@@ -26,9 +26,7 @@ func TestDeferredConsistencyUnderConcurrency(t *testing.T) {
 			name = "secondchance"
 		}
 		t.Run(name, func(t *testing.T) {
-			cfg := gomdb.DefaultConfig()
-			cfg.RematWorkers = 4
-			db := gomdb.Open(cfg)
+			db := gomdb.Open(gomdb.DefaultConfig())
 			if err := fixtures.DefineGeometry(db, false); err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +97,7 @@ func TestDeferredConsistencyUnderConcurrency(t *testing.T) {
 							}
 							// A burst of vertex moves against a handful of
 							// cuboids; the Batch end flushes them in one
-							// parallel drain.
+							// drain.
 							err := db.Batch(func(tx *gomdb.Tx) error {
 								for i := 0; i < 6; i++ {
 									c := base[rng.Intn(len(base))]

@@ -158,12 +158,6 @@ type Config struct {
 	IOCostMicros int64
 	// CPUCostMicros is the simulated cost of one charged CPU operation.
 	CPUCostMicros int64
-	// RematWorkers bounds the worker pool that recomputes pending entries of
-	// Deferred GMRs at flush points; 0 (or negative) selects GOMAXPROCS.
-	// The worker count affects wall-clock time only: simulated cost
-	// accounting is bit-identical for every value (see DESIGN.md, "Update
-	// path").
-	RematWorkers int
 	// Path, when non-empty, makes the database durable: pages and engine
 	// metadata are checkpointed to this directory (see DESIGN.md,
 	// "Durability & recovery") and recovered on the next open. Durability
@@ -304,7 +298,6 @@ func newDatabase(cfg Config) *Database {
 	}
 	en := schema.NewEngine(sch, objs, clock)
 	mgr := core.NewManager(en, pool)
-	mgr.SetRematWorkers(cfg.RematWorkers)
 	st := mvcc.NewState()
 	pool.SetMVCC(st)
 	objs.SetMVCC(st)
@@ -596,9 +589,9 @@ func (db *Database) Call(fn string, args ...Value) (Value, error) {
 }
 
 // Flush drains the deferred-rematerialization queue: every result a Deferred
-// GMR has marked invalid since the last flush point is recomputed once, by a
-// pool of Config.RematWorkers parallel workers, regardless of how many
-// updates invalidated it. A no-op when nothing is pending. On a durable
+// GMR has marked invalid since the last flush point is recomputed once,
+// serially in a canonical order, regardless of how many updates invalidated
+// it. A no-op when nothing is pending. On a durable
 // database a flush is a checkpoint point: the drained state is made durable
 // before the lock is released.
 func (db *Database) Flush() error {
@@ -660,7 +653,7 @@ func (tx *Tx) Call(fn string, args ...Value) (Value, error) {
 // Batch runs fn as one update batch: the exclusive engine lock is taken once
 // for the whole batch instead of per operation, and the end of the batch is a
 // flush point for Deferred GMRs — all results the batch invalidated are
-// recomputed by the parallel worker pool before the lock is released. If fn
+// recomputed before the lock is released. If fn
 // returns an error the flush still runs (updates already applied must not
 // leave the queue stale across an unlocked window for readers that force
 // entries individually), and fn's error takes precedence. On a durable

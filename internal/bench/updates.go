@@ -5,10 +5,7 @@ package bench
 // updates between flush points. Immediate pays one recomputation per update,
 // lazy pays one per first re-read, deferred coalesces the burst into one
 // recomputation per entry at the flush. Costs are *simulated seconds* like
-// the figure experiments; wall-clock milliseconds are reported separately for
-// the worker-pool comparison (the simulated cost of a deferred flush is
-// bit-identical for every worker count — the charge-equivalence property —
-// so only wall time can show the parallel drain).
+// the figure experiments.
 //
 // `gombench -figure updates` writes the results to BENCH_updates.json.
 
@@ -17,14 +14,13 @@ import (
 	"math/rand"
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"gomdb"
 	"gomdb/internal/fixtures"
 )
 
-// updatesSeed fixes the workload; every strategy and worker count replays the
-// same operation sequence.
+// updatesSeed fixes the workload; every strategy replays the same operation
+// sequence.
 const updatesSeed = 271
 
 // UpdatesPoint is one measurement: a burst size (elementary updates per
@@ -40,20 +36,6 @@ type UpdatesStrategy struct {
 	Points []UpdatesPoint `json:"points"`
 }
 
-// UpdatesWorkerPoint is one deferred drain at a fixed burst size with a given
-// worker-pool bound.
-type UpdatesWorkerPoint struct {
-	Workers    int     `json:"workers"`
-	SimSeconds float64 `json:"sim_seconds"`
-	WallMs     float64 `json:"wall_ms"`
-	// EvalWallMs and FlushWallMs are the summed per-item evaluation time and
-	// the summed flush wall time of phase 1; their ratio is the realized
-	// parallel speedup of the drain (bounded by schedulable CPUs).
-	EvalWallMs      float64 `json:"eval_wall_ms"`
-	FlushWallMs     float64 `json:"flush_wall_ms"`
-	ParallelSpeedup float64 `json:"parallel_speedup"`
-}
-
 // UpdatesReport is the JSON document gombench writes to BENCH_updates.json.
 type UpdatesReport struct {
 	Harness         string            `json:"harness"`
@@ -65,23 +47,17 @@ type UpdatesReport struct {
 	ObjectsPerBurst int               `json:"objects_per_burst"`
 	PerObjectSweep  []int             `json:"per_object_sweep"`
 	Strategies      []UpdatesStrategy `json:"strategies"`
-	// WorkerSweep is the deferred strategy at the largest burst size under
-	// increasing worker-pool bounds.
-	WorkerSweep      []UpdatesWorkerPoint `json:"deferred_worker_sweep"`
-	ChargesIdentical bool                 `json:"worker_charges_identical"`
-	QueueHighWater   int64                `json:"queue_high_water"`
-	CoalescedUpdates int64                `json:"coalesced_updates"`
-	Flushes          int64                `json:"flushes"`
-	Notes            string               `json:"notes"`
+	// The deferred queue statistics of the largest burst size.
+	QueueHighWater   int64  `json:"queue_high_water"`
+	CoalescedUpdates int64  `json:"coalesced_updates"`
+	Flushes          int64  `json:"flushes"`
+	Notes            string `json:"notes"`
 }
 
-// updatesRun replays the burst workload under one configuration and returns
-// the simulated seconds of the measured phase plus its wall time.
+// updatesRun is the outcome of one burst workload: the simulated seconds of
+// the measured phase and the deferred queue statistics.
 type updatesRun struct {
 	simSeconds float64
-	wallMs     float64
-	evalMs     float64
-	flushMs    float64
 	highWater  int64
 	coalesced  int64
 	flushes    int64
@@ -93,10 +69,8 @@ type updatesRun struct {
 // Batch (whose end is a flush point — a no-op for immediate and lazy), then
 // reads both functions of every touched cuboid back so lazy pays its
 // rematerialization debt inside the measured window.
-func runUpdateBursts(strategy gomdb.Strategy, workers, nCuboids, bursts, objects, perObj int) (updatesRun, error) {
-	cfg := gomdb.DefaultConfig()
-	cfg.RematWorkers = workers
-	db := gomdb.Open(cfg)
+func runUpdateBursts(strategy gomdb.Strategy, nCuboids, bursts, objects, perObj int) (updatesRun, error) {
+	db := gomdb.Open(gomdb.DefaultConfig())
 	if err := fixtures.DefineGeometry(db, false); err != nil {
 		return updatesRun{}, err
 	}
@@ -114,7 +88,6 @@ func runUpdateBursts(strategy gomdb.Strategy, workers, nCuboids, bursts, objects
 	vertices := []string{"V1", "V2", "V4", "V5"}
 	attrs := []string{"X", "Y", "Z"}
 	start := db.Clock.Snapshot()
-	t0 := time.Now()
 	for b := 0; b < bursts; b++ {
 		touched := make([]gomdb.OID, objects)
 		for i := range touched {
@@ -145,15 +118,11 @@ func runUpdateBursts(strategy gomdb.Strategy, workers, nCuboids, bursts, objects
 			}
 		}
 	}
-	wall := time.Since(t0)
 	d := db.Clock.Sub(start)
 	st := &db.GMRs.Stats
 	return updatesRun{
 		simSeconds: float64(d.PhysReads+d.PhysWrites)*float64(db.Clock.IOCostMicros)/1e6 +
 			float64(d.CPUOps)*float64(db.Clock.CPUCostMicros)/1e6,
-		wallMs:    float64(wall.Nanoseconds()) / 1e6,
-		evalMs:    float64(atomic.LoadInt64(&st.FlushEvalNanos)) / 1e6,
-		flushMs:   float64(atomic.LoadInt64(&st.FlushWallNanos)) / 1e6,
 		highWater: atomic.LoadInt64(&st.QueueHighWater),
 		coalesced: atomic.LoadInt64(&st.CoalescedUpdates),
 		flushes:   atomic.LoadInt64(&st.Flushes),
@@ -182,10 +151,7 @@ func Updates(sc Scale) (*UpdatesReport, *Figure, error) {
 		ObjectsPerBurst: objects,
 		PerObjectSweep:  sweep,
 		Notes: "Simulated seconds of a bursty update workload (updates per object between flush points on the x-axis), " +
-			"each burst followed by a read-back of every touched result so lazy pays its debt inside the window. " +
-			"The deferred worker sweep reruns the largest burst size with growing worker pools: simulated charges are " +
-			"bit-identical by construction (charge-equivalence), so the parallel drain can only show in wall time, " +
-			"which requires as many schedulable CPUs as workers (see num_cpu).",
+			"each burst followed by a read-back of every touched result so lazy pays its debt inside the window.",
 	}
 	fig := &Figure{
 		ID:     "updates",
@@ -208,7 +174,7 @@ func Updates(sc Scale) (*UpdatesReport, *Figure, error) {
 		us := UpdatesStrategy{Name: s.name}
 		series := Series{Name: s.name}
 		for _, perObj := range sweep {
-			run, err := runUpdateBursts(s.strategy, 1, nCuboids, bursts, objects, perObj)
+			run, err := runUpdateBursts(s.strategy, nCuboids, bursts, objects, perObj)
 			if err != nil {
 				return nil, nil, fmt.Errorf("updates %s/%d: %w", s.name, perObj, err)
 			}
@@ -222,32 +188,6 @@ func Updates(sc Scale) (*UpdatesReport, *Figure, error) {
 		}
 		rep.Strategies = append(rep.Strategies, us)
 		fig.Series = append(fig.Series, series)
-	}
-	// Worker sweep: the deferred drain at the largest burst size.
-	perObj := sweep[len(sweep)-1]
-	rep.ChargesIdentical = true
-	var baseSim float64
-	for _, w := range []int{1, 2, 4, 8} {
-		run, err := runUpdateBursts(gomdb.Deferred, w, nCuboids, bursts, objects, perObj)
-		if err != nil {
-			return nil, nil, fmt.Errorf("updates deferred w%d: %w", w, err)
-		}
-		pt := UpdatesWorkerPoint{
-			Workers:     w,
-			SimSeconds:  run.simSeconds,
-			WallMs:      run.wallMs,
-			EvalWallMs:  run.evalMs,
-			FlushWallMs: run.flushMs,
-		}
-		if run.flushMs > 0 {
-			pt.ParallelSpeedup = run.evalMs / run.flushMs
-		}
-		if w == 1 {
-			baseSim = run.simSeconds
-		} else if run.simSeconds != baseSim {
-			rep.ChargesIdentical = false
-		}
-		rep.WorkerSweep = append(rep.WorkerSweep, pt)
 	}
 	return rep, fig, nil
 }

@@ -4,8 +4,8 @@ import "testing"
 
 // TestUpdatesBurstProperties runs the burst-update suite at short scale and
 // pins its headline properties: deferred coalescing beats immediate by >= 2x
-// simulated cost once bursts reach 4 updates per object, the deferred worker
-// sweep is charge-identical, and the queue actually coalesced work.
+// simulated cost once bursts reach 4 updates per object, and the queue
+// actually coalesced work.
 func TestUpdatesBurstProperties(t *testing.T) {
 	rep, fig, err := Updates(ShortScale())
 	if err != nil {
@@ -27,9 +27,6 @@ func TestUpdatesBurstProperties(t *testing.T) {
 			t.Errorf("perObj=%d: immediate %.2fs is not >= 2x deferred %.2fs",
 				pt.PerObject, imm, pt.SimSeconds)
 		}
-	}
-	if !rep.ChargesIdentical {
-		t.Errorf("deferred worker sweep charges differ: %+v", rep.WorkerSweep)
 	}
 	if rep.CoalescedUpdates == 0 || rep.Flushes == 0 || rep.QueueHighWater == 0 {
 		t.Errorf("queue statistics not exercised: %+v", rep)

@@ -37,24 +37,16 @@ type AccessStats struct {
 }
 
 // recordTrace stores the ordered forward trace of column col of the entry
-// with key k, replacing any previous trace for the same result. raw may
-// contain repeats (the deferred shadow trace does); the stored trace keeps
-// the first access only, matching EvalTrackedOrdered semantics.
-func (m *Manager) recordTrace(g *GMR, k string, col int, raw []object.OID) {
+// with key k, replacing any previous trace for the same result. trace is
+// EvalTrackedOrdered's first-access order, so it holds no repeats.
+func (m *Manager) recordTrace(g *GMR, k string, col int, trace []object.OID) {
 	tk := traceKey{g.Name, k, col}
-	if len(raw) == 0 {
+	if len(trace) == 0 {
 		delete(m.accessTraces, tk)
 		return
 	}
-	trace := make([]object.OID, 0, len(raw))
-	seen := make(map[object.OID]struct{}, len(raw))
-	pages := make(map[storage.PageID]struct{}, len(raw))
-	for _, oid := range raw {
-		if _, dup := seen[oid]; dup {
-			continue
-		}
-		seen[oid] = struct{}{}
-		trace = append(trace, oid)
+	pages := make(map[storage.PageID]struct{}, len(trace))
+	for _, oid := range trace {
 		if rid, ok := m.Objs.RIDOf(oid); ok {
 			pages[rid.Page] = struct{}{}
 		}

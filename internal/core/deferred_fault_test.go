@@ -52,10 +52,8 @@ func TestDeferredFlushFaultMidDrain(t *testing.T) {
 	const n = 20
 	db, g, gmr := deferredWithPending(t, n)
 
-	// Phase 1 of the drain evaluates on charge-free snapshots and is immune
-	// to injected faults by design; the first charged read of the objects
-	// heap happens in the phase-2 trace replay, so a persistent read fault
-	// on "objects" fails the drain partway through the serial apply.
+	// The drain reads the objects heap through the charged path, so a
+	// persistent read fault on "objects" fails it partway through.
 	db.Disk.SetFaultPlan(storage.FaultPlan{Rules: []storage.FaultRule{
 		{Op: storage.FaultRead, File: "objects", After: 3},
 	}})

@@ -7,19 +7,14 @@ import (
 
 	"gomdb"
 	"gomdb/internal/fixtures"
-	"gomdb/internal/storage"
 )
 
 // Tests of the Deferred rematerialization strategy: coalescing semantics,
-// flush points, on-demand forcing, the second-chance interaction, and the
-// charge-equivalence property (simulated cost is independent of the flush
-// worker count).
+// flush points, on-demand forcing, and the second-chance interaction.
 
-func openDeferredGeometry(t *testing.T, workers, n int, secondChance bool) (*gomdb.Database, *fixtures.Geometry, *gomdb.GMR) {
+func openDeferredGeometry(t *testing.T, n int, secondChance bool) (*gomdb.Database, *fixtures.Geometry, *gomdb.GMR) {
 	t.Helper()
-	cfg := gomdb.DefaultConfig()
-	cfg.RematWorkers = workers
-	db := gomdb.Open(cfg)
+	db := gomdb.Open(gomdb.DefaultConfig())
 	if err := fixtures.DefineGeometry(db, false); err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +45,7 @@ func vertexOf(t *testing.T, db *gomdb.Database, c gomdb.OID, vn string) gomdb.OI
 // TestDeferredCoalescesBurst: N updates hitting the same entry between
 // flushes are queued once and recomputed once.
 func TestDeferredCoalescesBurst(t *testing.T) {
-	db, g, gmr := openDeferredGeometry(t, 2, 12, false)
+	db, g, gmr := openDeferredGeometry(t, 12, false)
 	c := g.Cuboids[0]
 
 	st := &db.GMRs.Stats
@@ -108,7 +103,7 @@ func TestDeferredCoalescesBurst(t *testing.T) {
 // TestDeferredForceOnLookup: a forward lookup touching a pending entry
 // forces just that entry; the rest of the queue stays for the flush.
 func TestDeferredForceOnLookup(t *testing.T) {
-	db, g, gmr := openDeferredGeometry(t, 0, 12, false)
+	db, g, gmr := openDeferredGeometry(t, 12, false)
 	st := &db.GMRs.Stats
 	for _, c := range g.Cuboids[:2] {
 		if err := db.Set(vertexOf(t, db, c, "V1"), "X", gomdb.Float(21)); err != nil {
@@ -156,7 +151,7 @@ func TestDeferredForceOnLookup(t *testing.T) {
 // and the flush does not pay the delete/insert pair for objects the
 // recomputation still visits.
 func TestDeferredSecondChance(t *testing.T) {
-	db, g, gmr := openDeferredGeometry(t, 2, 12, true)
+	db, g, gmr := openDeferredGeometry(t, 12, true)
 	st := &db.GMRs.Stats
 	c := g.Cuboids[0]
 	v1 := vertexOf(t, db, c, "V1")
@@ -192,73 +187,10 @@ func TestDeferredSecondChance(t *testing.T) {
 	}
 }
 
-// deferredWorkload drives a fixed burst-update/flush/read-back cycle and
-// returns the final simulated-cost counters.
-func deferredWorkload(t *testing.T, workers int, secondChance bool) storage.Clock {
-	t.Helper()
-	db, g, gmr := openDeferredGeometry(t, workers, 16, secondChance)
-	for round := 0; round < 3; round++ {
-		for ci := 0; ci < 6; ci++ {
-			c := g.Cuboids[(round+ci)%len(g.Cuboids)]
-			for vi, vn := range []string{"V1", "V2", "V5"} {
-				if err := db.Set(vertexOf(t, db, c, vn), "Y", gomdb.Float(float64(round*7+ci+vi)+0.5)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := db.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Read-back so stale results would surface as wrong charges later.
-	for _, c := range g.Cuboids {
-		for _, fn := range []string{"Cuboid.volume", "Cuboid.weight"} {
-			if _, err := db.Call(fn, gomdb.Ref(c)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	rep, err := db.CheckConsistency(gmr.Name, 1e-6, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.Err(); err != nil {
-		t.Fatal(err)
-	}
-	st := &db.GMRs.Stats
-	if atomic.LoadInt64(&st.Flushes) == 0 || atomic.LoadInt64(&st.CoalescedUpdates) == 0 {
-		t.Fatalf("workload did not exercise flush/coalescing (flushes=%d coalesced=%d)",
-			atomic.LoadInt64(&st.Flushes), atomic.LoadInt64(&st.CoalescedUpdates))
-	}
-	return db.Snapshot()
-}
-
-// TestDeferredChargeEquivalenceAcrossWorkers: the simulated cost of a
-// deferred workload is bit-identical for every flush worker count — the
-// parallel drain only spreads wall-clock work, never simulated charges.
-func TestDeferredChargeEquivalenceAcrossWorkers(t *testing.T) {
-	for _, sc := range []bool{false, true} {
-		sc := sc
-		name := "plain"
-		if sc {
-			name = "secondchance"
-		}
-		t.Run(name, func(t *testing.T) {
-			base := deferredWorkload(t, 1, sc)
-			for _, workers := range []int{2, 4, 8} {
-				got := deferredWorkload(t, workers, sc)
-				if got != base {
-					t.Errorf("workers=%d: counters %+v differ from 1-worker drain %+v", workers, got, base)
-				}
-			}
-		})
-	}
-}
-
 // TestDeferredBatch: Batch takes the engine lock once, and its end is a
 // flush point.
 func TestDeferredBatch(t *testing.T) {
-	db, g, gmr := openDeferredGeometry(t, 4, 12, false)
+	db, g, gmr := openDeferredGeometry(t, 12, false)
 	st := &db.GMRs.Stats
 	err := db.Batch(func(tx *gomdb.Tx) error {
 		for _, c := range g.Cuboids[:4] {

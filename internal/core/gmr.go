@@ -37,8 +37,8 @@ const (
 	Lazy
 	// Deferred marks invalidated results and enqueues them on the manager's
 	// coalescing recomputation queue: N updates hitting the same entry
-	// between flushes cost a single recomputation, performed by the parallel
-	// worker drain of Manager.Flush (see deferred.go). A lookup that touches
+	// between flushes cost a single recomputation, performed by the serial
+	// drain of Manager.Flush (see deferred.go). A lookup that touches
 	// a pending entry forces just that entry, like the lazy path.
 	Deferred
 )

@@ -50,8 +50,8 @@ type Stats struct {
 	Flushes          int64 // Flush calls that found work
 	FlushedItems     int64 // pending recomputations performed by flushes
 	QueueHighWater   int64 // maximum pending-queue depth observed
-	FlushEvalNanos   int64 // cumulative per-item wall time of parallel flush evaluations
-	FlushWallNanos   int64 // cumulative wall time of the parallel phase of flushes
+	FlushEvalNanos   int64 // cumulative wall time of the per-item recomputations of flushes
+	FlushWallNanos   int64 // cumulative wall time of flush drains, including queue bookkeeping
 }
 
 // Manager is the GMR manager: it owns all GMR extensions and the RRR, and is
@@ -118,10 +118,8 @@ type Manager struct {
 	// into a single recomputation. Mutated only under the exclusive Database
 	// lock (deferred GMRs are never quiescent while work is pending, so
 	// every path that touches the queue is write-classified); drained by
-	// Flush. rematWorkers bounds the flush worker pool (<= 0 selects
-	// GOMAXPROCS). See deferred.go.
-	pending      map[pendingKey]*pendingItem
-	rematWorkers int
+	// Flush. See deferred.go.
+	pending map[pendingKey]*pendingItem
 
 	// breakInvalidation, when set, makes Invalidate silently drop every
 	// notification. It exists solely so the simulation harness
@@ -754,7 +752,7 @@ func (m *Manager) Invalidate(o *object.Obj, relev map[string]bool) error {
 					return err
 				}
 			}
-			m.enqueue(g, k, i, t.Args, o.OID)
+			m.enqueue(g, k, i, o.OID)
 		case Immediate:
 			if g.SecondChance {
 				// Second-chance variant (Section 4.1): keep the tuple
@@ -808,7 +806,7 @@ func (m *Manager) rematerializeTracked(g *GMR, e *entry, i int) (map[object.OID]
 }
 
 // rematerializeWith is the serial, fully charged recomputation shared by the
-// immediate strategy, lazy/deferred forcing, and the flush fallback path.
+// immediate strategy, lazy/deferred forcing, and the deferred flush drain.
 func (m *Manager) rematerializeWith(g *GMR, e *entry, i int, triggers map[object.OID]struct{}) (map[object.OID]struct{}, error) {
 	fn := g.Funcs[i]
 	v, accessed, trace, err := m.En.EvalTrackedOrdered(m.dispatch(fn, e.Args), e.Args)

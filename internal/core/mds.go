@@ -136,6 +136,48 @@ func detachedRow(e *entry) Row {
 	}
 }
 
+// retrieveFilter checks that spec has one FieldSpec per column of g and
+// returns the row filter both Retrieve paths (live and snapshot) apply. A
+// column is read by index: args[i] for the n argument columns, then
+// results[i-n]. An Exact spec compares with Value.Equal; a Lo/Hi range reads
+// numbers as floats and references by their OID, and fails any other kind.
+func retrieveFilter(g *GMR, spec []FieldSpec) (func(args, results []object.Value) bool, error) {
+	n := len(g.ArgTypes)
+	if len(spec) != n+len(g.Funcs) {
+		return nil, fmt.Errorf("core: Retrieve on %s needs %d field specs, got %d", g.Name, n+len(g.Funcs), len(spec))
+	}
+	return func(args, results []object.Value) bool {
+		for i, f := range spec {
+			if !f.constrained() {
+				continue
+			}
+			var v object.Value
+			if i < n {
+				v = args[i]
+			} else {
+				v = results[i-n]
+			}
+			if f.Exact != nil && !v.Equal(*f.Exact) {
+				return false
+			}
+			if f.Lo == nil && f.Hi == nil {
+				continue
+			}
+			x, ok := v.AsFloat()
+			if !ok {
+				if v.Kind != object.KRef {
+					return false
+				}
+				x = float64(v.R)
+			}
+			if (f.Lo != nil && x < *f.Lo) || (f.Hi != nil && x > *f.Hi) {
+				return false
+			}
+		}
+		return true
+	}, nil
+}
+
 // Retrieve answers a tabular GMR query: spec has one FieldSpec per column
 // (n argument columns followed by m result columns). Constrained result
 // columns are revalidated first — an invalid result could otherwise
@@ -146,41 +188,17 @@ func (m *Manager) Retrieve(name string, spec []FieldSpec) ([]Row, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: no GMR %q", name)
 	}
-	n, mm := len(g.ArgTypes), len(g.Funcs)
-	if len(spec) != n+mm {
-		return nil, fmt.Errorf("core: Retrieve on %s needs %d field specs, got %d", name, n+mm, len(spec))
+	match, err := retrieveFilter(g, spec)
+	if err != nil {
+		return nil, err
 	}
+	n, mm := len(g.ArgTypes), len(g.Funcs)
 	for i := 0; i < mm; i++ {
 		if spec[n+i].constrained() {
 			if err := m.revalidateColumn(g, i); err != nil {
 				return nil, err
 			}
 		}
-	}
-	match := func(args, results []object.Value) bool {
-		cols := append(append([]object.Value{}, args...), results...)
-		for i, f := range spec {
-			if f.Exact != nil && !cols[i].Equal(*f.Exact) {
-				return false
-			}
-			if f.Lo != nil || f.Hi != nil {
-				v, ok := cols[i].AsFloat()
-				if !ok {
-					if cols[i].Kind == object.KRef {
-						v = float64(cols[i].R)
-					} else {
-						return false
-					}
-				}
-				if f.Lo != nil && v < *f.Lo {
-					return false
-				}
-				if f.Hi != nil && v > *f.Hi {
-					return false
-				}
-			}
-		}
-		return true
 	}
 	var rows []Row
 	if g.mds != nil {

@@ -209,7 +209,7 @@ func TestPropertyConsistencyAllModes(t *testing.T) {
 					// Every fifth op is a flush point, so the deferred
 					// configurations exercise both the pending window (valid
 					// entries must still be consistent while siblings wait)
-					// and the parallel drain. A no-op for the other
+					// and the flush drain. A no-op for the other
 					// strategies.
 					if i%5 == 4 {
 						if err := w.db.Flush(); err != nil {

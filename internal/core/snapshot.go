@@ -339,35 +339,11 @@ func (s *Snapshot) Retrieve(name string, spec []FieldSpec) ([]Row, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: no GMR %q", name)
 	}
+	match, err := retrieveFilter(g, spec)
+	if err != nil {
+		return nil, err
+	}
 	n, mm := len(g.ArgTypes), len(g.Funcs)
-	if len(spec) != n+mm {
-		return nil, fmt.Errorf("core: Retrieve on %s needs %d field specs, got %d", name, n+mm, len(spec))
-	}
-	match := func(args, results []object.Value) bool {
-		cols := append(append([]object.Value{}, args...), results...)
-		for i, f := range spec {
-			if f.Exact != nil && !cols[i].Equal(*f.Exact) {
-				return false
-			}
-			if f.Lo != nil || f.Hi != nil {
-				v, ok := cols[i].AsFloat()
-				if !ok {
-					if cols[i].Kind == object.KRef {
-						v = float64(cols[i].R)
-					} else {
-						return false
-					}
-				}
-				if f.Lo != nil && v < *f.Lo {
-					return false
-				}
-				if f.Hi != nil && v > *f.Hi {
-					return false
-				}
-			}
-		}
-		return true
-	}
 	var rows []Row
 	for _, row := range s.m.entryRowsAt(g, s.ver) {
 		for i := 0; i < mm; i++ {

@@ -480,25 +480,6 @@ func noAttr(typ, attr string) error {
 	return fmt.Errorf("object: type %q has no attribute %q", typ, attr)
 }
 
-// GetSnapshot reads and decodes the object with the given OID through the
-// charge-free snapshot path: no simulated-clock charges, no buffer-pool
-// traffic, no Reads increment. The deferred-rematerialization workers use it
-// to evaluate concurrently; the corresponding charged Get calls are replayed
-// serially afterwards so the simulated accounting stays deterministic.
-// Callers must guarantee no concurrent writer (the workers run under the
-// Database write lock).
-func (m *Manager) GetSnapshot(oid OID) (*Obj, error) {
-	rid, ok := m.rids[oid]
-	if !ok {
-		return nil, fmt.Errorf("object: dangling reference %v", oid)
-	}
-	rec, err := m.heap.ReadSnapshot(rid)
-	if err != nil {
-		return nil, err
-	}
-	return m.decodeObj(oid, rec)
-}
-
 // Put writes back a (possibly mutated) object.
 func (m *Manager) Put(o *Obj) error {
 	rid, ok := m.rids[o.OID]

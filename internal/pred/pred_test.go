@@ -1,6 +1,7 @@
 package pred
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -160,16 +161,21 @@ func TestCoversRejectsOutOfClass(t *testing.T) {
 	}
 }
 
-// randomAtom generates atoms over a small variable/constant domain so that
-// brute force over integer assignments is exact (all constants integral, so
-// real satisfiability over the convex closure matches integer satisfiability
-// for difference constraints).
-func randomAtom(rng *rand.Rand, vars []string) Atom {
+// chooser is the randomness the formula generators draw from: *rand.Rand in
+// the quick checks, the fuzz input in FuzzCovers.
+type chooser interface{ Intn(n int) int }
+
+// maxConst bounds the magnitude of generated constants.
+const maxConst = 3
+
+// randomAtom generates an atom in the decidable class over vars with an
+// integer constant in [-maxConst, maxConst].
+func randomAtom(rng chooser, vars []string) Atom {
 	ops := []CmpOp{Eq, Lt, Le, Gt, Ge, Ne}
 	a := Atom{
 		X:  vars[rng.Intn(len(vars))],
 		Op: ops[rng.Intn(len(ops))],
-		C:  float64(rng.Intn(7) - 3),
+		C:  float64(rng.Intn(2*maxConst+1) - maxConst),
 	}
 	if rng.Intn(2) == 0 {
 		a.Y = vars[rng.Intn(len(vars))]
@@ -180,100 +186,250 @@ func randomAtom(rng *rand.Rand, vars []string) Atom {
 	return a
 }
 
-func evalAtom(a Atom, env map[string]float64) bool {
-	return Eval(AtomP{a}, env)
+// randomFormula generates a Boolean combination of random atoms, nested at
+// most depth levels, so Satisfiable and Covers take the DNF path through
+// And, Or and Not. Negation may push an atom out of the decidable class; the
+// callers check that the solver then refuses it.
+func randomFormula(rng chooser, vars []string, depth int) P {
+	if depth == 0 {
+		return AtomP{randomAtom(rng, vars)}
+	}
+	switch rng.Intn(5) {
+	case 0:
+		return Not(randomFormula(rng, vars, depth-1))
+	case 1:
+		return Or(randomFormula(rng, vars, depth-1), randomFormula(rng, vars, depth-1))
+	case 2:
+		return And(randomFormula(rng, vars, depth-1), randomFormula(rng, vars, depth-1))
+	}
+	return AtomP{randomAtom(rng, vars)}
 }
 
-// TestQuickSatisfiabilityAgainstBruteForce compares SatisfiableConj with
-// exhaustive search over integer assignments in [-6, 6]. Difference
-// constraints with integer constants are integrally solvable whenever they
-// are real-solvable, and all our bounds fit the search box.
+// gridSatisfiable is the brute-force oracle: it reports whether some
+// assignment of multiples of ε = 1/(v+2) in [-v·(maxConst+ε), v·(maxConst+ε)]
+// to the v variables satisfies every conjunct. For Boolean combinations of
+// difference constraints with integer constants in [-maxConst, maxConst]
+// that search is exact over the reals.
+//
+// Why the step is 1/(v+2): the solver adds an anchor node for constants, so
+// the constraint graph has N = v+1 nodes. Split every x ≠ y+c of a DNF
+// conjunct into x-y < c or x-y > c; the conjunct is satisfiable iff one of
+// the resulting systems of difference constraints is. Such a system is
+// satisfiable iff no simple cycle — at most N edges — has integer weight sum
+// < 0, or sum 0 with a strict edge. Tightening each strict bound by
+// ε = 1/(N+1) = 1/(v+2) keeps every cycle with integer sum ≥ 1 positive (1 - N·ε > 0)
+// and leaves cycles without strict edges alone, so the tightened,
+// non-strict system is feasible exactly when the original is, and its
+// solutions satisfy the original. Its shortest-path solution sums at most
+// N-1 = v edge weights of magnitude ≤ maxConst+ε, all multiples of ε, so it
+// lies on the grid and, relative to the anchor, inside the box.
+//
+// The search runs on the grid scaled to integers (constants times v+2),
+// where Eval compares exactly. Each conjunct is evaluated as soon as its
+// last variable is assigned, which prunes the search without changing its
+// answer.
+func gridSatisfiable(vars []string, conjuncts ...P) bool {
+	den := len(vars) + 2
+	bound := len(vars) * (maxConst*den + 1) // v·(maxConst+ε) in grid units
+	pos := make(map[string]int, len(vars))
+	for i, v := range vars {
+		pos[v] = i
+	}
+	// at[i] holds the conjuncts whose last variable is vars[i].
+	at := make([][]P, len(vars))
+	for _, c := range conjuncts {
+		last := 0
+		for _, v := range Vars(c) {
+			last = max(last, pos[v])
+		}
+		at[last] = append(at[last], scale(c, float64(den)))
+	}
+	env := make(map[string]float64, len(vars))
+	var search func(i int) bool
+	search = func(i int) bool {
+		if i == len(vars) {
+			return true
+		}
+	values:
+		for k := -bound; k <= bound; k++ {
+			env[vars[i]] = float64(k)
+			for _, c := range at[i] {
+				if !Eval(c, env) {
+					continue values
+				}
+			}
+			if search(i + 1) {
+				return true
+			}
+		}
+		return false
+	}
+	return search(0)
+}
+
+// scale multiplies every constant of p by f.
+func scale(p P, f float64) P {
+	switch n := p.(type) {
+	case AtomP:
+		n.A.C *= f
+		return n
+	case AndP:
+		return AndP{scale(n.L, f), scale(n.R, f)}
+	case OrP:
+		return OrP{scale(n.L, f), scale(n.R, f)}
+	case NotP:
+		return NotP{scale(n.E, f)}
+	}
+	return p
+}
+
+// TestGridOracleStrictBounds pins the oracle on the cases an integer grid
+// gets wrong: solutions that exist only strictly between integers.
+func TestGridOracleStrictBounds(t *testing.T) {
+	vars := []string{"x", "y"}
+	cases := []struct {
+		p    P
+		want bool
+	}{
+		{And(CmpConst("x", Gt, 0), CmpConst("x", Lt, 1)), true},
+		{And(CmpConst("x", Gt, 0), CmpVars("x", Lt, "y"), CmpConst("y", Lt, 1)), true},
+		{And(CmpConst("x", Gt, 0), CmpVars("x", Lt, "y"), CmpConst("y", Le, 0)), false},
+		{And(CmpConst("x", Ge, 0), CmpConst("x", Le, 0), CmpConst("x", Ne, 0)), false},
+		{And(CmpConst("x", Ge, 3), CmpOffset("y", Ge, "x", 3)), true},
+	}
+	for _, c := range cases {
+		if got := gridSatisfiable(vars, c.p); got != c.want {
+			t.Errorf("gridSatisfiable(%v) = %v, want %v", c.p, got, c.want)
+		}
+		if got, err := Satisfiable(c.p); err != nil || got != c.want {
+			t.Errorf("Satisfiable(%v) = %v, %v, want %v", c.p, got, err, c.want)
+		}
+	}
+}
+
+// TestQuickSatisfiabilityAgainstBruteForce compares SatisfiableConj with the
+// exact grid oracle on random conjunctions over three variables, in both
+// directions: a SAT answer must have a grid witness and an UNSAT answer must
+// have none.
 func TestQuickSatisfiabilityAgainstBruteForce(t *testing.T) {
 	vars := []string{"x", "y", "z"}
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(5)
-		conj := make([]Atom, n)
+		conj := make([]Atom, 1+rng.Intn(5))
+		ps := make([]P, len(conj))
 		for i := range conj {
 			conj[i] = randomAtom(rng, vars)
+			ps[i] = AtomP{conj[i]}
 		}
-		got := SatisfiableConj(conj)
-		want := false
-		env := map[string]float64{}
-	search:
-		for x := -6; x <= 6; x++ {
-			for y := -6; y <= 6; y++ {
-				for z := -6; z <= 6; z++ {
-					env["x"], env["y"], env["z"] = float64(x), float64(y), float64(z)
-					all := true
-					for _, a := range conj {
-						if !evalAtom(a, env) {
-							all = false
-							break
-						}
-					}
-					if all {
-						want = true
-						break search
-					}
-				}
-			}
+		got, want := SatisfiableConj(conj), gridSatisfiable(vars, ps...)
+		if got != want {
+			t.Logf("%v: SatisfiableConj = %v, oracle = %v", conj, got, want)
 		}
-		// Strict inequalities can make the only solutions non-integral
-		// (e.g. 0 < x < 1): the solver may say sat where integer brute
-		// force finds nothing. That direction is fine; the solver must
-		// never say UNSAT when an integer solution exists.
-		if want && !got {
-			return false
-		}
-		// When the solver says unsat, brute force must agree.
-		if !got && want {
-			return false
-		}
-		return true
+		return got == want
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestQuickCoversSoundness: if Covers says the restriction covers σ, then no
-// integer assignment may satisfy σ while violating p.
-func TestQuickCoversSoundness(t *testing.T) {
+// TestQuickSatisfiableFormulaAgainstBruteForce extends the oracle check to
+// Satisfiable on random formulas with Or and Not, the DNF path.
+func TestQuickSatisfiableFormulaAgainstBruteForce(t *testing.T) {
 	vars := []string{"x", "y"}
+	checked := 0
 	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		mk := func(n int) P {
-			var ps []P
-			for i := 0; i < n; i++ {
-				a := randomAtom(rng, vars)
-				if a.Op == Ne { // keep ¬p in class too
-					a.Op = Le
-				}
-				ps = append(ps, AtomP{a})
-			}
-			return And(ps...)
+		p := randomFormula(rand.New(rand.NewSource(seed)), vars, 3)
+		got, err := Satisfiable(p)
+		if err != nil {
+			return !InClass(p)
 		}
-		p := mk(1 + rng.Intn(2))
-		sigma := mk(1 + rng.Intn(3))
-		covered, err := Covers(p, sigma)
-		if err != nil || !covered {
-			return true // nothing to verify
-		}
-		env := map[string]float64{}
-		for x := -6; x <= 6; x++ {
-			for y := -6; y <= 6; y++ {
-				env["x"], env["y"] = float64(x), float64(y)
-				if Eval(sigma, env) && !Eval(p, env) {
-					return false // counterexample to coverage
-				}
-			}
+		checked++
+		if want := gridSatisfiable(vars, p); got != want {
+			t.Logf("%v: Satisfiable = %v, oracle = %v", p, got, want)
+			return false
 		}
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+	if checked < 100 {
+		t.Fatalf("only %d of 300 formulas were in the decidable class", checked)
+	}
+}
+
+// checkCovers compares Covers(p, sigma) with the oracle: p covers sigma iff
+// no grid point satisfies sigma but not p. It returns false with a reason on
+// disagreement, and reports whether the pair was in the decidable class.
+func checkCovers(p, sigma P, vars []string) (inClass bool, problem string) {
+	covered, err := Covers(p, sigma)
+	if err != nil {
+		if InClass(Not(p)) && InClass(sigma) {
+			return false, fmt.Sprintf("Covers(%v, %v) refused an in-class pair: %v", p, sigma, err)
+		}
+		return false, ""
+	}
+	if want := !gridSatisfiable(vars, sigma, Not(p)); covered != want {
+		return true, fmt.Sprintf("Covers(%v, %v) = %v, oracle = %v", p, sigma, covered, want)
+	}
+	return true, ""
+}
+
+// TestQuickCoversSoundness checks Covers against the exact oracle in both
+// directions: a covered query has no point outside the restriction, and an
+// uncovered one has a witness.
+func TestQuickCoversSoundness(t *testing.T) {
+	vars := []string{"x", "y"}
+	checked := 0
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		p := randomFormula(rng, vars, 2)
+		sigma := randomFormula(rng, vars, 2)
+		inClass, problem := checkCovers(p, sigma, vars)
+		if inClass {
+			checked++
+		}
+		if problem != "" {
+			t.Log(problem)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if checked < 100 {
+		t.Fatalf("only %d of 300 pairs were in the decidable class", checked)
+	}
+}
+
+// fuzzChoices draws generator choices from fuzz input; an exhausted input
+// yields zeros, so every input decodes to some pair of formulas.
+type fuzzChoices []byte
+
+func (c *fuzzChoices) Intn(n int) int {
+	if len(*c) == 0 {
+		return 0
+	}
+	v := int((*c)[0]) % n
+	*c = (*c)[1:]
+	return v
+}
+
+// FuzzCovers decodes a restriction and a query over two variables from the
+// input and checks Covers against the exact grid oracle. The seed corpus is
+// in testdata/fuzz/FuzzCovers; run with `make fuzz-pred`.
+func FuzzCovers(f *testing.F) {
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		vars := []string{"x", "y"}
+		c := fuzzChoices(data)
+		p := randomFormula(&c, vars, 2)
+		sigma := randomFormula(&c, vars, 2)
+		if _, problem := checkCovers(p, sigma, vars); problem != "" {
+			t.Fatal(problem)
+		}
+	})
 }
 
 func TestVarsAndEval(t *testing.T) {

@@ -42,11 +42,11 @@ type Engine struct {
 	// (consistency checks, non-materialized function evaluation).
 	noIntercept atomic.Int64
 
-	// shadow, when non-nil, marks this engine as a read-only evaluation
-	// clone created by Shadow: object reads take the charge-free snapshot
-	// path and are recorded here for later charged replay; mutations are
-	// refused with ErrShadowMutation. See shadow.go.
-	shadow *shadowTrace
+	// snapshot marks a read-only MVCC clone created by SnapshotAt: object
+	// reads resolve at version ver, mutations are refused with
+	// ErrShadowMutation. See snapshot.go.
+	snapshot bool
+	ver      uint64
 }
 
 // NewEngine wires an engine over a schema and object manager.
@@ -101,7 +101,7 @@ func (en *Engine) Tracking() bool { return len(en.trackers) > 0 && en.suspend ==
 func (en *Engine) ReadAttr(recv object.Value, attr string) (object.Value, error) {
 	switch recv.Kind {
 	case object.KRef:
-		if en.shadow == nil {
+		if !en.snapshot {
 			// The charged path reads just the one field from the pinned page.
 			v, err := en.Objs.ReadAttr(recv.R, attr)
 			if err != nil {
@@ -226,9 +226,9 @@ func (en *Engine) CallFunction(name string, args []object.Value) (object.Value, 
 	var hooks []*UpdateHook
 	if dispatchType != "" && len(args) > 0 && args[0].Kind == object.KRef {
 		hooks = en.Hooks.lookup(dispatchType, opName)
-		if len(hooks) > 0 && en.shadow != nil {
+		if len(hooks) > 0 && en.snapshot {
 			// A hooked public operation mutates the receiver (and cascades
-			// into GMR maintenance) — not allowed under shadow evaluation.
+			// into GMR maintenance) — not allowed on a snapshot.
 			return object.Null(), ErrShadowMutation
 		}
 		if len(hooks) > 0 {
@@ -330,7 +330,7 @@ func (en *Engine) SetAttr(recv object.Value, attr string, v object.Value) error 
 	if recv.Kind != object.KRef {
 		return fmt.Errorf("schema: set_%s on %v value", attr, recv.Kind)
 	}
-	if en.shadow != nil {
+	if en.snapshot {
 		return ErrShadowMutation
 	}
 	o, err := en.Objs.Get(recv.R)
@@ -370,7 +370,7 @@ func (en *Engine) InsertElem(coll, elem object.Value) error {
 	if coll.Kind != object.KRef {
 		return fmt.Errorf("schema: insert on %v value", coll.Kind)
 	}
-	if en.shadow != nil {
+	if en.snapshot {
 		return ErrShadowMutation
 	}
 	o, err := en.Objs.Get(coll.R)
@@ -416,7 +416,7 @@ func (en *Engine) RemoveElem(coll, elem object.Value) error {
 	if coll.Kind != object.KRef {
 		return fmt.Errorf("schema: remove on %v value", coll.Kind)
 	}
-	if en.shadow != nil {
+	if en.snapshot {
 		return ErrShadowMutation
 	}
 	o, err := en.Objs.Get(coll.R)

@@ -85,7 +85,6 @@ func openBackend(cfg EngineConfig, dir string, define func(*gomdb.Database) erro
 	gc := gomdb.Config{
 		BufferPages:  cfg.BufferPages,
 		BufferShards: cfg.BufferShards,
-		RematWorkers: cfg.RematWorkers,
 	}
 	if dir != "" {
 		gc.Path, gc.DefineSchema = dir, define

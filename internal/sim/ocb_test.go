@@ -90,26 +90,22 @@ func traceContains(trace []string, substr string) bool {
 
 // TestOCBChargeDeterminism extends the charge-parity pin to the generated
 // fixture: same plan, same strategy — byte-identical trace and Clock across
-// buffer-shard counts {1,4} and remat-worker counts {1,4}.
+// buffer-shard counts {1,4}.
 func TestOCBChargeDeterminism(t *testing.T) {
 	for _, strat := range []string{"immediate", "lazy", "deferred"} {
 		strat := strat
 		t.Run(strat, func(t *testing.T) {
 			t.Parallel()
 			plan := GenerateOCB(42, ocbTestParams, GenOptions{Ops: 120})
-			base := requireClean(t, EngineConfig{Strategy: strat, BufferShards: 1, RematWorkers: 1, OCB: &ocbTestParams}, plan)
-			for _, shards := range []int{1, 4} {
-				for _, workers := range []int{1, 4} {
-					cfg := EngineConfig{Strategy: strat, BufferShards: shards, RematWorkers: workers, OCB: &ocbTestParams}
-					res := requireClean(t, cfg, plan)
-					if res.TraceHash != base.TraceHash {
-						t.Fatalf("%s: trace diverges from shards=1,workers=1 baseline:\n%s",
-							cfg, firstTraceDiff(base.Trace, res.Trace))
-					}
-					if res.Clock != base.Clock {
-						t.Fatalf("%s: clock snapshot diverges:\nbase: %+v\n got: %+v", cfg, base.Clock, res.Clock)
-					}
-				}
+			base := requireClean(t, EngineConfig{Strategy: strat, BufferShards: 1, OCB: &ocbTestParams}, plan)
+			cfg := EngineConfig{Strategy: strat, BufferShards: 4, OCB: &ocbTestParams}
+			res := requireClean(t, cfg, plan)
+			if res.TraceHash != base.TraceHash {
+				t.Fatalf("%s: trace diverges from shards=1 baseline:\n%s",
+					cfg, firstTraceDiff(base.Trace, res.Trace))
+			}
+			if res.Clock != base.Clock {
+				t.Fatalf("%s: clock snapshot diverges:\nbase: %+v\n got: %+v", cfg, base.Clock, res.Clock)
 			}
 		})
 	}

@@ -9,10 +9,10 @@
 // Determinism is the load-bearing property: a plan is fully parameterized at
 // generation time (applying an op consumes no randomness), every engine path
 // the simulator drives iterates in canonical order, and the cost model
-// charges identically for every buffer-shard and remat-worker count. The
-// pinned consequence, verified by TestChargeDeterminism: same seed + same
-// strategy produces a byte-identical op trace and a byte-identical Clock
-// snapshot across shard counts {1,4,16} and worker counts {1,4,8}.
+// charges identically for every buffer-shard count. The pinned consequence,
+// verified by TestChargeDeterminism: same seed + same strategy produces a
+// byte-identical op trace and a byte-identical Clock snapshot across shard
+// counts {1,4,16}.
 //
 // Operational errors (a backward query against a dropped GMR, an injected
 // disk fault) are workload outcomes: they are recorded in the trace, and the
@@ -53,8 +53,6 @@ type EngineConfig struct {
 	// scatter-gather router, including at 1 where it must behave like a
 	// plain engine.
 	Shards int `json:"shards,omitempty"`
-	// RematWorkers bounds the deferred-flush worker pool (0 = GOMAXPROCS).
-	RematWorkers int `json:"rematWorkers,omitempty"`
 	// BufferPages is the pool capacity (0 = the paper's 150 pages).
 	BufferPages int `json:"bufferPages,omitempty"`
 	// Broken arms the deliberately-broken invalidation path
@@ -111,9 +109,6 @@ func (c EngineConfig) String() string {
 	}
 	if c.Shards != 0 {
 		s += fmt.Sprintf("+sharded%d", c.Shards)
-	}
-	if c.RematWorkers != 0 {
-		s += fmt.Sprintf("+workers%d", c.RematWorkers)
 	}
 	if c.Durable {
 		s += "+durable"

@@ -401,15 +401,13 @@ func (bp *BufferPool) Flush() error {
 // ReadSnapshot copies the current contents of page id into dst — the
 // buffered frame when the page is resident, the disk image otherwise —
 // without pinning, without touching replacement state, and without charging
-// the simulated clock or the hit/miss counters. It is the read path of the
-// deferred-rematerialization workers: they evaluate concurrently against a
-// stable snapshot while the simulated charges of their reads are replayed
-// serially (and therefore deterministically) afterwards. Callers must
-// guarantee that no writer mutates the page bytes concurrently: the GMR
-// manager's flush holds the Database write lock for the whole drain, and
-// the MVCC read path wraps this call in the page's stripe lock
-// (ReadVersioned), which excludes MutatePage writers. The disk fall-through
-// serializes on missMu because the Disk itself has no interior lock.
+// the simulated clock or the hit/miss counters. It underlies the MVCC read
+// path (ReadVersioned) and the charge-free audits (HeapFile.ReadSnapshot).
+// Callers must guarantee that no writer mutates the page bytes concurrently:
+// the audits run at quiescent points, and the MVCC read path wraps this call
+// in the page's stripe lock (ReadVersioned), which excludes MutatePage
+// writers. The disk fall-through serializes on missMu because the Disk
+// itself has no interior lock.
 func (bp *BufferPool) ReadSnapshot(id PageID, dst *[PageSize]byte) error {
 	sh := bp.shardFor(id)
 	sh.mu.Lock()

@@ -247,8 +247,9 @@ func (d *Disk) read(id PageID, dst *[PageSize]byte) error {
 
 // readSnapshot copies a page without charging the clock, counting the I/O,
 // or consulting fault injection — the un-simulated read underneath
-// BufferPool.ReadSnapshot. Safe for concurrent readers as long as no writer
-// runs (snapshot reads happen under the Database write lock).
+// BufferPool.ReadSnapshot. Safe as long as no writer runs concurrently
+// (BufferPool.ReadSnapshot holds missMu, which serializes all pool disk
+// access).
 func (d *Disk) readSnapshot(id PageID, dst *[PageSize]byte) error {
 	p, ok := d.pages[id]
 	if !ok {

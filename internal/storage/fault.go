@@ -22,9 +22,8 @@ import (
 //
 // Snapshot reads (Disk.readSnapshot / BufferPool.ReadSnapshot) deliberately
 // bypass fault injection: they model reading already-resident state, charge
-// nothing, and are the read path of the deferred-rematerialization workers —
-// whose faults must surface in the charged phase-2 replay so the failure is
-// attributable to a deterministic I/O sequence.
+// nothing, and serve MVCC readers and audits, which must observe the state a
+// fault left behind rather than fail alongside it.
 
 // ErrInjectedFault is the typed error every injected disk failure wraps;
 // tests and the simulator match it with errors.Is instead of string

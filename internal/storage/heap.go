@@ -205,9 +205,9 @@ func (h *HeapFile) Read(rid RID) ([]byte, error) {
 }
 
 // ReadSnapshot returns a copy of the record stored at rid without pinning,
-// charging, or disturbing the buffer pool — the charge-free read path of the
-// deferred-rematerialization workers (see BufferPool.ReadSnapshot for the
-// no-concurrent-writer contract).
+// charging, or disturbing the buffer pool — the read path of the object
+// directory audit, which must not perturb the simulated clock (see
+// BufferPool.ReadSnapshot for the no-concurrent-writer contract).
 func (h *HeapFile) ReadSnapshot(rid RID) ([]byte, error) {
 	var page [PageSize]byte
 	if err := h.pool.ReadSnapshot(rid.Page, &page); err != nil {
