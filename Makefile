@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short test-race ci bench bench-throughput bench-updates bench-cluster bench-shard bench-serve bench-ocb bench-check check-determinism repro repro-short examples serve fuzz-wire fuzz-object fuzz-pred sim sim-crash sim-long sim-shard sim-ocb cover clean
+.PHONY: all build vet test test-short test-race ci bench bench-throughput bench-updates bench-cluster bench-shard bench-serve bench-ocb bench-check check-determinism repro repro-short examples serve fuzz-wire fuzz-object fuzz-pred fuzz-parse sim sim-crash sim-long sim-shard sim-ocb cover clean
 
 all: build vet test
 
@@ -46,6 +46,7 @@ ci:
 	$(MAKE) fuzz-wire FUZZ_TIME=15s
 	$(MAKE) fuzz-object FUZZ_TIME=15s
 	$(MAKE) fuzz-pred FUZZ_TIME=15s
+	$(MAKE) fuzz-parse FUZZ_TIME=15s
 	$(GO) test -race -count=10 -run TestRecycledFramesSnapshotStress ./internal/storage/
 	$(MAKE) check-determinism
 	$(GO) run -race ./cmd/gomsim -seeds 17 -ops 100 -out $(OUT)/sim-artifacts
@@ -167,6 +168,13 @@ fuzz-object:
 # grid oracle on every decoded restriction/query pair.
 fuzz-pred:
 	$(GO) test ./internal/pred/ -run '^$$' -fuzz FuzzCovers -fuzztime $(FUZZ_TIME)
+
+# Fuzz the two source parsers, GOMql (query.Parse) and GOMpl
+# (lang.ParseDefine), from the committed corpora under each package's
+# testdata/fuzz: arbitrary text must parse or fail with an error, never panic.
+fuzz-parse:
+	$(GO) test ./internal/query/ -run '^$$' -fuzz FuzzParseQuery -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/lang/ -run '^$$' -fuzz FuzzParseDefine -fuzztime $(FUZZ_TIME)
 
 # Deterministic simulation smoke: a window of seeded random workloads against
 # all three strategies, invariant audits at every quiescent point. Violations

@@ -1,13 +1,14 @@
 package gomdb_test
 
 // Semantics of Batch when the callback errors: an error-only callback must
-// leave no trace (no GMR/RRR mutations, no memo-epoch bump, nothing queued),
+// leave no trace (no GMR maintenance event, no counter moved, nothing queued),
 // while a callback that mutated before erroring still gets its flush point —
 // applied updates must not leave the deferred queue stale across an unlocked
 // window — and the callback's error takes precedence over the flush's.
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"gomdb"
@@ -37,9 +38,29 @@ func batchFixture(t *testing.T, n int) (*gomdb.Database, *fixtures.Geometry, *go
 	return db, g, gmr
 }
 
+// watchGMRs starts recording the GMR manager's maintenance activity: every
+// trace event and the Invalidations/Rematerializations counters. The
+// returned function stops the recording and describes what happened, or
+// returns "" when no GMR state was touched. Single-goroutine use only.
+func watchGMRs(db *gomdb.Database) func() string {
+	var events []string
+	db.SetTrace(func(e gomdb.TraceEvent) { events = append(events, e.String()) })
+	st0 := db.GMRs.Stats
+	return func() string {
+		db.SetTrace(nil)
+		st := db.GMRs.Stats
+		inv := st.Invalidations - st0.Invalidations
+		remat := st.Rematerializations - st0.Rematerializations
+		if len(events) == 0 && inv == 0 && remat == 0 {
+			return ""
+		}
+		return fmt.Sprintf("%d invalidations, %d rematerializations, events %q", inv, remat, events)
+	}
+}
+
 // TestBatchErrorOnlyCallback: a batch whose callback fails without mutating
-// anything is a true no-op — same write epoch (so memo-cached forward
-// results stay live), nothing pending, GMR answers unchanged.
+// anything is a true no-op — no maintenance event, no counter moved, nothing
+// pending, GMR answers unchanged.
 func TestBatchErrorOnlyCallback(t *testing.T) {
 	db, g, gmr := batchFixture(t, 10)
 
@@ -48,17 +69,17 @@ func TestBatchErrorOnlyCallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	epoch := db.GMRs.WriteEpoch()
 	stored := gmr.Len()
 
+	watch := watchGMRs(db)
 	if err := db.Batch(func(tx *gomdb.Tx) error {
 		return errCallback
 	}); !errors.Is(err, errCallback) {
 		t.Fatalf("Batch returned %v, want the callback error", err)
 	}
 
-	if got := db.GMRs.WriteEpoch(); got != epoch {
-		t.Fatalf("write epoch bumped %d -> %d by a mutation-free batch", epoch, got)
+	if got := watch(); got != "" {
+		t.Fatalf("mutation-free batch touched GMR state: %s", got)
 	}
 	if got := db.GMRs.PendingLen(); got != 0 {
 		t.Fatalf("%d recomputations queued by a mutation-free batch", got)
@@ -78,7 +99,8 @@ func TestBatchErrorOnlyCallback(t *testing.T) {
 // TestBatchMutateThenError: updates applied before the callback's error are
 // NOT rolled back (Batch is a flush point, not a transaction), so the flush
 // still runs: the deferred queue is empty on return, the GMR is congruent
-// with the mutated objects, and the callback's error wins.
+// with the mutated objects, and the callback's error wins. The no-op probe
+// of TestBatchErrorOnlyCallback must fire here, so it is known to have teeth.
 func TestBatchMutateThenError(t *testing.T) {
 	db, g, gmr := batchFixture(t, 10)
 
@@ -87,8 +109,8 @@ func TestBatchMutateThenError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	epoch := db.GMRs.WriteEpoch()
 
+	watch := watchGMRs(db)
 	err = db.Batch(func(tx *gomdb.Tx) error {
 		s, err := tx.New("Vertex", gomdb.Float(2.0), gomdb.Float(1.0), gomdb.Float(1.0))
 		if err != nil {
@@ -103,8 +125,8 @@ func TestBatchMutateThenError(t *testing.T) {
 		t.Fatalf("Batch returned %v, want the callback error", err)
 	}
 
-	if got := db.GMRs.WriteEpoch(); got == epoch {
-		t.Fatal("write epoch not bumped although the batch mutated an object")
+	if got := watch(); got == "" {
+		t.Fatal("no GMR maintenance recorded although the batch mutated an object")
 	}
 	if got := db.GMRs.PendingLen(); got != 0 {
 		t.Fatalf("%d recomputations still pending: the flush point did not run", got)

@@ -377,7 +377,6 @@ func (c *Client) Materialize(opts gomdb.MaterializeOptions) error {
 		Complete:     opts.Complete,
 		SecondChance: opts.SecondChance,
 		UseMDS:       opts.UseMDS,
-		MemoCache:    opts.MemoCache,
 		MaxEntries:   uint32(opts.MaxEntries),
 	}})
 	return err

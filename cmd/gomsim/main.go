@@ -54,7 +54,6 @@ func main() {
 		seedBase  = flag.Int64("seed-base", 1, "first seed of the window (nightly runs rotate this, e.g. -seed-base $(date +%Y%m%d))")
 		ops       = flag.Int("ops", 150, "ops per workload")
 		strategy  = flag.String("strategy", "", "immediate|lazy|deferred (default: all three)")
-		memo      = flag.Bool("memo", false, "enable the forward-lookup memo cache")
 		sc        = flag.Bool("second-chance", false, "enable second-chance immediate(o)")
 		mds       = flag.Bool("mds", false, "maintain the multidimensional index")
 		shards    = flag.Int("shards", 0, "horizontal shard count: run plans through the scatter-gather router over this many engines (0 = single engine)")
@@ -90,7 +89,7 @@ func main() {
 	}
 	for _, s := range strategies {
 		configs = append(configs, sim.EngineConfig{
-			Strategy: s, Memo: *memo, SecondChance: *sc, UseMDS: *mds,
+			Strategy: s, SecondChance: *sc, UseMDS: *mds,
 			BufferShards: *bufShards, Shards: *shards,
 			Broken: *broken, Durable: *durable,
 			OCB: ocbParams,

@@ -233,7 +233,33 @@ func TestConcurrentStress(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Quiescence reached: re-verify the paper's invariants.
+			// Quiescence reached. Freshness first: a forward hit must not
+			// survive the write that obsoletes it.
+			target := base[0]
+			before, err := db.Call("Cuboid.volume", gomdb.Ref(target))
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := db.GetAttr(target, "V2")
+			if err != nil {
+				t.Fatal(err)
+			}
+			watch := watchGMRs(db)
+			if err := db.Set(v.R, "X", gomdb.Float(123.5)); err != nil {
+				t.Fatal(err)
+			}
+			if watch() == "" {
+				t.Fatal("moving a vertex of a materialized cuboid touched no GMR state")
+			}
+			after, err := db.Call("Cuboid.volume", gomdb.Ref(target))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.F == before.F {
+				t.Fatalf("volume unchanged (%v) after moving a vertex: stale result served", after.F)
+			}
+
+			// Then re-verify the paper's invariants.
 			rep, err := db.CheckConsistency(gmr.Name, 1e-6, true)
 			if err != nil {
 				t.Fatal(err)
@@ -256,160 +282,4 @@ func TestConcurrentStress(t *testing.T) {
 			assertNoPins(t, db, "after stress")
 		})
 	}
-}
-
-// TestMemoCacheConsistencyUnderWrites is the property test for the
-// forward-lookup memo cache: readers hammer memo-enabled forward lookups
-// while writers invalidate entries (vertex moves) and whole columns
-// (material changes), bumping the write epoch each time. After every round
-// reaches quiescence, Definition 3.2 consistency must hold and the
-// memo-served answers must agree with the authoritative GMR probe — i.e. the
-// epoch check never lets a pre-write cached value leak past a write. Run
-// with the race detector.
-func TestMemoCacheConsistencyUnderWrites(t *testing.T) {
-	db := gomdb.Open(gomdb.DefaultConfig())
-	if err := fixtures.DefineGeometry(db, false); err != nil {
-		t.Fatal(err)
-	}
-	g, err := fixtures.PopulateGeometry(db, 24, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gmr, err := db.Materialize(gomdb.MaterializeOptions{
-		Funcs: []string{"Cuboid.volume", "Cuboid.weight"}, Complete: true,
-		Strategy: gomdb.Immediate, Mode: gomdb.ModeObjDep, MemoCache: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := append([]gomdb.OID{}, g.Cuboids...)
-	iron := g.MaterialO[0]
-
-	for round := 0; round < 3; round++ {
-		const readers, writers = 3, 2
-		const readerOps, writerOps = 200, 40
-		var wg sync.WaitGroup
-		fail := make(chan error, readers+writers)
-		for r := 0; r < readers; r++ {
-			wg.Add(1)
-			go func(seed int64) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(seed))
-				for i := 0; i < readerOps; i++ {
-					oid := base[rng.Intn(len(base))]
-					fn := "Cuboid.volume"
-					if rng.Intn(2) == 0 {
-						fn = "Cuboid.weight"
-					}
-					if _, err := db.Call(fn, gomdb.Ref(oid)); err != nil {
-						fail <- fmt.Errorf("reader: %w", err)
-						return
-					}
-				}
-			}(int64(300*round + 10 + r))
-		}
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(seed int64) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(seed))
-				for i := 0; i < writerOps; i++ {
-					if rng.Intn(4) == 0 {
-						// Invalidate every weight at once.
-						if err := db.Set(iron, "SpecWeight", gomdb.Float(7+rng.Float64())); err != nil {
-							fail <- fmt.Errorf("writer set material: %w", err)
-							return
-						}
-						continue
-					}
-					// Move one vertex: invalidates one cuboid's entry.
-					v, err := db.GetAttr(base[rng.Intn(len(base))], "V2")
-					if err != nil {
-						fail <- fmt.Errorf("writer read vertex: %w", err)
-						return
-					}
-					if err := db.Set(v.R, "X", gomdb.Float(1+rng.Float64()*10)); err != nil {
-						fail <- fmt.Errorf("writer set vertex: %w", err)
-						return
-					}
-				}
-			}(int64(300*round + 20 + w))
-		}
-		wg.Wait()
-		close(fail)
-		for err := range fail {
-			t.Fatal(err)
-		}
-
-		// Quiescent: the authoritative Definition 3.2 audit first.
-		rep, err := db.CheckConsistency(gmr.Name, 1e-6, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rep.Err(); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		// Then the memo property: with no writer running, the epoch is
-		// stable, so the first Call fills the cache and the second is a memo
-		// hit — both must return the audited value.
-		epoch := db.GMRs.WriteEpoch()
-		for _, oid := range base {
-			for _, fn := range []string{"Cuboid.volume", "Cuboid.weight"} {
-				v1, err := db.Call(fn, gomdb.Ref(oid))
-				if err != nil {
-					t.Fatal(err)
-				}
-				v2, err := db.Call(fn, gomdb.Ref(oid))
-				if err != nil {
-					t.Fatal(err)
-				}
-				f1, _ := v1.AsFloat()
-				f2, _ := v2.AsFloat()
-				if f1 != f2 {
-					t.Fatalf("round %d: %s(%v) memo hit %v != fill %v", round, fn, oid, f2, f1)
-				}
-			}
-		}
-		if got := db.GMRs.WriteEpoch(); got != epoch {
-			t.Fatalf("round %d: read-only verification bumped the write epoch %d -> %d", round, epoch, got)
-		}
-		if db.GMRs.MemoLen() == 0 {
-			t.Fatalf("round %d: memo cache empty after verification pass", round)
-		}
-	}
-
-	// Freshness: a cached value must not survive the write that obsoletes it.
-	target := base[0]
-	before, err := db.Call("Cuboid.volume", gomdb.Ref(target))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e0 := db.GMRs.WriteEpoch()
-	v, err := db.GetAttr(target, "V2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Set(v.R, "X", gomdb.Float(123.5)); err != nil {
-		t.Fatal(err)
-	}
-	if db.GMRs.WriteEpoch() == e0 {
-		t.Fatal("Set did not bump the write epoch")
-	}
-	after, err := db.Call("Cuboid.volume", gomdb.Ref(target))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, _ := before.AsFloat()
-	fa, _ := after.AsFloat()
-	if fa == fb {
-		t.Fatalf("volume unchanged (%v) after moving a vertex: stale memo value served", fa)
-	}
-	rep, err := db.CheckConsistency(gmr.Name, 1e-6, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.Err(); err != nil {
-		t.Fatal(err)
-	}
-	assertNoPins(t, db, "after memo property test")
 }

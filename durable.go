@@ -270,46 +270,12 @@ func dedupSorted(ids []storage.PageID) []storage.PageID {
 
 // Checkpoint makes the current state durable immediately; a no-op on an
 // in-memory database. It does not flush the deferred queue (use Flush for a
-// combined flush point + checkpoint). With Config.AutoRecluster > 0, a
-// trace-driven reclustering pass runs first (under the reader barrier
-// relocation requires) whenever the forward-trace access statistics say the
-// base is scattered (see autoReclusterDue), so the checkpoint commits the
-// clustered layout and recovery replays to it. Recluster followed by
-// Checkpoint does the same unconditionally.
+// combined flush point + checkpoint). To commit a clustered layout, call
+// Recluster first.
 func (db *Database) Checkpoint() error {
-	if db.autoRecluster > 0 {
-		db.lockBarrier()
-		defer db.unlockBarrier()
-		if db.autoReclusterDue() {
-			if _, err := db.reclusterLocked(); err != nil {
-				return err
-			}
-		}
-		return db.checkpointLocked()
-	}
 	db.lockWrite()
 	defer db.unlockWrite()
 	return db.checkpointLocked()
-}
-
-// autoReclusterDue implements the Config.AutoRecluster trigger: it reports
-// whether any GMR's forward traces show a DistinctPages/TraceObjects ratio at
-// or above the configured threshold. A ratio near 1.0 means every traced
-// object access hit its own page — the scattered-base signature trace-driven
-// reclustering exists to fix; a well-clustered base packs the working set
-// into far fewer pages. GMRs with fewer than 16 traced objects are skipped:
-// with so few accesses the ratio is noise, and a tiny base cannot benefit.
-// Caller holds the exclusive lock. Reads access-trace counters only — no
-// page pins, no simulated charges.
-func (db *Database) autoReclusterDue() bool {
-	const minTraceObjects = 16
-	for _, st := range db.GMRs.GMRAccessStats() {
-		if st.TraceObjects >= minTraceObjects &&
-			float64(st.DistinctPages) >= db.autoRecluster*float64(st.TraceObjects) {
-			return true
-		}
-	}
-	return false
 }
 
 // Close flushes, checkpoints, and closes the durable store. On an in-memory

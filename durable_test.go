@@ -7,7 +7,12 @@ package gomdb_test
 // change the simulated cost accounting).
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -243,6 +248,87 @@ func TestDurableSchemaMismatchRefused(t *testing.T) {
 	_, err = gomdb.OpenAt(cfg)
 	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("reopen with a different schema: err=%v, want fingerprint mismatch", err)
+	}
+}
+
+// TestDurableCatalogMemoKeyIgnored: catalogs written while GMRs could enable
+// a forward memo cache carry "memo":true on such entries. The key no longer
+// means anything and encoding/json skips it, so the directory must still
+// open, rebuild the GMR and pass the consistency audit.
+func TestDurableCatalogMemoKeyIgnored(t *testing.T) {
+	dir := t.TempDir()
+	db, err := gomdb.OpenAt(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	geo, err := fixtures.PopulateGeometry(db, 8, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Materialize(gomdb.MaterializeOptions{
+		Name: "Gvw", Funcs: []string{"Cuboid.volume", "Cuboid.weight"},
+		Complete: true, Strategy: gomdb.Immediate, Mode: gomdb.ModeObjDep,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	wantVol := mustVolume(t, db, geo.Cuboids[0])
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rewriteMeta(t, dir, func(blob []byte) []byte {
+		out := bytes.Replace(blob, []byte(`"name":"Gvw",`), []byte(`"name":"Gvw","memo":true,`), 1)
+		if bytes.Equal(out, blob) {
+			t.Fatalf("catalog entry for Gvw not found in meta blob %s", blob)
+		}
+		return out
+	})
+
+	db2, err := gomdb.OpenAt(durableConfig(dir))
+	if err != nil {
+		t.Fatalf("OpenAt with a memo-flagged catalog: %v", err)
+	}
+	defer db2.Close()
+	if db2.Recovery == nil || db2.Recovery.GMRsRebuilt != 1 {
+		t.Fatalf("recovery = %+v, want one GMR rebuilt", db2.Recovery)
+	}
+	if got := mustVolume(t, db2, geo.Cuboids[0]); got != wantVol {
+		t.Fatalf("volume after reopen = %v, want %v", got, wantVol)
+	}
+	rep, err := db2.CheckConsistency("Gvw", 1e-9, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Err(); err != nil {
+		t.Fatalf("rebuilt GMR inconsistent: %v", err)
+	}
+}
+
+// rewriteMeta replaces the engine metadata blob of a closed durable
+// directory, keeping meta.gomdb's framing: file header, checkpoint sequence
+// number, blob length, blob, and a CRC-32C over everything after the header.
+func rewriteMeta(t *testing.T, dir string, edit func([]byte) []byte) {
+	t.Helper()
+	ps, img, err := storage.OpenPageStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.Close(); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(filepath.Join(dir, "meta.gomdb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := edit(img.Meta)
+	out := append([]byte(nil), old[:len(old)-(8+4+len(img.Meta)+4)]...)
+	hdr := len(out)
+	out = binary.LittleEndian.AppendUint64(out, img.Seq)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(blob)))
+	out = append(out, blob...)
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out[hdr:], crc32.MakeTable(crc32.Castagnoli)))
+	if err := storage.ReplaceFile(dir, "meta.gomdb", out); err != nil {
+		t.Fatal(err)
 	}
 }
 

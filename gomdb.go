@@ -181,20 +181,6 @@ type Config struct {
 	// schema definition and recovery, so recovery-time rematerializations
 	// also allocate from it. Leave nil for a standalone database.
 	OIDAllocator OIDAllocator
-	// AutoRecluster, when > 0, turns every explicit Checkpoint call into a
-	// conditional reclustering point: if any GMR's forward-trace access
-	// statistics show a DistinctPages/TraceObjects ratio at or above this
-	// threshold (each traced object sitting on nearly its own page — the
-	// signature of a scattered base), a trace-driven reclustering pass
-	// (Database.Recluster) runs under the reader barrier before the state is
-	// made durable — so the checkpoint commits the clustered layout and
-	// crash recovery replays to it. Flush/Batch/Materialize checkpoint points
-	// are NOT recluster points: they run under the plain write lock, and
-	// relocation needs the reader barrier. Ratios near 1.0 mean fully
-	// scattered; well-clustered bases run well below 0.3. GMRs with fewer
-	// than 16 traced objects are ignored (too little signal). 0 disables the
-	// policy; for an unconditional pass call Recluster and then Checkpoint.
-	AutoRecluster float64
 }
 
 // OIDAllocator is a shared source of object identifiers (see
@@ -248,9 +234,6 @@ type Database struct {
 	// the stable version, the reader pin registry, and the barrier taken by
 	// the few operations that cannot be versioned. See internal/mvcc.
 	mvccSt *mvcc.State
-
-	// autoRecluster mirrors Config.AutoRecluster (0 = disabled).
-	autoRecluster float64
 
 	// store is the durable page store (nil for an in-memory database); see
 	// durable.go.
@@ -312,18 +295,12 @@ func newDatabase(cfg Config) *Database {
 		GMRs:    mgr,
 		Queries: query.NewExecutor(en, mgr),
 
-		mvccSt:        st,
-		autoRecluster: cfg.AutoRecluster,
+		mvccSt: st,
 	}
 }
 
 // lockWrite acquires the exclusive engine lock for a write-classified
-// operation. The forward-lookup memo cache's write epoch is NOT bumped here:
-// every GMR-state mutation point (entry insert/remove, result write,
-// invalidity marking, RRR tuple change) bumps it itself, so an exclusive
-// operation that ends up changing nothing — an update irrelevant to every
-// materialized result, a no-op query — leaves memoized lookups valid (see
-// internal/core/memo.go).
+// operation; unlockWrite publishes its effects.
 func (db *Database) lockWrite() {
 	db.mu.Lock()
 }

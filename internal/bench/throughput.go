@@ -4,11 +4,10 @@ package bench
 // report *simulated* seconds, this file measures real operations per second
 // of the concurrent read path at increasing goroutine counts — the
 // VOODB-style repeatable harness the ROADMAP's "as fast as the hardware
-// allows" goal needs. Three engine configurations are compared:
+// allows" goal needs. Two engine configurations are compared:
 //
 //   - single-mutex: BufferShards = 1, the historical globally locked pool
 //   - striped:      the default lock-striped pool
-//   - striped+memo: striped pool plus the forward-lookup memo cache
 //
 // Because the simulated clock is independent of wall time, none of this
 // perturbs the figure experiments; `gombench -figure throughput` writes the
@@ -47,7 +46,6 @@ type ThroughputMix struct {
 type ThroughputConfig struct {
 	Name         string          `json:"name"`
 	BufferShards int             `json:"buffer_shards"`
-	MemoCache    bool            `json:"memo_cache"`
 	Mixes        []ThroughputMix `json:"mixes"`
 }
 
@@ -81,7 +79,7 @@ var throughputMixes = []string{"forward", "retrieve", "query", "mixed"}
 // is sized to hold the working set — read *scalability* is measured on a
 // warm cache, where the paper's deliberately tiny 150-page pool would turn
 // every measurement into a serialized miss storm.
-func throughputDB(n, shards int, memo bool) (*gomdb.Database, *fixtures.Geometry, string, error) {
+func throughputDB(n, shards int) (*gomdb.Database, *fixtures.Geometry, string, error) {
 	db := gomdb.Open(gomdb.Config{BufferPages: 8192, BufferShards: shards})
 	if err := fixtures.DefineGeometry(db, false); err != nil {
 		return nil, nil, "", err
@@ -91,17 +89,15 @@ func throughputDB(n, shards int, memo bool) (*gomdb.Database, *fixtures.Geometry
 		return nil, nil, "", err
 	}
 	gmr, err := db.Materialize(gomdb.MaterializeOptions{
-		Funcs:     []string{"Cuboid.volume", "Cuboid.weight"},
-		Complete:  true,
-		Mode:      gomdb.ModeObjDep,
-		Strategy:  gomdb.Immediate,
-		MemoCache: memo,
+		Funcs:    []string{"Cuboid.volume", "Cuboid.weight"},
+		Complete: true,
+		Mode:     gomdb.ModeObjDep,
+		Strategy: gomdb.Immediate,
 	})
 	if err != nil {
 		return nil, nil, "", err
 	}
-	// Warm the pool (and the memo cache, when enabled) with one pass over
-	// every access path the mixes use.
+	// Warm the pool with one pass over every access path the mixes use.
 	for _, oid := range g.Cuboids {
 		if _, err := db.Call("Cuboid.volume", gomdb.Ref(oid)); err != nil {
 			return nil, nil, "", err
@@ -222,11 +218,9 @@ func Throughput(sc Scale) (*ThroughputReport, *Figure, error) {
 	configs := []struct {
 		name   string
 		shards int
-		memo   bool
 	}{
-		{"single-mutex", 1, false},
-		{"striped", 8, false},
-		{"striped+memo", 8, true},
+		{"single-mutex", 1},
+		{"striped", 8},
 	}
 	rep := &ThroughputReport{
 		Harness:       "gombench -figure throughput",
@@ -253,11 +247,11 @@ func Throughput(sc Scale) (*ThroughputReport, *Figure, error) {
 		fig.X = append(fig.X, float64(gr))
 	}
 	for _, cfg := range configs {
-		db, g, gmrName, err := throughputDB(n, cfg.shards, cfg.memo)
+		db, g, gmrName, err := throughputDB(n, cfg.shards)
 		if err != nil {
 			return nil, nil, fmt.Errorf("throughput %s: %w", cfg.name, err)
 		}
-		tc := ThroughputConfig{Name: cfg.name, BufferShards: db.Pool.NumShards(), MemoCache: cfg.memo}
+		tc := ThroughputConfig{Name: cfg.name, BufferShards: db.Pool.NumShards()}
 		for _, mix := range throughputMixes {
 			tm := ThroughputMix{Name: mix}
 			for _, gr := range throughputGoroutines {

@@ -32,7 +32,6 @@ type GMRMeta struct {
 	MaxEntries   int      `json:"maxEntries,omitempty"`
 	SecondChance bool     `json:"secondChance,omitempty"`
 	UseMDS       bool     `json:"useMDS,omitempty"`
-	Memo         bool     `json:"memo,omitempty"`
 	Restricted   bool     `json:"restricted,omitempty"`
 }
 
@@ -47,7 +46,6 @@ func (gm GMRMeta) Options() Options {
 		MaxEntries:   gm.MaxEntries,
 		SecondChance: gm.SecondChance,
 		UseMDS:       gm.UseMDS,
-		MemoCache:    gm.Memo,
 	}
 }
 
@@ -71,7 +69,6 @@ func (m *Manager) ExportCatalog() []GMRMeta {
 			MaxEntries:   g.MaxEntries,
 			SecondChance: g.SecondChance,
 			UseMDS:       g.mds != nil,
-			Memo:         g.Memo,
 			Restricted:   g.Restriction != nil || len(g.AtomicArgs) > 0,
 		})
 	}

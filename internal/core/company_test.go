@@ -5,6 +5,8 @@ package core_test
 // stored as objects), and the compensating action for project insertion.
 
 import (
+	"sort"
+	"strings"
 	"testing"
 
 	"gomdb"
@@ -284,28 +286,9 @@ func canonMatrix(t *testing.T, db *gomdb.Database, v gomdb.Value) string {
 			no, _ := db.Engine.ReadAttr(e, "EmpNo")
 			nos = append(nos, no.String())
 		}
-		sortStrings(nos)
-		rows = append(rows, depNo.String()+"/"+pname.S+"/"+joinStrings(nos))
+		sort.Strings(nos)
+		rows = append(rows, depNo.String()+"/"+pname.S+"/"+strings.Join(nos, ";"))
 	}
-	sortStrings(rows)
-	return joinStrings(rows)
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-func joinStrings(s []string) string {
-	out := ""
-	for i, x := range s {
-		if i > 0 {
-			out += ";"
-		}
-		out += x
-	}
-	return out
+	sort.Strings(rows)
+	return strings.Join(rows, ";")
 }

@@ -137,8 +137,6 @@ func (m *Manager) DefineCompensation(typeName, opName, fid string, c *lang.Funct
 // before the update with the update's arguments:
 // new := recv.c(args..., old).
 func (m *Manager) Compensate(recv *object.Obj, fid string, col int, opName string, updArgs []object.Value) error {
-	// Bumped after the mutation completes — see GMR.insertEntry.
-	defer m.BumpWriteEpoch()
 	g := m.byFunc[fid]
 	if g == nil {
 		return nil

@@ -81,8 +81,6 @@ func (m *Manager) trackResultObjects(from, to object.OID) {
 // the paper cannot simply delete superseded results — "they may be
 // referenced in other contexts independently of the materialization".
 func (m *Manager) CollectResultGarbage() (int, error) {
-	// Bumped after the mutation completes — see GMR.insertEntry.
-	defer m.BumpWriteEpoch()
 	if len(m.resultObjs) == 0 {
 		return 0, nil
 	}

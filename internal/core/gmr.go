@@ -150,14 +150,6 @@ type Options struct {
 	// at most four total columns with numeric results. It enables
 	// Manager.Retrieve queries that constrain arbitrary column combinations.
 	UseMDS bool
-	// MemoCache enables the forward-lookup memo cache for this GMR's
-	// functions: repeat forward hits against a quiescent extension are
-	// answered from a sharded in-memory map without touching the buffer
-	// pool — and therefore without charging the simulated clock. Off by
-	// default so the paper's cost accounting is unchanged unless a caller
-	// explicitly opts into the modern-hardware read path (see memo.go for
-	// the epoch-based invalidation contract).
-	MemoCache bool
 }
 
 // entry is one tuple of a GMR extension:
@@ -195,9 +187,6 @@ type GMR struct {
 	Restriction  *Restriction
 	AtomicArgs   map[int]ArgRestriction
 	SecondChance bool
-	// Memo mirrors Options.MemoCache: forward lookups on this GMR consult
-	// and fill the manager's memo cache.
-	Memo bool
 
 	entries map[string]*entry
 	order   []string // insertion order: determinism + cache eviction
@@ -295,16 +284,9 @@ func encodeEntry(e *entry) []byte {
 
 // insertEntry adds a new entry to the extension, heap, and indexes.
 //
-// Like every entry mutator it bumps the memo epoch *after* the mutation
-// (via defer): bumping first opens a window where a concurrent memo-enabled
-// reader loads the fresh epoch, reads the pre-mutation entry, and caches
-// the stale value under an epoch that stays current — a persistent stale
-// hit. Bumping last means the worst a racing reader can do is cache the new
-// value under the old epoch, which never answers a lookup. The mutators
-// also run under the manager's snapshot mutex so pinned MVCC readers see
-// entry state change atomically (see snapshot.go).
+// Like every entry mutator it runs under the manager's snapshot mutex so
+// pinned MVCC readers see entry state change atomically (see snapshot.go).
 func (g *GMR) insertEntry(e *entry) error {
-	defer g.mgr.BumpWriteEpoch()
 	g.mgr.snapMu.Lock()
 	defer g.mgr.snapMu.Unlock()
 	return g.insertEntryLocked(e)
@@ -425,8 +407,6 @@ func (g *GMR) markInvalid(k string, i int) error {
 	if !e.Valid[i] {
 		return nil
 	}
-	// Epoch bump deferred past the mutation — see insertEntry.
-	defer g.mgr.BumpWriteEpoch()
 	g.mgr.snapMu.Lock()
 	defer g.mgr.snapMu.Unlock()
 	g.mgr.captureEntry(g, k, e)
@@ -440,8 +420,6 @@ func (g *GMR) markInvalid(k string, i int) error {
 // is how a forward force, a column revalidation, and the flush apply phase
 // all keep the deferred queue consistent through a single point.
 func (g *GMR) setResult(e *entry, i int, v object.Value) error {
-	// Epoch bump deferred past the mutation — see insertEntry.
-	defer g.mgr.BumpWriteEpoch()
 	g.mgr.snapMu.Lock()
 	defer g.mgr.snapMu.Unlock()
 	g.mgr.captureEntry(g, argKey(e.Args), e)
@@ -489,8 +467,6 @@ func (g *GMR) touch(e *entry) error {
 // indexes. RRR entries pointing at it become blind references that are
 // lazily cleaned (Section 4.2).
 func (g *GMR) removeEntry(k string) error {
-	// Epoch bump deferred past the mutation — see insertEntry.
-	defer g.mgr.BumpWriteEpoch()
 	g.mgr.snapMu.Lock()
 	defer g.mgr.snapMu.Unlock()
 	return g.removeEntryLocked(k)

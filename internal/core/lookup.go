@@ -44,22 +44,6 @@ func (m *Manager) Forward(fid string, args []object.Value) (object.Value, error)
 	if !ok {
 		return object.Null(), fmt.Errorf("%w: %s", ErrNotMaterialized, fid)
 	}
-	// Memo fast path: a repeat hit whose epoch is still current is answered
-	// without touching the extension heap or the buffer pool. Only the
-	// valid-hit exit below fills the cache, so a cached value is always the
-	// stored result of a valid entry as of its epoch; any GMR mutation since
-	// then has bumped the epoch and the entry is ignored.
-	var epoch uint64
-	var mkey string
-	if g.Memo {
-		epoch = m.writeEpoch.Load()
-		mkey = memoKey(fid, args)
-		if v, ok := m.memo.get(mkey, epoch); ok {
-			atomic.AddInt64(&m.Stats.ForwardHits, 1)
-			atomic.AddInt64(&m.Stats.MemoHits, 1)
-			return v, nil
-		}
-	}
 	i := g.funcIndex(fid)
 	if !g.admitsArgs(args) {
 		// Outside the restricted atomic domain: compute with the "normal"
@@ -72,9 +56,6 @@ func (m *Manager) Forward(fid string, args []object.Value) (object.Value, error)
 			m.noteForward(g, e, fid, true)
 			if err := g.touch(e); err != nil {
 				return object.Null(), err
-			}
-			if g.Memo {
-				m.memo.put(mkey, epoch, e.Results[i])
 			}
 			return e.Results[i], nil
 		}

@@ -30,7 +30,6 @@ type Stats struct {
 	Compensations      int64 // compensating-action applications
 	ForwardHits        int64 // forward lookups answered from a valid entry
 	ForwardMisses      int64 // forward lookups that had to compute
-	MemoHits           int64 // forward lookups answered by the memo cache (counted in ForwardHits too)
 	BackwardQueries    int64
 	NewObjects         int64
 	ForgottenObjects   int64
@@ -84,17 +83,6 @@ type Manager struct {
 	// an atomic pointer because read-path lookups emit events while other
 	// goroutines may install or clear the hook.
 	trace atomic.Pointer[func(TraceEvent)]
-
-	// memo is the opt-in forward-lookup memo cache (see memo.go);
-	// writeEpoch is the wholesale-invalidation counter every cached value
-	// is tagged with.
-	memo       *memoCache
-	writeEpoch atomic.Uint64
-
-	// testEpochHook, when set, runs synchronously after every write-epoch
-	// bump. Test-only: it lets the memo-ordering regression test inject a
-	// concurrent reader deterministically at the exact bump point.
-	testEpochHook func()
 
 	// MVCC snapshot-read state (see snapshot.go). snapSt is the shared
 	// version source; entryVers holds copy-on-write pre-images of GMR
@@ -175,7 +163,6 @@ func NewManager(en *schema.Engine, pool *storage.BufferPool) *Manager {
 		uninstall:    make(map[string][]func()),
 		extractor:    lang.NewExtractor(en.Sch, en.Sch),
 		Intern:       pred.NewInterner(),
-		memo:         newMemoCache(),
 		pending:      make(map[pendingKey]*pendingItem),
 		accessTraces: make(map[traceKey][]object.OID),
 		accessStats:  make(map[string]*AccessStats),
@@ -215,8 +202,6 @@ func (m *Manager) GMRFor(fid string) (*GMR, bool) {
 //
 //	range c: Cuboid materialize c.volume, c.weight [where p]
 func (m *Manager) Materialize(opts Options) (*GMR, error) {
-	// Bumped after the mutation completes — see GMR.insertEntry.
-	defer m.BumpWriteEpoch()
 	if len(opts.Funcs) == 0 {
 		return nil, errors.New("core: materialize needs at least one function")
 	}
@@ -290,7 +275,6 @@ func (m *Manager) Materialize(opts Options) (*GMR, error) {
 		Restriction:  opts.Restriction,
 		AtomicArgs:   opts.AtomicArgs,
 		SecondChance: opts.SecondChance,
-		Memo:         opts.MemoCache,
 		entries:      make(map[string]*entry),
 		argIndex:     make(map[object.OID]map[string]bool),
 		heap:         storage.NewForcedHeapFile(m.Pool, "GMR:"+name),
@@ -355,7 +339,6 @@ func isNumericType(t string) bool {
 // Drop deletes a GMR: its extension, its RRR tuples and ObjDepFct marks, and
 // the hook rewrites — restoring the unmodified schema.
 func (m *Manager) Drop(name string) error {
-	defer m.BumpWriteEpoch()
 	g, ok := m.gmrs[name]
 	if !ok {
 		return fmt.Errorf("core: no GMR %q", name)
@@ -617,9 +600,6 @@ func (m *Manager) addRRR(oid object.OID, fid string, args []object.Value) error 
 	if err != nil {
 		return err
 	}
-	if isNew {
-		m.BumpWriteEpoch()
-	}
 	if isNew && first {
 		o, err := m.Objs.Get(oid)
 		if err != nil {
@@ -652,14 +632,11 @@ func (m *Manager) removeTuple(t Tuple) error {
 }
 
 // finishRemove performs the post-removal bookkeeping shared by removeRRR and
-// removeTuple: the memo epoch bump and the ObjDepFct demotion.
+// removeTuple: the ObjDepFct demotion.
 func (m *Manager) finishRemove(oid object.OID, fid string) func(existed, last bool, err error) error {
 	return func(existed, last bool, err error) error {
 		if err != nil {
 			return err
-		}
-		if existed {
-			m.BumpWriteEpoch()
 		}
 		if existed && last && m.Objs.Exists(oid) {
 			o, err := m.Objs.Get(oid)
@@ -680,12 +657,6 @@ func (m *Manager) finishRemove(oid object.OID, fid string) func(existed, last bo
 // rewritten update operations after an object was modified. relev == nil
 // means "check everything" (the Figure 4 version); otherwise only tuples
 // whose function is in relev are processed (Sections 5.1/5.2/5.3).
-//
-// The memo-cache write epoch is NOT bumped here: every state change the loop
-// can cause — marking an entry invalid, rewriting a result, removing an RRR
-// tuple, predicate admission/expulsion — bumps at its own mutation point, so
-// an update that turns out to be irrelevant (no surviving tuples) leaves the
-// memo cache valid.
 func (m *Manager) Invalidate(o *object.Obj, relev map[string]bool) error {
 	if m.breakInvalidation {
 		// Deliberately-broken mode for the simulator's mutation smoke test:
@@ -878,7 +849,6 @@ func (m *Manager) predicateUpdate(t Tuple) error {
 // NewObject is GMR_Manager.new_object(o, t) (Section 4.2): extends every
 // complete GMR with entries for all argument combinations containing o.
 func (m *Manager) NewObject(o *object.Obj) error {
-	defer m.BumpWriteEpoch()
 	atomic.AddInt64(&m.Stats.NewObjects, 1)
 	m.emit("new_object", "", "", o.OID)
 	for _, name := range m.GMRs() {
@@ -912,7 +882,6 @@ func (m *Manager) NewObject(o *object.Obj) error {
 // on. RRR tuples of *other* objects that still reference the removed
 // entries become blind references, cleaned lazily on their next access.
 func (m *Manager) ForgetObject(o *object.Obj) error {
-	defer m.BumpWriteEpoch()
 	atomic.AddInt64(&m.Stats.ForgottenObjects, 1)
 	m.emit("forget_object", "", "", o.OID)
 	for _, name := range m.GMRs() {
@@ -952,7 +921,6 @@ func (m *Manager) hasEntriesWithArg(oid object.OID) bool {
 // invalidated before the benchmark was started — this causes the RRR and
 // the sets ObjDepFct to be empty with respect to <<volume>>").
 func (m *Manager) InvalidateAll(name string) error {
-	defer m.BumpWriteEpoch()
 	g, ok := m.gmrs[name]
 	if !ok {
 		return fmt.Errorf("core: no GMR %q", name)
@@ -988,7 +956,6 @@ func (m *Manager) InvalidateAll(name string) error {
 // background sweep lazy rematerialization performs "as soon as the load ...
 // falls below a predetermined threshold".
 func (m *Manager) Revalidate(name string) error {
-	defer m.BumpWriteEpoch()
 	g, ok := m.gmrs[name]
 	if !ok {
 		return fmt.Errorf("core: no GMR %q", name)

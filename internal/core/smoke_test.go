@@ -7,6 +7,8 @@ package core_test
 
 import (
 	"math"
+	"sort"
+	"strings"
 	"testing"
 
 	"gomdb"
@@ -549,20 +551,20 @@ func canonValue(db *gomdb.Database, v gomdb.Value, depth int, seen map[gomdb.OID
 		for i, e := range v.Elems {
 			parts[i] = canonValue(db, e, depth+1, seen)
 		}
-		sortStrings(parts)
-		return "{" + joinStrings(parts) + "}"
+		sort.Strings(parts)
+		return "{" + strings.Join(parts, ";") + "}"
 	case object.KList:
 		parts := make([]string, len(v.Elems))
 		for i, e := range v.Elems {
 			parts[i] = canonValue(db, e, depth+1, seen)
 		}
-		return "<" + joinStrings(parts) + ">"
+		return "<" + strings.Join(parts, ";") + ">"
 	case object.KTuple:
 		parts := make([]string, len(v.Elems))
 		for i, e := range v.Elems {
 			parts[i] = canonValue(db, e, depth+1, seen)
 		}
-		return v.TupleType + "[" + joinStrings(parts) + "]"
+		return v.TupleType + "[" + strings.Join(parts, ";") + "]"
 	default:
 		return v.String()
 	}

@@ -30,7 +30,7 @@ import (
 // reader never perturbs the engine's cost counters, its trace, its
 // statistics, or its cache-eviction state. Snapshot retrievals therefore
 // deliberately skip the bookkeeping the live paths perform (touch charges,
-// Stats counters, trace events, entry reference bits, memo fills): they
+// Stats counters, trace events, entry reference bits): they
 // return the same *values* the live path would have returned at version V,
 // not the same side effects.
 

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"sort"
+	"strings"
 
 	"gomdb/internal/object"
 )
@@ -226,40 +228,21 @@ func (m *Manager) canonValue(get func(object.OID) (*object.Obj, error), v object
 		for i, e := range v.Elems {
 			parts[i] = m.canonValue(get, e, depth+1, seen)
 		}
-		sortStrings(parts)
-		return "{" + joinStrings(parts, ";") + "}"
+		sort.Strings(parts)
+		return "{" + strings.Join(parts, ";") + "}"
 	case object.KList:
 		parts := make([]string, len(v.Elems))
 		for i, e := range v.Elems {
 			parts[i] = m.canonValue(get, e, depth+1, seen)
 		}
-		return "<" + joinStrings(parts, ";") + ">"
+		return "<" + strings.Join(parts, ";") + ">"
 	case object.KTuple:
 		parts := make([]string, len(v.Elems))
 		for i, e := range v.Elems {
 			parts[i] = m.canonValue(get, e, depth+1, seen)
 		}
-		return v.TupleType + "[" + joinStrings(parts, ";") + "]"
+		return v.TupleType + "[" + strings.Join(parts, ";") + "]"
 	default:
 		return v.String()
 	}
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-func joinStrings(s []string, sep string) string {
-	out := ""
-	for i, x := range s {
-		if i > 0 {
-			out += sep
-		}
-		out += x
-	}
-	return out
 }

@@ -11,8 +11,8 @@ import (
 // (internal/cluster) computes a placement order over all live OIDs; Relocate
 // rewrites the heap in that order and remaps the OID directory. OIDs are the
 // only stable names the rest of the engine holds — the RRR, GMR argument
-// columns, memo keys, and extents all reference objects by OID, never by RID
-// — so remapping the directory is the entire reference fixup.
+// columns, and extents all reference objects by OID, never by RID — so
+// remapping the directory is the entire reference fixup.
 //
 // Callers must hold the MVCC write barrier (no pinned snapshot readers): the
 // directory remap deliberately takes no pre-image captures, because a reader

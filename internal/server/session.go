@@ -418,7 +418,6 @@ func matOptions(m *wire.MatOptions) (gomdb.MaterializeOptions, error) {
 		Complete:     m.Complete,
 		SecondChance: m.SecondChance,
 		UseMDS:       m.UseMDS,
-		MemoCache:    m.MemoCache,
 		MaxEntries:   int(m.MaxEntries),
 	}, nil
 }

@@ -137,7 +137,7 @@ func TestTraceGolden(t *testing.T) {
 
 // TestTraceDump is the refactoring aid behind the golden: with -dump=FILE it
 // writes every trace line (and violation) of a wider matrix — the golden's
-// option sets plus everything-at-once, Broken and memo+2c+mds — over 12
+// option sets plus everything-at-once, Broken and 2c+mds — over 12
 // seeds, so two binaries can be diffed line by line.
 func TestTraceDump(t *testing.T) {
 	if *dumpTraces == "" {
@@ -147,7 +147,7 @@ func TestTraceDump(t *testing.T) {
 		simCell{name: "all", cfg: EngineConfig{Durable: true},
 			opt: GenOptions{Ops: 100, Faults: true, Crashes: true, Recluster: true}},
 		simCell{name: "broken", cfg: EngineConfig{Broken: true}, opt: GenOptions{Ops: 100}},
-		simCell{name: "memo+2c+mds", cfg: EngineConfig{Memo: true, SecondChance: true, UseMDS: true},
+		simCell{name: "2c+mds", cfg: EngineConfig{SecondChance: true, UseMDS: true},
 			opt: GenOptions{Ops: 100, Faults: true}},
 	)
 	seeds := make([]int64, 12)

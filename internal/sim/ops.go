@@ -17,7 +17,7 @@ type OpKind string
 // the ops that remain.
 const (
 	// OpMat materializes catalog entry X%len(catalog) with the run's engine
-	// configuration (strategy, memo, second chance, MDS).
+	// configuration (strategy, second chance, MDS).
 	OpMat OpKind = "mat"
 	// OpDemat drops catalog entry X%len(catalog) if materialized.
 	OpDemat OpKind = "demat"

@@ -39,8 +39,6 @@ import (
 type EngineConfig struct {
 	// Strategy is "immediate", "lazy", or "deferred".
 	Strategy string `json:"strategy"`
-	// Memo enables the forward-lookup memo cache on every materialized GMR.
-	Memo bool `json:"memo,omitempty"`
 	// SecondChance enables the second-chance immediate(o) variant.
 	SecondChance bool `json:"secondChance,omitempty"`
 	// UseMDS maintains the multidimensional index on every GMR.
@@ -94,9 +92,6 @@ func (c EngineConfig) String() string {
 	s := c.Strategy
 	if s == "" {
 		s = "immediate"
-	}
-	if c.Memo {
-		s += "+memo"
 	}
 	if c.SecondChance {
 		s += "+2c"
@@ -453,7 +448,6 @@ func (r *runner) applyMat(x int) string {
 		MaxEntries:   spec.MaxEntries,
 		SecondChance: r.cfg.SecondChance,
 		UseMDS:       r.cfg.UseMDS,
-		MemoCache:    r.cfg.Memo,
 	})
 	if err == nil {
 		r.matted[ci] = true

@@ -13,10 +13,8 @@ import (
 func baseConfigs() []EngineConfig {
 	var out []EngineConfig
 	for _, strat := range []string{"immediate", "lazy", "deferred"} {
-		for _, memo := range []bool{false, true} {
-			for _, sc := range []bool{false, true} {
-				out = append(out, EngineConfig{Strategy: strat, Memo: memo, SecondChance: sc})
-			}
+		for _, sc := range []bool{false, true} {
+			out = append(out, EngineConfig{Strategy: strat, SecondChance: sc})
 		}
 	}
 	return out
@@ -62,13 +60,13 @@ func TestSimShortSeeds(t *testing.T) {
 	}
 }
 
-// TestMatrixSweep smokes the full strategy x memo x second-chance matrix
+// TestMatrixSweep smokes the full strategy x second-chance matrix
 // (plus an MDS column) on a couple of seeds each.
 func TestMatrixSweep(t *testing.T) {
 	cfgs := baseConfigs()
 	cfgs = append(cfgs,
 		EngineConfig{Strategy: "immediate", UseMDS: true},
-		EngineConfig{Strategy: "deferred", UseMDS: true, Memo: true},
+		EngineConfig{Strategy: "deferred", UseMDS: true},
 	)
 	for _, cfg := range cfgs {
 		cfg := cfg
@@ -269,7 +267,7 @@ func TestSnapshotReadsDontPerturbCharges(t *testing.T) {
 			if snaps == 0 {
 				t.Fatal("plan contains no snap-read ops; the comparison is vacuous")
 			}
-			cfg := EngineConfig{Strategy: strat, Memo: true}
+			cfg := EngineConfig{Strategy: strat}
 			full := requireClean(t, cfg, plan)
 			base := requireClean(t, cfg, stripped)
 			if full.Clock != base.Clock {
@@ -382,7 +380,7 @@ func TestSnapshotReadsUnderFaultsAndCrashes(t *testing.T) {
 				snaps++
 			}
 		}
-		cfg := EngineConfig{Strategy: "lazy", Memo: true, Durable: true,
+		cfg := EngineConfig{Strategy: "lazy", Durable: true,
 			CrashDir: filepath.Join(dir, fmt.Sprintf("seed%d", seed))}
 		requireClean(t, cfg, plan)
 	}

@@ -172,7 +172,6 @@ type MatOptions struct {
 	Complete     bool
 	SecondChance bool
 	UseMDS       bool
-	MemoCache    bool
 	MaxEntries   uint32
 }
 
@@ -180,7 +179,6 @@ const (
 	matComplete     = 1 << 0
 	matSecondChance = 1 << 1
 	matUseMDS       = 1 << 2
-	matMemoCache    = 1 << 3
 )
 
 // Request is the decoded form of a request payload — a tagged union over
@@ -341,9 +339,6 @@ func encodeRequest(e *enc, r *Request) error {
 		if m.UseMDS {
 			flags |= matUseMDS
 		}
-		if m.MemoCache {
-			flags |= matMemoCache
-		}
 		e.u8(flags)
 		e.uvarint(uint64(m.MaxEntries))
 	case OpBatchOp:
@@ -468,13 +463,12 @@ func decodeRequest(d *dec, op Opcode, outer bool) (*Request, error) {
 		m.Strategy = d.u8()
 		m.Mode = d.u8()
 		flags := d.u8()
-		if flags&^uint8(matComplete|matSecondChance|matUseMDS|matMemoCache) != 0 {
+		if flags&^uint8(matComplete|matSecondChance|matUseMDS) != 0 {
 			d.fail(CodeMalformed, "bad materialize flags 0x%02x", flags)
 		}
 		m.Complete = flags&matComplete != 0
 		m.SecondChance = flags&matSecondChance != 0
 		m.UseMDS = flags&matUseMDS != 0
-		m.MemoCache = flags&matMemoCache != 0
 		max := d.uvarint()
 		if max > math.MaxUint32 {
 			d.fail(CodeMalformed, "max entries %d out of range", max)

@@ -291,6 +291,34 @@ func TestBatchOpValidation(t *testing.T) {
 	}
 }
 
+// TestMaterializeFlagBits: the Materialize flags byte defines bits 0-2
+// (Complete, SecondChance, UseMDS); any other bit, 0x08 included, is
+// malformed rather than silently dropped.
+func TestMaterializeFlagBits(t *testing.T) {
+	p, err := EncodeRequest(&Request{Op: OpMaterialize, Mat: MatOptions{
+		Name: "vol", Funcs: []string{"Cuboid.volume"},
+		Complete: true, SecondChance: true, UseMDS: true,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The payload ends with the flags byte and MaxEntries = 0 (one varint byte).
+	flagsAt := len(p) - 2
+	if p[flagsAt] != 0x07 {
+		t.Fatalf("flags byte = 0x%02x, want 0x07", p[flagsAt])
+	}
+	if _, err := DecodeRequest(OpMaterialize, p); err != nil {
+		t.Fatalf("all defined flags: %v", err)
+	}
+	for _, bit := range []byte{0x08, 0x10, 0x80} {
+		bad := append([]byte(nil), p...)
+		bad[flagsAt] |= bit
+		if _, err := DecodeRequest(OpMaterialize, bad); CodeOf(err) != CodeMalformed {
+			t.Errorf("flag 0x%02x: got %v, want CodeMalformed", bit, err)
+		}
+	}
+}
+
 // TestTrailingGarbage: a payload with trailing bytes after a valid body is
 // malformed — the peer disagrees about the encoding and silently ignoring
 // the tail would mask it.

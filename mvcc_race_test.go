@@ -18,8 +18,7 @@ import (
 )
 
 // materializedRectangleDBLazy is materializedRectangleDB with the lazy
-// strategy and the memo cache enabled, so the stress covers invalid-entry
-// rematerialization and the epoch-tagged memo as well.
+// strategy, so the stress covers invalid-entry rematerialization as well.
 func materializedRectangleDBLazy(t *testing.T, n int) (*gomdb.Database, []gomdb.OID, string) {
 	t.Helper()
 	db := rectangleDB(t)
@@ -28,7 +27,7 @@ func materializedRectangleDBLazy(t *testing.T, n int) (*gomdb.Database, []gomdb.
 	}
 	g, err := db.Materialize(gomdb.MaterializeOptions{
 		Funcs: []string{"Rectangle.area"}, Complete: true,
-		Strategy: gomdb.Lazy, MemoCache: true,
+		Strategy: gomdb.Lazy,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +111,7 @@ func TestSnapshotReadersRaceWriters(t *testing.T) {
 				}
 				if _, err := db.Materialize(gomdb.MaterializeOptions{
 					Funcs: []string{"Rectangle.area"}, Complete: true,
-					Strategy: gomdb.Lazy, MemoCache: true,
+					Strategy: gomdb.Lazy,
 				}); err != nil {
 					report(fmt.Errorf("writer Materialize: %w", err))
 					return

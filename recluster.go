@@ -8,8 +8,8 @@ import "gomdb/internal/cluster"
 // affinity-weighted placement order — objects that materialized functions
 // read together end up on the same pages, hottest chains first, untraced
 // objects last — and physically rewrites the object heap in that order.
-// OIDs never change, so GMR argument columns, RRR tuples, memo keys, and
-// extents are untouched; only the OID directory is remapped. See DESIGN.md,
+// OIDs never change, so GMR argument columns, RRR tuples, and extents are
+// untouched; only the OID directory is remapped. See DESIGN.md,
 // "Object clustering".
 
 // ReclusterReport describes one reclustering pass.
@@ -50,11 +50,6 @@ type ReclusterReport struct {
 func (db *Database) Recluster() (*ReclusterReport, error) {
 	db.lockBarrier()
 	defer db.unlockBarrier()
-	return db.reclusterLocked()
-}
-
-// reclusterLocked is Recluster's body; caller holds the barrier.
-func (db *Database) reclusterLocked() (*ReclusterReport, error) {
 	live := db.Objects.AllOIDs()
 	p := cluster.Compute(db.GMRs.AccessTraces(), live)
 	rep := &ReclusterReport{

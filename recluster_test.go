@@ -210,9 +210,8 @@ func TestReclusterDurableCheckpointCommitsClusteredLayout(t *testing.T) {
 	}
 }
 
-// TestReclusterOnCheckpointConfig: an unconditional checkpoint-time pass is
-// two explicit calls, Recluster then Checkpoint (Config.AutoRecluster is the
-// automatic policy).
+// TestReclusterOnCheckpointConfig: a checkpoint-time pass is two explicit
+// calls, Recluster then Checkpoint.
 func TestReclusterOnCheckpointConfig(t *testing.T) {
 	db := gomdb.Open(gomdb.DefaultConfig())
 	if err := fixtures.DefineGeometry(db, false); err != nil {

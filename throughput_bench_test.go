@@ -5,9 +5,9 @@ package gomdb_test
 //
 //	go test -run '^$' -bench 'Parallel' -cpu 1,2,4,8 .
 //
-// All four benchmarks drive quiescent databases, so every operation takes
-// the shared-lock fast path; the ns/op deltas across -cpu values isolate
-// the buffer-pool striping and memo-cache effects from writer interference.
+// All but the last benchmark drive quiescent databases, so every operation
+// takes the shared-lock fast path; the ns/op deltas across -cpu values
+// isolate the buffer-pool striping effect from writer interference.
 
 import (
 	"math/rand"
@@ -20,7 +20,7 @@ import (
 
 // parallelDB builds a warmed geometry database with a complete
 // <<volume,weight>> GMR for the parallel benchmarks.
-func parallelDB(b *testing.B, shards int, memo bool) (*gomdb.Database, *fixtures.Geometry, string) {
+func parallelDB(b *testing.B, shards int) (*gomdb.Database, *fixtures.Geometry, string) {
 	b.Helper()
 	db := gomdb.Open(gomdb.Config{BufferPages: 8192, BufferShards: shards})
 	if err := fixtures.DefineGeometry(db, false); err != nil {
@@ -31,11 +31,10 @@ func parallelDB(b *testing.B, shards int, memo bool) (*gomdb.Database, *fixtures
 		b.Fatal(err)
 	}
 	gmr, err := db.Materialize(gomdb.MaterializeOptions{
-		Funcs:     []string{"Cuboid.volume", "Cuboid.weight"},
-		Complete:  true,
-		Mode:      gomdb.ModeObjDep,
-		Strategy:  gomdb.Immediate,
-		MemoCache: memo,
+		Funcs:    []string{"Cuboid.volume", "Cuboid.weight"},
+		Complete: true,
+		Mode:     gomdb.ModeObjDep,
+		Strategy: gomdb.Immediate,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -50,8 +49,8 @@ func parallelDB(b *testing.B, shards int, memo bool) (*gomdb.Database, *fixtures
 
 // forwardParallel is the shared body: concurrent forward lookups of random
 // cuboid volumes against a warm pool.
-func forwardParallel(b *testing.B, shards int, memo bool) {
-	db, g, _ := parallelDB(b, shards, memo)
+func forwardParallel(b *testing.B, shards int) {
+	db, g, _ := parallelDB(b, shards)
 	var seq atomic.Int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -65,22 +64,17 @@ func forwardParallel(b *testing.B, shards int, memo bool) {
 	})
 }
 
-// BenchmarkParallelForward is the default engine: lock-striped buffer pool,
-// memo cache off.
-func BenchmarkParallelForward(b *testing.B) { forwardParallel(b, 0, false) }
+// BenchmarkParallelForward is the default engine: lock-striped buffer pool.
+func BenchmarkParallelForward(b *testing.B) { forwardParallel(b, 0) }
 
 // BenchmarkParallelForwardSingleMutex pins the pool to one shard — the
 // historical globally locked baseline.
-func BenchmarkParallelForwardSingleMutex(b *testing.B) { forwardParallel(b, 1, false) }
-
-// BenchmarkParallelForwardMemo adds the forward-lookup memo cache on top of
-// the striped pool.
-func BenchmarkParallelForwardMemo(b *testing.B) { forwardParallel(b, 0, true) }
+func BenchmarkParallelForwardSingleMutex(b *testing.B) { forwardParallel(b, 1) }
 
 // BenchmarkParallelBackward runs concurrent backward range queries through
 // the query planner (selection on the GMR's result column).
 func BenchmarkParallelBackward(b *testing.B) {
-	db, _, _ := parallelDB(b, 0, false)
+	db, _, _ := parallelDB(b, 0)
 	var seq atomic.Int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -99,7 +93,7 @@ func BenchmarkParallelBackward(b *testing.B) {
 // BenchmarkParallelTabular runs concurrent tabular Retrieve calls (one
 // FieldSpec per column).
 func BenchmarkParallelTabular(b *testing.B) {
-	db, _, gmrName := parallelDB(b, 0, false)
+	db, _, gmrName := parallelDB(b, 0)
 	var seq atomic.Int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -119,7 +113,7 @@ func BenchmarkParallelTabular(b *testing.B) {
 // BenchmarkParallelQueryMix interleaves forward lookups, backward queries,
 // and tabular retrievals in a 70/20/10 read mix.
 func BenchmarkParallelQueryMix(b *testing.B) {
-	db, g, gmrName := parallelDB(b, 0, false)
+	db, g, gmrName := parallelDB(b, 0)
 	var seq atomic.Int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
