@@ -48,6 +48,7 @@ ci:
 	$(MAKE) fuzz-pred FUZZ_TIME=15s
 	$(MAKE) fuzz-parse FUZZ_TIME=15s
 	$(GO) test -race -count=10 -run TestRecycledFramesSnapshotStress ./internal/storage/
+	$(GO) test -race -count=10 -run TestExtensionSnapshotStress .
 	$(MAKE) check-determinism
 	$(GO) run -race ./cmd/gomsim -seeds 17 -ops 100 -out $(OUT)/sim-artifacts
 	$(GO) run -race ./cmd/gomsim -durable -crashes -seeds 25 -ops 100 -out $(OUT)/recovery-artifacts
@@ -157,11 +158,14 @@ fuzz-wire:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzDecodeRequest -fuzztime $(FUZZ_TIME)
 
-# Fuzz the object-record decoders (full decode and the field reader) from
-# the committed corpus in internal/object/testdata/fuzz: arbitrary bytes must
-# never panic, and the two readers must agree on every attribute.
+# Fuzz the object-record decoders (full decode and the field reader) and the
+# OID-directory decoders (snapshot and delta replay) from the committed
+# corpora in internal/object/testdata/fuzz: arbitrary bytes must never panic,
+# the two record readers must agree on every attribute, and an accepted
+# directory must list only members it has entries for.
 fuzz-object:
 	$(GO) test ./internal/object/ -run '^$$' -fuzz FuzzObjectRecord -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/object/ -run '^$$' -fuzz FuzzRestoreDirectory -fuzztime $(FUZZ_TIME)
 
 # Fuzz the GMR applicability test from the committed corpus in
 # internal/pred/testdata/fuzz: Covers must agree with the exact brute-force

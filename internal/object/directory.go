@@ -193,15 +193,14 @@ func (m *Manager) DirJournalStats() (pending, sinceSnapshot int) {
 	return m.journal.ops, m.journal.sinceSnapshot
 }
 
-// addToExtent appends oid to the extension of typeName, creating it on first
-// use.
-func addToExtent(extents map[string]*extent, typeName string, oid OID) {
+// extentOf returns the extension of typeName, creating it on first use.
+func extentOf(extents map[string]*extent, typeName string) *extent {
 	ext := extents[typeName]
 	if ext == nil {
 		ext = &extent{pos: make(map[OID]int)}
 		extents[typeName] = ext
 	}
-	ext.add(oid)
+	return ext
 }
 
 // RestoreDirectory replaces the manager's directory state with a persisted
@@ -211,7 +210,8 @@ func addToExtent(extents map[string]*extent, typeName string, oid OID) {
 // recovered pages, so the facade — not this package — owns the buffer pool
 // plumbing). It returns the number of ops replayed. Lazily-built layout
 // caches are left alone: they are derived from the registry, not from stored
-// state.
+// state. The extent undo logs go with the replaced extents: a restore runs
+// with no snapshot reader pinned.
 func (m *Manager) RestoreDirectory(heap *storage.HeapFile, nextOID OID, snapshot []byte, deltas [][]byte) (int, error) {
 	rids, extents, err := decodeSnapshot(snapshot)
 	if err != nil {
@@ -257,8 +257,14 @@ func decodeSnapshot(snapshot []byte) (map[OID]storage.RID, map[string]*extent, e
 	}
 	n = d.count(2)
 	extents := make(map[string]*extent, n)
+	// listed holds every extension member so far: an OID listed twice would
+	// outlive its delete in the other listing.
+	listed := make(map[OID]struct{}, len(rids))
 	for i := 0; i < n && d.err == nil; i++ {
 		typeName := d.str()
+		if _, dup := extents[typeName]; dup {
+			d.fail("object: restore: extension of %q listed twice", typeName)
+		}
 		k := d.count(1)
 		ext := &extent{order: make([]OID, 0, k), pos: make(map[OID]int, k)}
 		for ; k > 0 && d.err == nil; k-- {
@@ -266,6 +272,10 @@ func decodeSnapshot(snapshot []byte) (map[OID]storage.RID, map[string]*extent, e
 			if _, ok := rids[member]; !ok && d.err == nil {
 				d.fail("object: restore: extension of %q lists unknown OID %v", typeName, member)
 			}
+			if _, dup := listed[member]; dup {
+				d.fail("object: restore: OID %v listed twice in the extensions", member)
+			}
+			listed[member] = struct{}{}
 			ext.add(member)
 		}
 		extents[typeName] = ext
@@ -290,13 +300,14 @@ func replayDelta(rids map[OID]storage.RID, extents map[string]*extent, delta []b
 		switch op {
 		case dirOpCreate:
 			rids[oid] = d.rid()
-			addToExtent(extents, d.str(), oid)
+			extentOf(extents, d.str()).add(oid)
 		case dirOpMove:
 			rids[oid] = d.rid()
 		case dirOpDelete:
 			delete(rids, oid)
-			if ext := extents[d.str()]; ext != nil {
-				ext.remove(oid)
+			typeName := d.str()
+			if ext := extents[typeName]; ext == nil || !ext.remove(oid) {
+				d.fail("object: restore: delete of OID %v from the extension of %q, which does not list it", oid, typeName)
 			}
 		default:
 			d.fail("object: restore: unknown directory op %d", op)

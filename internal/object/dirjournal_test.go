@@ -3,6 +3,7 @@ package object
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -149,6 +150,8 @@ func TestRestoreDirectoryRejectsCorruptPayloads(t *testing.T) {
 	dup.create(oids[0], "Point", m.rids[oids[0]])
 	var mv dirJournal
 	mv.move(OID(1<<40), m.rids[oids[0]])
+	twice := m.ExportDirectory()
+	twice.Extents = append(twice.Extents, ExtentDir{Type: "Label", OIDs: oids[:1]})
 	cases := map[string]struct {
 		snapshot []byte
 		deltas   [][]byte
@@ -162,6 +165,7 @@ func TestRestoreDirectoryRejectsCorruptPayloads(t *testing.T) {
 		"move of an unknown OID":        {snapshot: good, deltas: [][]byte{mv.enc.buf}},
 		"delete twice":                  {snapshot: good, deltas: [][]byte{del.enc.buf, del.enc.buf}},
 		"entries do not match the heap": {snapshot: good, deltas: [][]byte{del.enc.buf}},
+		"OID in two extensions":         {snapshot: twice.Snapshot()},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -174,4 +178,55 @@ func TestRestoreDirectoryRejectsCorruptPayloads(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzRestoreDirectory feeds arbitrary snapshot and delta payloads to the
+// directory decoders RestoreDirectory runs. None may panic or allocate more
+// than a fixed multiple of the input: every count is bounded by the bytes
+// left. A payload pair they accept must decode to a directory in which every
+// extension member has a directory entry, sits in one extension once, and
+// is indexed at its position. The committed corpus in
+// testdata/fuzz/FuzzRestoreDirectory holds payloads of the shapes
+// TestDirJournalReplayMatchesExport and
+// TestRestoreDirectoryRejectsCorruptPayloads build.
+func FuzzRestoreDirectory(f *testing.F) {
+	m, oids := relocateFixture(f)
+	var j dirJournal
+	j.create(OID(500), "Point", m.rids[oids[0]])
+	j.move(oids[1], m.rids[oids[2]])
+	j.delete(oids[3], "Point")
+	f.Add(m.ExportDirectory().Snapshot(), j.enc.buf)
+	f.Fuzz(func(t *testing.T, snapshot, delta []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rids, extents, err := decodeSnapshot(snapshot)
+		if err == nil {
+			_, err = replayDelta(rids, extents, delta)
+		}
+		runtime.ReadMemStats(&after)
+		if n, budget := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+512*(len(snapshot)+len(delta))); n > budget {
+			t.Fatalf("decoding %d+%d bytes allocated %d bytes, budget %d", len(snapshot), len(delta), n, budget)
+		}
+		if err != nil {
+			return
+		}
+		listed := map[OID]string{}
+		for tn, ext := range extents {
+			if len(ext.pos) != len(ext.order) {
+				t.Fatalf("extension of %q: %d members, %d indexed", tn, len(ext.order), len(ext.pos))
+			}
+			for i, oid := range ext.order {
+				if _, ok := rids[oid]; !ok {
+					t.Fatalf("extension of %q lists %v, which has no directory entry", tn, oid)
+				}
+				if other, dup := listed[oid]; dup {
+					t.Fatalf("%v is listed by the extensions of %q and %q", oid, other, tn)
+				}
+				listed[oid] = tn
+				if ext.pos[oid] != i {
+					t.Fatalf("extension of %q: %v at %d is indexed at %d", tn, oid, i, ext.pos[oid])
+				}
+			}
+		}
+	})
 }

@@ -60,6 +60,62 @@ func (o *Obj) RemoveDepFct(fid string) bool {
 type extent struct {
 	order []OID
 	pos   map[OID]int
+	// undo logs, oldest first, every add and remove the MVCC writer made
+	// since the reclamation floor (see appendAt). Empty without MVCC.
+	undo []extUndo
+}
+
+// extUndo undoes one extent mutation made in the epoch whose pre-state is
+// publish version ver. An add has slot -1; a swap-remove records the slot
+// the removed oid held.
+type extUndo struct {
+	ver  uint64
+	slot int
+	oid  OID
+}
+
+// logAdd records, before add runs, how to undo it.
+func (e *extent) logAdd(ver uint64) {
+	e.undo = append(e.undo, extUndo{ver: ver, slot: -1})
+}
+
+// logRemove records, before remove(oid) runs, how to undo it.
+func (e *extent) logRemove(ver uint64, oid OID) {
+	if i, ok := e.pos[oid]; ok {
+		e.undo = append(e.undo, extUndo{ver: ver, slot: i, oid: oid})
+	}
+}
+
+// appendAt appends the extent's membership as of version ver to out, in the
+// order the live extent had then: the live order with every mutation logged
+// at or after ver undone, newest first.
+func (e *extent) appendAt(out []OID, ver uint64) []OID {
+	base := len(out)
+	out = append(out, e.order...)
+	for k := len(e.undo) - 1; k >= 0 && e.undo[k].ver >= ver; k-- {
+		u := e.undo[k]
+		switch {
+		case u.slot < 0:
+			out = out[:len(out)-1]
+		case base+u.slot == len(out):
+			out = append(out, u.oid)
+		default:
+			out = append(out, out[base+u.slot])
+			out[base+u.slot] = u.oid
+		}
+	}
+	return out
+}
+
+// reclaim drops the undo records below floor, keeping the log's capacity.
+func (e *extent) reclaim(floor uint64) {
+	j := 0
+	for j < len(e.undo) && e.undo[j].ver < floor {
+		j++
+	}
+	if j > 0 {
+		e.undo = e.undo[:copy(e.undo, e.undo[j:])]
+	}
 }
 
 func (e *extent) add(oid OID) {
@@ -67,16 +123,19 @@ func (e *extent) add(oid OID) {
 	e.order = append(e.order, oid)
 }
 
-func (e *extent) remove(oid OID) {
+// remove swap-removes oid: the last member takes its slot. It reports whether
+// oid was a member.
+func (e *extent) remove(oid OID) bool {
 	i, ok := e.pos[oid]
 	if !ok {
-		return
+		return false
 	}
 	last := len(e.order) - 1
 	e.order[i] = e.order[last]
 	e.pos[e.order[i]] = i
 	e.order = e.order[:last]
 	delete(e.pos, oid)
+	return true
 }
 
 // Manager stores objects in a paged heap file, maintains the OID directory
@@ -115,16 +174,15 @@ type Manager struct {
 	// Writes counts Put calls.
 	Writes int64
 
-	// MVCC snapshot-read state. Writers capture pre-images of the OID
-	// directory and the extents under verMu before mutating them; pinned
-	// readers reconstruct both at their version under verMu.RLock, with the
-	// record bytes served by the storage layer's page overlay. Charged
-	// accessors skip verMu entirely: they run either under the exclusive
-	// Database lock or with no writer present.
+	// MVCC snapshot-read state. Writers capture pre-images of OID directory
+	// entries and log extent mutations (extent.undo) under verMu before
+	// mutating; pinned readers reconstruct both at their version under
+	// verMu.RLock, with the record bytes served by the storage layer's page
+	// overlay. Charged accessors skip verMu entirely: they run either under
+	// the exclusive Database lock or with no writer present.
 	st      *mvcc.State
 	verMu   sync.RWMutex
 	ridVers map[OID][]ridCapture
-	extVers map[string][]extCapture
 
 	// journal, non-nil only while a durable store is attached, records every
 	// directory mutation since the last checkpoint (see directory.go).
@@ -136,12 +194,6 @@ type ridCapture struct {
 	ver     uint64
 	rid     storage.RID
 	present bool
-}
-
-// extCapture is a pre-image of one type extent's membership as of ver.
-type extCapture struct {
-	ver   uint64
-	order []OID
 }
 
 // NewManager returns an object manager storing objects via pool.
@@ -174,11 +226,10 @@ type OIDAllocator interface {
 func (m *Manager) SetOIDAllocator(a OIDAllocator) { m.alloc = a }
 
 // SetMVCC attaches the shared MVCC version state, enabling pre-image
-// capture on directory and extent mutations.
+// capture on directory mutations and undo logging on extent mutations.
 func (m *Manager) SetMVCC(st *mvcc.State) {
 	m.st = st
 	m.ridVers = make(map[OID][]ridCapture)
-	m.extVers = make(map[string][]extCapture)
 }
 
 // captureRID records the pre-image of oid's directory entry for the current
@@ -190,20 +241,6 @@ func (m *Manager) captureRID(oid OID, stable uint64) {
 	}
 	rid, ok := m.rids[oid]
 	m.ridVers[oid] = append(caps, ridCapture{ver: stable, rid: rid, present: ok})
-}
-
-// captureExt records the pre-image of a type extent's membership for the
-// current epoch. Caller holds verMu.
-func (m *Manager) captureExt(typeName string, stable uint64) {
-	caps := m.extVers[typeName]
-	if n := len(caps); n > 0 && caps[n-1].ver == stable {
-		return
-	}
-	var order []OID
-	if ext := m.extents[typeName]; ext != nil {
-		order = append([]OID(nil), ext.order...)
-	}
-	m.extVers[typeName] = append(caps, extCapture{ver: stable, order: order})
 }
 
 // GetVersioned reads and decodes the object with the given OID as of MVCC
@@ -231,31 +268,22 @@ func (m *Manager) GetVersioned(oid OID, ver uint64) (*Obj, error) {
 }
 
 // ExtensionVersioned returns the OIDs of all instances of typeName and its
-// subtypes as of MVCC version ver. The slice is a copy.
+// subtypes as of MVCC version ver, in the order Extension returned then. The
+// slice is a copy.
 func (m *Manager) ExtensionVersioned(typeName string, ver uint64) []OID {
 	var out []OID
 	m.verMu.RLock()
 	defer m.verMu.RUnlock()
 	for _, tn := range m.Reg.WithSubtypes(typeName) {
-		captured := false
-		for _, c := range m.extVers[tn] {
-			if c.ver >= ver {
-				out = append(out, c.order...)
-				captured = true
-				break
-			}
-		}
-		if !captured {
-			if ext := m.extents[tn]; ext != nil {
-				out = append(out, ext.order...)
-			}
+		if ext := m.extents[tn]; ext != nil {
+			out = ext.appendAt(out, ver)
 		}
 	}
 	return out
 }
 
-// ReclaimVersions drops directory and extent captures no pinned reader can
-// reach (tags below floor).
+// ReclaimVersions drops directory captures and extent undo records no pinned
+// reader can reach (tags below floor).
 func (m *Manager) ReclaimVersions(floor uint64) {
 	if m.st == nil {
 		return
@@ -273,21 +301,13 @@ func (m *Manager) ReclaimVersions(floor uint64) {
 			m.ridVers[oid] = append([]ridCapture(nil), caps[j:]...)
 		}
 	}
-	for tn, caps := range m.extVers {
-		j := 0
-		for j < len(caps) && caps[j].ver < floor {
-			j++
-		}
-		if j == len(caps) {
-			delete(m.extVers, tn)
-		} else if j > 0 {
-			m.extVers[tn] = append([]extCapture(nil), caps[j:]...)
-		}
+	for _, ext := range m.extents {
+		ext.reclaim(floor)
 	}
 }
 
-// VersionCaptureCount reports the number of retained directory and extent
-// pre-images (audits).
+// VersionCaptureCount reports the number of retained directory pre-images
+// and extent undo records (audits).
 func (m *Manager) VersionCaptureCount() int {
 	m.verMu.RLock()
 	defer m.verMu.RUnlock()
@@ -295,8 +315,8 @@ func (m *Manager) VersionCaptureCount() int {
 	for _, caps := range m.ridVers {
 		n += len(caps)
 	}
-	for _, caps := range m.extVers {
-		n += len(caps)
+	for _, ext := range m.extents {
+		n += len(ext.undo)
 	}
 	return n
 }
@@ -387,13 +407,13 @@ func (m *Manager) store(o *Obj) (OID, error) {
 	}
 	if m.st != nil {
 		m.verMu.Lock()
+		defer m.verMu.Unlock()
 		stable := m.st.Stable()
 		m.captureRID(o.OID, stable)
-		m.captureExt(o.Type, stable)
-		defer m.verMu.Unlock()
+		extentOf(m.extents, o.Type).logAdd(stable)
 	}
 	m.rids[o.OID] = rid
-	addToExtent(m.extents, o.Type, o.OID)
+	extentOf(m.extents, o.Type).add(o.OID)
 	if m.journal != nil {
 		m.journal.create(o.OID, o.Type, rid)
 	}
@@ -515,26 +535,29 @@ func (m *Manager) Delete(oid OID) error {
 	if !ok {
 		return fmt.Errorf("object: delete of unknown object %v", oid)
 	}
-	o, err := m.Get(oid)
+	typ, err := m.TypeOf(oid)
 	if err != nil {
 		return err
 	}
 	if err := m.heap.Delete(rid); err != nil {
 		return err
 	}
+	ext := m.extents[typ]
 	if m.st != nil {
 		m.verMu.Lock()
+		defer m.verMu.Unlock()
 		stable := m.st.Stable()
 		m.captureRID(oid, stable)
-		m.captureExt(o.Type, stable)
-		defer m.verMu.Unlock()
+		if ext != nil {
+			ext.logRemove(stable, oid)
+		}
 	}
 	delete(m.rids, oid)
-	if ext := m.extents[o.Type]; ext != nil {
+	if ext != nil {
 		ext.remove(oid)
 	}
 	if m.journal != nil {
-		m.journal.delete(oid, o.Type)
+		m.journal.delete(oid, typ)
 	}
 	return nil
 }

@@ -10,7 +10,7 @@ import (
 	"gomdb/internal/storage"
 )
 
-func testManager(t *testing.T) (*Manager, *Registry) {
+func testManager(t testing.TB) (*Manager, *Registry) {
 	t.Helper()
 	clock := storage.NewClock()
 	disk := storage.NewDisk(clock)

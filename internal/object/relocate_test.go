@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-func relocateFixture(t *testing.T) (*Manager, []OID) {
+func relocateFixture(t testing.TB) (*Manager, []OID) {
 	t.Helper()
 	m, reg := testManager(t)
 	if err := reg.Register(NewTupleType("Point",

@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"math/bits"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"gomdb/internal/mvcc"
 )
@@ -21,8 +23,13 @@ import (
 // shard mutex or missMu (MutatePage runs after Pin has released the shard
 // mutex; ReadVersioned acquires pool locks while holding the stripe lock).
 type pageVersions struct {
-	st      *mvcc.State
+	st *mvcc.State
+	// stripes are indexed by stripeOf; there are 64, one per bit of held.
 	stripes [64]pvStripe
+	// held has bit i set while stripe i holds captures, so dropBelow visits
+	// only those stripes. A stripe's bit is set and cleared under its lock;
+	// the word is shared, hence the CAS loops (go 1.22 has no atomic Or/And).
+	held atomic.Uint64
 }
 
 type pvStripe struct {
@@ -53,15 +60,30 @@ func newPageVersions(st *mvcc.State) *pageVersions {
 	return pv
 }
 
-func (pv *pageVersions) stripe(id PageID) *pvStripe {
-	return &pv.stripes[uint64(id)%uint64(len(pv.stripes))]
+func stripeOf(id PageID) int { return int(uint64(id) % 64) }
+
+// setHeld sets (on) or clears the held bit of stripe i. Caller holds the
+// stripe's lock.
+func (pv *pageVersions) setHeld(i int, on bool) {
+	bit := uint64(1) << i
+	for {
+		old := pv.held.Load()
+		next := old &^ bit
+		if on {
+			next = old | bit
+		}
+		if next == old || pv.held.CompareAndSwap(old, next) {
+			return
+		}
+	}
 }
 
 // mutate runs fn (the caller's in-place mutation of f.Data) under the
 // page's stripe write lock, capturing the pre-image first if this is the
 // page's first mutation of the current epoch.
 func (pv *pageVersions) mutate(f *Frame, fn func()) {
-	s := pv.stripe(f.id)
+	i := stripeOf(f.id)
+	s := &pv.stripes[i]
 	stable := pv.st.Stable()
 	s.mu.Lock()
 	caps, ok := s.m[f.id]
@@ -73,6 +95,7 @@ func (pv *pageVersions) mutate(f *Frame, fn func()) {
 		data := capturePool.Get().(*[PageSize]byte)
 		*data = f.Data
 		s.m[f.id] = append(caps, pageCapture{ver: stable, data: data})
+		pv.setHeld(i, true)
 	}
 	fn()
 	s.mu.Unlock()
@@ -84,7 +107,7 @@ func (pv *pageVersions) mutate(f *Frame, fn func()) {
 // under the stripe read lock so a concurrent capture-and-mutate cannot
 // tear it.
 func (pv *pageVersions) readAt(bp *BufferPool, id PageID, ver uint64, dst *[PageSize]byte) error {
-	s := pv.stripe(id)
+	s := &pv.stripes[stripeOf(id)]
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	caps := s.m[id]
@@ -97,12 +120,14 @@ func (pv *pageVersions) readAt(bp *BufferPool, id PageID, ver uint64, dst *[Page
 }
 
 // dropBelow reclaims every capture tagged below floor — no pinned reader
-// can reach them. Called from the facade's publish point. The buffers go
-// back to capturePool under the stripe lock, which readAt holds while it
-// copies one; an emptied capture slice is kept on the stripe's spare list
-// for the next page captured there.
+// can reach them. Called from the facade's publish point, it visits only the
+// stripes whose held bit is set and clears the bit of each it empties. The
+// buffers go back to capturePool under the stripe lock, which readAt holds
+// while it copies one; an emptied capture slice is kept on the stripe's
+// spare list for the next page captured there.
 func (pv *pageVersions) dropBelow(floor uint64) {
-	for i := range pv.stripes {
+	for held := pv.held.Load(); held != 0; held &= held - 1 {
+		i := bits.TrailingZeros64(held)
 		s := &pv.stripes[i]
 		s.mu.Lock()
 		for id, caps := range s.m {
@@ -122,6 +147,9 @@ func (pv *pageVersions) dropBelow(floor uint64) {
 			} else {
 				s.m[id] = caps[:n]
 			}
+		}
+		if len(s.m) == 0 {
+			pv.setHeld(i, false)
 		}
 		s.mu.Unlock()
 	}

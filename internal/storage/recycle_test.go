@@ -6,6 +6,7 @@ import (
 	"runtime/debug"
 	"sync"
 	"testing"
+	"time"
 
 	"gomdb/internal/mvcc"
 )
@@ -306,5 +307,61 @@ func TestRecycledFramesSnapshotStress(t *testing.T) {
 	}
 	if hits, misses := pool.HitStats(); misses == 0 {
 		t.Fatalf("no evictions (hits=%d): the stress did not recycle frames", hits)
+	}
+}
+
+// TestPublishVisitsOnlyStripesHoldingCaptures: the held mask tracks exactly
+// the stripes with captures — set by a capture, kept while a pinned reader
+// needs it, cleared by the publish that empties the stripe — and a publish
+// after a write that captured nothing visits no stripe and allocates nothing.
+func TestPublishVisitsOnlyStripesHoldingCaptures(t *testing.T) {
+	pool, _ := newPool(8)
+	st := mvcc.NewState()
+	pool.SetMVCC(st)
+	pv := pool.pv
+	f, err := pool.PinNew()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bit := uint64(1) << stripeOf(f.ID())
+	_, release := st.Pin()
+	pool.MutatePage(f, func() { f.Data[0]++ })
+	if held := pv.held.Load(); held != bit {
+		t.Fatalf("held = %#x after one capture, want %#x", held, bit)
+	}
+	pool.ReclaimVersions(st.Publish())
+	if held := pv.held.Load(); held != bit || pool.VersionCaptureCount() != 1 {
+		t.Fatalf("held = %#x with %d captures while a reader pins the pre-image", held, pool.VersionCaptureCount())
+	}
+	release()
+	pool.ReclaimVersions(st.Publish())
+	if held := pv.held.Load(); held != 0 || pool.VersionCaptureCount() != 0 {
+		t.Fatalf("held = %#x with %d captures after the last reader left", held, pool.VersionCaptureCount())
+	}
+
+	// With every stripe locked, a publish that visited one would block.
+	for i := range pv.stripes {
+		pv.stripes[i].mu.Lock()
+	}
+	done := make(chan struct{})
+	go func() {
+		pool.ReclaimVersions(st.Publish())
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Error("a publish with no captures held visited a stripe")
+	}
+	for i := range pv.stripes {
+		pv.stripes[i].mu.Unlock()
+	}
+	<-done
+
+	if raceEnabled() {
+		return
+	}
+	if n := testing.AllocsPerRun(100, func() { pool.ReclaimVersions(st.Publish()) }); n != 0 {
+		t.Fatalf("a publish with no captures allocates %v times, want 0", n)
 	}
 }

@@ -10,11 +10,15 @@ package gomdb_test
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"gomdb"
+	"gomdb/internal/fixtures"
 )
 
 // materializedRectangleDBLazy is materializedRectangleDB with the lazy
@@ -160,5 +164,133 @@ func TestSnapshotReadersRaceWriters(t *testing.T) {
 	}
 	if err := rep.Err(); err != nil {
 		t.Fatalf("post-race audit: %v", err)
+	}
+}
+
+// TestExtensionSnapshotStress races snapshot views' Extension("Cuboid")
+// against one writer that creates and deletes cuboids, singly and in
+// batches, so the extent's undo log is appended to, replayed and reclaimed
+// while readers hold pins. After every write the writer records the stable
+// version and the live extension. The Cuboid extension changes only at those
+// writes (the vertex creations between them publish too), so a view pinned
+// at v must answer exactly the last record at or before v, order included.
+// Meant to be run as go test -race -count=10 -run TestExtensionSnapshotStress.
+func TestExtensionSnapshotStress(t *testing.T) {
+	db := gomdb.Open(gomdb.DefaultConfig())
+	if err := fixtures.DefineGeometry(db, false); err != nil {
+		t.Fatal(err)
+	}
+	g, err := fixtures.PopulateGeometry(db, 24, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type record struct {
+		ver uint64
+		ext []gomdb.OID
+	}
+	var mu sync.Mutex // guards records
+	records := []record{{db.MVCCStats().StableVersion, db.Extension("Cuboid")}}
+	// check compares an answer with the last record at or before its
+	// version. Caller holds mu.
+	check := func(a record) error {
+		k := sort.Search(len(records), func(k int) bool { return records[k].ver > a.ver }) - 1
+		if want := records[k]; !slices.Equal(a.ext, want.ext) {
+			return fmt.Errorf("view at v%d: Extension = %v, the writer published %v at v%d", a.ver, a.ext, want.ext, want.ver)
+		}
+		return nil
+	}
+
+	var stop atomic.Bool
+	var checked atomic.Int64
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// An answer is checked once the writer has recorded a later
+			// version: until then the record for its version may be pending.
+			var pending []record
+			drain := func(final bool) {
+				mu.Lock()
+				defer mu.Unlock()
+				for len(pending) > 0 && (final || records[len(records)-1].ver > pending[0].ver) {
+					if err := check(pending[0]); err != nil {
+						t.Error(err)
+						stop.Store(true)
+					}
+					pending = pending[1:]
+					checked.Add(1)
+				}
+			}
+			for !stop.Load() {
+				view := db.SnapshotView()
+				pending = append(pending, record{view.Version(), view.Extension("Cuboid")})
+				view.Release()
+				drain(false)
+			}
+			drain(true)
+		}()
+	}
+	stopReaders := sync.OnceFunc(func() {
+		stop.Store(true)
+		wg.Wait()
+	})
+	defer stopReaders()
+
+	rng := rand.New(rand.NewSource(1))
+	live := append([]gomdb.OID(nil), g.Cuboids...)
+	pick := func() gomdb.OID {
+		i := rng.Intn(len(live))
+		oid := live[i]
+		live[i] = live[len(live)-1]
+		live = live[:len(live)-1]
+		return oid
+	}
+	v1, err := db.GetAttr(g.Cuboids[0], "V1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300 && !stop.Load(); i++ {
+		switch r := rng.Intn(10); {
+		case r < 4 || len(live) < 8:
+			live = append(live, g.CreateRandomCuboid())
+		case r < 8:
+			if err := db.Delete(pick()); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			// Two deletes and a create in one epoch.
+			a, b := pick(), pick()
+			if err := db.Batch(func(tx *gomdb.Tx) error {
+				if err := tx.Delete(a); err != nil {
+					return err
+				}
+				attrs := []gomdb.Value{v1, v1, v1, v1, v1, v1, v1, v1,
+					gomdb.Ref(g.MaterialO[0]), gomdb.Float(1), gomdb.Int(int64(10000 + i))}
+				oid, err := tx.New("Cuboid", attrs...)
+				if err != nil {
+					return err
+				}
+				live = append(live, oid)
+				return tx.Delete(b)
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mu.Lock()
+		records = append(records, record{db.MVCCStats().StableVersion, db.Extension("Cuboid")})
+		mu.Unlock()
+	}
+	stopReaders()
+	if checked.Load() == 0 {
+		t.Fatal("no snapshot read completed")
+	}
+	t.Logf("%d snapshot answers checked against %d writes", checked.Load(), len(records)-1)
+	// One more publish with no reader pinned reclaims every capture.
+	if err := db.Delete(pick()); err != nil {
+		t.Fatal(err)
+	}
+	if st := db.MVCCStats(); st.ActivePins != 0 || st.ObjectCaptures != 0 {
+		t.Fatalf("after quiescence: %+v", st)
 	}
 }

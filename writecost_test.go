@@ -1,0 +1,86 @@
+package gomdb_test
+
+// Writes cost O(change): the MVCC bookkeeping of a create or a delete is
+// proportional to what it changed, not to the size of the base.
+
+import (
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"testing"
+
+	"gomdb"
+)
+
+// raceEnabled reports whether the test binary was built with -race, whose
+// runtime allocates on its own.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// writeCost measures one facade New and one Delete of a Rectangle on a base
+// of n live rectangles: allocations per call (testing.AllocsPerRun) and the
+// median bytes a single call allocates. The median leaves out the calls that
+// happen to grow a map or slice, whose amortized cost is O(1) anyway.
+func writeCost(t *testing.T, n int) (newAllocs, delAllocs float64, newBytes, delBytes uint64) {
+	t.Helper()
+	db := rectangleDB(t)
+	for i := 0; i < n; i++ {
+		db.MustNew("Rectangle", gomdb.Float(float64(i)), gomdb.Float(2))
+	}
+	const runs = 200
+	made := make([]gomdb.OID, 0, 4*(runs+1))
+	create := func() { made = append(made, db.MustNew("Rectangle", gomdb.Float(1), gomdb.Float(2))) }
+	del := func() {
+		if err := db.Delete(made[len(made)-1]); err != nil {
+			t.Fatal(err)
+		}
+		made = made[:len(made)-1]
+	}
+	newAllocs = testing.AllocsPerRun(runs, create)
+	delAllocs = testing.AllocsPerRun(runs, del)
+	median := func(fn func()) uint64 {
+		var sizes []uint64
+		var before, after runtime.MemStats
+		for i := 0; i < runs; i++ {
+			runtime.ReadMemStats(&before)
+			fn()
+			runtime.ReadMemStats(&after)
+			sizes = append(sizes, after.TotalAlloc-before.TotalAlloc)
+		}
+		slices.Sort(sizes)
+		return sizes[runs/2]
+	}
+	newBytes = median(create)
+	delBytes = median(del)
+	return
+}
+
+// TestWriteCostIndependentOfBaseSize pins the O(change) rule for creates and
+// deletes: their allocation count and their median allocated bytes are the
+// same on 1 000 and on 8 000 live objects. The bytes are checked as well as
+// the count: copying a type's whole extent per write would be one allocation
+// at either size, but of 8 bytes per member.
+func TestWriteCostIndependentOfBaseSize(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	na1, da1, nb1, db1 := writeCost(t, 1000)
+	na8, da8, nb8, db8 := writeCost(t, 8000)
+	t.Logf("New: %v allocs, %d B; Delete: %v allocs, %d B (1k objects)", na1, nb1, da1, db1)
+	if na1 != na8 || da1 != da8 {
+		t.Errorf("allocs per New %v at 1k objects, %v at 8k; per Delete %v and %v", na1, na8, da1, da8)
+	}
+	if nb1 != nb8 || db1 != db8 {
+		t.Errorf("median bytes per New %d at 1k objects, %d at 8k; per Delete %d and %d", nb1, nb8, db1, db8)
+	}
+}
