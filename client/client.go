@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"gomdb"
-	"gomdb/internal/query"
 	"gomdb/internal/wire"
 )
 
@@ -32,8 +31,11 @@ type Options struct {
 	CallTimeout time.Duration
 }
 
-// Client is one protocol session.
+// Client is one protocol session. The batchable operations (New, NewSet,
+// Delete, Set, GetAttr, Insert, Remove, Call) come from the op set it
+// shares with Batch.
 type Client struct {
+	ops
 	opts Options
 
 	mu     sync.Mutex
@@ -62,6 +64,7 @@ func Dial(addr string, opts Options) (*Client, error) {
 // handshake. On error the connection is left to the caller to close.
 func New(conn net.Conn, opts Options) (*Client, error) {
 	c := &Client{opts: opts, conn: conn, br: bufio.NewReader(conn)}
+	c.ops = ops{c: c}
 	resp, err := c.roundTrip(&wire.Request{Op: wire.OpHello, WireVersion: wire.Version, Token: opts.Token})
 	if err != nil {
 		return nil, err
@@ -90,25 +93,36 @@ func (c *Client) Close() error {
 	c.closed = true
 	c.mu.Unlock()
 	// Best-effort goodbye; the close matters more than the ack.
-	c.exchange(&wire.Request{Op: wire.OpGoodbye})
+	c.exchange(&wire.Request{Op: wire.OpGoodbye}, wire.RespAck)
 	return c.conn.Close()
 }
 
 // Ping round-trips a liveness probe.
 func (c *Client) Ping() error {
-	_, err := c.exchangeAck(&wire.Request{Op: wire.OpPing})
+	_, err := c.exchange(&wire.Request{Op: wire.OpPing}, wire.RespAck)
 	return err
 }
 
 // --- wire plumbing ---------------------------------------------------------
 
-var errClosed = wire.Errf(wire.CodeShutdown, "client is closed")
+var (
+	errClosed      = wire.Errf(wire.CodeShutdown, "client is closed")
+	errBatchClosed = wire.Errf(wire.CodeBatch, "batch already closed")
+)
 
-// exchange performs one serialized request/response round trip.
-func (c *Client) exchange(req *wire.Request) (*wire.Response, error) {
+// exchange performs one serialized request/response round trip and insists
+// on a response of kind want.
+func (c *Client) exchange(req *wire.Request, want wire.Opcode) (*wire.Response, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.roundTrip(req)
+	resp, err := c.roundTrip(req)
+	c.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	if resp.Op != want {
+		return nil, wire.Errf(wire.CodeMalformed, "%s answered with %s, expected %s", req.Op, resp.Op, want)
+	}
+	return resp, nil
 }
 
 // roundTrip writes req and reads its (non-stream) response. Callers hold
@@ -170,107 +184,73 @@ func (c *Client) recv(id uint64) (*wire.Response, error) {
 	return resp, nil
 }
 
-// exchangeAck round-trips req and insists on RespAck.
-func (c *Client) exchangeAck(req *wire.Request) (*wire.Response, error) {
-	resp, err := c.exchange(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Op != wire.RespAck {
-		return nil, wire.Errf(wire.CodeMalformed, "expected ack, got %s", resp.Op)
-	}
-	return resp, nil
-}
-
-// exchangeStream round-trips a streamed request: RespStreamBegin of the
-// expected kind, any number of RespChunk frames, RespDone. Each chunk is
-// handed to sink; the reported total is verified against the delivered row
-// count, so a lost chunk cannot pass silently.
-func (c *Client) exchangeStream(req *wire.Request, kind wire.StreamKind, sink func(*wire.Response) int) error {
+// stream round-trips a streamed request: RespStreamBegin of the expected
+// kind, any number of RespChunk frames, RespDone. It returns the begin
+// frame's columns and the rows picked out of every chunk; the reported total
+// is verified against the delivered row count, so a lost chunk cannot pass
+// silently.
+func stream[T any](c *Client, req *wire.Request, kind wire.StreamKind, rows func(*wire.Response) []T) ([]string, []T, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	id, err := c.send(req)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	begin, err := c.recv(id)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	if begin.Op != wire.RespStreamBegin || begin.Stream != kind {
-		return wire.Errf(wire.CodeMalformed, "expected %d-stream begin, got %s", kind, begin.Op)
+		return nil, nil, wire.Errf(wire.CodeMalformed, "expected %d-stream begin, got %s", kind, begin.Op)
 	}
-	sink(begin) // columns travel on the begin frame
-	delivered := 0
+	var out []T
 	for {
 		resp, err := c.recv(id)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		switch resp.Op {
 		case wire.RespChunk:
 			if resp.Stream != kind {
-				return wire.Errf(wire.CodeMalformed, "stream kind changed mid-stream")
+				return nil, nil, wire.Errf(wire.CodeMalformed, "stream kind changed mid-stream")
 			}
-			delivered += sink(resp)
+			out = append(out, rows(resp)...)
 		case wire.RespDone:
-			if uint64(delivered) != resp.Total {
-				return wire.Errf(wire.CodeMalformed, "stream delivered %d rows, server sent %d", delivered, resp.Total)
+			if uint64(len(out)) != resp.Total {
+				return nil, nil, wire.Errf(wire.CodeMalformed, "stream delivered %d rows, server sent %d", len(out), resp.Total)
 			}
-			return nil
+			return begin.Columns, out, nil
 		default:
-			return wire.Errf(wire.CodeMalformed, "unexpected %s inside stream", resp.Op)
+			return nil, nil, wire.Errf(wire.CodeMalformed, "unexpected %s inside stream", resp.Op)
 		}
 	}
 }
 
-// --- embedded-API surface --------------------------------------------------
+// --- the batchable operations ----------------------------------------------
 
-// Query runs a GOMql statement with named parameters.
-func (c *Client) Query(src string, params map[string]gomdb.Value) (*gomdb.QueryResult, error) {
-	res := &query.Result{}
-	err := c.exchangeStream(&wire.Request{Op: wire.OpQuery, Name: src, Params: params}, wire.StreamQuery,
-		func(resp *wire.Response) int {
-			if resp.Op == wire.RespStreamBegin {
-				res.Columns = resp.Columns
-				return 0
-			}
-			res.Rows = append(res.Rows, resp.Rows...)
-			return len(resp.Rows)
-		})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+// ops is the op set Client and Batch share, so each batchable operation is
+// written once. b is nil on a Client: each op travels as itself. On a Batch
+// each op travels as the sub-operation of an OpBatchOp.
+type ops struct {
+	c *Client
+	b *Batch
 }
 
-// Call invokes a function or operation (forward query when materialized).
-func (c *Client) Call(fn string, args ...gomdb.Value) (gomdb.Value, error) {
-	resp, err := c.exchange(&wire.Request{Op: wire.OpCall, Name: fn, Args: args})
-	if err != nil {
-		return gomdb.Value{}, err
+// do round-trips one batchable operation and insists on a response of kind
+// want. An op on a closed batch fails without touching the connection.
+func (o ops) do(req *wire.Request, want wire.Opcode) (*wire.Response, error) {
+	if o.b == nil {
+		return o.c.exchange(req, want)
 	}
-	return resp.Val, nil
-}
-
-// GetAttr reads one attribute.
-func (c *Client) GetAttr(oid gomdb.OID, attr string) (gomdb.Value, error) {
-	resp, err := c.exchange(&wire.Request{Op: wire.OpGetAttr, OID: oid, Attr: attr})
-	if err != nil {
-		return gomdb.Value{}, err
+	if o.b.done {
+		return nil, errBatchClosed
 	}
-	return resp.Val, nil
-}
-
-// Set performs the elementary update oid.set_attr(v).
-func (c *Client) Set(oid gomdb.OID, attr string, v gomdb.Value) error {
-	_, err := c.exchangeAck(&wire.Request{Op: wire.OpSet, OID: oid, Attr: attr, Val: v})
-	return err
+	return o.c.exchange(&wire.Request{Op: wire.OpBatchOp, Sub: req}, want)
 }
 
 // New creates a tuple-structured instance.
-func (c *Client) New(typeName string, attrs ...gomdb.Value) (gomdb.OID, error) {
-	resp, err := c.exchange(&wire.Request{Op: wire.OpNew, Name: typeName, Args: attrs})
+func (o ops) New(typeName string, attrs ...gomdb.Value) (gomdb.OID, error) {
+	resp, err := o.do(&wire.Request{Op: wire.OpNew, Name: typeName, Args: attrs}, wire.RespOID)
 	if err != nil {
 		return 0, err
 	}
@@ -278,8 +258,8 @@ func (c *Client) New(typeName string, attrs ...gomdb.Value) (gomdb.OID, error) {
 }
 
 // NewSet creates a set- or list-structured instance.
-func (c *Client) NewSet(typeName string, elems ...gomdb.Value) (gomdb.OID, error) {
-	resp, err := c.exchange(&wire.Request{Op: wire.OpNewSet, Name: typeName, Args: elems})
+func (o ops) NewSet(typeName string, elems ...gomdb.Value) (gomdb.OID, error) {
+	resp, err := o.do(&wire.Request{Op: wire.OpNewSet, Name: typeName, Args: elems}, wire.RespOID)
 	if err != nil {
 		return 0, err
 	}
@@ -287,121 +267,119 @@ func (c *Client) NewSet(typeName string, elems ...gomdb.Value) (gomdb.OID, error
 }
 
 // Delete removes an object.
-func (c *Client) Delete(oid gomdb.OID) error {
-	_, err := c.exchangeAck(&wire.Request{Op: wire.OpDelete, OID: oid})
+func (o ops) Delete(oid gomdb.OID) error {
+	_, err := o.do(&wire.Request{Op: wire.OpDelete, OID: oid}, wire.RespAck)
 	return err
 }
 
+// Set performs the elementary update oid.set_attr(v).
+func (o ops) Set(oid gomdb.OID, attr string, v gomdb.Value) error {
+	_, err := o.do(&wire.Request{Op: wire.OpSet, OID: oid, Attr: attr, Val: v}, wire.RespAck)
+	return err
+}
+
+// GetAttr reads one attribute.
+func (o ops) GetAttr(oid gomdb.OID, attr string) (gomdb.Value, error) {
+	resp, err := o.do(&wire.Request{Op: wire.OpGetAttr, OID: oid, Attr: attr}, wire.RespValue)
+	if err != nil {
+		return gomdb.Value{}, err
+	}
+	return resp.Val, nil
+}
+
 // Insert performs set.insert(elem).
-func (c *Client) Insert(set gomdb.OID, elem gomdb.Value) error {
-	_, err := c.exchangeAck(&wire.Request{Op: wire.OpInsert, OID: set, Val: elem})
+func (o ops) Insert(set gomdb.OID, elem gomdb.Value) error {
+	_, err := o.do(&wire.Request{Op: wire.OpInsert, OID: set, Val: elem}, wire.RespAck)
 	return err
 }
 
 // Remove performs set.remove(elem).
-func (c *Client) Remove(set gomdb.OID, elem gomdb.Value) error {
-	_, err := c.exchangeAck(&wire.Request{Op: wire.OpRemove, OID: set, Val: elem})
+func (o ops) Remove(set gomdb.OID, elem gomdb.Value) error {
+	_, err := o.do(&wire.Request{Op: wire.OpRemove, OID: set, Val: elem}, wire.RespAck)
 	return err
+}
+
+// Call invokes a function or operation (forward query when materialized).
+func (o ops) Call(fn string, args ...gomdb.Value) (gomdb.Value, error) {
+	resp, err := o.do(&wire.Request{Op: wire.OpCall, Name: fn, Args: args}, wire.RespValue)
+	if err != nil {
+		return gomdb.Value{}, err
+	}
+	return resp.Val, nil
+}
+
+// --- the rest of the embedded-API surface ----------------------------------
+
+// Query runs a GOMql statement with named parameters.
+func (c *Client) Query(src string, params map[string]gomdb.Value) (*gomdb.QueryResult, error) {
+	cols, rows, err := stream(c, &wire.Request{Op: wire.OpQuery, Name: src, Params: params}, wire.StreamQuery,
+		func(resp *wire.Response) [][]gomdb.Value { return resp.Rows })
+	if err != nil {
+		return nil, err
+	}
+	return &gomdb.QueryResult{Columns: cols, Rows: rows}, nil
 }
 
 // Retrieve answers a tabular GMR query.
 func (c *Client) Retrieve(gmrName string, spec []gomdb.FieldSpec) ([]gomdb.Row, error) {
-	var rows []gomdb.Row
-	err := c.exchangeStream(&wire.Request{Op: wire.OpRetrieve, Name: gmrName, Specs: spec}, wire.StreamRows,
-		func(resp *wire.Response) int {
-			rows = append(rows, resp.GRows...)
-			return len(resp.GRows)
-		})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+	_, rows, err := stream(c, &wire.Request{Op: wire.OpRetrieve, Name: gmrName, Specs: spec}, wire.StreamRows,
+		func(resp *wire.Response) []gomdb.Row { return resp.GRows })
+	return rows, err
 }
 
 // Backward answers a backward range query over a materialized function.
 func (c *Client) Backward(fid string, lb, ub float64) ([]gomdb.Match, error) {
-	var matches []gomdb.Match
-	err := c.exchangeStream(&wire.Request{Op: wire.OpBackward, Name: fid, Lo: lb, Hi: ub}, wire.StreamMatches,
-		func(resp *wire.Response) int {
-			matches = append(matches, resp.Matches...)
-			return len(resp.Matches)
-		})
-	if err != nil {
-		return nil, err
-	}
-	return matches, nil
+	_, matches, err := stream(c, &wire.Request{Op: wire.OpBackward, Name: fid, Lo: lb, Hi: ub}, wire.StreamMatches,
+		func(resp *wire.Response) []gomdb.Match { return resp.Matches })
+	return matches, err
+}
+
+// Extension returns the extension of a type.
+func (c *Client) Extension(typeName string) ([]gomdb.OID, error) {
+	_, oids, err := stream(c, &wire.Request{Op: wire.OpExtension, Name: typeName}, wire.StreamOIDs,
+		func(resp *wire.Response) []gomdb.OID { return resp.OIDs })
+	return oids, err
 }
 
 // Sum aggregates a materialized function over oids (nil means every
 // materialized entry).
 func (c *Client) Sum(fid string, oids []gomdb.OID) (float64, error) {
-	resp, err := c.exchange(&wire.Request{Op: wire.OpSum, Name: fid, OIDs: oids, HasOIDs: oids != nil})
+	resp, err := c.exchange(&wire.Request{Op: wire.OpSum, Name: fid, OIDs: oids, HasOIDs: oids != nil}, wire.RespFloat)
 	if err != nil {
 		return 0, err
 	}
-	if resp.Op != wire.RespFloat {
-		return 0, wire.Errf(wire.CodeMalformed, "expected float, got %s", resp.Op)
-	}
 	return resp.F, nil
-}
-
-// Extension returns the extension of a type.
-func (c *Client) Extension(typeName string) ([]gomdb.OID, error) {
-	var oids []gomdb.OID
-	err := c.exchangeStream(&wire.Request{Op: wire.OpExtension, Name: typeName}, wire.StreamOIDs,
-		func(resp *wire.Response) int {
-			oids = append(oids, resp.OIDs...)
-			return len(resp.OIDs)
-		})
-	if err != nil {
-		return nil, err
-	}
-	return oids, nil
 }
 
 // Materialize creates a GMR on the server. Restriction predicates and
 // atomic-argument restrictions are function values — code, not data — and
 // cannot travel over the wire; options carrying them are rejected locally.
 func (c *Client) Materialize(opts gomdb.MaterializeOptions) error {
-	if opts.Restriction != nil || len(opts.AtomicArgs) > 0 {
-		return wire.Errf(wire.CodeBadRequest, "restricted GMRs cannot be created over the wire")
+	mat, err := wire.MatOptionsOf(opts)
+	if err != nil {
+		return err
 	}
-	if opts.MaxEntries < 0 || int64(opts.MaxEntries) > int64(^uint32(0)) {
-		return wire.Errf(wire.CodeBadRequest, "max entries %d out of wire range", opts.MaxEntries)
-	}
-	_, err := c.exchangeAck(&wire.Request{Op: wire.OpMaterialize, Mat: wire.MatOptions{
-		Name:         opts.Name,
-		Funcs:        opts.Funcs,
-		Strategy:     uint8(opts.Strategy),
-		Mode:         uint8(opts.Mode),
-		Complete:     opts.Complete,
-		SecondChance: opts.SecondChance,
-		UseMDS:       opts.UseMDS,
-		MaxEntries:   uint32(opts.MaxEntries),
-	}})
+	_, err = c.exchange(&wire.Request{Op: wire.OpMaterialize, Mat: mat}, wire.RespAck)
 	return err
 }
 
 // Dematerialize drops a GMR.
 func (c *Client) Dematerialize(name string) error {
-	_, err := c.exchangeAck(&wire.Request{Op: wire.OpDematerialize, Name: name})
+	_, err := c.exchange(&wire.Request{Op: wire.OpDematerialize, Name: name}, wire.RespAck)
 	return err
 }
 
 // Flush drains the server's deferred-rematerialization queue.
 func (c *Client) Flush() error {
-	_, err := c.exchangeAck(&wire.Request{Op: wire.OpFlush})
+	_, err := c.exchange(&wire.Request{Op: wire.OpFlush}, wire.RespAck)
 	return err
 }
 
 // SimSeconds reads the server's simulated-cost clock.
 func (c *Client) SimSeconds() (float64, error) {
-	resp, err := c.exchange(&wire.Request{Op: wire.OpSimSeconds})
+	resp, err := c.exchange(&wire.Request{Op: wire.OpSimSeconds}, wire.RespFloat)
 	if err != nil {
 		return 0, err
-	}
-	if resp.Op != wire.RespFloat {
-		return 0, wire.Errf(wire.CodeMalformed, "expected float, got %s", resp.Op)
 	}
 	return resp.F, nil
 }
@@ -410,18 +388,21 @@ func (c *Client) SimSeconds() (float64, error) {
 
 // Batch is an open interactive update batch: the server holds the engine's
 // exclusive lock until Commit or Abort. A Batch belongs to its Client's
-// connection; while it is open, only batch operations may travel on it.
+// connection; while it is open, only batch operations may travel on it. Its
+// operations are the Client's batchable ones.
 type Batch struct {
-	c    *Client
+	ops
 	done bool
 }
 
 // BeginBatch opens an interactive batch on the server.
 func (c *Client) BeginBatch() (*Batch, error) {
-	if _, err := c.exchangeAck(&wire.Request{Op: wire.OpBatchBegin}); err != nil {
+	if _, err := c.exchange(&wire.Request{Op: wire.OpBatchBegin}, wire.RespAck); err != nil {
 		return nil, err
 	}
-	return &Batch{c: c}, nil
+	b := &Batch{}
+	b.ops = ops{c: c, b: b}
+	return b, nil
 }
 
 // Batch runs fn inside an interactive batch; fn's error aborts the batch
@@ -441,73 +422,6 @@ func (c *Client) Batch(fn func(*Batch) error) error {
 	return b.Commit()
 }
 
-func (b *Batch) sub(sub *wire.Request) (*wire.Response, error) {
-	if b.done {
-		return nil, wire.Errf(wire.CodeBatch, "batch already closed")
-	}
-	return b.c.exchange(&wire.Request{Op: wire.OpBatchOp, Sub: sub})
-}
-
-// New creates a tuple-structured instance inside the batch.
-func (b *Batch) New(typeName string, attrs ...gomdb.Value) (gomdb.OID, error) {
-	resp, err := b.sub(&wire.Request{Op: wire.OpNew, Name: typeName, Args: attrs})
-	if err != nil {
-		return 0, err
-	}
-	return resp.OID, nil
-}
-
-// NewSet creates a set-structured instance inside the batch.
-func (b *Batch) NewSet(typeName string, elems ...gomdb.Value) (gomdb.OID, error) {
-	resp, err := b.sub(&wire.Request{Op: wire.OpNewSet, Name: typeName, Args: elems})
-	if err != nil {
-		return 0, err
-	}
-	return resp.OID, nil
-}
-
-// Delete removes an object inside the batch.
-func (b *Batch) Delete(oid gomdb.OID) error {
-	_, err := b.sub(&wire.Request{Op: wire.OpDelete, OID: oid})
-	return err
-}
-
-// Set performs oid.set_attr(v) inside the batch.
-func (b *Batch) Set(oid gomdb.OID, attr string, v gomdb.Value) error {
-	_, err := b.sub(&wire.Request{Op: wire.OpSet, OID: oid, Attr: attr, Val: v})
-	return err
-}
-
-// GetAttr reads one attribute inside the batch.
-func (b *Batch) GetAttr(oid gomdb.OID, attr string) (gomdb.Value, error) {
-	resp, err := b.sub(&wire.Request{Op: wire.OpGetAttr, OID: oid, Attr: attr})
-	if err != nil {
-		return gomdb.Value{}, err
-	}
-	return resp.Val, nil
-}
-
-// Insert performs set.insert(elem) inside the batch.
-func (b *Batch) Insert(set gomdb.OID, elem gomdb.Value) error {
-	_, err := b.sub(&wire.Request{Op: wire.OpInsert, OID: set, Val: elem})
-	return err
-}
-
-// Remove performs set.remove(elem) inside the batch.
-func (b *Batch) Remove(set gomdb.OID, elem gomdb.Value) error {
-	_, err := b.sub(&wire.Request{Op: wire.OpRemove, OID: set, Val: elem})
-	return err
-}
-
-// Call invokes a function inside the batch.
-func (b *Batch) Call(fn string, args ...gomdb.Value) (gomdb.Value, error) {
-	resp, err := b.sub(&wire.Request{Op: wire.OpCall, Name: fn, Args: args})
-	if err != nil {
-		return gomdb.Value{}, err
-	}
-	return resp.Val, nil
-}
-
 // Commit closes the batch successfully: the server saves metadata, drains
 // deferred work, and checkpoints before the ack.
 func (b *Batch) Commit() error { return b.commit(false) }
@@ -519,9 +433,9 @@ func (b *Batch) Abort() error { return b.commit(true) }
 
 func (b *Batch) commit(abort bool) error {
 	if b.done {
-		return wire.Errf(wire.CodeBatch, "batch already closed")
+		return errBatchClosed
 	}
 	b.done = true
-	_, err := b.c.exchangeAck(&wire.Request{Op: wire.OpBatchCommit, Abort: abort})
+	_, err := b.c.exchange(&wire.Request{Op: wire.OpBatchCommit, Abort: abort}, wire.RespAck)
 	return err
 }

@@ -153,11 +153,6 @@ type Config struct {
 	// replacement uses an exact global LRU, so simulated cost accounting
 	// is identical for every value.
 	BufferShards int
-	// IOCostMicros is the simulated cost of one physical page I/O
-	// (default 25 ms, the paper's disk).
-	IOCostMicros int64
-	// CPUCostMicros is the simulated cost of one charged CPU operation.
-	CPUCostMicros int64
 	// Path, when non-empty, makes the database durable: pages and engine
 	// metadata are checkpointed to this directory (see DESIGN.md,
 	// "Durability & recovery") and recovered on the next open. Durability
@@ -189,11 +184,7 @@ type OIDAllocator = object.OIDAllocator
 
 // DefaultConfig returns the paper's measurement configuration.
 func DefaultConfig() Config {
-	return Config{
-		BufferPages:   150,
-		IOCostMicros:  storage.DefaultIOCostMicros,
-		CPUCostMicros: storage.DefaultCPUCostMicros,
-	}
+	return Config{BufferPages: 150}
 }
 
 // Database is an in-process GOM object base with function materialization.
@@ -266,12 +257,6 @@ func newDatabase(cfg Config) *Database {
 		cfg.BufferPages = 150
 	}
 	clock := storage.NewClock()
-	if cfg.IOCostMicros != 0 {
-		clock.IOCostMicros = cfg.IOCostMicros
-	}
-	if cfg.CPUCostMicros != 0 {
-		clock.CPUCostMicros = cfg.CPUCostMicros
-	}
 	disk := storage.NewDisk(clock)
 	pool := storage.NewPoolShards(disk, cfg.BufferPages, cfg.BufferShards)
 	sch := schema.New()

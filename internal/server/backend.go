@@ -8,20 +8,15 @@ import (
 
 // Backend is the engine surface a session dispatches into — the subset of
 // the embedded API the protocol can express, spoken identically by a plain
-// engine and by the sharded router. Reads (Query, GetAttr, Call, Retrieve,
-// Backward, Sum, Extension) go down each backend's own concurrency path —
-// the MVCC snapshot machinery on the plain engine — so a slow writer on one
-// connection never stalls readers on the others.
+// engine and by the sharded router. A Backend is a Tx, so one dispatch path
+// serves the batchable operations at the top level and inside a batch.
+// Reads (Query, GetAttr, Call, Retrieve, Backward, Sum, Extension) go down
+// each backend's own concurrency path — the MVCC snapshot machinery on the
+// plain engine — so a slow writer on one connection never stalls readers on
+// the others.
 type Backend interface {
+	Tx
 	Query(src string, params map[string]gomdb.Value) (*gomdb.QueryResult, error)
-	Call(fn string, args ...gomdb.Value) (gomdb.Value, error)
-	GetAttr(oid gomdb.OID, attr string) (gomdb.Value, error)
-	Set(oid gomdb.OID, attr string, v gomdb.Value) error
-	New(typeName string, attrs ...gomdb.Value) (gomdb.OID, error)
-	NewSet(typeName string, elems ...gomdb.Value) (gomdb.OID, error)
-	Delete(oid gomdb.OID) error
-	Insert(set gomdb.OID, elem gomdb.Value) error
-	Remove(set gomdb.OID, elem gomdb.Value) error
 	Retrieve(gmrName string, spec []gomdb.FieldSpec) ([]gomdb.Row, error)
 	Backward(fid string, lb, ub float64) ([]gomdb.Match, error)
 	Sum(fid string, oids []gomdb.OID) (float64, error)
@@ -57,111 +52,38 @@ type Tx interface {
 	Call(fn string, args ...gomdb.Value) (gomdb.Value, error)
 }
 
-// Embedded adapts a plain *gomdb.Database to the Backend surface.
-type Embedded struct{ DB *gomdb.Database }
+// DB is the plain engine; the alias names Embedded's embedded field DB, as
+// shard.DB names Sharded's.
+type DB = gomdb.Database
 
-func (e Embedded) Query(src string, params map[string]gomdb.Value) (*gomdb.QueryResult, error) {
-	return e.DB.Query(src, params)
-}
-func (e Embedded) Call(fn string, args ...gomdb.Value) (gomdb.Value, error) {
-	return e.DB.Call(fn, args...)
-}
-func (e Embedded) GetAttr(oid gomdb.OID, attr string) (gomdb.Value, error) {
-	return e.DB.GetAttr(oid, attr)
-}
-func (e Embedded) Set(oid gomdb.OID, attr string, v gomdb.Value) error {
-	return e.DB.Set(oid, attr, v)
-}
-func (e Embedded) New(typeName string, attrs ...gomdb.Value) (gomdb.OID, error) {
-	return e.DB.New(typeName, attrs...)
-}
-func (e Embedded) NewSet(typeName string, elems ...gomdb.Value) (gomdb.OID, error) {
-	return e.DB.NewSet(typeName, elems...)
-}
-func (e Embedded) Delete(oid gomdb.OID) error { return e.DB.Delete(oid) }
-func (e Embedded) Insert(set gomdb.OID, elem gomdb.Value) error {
-	return e.DB.Insert(set, elem)
-}
-func (e Embedded) Remove(set gomdb.OID, elem gomdb.Value) error {
-	return e.DB.Remove(set, elem)
-}
-func (e Embedded) Retrieve(gmrName string, spec []gomdb.FieldSpec) ([]gomdb.Row, error) {
-	return e.DB.Retrieve(gmrName, spec)
-}
-func (e Embedded) Backward(fid string, lb, ub float64) ([]gomdb.Match, error) {
-	return e.DB.Backward(fid, lb, ub)
-}
-func (e Embedded) Sum(fid string, oids []gomdb.OID) (float64, error) {
-	return e.DB.Sum(fid, oids)
-}
-func (e Embedded) Extension(typeName string) []gomdb.OID { return e.DB.Extension(typeName) }
-func (e Embedded) Dematerialize(name string) error       { return e.DB.Dematerialize(name) }
-func (e Embedded) Flush() error                          { return e.DB.Flush() }
-func (e Embedded) SimSeconds() float64                   { return e.DB.SimSeconds() }
-func (e Embedded) Shards() int                           { return 1 }
+// Embedded adapts a plain engine to the Backend surface. The engine's own
+// methods serve everything but the four below.
+type Embedded struct{ *DB }
+
+func (Embedded) Shards() int { return 1 }
 func (e Embedded) MaterializeGMR(opts gomdb.MaterializeOptions) error {
-	_, err := e.DB.Materialize(opts)
+	_, err := e.Materialize(opts)
 	return err
 }
-func (e Embedded) BeginTx() Tx { return e.DB.BeginBatch() }
+func (e Embedded) BeginTx() Tx { return e.BeginBatch() }
 func (e Embedded) EndTx(tx Tx, err error) error {
 	t, ok := tx.(*gomdb.Tx)
 	if !ok {
 		return wire.Errf(wire.CodeBatch, "foreign batch handle %T", tx)
 	}
-	return e.DB.EndBatch(t, err)
+	return e.EndBatch(t, err)
 }
 
-// Sharded adapts the scatter-gather router to the Backend surface.
-type Sharded struct{ DB *shard.DB }
+// Sharded adapts the scatter-gather router to the Backend surface. The
+// router's own methods serve everything but the three below.
+type Sharded struct{ *shard.DB }
 
-func (s Sharded) Query(src string, params map[string]gomdb.Value) (*gomdb.QueryResult, error) {
-	return s.DB.Query(src, params)
-}
-func (s Sharded) Call(fn string, args ...gomdb.Value) (gomdb.Value, error) {
-	return s.DB.Call(fn, args...)
-}
-func (s Sharded) GetAttr(oid gomdb.OID, attr string) (gomdb.Value, error) {
-	return s.DB.GetAttr(oid, attr)
-}
-func (s Sharded) Set(oid gomdb.OID, attr string, v gomdb.Value) error {
-	return s.DB.Set(oid, attr, v)
-}
-func (s Sharded) New(typeName string, attrs ...gomdb.Value) (gomdb.OID, error) {
-	return s.DB.New(typeName, attrs...)
-}
-func (s Sharded) NewSet(typeName string, elems ...gomdb.Value) (gomdb.OID, error) {
-	return s.DB.NewSet(typeName, elems...)
-}
-func (s Sharded) Delete(oid gomdb.OID) error { return s.DB.Delete(oid) }
-func (s Sharded) Insert(set gomdb.OID, elem gomdb.Value) error {
-	return s.DB.Insert(set, elem)
-}
-func (s Sharded) Remove(set gomdb.OID, elem gomdb.Value) error {
-	return s.DB.Remove(set, elem)
-}
-func (s Sharded) Retrieve(gmrName string, spec []gomdb.FieldSpec) ([]gomdb.Row, error) {
-	return s.DB.Retrieve(gmrName, spec)
-}
-func (s Sharded) Backward(fid string, lb, ub float64) ([]gomdb.Match, error) {
-	return s.DB.Backward(fid, lb, ub)
-}
-func (s Sharded) Sum(fid string, oids []gomdb.OID) (float64, error) {
-	return s.DB.Sum(fid, oids)
-}
-func (s Sharded) Extension(typeName string) []gomdb.OID { return s.DB.Extension(typeName) }
-func (s Sharded) Dematerialize(name string) error       { return s.DB.Dematerialize(name) }
-func (s Sharded) Flush() error                          { return s.DB.Flush() }
-func (s Sharded) SimSeconds() float64                   { return s.DB.SimSeconds() }
-func (s Sharded) Shards() int                           { return s.DB.Shards() }
-func (s Sharded) MaterializeGMR(opts gomdb.MaterializeOptions) error {
-	return s.DB.Materialize(opts)
-}
-func (s Sharded) BeginTx() Tx { return s.DB.BeginBatch() }
+func (s Sharded) MaterializeGMR(opts gomdb.MaterializeOptions) error { return s.Materialize(opts) }
+func (s Sharded) BeginTx() Tx                                        { return s.BeginBatch() }
 func (s Sharded) EndTx(tx Tx, err error) error {
 	t, ok := tx.(*shard.Tx)
 	if !ok {
 		return wire.Errf(wire.CodeBatch, "foreign batch handle %T", tx)
 	}
-	return s.DB.EndBatch(t, err)
+	return s.EndBatch(t, err)
 }

@@ -297,6 +297,36 @@ func batchScript(t *testing.T, c *client.Client, ref server.Backend) {
 	}
 }
 
+// deferredScript drives a Deferred GMR through both surfaces: materialize,
+// move a vertex the function reads, drain the queue, and read the result.
+func deferredScript(t *testing.T, c surface, ref surface) {
+	cuboids, err := ref.Extension("Cuboid")
+	if err != nil || len(cuboids) == 0 {
+		t.Fatalf("population missing: %v", err)
+	}
+	c0 := cuboids[0]
+	// Both twins read the vertex, so their clocks stay in step.
+	var v1 gomdb.Value
+	step(t, "deferred/getattr", c, ref, func(s surface) (any, error) {
+		v, err := s.GetAttr(c0, "V1")
+		v1 = v
+		return v, err
+	})
+	mat := gomdb.MaterializeOptions{
+		Name:     "VD",
+		Funcs:    []string{"Cuboid.volume"},
+		Strategy: gomdb.Deferred,
+		Complete: true,
+	}
+	step(t, "deferred/materialize", c, ref, func(s surface) (any, error) { return nil, s.Materialize(mat) })
+	step(t, "deferred/move", c, ref, func(s surface) (any, error) {
+		return nil, s.Set(v1.R, "X", gomdb.Float(17.25))
+	})
+	step(t, "deferred/flush", c, ref, func(s surface) (any, error) { return nil, s.Flush() })
+	step(t, "deferred/call", c, ref, func(s surface) (any, error) { return s.Call("Cuboid.volume", gomdb.Ref(c0)) })
+	step(t, "deferred/simseconds", c, ref, func(s surface) (any, error) { return s.SimSeconds() })
+}
+
 func TestConformanceMatrix(t *testing.T) {
 	backends := []struct {
 		name  string
@@ -326,6 +356,7 @@ func TestConformanceMatrix(t *testing.T) {
 				c := tr.connect(t, srv)
 				conformanceScript(t, c, refAPI{embedded})
 				batchScript(t, c, embedded)
+				deferredScript(t, c, refAPI{embedded})
 			})
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"gomdb"
-	"gomdb/internal/core"
 	"gomdb/internal/wire"
 )
 
@@ -246,27 +245,6 @@ func (ss *session) dispatch(frame *wire.Frame) bool {
 		return ss.stream(id, wire.StreamQuery, res.Columns, len(res.Rows), func(lo, hi int) *wire.Response {
 			return &wire.Response{Op: wire.RespChunk, Stream: wire.StreamQuery, Rows: res.Rows[lo:hi]}
 		})
-	case wire.OpCall:
-		v, err := be.Call(req.Name, req.Args...)
-		return ss.reply(id, &wire.Response{Op: wire.RespValue, Val: v}, err)
-	case wire.OpGetAttr:
-		v, err := be.GetAttr(req.OID, req.Attr)
-		return ss.reply(id, &wire.Response{Op: wire.RespValue, Val: v}, err)
-	case wire.OpSet:
-		return ss.reply(id, &wire.Response{Op: wire.RespAck}, be.Set(req.OID, req.Attr, req.Val))
-	case wire.OpNew:
-		oid, err := be.New(req.Name, req.Args...)
-		return ss.reply(id, &wire.Response{Op: wire.RespOID, OID: oid}, err)
-	case wire.OpNewSet:
-		oid, err := be.NewSet(req.Name, req.Args...)
-		return ss.reply(id, &wire.Response{Op: wire.RespOID, OID: oid}, err)
-	case wire.OpDelete:
-		return ss.reply(id, &wire.Response{Op: wire.RespAck}, be.Delete(req.OID))
-	case wire.OpInsert:
-		return ss.reply(id, &wire.Response{Op: wire.RespAck}, be.Insert(req.OID, req.Val))
-	case wire.OpRemove:
-		return ss.reply(id, &wire.Response{Op: wire.RespAck}, be.Remove(req.OID, req.Val))
-
 	case wire.OpRetrieve:
 		rows, err := be.Retrieve(req.Name, req.Specs)
 		if err != nil {
@@ -300,7 +278,7 @@ func (ss *session) dispatch(frame *wire.Frame) bool {
 		return ss.reply(id, &wire.Response{Op: wire.RespFloat, F: f}, err)
 
 	case wire.OpMaterialize:
-		opts, err := matOptions(&req.Mat)
+		opts, err := req.Mat.Options()
 		if err != nil {
 			return ss.writeResponse(id, wire.ErrResponse(err))
 		}
@@ -325,7 +303,8 @@ func (ss *session) dispatch(frame *wire.Frame) bool {
 			return ss.writeResponse(id, wire.ErrResponse(
 				wire.Errf(wire.CodeBatch, "no batch open")))
 		}
-		return ss.batchOp(id, tx, req.Sub)
+		// The decoder guarantees a batchable sub-operation.
+		return ss.apply(id, tx, req.Sub)
 	case wire.OpBatchCommit:
 		tx := ss.takeTx()
 		if tx == nil {
@@ -344,41 +323,37 @@ func (ss *session) dispatch(frame *wire.Frame) bool {
 		return ss.reply(id, &wire.Response{Op: wire.RespAck}, err)
 
 	default:
-		return ss.writeResponse(id, wire.ErrResponse(
-			wire.Errf(wire.CodeUnknownOp, "opcode %s is not servable", req.Op)))
+		return ss.apply(id, be, req)
 	}
 }
 
-// batchOp dispatches one sub-operation into the open batch.
-func (ss *session) batchOp(id uint64, tx Tx, sub *wire.Request) bool {
-	if sub == nil {
-		return ss.writeResponse(id, wire.ErrResponse(
-			wire.Errf(wire.CodeBadRequest, "batch op without sub-operation")))
-	}
-	switch sub.Op {
+// apply serves the batchable operations against t: the backend for a
+// top-level request, the open batch for an OpBatchOp sub-operation.
+func (ss *session) apply(id uint64, t Tx, req *wire.Request) bool {
+	switch req.Op {
 	case wire.OpNew:
-		oid, err := tx.New(sub.Name, sub.Args...)
+		oid, err := t.New(req.Name, req.Args...)
 		return ss.reply(id, &wire.Response{Op: wire.RespOID, OID: oid}, err)
 	case wire.OpNewSet:
-		oid, err := tx.NewSet(sub.Name, sub.Args...)
+		oid, err := t.NewSet(req.Name, req.Args...)
 		return ss.reply(id, &wire.Response{Op: wire.RespOID, OID: oid}, err)
 	case wire.OpDelete:
-		return ss.reply(id, &wire.Response{Op: wire.RespAck}, tx.Delete(sub.OID))
+		return ss.reply(id, &wire.Response{Op: wire.RespAck}, t.Delete(req.OID))
 	case wire.OpSet:
-		return ss.reply(id, &wire.Response{Op: wire.RespAck}, tx.Set(sub.OID, sub.Attr, sub.Val))
+		return ss.reply(id, &wire.Response{Op: wire.RespAck}, t.Set(req.OID, req.Attr, req.Val))
 	case wire.OpGetAttr:
-		v, err := tx.GetAttr(sub.OID, sub.Attr)
+		v, err := t.GetAttr(req.OID, req.Attr)
 		return ss.reply(id, &wire.Response{Op: wire.RespValue, Val: v}, err)
 	case wire.OpInsert:
-		return ss.reply(id, &wire.Response{Op: wire.RespAck}, tx.Insert(sub.OID, sub.Val))
+		return ss.reply(id, &wire.Response{Op: wire.RespAck}, t.Insert(req.OID, req.Val))
 	case wire.OpRemove:
-		return ss.reply(id, &wire.Response{Op: wire.RespAck}, tx.Remove(sub.OID, sub.Val))
+		return ss.reply(id, &wire.Response{Op: wire.RespAck}, t.Remove(req.OID, req.Val))
 	case wire.OpCall:
-		v, err := tx.Call(sub.Name, sub.Args...)
+		v, err := t.Call(req.Name, req.Args...)
 		return ss.reply(id, &wire.Response{Op: wire.RespValue, Val: v}, err)
 	default:
 		return ss.writeResponse(id, wire.ErrResponse(
-			wire.Errf(wire.CodeBadRequest, "opcode %s is not batchable", sub.Op)))
+			wire.Errf(wire.CodeUnknownOp, "opcode %s is not servable", req.Op)))
 	}
 }
 
@@ -399,25 +374,4 @@ func (ss *session) stream(id uint64, kind wire.StreamKind, columns []string, tot
 		}
 	}
 	return ss.writeResponse(id, &wire.Response{Op: wire.RespDone, Total: uint64(total)})
-}
-
-// matOptions converts the wire representation into engine options,
-// validating the enums (the wire carries raw bytes).
-func matOptions(m *wire.MatOptions) (gomdb.MaterializeOptions, error) {
-	if core.Strategy(m.Strategy) > core.Lazy {
-		return gomdb.MaterializeOptions{}, wire.Errf(wire.CodeBadRequest, "bad strategy %d", m.Strategy)
-	}
-	if core.HookMode(m.Mode) > core.ModeInfoHiding {
-		return gomdb.MaterializeOptions{}, wire.Errf(wire.CodeBadRequest, "bad hook mode %d", m.Mode)
-	}
-	return gomdb.MaterializeOptions{
-		Name:         m.Name,
-		Funcs:        m.Funcs,
-		Strategy:     core.Strategy(m.Strategy),
-		Mode:         core.HookMode(m.Mode),
-		Complete:     m.Complete,
-		SecondChance: m.SecondChance,
-		UseMDS:       m.UseMDS,
-		MaxEntries:   int(m.MaxEntries),
-	}, nil
 }

@@ -268,6 +268,26 @@ func TestBatchOpOutsideBatch(t *testing.T) {
 	drainServer(t, srv)
 }
 
+// TestProtocolErrorText: a protocol error the server raises reads the same
+// on the client as on the server, with its code prefix printed once.
+func TestProtocolErrorText(t *testing.T) {
+	be, _ := plainBackend(t)
+	srv := newServer(t, be, nil)
+	c := pipeClient(t, srv, client.Options{})
+	bad := wire.MatOptions{Name: "bad", Funcs: []string{"Cuboid.volume"}, Strategy: 9}
+	_, want := bad.Options()
+	if want == nil {
+		t.Fatal("strategy 9 accepted")
+	}
+	err := c.Materialize(gomdb.MaterializeOptions{Name: "bad", Funcs: []string{"Cuboid.volume"}, Strategy: 9})
+	expectCode(t, err, wire.CodeBadRequest)
+	if err.Error() != want.Error() {
+		t.Fatalf("served error reads %q, server-side %q", err.Error(), want.Error())
+	}
+	c.Close()
+	drainServer(t, srv)
+}
+
 func TestShutdownDrains(t *testing.T) {
 	be, db := plainBackend(t)
 	srv := newServer(t, be, nil)

@@ -181,6 +181,48 @@ const (
 	matUseMDS       = 1 << 2
 )
 
+// MatOptionsOf converts engine options to their wire form, refusing what the
+// wire cannot carry: restrictions, and a MaxEntries outside uint32.
+func MatOptionsOf(o core.Options) (MatOptions, error) {
+	if o.Restriction != nil || len(o.AtomicArgs) > 0 {
+		return MatOptions{}, Errf(CodeBadRequest, "restricted GMRs cannot be created over the wire")
+	}
+	if o.MaxEntries < 0 || int64(o.MaxEntries) > math.MaxUint32 {
+		return MatOptions{}, Errf(CodeBadRequest, "max entries %d out of wire range", o.MaxEntries)
+	}
+	return MatOptions{
+		Name:         o.Name,
+		Funcs:        o.Funcs,
+		Strategy:     uint8(o.Strategy),
+		Mode:         uint8(o.Mode),
+		Complete:     o.Complete,
+		SecondChance: o.SecondChance,
+		UseMDS:       o.UseMDS,
+		MaxEntries:   uint32(o.MaxEntries),
+	}, nil
+}
+
+// Options converts m back to engine options, validating the enums the wire
+// carries as raw bytes.
+func (m *MatOptions) Options() (core.Options, error) {
+	if core.Strategy(m.Strategy) > core.Deferred {
+		return core.Options{}, Errf(CodeBadRequest, "bad strategy %d", m.Strategy)
+	}
+	if core.HookMode(m.Mode) > core.ModeInfoHiding {
+		return core.Options{}, Errf(CodeBadRequest, "bad hook mode %d", m.Mode)
+	}
+	return core.Options{
+		Name:         m.Name,
+		Funcs:        m.Funcs,
+		Strategy:     core.Strategy(m.Strategy),
+		Mode:         core.HookMode(m.Mode),
+		Complete:     m.Complete,
+		SecondChance: m.SecondChance,
+		UseMDS:       m.UseMDS,
+		MaxEntries:   int(m.MaxEntries),
+	}, nil
+}
+
 // Request is the decoded form of a request payload — a tagged union over
 // every request opcode; Op selects which fields are meaningful.
 type Request struct {
@@ -550,9 +592,19 @@ type Response struct {
 	Total uint64
 }
 
-// ErrResponse builds the RespError response for err.
+// ErrResponse builds the RespError response for err. A top-level *Error
+// sends its own message and cause, not its Error() text: the receiver
+// rebuilds an *Error around the message, which prints the code prefix once.
+// Any other error, an engine error above all, sends its full text.
 func ErrResponse(err error) *Response {
-	return &Response{Op: RespError, ErrCode: CodeOf(err), ErrMsg: err.Error()}
+	msg := err.Error()
+	if we, ok := err.(*Error); ok {
+		msg = we.Msg
+		if we.Err != nil {
+			msg += ": " + we.Err.Error()
+		}
+	}
+	return &Response{Op: RespError, ErrCode: CodeOf(err), ErrMsg: msg}
 }
 
 // Err converts a RespError response back into a structured error (nil for

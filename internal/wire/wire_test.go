@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -253,6 +254,54 @@ func TestErrorStructure(t *testing.T) {
 	back := resp.Err()
 	if CodeOf(back) != CodeCRC {
 		t.Errorf("Err() round trip code = %v", CodeOf(back))
+	}
+	// The code prefix is printed once, cause included, on both sides.
+	if back.Error() != err.Error() {
+		t.Errorf("Err() round trip text %q, want %q", back.Error(), err.Error())
+	}
+	bare := Errf(CodeBadRequest, "bad strategy %d", 9)
+	if got := ErrResponse(bare).Err().Error(); got != bare.Error() {
+		t.Errorf("Err() round trip text %q, want %q", got, bare.Error())
+	}
+	// A foreign error travels as its full text, even when it wraps a
+	// protocol error.
+	wrapped := fmt.Errorf("shard 1: %w", bare)
+	if got := ErrResponse(wrapped).ErrMsg; got != wrapped.Error() {
+		t.Errorf("wrapped error sent %q, want %q", got, wrapped.Error())
+	}
+}
+
+// TestMatOptionsConversions: the one pair of conversions between engine
+// options and their wire form round-trips every serializable field and
+// refuses what the wire cannot carry or the engine does not know.
+func TestMatOptionsConversions(t *testing.T) {
+	for _, s := range []core.Strategy{core.Immediate, core.Lazy, core.Deferred} {
+		o := core.Options{Name: "g", Funcs: []string{"Cuboid.volume"}, Strategy: s, Mode: core.ModeInfoHiding,
+			Complete: true, SecondChance: true, UseMDS: true, MaxEntries: 64}
+		m, err := MatOptionsOf(o)
+		if err != nil {
+			t.Fatalf("strategy %d: %v", s, err)
+		}
+		back, err := m.Options()
+		if err != nil || !reflect.DeepEqual(back, o) {
+			t.Fatalf("strategy %d: round trip %+v, %v; want %+v", s, back, err, o)
+		}
+	}
+	refused := []core.Options{
+		{Restriction: &core.Restriction{}},
+		{AtomicArgs: map[int]core.ArgRestriction{0: {}}},
+		{MaxEntries: -1},
+		{MaxEntries: math.MaxUint32 + 1},
+	}
+	for i, o := range refused {
+		if _, err := MatOptionsOf(o); CodeOf(err) != CodeBadRequest {
+			t.Errorf("refused[%d]: %v, want bad_request", i, err)
+		}
+	}
+	for _, m := range []MatOptions{{Strategy: uint8(core.Deferred) + 1}, {Mode: uint8(core.ModeInfoHiding) + 1}} {
+		if _, err := m.Options(); CodeOf(err) != CodeBadRequest {
+			t.Errorf("%+v: %v, want bad_request", m, err)
+		}
 	}
 }
 
