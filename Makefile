@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short test-race ci bench bench-throughput bench-updates bench-cluster bench-shard bench-serve bench-ocb bench-check check-determinism repro repro-short examples serve fuzz-wire fuzz-object fuzz-pred fuzz-parse sim sim-crash sim-long sim-shard sim-ocb cover clean
+.PHONY: all build vet test test-short test-race ci bench bench-throughput bench-updates bench-cluster bench-shard bench-serve bench-ocb bench-check check-determinism trace-dump repro repro-short examples serve fuzz-wire fuzz-object fuzz-pred fuzz-parse sim sim-crash sim-long sim-shard sim-ocb cover clean
 
 all: build vet test
 
@@ -35,7 +35,6 @@ ci:
 	$(GO) test -race ./...
 	$(MAKE) bench-check
 	$(GO) test -bench=. -benchtime=1x -short ./...
-	$(GO) run ./cmd/gombench -figure updates -short -out $(OUT)/BENCH_updates_ci.json
 	$(MAKE) bench-cluster SHORT=-short
 	$(MAKE) bench-shard SHORT=-short
 	$(GO) test -race -run 'TestConformanceMatrix' ./internal/server/
@@ -128,10 +127,23 @@ bench-check:
 
 # The simulated figures must not depend on scheduling or core count:
 # regenerate the short-scale suite and compare it (modulo wall-time
-# lines) against the committed golden.
+# lines) against the committed golden, then regenerate the full-scale
+# updates figure and compare it (modulo the three host lines) against the
+# committed BENCH_updates.json, which pins the deferred statistics.
+BENCH_HOST_LINES = '"(go_version|num_cpu|gomaxprocs)":'
 check-determinism:
 	$(GO) run ./cmd/gombench -figure all -short | grep -v "wall time" | \
 		diff testdata/gombench_all_short.golden - && echo "figures deterministic"
+	$(GO) run ./cmd/gombench -figure updates -out $(OUT)/BENCH_updates_check.json
+	grep -vE $(BENCH_HOST_LINES) BENCH_updates.json > $(OUT)/BENCH_updates_want.json
+	grep -vE $(BENCH_HOST_LINES) $(OUT)/BENCH_updates_check.json | \
+		diff $(OUT)/BENCH_updates_want.json - && echo "BENCH_updates.json reproduced"
+
+# Line-level simulation dump: every sim cell over 12 seeds, Broken included,
+# written to $(OUT)/traces.dump. Run it in two trees and diff the files to
+# see which cells a change moves.
+trace-dump:
+	$(GO) test -count=1 -run TestTraceDump ./internal/sim/ -args -dump $(OUT)/traces.dump
 
 # Regenerate every table and figure of the paper's evaluation (Section 7)
 # at the paper's scale. Takes ~8 minutes; output shapes are documented in

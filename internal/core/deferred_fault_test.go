@@ -136,6 +136,46 @@ func TestDeferredFlushFaultMidDrain(t *testing.T) {
 	}
 }
 
+// TestDeferredAbortedInvalidationDrains: an update whose deferred
+// invalidation fails in markInvalid's write-through leaves the result
+// invalid; the invalid result is pending, so the next flush recomputes it.
+func TestDeferredAbortedInvalidationDrains(t *testing.T) {
+	db := gomdb.Open(gomdb.DefaultConfig())
+	if err := fixtures.DefineGeometry(db, false); err != nil {
+		t.Fatal(err)
+	}
+	g, err := fixtures.PopulateGeometry(db, 5, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gmr, err := db.Materialize(gomdb.MaterializeOptions{
+		Funcs: []string{"Cuboid.volume"}, Complete: true,
+		Strategy: gomdb.Deferred, Mode: gomdb.ModeObjDep,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Disk.SetFaultPlan(storage.FaultPlan{Rules: []storage.FaultRule{
+		{Op: storage.FaultWrite, File: "GMR:"},
+	}})
+	if err := db.Set(vertexOf(t, db, g.Cuboids[0], "V1"), "X", gomdb.Float(40)); err == nil {
+		t.Fatal("update succeeded although the GMR write-through fails")
+	}
+	db.Disk.ClearFaults()
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := gmr.InvalidCount("Cuboid.volume"); n != 0 {
+		t.Fatalf("%d invalid results left after flush", n)
+	}
+	if n := db.GMRs.PendingLen(); n != 0 {
+		t.Fatalf("PendingLen = %d after flush", n)
+	}
+	if !db.GMRs.Quiescent() {
+		t.Fatal("manager not quiescent after flush")
+	}
+}
+
 // TestDeferredFlushFaultThenForce: after a failed drain, individual forward
 // forces (which recompute one entry under full charging) must still work on
 // the entries left pending, retiring them from the queue one by one.

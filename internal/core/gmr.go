@@ -35,11 +35,11 @@ const (
 	// Lazy only marks invalidated results; they are recomputed when next
 	// needed (or by an explicit Revalidate sweep).
 	Lazy
-	// Deferred marks invalidated results and enqueues them on the manager's
-	// coalescing recomputation queue: N updates hitting the same entry
-	// between flushes cost a single recomputation, performed by the serial
-	// drain of Manager.Flush (see deferred.go). A lookup that touches
-	// a pending entry forces just that entry, like the lazy path.
+	// Deferred marks invalidated results like Lazy, and its invalid
+	// results are the pending recomputations drained by Manager.Flush (see
+	// deferred.go): N updates hitting the same entry between flushes cost a
+	// single recomputation. A lookup that touches a pending entry forces
+	// just that entry, like the lazy path.
 	Deferred
 )
 
@@ -167,6 +167,10 @@ type entry struct {
 	// forward access, cleared when cache eviction rotates past the entry.
 	// Atomic because forward hits run on the concurrent read path.
 	ref atomic.Bool
+	// triggers holds, per column of a Deferred second-chance GMR, the
+	// objects whose updates invalidated the result (see addTrigger); nil
+	// unless used, and cleared by setResult.
+	triggers []map[object.OID]struct{}
 }
 
 // GMR is a generalized materialization relation (Definition 3.1). The
@@ -415,10 +419,9 @@ func (g *GMR) markInvalid(k string, i int) error {
 	return g.rewrite(e)
 }
 
-// setResult replaces column i of entry e (the rematerialization write). It
-// also retires any pending deferred recomputation of the same column — this
-// is how a forward force, a column revalidation, and the flush apply phase
-// all keep the deferred queue consistent through a single point.
+// setResult replaces column i of entry e (the rematerialization write) and
+// makes it valid, which retires a pending deferred recomputation and its
+// second-chance triggers.
 func (g *GMR) setResult(e *entry, i int, v object.Value) error {
 	g.mgr.snapMu.Lock()
 	defer g.mgr.snapMu.Unlock()
@@ -433,7 +436,9 @@ func (g *GMR) setResult(e *entry, i int, v object.Value) error {
 	e.Results[i] = v
 	e.Valid[i] = true
 	delete(g.invalid[i], k)
-	g.mgr.clearPending(g.Name, k, i)
+	if e.triggers != nil {
+		e.triggers[i] = nil
+	}
 	if err := g.indexResult(e, i); err != nil {
 		return err
 	}
@@ -488,7 +493,6 @@ func (g *GMR) removeEntryLocked(k string) error {
 			return err
 		}
 		delete(g.invalid[i], k)
-		g.mgr.clearPending(g.Name, k, i)
 	}
 	delete(g.entries, k)
 	g.mgr.clearEntryTraces(g, k)

@@ -43,12 +43,12 @@ type Stats struct {
 	TracePages    int64 // distinct object-heap pages across recorded traces
 
 	// Deferred-rematerialization accounting (see deferred.go).
-	DeferredUpdates  int64 // invalidations routed to the pending queue
-	CoalescedUpdates int64 // deferred invalidations absorbed by an already-pending recomputation
+	DeferredUpdates  int64 // invalidations of Deferred results
+	CoalescedUpdates int64 // deferred invalidations of an already-invalid (pending) result
 	DeferredForces   int64 // pending recomputations forced individually by a lookup before the flush
 	Flushes          int64 // Flush calls that found work
 	FlushedItems     int64 // pending recomputations performed by flushes
-	QueueHighWater   int64 // maximum pending-queue depth observed
+	QueueHighWater   int64 // maximum PendingLen observed
 	FlushEvalNanos   int64 // cumulative wall time of the per-item recomputations of flushes
 	FlushWallNanos   int64 // cumulative wall time of flush drains, including queue bookkeeping
 }
@@ -101,14 +101,6 @@ type Manager struct {
 	accessTraces map[traceKey][]object.OID
 	accessStats  map[string]*AccessStats
 
-	// pending is the coalescing queue of deferred rematerializations, keyed
-	// by (GMR, entry, column) so repeated invalidations of one result fold
-	// into a single recomputation. Mutated only under the exclusive Database
-	// lock (deferred GMRs are never quiescent while work is pending, so
-	// every path that touches the queue is write-classified); drained by
-	// Flush. See deferred.go.
-	pending map[pendingKey]*pendingItem
-
 	// breakInvalidation, when set, makes Invalidate silently drop every
 	// notification. It exists solely so the simulation harness
 	// (internal/sim) can prove its invariant auditors have teeth: with the
@@ -130,9 +122,6 @@ func (m *Manager) TestingBreakInvalidation(broken bool) { m.breakInvalidation = 
 // to decide whether a retrieval may run under the shared read lock; it is
 // evaluated without charging the simulated clock.
 func (m *Manager) Quiescent() bool {
-	if len(m.pending) > 0 {
-		return false
-	}
 	for _, g := range m.gmrs {
 		if !g.Complete {
 			return false
@@ -163,7 +152,6 @@ func NewManager(en *schema.Engine, pool *storage.BufferPool) *Manager {
 		uninstall:    make(map[string][]func()),
 		extractor:    lang.NewExtractor(en.Sch, en.Sch),
 		Intern:       pred.NewInterner(),
-		pending:      make(map[pendingKey]*pendingItem),
 		accessTraces: make(map[traceKey][]object.OID),
 		accessStats:  make(map[string]*AccessStats),
 	}
@@ -366,7 +354,6 @@ func (m *Manager) Drop(name string) error {
 }
 
 func (m *Manager) dropState(g *GMR) {
-	m.clearPendingGMR(g.Name)
 	m.dropTraces(g.Name)
 	for _, undo := range m.uninstall[g.Name] {
 		undo()
@@ -700,43 +687,40 @@ func (m *Manager) Invalidate(o *object.Obj, relev map[string]bool) error {
 		atomic.AddInt64(&m.Stats.Invalidations, 1)
 		m.emit("invalidate", g.Name, t.F, o.OID)
 		switch g.Strategy {
-		case Lazy:
+		case Lazy, Deferred:
 			// lazy(o): (1) set Vi := false, (2) remove the RRR tuple so a
 			// repeated update of o does not pay the GMR access again.
+			// deferred(o) is lazy(o) whose invalid results Flush drains, so
+			// an update of an already-invalid result coalesces. Under the
+			// second-chance variant the tuple stays and o is remembered on
+			// the entry, for the recomputation to prune the tuple if it no
+			// longer visits o.
+			deferred := g.Strategy == Deferred
+			wasInvalid := !e.Valid[i]
 			if err := g.markInvalid(k, i); err != nil {
 				return err
 			}
-			if err := m.removeTuple(t); err != nil {
+			if deferred && g.SecondChance {
+				e.addTrigger(i, o.OID)
+			} else if err := m.removeTuple(t); err != nil {
 				return err
 			}
-		case Deferred:
-			// deferred(o): like lazy(o), but additionally enqueue the entry
-			// on the coalescing recomputation queue drained by Flush. Under
-			// the second-chance variant the RRR tuple stays put and the
-			// triggering object is remembered, so the flush can prune
-			// tuples the recomputation no longer justifies.
-			if err := g.markInvalid(k, i); err != nil {
-				return err
-			}
-			if !g.SecondChance {
-				if err := m.removeTuple(t); err != nil {
-					return err
+			if deferred {
+				atomic.AddInt64(&m.Stats.DeferredUpdates, 1)
+				if wasInvalid {
+					atomic.AddInt64(&m.Stats.CoalescedUpdates, 1)
+				}
+				if d := int64(m.PendingLen()); d > atomic.LoadInt64(&m.Stats.QueueHighWater) {
+					atomic.StoreInt64(&m.Stats.QueueHighWater, d)
 				}
 			}
-			m.enqueue(g, k, i, o.OID)
 		case Immediate:
 			if g.SecondChance {
 				// Second-chance variant (Section 4.1): keep the tuple
-				// through the rematerialization; remove it only if the
-				// recomputation no longer visited the object.
-				visited, err := m.rematerializeTracked(g, e, i)
-				if err != nil {
+				// through the rematerialization, which removes it only if
+				// the recomputation no longer visited the object.
+				if err := m.rematerializeWith(g, e, i, []object.OID{t.O}); err != nil {
 					return err
-				}
-				if _, ok := visited[t.O]; !ok {
-					if err := m.removeTuple(t); err != nil {
-						return err
-					}
 				}
 				break
 			}
@@ -753,60 +737,50 @@ func (m *Manager) Invalidate(o *object.Obj, relev map[string]bool) error {
 	return nil
 }
 
-// rematerialize recomputes column i of entry e and refreshes the RRR.
+// rematerialize recomputes column i of entry e and refreshes the RRR. An
+// invalid Deferred result recomputed here, ahead of its flush, counts as a
+// force.
 func (m *Manager) rematerialize(g *GMR, e *entry, i int) error {
-	_, err := m.rematerializeTracked(g, e, i)
-	return err
-}
-
-// rematerializeTracked recomputes column i of entry e, refreshes the RRR,
-// and returns the set of objects the recomputation visited. If the entry had
-// a pending deferred recomputation this serial path retires it (via
-// setResult) and counts the force; under the deferred second-chance variant
-// the pending item's trigger objects whose RRR tuples the recomputation no
-// longer justifies are pruned.
-func (m *Manager) rematerializeTracked(g *GMR, e *entry, i int) (map[object.OID]struct{}, error) {
-	var triggers map[object.OID]struct{}
-	if g.Strategy == Deferred {
-		if it, ok := m.pending[pendingKey{g.Name, argKey(e.Args), i}]; ok {
-			triggers = it.triggers
-			atomic.AddInt64(&m.Stats.DeferredForces, 1)
-		}
+	if g.Strategy == Deferred && !e.Valid[i] {
+		atomic.AddInt64(&m.Stats.DeferredForces, 1)
 	}
-	return m.rematerializeWith(g, e, i, triggers)
+	return m.rematerializeWith(g, e, i, e.triggersOf(i))
 }
 
 // rematerializeWith is the serial, fully charged recomputation shared by the
 // immediate strategy, lazy/deferred forcing, and the deferred flush drain.
-func (m *Manager) rematerializeWith(g *GMR, e *entry, i int, triggers map[object.OID]struct{}) (map[object.OID]struct{}, error) {
+// triggers (ascending) are the second-chance objects whose RRR tuples were
+// kept through the invalidation; those the recomputation no longer visits
+// are removed.
+func (m *Manager) rematerializeWith(g *GMR, e *entry, i int, triggers []object.OID) error {
 	fn := g.Funcs[i]
 	v, accessed, trace, err := m.En.EvalTrackedOrdered(m.dispatch(fn, e.Args), e.Args)
 	if err != nil {
-		return nil, fmt.Errorf("core: rematerializing %s: %w", fn.Name, err)
+		return fmt.Errorf("core: rematerializing %s: %w", fn.Name, err)
 	}
 	v, err = m.storeComplexResult(fn, v)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := g.setResult(e, i, v); err != nil {
-		return nil, err
+		return err
 	}
 	atomic.AddInt64(&m.Stats.Rematerializations, 1)
 	m.emit("rematerialize", g.Name, fn.Name, object.NilOID)
 	for _, oid := range sortedOIDs(accessed) {
 		if err := m.addRRR(oid, fn.Name, e.Args); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	for _, trig := range sortedOIDs(triggers) {
+	for _, trig := range triggers {
 		if _, ok := accessed[trig]; !ok {
 			if err := m.removeRRR(trig, fn.Name, e.Args); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
 	m.recordTrace(g, argKey(e.Args), i, trace)
-	return accessed, nil
+	return nil
 }
 
 // predicateUpdate implements the predicate(o) algorithm of Section 6.1: the

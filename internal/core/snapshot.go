@@ -373,68 +373,8 @@ func (s *Snapshot) CheckConsistency(name string, tol float64, checkComplete bool
 	if !ok {
 		return nil, fmt.Errorf("core: no GMR %q", name)
 	}
-	rep := &ConsistencyReport{GMR: name}
-	rows := s.m.entryRowsAt(g, s.ver)
-	rep.Entries = len(rows)
 	get := func(oid object.OID) (*object.Obj, error) {
 		return s.m.Objs.GetVersioned(oid, s.ver)
 	}
-	for _, r := range rows {
-		for i, fn := range g.Funcs {
-			if !r.Valid[i] {
-				rep.Invalid++
-				continue
-			}
-			rep.Valid++
-			fresh, err := s.en.EvalRaw(fn, r.Args)
-			if err != nil {
-				rep.Violations = append(rep.Violations,
-					fmt.Sprintf("%s(%v): recomputation failed: %v", fn.Name, r.Args, err))
-				continue
-			}
-			if !s.m.valuesEquivalent(get, r.Results[i], fresh, tol) {
-				rep.Violations = append(rep.Violations,
-					fmt.Sprintf("%s(%v): stored %v != fresh %v", fn.Name, r.Args, r.Results[i], fresh))
-			}
-		}
-	}
-	if checkComplete {
-		combos, err := s.m.argCombinationsVia(s.Extension, g, -1, object.Null())
-		if err != nil {
-			return nil, err
-		}
-		present := make(map[string]bool, len(rows))
-		for _, r := range rows {
-			present[argKey(r.Args)] = true
-		}
-		want := 0
-		for _, args := range combos {
-			if !g.admitsArgs(args) {
-				continue
-			}
-			if g.Restriction != nil {
-				holds, err := s.en.EvalRaw(g.Restriction.Fn, args)
-				if err != nil {
-					return nil, err
-				}
-				if !holds.Truth() {
-					if present[argKey(args)] {
-						rep.Violations = append(rep.Violations,
-							fmt.Sprintf("entry %v present but restriction predicate is false", args))
-					}
-					continue
-				}
-			}
-			want++
-			if !present[argKey(args)] {
-				rep.Violations = append(rep.Violations,
-					fmt.Sprintf("missing entry for argument combination %v", args))
-			}
-		}
-		if want != len(rows) {
-			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("extension has %d entries, completeness requires %d", len(rows), want))
-		}
-	}
-	return rep, nil
+	return s.m.audit(g, s.m.entryRowsAt(g, s.ver), s.en, get, s.Extension, tol, checkComplete)
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"gomdb/internal/object"
+	"gomdb/internal/schema"
 )
 
 // Observability and self-verification: a trace hook on every maintenance
@@ -97,93 +98,93 @@ func (m *Manager) CheckConsistency(name string, tol float64, checkComplete bool)
 	if !ok {
 		return nil, fmt.Errorf("core: no GMR %q", name)
 	}
-	rep := &ConsistencyReport{GMR: name}
-	type row struct {
-		args    []object.Value
-		results []object.Value
-		valid   []bool
-	}
-	var rows []row
+	var rows []Row
 	g.Entries(func(args, results []object.Value, valid []bool) bool {
-		rows = append(rows, row{
-			append([]object.Value{}, args...),
-			append([]object.Value{}, results...),
-			append([]bool{}, valid...),
-		})
+		rows = append(rows, Row{Args: args, Results: results, Valid: valid})
 		return true
 	})
-	rep.Entries = len(rows)
-	for _, r := range rows {
-		for i, fn := range g.Funcs {
-			if !r.valid[i] {
-				rep.Invalid++
-				continue
-			}
-			rep.Valid++
-			fresh, err := m.En.EvalRaw(fn, r.args)
-			if err != nil {
-				rep.Violations = append(rep.Violations,
-					fmt.Sprintf("%s(%v): recomputation failed: %v", fn.Name, r.args, err))
-				continue
-			}
-			if !m.resultsEquivalent(r.results[i], fresh, tol) {
-				rep.Violations = append(rep.Violations,
-					fmt.Sprintf("%s(%v): stored %v != fresh %v", fn.Name, r.args, r.results[i], fresh))
-			}
-		}
-	}
-	if checkComplete {
-		combos, err := m.argCombinations(g, -1, object.Null())
-		if err != nil {
-			return nil, err
-		}
-		want := 0
-		for _, args := range combos {
-			if !g.admitsArgs(args) {
-				continue
-			}
-			if g.Restriction != nil {
-				holds, err := m.En.EvalRaw(g.Restriction.Fn, args)
-				if err != nil {
-					return nil, err
-				}
-				if !holds.Truth() {
-					if _, present := g.lookup(args); present {
-						rep.Violations = append(rep.Violations,
-							fmt.Sprintf("entry %v present but restriction predicate is false", args))
-					}
-					continue
-				}
-			}
-			want++
-			if _, present := g.lookup(args); !present {
-				rep.Violations = append(rep.Violations,
-					fmt.Sprintf("missing entry for argument combination %v", args))
-			}
-		}
-		if want != len(rows) {
-			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("extension has %d entries, completeness requires %d", len(rows), want))
-		}
-	}
-	return rep, nil
-}
-
-// resultsEquivalent compares a stored result with a fresh recomputation,
-// expanding result-object references through the live (charged) read path.
-func (m *Manager) resultsEquivalent(stored, fresh object.Value, tol float64) bool {
 	get := func(oid object.OID) (*object.Obj, error) {
 		if !m.Objs.Exists(oid) {
 			return nil, fmt.Errorf("core: no object %v", oid)
 		}
 		return m.Objs.Get(oid)
 	}
-	return m.valuesEquivalent(get, stored, fresh, tol)
+	return m.audit(g, rows, m.En, get, m.Objs.Extension, tol, checkComplete)
 }
 
-// valuesEquivalent is resultsEquivalent parameterized over the object
-// getter, so the MVCC snapshot audit can expand references at a pinned
-// version (snapshot.go) while the live audit keeps its charged reads.
+// audit is the consistency check shared by the live and the snapshot
+// CheckConsistency, parameterized over where the state is read: the GMR
+// rows, the engine that recomputes, the object getter that expands result
+// references, and the extension reader that enumerates the domains. The
+// live caller passes its charged read paths, so the audit charges the
+// simulated clock like any other workload.
+func (m *Manager) audit(g *GMR, rows []Row, en *schema.Engine, get func(object.OID) (*object.Obj, error),
+	ext func(string) []object.OID, tol float64, checkComplete bool) (*ConsistencyReport, error) {
+	rep := &ConsistencyReport{GMR: g.Name, Entries: len(rows)}
+	for _, r := range rows {
+		for i, fn := range g.Funcs {
+			if !r.Valid[i] {
+				rep.Invalid++
+				continue
+			}
+			rep.Valid++
+			fresh, err := en.EvalRaw(fn, r.Args)
+			if err != nil {
+				rep.Violations = append(rep.Violations,
+					fmt.Sprintf("%s(%v): recomputation failed: %v", fn.Name, r.Args, err))
+				continue
+			}
+			if !m.valuesEquivalent(get, r.Results[i], fresh, tol) {
+				rep.Violations = append(rep.Violations,
+					fmt.Sprintf("%s(%v): stored %v != fresh %v", fn.Name, r.Args, r.Results[i], fresh))
+			}
+		}
+	}
+	if !checkComplete {
+		return rep, nil
+	}
+	combos, err := m.argCombinationsVia(ext, g, -1, object.Null())
+	if err != nil {
+		return nil, err
+	}
+	present := make(map[string]bool, len(rows))
+	for _, r := range rows {
+		present[argKey(r.Args)] = true
+	}
+	want := 0
+	for _, args := range combos {
+		if !g.admitsArgs(args) {
+			continue
+		}
+		if g.Restriction != nil {
+			holds, err := en.EvalRaw(g.Restriction.Fn, args)
+			if err != nil {
+				return nil, err
+			}
+			if !holds.Truth() {
+				if present[argKey(args)] {
+					rep.Violations = append(rep.Violations,
+						fmt.Sprintf("entry %v present but restriction predicate is false", args))
+				}
+				continue
+			}
+		}
+		want++
+		if !present[argKey(args)] {
+			rep.Violations = append(rep.Violations,
+				fmt.Sprintf("missing entry for argument combination %v", args))
+		}
+	}
+	if want != len(rows) {
+		rep.Violations = append(rep.Violations,
+			fmt.Sprintf("extension has %d entries, completeness requires %d", len(rows), want))
+	}
+	return rep, nil
+}
+
+// valuesEquivalent compares a stored result with a fresh recomputation,
+// expanding result-object references through get: the live audit's charged
+// reads, or reads at a snapshot's pinned version (snapshot.go).
 func (m *Manager) valuesEquivalent(get func(object.OID) (*object.Obj, error), stored, fresh object.Value, tol float64) bool {
 	if stored.Equal(fresh) {
 		return true

@@ -10,10 +10,11 @@ import (
 // the embedded API the protocol can express, spoken identically by a plain
 // engine and by the sharded router. A Backend is a Tx, so one dispatch path
 // serves the batchable operations at the top level and inside a batch.
-// Reads (Query, GetAttr, Call, Retrieve, Backward, Sum, Extension) go down
-// each backend's own concurrency path — the MVCC snapshot machinery on the
-// plain engine — so a slow writer on one connection never stalls readers on
-// the others.
+// Reads (Query, GetAttr, Call, Retrieve, Backward, Extension) go down each
+// backend's own concurrency path — the MVCC snapshot machinery on the plain
+// engine — so a slow writer on one connection never stalls readers on the
+// others. Sum is the exception: Database.Sum has no snapshot tier, so it
+// waits for a writer that holds the engine.
 type Backend interface {
 	Tx
 	Query(src string, params map[string]gomdb.Value) (*gomdb.QueryResult, error)
