@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short test-race ci bench bench-throughput bench-updates bench-cluster bench-shard bench-serve bench-ocb bench-check check-determinism trace-dump repro repro-short examples serve fuzz-wire fuzz-object fuzz-pred fuzz-parse sim sim-crash sim-long sim-shard sim-ocb cover clean
+.PHONY: all build vet test test-short test-race ci bench bench-throughput bench-updates bench-cluster bench-shard bench-serve bench-ocb bench-check check-determinism trace-dump repro repro-short examples serve fuzz-wire fuzz-object fuzz-pred fuzz-parse fuzz-storage sim sim-crash sim-long sim-shard sim-ocb cover clean
 
 all: build vet test
 
@@ -46,6 +46,7 @@ ci:
 	$(MAKE) fuzz-object FUZZ_TIME=15s
 	$(MAKE) fuzz-pred FUZZ_TIME=15s
 	$(MAKE) fuzz-parse FUZZ_TIME=15s
+	$(MAKE) fuzz-storage FUZZ_TIME=15s
 	$(GO) test -race -count=10 -run TestRecycledFramesSnapshotStress ./internal/storage/
 	$(GO) test -race -count=10 -run TestExtensionSnapshotStress .
 	$(MAKE) check-determinism
@@ -191,6 +192,15 @@ fuzz-pred:
 fuzz-parse:
 	$(GO) test ./internal/query/ -run '^$$' -fuzz FuzzParseQuery -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/lang/ -run '^$$' -fuzz FuzzParseDefine -fuzztime $(FUZZ_TIME)
+
+# Fuzz WAL recovery from the committed corpus in
+# internal/storage/testdata/fuzz: arbitrary wal.gomdb bytes must decode or be
+# refused with an error, never panic or allocate beyond a small multiple of
+# the log's size, and a log with committed groups must recover them or fail
+# with an error. An input that reaches recovery fsyncs several files, so
+# minimizing one is capped at 50 runs instead of eating the whole smoke.
+fuzz-storage:
+	$(GO) test ./internal/storage/ -run '^$$' -fuzz FuzzScanWAL -fuzztime $(FUZZ_TIME) -fuzzminimizetime 50x
 
 # Deterministic simulation smoke: a window of seeded random workloads against
 # all three strategies, invariant audits at every quiescent point. Violations

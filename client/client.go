@@ -423,7 +423,7 @@ func (c *Client) Batch(fn func(*Batch) error) error {
 }
 
 // Commit closes the batch successfully: the server saves metadata, drains
-// deferred work, and checkpoints before the ack.
+// deferred work, and commits before the ack.
 func (b *Batch) Commit() error { return b.commit(false) }
 
 // Abort closes the batch with a failure verdict. Operations already applied

@@ -24,7 +24,7 @@
 // auditor then verifies every relocation left the base intact. With
 // -shards N every plan runs through the internal/shard scatter-gather router
 // over N engines; a fault window targets one shard's disk and a crash point
-// kills all shards with the mid-checkpoint cut armed on one (the op's selector
+// kills all shards with the mid-commit cut armed on one (the op's selector
 // mod N picks it, so a campaign reaches every shard), and the audits add the
 // router's cross-shard routing invariants. With -ocb each workload runs
 // against a generated OCB-style object base (internal/ocb demo parameters)

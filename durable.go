@@ -11,25 +11,37 @@ import (
 )
 
 // Durable databases. With Config.Path set, the simulated disk gains a real
-// file-backed page store behind it (storage.PageStore): at every checkpoint
-// point — Flush, Batch end, Materialize, Dematerialize, Close, or an explicit
-// Checkpoint call — the pages written since the last checkpoint, the OID
-// directory ops journaled since then and a small metadata header are made
-// durable atomically through a physical write-ahead log with page-level redo
-// records and checksums. Reopening the directory replays the WAL, restores
-// the object base, and rebuilds every GMR from its persisted catalog
-// description.
+// file-backed page store behind it (storage.PageStore). A commit is not a
+// checkpoint:
+//
+//   - At every commit point — Flush, Batch end, Materialize, Dematerialize —
+//     the pages written since the last commit, the OID directory ops
+//     journaled since then and a small metadata header are appended to a
+//     physical write-ahead log (page-level redo records with checksums) as
+//     one group, with one write and one fsync. When the call returns, that
+//     state is durable.
+//
+//   - The checkpoint folds every group committed since the last one into
+//     the data file, the directory file and the metadata file, and empties
+//     the log. It runs when the log passes the store's fixed threshold
+//     (8 MiB, a few dozen durable batches), on Close, and on an explicit
+//     Checkpoint call.
+//
+// A crash between checkpoints loses nothing acknowledged: reopening the
+// directory replays every group committed to the log since the last
+// checkpoint (RecoveryInfo.WALPagesReplayed counts their pages), restores the
+// object base, and rebuilds every GMR from its persisted catalog description.
 //
 // Three properties are deliberate:
 //
-//   - A checkpoint costs what changed since the last one, not what the base
+//   - A commit costs what changed since the last one, not what the base
 //     holds: dirty pages, journaled directory ops, and a header whose only
 //     base-dependent part is the object heap's page list.
 //
 //   - The simulated Clock is bit-identical whether durability is on or off:
-//     checkpoint I/O is real I/O, charged to nothing, and the dirty-page
-//     bookkeeping never touches the buffer pool's simulated write-back
-//     accounting. The paper's figures are unchanged by durability.
+//     commit and checkpoint I/O is real I/O, charged to nothing, and the
+//     dirty-page bookkeeping never touches the buffer pool's simulated
+//     write-back accounting. The paper's figures are unchanged by durability.
 //
 //   - GMR extensions, RRR tuples, indexes, and the deferred queue are NOT
 //     persisted — only the catalog of Materialize options is. Recovery
@@ -49,12 +61,12 @@ var errRestrictedDurable = errors.New(
 	"gomdb: restricted GMRs (Restriction/AtomicArgs) are not supported on durable databases: " +
 		"their predicates are code and cannot be rebuilt on recovery")
 
-// durableMeta is the engine metadata header of one checkpoint. It is
+// durableMeta is the engine metadata header of one commit. It is
 // deterministic JSON: every map is exported as a sorted slice, so identical
 // engine states serialize to identical bytes. The OID directory is not in it:
-// the store keeps that as a snapshot plus per-checkpoint deltas, and DirSeq
-// names the checkpoint sequence number the directory must have been replayed
-// to for this header to describe it.
+// the store keeps that as a snapshot plus per-commit deltas, and DirSeq names
+// the commit sequence number the directory must have been replayed to for
+// this header to describe it.
 type durableMeta struct {
 	Version    int             `json:"version"`
 	SchemaSig  uint64          `json:"schemaSig"`
@@ -64,30 +76,33 @@ type durableMeta struct {
 	DirSeq     uint64          `json:"dirSeq"`
 	ResultObjs []OID           `json:"resultObjs,omitempty"`
 	GMRs       []core.GMRMeta  `json:"gmrs,omitempty"`
-	// Pending records the deferred-queue length at checkpoint time (nonzero
-	// only for checkpoints taken outside flush points, e.g. Materialize);
+	// Pending records the deferred-queue length at commit time (nonzero
+	// only for commits taken outside flush points, e.g. Materialize);
 	// recovery reports it as PendingDiscarded.
 	Pending int `json:"pending,omitempty"`
 }
 
 // RecoveryInfo describes what OpenAt recovered from an existing directory.
 type RecoveryInfo struct {
-	// Recovered is true when the directory held a committed checkpoint.
+	// Recovered is true when the directory held a commit.
 	Recovered bool
-	// WALPagesReplayed counts page images re-applied from a committed WAL
-	// batch (the crash hit between WAL commit and data-file apply).
+	// WALPagesReplayed counts the page images re-applied from the groups
+	// committed to the WAL since the last checkpoint, one per page id. A
+	// commit does not apply its pages to the data file, so this is nonzero
+	// after any crash between checkpoints, not only after one that hit a
+	// checkpoint in flight.
 	WALPagesReplayed int
 	// TornPagesRepaired counts data-file records with invalid checksums
 	// whose content recovery took from the WAL copy instead.
 	TornPagesRepaired int
 	// WALTailDiscarded is true when an uncommitted WAL tail was thrown away
-	// (the crash hit mid-append; the previous checkpoint survived).
+	// (the crash hit mid-append; the previous commit survived).
 	WALTailDiscarded bool
 	// ObjectsRestored is the number of objects in the recovered base.
 	ObjectsRestored int
 	// DirOpsReplayed counts the journaled directory ops (create, move,
-	// delete) replayed over the directory snapshot; 0 when the last
-	// checkpoint wrote a fresh snapshot.
+	// delete) replayed over the directory snapshot; 0 when the last commit
+	// wrote a fresh snapshot.
 	DirOpsReplayed int
 	// GMRsRebuilt is the number of GMRs re-materialized from the catalog.
 	GMRsRebuilt int
@@ -95,8 +110,8 @@ type RecoveryInfo struct {
 	// as empty caches — their entries were dropped rather than re-validated.
 	CachesReset []string
 	// PendingDiscarded is the number of deferred-queue entries that were
-	// pending at the recovered checkpoint; their invalidations were healed
-	// by full recomputation.
+	// pending at the recovered commit; their invalidations were healed by
+	// full recomputation.
 	PendingDiscarded int
 }
 
@@ -139,11 +154,11 @@ func OpenAt(cfg Config) (*Database, error) {
 			return nil, err
 		}
 	}
-	// Baseline checkpoint: a fresh directory becomes a valid empty base, a
+	// Baseline commit: a fresh directory becomes a valid empty base, a
 	// recovered one re-commits its post-recovery state (rebuilt GMRs and
 	// all), so a crash right after open recovers to exactly this state.
 	db.lockWrite()
-	err = db.checkpointLocked()
+	err = db.commitLocked()
 	db.unlockWrite()
 	if err != nil {
 		ps.Abandon()
@@ -152,14 +167,14 @@ func OpenAt(cfg Config) (*Database, error) {
 	return db, nil
 }
 
-// recoverFrom rebuilds the engine from a recovered checkpoint image.
+// recoverFrom rebuilds the engine from a recovered commit image.
 func (db *Database) recoverFrom(img *storage.RecoveredImage) error {
 	var meta durableMeta
 	if err := json.Unmarshal(img.Meta, &meta); err != nil {
-		return fmt.Errorf("gomdb: recovery: corrupt checkpoint metadata: %w", err)
+		return fmt.Errorf("gomdb: recovery: corrupt commit metadata: %w", err)
 	}
 	if meta.Version != storage.FormatVersion {
-		return fmt.Errorf("gomdb: recovery: checkpoint format version %d, this build reads version %d",
+		return fmt.Errorf("gomdb: recovery: metadata format version %d, this build reads version %d",
 			meta.Version, storage.FormatVersion)
 	}
 	if sig := db.Schema.Fingerprint(); sig != meta.SchemaSig {
@@ -170,7 +185,7 @@ func (db *Database) recoverFrom(img *storage.RecoveredImage) error {
 	// incarnation (GMR extensions, indexes, RRR) is reclaimed as free space,
 	// since those structures are rebuilt below.
 	if meta.DirSeq != img.Seq {
-		return fmt.Errorf("gomdb: recovery: metadata describes the directory at checkpoint %d, the store recovered checkpoint %d",
+		return fmt.Errorf("gomdb: recovery: metadata describes the directory at commit %d, the store recovered commit %d",
 			meta.DirSeq, img.Seq)
 	}
 	if err := db.Disk.Restore(img.Pages, meta.Heap.Pages, storage.PageID(meta.NextPage)); err != nil {
@@ -207,16 +222,16 @@ func (db *Database) recoverFrom(img *storage.RecoveredImage) error {
 	return nil
 }
 
-// checkpointLocked makes the current engine state durable; a no-op on an
-// in-memory database. Caller holds the exclusive lock. The pages captured are
-// the union of pages physically written since the last checkpoint and pages
-// dirty in the buffer pool (whose latest content only the pool has); both
-// sets are read through the charge-free snapshot path, so the simulated Clock
-// never observes a checkpoint. The directory travels as the ops journaled
-// since the last checkpoint (or a fresh snapshot, when the object manager
-// says the journal has outgrown the base); the journal, like the dirty sets,
-// is cleared only once the store has committed.
-func (db *Database) checkpointLocked() error {
+// commitLocked makes the current engine state durable with one WAL commit; a
+// no-op on an in-memory database. Caller holds the exclusive lock. The pages
+// captured are the union of pages physically written since the last commit
+// and pages dirty in the buffer pool (whose latest content only the pool
+// has); both sets are read through the charge-free snapshot path, so the
+// simulated Clock never observes a commit. The directory travels as the ops
+// journaled since the last commit (or a fresh snapshot, when the object
+// manager says the journal has outgrown the base); the journal, like the
+// dirty sets, is cleared only once the store has committed.
+func (db *Database) commitLocked() error {
 	if db.store == nil {
 		return nil
 	}
@@ -234,7 +249,7 @@ func (db *Database) checkpointLocked() error {
 	}
 	blob, err := json.Marshal(meta)
 	if err != nil {
-		return fmt.Errorf("gomdb: checkpoint: %w", err)
+		return fmt.Errorf("gomdb: commit: %w", err)
 	}
 	dirty := db.Disk.DurableDirty()
 	for _, id := range db.Pool.DirtyPageIDs() {
@@ -242,7 +257,7 @@ func (db *Database) checkpointLocked() error {
 	}
 	dirty = dedupSorted(dirty)
 	dirPayload, dirSnapshot := db.Objects.DirCheckpoint()
-	err = db.store.CheckpointDir(dirty, db.Pool.ReadSnapshot, blob,
+	err = db.store.Commit(dirty, db.Pool.ReadSnapshot, blob,
 		storage.DirUpdate{Snapshot: dirSnapshot, Payload: dirPayload})
 	if err != nil {
 		return err
@@ -268,9 +283,12 @@ func dedupSorted(ids []storage.PageID) []storage.PageID {
 	return out
 }
 
-// Checkpoint makes the current state durable immediately; a no-op on an
-// in-memory database. It does not flush the deferred queue (use Flush for a
-// combined flush point + checkpoint). To commit a clustered layout, call
+// Checkpoint commits the current state and folds every group committed
+// since the last checkpoint into the store's data, directory and metadata
+// files, emptying the write-ahead log; a no-op on an in-memory database. A
+// commit alone is already durable, so a checkpoint only shortens the log a
+// crash would replay. It does not flush the deferred queue (use Flush for a
+// combined flush point + commit). To checkpoint a clustered layout, call
 // Recluster first.
 func (db *Database) Checkpoint() error {
 	db.lockWrite()
@@ -278,8 +296,17 @@ func (db *Database) Checkpoint() error {
 	return db.checkpointLocked()
 }
 
-// Close flushes, checkpoints, and closes the durable store. On an in-memory
-// database it is a no-op. The database must not be used after Close.
+// checkpointLocked is Checkpoint under the caller's exclusive lock.
+func (db *Database) checkpointLocked() error {
+	if err := db.commitLocked(); err != nil || db.store == nil {
+		return err
+	}
+	return db.store.Apply()
+}
+
+// Close flushes, commits, checkpoints, and closes the durable store. On an
+// in-memory database it is a no-op. The database must not be used after
+// Close.
 func (db *Database) Close() error {
 	db.lockBarrier()
 	defer db.unlockBarrier()
@@ -297,10 +324,10 @@ func (db *Database) Close() error {
 	return err
 }
 
-// Crash abandons the durable store without flushing, syncing, or
+// Crash abandons the durable store without flushing, syncing, committing or
 // checkpointing — the programmatic equivalent of the process dying at this
-// instant. Durable state remains whatever the last committed checkpoint
-// established; reopening the directory runs recovery. A no-op on an
+// instant. Durable state remains whatever the last commit established;
+// reopening the directory runs recovery. A no-op on an
 // in-memory database. The simulation harness uses it for crash-restart ops.
 func (db *Database) Crash() {
 	db.lockBarrier()
@@ -311,14 +338,14 @@ func (db *Database) Crash() {
 	}
 }
 
-// TestingFailNextCheckpoint arms the crash-mid-checkpoint injection of the
-// underlying page store: the next checkpoint's WAL append is cut off after n
-// bytes and surfaces ErrSimulatedCrash (or completes normally if the batch is
+// TestingFailNextCheckpoint arms the crash-mid-commit injection of the
+// underlying page store: the next commit's WAL append is cut off after n
+// bytes and surfaces ErrSimulatedCrash (or completes normally if the group is
 // shorter). A no-op on an in-memory database. Testing/simulation only.
 func (db *Database) TestingFailNextCheckpoint(n int64) {
 	db.lockWrite()
 	defer db.unlockWrite()
 	if db.store != nil {
-		db.store.FailNextCheckpointAfter(n)
+		db.store.FailNextCommitAfter(n)
 	}
 }

@@ -377,7 +377,7 @@ func TestDurableTornWriteRecovery(t *testing.T) {
 	db.Disk.SetFaultPlan(storage.FaultPlan{Rules: []storage.FaultRule{
 		{Op: storage.FaultTornWrite, File: "objects", After: 0, Count: 1},
 	}})
-	err = db.Flush() // checkpoint point; its data-file apply tears
+	err = db.Checkpoint() // commits, then the checkpoint's data-file apply tears
 	if !errors.Is(err, gomdb.ErrSimulatedCrash) {
 		t.Fatalf("torn checkpoint: err=%v, want ErrSimulatedCrash", err)
 	}
@@ -404,6 +404,65 @@ func TestDurableTornWriteRecovery(t *testing.T) {
 	}
 	if v, err := db2.GetAttr(created, "Value"); err != nil || v.F != 77 {
 		t.Fatalf("created cuboid not recovered: v=%v err=%v", v, err)
+	}
+}
+
+// A page logged by one commit and freed before the next — a heap relocation
+// releases the pages it moved objects off — is still in the WAL a crash
+// between checkpoints leaves behind. Recovery replays its image but must not
+// bring it back as a live heap page.
+func TestDurableFreedPageNotResurrected(t *testing.T) {
+	dir := t.TempDir()
+	db, err := gomdb.OpenAt(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	geo, err := fixtures.PopulateGeometry(db, 12, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	materializeGvw(t, db, gomdb.Lazy) // a commit: the heap pages are logged
+	_, before := db.Objects.DirectoryHeader()
+	if rep, err := db.Recluster(); err != nil || rep.Moved == 0 {
+		t.Fatalf("recluster: %+v %v", rep, err)
+	}
+	if err := db.Flush(); err != nil { // commits the relocation; no checkpoint
+		t.Fatal(err)
+	}
+	_, after := db.Objects.DirectoryHeader()
+	live := map[storage.PageID]bool{}
+	for _, id := range after.Pages {
+		live[id] = true
+	}
+	var freed []storage.PageID
+	for _, id := range before.Pages {
+		if !live[id] {
+			freed = append(freed, id)
+		}
+	}
+	if len(freed) == 0 {
+		t.Fatal("the relocation freed no heap page")
+	}
+	want := allVolumes(t, db, geo.Cuboids)
+	db.Crash()
+
+	db2, err := gomdb.OpenAt(durableConfig(dir))
+	if err != nil {
+		t.Fatalf("reopen after crash: %v", err)
+	}
+	defer db2.Close()
+	if db2.Recovery.WALPagesReplayed == 0 {
+		t.Fatal("recovery replayed no WAL pages although no checkpoint ran")
+	}
+	_, got := db2.Objects.DirectoryHeader()
+	if !reflect.DeepEqual(got.Pages, after.Pages) {
+		t.Fatalf("recovered heap pages %v, want the committed %v (freed %v)", got.Pages, after.Pages, freed)
+	}
+	if msgs := db2.Objects.AuditDirectory(); len(msgs) != 0 {
+		t.Fatalf("directory audit after recovery: %v", msgs)
+	}
+	if vols := allVolumes(t, db2, geo.Cuboids); !reflect.DeepEqual(vols, want) {
+		t.Fatal("recovered base computes different volumes")
 	}
 }
 

@@ -154,7 +154,7 @@ type Config struct {
 	// is identical for every value.
 	BufferShards int
 	// Path, when non-empty, makes the database durable: pages and engine
-	// metadata are checkpointed to this directory (see DESIGN.md,
+	// metadata are committed to this directory (see DESIGN.md,
 	// "Durability & recovery") and recovered on the next open. Durability
 	// never changes simulated cost accounting: all durable file I/O is real
 	// I/O outside the simulated Clock.
@@ -162,7 +162,7 @@ type Config struct {
 	// DefineSchema rebuilds the schema (types, operations, public clauses,
 	// InvalidatedFct declarations) on every durable open. GOMpl function
 	// bodies are code, not data, so they cannot be read back from disk; the
-	// checkpoint stores a schema fingerprint and recovery verifies the
+	// commit stores a schema fingerprint and recovery verifies the
 	// callback rebuilt a congruent schema before decoding any record. The
 	// callback must only define schema — it must not create objects or
 	// materialize. Required when Path is set and the directory holds an
@@ -554,13 +554,13 @@ func (db *Database) Call(fn string, args ...Value) (Value, error) {
 // GMR has marked invalid since the last flush point is recomputed once,
 // serially in a canonical order, regardless of how many updates invalidated
 // it. A no-op when nothing is pending. On a durable
-// database a flush is a checkpoint point: the drained state is made durable
+// database a flush is a commit point: the drained state is made durable
 // before the lock is released.
 func (db *Database) Flush() error {
 	db.lockWrite()
 	defer db.unlockWrite()
 	err := db.GMRs.Flush()
-	if cerr := db.checkpointLocked(); err == nil {
+	if cerr := db.commitLocked(); err == nil {
 		err = cerr
 	}
 	return err
@@ -619,7 +619,7 @@ func (tx *Tx) Call(fn string, args ...Value) (Value, error) {
 // returns an error the flush still runs (updates already applied must not
 // leave the queue stale across an unlocked window for readers that force
 // entries individually), and fn's error takes precedence. On a durable
-// database the end of the batch is also a checkpoint point.
+// database the end of the batch is also a commit point.
 func (db *Database) Batch(fn func(*Tx) error) error {
 	tx := db.BeginBatch()
 	return db.EndBatch(tx, fn(tx))
@@ -637,9 +637,9 @@ func (db *Database) BeginBatch() *Tx {
 }
 
 // EndBatch closes a batch opened by BeginBatch: the deferred-rematerialization
-// queue is flushed, the state checkpointed (durable databases), and the
+// queue is flushed, the state committed (durable databases), and the
 // exclusive lock released. err is the batch body's verdict; it takes
-// precedence over flush and checkpoint errors, matching Batch — the flush
+// precedence over flush and commit errors, matching Batch — the flush
 // still runs on a failed batch because updates already applied must not leave
 // the queue stale across an unlocked window.
 func (db *Database) EndBatch(tx *Tx, err error) error {
@@ -647,7 +647,7 @@ func (db *Database) EndBatch(tx *Tx, err error) error {
 	if ferr := db.GMRs.Flush(); err == nil {
 		err = ferr
 	}
-	if cerr := db.checkpointLocked(); err == nil {
+	if cerr := db.commitLocked(); err == nil {
 		err = cerr
 	}
 	return err
@@ -705,7 +705,7 @@ var ErrInjectedFault = storage.ErrInjectedFault
 
 // Materialize creates a GMR per the options — the API form of the GOMql
 // statement "range ... materialize ...". On a durable database a successful
-// materialization is a checkpoint point, and restricted GMRs (Restriction or
+// materialization is a commit point, and restricted GMRs (Restriction or
 // AtomicArgs set) are refused: their predicates are function values that
 // cannot be persisted, so they could not be rebuilt on recovery.
 func (db *Database) Materialize(opts MaterializeOptions) (*GMR, error) {
@@ -718,7 +718,7 @@ func (db *Database) Materialize(opts MaterializeOptions) (*GMR, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cerr := db.checkpointLocked(); cerr != nil {
+	if cerr := db.commitLocked(); cerr != nil {
 		return g, cerr
 	}
 	return g, nil
@@ -810,14 +810,14 @@ func (db *Database) CheckConsistency(gmrName string, tol float64, checkComplete 
 func (db *Database) SetTrace(fn func(TraceEvent)) { db.GMRs.SetTrace(fn) }
 
 // Dematerialize drops a GMR and undoes its schema rewrite. On a durable
-// database the drop is a checkpoint point.
+// database the drop is a commit point.
 func (db *Database) Dematerialize(name string) error {
 	db.lockBarrier()
 	defer db.unlockBarrier()
 	if err := db.GMRs.Drop(name); err != nil {
 		return err
 	}
-	return db.checkpointLocked()
+	return db.commitLocked()
 }
 
 // Extension returns the OIDs of all instances of typeName (and subtypes).

@@ -17,11 +17,11 @@ import (
 // metadata file at <root>/router.json (storage.ReplaceFile: fsynced tmp,
 // rename, fsynced directory — after a power loss it is either the old or the
 // complete new version, never empty). There is no cross-shard atomic
-// commit: every shard checkpoints independently, and a crash mid-fan-out
-// leaves the shards at different checkpoint horizons. Recovery tolerates
-// that — each shard replays to its own last committed checkpoint, and the
-// router rebuilds its routing table from what actually survived — but a
-// multi-shard batch is NOT atomic across a crash, only per shard. (A
+// commit: every shard commits independently, and a crash mid-fan-out leaves
+// the shards at different commit horizons. Recovery tolerates that — each
+// shard replays to its own last commit, and the router rebuilds its routing
+// table from what actually survived — but a multi-shard batch is NOT atomic
+// across a crash, only per shard. (A
 // two-phase commit across shards is the served-process tier's problem;
 // within one process the paper's recovery unit is the engine.)
 //
@@ -29,16 +29,16 @@ import (
 // the sim audits more of it):
 //
 //  1. A GMR exists on the router iff it exists on ALL shards. Materialize
-//     and Dematerialize fan out shard by shard with a checkpoint each, so a
+//     and Dematerialize fan out shard by shard with a commit each, so a
 //     crash mid-fan-out recovers the GMR on shards 0..k only; OpenAt drops
 //     it from those (dropPartialGMRs) and the materialization is simply
-//     lost, like any work after the last checkpoint. Without the rule every
+//     lost, like any work after the last commit. Without the rule every
 //     later fan-out on that name fails half-way, forever.
 //
 // OID safety across crashes does not depend on router.json freshness: on
 // reopen the allocator is seeded past both the persisted floor and the
 // maximum OID actually recovered on any shard, so an OID persisted by a
-// shard checkpoint that outran the last metadata write is never reissued.
+// shard commit that outran the last metadata write is never reissued.
 
 const metaVersion = 1
 
@@ -120,9 +120,8 @@ func (db *DB) saveMetaLocked() error {
 // every shard's live OID set is scanned (a charge-free directory walk — no
 // pages are touched), an OID present on more than one shard is a replica,
 // and one present on exactly one shard is owned by it. The allocator is
-// then seeded past the maximum recovered OID, so even a shard checkpoint
-// that outran the last router.json write cannot cause an OID to be
-// reissued.
+// then seeded past the maximum recovered OID, so even a shard commit that
+// outran the last router.json write cannot cause an OID to be reissued.
 func (db *DB) recoverRouting() error {
 	counts := make(map[gomdb.OID]int)
 	last := make(map[gomdb.OID]int)
@@ -149,7 +148,7 @@ func (db *DB) recoverRouting() error {
 
 // dropPartialGMRs enforces rule 1 of the file header after the shards have
 // recovered: a GMR some shard lacks is dematerialized on the shards that have
-// it (a checkpoint point each, so the drop itself survives the next crash).
+// it (a commit point each, so the drop itself survives the next crash).
 func (db *DB) dropPartialGMRs() error {
 	on := make(map[string]int)
 	for _, sh := range db.shards {

@@ -141,9 +141,9 @@ func (db *DB) Dematerialize(name string) error {
 }
 
 // Flush drains every shard's deferred-rematerialization queue in shard
-// order (a checkpoint point per shard on durable databases). The router
-// metadata is saved first so recovery never sees a shard checkpoint whose
-// OIDs outrun the router's allocator floor.
+// order (a commit point per shard on durable databases). The router
+// metadata is saved first so recovery never sees a shard commit whose OIDs
+// outrun the router's allocator floor.
 func (db *DB) Flush() error {
 	if err := db.saveMeta(); err != nil {
 		return err
@@ -156,11 +156,11 @@ func (db *DB) Flush() error {
 	return nil
 }
 
-// Checkpoint makes every shard's state durable: the router metadata
-// (allocator floor, partitioned types) commits first, then each shard
-// checkpoints in shard order. There is no cross-shard atomic commit — a
-// crash mid-fan-out leaves shards at different checkpoint horizons, which
-// recovery tolerates (see durable.go).
+// Checkpoint makes every shard's state durable and checkpoints it: the
+// router metadata (allocator floor, partitioned types) commits first, then
+// each shard commits and checkpoints in shard order. There is no cross-shard
+// atomic commit — a crash mid-fan-out leaves shards at different commit
+// horizons, which recovery tolerates (see durable.go).
 func (db *DB) Checkpoint() error {
 	if err := db.saveMeta(); err != nil {
 		return err
@@ -206,9 +206,8 @@ func (db *DB) Close() error {
 	return err
 }
 
-// Crash abandons every shard's durable store without checkpointing — the
-// whole-process crash. Durable state stays at each shard's last committed
-// checkpoint.
+// Crash abandons every shard's durable store without committing — the
+// whole-process crash. Durable state stays at each shard's last commit.
 func (db *DB) Crash() {
 	for _, sh := range db.shards {
 		sh.Crash()
@@ -378,10 +377,10 @@ func (tx *Tx) Call(fn string, args ...gomdb.Value) (gomdb.Value, error) {
 // is taken first, then every shard's exclusive lock in shard-index order —
 // one fixed acquisition order, so concurrent router operations cannot
 // deadlock — and fn routes its operations through the multi-shard Tx. Each
-// shard then flushes its deferred queue and checkpoints in shard order: the
+// shard then flushes its deferred queue and commits in shard order: the
 // batch is a flush point on every shard even when only some were written,
 // matching the single-engine contract that a batch ends quiescent. Router
-// metadata is saved before the shard checkpoints run.
+// metadata is saved before the shard commits run.
 func (db *DB) Batch(fn func(*Tx) error) error {
 	tx := db.BeginBatch()
 	return db.EndBatch(tx, fn(tx))
@@ -404,10 +403,10 @@ func (db *DB) BeginBatch() *Tx {
 }
 
 // EndBatch closes a batch opened by BeginBatch: router metadata is saved,
-// then every shard flushes its deferred queue and checkpoints in shard
-// order, and all locks release. err is the batch verdict (the closure error
-// in Batch's terms); the first error among verdict, metadata save, and
-// shard checkpoints is returned.
+// then every shard flushes its deferred queue and commits in shard order,
+// and all locks release. err is the batch verdict (the closure error in
+// Batch's terms); the first error among verdict, metadata save, and shard
+// commits is returned.
 func (db *DB) EndBatch(tx *Tx, err error) error {
 	defer db.mu.Unlock()
 	if merr := db.saveMetaLocked(); err == nil {

@@ -19,15 +19,24 @@ func countCrashes(p Plan) int {
 	return n
 }
 
-// countCutsFired reports how many of a run's armed mid-checkpoint cuts
+// countCutsFired reports how many of a run's armed mid-commit cuts
 // (TestingFailNextCheckpoint at a generated byte offset) actually cut a WAL
-// append short. A cut armed beyond the end of its batch lets the checkpoint
+// append short. A cut armed beyond the end of its group lets the commit
 // complete, so a campaign whose batches all shrank below the generated
 // offsets would stay green while no longer testing a torn WAL tail.
-func countCutsFired(trace []string) int {
+func countCutsFired(trace []string) int { return countTraceLines(trace, "WAL append cut off") }
+
+// countTornFired reports how many of a run's armed torn writes actually tore
+// a data-file record. The tear can only fire inside a checkpoint's apply, so
+// a campaign in which no checkpoint ran one would stay green while no longer
+// testing a torn data page repaired from the WAL.
+func countTornFired(trace []string) int { return countTraceLines(trace, "torn write of page") }
+
+// countTraceLines counts the trace lines containing substr.
+func countTraceLines(trace []string, substr string) int {
 	n := 0
 	for _, line := range trace {
-		if strings.Contains(line, "WAL append cut off") {
+		if strings.Contains(line, substr) {
 			n++
 		}
 	}
@@ -50,18 +59,23 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 			if testing.Short() {
 				seeds = 3
 			}
-			crashes, cuts := 0, 0
+			crashes, cuts, torn := 0, 0, 0
 			for seed := int64(900); seed < 900+seeds; seed++ {
 				plan := Generate(seed, GenOptions{Ops: 100, Crashes: true})
 				crashes += countCrashes(plan)
 				res := requireClean(t, EngineConfig{Strategy: strat, Durable: true}, plan)
 				cuts += countCutsFired(res.Trace)
+				torn += countTornFired(res.Trace)
 			}
 			if crashes == 0 {
 				t.Fatal("no crash ops generated across any seed; the campaign is vacuous")
 			}
 			if cuts == 0 {
-				t.Fatal("no mid-checkpoint cut fired across any seed: every generated cut point lies beyond its WAL batch")
+				t.Fatal("no mid-commit cut fired across any seed: every generated cut point lies beyond its WAL group")
+			}
+			// The three -short seeds generate no torn op at all.
+			if !testing.Short() && torn == 0 {
+				t.Fatal("no torn write fired across any seed: no checkpoint applied a page the rule could tear")
 			}
 		})
 	}

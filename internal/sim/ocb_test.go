@@ -48,7 +48,7 @@ func TestOCBMatrix(t *testing.T) {
 				if testing.Short() {
 					seeds = 1
 				}
-				cuts := 0
+				cuts, torn := 0, 0
 				for seed := int64(300); seed < 300+seeds; seed++ {
 					run := cfg
 					if run.Durable {
@@ -63,6 +63,7 @@ func TestOCBMatrix(t *testing.T) {
 						t.Fatal("crash cell generated no crash ops (vacuous)")
 					}
 					cuts += countCutsFired(res.Trace)
+					torn += countTornFired(res.Trace)
 					if opt.Recluster && !traceContains(res.Trace, "recluster") {
 						t.Fatal("recluster cell generated no recluster ops (vacuous)")
 					}
@@ -70,9 +71,13 @@ func TestOCBMatrix(t *testing.T) {
 						t.Fatal("fault cell generated no fault windows (vacuous)")
 					}
 				}
-				// One seed (-short) arms too few cuts to demand that one fired.
+				// One seed (-short) arms too few cuts and tears to demand
+				// that one fired.
 				if opt.Crashes && !testing.Short() && cuts == 0 {
-					t.Fatal("crash cell: no mid-checkpoint cut fired across the seeds")
+					t.Fatal("crash cell: no mid-commit cut fired across the seeds")
+				}
+				if opt.Crashes && !testing.Short() && torn == 0 {
+					t.Fatal("crash cell: no torn write fired across the seeds")
 				}
 			})
 		}

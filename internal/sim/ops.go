@@ -84,12 +84,12 @@ const (
 	OpRecluster OpKind = "recluster"
 	// OpCrash kills and reopens a durable database (a no-op on in-memory
 	// runs). S selects the crash point: "now" crashes between operations;
-	// "mid-batch" cuts the WAL append of the end-of-batch checkpoint after N
-	// bytes while committing Sub; "mid-flush" and "mid-mat" cut the
-	// checkpoint of a Flush or of materializing catalog entry X the same
-	// way; "torn" arms the Rule fault plan (FaultTornWrite) so the batch
-	// checkpoint's data-file apply tears a page write in half. Cuts and the
-	// torn write are armed on engine X mod the engine count. After the
+	// "mid-batch" cuts the WAL append of the end-of-batch commit after N
+	// bytes while committing Sub; "mid-flush" and "mid-mat" cut the commit
+	// of a Flush or of materializing catalog entry X the same way; "torn"
+	// arms the Rule fault plan (FaultTornWrite), commits Sub, and runs a
+	// checkpoint whose data-file apply tears a page write in half. Cuts and
+	// the torn write are armed on engine X mod the engine count. After the
 	// trigger the database is crashed and reopened: a recovery error is a
 	// violation, and the recovered state is audited immediately.
 	OpCrash OpKind = "crash"
@@ -322,7 +322,7 @@ func genCreate(rng *rand.Rand) Op {
 }
 
 // genCrash draws one fully-parameterized crash-restart op. The WAL cut
-// offsets (N) span zero to well past a typical checkpoint batch, so crashes
+// offsets (N) span zero to well past a typical commit group, so crashes
 // land before the first record, mid-record, between records, and after the
 // commit (in which case the trigger succeeds and the crash is merely
 // post-commit). ncat is the fixture's catalog size and genSub its batch-body

@@ -46,8 +46,8 @@ func TestShardedDeterminism(t *testing.T) {
 	}
 }
 
-// cutsOffShard0 counts the mid-checkpoint cuts that fired on a shard other
-// than 0: the router prefixes the failing shard to the checkpoint error.
+// cutsOffShard0 counts the mid-commit cuts that fired on a shard other
+// than 0: the router prefixes the failing shard to the commit error.
 func cutsOffShard0(trace []string) int {
 	off := regexp.MustCompile(`ERR shard [1-9][0-9]*: .*WAL append cut off`)
 	n := 0
@@ -101,15 +101,19 @@ func TestShardedDurableCrashes(t *testing.T) {
 		t.Skip("durable sharded crash campaign skipped in -short")
 	}
 	cfg := EngineConfig{Strategy: "immediate", Shards: 2, Durable: true}
-	cuts, off := 0, 0
+	cuts, torn, off := 0, 0, 0
 	for seed := int64(1); seed <= 6; seed++ {
 		plan := Generate(seed, GenOptions{Ops: 60, Crashes: true})
 		res := requireClean(t, cfg, plan)
 		cuts += countCutsFired(res.Trace)
+		torn += countTornFired(res.Trace)
 		off += cutsOffShard0(res.Trace)
 	}
 	if cuts == 0 {
-		t.Fatal("no mid-checkpoint cut fired on any shard across the seeds")
+		t.Fatal("no mid-commit cut fired on any shard across the seeds")
+	}
+	if torn == 0 {
+		t.Fatal("no torn write fired on any shard across the seeds")
 	}
 	if off == 0 {
 		t.Fatalf("all %d cuts fired on shard 0: crash ops are not reaching the other shards", cuts)

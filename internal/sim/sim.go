@@ -384,8 +384,8 @@ func (r *runner) skipEmpty() string {
 }
 
 // applyCrash kills the durable backend at the op's chosen point and reopens
-// it. The mid-checkpoint cuts and the torn write are armed on ONE engine (X
-// mod the engine count), so under the router the surviving checkpoint
+// it. The mid-commit cuts and the torn write are armed on ONE engine (X mod
+// the engine count), so under the router the surviving commit
 // horizons diverge across shards and recovery must rebuild a coherent routing
 // table from that divergence. A recovery error is a violation — crash-safety
 // is the invariant under test — and the recovered state is audited
@@ -411,7 +411,9 @@ func (r *runner) applyCrash(op Op) (string, *Violation) {
 		trigger = fmt.Sprintf("mid-mat@%d %s", op.N, r.applyMat(op.X))
 	case "torn":
 		eng.Disk.SetFaultPlan(storage.FaultPlan{Rules: op.Rule})
-		trigger = "torn " + r.applyBatch(op.Sub)
+		// A batch only commits; the checkpoint after it runs the data-file
+		// apply the rule tears.
+		trigger = fmt.Sprintf("torn %s checkpoint %s", r.applyBatch(op.Sub), errStr(eng.Checkpoint()))
 	default:
 		trigger = "now"
 	}

@@ -37,9 +37,12 @@ type Frame struct {
 	// unpin under different shard lock acquisitions and MarkDirty's debug
 	// assertion reads it without any lock.
 	pins atomic.Int32
-	// stamp is the global recency stamp of the last Pin; guarded by the
-	// owning shard's mutex.
-	stamp uint64
+	// stamp is the global recency stamp of the last Pin. Written under the
+	// owning shard's mutex; atomic because the victim scan reads it under
+	// missMu alone.
+	stamp atomic.Uint64
+	// slot is the frame's index in BufferPool.frames; guarded by missMu.
+	slot int
 }
 
 // ID returns the page id cached in the frame.
@@ -90,9 +93,14 @@ type shard struct {
 // across shards would make eviction (and therefore the physical-I/O count
 // and the simulated clock) depend on the shard count and thus on GOMAXPROCS;
 // with the global stamp the victim sequence of a single-threaded run is
-// bit-identical to the historical pool for any shard count. The O(capacity)
-// victim scan is charged against a path that already pays a simulated disk
-// I/O and is negligible at realistic pool sizes.
+// bit-identical to the historical pool for any shard count.
+//
+// The victim scan is O(capacity) real time on every miss of a full pool —
+// not negligible: in the paper's 150-frame regime, where most operations
+// miss, a scan that ranged over every shard map under its mutex took about a
+// tenth of the CPU. It therefore walks a flat frame table that only missMu
+// holders change, reading each frame's pin count and stamp atomically and
+// locking a shard only to evict the chosen victim.
 type BufferPool struct {
 	disk  *Disk
 	cap   int
@@ -106,10 +114,11 @@ type BufferPool struct {
 	// any shard mutex; the hit path takes only its shard mutex.
 	missMu sync.Mutex
 
-	// count is the number of resident frames; tick is the global recency
-	// stamp source.
-	count atomic.Int64
-	tick  atomic.Uint64
+	// frames is the frame table: every resident frame, in no particular
+	// order (see install and remove). Guarded by missMu.
+	frames []*Frame
+	// tick is the global recency stamp source.
+	tick atomic.Uint64
 
 	// hits and misses count logical page requests served from the pool vs.
 	// requiring a physical read; read them through HitStats.
@@ -185,7 +194,7 @@ func (bp *BufferPool) Pin(id PageID) (*Frame, error) {
 	if f, ok := sh.frames[id]; ok {
 		bp.hits.Add(1)
 		f.pins.Add(1)
-		f.stamp = bp.tick.Add(1)
+		f.stamp.Store(bp.tick.Add(1))
 		sh.mu.Unlock()
 		return f, nil
 	}
@@ -204,7 +213,7 @@ func (bp *BufferPool) pinMiss(id PageID) (*Frame, error) {
 	if f, ok := sh.frames[id]; ok {
 		bp.hits.Add(1)
 		f.pins.Add(1)
-		f.stamp = bp.tick.Add(1)
+		f.stamp.Store(bp.tick.Add(1))
 		sh.mu.Unlock()
 		return f, nil
 	}
@@ -218,11 +227,7 @@ func (bp *BufferPool) pinMiss(id PageID) (*Frame, error) {
 	if err := bp.disk.read(id, &f.Data); err != nil {
 		return nil, err
 	}
-	sh.mu.Lock()
-	f.stamp = bp.tick.Add(1)
-	sh.frames[id] = f
-	sh.mu.Unlock()
-	bp.count.Add(1)
+	bp.install(sh, f)
 	return f, nil
 }
 
@@ -244,14 +249,29 @@ func (bp *BufferPool) PinNewOwned(owner string) (*Frame, error) {
 	f.reset(id)
 	f.Data = [PageSize]byte{}
 	f.dirty, f.durDirty = true, true
-	sh := bp.shardFor(id)
-	sh.mu.Lock()
-	f.stamp = bp.tick.Add(1)
-	sh.frames[id] = f
-	sh.mu.Unlock()
-	bp.count.Add(1)
+	bp.install(bp.shardFor(id), f)
 	bp.clock.addLogWrite()
 	return f, nil
+}
+
+// install stamps f, makes it resident in sh and adds it to the frame table.
+// Caller holds missMu.
+func (bp *BufferPool) install(sh *shard, f *Frame) {
+	sh.mu.Lock()
+	f.stamp.Store(bp.tick.Add(1))
+	sh.frames[f.id] = f
+	sh.mu.Unlock()
+	f.slot = len(bp.frames)
+	bp.frames = append(bp.frames, f)
+}
+
+// remove drops f from the frame table, moving the last frame into its slot.
+// Caller holds missMu and has already removed f from its shard.
+func (bp *BufferPool) remove(f *Frame) {
+	last := bp.frames[len(bp.frames)-1]
+	bp.frames[f.slot], last.slot = last, f.slot
+	bp.frames[len(bp.frames)-1] = nil
+	bp.frames = bp.frames[:len(bp.frames)-1]
 }
 
 // Unpin releases one pin on page id. If dirty is true the frame is marked
@@ -288,33 +308,30 @@ func (f *Frame) reset(id PageID) {
 
 // evictIfFull returns a frame for the caller to install a page in: when the
 // pool is full, the frame it evicts using exact global LRU (minimum recency
-// stamp over all unpinned frames), written back first if dirty; otherwise a
+// stamp over all unpinned frames; stamps are unique, so the scan order of
+// the frame table does not matter), written back first if dirty; otherwise a
 // new one. A recycled frame still holds its old page's bytes. Caller holds
 // missMu, so no frame is concurrently inserted or removed; concurrent hits
 // may pin or re-stamp frames, which the second, locked check below accounts
 // for.
 func (bp *BufferPool) evictIfFull() (*Frame, error) {
-	for int(bp.count.Load()) >= bp.cap {
+	for len(bp.frames) >= bp.cap {
 		var victim *Frame
-		var vsh *shard
-		for i := range bp.shards {
-			sh := &bp.shards[i]
-			sh.mu.Lock()
-			for _, f := range sh.frames {
-				if f.pins.Load() > 0 {
-					continue
-				}
-				if victim == nil || f.stamp < victim.stamp {
-					victim, vsh = f, sh
-				}
+		var vstamp uint64
+		for _, f := range bp.frames {
+			if f.pins.Load() > 0 {
+				continue
 			}
-			sh.mu.Unlock()
+			if st := f.stamp.Load(); victim == nil || st < vstamp {
+				victim, vstamp = f, st
+			}
 		}
 		if victim == nil {
 			return nil, fmt.Errorf("storage: buffer pool exhausted: all %d frames pinned", bp.cap)
 		}
+		vsh := bp.shardFor(victim.id)
 		vsh.mu.Lock()
-		if f, ok := vsh.frames[victim.id]; !ok || f != victim || f.pins.Load() > 0 {
+		if victim.pins.Load() > 0 {
 			// A reader pinned the chosen victim between the scan and the
 			// lock; rescan for the next-oldest frame.
 			vsh.mu.Unlock()
@@ -328,7 +345,7 @@ func (bp *BufferPool) evictIfFull() (*Frame, error) {
 		}
 		delete(vsh.frames, victim.id)
 		vsh.mu.Unlock()
-		bp.count.Add(-1)
+		bp.remove(victim)
 		return victim, nil
 	}
 	return new(Frame), nil
@@ -350,7 +367,7 @@ func (bp *BufferPool) FreePage(id PageID) error {
 			return fmt.Errorf("storage: free of pinned page %d", id)
 		}
 		delete(sh.frames, id)
-		bp.count.Add(-1)
+		bp.remove(f)
 	}
 	sh.mu.Unlock()
 	return bp.disk.Free(id)

@@ -50,7 +50,7 @@ func buildCrashSources(t *testing.T, update DirUpdate) (prev, wal, next string) 
 	run := func(second func(ps *PageStore)) string {
 		dir := t.TempDir()
 		ps, _ := mustOpenStore(t, dir)
-		err := ps.CheckpointDir([]PageID{1, 2}, memReader(map[PageID]*[PageSize]byte{1: fillPage(1), 2: fillPage(2)}),
+		err := checkpointDir(ps, []PageID{1, 2}, memReader(map[PageID]*[PageSize]byte{1: fillPage(1), 2: fillPage(2)}),
 			[]byte("one"), DirUpdate{Snapshot: true, Payload: []byte("snap1")})
 		if err != nil {
 			t.Fatalf("checkpoint 1: %v", err)
@@ -60,7 +60,7 @@ func buildCrashSources(t *testing.T, update DirUpdate) (prev, wal, next string) 
 		return dir
 	}
 	two := func(ps *PageStore) error {
-		return ps.CheckpointDir([]PageID{1, 3}, memReader(map[PageID]*[PageSize]byte{1: fillPage(10), 3: fillPage(30)}),
+		return checkpointDir(ps, []PageID{1, 3}, memReader(map[PageID]*[PageSize]byte{1: fillPage(10), 3: fillPage(30)}),
 			[]byte("two"), update)
 	}
 	prev = run(func(*PageStore) {})
@@ -172,7 +172,7 @@ func TestDirJournalCrashStates(t *testing.T) {
 			}
 			// And the store goes on from there: the next checkpoint extends
 			// the recovered directory.
-			err = ps.CheckpointDir(nil, nil, []byte("after"), DirUpdate{Payload: []byte("after")})
+			err = checkpointDir(ps, nil, nil, []byte("after"), DirUpdate{Payload: []byte("after")})
 			if err != nil {
 				t.Fatalf("checkpoint after recovery: %v", err)
 			}
@@ -215,7 +215,7 @@ func TestDirJournalEmptyDeltaWritesNothing(t *testing.T) {
 	}
 	for i, payload := range []string{"a", "", "", "b", ""} {
 		before := size()
-		if err := ps.CheckpointDir(nil, nil, []byte("m"), DirUpdate{Payload: []byte(payload)}); err != nil {
+		if err := checkpointDir(ps, nil, nil, []byte("m"), DirUpdate{Payload: []byte(payload)}); err != nil {
 			t.Fatalf("checkpoint %d: %v", i+1, err)
 		}
 		if grew := size() - before; (payload == "") != (grew == 0) {
@@ -239,7 +239,7 @@ func TestDirJournalSnapshotReplacesFile(t *testing.T) {
 		{Payload: []byte("d1")}, {Payload: []byte("d2")},
 		{Snapshot: true, Payload: []byte("s3")}, {Payload: []byte("d4")},
 	} {
-		if err := ps.CheckpointDir(nil, nil, []byte("m"), u); err != nil {
+		if err := checkpointDir(ps, nil, nil, []byte("m"), u); err != nil {
 			t.Fatalf("checkpoint %d: %v", i+1, err)
 		}
 	}
@@ -257,7 +257,7 @@ func TestDirJournalOutOfPlaceRecordRefused(t *testing.T) {
 	dir := t.TempDir()
 	ps, _ := mustOpenStore(t, dir)
 	for _, u := range []DirUpdate{{Payload: []byte("d1")}, {Payload: []byte("d2")}} {
-		if err := ps.CheckpointDir(nil, nil, []byte("m"), u); err != nil {
+		if err := checkpointDir(ps, nil, nil, []byte("m"), u); err != nil {
 			t.Fatal(err)
 		}
 	}

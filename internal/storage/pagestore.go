@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // PageStore is the optional durable backend behind the simulated Disk: a
@@ -17,44 +18,56 @@ import (
 // plus one metadata file in a directory:
 //
 //	data.gomdb  page records, one fixed-size slot per page id
-//	wal.gomdb   the redo log of the checkpoint in flight (or last applied)
+//	wal.gomdb   the redo log: every group committed since the last checkpoint
 //	dir.gomdb   the OID directory: one snapshot record, then one delta record
-//	            per checkpoint that changed the directory
-//	meta.gomdb  the checkpoint sequence number and the engine metadata blob of
-//	            the last committed checkpoint
+//	            per commit that changed the directory
+//	meta.gomdb  the sequence number and engine metadata blob of the last
+//	            group a checkpoint folded into the other files
 //
-// The durable unit is the checkpoint: the engine (gomdb facade) collects
-// every page written since the last checkpoint, a small metadata blob and the
-// directory ops journaled since the last checkpoint (a DirUpdate), and calls
-// Checkpoint, which stamps all of it with the next sequence number and makes
-// the transition atomic via the WAL:
+// A commit is not a checkpoint. The durable unit is the commit: the engine
+// (gomdb facade) collects every page written since the last commit, a small
+// metadata blob and the directory ops journaled since the last commit (a
+// DirUpdate), and calls Commit, which stamps all of it with the next
+// sequence number and performs step 1 alone:
 //
 //  1. append all page records, the directory record, the meta record and a
-//     commit record to the WAL; fsync it    (crash before/during: the tail
-//     is discarded, the previous checkpoint remains the durable state)
-//  2. apply the page records to the data file, one write per run of adjacent
-//     page ids; fsync it    (crash during: the committed WAL is replayed on
-//     recovery, repairing torn records)
-//  3. append the directory delta to dir.gomdb and fsync it — or, for a
-//     snapshot, write dir.gomdb.tmp, fsync it, rename it over dir.gomdb and
-//     fsync the directory
+//     commit record to the WAL with one write; fsync it    (crash
+//     before/during: the tail is discarded, the previous commit remains the
+//     durable state)
+//
+// The checkpoint (Apply) performs steps 2-5 over every group committed since
+// the last one. It runs inside the Commit that takes the WAL past
+// walCheckpointBytes, and whenever the engine asks (gomdb's Close and
+// Checkpoint):
+//
+//  2. write each page's latest logged image to the data file, located
+//     through the in-memory page → WAL offset index, one write per run of
+//     adjacent page ids; fsync it    (crash during: the committed WAL is
+//     replayed on recovery, repairing torn records)
+//  3. append the directory deltas to dir.gomdb and fsync it — or, when a
+//     group carried a snapshot, write dir.gomdb.tmp holding the last
+//     snapshot and the deltas after it, fsync it, rename it over dir.gomdb
+//     and fsync the directory
 //  4. replace meta.gomdb: write meta.gomdb.tmp, fsync it, rename, fsync the
-//     directory. Only now is the new sequence number durable.
+//     directory. Only now does the WAL stop being needed.
 //  5. truncate the WAL and fsync it
 //
 // Every step is durable before the next begins, so the WAL is never truncated
 // beside a meta file that could still vanish, and a file that was just
 // created (or renamed into place) has its directory entry fsynced before
-// anything depends on it.
+// anything depends on it. An acknowledged commit therefore costs one WAL
+// write and one fsync; the checkpoint's five fsyncs are paid once per
+// walCheckpointBytes of log.
 //
-// Recovery (OpenPageStore) therefore always returns exactly the state of the
-// last committed checkpoint: it removes leftover .tmp files, truncates
-// dir.gomdb at the first torn record or the first record newer than
-// meta.gomdb's sequence number (step 3 ran, step 4 did not), scans the WAL,
-// discards an uncommitted tail, re-applies a committed batch (finishing the
-// interrupted steps 2-5; a directory record dir.gomdb already holds is
-// skipped), and validates every data-file record's checksum, preferring the
-// WAL copy for a record a torn write corrupted.
+// Recovery (OpenPageStore) always returns exactly the state of the last
+// commit: it removes leftover .tmp files, truncates dir.gomdb at the first
+// torn record or the first record newer than meta.gomdb's sequence number
+// (step 3 ran, step 4 did not), scans the WAL, discards an uncommitted tail,
+// replays every committed group (running steps 2-5 over them; a directory
+// record dir.gomdb already holds is skipped), and validates every data-file
+// record's checksum, preferring the WAL copy for a record a torn write
+// corrupted. A crash between checkpoints thus replays up to
+// walCheckpointBytes of log.
 //
 // All PageStore I/O is real file I/O and is deliberately NEVER charged to the
 // simulated Clock: the cost model of the paper's figures must be bit-identical
@@ -69,20 +82,32 @@ type PageStore struct {
 	// directory concurrently. Released by Close and Abandon.
 	lockF *os.File
 
-	// walEnd is the append offset of the WAL (header-only after a completed
+	// walEnd is the append offset of the WAL (header-only after a
 	// checkpoint); dirEnd that of dir.gomdb.
 	walEnd int64
 	dirEnd int64
 
-	// seq is the sequence number of the last committed checkpoint (0 on a
-	// fresh store); dirSeq that of the last record in dir.gomdb.
+	// seq is the sequence number of the last committed group (0 on a fresh
+	// store); dirSeq that of the last record in dir.gomdb.
 	seq    uint64
 	dirSeq uint64
 
-	// failAfter, when >= 0, cuts the next checkpoint's WAL batch off after
-	// that many bytes and reports ErrSimulatedCrash — the crash-mid-flush
-	// injection hook of the simulation harness. Disarmed after one
-	// checkpoint regardless of whether it fired.
+	// logged indexes the groups committed since the last checkpoint: the
+	// WAL offset of each page's latest image, the directory records in
+	// commit order, and the meta blob of the last group. The checkpoint
+	// reads the images back from the WAL through it.
+	logged     map[PageID]int64
+	loggedDirs []walDir
+	meta       []byte
+
+	// run is the checkpoint's reused buffer of data-file records for one run
+	// of adjacent page ids (at most maxRunPages of them).
+	run []byte
+
+	// failAfter, when >= 0, cuts the next commit's WAL group off after that
+	// many bytes and reports ErrSimulatedCrash — the crash-mid-flush
+	// injection hook of the simulation harness. Disarmed after one commit
+	// regardless of whether it fired.
 	failAfter int64
 
 	// torn, when set, is consulted once per page during the data-file apply;
@@ -128,56 +153,64 @@ const (
 	// dirRecOverhead is the kind byte, sequence number and length before a
 	// dir.gomdb record's payload plus the checksum after it.
 	dirRecOverhead = 13 + 4
+
+	// walCheckpointBytes is the WAL size past which a commit runs the
+	// checkpoint: large enough that its five fsyncs are paid once per
+	// several dozen commits, small enough that recovery replays little.
+	walCheckpointBytes = 8 << 20
+	// maxRunPages bounds the checkpoint's run buffer: a longer run of
+	// adjacent page ids is written in pieces of this many records.
+	maxRunPages = 32
 )
 
-// DirUpdate is what one checkpoint does to the OID directory in dir.gomdb.
-// The payload is the object manager's encoding and opaque here: the store
-// frames it, stamps it with the checkpoint's sequence number, and makes it
-// durable atomically with the pages it describes.
+// DirUpdate is what one commit does to the OID directory in dir.gomdb. The
+// payload is the object manager's encoding and opaque here: the store frames
+// it, stamps it with the commit's sequence number, and makes it durable
+// atomically with the pages it describes.
 type DirUpdate struct {
 	// Snapshot says Payload is the whole directory and replaces the file;
-	// otherwise Payload holds the ops since the last checkpoint and extends
-	// it. An empty delta writes nothing.
+	// otherwise Payload holds the ops since the last commit and extends it.
+	// An empty delta writes nothing.
 	Snapshot bool
 	Payload  []byte
 }
 
-// ErrSimulatedCrash marks an injected crash point: a checkpoint that was
-// deliberately cut short (FailNextCheckpointAfter) or torn (a FaultTornWrite
-// rule). The store must be abandoned afterwards, exactly as after a real
+// ErrSimulatedCrash marks an injected crash point: a commit that was
+// deliberately cut short (FailNextCommitAfter) or a checkpoint torn by a
+// FaultTornWrite rule. The store must be abandoned afterwards, exactly as after a real
 // crash; reopening the directory runs recovery.
 var ErrSimulatedCrash = errors.New("storage: simulated crash")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // RecoveredImage is what OpenPageStore recovered from the directory: the page
-// images, metadata blob and OID directory of the last committed checkpoint,
-// plus counters describing the repair work recovery performed.
+// images, metadata blob and OID directory of the last commit, plus counters
+// describing the repair work recovery performed.
 type RecoveredImage struct {
-	// Exists reports whether any committed checkpoint was found; false means
-	// the directory is fresh (Pages and Meta are empty).
+	// Exists reports whether any commit was found; false means the directory
+	// is fresh (Pages and Meta are empty).
 	Exists bool
-	// Seq is the sequence number of the last committed checkpoint.
+	// Seq is the sequence number of the last commit.
 	Seq uint64
-	// Meta is the engine metadata blob of the last committed checkpoint.
+	// Meta is the engine metadata blob of the last commit.
 	Meta []byte
 	// DirSnapshot is the payload of dir.gomdb's snapshot record (nil when the
 	// directory was never snapshotted: it starts empty), DirDeltas the
-	// payloads of the delta records after it, in checkpoint order.
+	// payloads of the delta records after it, in commit order.
 	DirSnapshot []byte
 	DirDeltas   [][]byte
 	// Pages maps page id to the recovered page image.
 	Pages map[PageID]*[PageSize]byte
-	// WALPagesReplayed counts page records re-applied from a committed WAL
-	// batch (nonzero when the crash hit between WAL commit and data-file
-	// apply).
+	// WALPagesReplayed counts the pages re-applied from the groups the WAL
+	// held (one per page id, its latest image): nonzero after any crash
+	// between a commit and the checkpoint that would have applied it.
 	WALPagesReplayed int
 	// TornPagesRepaired counts data-file records whose checksum was invalid
 	// and whose content was recovered from the WAL copy.
 	TornPagesRepaired int
 	// WALTailDiscarded reports whether an uncommitted (or torn) WAL tail was
-	// thrown away — the crash hit mid-append, so the previous checkpoint is
-	// the durable state.
+	// thrown away — the crash hit mid-append, so the previous commit is the
+	// durable state.
 	WALTailDiscarded bool
 }
 
@@ -187,7 +220,7 @@ func OpenPageStore(dir string) (*PageStore, *RecoveredImage, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
-	ps := &PageStore{dir: dir, failAfter: -1}
+	ps := &PageStore{dir: dir, failAfter: -1, logged: make(map[PageID]int64)}
 	var err error
 	if ps.lockF, err = lockDir(dir); err != nil {
 		return nil, nil, err
@@ -330,26 +363,18 @@ func ReplaceFile(dir, name string, content []byte) error {
 	return syncDir(dir)
 }
 
-// FailNextCheckpointAfter arms the crash-mid-checkpoint injection: the next
-// checkpoint writes only the first n bytes of its WAL batch, fsyncs, and
-// reports ErrSimulatedCrash. If the batch turns out shorter than n the
-// checkpoint completes normally; either way the hook disarms.
-func (ps *PageStore) FailNextCheckpointAfter(n int64) { ps.failAfter = n }
+// FailNextCommitAfter arms the crash-mid-commit injection: the next commit
+// writes only the first n bytes of its WAL group, fsyncs, and reports
+// ErrSimulatedCrash. If the group turns out shorter than n the commit
+// completes normally; either way the hook disarms.
+func (ps *PageStore) FailNextCommitAfter(n int64) { ps.failAfter = n }
 
 // SetTornWriteHook installs the per-page torn-write oracle consulted during
 // the data-file apply (see PageStore.torn).
 func (ps *PageStore) SetTornWriteHook(fn func(PageID) bool) { ps.torn = fn }
 
-// NextSeq returns the sequence number the next checkpoint will carry.
+// NextSeq returns the sequence number the next commit will carry.
 func (ps *PageStore) NextSeq() uint64 { return ps.seq + 1 }
-
-// appendPageRecord appends the data-file record for page id to dst.
-func appendPageRecord(dst []byte, id PageID, data []byte) []byte {
-	start := len(dst)
-	dst = append(dst, data...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
-	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
-}
 
 // walRecordAt frames one WAL record with an n-byte payload at the start of
 // dst and returns the payload for the caller to fill; sealWALRecord then
@@ -367,108 +392,141 @@ func sealWALRecord(dst []byte, n int) int {
 	return walRecOverhead + n
 }
 
-// pageImage is one page of a committed batch; data aliases the WAL bytes.
-type pageImage struct {
-	id   PageID
-	data []byte
-}
-
-// dirRecord is one dir.gomdb record, or the directory record of a WAL batch.
+// dirRecord is one dir.gomdb record.
 type dirRecord struct {
 	seq      uint64
 	snapshot bool
 	payload  []byte
 }
 
-// Checkpoint is CheckpointDir for a caller with no OID directory.
-func (ps *PageStore) Checkpoint(pages []PageID, read func(PageID, *[PageSize]byte) error, meta []byte) error {
-	return ps.CheckpointDir(pages, read, meta, DirUpdate{})
+// walDir locates the directory record of a committed WAL group: its payload
+// is the n bytes at WAL offset off.
+type walDir struct {
+	seq      uint64
+	snapshot bool
+	off      int64
+	n        int
 }
 
-// CheckpointDir atomically advances the durable state: pages (the ids dirty
-// since the last checkpoint) are snapshotted through read, logged to the WAL
-// together with meta and the directory update, applied to the data file and
-// dir.gomdb, and committed. On success the durable state is exactly the
-// caller's current state; on error (including the injected ErrSimulatedCrash)
-// the store must be abandoned and reopened — recovery then yields either the
-// previous or, if the WAL batch committed, the new checkpoint.
-func (ps *PageStore) CheckpointDir(pages []PageID, read func(PageID, *[PageSize]byte) error, meta []byte, dir DirUpdate) error {
+// Checkpoint is Commit with no directory update followed by Apply: the
+// whole durable path in one call, for callers with no OID directory.
+func (ps *PageStore) Checkpoint(pages []PageID, read func(PageID, *[PageSize]byte) error, meta []byte) error {
+	if err := ps.Commit(pages, read, meta, DirUpdate{}); err != nil {
+		return err
+	}
+	return ps.Apply()
+}
+
+// Commit atomically advances the durable state with one WAL append and one
+// fsync: pages (the ids dirty since the last commit) are snapshotted through
+// read and logged together with meta and the directory update as one group.
+// The data file, dir.gomdb and meta.gomdb are left alone until the next
+// checkpoint, which Commit runs itself once the WAL passes
+// walCheckpointBytes. On success the durable state is exactly the caller's
+// current state; on error (including the injected ErrSimulatedCrash) the
+// store must be abandoned and reopened — recovery then yields either the
+// previous commit or, if the group's commit record reached the disk, this
+// one.
+func (ps *PageStore) Commit(pages []PageID, read func(PageID, *[PageSize]byte) error, meta []byte, dir DirUpdate) error {
 	if ps.closed {
-		return errors.New("storage: checkpoint on closed page store")
+		return errors.New("storage: commit on closed page store")
 	}
 	seq := ps.seq + 1
 	hasDir := dir.Snapshot || len(dir.Payload) > 0
 
-	// Assemble the WAL batch in one buffer sized up front: every page record
+	// Assemble the group in one buffer sized up front: every page record
 	// (read straight into place), the directory record, the meta record,
 	// commit.
 	size := len(pages)*walPageRecSize + walRecOverhead + 8 + len(meta) + walRecOverhead + 4
 	if hasDir {
 		size += walRecOverhead + 1 + len(dir.Payload)
 	}
-	batch := make([]byte, size)
-	images := make([]pageImage, len(pages))
+	group := make([]byte, size)
 	off := 0
-	for i, id := range pages {
-		p := walRecordAt(batch[off:], walPageRec, 4+PageSize)
+	for _, id := range pages {
+		p := walRecordAt(group[off:], walPageRec, 4+PageSize)
 		binary.LittleEndian.PutUint32(p, uint32(id))
 		if err := read(id, (*[PageSize]byte)(p[4:])); err != nil {
-			return fmt.Errorf("storage: checkpoint snapshot of page %d: %w", id, err)
+			return fmt.Errorf("storage: commit snapshot of page %d: %w", id, err)
 		}
-		images[i] = pageImage{id, p[4:]}
-		off += sealWALRecord(batch[off:], len(p))
+		off += sealWALRecord(group[off:], len(p))
 	}
-	var dirs []dirRecord
+	dirOff := off
 	if hasDir {
-		p := walRecordAt(batch[off:], walDirRec, 1+len(dir.Payload))
+		p := walRecordAt(group[off:], walDirRec, 1+len(dir.Payload))
 		if dir.Snapshot {
 			p[0] = 1
 		}
 		copy(p[1:], dir.Payload)
-		dirs = []dirRecord{{seq, dir.Snapshot, p[1:]}}
-		off += sealWALRecord(batch[off:], len(p))
+		off += sealWALRecord(group[off:], len(p))
 	}
-	p := walRecordAt(batch[off:], walMetaRec, 8+len(meta))
+	p := walRecordAt(group[off:], walMetaRec, 8+len(meta))
 	binary.LittleEndian.PutUint64(p, seq)
 	copy(p[8:], meta)
-	off += sealWALRecord(batch[off:], len(p))
-	p = walRecordAt(batch[off:], walCommitRec, 4)
+	off += sealWALRecord(group[off:], len(p))
+	p = walRecordAt(group[off:], walCommitRec, 4)
 	binary.LittleEndian.PutUint32(p, uint32(len(pages)))
-	sealWALRecord(batch[off:], len(p))
+	sealWALRecord(group[off:], len(p))
 
-	// Step 1: append the batch, honoring the injected crash point.
+	// Step 1: append the group, honoring the injected crash point.
 	if fa := ps.failAfter; fa >= 0 {
 		ps.failAfter = -1
-		if fa < int64(len(batch)) {
-			if _, err := ps.walF.WriteAt(batch[:fa], ps.walEnd); err != nil {
+		if fa < int64(len(group)) {
+			if _, err := ps.walF.WriteAt(group[:fa], ps.walEnd); err != nil {
 				return err
 			}
 			if err := ps.walF.Sync(); err != nil {
 				return err
 			}
 			ps.walEnd += fa
-			return fmt.Errorf("storage: checkpoint WAL append cut off after %d bytes: %w", fa, ErrSimulatedCrash)
+			return fmt.Errorf("storage: commit WAL append cut off after %d bytes: %w", fa, ErrSimulatedCrash)
 		}
 	}
-	if _, err := ps.walF.WriteAt(batch, ps.walEnd); err != nil {
+	if _, err := ps.walF.WriteAt(group, ps.walEnd); err != nil {
 		return err
 	}
 	if err := ps.walF.Sync(); err != nil {
 		return err
 	}
-	ps.walEnd += int64(len(batch))
 
-	// Steps 2-5.
-	return ps.applyCommitted(images, dirs, seq, meta)
+	// The group is durable: index it for the checkpoint. A page's image
+	// follows its record's kind, length and page id.
+	for i, id := range pages {
+		ps.logged[id] = ps.walEnd + int64(i*walPageRecSize+5+4)
+	}
+	if hasDir {
+		ps.loggedDirs = append(ps.loggedDirs, walDir{seq, dir.Snapshot, ps.walEnd + int64(dirOff+5+1), len(dir.Payload)})
+	}
+	ps.meta = append(ps.meta[:0], meta...)
+	ps.seq = seq
+	ps.walEnd += int64(len(group))
+	if ps.walEnd >= walCheckpointBytes {
+		return ps.Apply()
+	}
+	return nil
 }
 
-// applyCommitted performs checkpoint steps 2-5 (data-file apply, directory
-// update, meta replace, WAL truncate) for a batch that is already committed
-// in the WAL.
-func (ps *PageStore) applyCommitted(pages []pageImage, dirs []dirRecord, seq uint64, meta []byte) error {
+// Apply is the checkpoint: steps 2-5 (data-file apply, directory update,
+// meta replace, WAL truncate) over every group committed since the last
+// checkpoint. Each page's latest image is read back from the WAL through the
+// logged index into the reused run buffer, so the log is never re-read
+// whole. A no-op when nothing was committed since the last checkpoint. On
+// error the store must be abandoned and reopened; recovery replays the WAL.
+func (ps *PageStore) Apply() error {
+	if ps.closed {
+		return errors.New("storage: checkpoint on closed page store")
+	}
+	if ps.walEnd == fileHeaderSize {
+		return nil
+	}
+	ids := make([]PageID, 0, len(ps.logged))
+	for id := range ps.logged {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
 	// run holds the records of the current run of adjacent page ids, written
 	// with one call when the run ends.
-	var run []byte
+	run := ps.run[:0]
 	var runStart PageID
 	flush := func() error {
 		if len(run) == 0 {
@@ -478,17 +536,24 @@ func (ps *PageStore) applyCommitted(pages []pageImage, dirs []dirRecord, seq uin
 		run = run[:0]
 		return err
 	}
-	for i, p := range pages {
-		if i > 0 && p.id != pages[i-1].id+1 {
+	defer func() { ps.run = run[:0] }()
+	for i, id := range ids {
+		if i > 0 && (id != ids[i-1]+1 || len(run) == maxRunPages*pageRecSize) {
 			if err := flush(); err != nil {
 				return err
 			}
 		}
 		if len(run) == 0 {
-			runStart = p.id
+			runStart = id
 		}
-		run = appendPageRecord(run, p.id, p.data)
-		if ps.torn != nil && ps.torn(p.id) {
+		rec := len(run)
+		run = slices.Grow(run, pageRecSize)[:rec+PageSize]
+		if _, err := ps.walF.ReadAt(run[rec:], ps.logged[id]); err != nil {
+			return fmt.Errorf("storage: checkpoint read of page %d from the WAL: %w", id, err)
+		}
+		run = binary.LittleEndian.AppendUint32(run, uint32(id))
+		run = binary.LittleEndian.AppendUint32(run, crc32.Checksum(run[rec:], castagnoli))
+		if ps.torn != nil && ps.torn(id) {
 			run = run[:len(run)-pageRecSize/2]
 			if err := flush(); err != nil {
 				return err
@@ -496,7 +561,7 @@ func (ps *PageStore) applyCommitted(pages []pageImage, dirs []dirRecord, seq uin
 			if err := ps.dataF.Sync(); err != nil {
 				return err
 			}
-			return fmt.Errorf("storage: torn write of page %d during checkpoint apply: %w", p.id, ErrSimulatedCrash)
+			return fmt.Errorf("storage: torn write of page %d during checkpoint apply: %w", id, ErrSimulatedCrash)
 		}
 	}
 	if err := flush(); err != nil {
@@ -505,15 +570,12 @@ func (ps *PageStore) applyCommitted(pages []pageImage, dirs []dirRecord, seq uin
 	if err := ps.dataF.Sync(); err != nil {
 		return err
 	}
-	for _, d := range dirs {
-		if err := ps.applyDirRecord(d); err != nil {
-			return err
-		}
-	}
-	if err := ps.writeMetaFile(seq, meta); err != nil {
+	if err := ps.applyDirRecords(); err != nil {
 		return err
 	}
-	ps.seq = seq
+	if err := ps.writeMetaFile(ps.seq, ps.meta); err != nil {
+		return err
+	}
 	if err := ps.walF.Truncate(fileHeaderSize); err != nil {
 		return err
 	}
@@ -521,6 +583,8 @@ func (ps *PageStore) applyCommitted(pages []pageImage, dirs []dirRecord, seq uin
 		return err
 	}
 	ps.walEnd = fileHeaderSize
+	clear(ps.logged)
+	ps.loggedDirs = ps.loggedDirs[:0]
 	return nil
 }
 
@@ -538,28 +602,50 @@ func appendDirRecord(dst []byte, d dirRecord) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
 }
 
-// applyDirRecord makes d durable in dir.gomdb (checkpoint step 3): a delta is
-// appended and fsynced, a snapshot replaces the file. A record the file
-// already holds — recovery replaying a batch whose step 3 had completed — is
-// skipped.
-func (ps *PageStore) applyDirRecord(d dirRecord) error {
-	if d.seq <= ps.dirSeq {
+// applyDirRecords makes the logged directory records durable in dir.gomdb
+// (checkpoint step 3). Records the file already holds — recovery replaying
+// groups whose step 3 had completed — are skipped. The deltas are appended
+// with one write and one fsync; when a snapshot is among them, the last one
+// and the deltas after it replace the file instead.
+func (ps *PageStore) applyDirRecords() error {
+	var recs []walDir
+	for _, d := range ps.loggedDirs {
+		if d.seq > ps.dirSeq {
+			recs = append(recs, d)
+		}
+	}
+	if len(recs) == 0 {
 		return nil
 	}
-	if !d.snapshot {
-		rec := appendDirRecord(nil, d)
-		if _, err := ps.dirF.WriteAt(rec, ps.dirEnd); err != nil {
+	var buf []byte
+	snapshot := false
+	for i := len(recs) - 1; i >= 0; i-- {
+		if recs[i].snapshot {
+			recs, snapshot = recs[i:], true
+			buf = fileHeader(dirMagic, 0)
+			break
+		}
+	}
+	for _, d := range recs {
+		payload := make([]byte, d.n)
+		if _, err := ps.walF.ReadAt(payload, d.off); err != nil {
+			return fmt.Errorf("storage: checkpoint read of directory record %d from the WAL: %w", d.seq, err)
+		}
+		buf = appendDirRecord(buf, dirRecord{d.seq, d.snapshot, payload})
+	}
+	last := recs[len(recs)-1].seq
+	if !snapshot {
+		if _, err := ps.dirF.WriteAt(buf, ps.dirEnd); err != nil {
 			return err
 		}
 		if err := ps.dirF.Sync(); err != nil {
 			return err
 		}
-		ps.dirEnd += int64(len(rec))
-		ps.dirSeq = d.seq
+		ps.dirEnd += int64(len(buf))
+		ps.dirSeq = last
 		return nil
 	}
-	content := appendDirRecord(fileHeader(dirMagic, 0), d)
-	if err := ReplaceFile(ps.dir, "dir.gomdb", content); err != nil {
+	if err := ReplaceFile(ps.dir, "dir.gomdb", buf); err != nil {
 		return err
 	}
 	f, err := os.OpenFile(filepath.Join(ps.dir, "dir.gomdb"), os.O_RDWR, 0o644)
@@ -567,7 +653,7 @@ func (ps *PageStore) applyDirRecord(d dirRecord) error {
 		return err
 	}
 	ps.dirF.Close()
-	ps.dirF, ps.dirEnd, ps.dirSeq = f, int64(len(content)), d.seq
+	ps.dirF, ps.dirEnd, ps.dirSeq = f, int64(len(buf)), last
 	return nil
 }
 
@@ -659,84 +745,97 @@ func (ps *PageStore) readMetaFile() (seq uint64, meta []byte, ok bool, err error
 	return binary.LittleEndian.Uint64(body), body[12 : 12+n], true, nil
 }
 
-// walBatch is what the committed batches of a WAL add up to (in append
-// order, later batches overriding earlier ones).
-type walBatch struct {
-	pages []pageImage // one per page id, first-seen order, latest image
-	dirs  []dirRecord
-	seq   uint64
-	meta  []byte // nil when no batch committed
+// walScan is what the committed groups of a WAL add up to, later groups
+// overriding earlier ones. Offsets are WAL file offsets.
+type walScan struct {
+	groups int
+	pages  map[PageID]int64 // the offset of each page's latest image
+	dirs   []walDir
+	seq    uint64
+	meta   []byte
+	end    int64 // the end of the last commit record
 }
 
-// scanWAL parses the WAL, returning its committed batches and whether an
-// uncommitted/torn tail was found. Only records up to the last valid commit
-// record count.
-func (ps *PageStore) scanWAL() (committed walBatch, tail bool, err error) {
-	st, err := ps.walF.Stat()
-	if err != nil {
-		return walBatch{}, false, err
+// scanWAL parses the WAL body (the bytes after its header). Only records up
+// to the last valid commit record count; anything after it — a torn record,
+// or whole records of an unfinished group — is the tail. A record whose
+// framing and checksum are valid but whose content is not (a wrong payload
+// length, page id 0, a commit record with no meta record before it or whose
+// page count disagrees with its group's page records) is corruption, not a
+// crash artifact: scanWAL returns an error, and no group is applied.
+func scanWAL(buf []byte) (s walScan, tail bool, err error) {
+	s.pages = make(map[PageID]int64)
+	// The group in flight: its page records, directory record and meta.
+	type pageAt struct {
+		id  PageID
+		off int64
 	}
-	buf := make([]byte, st.Size()-fileHeaderSize)
-	if _, err := io.ReadFull(io.NewSectionReader(ps.walF, fileHeaderSize, int64(len(buf))), buf); err != nil {
-		return walBatch{}, false, err
-	}
-	index := make(map[PageID]int) // position in committed.pages
-	var batch walBatch            // the batch in flight
-	var batchDir *dirRecord
+	var pages []pageAt
+	var dir walDir
+	var seq uint64
+	var meta []byte
+	hasDir, hasMeta := false, false
 	off := 0
-	for off < len(buf) {
-		if off+5 > len(buf) {
-			break
-		}
+	for off+5 <= len(buf) {
 		kind := buf[off]
 		n := int(binary.LittleEndian.Uint32(buf[off+1:]))
-		if kind < walPageRec || kind > walDirRec || off+walRecOverhead+n > len(buf) ||
+		if kind < walPageRec || kind > walDirRec || n > len(buf)-off-walRecOverhead ||
 			crc32.Checksum(buf[off:off+5+n], castagnoli) != binary.LittleEndian.Uint32(buf[off+5+n:]) {
 			break
 		}
 		payload := buf[off+5 : off+5+n]
-		bad := false
+		at := int64(fileHeaderSize + off + 5)
+		bad := ""
 		switch kind {
 		case walPageRec:
-			if bad = n != 4+PageSize; !bad {
-				batch.pages = append(batch.pages, pageImage{PageID(binary.LittleEndian.Uint32(payload)), payload[4:]})
+			if n != 4+PageSize {
+				bad = "page record of the wrong length"
+			} else if id := PageID(binary.LittleEndian.Uint32(payload)); id == 0 {
+				bad = "page record for page 0"
+			} else {
+				pages = append(pages, pageAt{id, at + 4})
 			}
 		case walDirRec:
-			if bad = n < 1; !bad {
-				batchDir = &dirRecord{snapshot: payload[0] == 1, payload: payload[1:]}
+			if n < 1 {
+				bad = "empty directory record"
+			} else {
+				dir, hasDir = walDir{snapshot: payload[0] == 1, off: at + 1, n: n - 1}, true
 			}
 		case walMetaRec:
-			if bad = n < 8; !bad {
-				batch.seq, batch.meta = binary.LittleEndian.Uint64(payload), payload[8:]
+			if n < 8 {
+				bad = "short meta record"
+			} else {
+				seq, meta, hasMeta = binary.LittleEndian.Uint64(payload), payload[8:], true
 			}
 		case walCommitRec:
-			if bad = batch.meta == nil; bad {
-				break
-			}
-			for _, p := range batch.pages {
-				if i, seen := index[p.id]; seen {
-					committed.pages[i] = p
-				} else {
-					index[p.id] = len(committed.pages)
-					committed.pages = append(committed.pages, p)
+			switch {
+			case n != 4:
+				bad = "commit record of the wrong length"
+			case !hasMeta:
+				bad = "commit record without a meta record"
+			case int(binary.LittleEndian.Uint32(payload)) != len(pages):
+				bad = fmt.Sprintf("commit record counts %d pages, its group logged %d",
+					binary.LittleEndian.Uint32(payload), len(pages))
+			default:
+				for _, p := range pages {
+					s.pages[p.id] = p.off
 				}
+				if hasDir {
+					dir.seq = seq
+					s.dirs = append(s.dirs, dir)
+				}
+				s.groups++
+				s.seq, s.meta, s.end = seq, meta, at+int64(n)+4
+				pages, hasDir, hasMeta = pages[:0], false, false
 			}
-			if batchDir != nil {
-				batchDir.seq = batch.seq
-				committed.dirs = append(committed.dirs, *batchDir)
-			}
-			committed.seq, committed.meta = batch.seq, batch.meta
-			batch, batchDir = walBatch{}, nil
 		}
-		if bad {
-			break
+		if bad != "" {
+			return walScan{}, false, fmt.Errorf("storage: wal.gomdb: %s at offset %d", bad, fileHeaderSize+off)
 		}
 		off += walRecOverhead + n
 	}
-	// Anything after the last commit — a torn record, or whole records of an
-	// unfinished batch — is the tail.
-	tail = off < len(buf) || len(batch.pages) > 0 || batchDir != nil || batch.meta != nil
-	return committed, tail, nil
+	tail = off < len(buf) || len(pages) > 0 || hasDir || hasMeta
+	return s, tail, nil
 }
 
 // recover implements the OpenPageStore recovery path; see the type comment.
@@ -752,15 +851,22 @@ func (ps *PageStore) recover() (*RecoveredImage, error) {
 	if err != nil {
 		return nil, err
 	}
-	wal, tail, err := ps.scanWAL()
+	st, err := ps.walF.Stat()
+	if err != nil {
+		return nil, err
+	}
+	wal := make([]byte, st.Size()-fileHeaderSize)
+	if _, err := io.ReadFull(io.NewSectionReader(ps.walF, fileHeaderSize, int64(len(wal))), wal); err != nil {
+		return nil, err
+	}
+	scan, tail, err := scanWAL(wal)
 	if err != nil {
 		return nil, err
 	}
 	img.WALTailDiscarded = tail
 
 	// Validate every data-file record.
-	st, err := ps.dataF.Stat()
-	if err != nil {
+	if st, err = ps.dataF.Stat(); err != nil {
 		return nil, err
 	}
 	numRecs := (st.Size() - fileHeaderSize) / pageRecSize
@@ -791,41 +897,47 @@ func (ps *PageStore) recover() (*RecoveredImage, error) {
 		torn[PageID(numRecs+1)] = true
 	}
 
-	if wal.meta != nil {
-		// A committed batch outlived the crash: its apply (or directory
-		// update, meta replace or WAL truncate) did not finish. Replay it —
-		// the WAL copy supersedes whatever the data file holds, including
-		// records a torn write corrupted — and finish the interrupted
-		// checkpoint so the store is clean again.
-		for _, p := range wal.pages {
-			if torn[p.id] {
+	if scan.groups > 0 {
+		// Committed groups outlived the crash: the checkpoint that would have
+		// applied them (or its directory update, meta replace or WAL
+		// truncate) did not run or did not finish. Replay them — the WAL
+		// copy supersedes whatever the data file holds, including records a
+		// torn write corrupted — and run that checkpoint now, so the store
+		// is clean again.
+		walBytes := func(off int64, n int) []byte { return wal[off-fileHeaderSize:][:n] }
+		for id, off := range scan.pages {
+			if torn[id] {
 				img.TornPagesRepaired++
-				delete(torn, p.id)
+				delete(torn, id)
 			}
-			img.Pages[p.id] = (*[PageSize]byte)(p.data)
-			img.WALPagesReplayed++
+			img.Pages[id] = (*[PageSize]byte)(walBytes(off, PageSize))
 		}
-		for _, d := range wal.dirs {
+		img.WALPagesReplayed = len(scan.pages)
+		for _, d := range scan.dirs {
 			switch {
 			case d.seq <= ps.dirSeq: // dir.gomdb holds it already
 			case d.snapshot:
-				dirRecs, droppedSnapshot = []dirRecord{d}, false
+				dirRecs, droppedSnapshot = []dirRecord{{d.seq, true, walBytes(d.off, d.n)}}, false
 			default:
-				dirRecs = append(dirRecs, d)
+				dirRecs = append(dirRecs, dirRecord{d.seq, false, walBytes(d.off, d.n)})
 			}
 		}
+		ps.logged, ps.loggedDirs = scan.pages, scan.dirs
+		ps.meta = append(ps.meta[:0], scan.meta...)
+		ps.seq = scan.seq
+		ps.walEnd = scan.end
 		hook := ps.torn
 		ps.torn = nil // recovery re-applies without re-injecting tears
-		err := ps.applyCommitted(wal.pages, wal.dirs, wal.seq, wal.meta)
+		err := ps.Apply()
 		ps.torn = hook
 		if err != nil {
 			return nil, fmt.Errorf("storage: finishing interrupted checkpoint: %w", err)
 		}
-		metaBlob, haveMeta = wal.meta, true
+		metaBlob, haveMeta = scan.meta, true
 	} else {
 		ps.walEnd = fileHeaderSize
 		if tail {
-			// Only an uncommitted tail: discard it so the next checkpoint
+			// Only an uncommitted tail: discard it so the next commit
 			// appends to a clean log.
 			if err := ps.walF.Truncate(fileHeaderSize); err != nil {
 				return nil, err
@@ -836,7 +948,7 @@ func (ps *PageStore) recover() (*RecoveredImage, error) {
 		}
 	}
 	if droppedSnapshot {
-		return nil, fmt.Errorf("storage: dir.gomdb holds a snapshot newer than meta.gomdb (sequence %d) and no committed WAL batch rewrites it", ps.seq)
+		return nil, fmt.Errorf("storage: dir.gomdb holds a snapshot newer than meta.gomdb (sequence %d) and no committed WAL group rewrites it", ps.seq)
 	}
 
 	// Any record still torn was not healed by the WAL. That is only legal if
@@ -859,8 +971,10 @@ func (ps *PageStore) recover() (*RecoveredImage, error) {
 	return img, nil
 }
 
-// Close closes the store's files. It does NOT checkpoint; callers that want
-// the current state durable checkpoint first (gomdb's Close does).
+// Close closes the store's files. It neither commits nor checkpoints;
+// callers that want the current state folded into the data file commit and
+// Apply first (gomdb's Close does). A commit that was not applied stays in
+// the WAL and is replayed on the next open.
 func (ps *PageStore) Close() error {
 	if ps.closed {
 		return nil
@@ -878,7 +992,8 @@ func (ps *PageStore) Close() error {
 	return first
 }
 
-// Abandon closes the underlying files without any syncing or checkpointing —
-// the programmatic equivalent of the process dying. The on-disk state remains
-// whatever the last fsync established; reopening the directory runs recovery.
+// Abandon closes the underlying files without any syncing, committing or
+// checkpointing — the programmatic equivalent of the process dying. The
+// on-disk state remains whatever the last fsync established; reopening the
+// directory runs recovery.
 func (ps *PageStore) Abandon() { ps.Close() }

@@ -31,6 +31,15 @@ func memReader(pages map[PageID]*[PageSize]byte) func(PageID, *[PageSize]byte) e
 	}
 }
 
+// checkpointDir commits one group and runs the checkpoint over it, so the
+// data file, dir.gomdb and meta.gomdb hold the group when it returns.
+func checkpointDir(ps *PageStore, pages []PageID, read func(PageID, *[PageSize]byte) error, meta []byte, dir DirUpdate) error {
+	if err := ps.Commit(pages, read, meta, dir); err != nil {
+		return err
+	}
+	return ps.Apply()
+}
+
 func mustOpenStore(t *testing.T, dir string) (*PageStore, *RecoveredImage) {
 	t.Helper()
 	ps, img, err := OpenPageStore(dir)
@@ -122,7 +131,7 @@ func TestPageStoreWALTailDiscarded(t *testing.T) {
 	if err := ps.Checkpoint([]PageID{1}, memReader(map[PageID]*[PageSize]byte{1: fillPage(1)}), []byte("base")); err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
-	ps.FailNextCheckpointAfter(100) // far before the commit record
+	ps.FailNextCommitAfter(100) // far before the commit record
 	err := ps.Checkpoint([]PageID{1, 2}, memReader(map[PageID]*[PageSize]byte{1: fillPage(99), 2: fillPage(98)}), []byte("new"))
 	if !errors.Is(err, ErrSimulatedCrash) {
 		t.Fatalf("cut-off checkpoint: err=%v, want ErrSimulatedCrash", err)
@@ -240,18 +249,18 @@ func goldenScript(t *testing.T, dir string) {
 	if img.Exists {
 		t.Fatal("golden script needs a fresh directory")
 	}
-	err := ps.CheckpointDir([]PageID{1, 2}, memReader(map[PageID]*[PageSize]byte{1: fillPage(1), 2: fillPage(2)}),
+	err := checkpointDir(ps, []PageID{1, 2}, memReader(map[PageID]*[PageSize]byte{1: fillPage(1), 2: fillPage(2)}),
 		[]byte(`{"golden":1}`), DirUpdate{Snapshot: true, Payload: []byte("golden snapshot")})
 	if err != nil {
 		t.Fatalf("golden checkpoint 1: %v", err)
 	}
-	err = ps.CheckpointDir([]PageID{1}, memReader(map[PageID]*[PageSize]byte{1: fillPage(11)}),
+	err = checkpointDir(ps, []PageID{1}, memReader(map[PageID]*[PageSize]byte{1: fillPage(11)}),
 		[]byte(`{"golden":2}`), DirUpdate{Payload: []byte("golden delta 2")})
 	if err != nil {
 		t.Fatalf("golden checkpoint 2: %v", err)
 	}
 	ps.SetTornWriteHook(func(id PageID) bool { return id == 2 })
-	err = ps.CheckpointDir([]PageID{2, 3}, memReader(map[PageID]*[PageSize]byte{2: fillPage(22), 3: fillPage(33)}),
+	err = checkpointDir(ps, []PageID{2, 3}, memReader(map[PageID]*[PageSize]byte{2: fillPage(22), 3: fillPage(33)}),
 		[]byte(`{"golden":3}`), DirUpdate{Payload: []byte("golden delta 3")})
 	if !errors.Is(err, ErrSimulatedCrash) {
 		t.Fatalf("golden checkpoint 3: err=%v, want ErrSimulatedCrash", err)
