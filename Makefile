@@ -29,6 +29,7 @@ test-race:
 # Smoke outputs and sim reproducers go under OUT.
 OUT ?= /tmp
 ci:
+	test -z "$$(gofmt -l .)"
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...

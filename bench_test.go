@@ -29,10 +29,14 @@ func benchScale(b *testing.B) bench.Scale {
 // the first two series as metrics.
 func runFigure(b *testing.B, id string) {
 	sc := benchScale(b)
+	x, ok := bench.Lookup(id)
+	if !ok {
+		b.Fatalf("%s not registered", id)
+	}
 	var fig *bench.Figure
 	for i := 0; i < b.N; i++ {
 		var err error
-		fig, err = bench.Registry[id](sc)
+		fig, err = x.Run(sc)
 		if err != nil {
 			b.Fatalf("%s: %v", id, err)
 		}

@@ -35,8 +35,8 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, id := range bench.IDs() {
-			fmt.Println(id)
+		for _, x := range bench.Registry {
+			fmt.Println(x.ID)
 		}
 		fmt.Println("throughput")
 		fmt.Println("updates")
@@ -79,20 +79,20 @@ func main() {
 		return
 	}
 
-	ids := bench.IDs()
+	exps := bench.Registry
 	if *figure != "all" {
-		id := strings.ToLower(*figure)
-		if _, ok := bench.Registry[id]; !ok {
+		x, ok := bench.Lookup(strings.ToLower(*figure))
+		if !ok {
 			fmt.Fprintf(os.Stderr, "gombench: unknown experiment %q (use -list)\n", *figure)
 			os.Exit(1)
 		}
-		ids = []string{id}
+		exps = []bench.Experiment{x}
 	}
-	for _, id := range ids {
+	for _, x := range exps {
 		t0 := time.Now()
-		fig, err := bench.Registry[id](sc)
+		fig, err := x.Run(sc)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "gombench: %s: %v\n", id, err)
+			fmt.Fprintf(os.Stderr, "gombench: %s: %v\n", x.ID, err)
 			os.Exit(1)
 		}
 		if *csv {
@@ -103,7 +103,7 @@ func main() {
 		if *plot {
 			fig.PrintPlot(os.Stdout)
 		}
-		fmt.Printf("  (%s completed in %v wall time)\n\n", id, time.Since(t0).Round(time.Millisecond))
+		fmt.Printf("  (%s completed in %v wall time)\n\n", x.ID, time.Since(t0).Round(time.Millisecond))
 	}
 }
 

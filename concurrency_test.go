@@ -13,6 +13,7 @@ import (
 
 	"gomdb"
 	"gomdb/internal/fixtures"
+	"gomdb/internal/storage"
 )
 
 // assertNoPins fails if any buffer frame is still pinned.
@@ -101,7 +102,7 @@ func TestNoPinLeaksOnErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 		oids := db.Extension("Rectangle")
-		db.Disk.FailAfter(k)
+		db.Disk.SetFaultPlan(storage.FaultPlan{Rules: []storage.FaultRule{{After: k}}})
 		// Each step may or may not reach the armed failure; only the pin
 		// balance matters.
 		_, _ = db.Query(`range r: Rectangle retrieve r.Width where r.area >= 4.0`, nil)
@@ -109,8 +110,8 @@ func TestNoPinLeaksOnErrors(t *testing.T) {
 		_, _ = db.Call("Rectangle.area", gomdb.Ref(oids[1]))
 		_, _ = db.New("Rectangle", gomdb.Float(7), gomdb.Float(7))
 		_ = db.Delete(oids[2])
-		db.Disk.ClearFailure()
-		assertNoPins(t, db, fmt.Sprintf("FailAfter(%d)", k))
+		db.Disk.ClearFaults()
+		assertNoPins(t, db, fmt.Sprintf("fault after %d I/Os", k))
 	}
 }
 

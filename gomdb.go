@@ -20,7 +20,6 @@
 package gomdb
 
 import (
-	"strings"
 	"sync"
 
 	"gomdb/internal/core"
@@ -530,16 +529,16 @@ func (db *Database) Remove(set OID, elem Value) error {
 // storing anything). All other calls run exclusively.
 func (db *Database) Call(fn string, args ...Value) (Value, error) {
 	if db.mu.TryRLock() {
-		if db.readOnlyCall(fn) {
+		if db.GMRs.Quiescent() && db.Queries.CallReadOnly(fn) {
 			defer db.mu.RUnlock()
 			return db.Engine.Invoke(fn, args...)
 		}
 		db.mu.RUnlock()
 	} else {
 		// Pin before classifying: a pin excludes barrier operations, so the
-		// schema metadata sideEffectFreeCall reads cannot change underneath.
+		// schema metadata CallReadOnly reads cannot change underneath.
 		ver, release := db.mvccSt.Pin()
-		if db.sideEffectFreeCall(fn) {
+		if db.Queries.CallReadOnly(fn) {
 			defer release()
 			return db.GMRs.SnapshotAt(ver).Call(fn, args...)
 		}
@@ -653,40 +652,6 @@ func (db *Database) EndBatch(tx *Tx, err error) error {
 	return err
 }
 
-// readOnlyCall reports whether invoking name cannot mutate engine or GMR
-// state under the live engine: the GMR manager is quiescent (so a forward
-// query answers from valid entries or computes without storing) and the call
-// is side-effect free. Caller holds at least the read lock.
-func (db *Database) readOnlyCall(name string) bool {
-	return db.GMRs.Quiescent() && db.sideEffectFreeCall(name)
-}
-
-// sideEffectFreeCall reports whether every function name can dispatch to is
-// declared side-effect free with no update hook installed. Side-effect
-// freedom is transitive by contract — a side-effect-free body invokes only
-// side-effect-free operations — so checking the entry points suffices. The
-// classification reads schema metadata only: no object loads, no
-// simulated-clock charges, so single-threaded cost accounting is unchanged.
-// It is the whole admission test for the snapshot read path (quiescence is a
-// live-engine concern). Caller holds the read lock or a snapshot pin; both
-// exclude schema DDL.
-func (db *Database) sideEffectFreeCall(name string) bool {
-	if i := strings.IndexByte(name, '.'); i >= 0 {
-		declType, opName := name[:i], name[i+1:]
-		// Dynamic dispatch may land on any subtype's override; all of them
-		// must be side-effect free and hook-free.
-		for _, tn := range db.Schema.Reg.WithSubtypes(declType) {
-			f, ok := db.Schema.ResolveOp(tn, opName)
-			if !ok || !f.SideEffectFree || db.Engine.Hooks.Installed(tn, opName) {
-				return false
-			}
-		}
-		return true
-	}
-	f, ok := db.Schema.ResolveStatic(name)
-	return ok && f.SideEffectFree
-}
-
 // Field-spec constructors for tabular GMR retrieval (Section 3.2's
 // QBE-style operations).
 var (
@@ -699,8 +664,8 @@ var (
 )
 
 // ErrInjectedFault is the sentinel wrapped by every error the simulated
-// disk's fault-injection layer produces (db.Disk.FailAfter and scripted
-// fault plans via db.Disk.SetFaultPlan); match it with errors.Is.
+// disk's fault-injection layer produces (fault plans armed with
+// db.Disk.SetFaultPlan); match it with errors.Is.
 var ErrInjectedFault = storage.ErrInjectedFault
 
 // Materialize creates a GMR per the options — the API form of the GOMql

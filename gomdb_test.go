@@ -5,10 +5,13 @@ package gomdb_test
 // GOMql, queries, updates, and teardown.
 
 import (
+	"strings"
 	"testing"
 
 	"gomdb"
 	"gomdb/internal/lang"
+	"gomdb/internal/query"
+	"gomdb/internal/schema"
 )
 
 func rectangleDB(t *testing.T) *gomdb.Database {
@@ -230,5 +233,63 @@ func TestQueryErrors(t *testing.T) {
 	}
 	if _, err := db.Query(`range a: Rectangle, b: Rectangle materialize a.area`, nil); err == nil {
 		t.Fatal("multi-range materialize accepted")
+	}
+}
+
+// TestCallClassifierMatchesGOMql: an embedded call and a GOMql explicit call
+// of the same function classify alike. A snapshot view's Call refuses what
+// the classifier does not admit; GOMql's plan walk classifies an explicit
+// call of the same name.
+func TestCallClassifierMatchesGOMql(t *testing.T) {
+	db := rectangleDB(t)
+	sq := gomdb.NewTupleType("Square")
+	sq.Super = "Rectangle"
+	db.MustDefineType(sq)
+	mustSrc := func(typeName, src string, sideEffectFree bool) {
+		t.Helper()
+		var err error
+		if typeName == "" {
+			err = db.DefineFuncSrc(src, sideEffectFree)
+		} else {
+			err = db.DefineOpSrc(typeName, src, sideEffectFree)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	half := `define half: float is return self.Width / 2.0 end`
+	mustSrc("Rectangle", half, true)
+	mustSrc("Square", half, true)
+	db.Engine.Hooks.Install("Square", "half", &schema.UpdateHook{Name: "test"})
+	mustSrc("Square", `define perimeter: float is
+		self.set_Width(self.Width + 1.0);
+		return 4.0 * self.Width
+	end`, false)
+	mustSrc("", `define twice(x: float): float is return 2.0 * x end`, true)
+	r := db.MustNew("Rectangle", gomdb.Float(1), gomdb.Float(2))
+
+	cases := []struct {
+		name string
+		args []gomdb.Value
+		want bool
+	}{
+		{"Rectangle.area", []gomdb.Value{gomdb.Ref(r)}, true},
+		{"Rectangle.half", []gomdb.Value{gomdb.Ref(r)}, false},      // hooked override
+		{"Rectangle.perimeter", []gomdb.Value{gomdb.Ref(r)}, false}, // updating override
+		{"Nope.area", []gomdb.Value{gomdb.Ref(r)}, false},           // unknown type
+		{"twice", []gomdb.Value{gomdb.Float(3)}, true},              // free function
+		{"nope", nil, false},
+	}
+	view := db.SnapshotView()
+	defer view.Release()
+	for _, c := range cases {
+		_, err := view.Call(c.name, c.args...)
+		viewAdmits := err == nil || !strings.Contains(err.Error(), "not side-effect free")
+		q := &query.Query{Targets: []query.Target{{Path: &query.PathE{Call: &query.CallE{Fn: c.name}}}}}
+		gomqlAdmits := db.Queries.ReadOnlyPlan(q)
+		if viewAdmits != c.want || gomqlAdmits != c.want {
+			t.Errorf("%s: snapshot Call admits %v (err %v), GOMql admits %v; want %v",
+				c.name, viewAdmits, err, gomqlAdmits, c.want)
+		}
 	}
 }

@@ -1,74 +1,34 @@
 package bench
 
-import (
-	"fmt"
-	"io"
-	"sort"
-)
-
-// Runner produces one figure at a given scale.
-type Runner func(Scale) (*Figure, error)
-
-// Registry maps experiment ids to runners — one entry per table and figure
-// of the paper's evaluation section.
-var Registry = map[string]Runner{
-	"table1":       func(Scale) (*Figure, error) { return Table1() },
-	"figure7":      Figure7,
-	"figure8":      Figure8,
-	"figure9":      Figure9,
-	"figure10":     Figure10,
-	"figure11":     Figure11,
-	"figure13":     Figure13,
-	"figure14":     Figure14,
-	"figure15":     Figure15,
-	"ablation":     Ablation,
-	"ablation-mds": AblationMDS,
+// Experiment is one table or figure of the paper's evaluation section.
+type Experiment struct {
+	ID string
+	// Run produces the figure at a given scale.
+	Run func(Scale) (*Figure, error)
 }
 
-// canonicalOrder lists the experiments in presentation order: the table,
-// the paper's figures numerically, then the extra ablation.
-var canonicalOrder = []string{
-	"table1", "figure7", "figure8", "figure9", "figure10", "figure11",
-	"figure13", "figure14", "figure15", "ablation", "ablation-mds",
+// Registry lists the experiments in presentation order: the table, the
+// paper's figures numerically, then the ablations.
+var Registry = []Experiment{
+	{"table1", func(Scale) (*Figure, error) { return Table1() }},
+	{"figure7", Figure7},
+	{"figure8", Figure8},
+	{"figure9", Figure9},
+	{"figure10", Figure10},
+	{"figure11", Figure11},
+	{"figure13", Figure13},
+	{"figure14", Figure14},
+	{"figure15", Figure15},
+	{"ablation", Ablation},
+	{"ablation-mds", AblationMDS},
 }
 
-// IDs returns the experiment ids in canonical order.
-func IDs() []string {
-	out := make([]string, 0, len(Registry))
-	for _, id := range canonicalOrder {
-		if _, ok := Registry[id]; ok {
-			out = append(out, id)
+// Lookup returns the registered experiment with the given id.
+func Lookup(id string) (Experiment, bool) {
+	for _, x := range Registry {
+		if x.ID == id {
+			return x, true
 		}
 	}
-	// Anything registered but not listed goes last, sorted.
-	var extra []string
-	for id := range Registry {
-		found := false
-		for _, c := range canonicalOrder {
-			if id == c {
-				found = true
-				break
-			}
-		}
-		if !found {
-			extra = append(extra, id)
-		}
-	}
-	sort.Strings(extra)
-	return append(out, extra...)
-}
-
-// RunAll runs every registered experiment at the given scale, printing each
-// figure to w as it completes, and returns the figures by id.
-func RunAll(w io.Writer, sc Scale) (map[string]*Figure, error) {
-	out := make(map[string]*Figure, len(Registry))
-	for _, id := range IDs() {
-		fig, err := Registry[id](sc)
-		if err != nil {
-			return nil, fmt.Errorf("bench %s: %w", id, err)
-		}
-		fig.Print(w)
-		out[id] = fig
-	}
-	return out, nil
+	return Experiment{}, false
 }

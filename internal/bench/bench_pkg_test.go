@@ -28,8 +28,9 @@ func TestFigureRunnersProduceSeries(t *testing.T) {
 		"ablation":     5,
 		"ablation-mds": 2,
 	}
-	for _, id := range IDs() {
-		fig, err := Registry[id](sc)
+	for _, x := range Registry {
+		id := x.ID
+		fig, err := x.Run(sc)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -173,11 +174,15 @@ func TestFigurePrintAndCrossover(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	sc := tinyScale()
 	for _, id := range []string{"figure9", "figure15"} {
-		a, err := Registry[id](sc)
+		x, ok := Lookup(id)
+		if !ok {
+			t.Fatalf("%s not registered", id)
+		}
+		a, err := x.Run(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Registry[id](sc)
+		b, err := x.Run(sc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,9 +14,13 @@ import (
 func TestFigureDeterminism(t *testing.T) {
 	sc := Scale{Cuboids: 200, OpsDivisor: 10, Points: 10, CompanyDivisor: 10}
 	for _, id := range []string{"table1", "figure9", "figure10"} {
+		x, ok := Lookup(id)
+		if !ok {
+			t.Fatalf("%s not registered", id)
+		}
 		var runs [2]bytes.Buffer
 		for i := range runs {
-			fig, err := Registry[id](sc)
+			fig, err := x.Run(sc)
 			if err != nil {
 				t.Fatalf("%s run %d: %v", id, i+1, err)
 			}

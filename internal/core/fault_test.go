@@ -11,6 +11,7 @@ import (
 
 	"gomdb"
 	"gomdb/internal/fixtures"
+	"gomdb/internal/storage"
 )
 
 func TestDiskFailurePropagatesAndRecovers(t *testing.T) {
@@ -33,8 +34,8 @@ func TestDiskFailurePropagatesAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db.Disk.FailAfter(1)
-	defer db.Disk.ClearFailure()
+	db.Disk.SetFaultPlan(storage.FaultPlan{Rules: []storage.FaultRule{{After: 1}}})
+	defer db.Disk.ClearFaults()
 
 	// Drive operations until the fault fires; every error must mention the
 	// injection and nothing may panic.
@@ -67,7 +68,7 @@ func TestDiskFailurePropagatesAndRecovers(t *testing.T) {
 	// afterwards are correct (maintenance errors abort the operation, so
 	// the affected entry may be stale-but-valid only if its update never
 	// applied — verify by re-scaling through the normal path).
-	db.Disk.ClearFailure()
+	db.Disk.ClearFaults()
 	if _, err := db.Query(`range c: Cuboid retrieve c where c.volume > 0.0`, nil); err != nil {
 		t.Fatalf("query after recovery: %v", err)
 	}
@@ -100,14 +101,14 @@ func TestDiskFailureDuringMaterialization(t *testing.T) {
 	if _, err := fixtures.PopulateGeometry(db, 30, 5); err != nil {
 		t.Fatal(err)
 	}
-	db.Disk.FailAfter(3)
+	db.Disk.SetFaultPlan(storage.FaultPlan{Rules: []storage.FaultRule{{After: 3}}})
 	_, err := db.Materialize(gomdb.MaterializeOptions{
 		Funcs: []string{"Cuboid.volume"}, Complete: true, Mode: gomdb.ModeObjDep,
 	})
 	if err == nil {
 		t.Fatal("materialization succeeded on a failing disk")
 	}
-	db.Disk.ClearFailure()
+	db.Disk.ClearFaults()
 	// The failed materialization must have been rolled out of the catalog:
 	// no hooks, no GMR, and a retry succeeds.
 	if db.GMRs.InstalledHookCount() != 0 {

@@ -13,7 +13,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync/atomic"
 
 	"gomdb/internal/btree"
@@ -262,28 +261,38 @@ func (g *GMR) InvalidCount(fid string) int {
 	return len(g.invalid[i])
 }
 
-// argKey encodes an argument combination as a map key.
-func argKey(args []object.Value) string {
-	var b strings.Builder
-	for _, a := range args {
-		b.Write(object.EncodeValue(a))
-	}
-	return b.String()
-}
+// keyBufSize is the stack buffer an argument key is built in; longer keys
+// spill to the heap.
+const keyBufSize = 64
 
-// encodeEntry serializes an entry for the heap file.
-func encodeEntry(e *entry) []byte {
-	var vals []object.Value
-	vals = append(vals, object.Int(int64(len(e.Args))))
-	vals = append(vals, e.Args...)
-	for i := range e.Results {
-		vals = append(vals, e.Results[i], object.Bool(e.Valid[i]))
-	}
-	var buf []byte
-	for _, v := range vals {
-		buf = append(buf, object.EncodeValue(v)...)
+// appendArgKey appends the encoding of an argument combination — its values
+// back to back — to buf.
+func appendArgKey(buf []byte, args []object.Value) []byte {
+	for _, a := range args {
+		buf = object.AppendValue(buf, a)
 	}
 	return buf
+}
+
+// argKey encodes an argument combination as a map key.
+func argKey(args []object.Value) string {
+	var b [keyBufSize]byte
+	return string(appendArgKey(b[:0], args))
+}
+
+// encodeEntry serializes an entry for the heap file: the argument count, the
+// arguments, then each result with its validity bit, every one a value.
+func encodeEntry(e *entry) []byte {
+	var enc object.Encoder
+	enc.Value(object.Int(int64(len(e.Args))))
+	for _, a := range e.Args {
+		enc.Value(a)
+	}
+	for i, r := range e.Results {
+		enc.Value(r)
+		enc.Value(object.Bool(e.Valid[i]))
+	}
+	return enc.Buf
 }
 
 // insertEntry adds a new entry to the extension, heap, and indexes.
@@ -552,7 +561,8 @@ func (g *GMR) evictOldest() {
 
 // lookup returns the entry for an argument combination.
 func (g *GMR) lookup(args []object.Value) (*entry, bool) {
-	e, ok := g.entries[argKey(args)]
+	var b [keyBufSize]byte
+	e, ok := g.entries[string(appendArgKey(b[:0], args))]
 	return e, ok
 }
 

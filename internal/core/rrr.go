@@ -72,17 +72,25 @@ func NewRRR(pool *storage.BufferPool) *RRR {
 func (r *RRR) Len() int { return r.heap.Count() }
 
 func rrrKey(f string, args []object.Value) string {
-	return f + "\x00" + argKey(args)
+	var b [keyBufSize]byte
+	return string(appendArgKey(append(append(b[:0], f...), 0), args))
 }
 
+// encodeTuple encodes t as the list value [F, O, Args...], written straight
+// from its parts: a list's Kind byte, its length, then its elements.
 func encodeTuple(t Tuple) []byte {
-	v := object.ListVal(append([]object.Value{object.String_(t.F), object.Ref(t.O)}, t.Args...)...)
-	return object.EncodeValue(v)
+	var e object.Encoder
+	e.U8(uint8(object.KList))
+	e.Uvarint(uint64(2 + len(t.Args)))
+	e.Value(object.String_(t.F))
+	e.Value(object.Ref(t.O))
+	return appendArgKey(e.Buf, t.Args)
 }
 
 func decodeTuple(buf []byte) (Tuple, error) {
-	v, _, err := object.DecodeValue(buf)
-	if err != nil {
+	d := object.NewDecoder(buf)
+	v := d.Value()
+	if err := d.Err(); err != nil {
 		return Tuple{}, err
 	}
 	if v.Kind != object.KList || len(v.Elems) < 2 {

@@ -18,8 +18,9 @@ func cat(parts ...[]byte) []byte {
 // bounds checks moved to the uint64 domain, int conversion wrapped these
 // counts negative: the string path sliced with a negative high index and the
 // tuple/set paths called make with a negative length — both runtime panics,
-// reachable from any untrusted byte stream fed to DecodeValue (the network
-// protocol's value decoder delegates here).
+// reachable from any untrusted byte stream fed to the Decoder (the network
+// protocol decodes its payloads with it; internal/wire's TestStreamChunkBounds
+// runs these inputs through its request and response decoders too).
 func TestDecodeValueHostileLengths(t *testing.T) {
 	cases := map[string][]byte{
 		"string length wraps negative":    append([]byte{byte(KString)}, huge...),
@@ -34,11 +35,12 @@ func TestDecodeValueHostileLengths(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
 				if r := recover(); r != nil {
-					t.Fatalf("DecodeValue panicked: %v", r)
+					t.Fatalf("Decoder.Value panicked: %v", r)
 				}
 			}()
-			if _, _, err := DecodeValue(buf); err == nil {
-				t.Fatalf("DecodeValue(% x) = nil error, want failure", buf)
+			d := NewDecoder(buf)
+			if d.Value(); d.Err() == nil {
+				t.Fatalf("Decoder.Value(% x) = nil error, want failure", buf)
 			}
 		})
 	}
@@ -107,8 +109,8 @@ func TestFieldReaderHostileRecords(t *testing.T) {
 					t.Fatalf("field reader panicked: %v", r)
 				}
 			}()
-			d := decoder{buf: c.rec}
-			d.rawStr()
+			d := NewDecoder(c.rec)
+			d.RawStr()
 			d.attr(c.i)
 			if d.err == nil {
 				t.Fatalf("attr(%d) of % x = nil error, want failure", c.i, c.rec)

@@ -86,32 +86,32 @@ func (m *Manager) ExportDirectory() Directory {
 // page and slot, then the extent count and each extent as type name, length
 // and OIDs — all varints.
 func (dir Directory) Snapshot() []byte {
-	var e encoder
-	e.uvarint(uint64(len(dir.RIDs)))
+	var e Encoder
+	e.Uvarint(uint64(len(dir.RIDs)))
 	prev := OID(0)
 	for _, ent := range dir.RIDs {
-		e.uvarint(uint64(ent.O - prev))
+		e.Uvarint(uint64(ent.O - prev))
 		e.rid(ent.R)
 		prev = ent.O
 	}
-	e.uvarint(uint64(len(dir.Extents)))
+	e.Uvarint(uint64(len(dir.Extents)))
 	for _, ed := range dir.Extents {
-		e.str(ed.Type)
-		e.uvarint(uint64(len(ed.OIDs)))
+		e.Str(ed.Type)
+		e.Uvarint(uint64(len(ed.OIDs)))
 		for _, oid := range ed.OIDs {
-			e.uvarint(uint64(oid))
+			e.Uvarint(uint64(oid))
 		}
 	}
-	return e.buf
+	return e.Buf
 }
 
-func (e *encoder) rid(r storage.RID) {
-	e.uvarint(uint64(r.Page))
-	e.uvarint(uint64(r.Slot))
+func (e *Encoder) rid(r storage.RID) {
+	e.Uvarint(uint64(r.Page))
+	e.Uvarint(uint64(r.Slot))
 }
 
-func (d *decoder) rid() storage.RID {
-	return storage.RID{Page: storage.PageID(d.uvarint()), Slot: uint16(d.uvarint())}
+func (d *Decoder) rid() storage.RID {
+	return storage.RID{Page: storage.PageID(d.Uvarint()), Slot: uint16(d.Uvarint())}
 }
 
 // Directory ops, as journaled and as stored in a delta record: the op byte,
@@ -125,7 +125,7 @@ const (
 // dirJournal is the directory ops since the last durable checkpoint, encoded
 // as they happen. Managers of in-memory databases have none.
 type dirJournal struct {
-	enc encoder
+	enc Encoder
 	ops int
 	// sinceSnapshot counts the ops of the delta records that follow the
 	// store's current snapshot, not counting this journal's own.
@@ -134,15 +134,15 @@ type dirJournal struct {
 
 // op starts one journaled op; the caller appends the op's own fields.
 func (j *dirJournal) op(kind uint8, oid OID) {
-	j.enc.u8(kind)
-	j.enc.uvarint(uint64(oid))
+	j.enc.U8(kind)
+	j.enc.Uvarint(uint64(oid))
 	j.ops++
 }
 
 func (j *dirJournal) create(oid OID, typeName string, rid storage.RID) {
 	j.op(dirOpCreate, oid)
 	j.enc.rid(rid)
-	j.enc.str(typeName)
+	j.enc.Str(typeName)
 }
 
 func (j *dirJournal) move(oid OID, rid storage.RID) {
@@ -152,7 +152,7 @@ func (j *dirJournal) move(oid OID, rid storage.RID) {
 
 func (j *dirJournal) delete(oid OID, typeName string) {
 	j.op(dirOpDelete, oid)
-	j.enc.str(typeName)
+	j.enc.Str(typeName)
 }
 
 // EnableDirJournal starts journaling directory mutations for a durable
@@ -167,7 +167,7 @@ func (m *Manager) EnableDirJournal() { m.journal = &dirJournal{} }
 // the exclusive Database lock.
 func (m *Manager) DirCheckpoint() (payload []byte, snapshot bool) {
 	if j := m.journal; j.sinceSnapshot+j.ops <= len(m.rids) {
-		return j.enc.buf, false
+		return j.enc.Buf, false
 	}
 	return m.ExportDirectory().Snapshot(), true
 }
@@ -243,37 +243,37 @@ func decodeSnapshot(snapshot []byte) (map[OID]storage.RID, map[string]*extent, e
 	if len(snapshot) == 0 {
 		return make(map[OID]storage.RID), make(map[string]*extent), nil
 	}
-	d := decoder{buf: snapshot}
-	n := d.count(3)
+	d := NewDecoder(snapshot)
+	n := d.Count(3)
 	rids := make(map[OID]storage.RID, n)
 	oid := OID(0)
 	for i := 0; i < n && d.err == nil; i++ {
-		gap := OID(d.uvarint())
+		gap := OID(d.Uvarint())
 		if gap == 0 {
-			d.fail("object: restore: duplicate OID %v in directory", oid)
+			d.Fail("object: restore: duplicate OID %v in directory", oid)
 		}
 		oid += gap
 		rids[oid] = d.rid()
 	}
-	n = d.count(2)
+	n = d.Count(2)
 	extents := make(map[string]*extent, n)
 	// listed holds every extension member so far: an OID listed twice would
 	// outlive its delete in the other listing.
 	listed := make(map[OID]struct{}, len(rids))
 	for i := 0; i < n && d.err == nil; i++ {
-		typeName := d.str()
+		typeName := d.Str()
 		if _, dup := extents[typeName]; dup {
-			d.fail("object: restore: extension of %q listed twice", typeName)
+			d.Fail("object: restore: extension of %q listed twice", typeName)
 		}
-		k := d.count(1)
+		k := d.Count(1)
 		ext := &extent{order: make([]OID, 0, k), pos: make(map[OID]int, k)}
 		for ; k > 0 && d.err == nil; k-- {
-			member := OID(d.uvarint())
+			member := OID(d.Uvarint())
 			if _, ok := rids[member]; !ok && d.err == nil {
-				d.fail("object: restore: extension of %q lists unknown OID %v", typeName, member)
+				d.Fail("object: restore: extension of %q lists unknown OID %v", typeName, member)
 			}
 			if _, dup := listed[member]; dup {
-				d.fail("object: restore: OID %v listed twice in the extensions", member)
+				d.Fail("object: restore: OID %v listed twice in the extensions", member)
 			}
 			listed[member] = struct{}{}
 			ext.add(member)
@@ -281,36 +281,36 @@ func decodeSnapshot(snapshot []byte) (map[OID]storage.RID, map[string]*extent, e
 		extents[typeName] = ext
 	}
 	if d.err == nil && d.off != len(d.buf) {
-		d.fail("object: restore: %d stray bytes after the directory snapshot", len(d.buf)-d.off)
+		d.Fail("object: restore: %d stray bytes after the directory snapshot", len(d.buf)-d.off)
 	}
 	return rids, extents, d.err
 }
 
 // replayDelta applies the ops of one delta payload and returns their number.
 func replayDelta(rids map[OID]storage.RID, extents map[string]*extent, delta []byte) (int, error) {
-	d := decoder{buf: delta}
+	d := NewDecoder(delta)
 	ops := 0
 	for d.off < len(d.buf) && d.err == nil {
-		op := d.u8()
-		oid := OID(d.uvarint())
+		op := d.U8()
+		oid := OID(d.Uvarint())
 		_, live := rids[oid]
 		if d.err == nil && live == (op == dirOpCreate) {
-			d.fail("object: restore: directory op %d on OID %v (live: %v)", op, oid, live)
+			d.Fail("object: restore: directory op %d on OID %v (live: %v)", op, oid, live)
 		}
 		switch op {
 		case dirOpCreate:
 			rids[oid] = d.rid()
-			extentOf(extents, d.str()).add(oid)
+			extentOf(extents, d.Str()).add(oid)
 		case dirOpMove:
 			rids[oid] = d.rid()
 		case dirOpDelete:
 			delete(rids, oid)
-			typeName := d.str()
+			typeName := d.Str()
 			if ext := extents[typeName]; ext == nil || !ext.remove(oid) {
-				d.fail("object: restore: delete of OID %v from the extension of %q, which does not list it", oid, typeName)
+				d.Fail("object: restore: delete of OID %v from the extension of %q, which does not list it", oid, typeName)
 			}
 		default:
-			d.fail("object: restore: unknown directory op %d", op)
+			d.Fail("object: restore: unknown directory op %d", op)
 		}
 		ops++
 	}

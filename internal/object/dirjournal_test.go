@@ -160,11 +160,11 @@ func TestRestoreDirectoryRejectsCorruptPayloads(t *testing.T) {
 		"stray bytes after snapshot":    {snapshot: append(append([]byte(nil), good...), 0)},
 		"hostile entry count":           {snapshot: huge},
 		"unknown op":                    {snapshot: good, deltas: [][]byte{{9, 1}}},
-		"truncated op":                  {snapshot: good, deltas: [][]byte{dup.enc.buf[:3]}},
-		"create of a live OID":          {snapshot: good, deltas: [][]byte{dup.enc.buf}},
-		"move of an unknown OID":        {snapshot: good, deltas: [][]byte{mv.enc.buf}},
-		"delete twice":                  {snapshot: good, deltas: [][]byte{del.enc.buf, del.enc.buf}},
-		"entries do not match the heap": {snapshot: good, deltas: [][]byte{del.enc.buf}},
+		"truncated op":                  {snapshot: good, deltas: [][]byte{dup.enc.Buf[:3]}},
+		"create of a live OID":          {snapshot: good, deltas: [][]byte{dup.enc.Buf}},
+		"move of an unknown OID":        {snapshot: good, deltas: [][]byte{mv.enc.Buf}},
+		"delete twice":                  {snapshot: good, deltas: [][]byte{del.enc.Buf, del.enc.Buf}},
+		"entries do not match the heap": {snapshot: good, deltas: [][]byte{del.enc.Buf}},
 		"OID in two extensions":         {snapshot: twice.Snapshot()},
 	}
 	for name, tc := range cases {
@@ -195,7 +195,7 @@ func FuzzRestoreDirectory(f *testing.F) {
 	j.create(OID(500), "Point", m.rids[oids[0]])
 	j.move(oids[1], m.rids[oids[2]])
 	j.delete(oids[3], "Point")
-	f.Add(m.ExportDirectory().Snapshot(), j.enc.buf)
+	f.Add(m.ExportDirectory().Snapshot(), j.enc.Buf)
 	f.Fuzz(func(t *testing.T, snapshot, delta []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -9,77 +9,122 @@ import (
 	"sync/atomic"
 )
 
-// Binary record encoding for objects and values. Records must be compact:
-// the cost model depends on realistic object sizes (a Vertex is a few dozen
+// Binary encoding of values, object records, GMR records and network
+// payloads: the repository's one value codec. Records must be compact: the
+// cost model depends on realistic object sizes (a Vertex is a few dozen
 // bytes, so ~40 of them share a 4 KB page, matching the paper's setup).
+// Integers are uvarints or zig-zag varints, floats little-endian IEEE 754,
+// strings and runs length-prefixed, and a value is its Kind byte followed by
+// its payload.
+//
+// The Decoder holds the bounds for every value, record and payload it reads
+// — object and directory records read back from disk, and the wire
+// protocol's payloads. It never panics and never over-allocates: every
+// length and count is compared with the bytes left in the uint64 domain
+// before it is used, and the first violation latches, after which every read
+// returns a zero value.
 
-type encoder struct{ buf []byte }
+// Encoder appends encodings to Buf, which may be a caller's buffer.
+type Encoder struct{ Buf []byte }
 
-func (e *encoder) u8(v uint8) { e.buf = append(e.buf, v) }
-func (e *encoder) uvarint(v uint64) {
-	e.buf = binary.AppendUvarint(e.buf, v)
-}
-func (e *encoder) varint(v int64) {
-	e.buf = binary.AppendVarint(e.buf, v)
-}
-func (e *encoder) f64(v float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
-}
-func (e *encoder) str(s string) {
-	e.uvarint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
+func (e *Encoder) U8(v uint8)       { e.Buf = append(e.Buf, v) }
+func (e *Encoder) Bool(v bool)      { e.Buf = appendBool(e.Buf, v) }
+func (e *Encoder) Uvarint(v uint64) { e.Buf = binary.AppendUvarint(e.Buf, v) }
+func (e *Encoder) F64(v float64)    { e.Buf = appendF64(e.Buf, v) }
+func (e *Encoder) Str(s string)     { e.Buf = appendStr(e.Buf, s) }
+func (e *Encoder) Value(v Value)    { e.Buf = AppendValue(e.Buf, v) }
 
-func (e *encoder) value(v Value) {
-	e.u8(uint8(v.Kind))
-	switch v.Kind {
-	case KNull:
-	case KBool:
-		if v.B {
-			e.u8(1)
-		} else {
-			e.u8(0)
-		}
-	case KInt:
-		e.varint(v.I)
-	case KFloat:
-		e.f64(v.F)
-	case KString:
-		e.str(v.S)
-	case KRef:
-		e.uvarint(uint64(v.R))
-	case KTuple:
-		e.str(v.TupleType)
-		e.uvarint(uint64(len(v.Elems)))
-		for _, el := range v.Elems {
-			e.value(el)
-		}
-	case KSet, KList:
-		e.uvarint(uint64(len(v.Elems)))
-		for _, el := range v.Elems {
-			e.value(el)
-		}
+// Values appends a count-prefixed run of values.
+func (e *Encoder) Values(vs []Value) {
+	e.Uvarint(uint64(len(vs)))
+	for _, v := range vs {
+		e.Value(v)
 	}
 }
 
-type decoder struct {
+// AppendValue appends the encoding of v to b: its Kind, then its payload.
+// It is what Encoder.Value runs, in a form whose buffer can stay on the
+// caller's stack (an Encoder's buffer moves to the heap, because its methods
+// store through a pointer).
+func AppendValue(b []byte, v Value) []byte {
+	b = append(b, uint8(v.Kind))
+	switch v.Kind {
+	case KNull:
+	case KBool:
+		b = appendBool(b, v.B)
+	case KInt:
+		b = binary.AppendVarint(b, v.I)
+	case KFloat:
+		b = appendF64(b, v.F)
+	case KString:
+		b = appendStr(b, v.S)
+	case KRef:
+		b = binary.AppendUvarint(b, uint64(v.R))
+	case KTuple, KSet, KList:
+		if v.Kind == KTuple {
+			b = appendStr(b, v.TupleType)
+		}
+		b = binary.AppendUvarint(b, uint64(len(v.Elems)))
+		for _, el := range v.Elems {
+			b = AppendValue(b, el)
+		}
+	}
+	return b
+}
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+func appendF64(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+}
+
+func appendStr(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// Decoder reads what an Encoder wrote. The first error latches: every read
+// after it is a no-op returning a zero value, so decode paths read straight
+// through and check Err once.
+type Decoder struct {
 	buf []byte
 	off int
 	err error
 }
 
-func (d *decoder) fail(format string, args ...any) {
+// NewDecoder returns a decoder over buf. Decoded strings are copies; only
+// RawStr aliases buf.
+func NewDecoder(buf []byte) Decoder { return Decoder{buf: buf} }
+
+// Err returns the latched error, if any.
+func (d *Decoder) Err() error { return d.err }
+
+// Fail latches an error unless one is already latched.
+func (d *Decoder) Fail(format string, args ...any) {
 	if d.err == nil {
 		d.err = fmt.Errorf(format, args...)
 	}
 }
 
-func (d *decoder) u8() uint8 {
+// Finish latches an error if bytes remain after the last read, and returns
+// the latched error.
+func (d *Decoder) Finish() error {
+	if d.err == nil && d.off != len(d.buf) {
+		d.Fail("object: %d trailing bytes", len(d.buf)-d.off)
+	}
+	return d.err
+}
+
+func (d *Decoder) U8() uint8 {
 	if d.err != nil {
 		return 0
 	}
 	if d.off >= len(d.buf) {
-		d.fail("object: truncated record (u8 at %d)", d.off)
+		d.Fail("object: truncated record (u8 at %d)", d.off)
 		return 0
 	}
 	v := d.buf[d.off]
@@ -87,38 +132,40 @@ func (d *decoder) u8() uint8 {
 	return v
 }
 
-func (d *decoder) uvarint() uint64 {
+func (d *Decoder) Bool() bool { return d.U8() != 0 }
+
+func (d *Decoder) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(d.buf[d.off:])
 	if n <= 0 {
-		d.fail("object: truncated record (uvarint at %d)", d.off)
+		d.Fail("object: truncated record (uvarint at %d)", d.off)
 		return 0
 	}
 	d.off += n
 	return v
 }
 
-func (d *decoder) varint() int64 {
+func (d *Decoder) Varint() int64 {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Varint(d.buf[d.off:])
 	if n <= 0 {
-		d.fail("object: truncated record (varint at %d)", d.off)
+		d.Fail("object: truncated record (varint at %d)", d.off)
 		return 0
 	}
 	d.off += n
 	return v
 }
 
-func (d *decoder) f64() float64 {
+func (d *Decoder) F64() float64 {
 	if d.err != nil {
 		return 0
 	}
 	if d.off+8 > len(d.buf) {
-		d.fail("object: truncated record (f64 at %d)", d.off)
+		d.Fail("object: truncated record (f64 at %d)", d.off)
 		return 0
 	}
 	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.off:]))
@@ -126,10 +173,10 @@ func (d *decoder) f64() float64 {
 	return v
 }
 
-// rawStr returns the bytes of a length-prefixed string. The slice aliases the
-// record being decoded.
-func (d *decoder) rawStr() []byte {
-	n := d.uvarint()
+// RawStr returns the bytes of a length-prefixed string. The slice aliases
+// the input.
+func (d *Decoder) RawStr() []byte {
+	n := d.Uvarint()
 	if d.err != nil {
 		return nil
 	}
@@ -137,7 +184,7 @@ func (d *decoder) rawStr() []byte {
 	// negative under int conversion and slip past the bound (the slice
 	// expression below would panic). len-off is never negative.
 	if n > uint64(len(d.buf)-d.off) {
-		d.fail("object: truncated record (string of %d at %d)", n, d.off)
+		d.Fail("object: truncated record (string of %d at %d)", n, d.off)
 		return nil
 	}
 	b := d.buf[d.off : d.off+int(n)]
@@ -145,144 +192,123 @@ func (d *decoder) rawStr() []byte {
 	return b
 }
 
-func (d *decoder) str() string { return string(d.rawStr()) }
+func (d *Decoder) Str() string { return string(d.RawStr()) }
 
-// count reads the length prefix of a run of encoded items, each taking at
+// Count reads the length prefix of a run of encoded items, each taking at
 // least min bytes, and bounds it by the bytes left. The comparison is in the
 // uint64 domain: an int conversion of a hostile 64-bit count can wrap
 // negative, pass a signed comparison, and panic in make or be accepted as an
 // empty run.
-func (d *decoder) count(min int) int {
-	n := d.uvarint()
+func (d *Decoder) Count(min int) int {
+	n := d.Uvarint()
 	if n > uint64(len(d.buf)-d.off)/uint64(min) {
-		d.fail("object: count %d exceeds the %d bytes left", n, len(d.buf)-d.off)
+		d.Fail("object: count %d exceeds the %d bytes left", n, len(d.buf)-d.off)
 		return 0
 	}
 	return int(n)
 }
 
-// values decodes a count-prefixed run of values.
-func (d *decoder) values() []Value {
-	n := d.count(1)
+// Values decodes a count-prefixed run of values.
+func (d *Decoder) Values() []Value {
+	n := d.Count(1)
 	if d.err != nil {
 		return nil
 	}
 	vs := make([]Value, n)
 	for i := range vs {
-		vs[i] = d.value()
+		vs[i] = d.Value()
 	}
 	return vs
 }
 
-func (d *decoder) value() Value {
-	k := Kind(d.u8())
+func (d *Decoder) Value() Value {
+	k := Kind(d.U8())
 	switch k {
 	case KNull:
 		return Null()
 	case KBool:
-		return Bool(d.u8() != 0)
+		return Bool(d.Bool())
 	case KInt:
-		return Int(d.varint())
+		return Int(d.Varint())
 	case KFloat:
-		return Float(d.f64())
+		return Float(d.F64())
 	case KString:
-		return String_(d.str())
+		return String_(d.Str())
 	case KRef:
-		return Ref(OID(d.uvarint()))
+		return Ref(OID(d.Uvarint()))
 	case KTuple:
-		tn := d.str()
-		elems := d.values()
+		tn := d.Str()
+		elems := d.Values()
 		if d.err != nil {
 			return Null()
 		}
 		return Value{Kind: KTuple, TupleType: tn, Elems: elems}
 	case KSet, KList:
-		elems := d.values()
+		elems := d.Values()
 		if d.err != nil {
 			return Null()
 		}
 		return Value{Kind: k, Elems: elems}
 	default:
-		d.fail("object: unknown value kind %d", k)
+		d.Fail("object: unknown value kind %d", k)
 		return Null()
 	}
 }
 
-// skipValue advances over one encoded value exactly as value would, without
+// skipValue advances over one encoded value exactly as Value would, without
 // building it.
-func (d *decoder) skipValue() {
-	k := Kind(d.u8())
+func (d *Decoder) skipValue() {
+	k := Kind(d.U8())
 	switch k {
 	case KNull:
 	case KBool:
-		d.u8()
+		d.U8()
 	case KInt:
-		d.varint()
+		d.Varint()
 	case KFloat:
-		d.f64()
+		d.F64()
 	case KString:
-		d.rawStr()
+		d.RawStr()
 	case KRef:
-		d.uvarint()
+		d.Uvarint()
 	case KTuple, KSet, KList:
 		if k == KTuple {
-			d.rawStr()
+			d.RawStr()
 		}
-		for n := d.count(1); n > 0 && d.err == nil; n-- {
+		for n := d.Count(1); n > 0 && d.err == nil; n-- {
 			d.skipValue()
 		}
 	default:
-		d.fail("object: unknown value kind %d", k)
+		d.Fail("object: unknown value kind %d", k)
 	}
-}
-
-// EncodeValue serializes a single value (used for GMR records).
-func EncodeValue(v Value) []byte {
-	var e encoder
-	e.value(v)
-	return e.buf
-}
-
-// DecodeValue deserializes a value produced by EncodeValue and returns the
-// number of bytes consumed.
-func DecodeValue(buf []byte) (Value, int, error) {
-	d := decoder{buf: buf}
-	v := d.value()
-	return v, d.off, d.err
 }
 
 // encodeObj serializes an object record: type name, attributes, elements,
 // and the ObjDepFct marking set.
 func encodeObj(o *Obj) []byte {
-	var e encoder
-	e.str(o.Type)
-	e.uvarint(uint64(len(o.Attrs)))
-	for _, v := range o.Attrs {
-		e.value(v)
-	}
-	e.uvarint(uint64(len(o.Elems)))
-	for _, v := range o.Elems {
-		e.value(v)
-	}
-	e.uvarint(uint64(len(o.DepFcts)))
+	var e Encoder
+	e.Str(o.Type)
+	e.Values(o.Attrs)
+	e.Values(o.Elems)
+	e.Uvarint(uint64(len(o.DepFcts)))
 	for _, f := range o.DepFcts {
-		e.str(f)
+		e.Str(f)
 	}
-	return e.buf
+	return e.Buf
 }
 
 // decodeObj decodes a whole object record. The type name and the ObjDepFct
 // ids are interned, so buf may alias a pinned page: nothing decoded refers
 // back into it.
 func (m *Manager) decodeObj(oid OID, buf []byte) (*Obj, error) {
-	d := decoder{buf: buf}
-	o := &Obj{OID: oid, Type: m.Reg.internName(d.rawStr())}
-	o.Attrs = d.values()
-	o.Elems = d.values()
-	if n := d.count(1); n > 0 {
+	d := NewDecoder(buf)
+	o := &Obj{OID: oid, Type: m.Reg.internName(d.RawStr())}
+	o.Attrs = d.Values()
+	o.Elems = d.Values()
+	if n := d.Count(1); n > 0 {
 		o.DepFcts = make([]string, n)
 		for i := range o.DepFcts {
-			o.DepFcts[i] = m.depFcts.intern(d.rawStr())
+			o.DepFcts[i] = m.depFcts.intern(d.RawStr())
 		}
 	}
 	return o, d.err
@@ -290,14 +316,14 @@ func (m *Manager) decodeObj(oid OID, buf []byte) (*Obj, error) {
 
 // attr decodes attribute i of an object record whose type tag has already
 // been read, skipping the attributes before it without building them.
-func (d *decoder) attr(i int) Value {
-	if n := d.count(1); d.err == nil && i >= n {
-		d.fail("object: attribute %d of %d", i, n)
+func (d *Decoder) attr(i int) Value {
+	if n := d.Count(1); d.err == nil && i >= n {
+		d.Fail("object: attribute %d of %d", i, n)
 	}
 	for ; i > 0 && d.err == nil; i-- {
 		d.skipValue()
 	}
-	return d.value()
+	return d.Value()
 }
 
 // internTable hands out one shared string per distinct byte sequence, so

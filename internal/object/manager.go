@@ -448,8 +448,8 @@ func (m *Manager) view(oid OID, fn func(rec []byte) error) error {
 func (m *Manager) TypeOf(oid OID) (string, error) {
 	var typ string
 	err := m.view(oid, func(rec []byte) error {
-		d := decoder{buf: rec}
-		typ = m.Reg.internName(d.rawStr())
+		d := NewDecoder(rec)
+		typ = m.Reg.internName(d.RawStr())
 		return d.err
 	})
 	return typ, err
@@ -471,8 +471,8 @@ func (m *Manager) Get(oid OID) (*Obj, error) {
 func (m *Manager) ReadAttr(oid OID, attr string) (Value, error) {
 	var v Value
 	err := m.view(oid, func(rec []byte) error {
-		d := decoder{buf: rec}
-		typ := m.Reg.internName(d.rawStr())
+		d := NewDecoder(rec)
+		typ := m.Reg.internName(d.RawStr())
 		if d.err != nil {
 			return d.err
 		}

@@ -105,9 +105,11 @@ func TestQuickValueEncodeRoundTrip(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		v := randomValue(rng, rng.Intn(4))
-		buf := EncodeValue(v)
-		got, n, err := DecodeValue(buf)
-		return err == nil && n == len(buf) && got.Equal(v) && reflect.DeepEqual(got.Kind, v.Kind)
+		var e Encoder
+		e.Value(v)
+		d := NewDecoder(e.Buf)
+		got := d.Value()
+		return d.Finish() == nil && got.Equal(v) && reflect.DeepEqual(got.Kind, v.Kind)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -116,8 +118,9 @@ func TestQuickValueEncodeRoundTrip(t *testing.T) {
 
 func TestDecodeValueRejectsGarbage(t *testing.T) {
 	for _, buf := range [][]byte{{}, {255}, {uint8(KString), 200}, {uint8(KSet), 255, 255, 255, 255, 15}} {
-		if _, _, err := DecodeValue(buf); err == nil {
-			t.Errorf("DecodeValue(%v) succeeded", buf)
+		d := NewDecoder(buf)
+		if d.Value(); d.Err() == nil {
+			t.Errorf("Decoder.Value(%v) succeeded", buf)
 		}
 	}
 }

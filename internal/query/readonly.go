@@ -1,5 +1,7 @@
 package query
 
+import "strings"
+
 // Static read-only classification of parsed statements: the Database facade
 // runs a statement under its shared read lock only when ReadOnlyPlan proves
 // that no evaluation step can mutate engine or GMR state. The analysis uses
@@ -78,7 +80,7 @@ func (ex *Executor) pathReadOnly(p *PathE, rt map[string]string) bool {
 				return false
 			}
 		}
-		return ex.callReadOnly(p.Call, rt)
+		return ex.CallReadOnly(p.Call.Fn)
 	}
 	rootType, ok := rt[p.Root]
 	if !ok {
@@ -116,13 +118,16 @@ func (ex *Executor) pathReadOnly(p *PathE, rt map[string]string) bool {
 	return true
 }
 
-// callReadOnly classifies an explicit function application. Qualified names
-// check every dynamic-dispatch override; unqualified names must resolve to a
-// free function (an unqualified operation dispatches on the runtime type of
-// its first argument, which is unknown statically).
-func (ex *Executor) callReadOnly(call *CallE, rt map[string]string) bool {
-	name := call.Fn
-	if i := indexDot(name); i >= 0 {
+// CallReadOnly classifies an explicit application of the function or
+// operation name. Qualified names check every dynamic-dispatch override;
+// unqualified names must resolve to a free function (an unqualified
+// operation dispatches on the runtime type of its first argument, which is
+// unknown statically). It reads schema metadata only — no object loads, no
+// simulated-clock charges — and is also the facade's admission test for
+// Call's shared-lock and snapshot paths, so an embedded call and a GOMql
+// call of the same function classify alike.
+func (ex *Executor) CallReadOnly(name string) bool {
+	if i := strings.IndexByte(name, '.'); i >= 0 {
 		return ex.opReadOnly(name[:i], name[i+1:])
 	}
 	fn, ok := ex.En.Sch.ResolveStatic(name)
@@ -146,13 +151,4 @@ func (ex *Executor) opReadOnly(declType, opName string) bool {
 		}
 	}
 	return true
-}
-
-func indexDot(s string) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '.' {
-			return i
-		}
-	}
-	return -1
 }

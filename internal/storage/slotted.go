@@ -175,14 +175,3 @@ func (p slotted) compact() {
 	}
 	p.setFreeHigh(uint16(high))
 }
-
-// liveBytes returns the total size of live records; used for page selection.
-func (p slotted) liveBytes() int {
-	total := 0
-	for i := uint16(0); i < p.numSlots(); i++ {
-		if off, length := p.slot(i); off != 0 {
-			total += int(length)
-		}
-	}
-	return total
-}

@@ -324,7 +324,7 @@ func TestFaultInjectionAtStorageLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk.FailAfter(1)
+	disk.SetFaultPlan(FaultPlan{Rules: []FaultRule{{After: 1}}})
 	// First physical I/O still succeeds, then everything fails.
 	sawErr := false
 	for i := 0; i < 4; i++ {
@@ -340,7 +340,7 @@ func TestFaultInjectionAtStorageLevel(t *testing.T) {
 	if !sawErr {
 		t.Fatal("injected failure never surfaced")
 	}
-	disk.ClearFailure()
+	disk.ClearFaults()
 	if _, err := h.Read(rid1); err != nil {
 		t.Fatalf("read after recovery: %v", err)
 	}

@@ -113,8 +113,21 @@ func FuzzDecodeRequest(f *testing.F) {
 				}
 			}
 			if resp, err := DecodeResponse(Opcode(op), payload); err == nil {
-				if _, eerr := EncodeResponse(resp); eerr != nil {
+				enc, eerr := EncodeResponse(resp)
+				if eerr != nil {
 					t.Errorf("decoded response does not re-encode: %v", eerr)
+					return
+				}
+				// Same fixed point, one step removed: a non-canonical byte
+				// (a bool other than 0 or 1) re-encodes canonically.
+				resp2, derr := DecodeResponse(Opcode(op), enc)
+				if derr != nil {
+					t.Errorf("canonical response encoding does not decode: %v", derr)
+					return
+				}
+				enc2, _ := EncodeResponse(resp2)
+				if !bytes.Equal(enc, enc2) {
+					t.Errorf("canonical response encoding not a fixed point:\n got % x\nwant % x", enc2, enc)
 				}
 			} else {
 				var we *Error

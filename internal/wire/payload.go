@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/binary"
 	"math"
 	"sort"
 
@@ -9,155 +8,13 @@ import (
 	"gomdb/internal/object"
 )
 
-// Payload encodings. Primitives follow the storage layer's conventions:
-// uvarint/varint for integers, little-endian IEEE 754 for floats,
-// length-prefixed strings, and object.EncodeValue for data-model values.
-// Every count is bounds-checked against the remaining payload before any
-// allocation (each element occupies at least one byte), so a hostile count
-// cannot make the decoder allocate unboundedly; the decoder returns
-// structured errors and never panics.
-
-// enc is the payload encoder.
-type enc struct{ buf []byte }
-
-func (e *enc) u8(v uint8)       { e.buf = append(e.buf, v) }
-func (e *enc) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *enc) f64(v float64)    { e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v)) }
-func (e *enc) bool(b bool) {
-	if b {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-func (e *enc) str(s string)       { e.uvarint(uint64(len(s))); e.buf = append(e.buf, s...) }
-func (e *enc) val(v object.Value) { e.buf = append(e.buf, object.EncodeValue(v)...) }
-
-func (e *enc) vals(vs []object.Value) {
-	e.uvarint(uint64(len(vs)))
-	for _, v := range vs {
-		e.val(v)
-	}
-}
-
-// dec is the payload decoder. The first violation latches in err; every
-// accessor is a no-op afterwards, so decode paths read straight through.
-type dec struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *dec) fail(code Code, format string, args ...any) {
-	if d.err == nil {
-		d.err = Errf(code, format, args...)
-	}
-}
-
-func (d *dec) rem() int { return len(d.buf) - d.off }
-
-func (d *dec) u8() uint8 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off >= len(d.buf) {
-		d.fail(CodeMalformed, "truncated payload (u8 at %d)", d.off)
-		return 0
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v
-}
-
-func (d *dec) bool() bool { return d.u8() != 0 }
-
-func (d *dec) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail(CodeMalformed, "truncated payload (uvarint at %d)", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// count decodes a collection count and verifies it fits in the remaining
-// bytes (each element is at least one byte).
-func (d *dec) count() int {
-	n := d.uvarint()
-	if d.err != nil {
-		return 0
-	}
-	if n > uint64(d.rem()) {
-		d.fail(CodeMalformed, "count %d exceeds remaining %d bytes", n, d.rem())
-		return 0
-	}
-	return int(n)
-}
-
-func (d *dec) f64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.rem() < 8 {
-		d.fail(CodeMalformed, "truncated payload (f64 at %d)", d.off)
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.off:]))
-	d.off += 8
-	return v
-}
-
-func (d *dec) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(d.rem()) {
-		d.fail(CodeMalformed, "string length %d exceeds remaining %d bytes", n, d.rem())
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
-func (d *dec) val() object.Value {
-	if d.err != nil {
-		return object.Null()
-	}
-	v, n, err := object.DecodeValue(d.buf[d.off:])
-	if err != nil {
-		d.fail(CodeMalformed, "bad value at %d: %v", d.off, err)
-		return object.Null()
-	}
-	d.off += n
-	return v
-}
-
-func (d *dec) vals() []object.Value {
-	n := d.count()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	vs := make([]object.Value, n)
-	for i := range vs {
-		vs[i] = d.val()
-	}
-	return vs
-}
-
-// finish verifies the whole payload was consumed; trailing bytes mean the
-// peer and this decoder disagree about the encoding.
-func (d *dec) finish() error {
-	if d.err == nil && d.off != len(d.buf) {
-		d.err = Errf(CodeMalformed, "%d trailing payload bytes", len(d.buf)-d.off)
-	}
-	return d.err
-}
+// Payload encodings. Payloads are built and parsed with internal/object's
+// Encoder and Decoder, the codec object records and GMR records use:
+// uvarint/varint integers, little-endian IEEE 754 floats, length-prefixed
+// strings and runs, and data-model values in their record form. The
+// Decoder holds the hostile-input bounds — every length and count is
+// checked against the bytes left before any allocation, it never panics —
+// and its first error is returned once, as a CodeMalformed *Error.
 
 // MatOptions is the serializable subset of gomdb.MaterializeOptions.
 // Restriction predicates and atomic-argument restrictions are function
@@ -280,53 +137,53 @@ func batchable(op Opcode) bool {
 
 // EncodeRequest encodes r's payload (the frame body for r.Op).
 func EncodeRequest(r *Request) ([]byte, error) {
-	var e enc
+	var e object.Encoder
 	if err := encodeRequest(&e, r); err != nil {
 		return nil, err
 	}
-	return e.buf, nil
+	return e.Buf, nil
 }
 
-func encodeRequest(e *enc, r *Request) error {
+func encodeRequest(e *object.Encoder, r *Request) error {
 	switch r.Op {
 	case OpHello:
-		e.u8(r.WireVersion)
-		e.str(r.Token)
+		e.U8(r.WireVersion)
+		e.Str(r.Token)
 	case OpPing, OpGoodbye, OpFlush, OpBatchBegin, OpSimSeconds:
 		// empty payload
 	case OpQuery:
-		e.str(r.Name)
+		e.Str(r.Name)
 		keys := make([]string, 0, len(r.Params))
 		for k := range r.Params {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		e.uvarint(uint64(len(keys)))
+		e.Uvarint(uint64(len(keys)))
 		for _, k := range keys {
-			e.str(k)
-			e.val(r.Params[k])
+			e.Str(k)
+			e.Value(r.Params[k])
 		}
 	case OpCall:
-		e.str(r.Name)
-		e.vals(r.Args)
+		e.Str(r.Name)
+		e.Values(r.Args)
 	case OpGetAttr:
-		e.uvarint(uint64(r.OID))
-		e.str(r.Attr)
+		e.Uvarint(uint64(r.OID))
+		e.Str(r.Attr)
 	case OpSet:
-		e.uvarint(uint64(r.OID))
-		e.str(r.Attr)
-		e.val(r.Val)
+		e.Uvarint(uint64(r.OID))
+		e.Str(r.Attr)
+		e.Value(r.Val)
 	case OpNew, OpNewSet:
-		e.str(r.Name)
-		e.vals(r.Args)
+		e.Str(r.Name)
+		e.Values(r.Args)
 	case OpDelete:
-		e.uvarint(uint64(r.OID))
+		e.Uvarint(uint64(r.OID))
 	case OpInsert, OpRemove:
-		e.uvarint(uint64(r.OID))
-		e.val(r.Val)
+		e.Uvarint(uint64(r.OID))
+		e.Value(r.Val)
 	case OpRetrieve:
-		e.str(r.Name)
-		e.uvarint(uint64(len(r.Specs)))
+		e.Str(r.Name)
+		e.Uvarint(uint64(len(r.Specs)))
 		for _, s := range r.Specs {
 			var flags uint8
 			if s.Exact != nil {
@@ -338,39 +195,39 @@ func encodeRequest(e *enc, r *Request) error {
 			if s.Hi != nil {
 				flags |= 4
 			}
-			e.u8(flags)
+			e.U8(flags)
 			if s.Exact != nil {
-				e.val(*s.Exact)
+				e.Value(*s.Exact)
 			}
 			if s.Lo != nil {
-				e.f64(*s.Lo)
+				e.F64(*s.Lo)
 			}
 			if s.Hi != nil {
-				e.f64(*s.Hi)
+				e.F64(*s.Hi)
 			}
 		}
 	case OpBackward:
-		e.str(r.Name)
-		e.f64(r.Lo)
-		e.f64(r.Hi)
+		e.Str(r.Name)
+		e.F64(r.Lo)
+		e.F64(r.Hi)
 	case OpSum:
-		e.str(r.Name)
-		e.bool(r.HasOIDs)
-		e.uvarint(uint64(len(r.OIDs)))
+		e.Str(r.Name)
+		e.Bool(r.HasOIDs)
+		e.Uvarint(uint64(len(r.OIDs)))
 		for _, o := range r.OIDs {
-			e.uvarint(uint64(o))
+			e.Uvarint(uint64(o))
 		}
 	case OpExtension, OpDematerialize:
-		e.str(r.Name)
+		e.Str(r.Name)
 	case OpMaterialize:
 		m := &r.Mat
-		e.str(m.Name)
-		e.uvarint(uint64(len(m.Funcs)))
+		e.Str(m.Name)
+		e.Uvarint(uint64(len(m.Funcs)))
 		for _, f := range m.Funcs {
-			e.str(f)
+			e.Str(f)
 		}
-		e.u8(m.Strategy)
-		e.u8(m.Mode)
+		e.U8(m.Strategy)
+		e.U8(m.Mode)
 		var flags uint8
 		if m.Complete {
 			flags |= matComplete
@@ -381,8 +238,8 @@ func encodeRequest(e *enc, r *Request) error {
 		if m.UseMDS {
 			flags |= matUseMDS
 		}
-		e.u8(flags)
-		e.uvarint(uint64(m.MaxEntries))
+		e.U8(flags)
+		e.Uvarint(uint64(m.MaxEntries))
 	case OpBatchOp:
 		if r.Sub == nil {
 			return Errf(CodeBadRequest, "batch op without sub-operation")
@@ -390,10 +247,10 @@ func encodeRequest(e *enc, r *Request) error {
 		if !batchable(r.Sub.Op) {
 			return Errf(CodeBadRequest, "opcode %s is not batchable", r.Sub.Op)
 		}
-		e.u8(byte(r.Sub.Op))
+		e.U8(byte(r.Sub.Op))
 		return encodeRequest(e, r.Sub)
 	case OpBatchCommit:
-		e.bool(r.Abort)
+		e.Bool(r.Abort)
 	default:
 		return Errf(CodeUnknownOp, "opcode %s is not a request", r.Op)
 	}
@@ -404,141 +261,141 @@ func encodeRequest(e *enc, r *Request) error {
 // entire payload must be consumed. Errors are structured *Errors; the
 // decoder never panics.
 func DecodeRequest(op Opcode, payload []byte) (*Request, error) {
-	d := &dec{buf: payload}
-	r, err := decodeRequest(d, op, true)
+	d := object.NewDecoder(payload)
+	r, err := decodeRequest(&d, op, true)
 	if err != nil {
 		return nil, err
 	}
-	if err := d.finish(); err != nil {
-		return nil, err
+	if err := d.Finish(); err != nil {
+		return nil, Wrap(CodeMalformed, "request payload", err)
 	}
 	return r, nil
 }
 
-func decodeRequest(d *dec, op Opcode, outer bool) (*Request, error) {
+// decodeRequest decodes one request. Protocol-level refusals return as
+// errors; malformed bytes latch in d.
+func decodeRequest(d *object.Decoder, op Opcode, outer bool) (*Request, error) {
 	r := &Request{Op: op}
 	switch op {
 	case OpHello:
-		r.WireVersion = d.u8()
-		r.Token = d.str()
+		r.WireVersion = d.U8()
+		r.Token = d.Str()
 	case OpPing, OpGoodbye, OpFlush, OpBatchBegin, OpSimSeconds:
 		// empty payload
 	case OpQuery:
-		r.Name = d.str()
-		n := d.count()
+		r.Name = d.Str()
+		n := d.Count(1)
 		if n > 0 {
 			r.Params = make(map[string]object.Value, n)
-			for i := 0; i < n && d.err == nil; i++ {
-				k := d.str()
-				r.Params[k] = d.val()
+			for i := 0; i < n && d.Err() == nil; i++ {
+				k := d.Str()
+				r.Params[k] = d.Value()
 			}
 		}
 	case OpCall:
-		r.Name = d.str()
-		r.Args = d.vals()
+		r.Name = d.Str()
+		r.Args = d.Values()
 	case OpGetAttr:
-		r.OID = object.OID(d.uvarint())
-		r.Attr = d.str()
+		r.OID = object.OID(d.Uvarint())
+		r.Attr = d.Str()
 	case OpSet:
-		r.OID = object.OID(d.uvarint())
-		r.Attr = d.str()
-		r.Val = d.val()
+		r.OID = object.OID(d.Uvarint())
+		r.Attr = d.Str()
+		r.Val = d.Value()
 	case OpNew, OpNewSet:
-		r.Name = d.str()
-		r.Args = d.vals()
+		r.Name = d.Str()
+		r.Args = d.Values()
 	case OpDelete:
-		r.OID = object.OID(d.uvarint())
+		r.OID = object.OID(d.Uvarint())
 	case OpInsert, OpRemove:
-		r.OID = object.OID(d.uvarint())
-		r.Val = d.val()
+		r.OID = object.OID(d.Uvarint())
+		r.Val = d.Value()
 	case OpRetrieve:
-		r.Name = d.str()
-		n := d.count()
+		r.Name = d.Str()
+		n := d.Count(1)
 		if n > 0 {
 			r.Specs = make([]core.FieldSpec, n)
-			for i := 0; i < n && d.err == nil; i++ {
-				flags := d.u8()
+			for i := 0; i < n && d.Err() == nil; i++ {
+				flags := d.U8()
 				if flags&^uint8(7) != 0 {
-					d.fail(CodeMalformed, "bad field-spec flags 0x%02x", flags)
+					d.Fail("bad field-spec flags 0x%02x", flags)
 					break
 				}
 				if flags&1 != 0 {
-					v := d.val()
+					v := d.Value()
 					r.Specs[i].Exact = &v
 				}
 				if flags&2 != 0 {
-					lo := d.f64()
+					lo := d.F64()
 					r.Specs[i].Lo = &lo
 				}
 				if flags&4 != 0 {
-					hi := d.f64()
+					hi := d.F64()
 					r.Specs[i].Hi = &hi
 				}
 			}
 		}
 	case OpBackward:
-		r.Name = d.str()
-		r.Lo = d.f64()
-		r.Hi = d.f64()
+		r.Name = d.Str()
+		r.Lo = d.F64()
+		r.Hi = d.F64()
 	case OpSum:
-		r.Name = d.str()
-		r.HasOIDs = d.bool()
-		n := d.count()
+		r.Name = d.Str()
+		r.HasOIDs = d.Bool()
+		n := d.Count(1)
 		if n > 0 {
 			r.OIDs = make([]object.OID, n)
-			for i := 0; i < n && d.err == nil; i++ {
-				r.OIDs[i] = object.OID(d.uvarint())
+			for i := 0; i < n && d.Err() == nil; i++ {
+				r.OIDs[i] = object.OID(d.Uvarint())
 			}
 		}
 	case OpExtension, OpDematerialize:
-		r.Name = d.str()
+		r.Name = d.Str()
 	case OpMaterialize:
 		m := &r.Mat
-		m.Name = d.str()
-		n := d.count()
+		m.Name = d.Str()
+		n := d.Count(1)
 		if n > 0 {
 			m.Funcs = make([]string, n)
-			for i := 0; i < n && d.err == nil; i++ {
-				m.Funcs[i] = d.str()
+			for i := 0; i < n && d.Err() == nil; i++ {
+				m.Funcs[i] = d.Str()
 			}
 		}
-		m.Strategy = d.u8()
-		m.Mode = d.u8()
-		flags := d.u8()
+		m.Strategy = d.U8()
+		m.Mode = d.U8()
+		flags := d.U8()
 		if flags&^uint8(matComplete|matSecondChance|matUseMDS) != 0 {
-			d.fail(CodeMalformed, "bad materialize flags 0x%02x", flags)
+			d.Fail("bad materialize flags 0x%02x", flags)
 		}
 		m.Complete = flags&matComplete != 0
 		m.SecondChance = flags&matSecondChance != 0
 		m.UseMDS = flags&matUseMDS != 0
-		max := d.uvarint()
+		max := d.Uvarint()
 		if max > math.MaxUint32 {
-			d.fail(CodeMalformed, "max entries %d out of range", max)
+			d.Fail("max entries %d out of range", max)
 		}
 		m.MaxEntries = uint32(max)
 	case OpBatchOp:
 		if !outer {
-			d.fail(CodeMalformed, "nested batch op")
+			d.Fail("nested batch op")
 			break
 		}
-		sub := Opcode(d.u8())
-		if d.err == nil && !batchable(sub) {
+		sub := Opcode(d.U8())
+		if d.Err() != nil {
+			break
+		}
+		if !batchable(sub) {
 			return nil, Errf(CodeBadRequest, "opcode %s is not batchable", sub)
 		}
-		if d.err == nil {
-			inner, err := decodeRequest(d, sub, false)
-			if err != nil {
-				return nil, err
-			}
-			r.Sub = inner
+		inner, err := decodeRequest(d, sub, false)
+		if err != nil {
+			return nil, err
 		}
+		r.Sub = inner
 	case OpBatchCommit:
-		r.Abort = d.bool()
+		r.Abort = d.Bool()
 	default:
 		return nil, Errf(CodeUnknownOp, "opcode %s is not a request", op)
-	}
-	if d.err != nil {
-		return nil, d.err
 	}
 	return r, nil
 }
@@ -618,165 +475,163 @@ func (r *Response) Err() error {
 
 // EncodeResponse encodes r's payload (the frame body for r.Op).
 func EncodeResponse(r *Response) ([]byte, error) {
-	var e enc
+	var e object.Encoder
 	switch r.Op {
 	case RespHello:
-		e.u8(r.WireVersion)
-		e.uvarint(uint64(r.Shards))
+		e.U8(r.WireVersion)
+		e.Uvarint(uint64(r.Shards))
 	case RespAck:
 		// empty payload
 	case RespValue:
-		e.val(r.Val)
+		e.Value(r.Val)
 	case RespOID:
-		e.uvarint(uint64(r.OID))
+		e.Uvarint(uint64(r.OID))
 	case RespFloat:
-		e.f64(r.F)
+		e.F64(r.F)
 	case RespError:
-		e.uvarint(uint64(r.ErrCode))
-		e.str(r.ErrMsg)
+		e.Uvarint(uint64(r.ErrCode))
+		e.Str(r.ErrMsg)
 	case RespStreamBegin:
-		e.u8(uint8(r.Stream))
-		e.uvarint(uint64(len(r.Columns)))
+		e.U8(uint8(r.Stream))
+		e.Uvarint(uint64(len(r.Columns)))
 		for _, c := range r.Columns {
-			e.str(c)
+			e.Str(c)
 		}
 	case RespChunk:
-		e.u8(uint8(r.Stream))
+		e.U8(uint8(r.Stream))
 		switch r.Stream {
 		case StreamQuery:
-			e.uvarint(uint64(len(r.Rows)))
+			e.Uvarint(uint64(len(r.Rows)))
 			for _, row := range r.Rows {
-				e.vals(row)
+				e.Values(row)
 			}
 		case StreamRows:
-			e.uvarint(uint64(len(r.GRows)))
+			e.Uvarint(uint64(len(r.GRows)))
 			for _, row := range r.GRows {
-				e.vals(row.Args)
-				e.vals(row.Results)
-				e.uvarint(uint64(len(row.Valid)))
+				e.Values(row.Args)
+				e.Values(row.Results)
+				e.Uvarint(uint64(len(row.Valid)))
 				for _, b := range row.Valid {
-					e.bool(b)
+					e.Bool(b)
 				}
 			}
 		case StreamMatches:
-			e.uvarint(uint64(len(r.Matches)))
+			e.Uvarint(uint64(len(r.Matches)))
 			for _, m := range r.Matches {
-				e.vals(m.Args)
-				e.val(m.Result)
+				e.Values(m.Args)
+				e.Value(m.Result)
 			}
 		case StreamOIDs:
-			e.uvarint(uint64(len(r.OIDs)))
+			e.Uvarint(uint64(len(r.OIDs)))
 			for _, o := range r.OIDs {
-				e.uvarint(uint64(o))
+				e.Uvarint(uint64(o))
 			}
 		default:
 			return nil, Errf(CodeMalformed, "bad stream kind %d", r.Stream)
 		}
 	case RespDone:
-		e.uvarint(r.Total)
+		e.Uvarint(r.Total)
 	default:
 		return nil, Errf(CodeUnknownOp, "opcode %s is not a response", r.Op)
 	}
-	return e.buf, nil
+	return e.Buf, nil
 }
 
 // DecodeResponse decodes the payload of a response frame with opcode op.
 // The entire payload must be consumed; errors are structured and the
 // decoder never panics.
 func DecodeResponse(op Opcode, payload []byte) (*Response, error) {
-	d := &dec{buf: payload}
+	d := object.NewDecoder(payload)
 	r := &Response{Op: op}
 	switch op {
 	case RespHello:
-		r.WireVersion = d.u8()
-		sh := d.uvarint()
+		r.WireVersion = d.U8()
+		sh := d.Uvarint()
 		if sh > math.MaxUint32 {
-			d.fail(CodeMalformed, "shard count %d out of range", sh)
+			d.Fail("shard count %d out of range", sh)
 		}
 		r.Shards = uint32(sh)
 	case RespAck:
 		// empty payload
 	case RespValue:
-		r.Val = d.val()
+		r.Val = d.Value()
 	case RespOID:
-		r.OID = object.OID(d.uvarint())
+		r.OID = object.OID(d.Uvarint())
 	case RespFloat:
-		r.F = d.f64()
+		r.F = d.F64()
 	case RespError:
-		c := d.uvarint()
+		c := d.Uvarint()
 		if c > math.MaxUint16 {
-			d.fail(CodeMalformed, "error code %d out of range", c)
+			d.Fail("error code %d out of range", c)
 		}
 		r.ErrCode = Code(c)
-		r.ErrMsg = d.str()
+		r.ErrMsg = d.Str()
 	case RespStreamBegin:
-		r.Stream = StreamKind(d.u8())
-		if d.err == nil && !r.Stream.valid() {
-			d.fail(CodeMalformed, "bad stream kind %d", r.Stream)
+		r.Stream = StreamKind(d.U8())
+		if !r.Stream.valid() {
+			d.Fail("bad stream kind %d", r.Stream)
 		}
-		n := d.count()
+		n := d.Count(1)
 		if n > 0 {
 			r.Columns = make([]string, n)
-			for i := 0; i < n && d.err == nil; i++ {
-				r.Columns[i] = d.str()
+			for i := 0; i < n && d.Err() == nil; i++ {
+				r.Columns[i] = d.Str()
 			}
 		}
 	case RespChunk:
-		r.Stream = StreamKind(d.u8())
+		r.Stream = StreamKind(d.U8())
 		switch r.Stream {
 		case StreamQuery:
-			n := d.count()
+			n := d.Count(1)
 			if n > 0 {
 				r.Rows = make([][]object.Value, n)
-				for i := 0; i < n && d.err == nil; i++ {
-					r.Rows[i] = d.vals()
+				for i := 0; i < n && d.Err() == nil; i++ {
+					r.Rows[i] = d.Values()
 				}
 			}
 		case StreamRows:
-			n := d.count()
+			n := d.Count(1)
 			if n > 0 {
 				r.GRows = make([]core.Row, n)
-				for i := 0; i < n && d.err == nil; i++ {
-					r.GRows[i].Args = d.vals()
-					r.GRows[i].Results = d.vals()
-					nv := d.count()
+				for i := 0; i < n && d.Err() == nil; i++ {
+					r.GRows[i].Args = d.Values()
+					r.GRows[i].Results = d.Values()
+					nv := d.Count(1)
 					if nv > 0 {
 						r.GRows[i].Valid = make([]bool, nv)
-						for j := 0; j < nv && d.err == nil; j++ {
-							r.GRows[i].Valid[j] = d.bool()
+						for j := 0; j < nv && d.Err() == nil; j++ {
+							r.GRows[i].Valid[j] = d.Bool()
 						}
 					}
 				}
 			}
 		case StreamMatches:
-			n := d.count()
+			n := d.Count(1)
 			if n > 0 {
 				r.Matches = make([]core.Match, n)
-				for i := 0; i < n && d.err == nil; i++ {
-					r.Matches[i].Args = d.vals()
-					r.Matches[i].Result = d.val()
+				for i := 0; i < n && d.Err() == nil; i++ {
+					r.Matches[i].Args = d.Values()
+					r.Matches[i].Result = d.Value()
 				}
 			}
 		case StreamOIDs:
-			n := d.count()
+			n := d.Count(1)
 			if n > 0 {
 				r.OIDs = make([]object.OID, n)
-				for i := 0; i < n && d.err == nil; i++ {
-					r.OIDs[i] = object.OID(d.uvarint())
+				for i := 0; i < n && d.Err() == nil; i++ {
+					r.OIDs[i] = object.OID(d.Uvarint())
 				}
 			}
 		default:
-			if d.err == nil {
-				d.fail(CodeMalformed, "bad stream kind %d", r.Stream)
-			}
+			d.Fail("bad stream kind %d", r.Stream)
 		}
 	case RespDone:
-		r.Total = d.uvarint()
+		r.Total = d.Uvarint()
 	default:
 		return nil, Errf(CodeUnknownOp, "opcode %s is not a response", op)
 	}
-	if err := d.finish(); err != nil {
-		return nil, err
+	if err := d.Finish(); err != nil {
+		return nil, Wrap(CodeMalformed, "response payload", err)
 	}
 	return r, nil
 }

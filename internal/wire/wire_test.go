@@ -305,19 +305,51 @@ func TestMatOptionsConversions(t *testing.T) {
 	}
 }
 
-// TestStreamChunkBounds: a chunk whose row count exceeds the remaining
-// payload fails instead of allocating; regression guard for the count()
-// bounds rule.
+// TestStreamChunkBounds: hostile counts and lengths fail as CodeMalformed
+// instead of allocating or panicking; regression guard for the shared
+// decoder's bounds rules. The value cases are internal/object's
+// TestDecodeValueHostileLengths inputs, carried in a RespValue payload and
+// as the argument of an OpCall.
 func TestStreamChunkBounds(t *testing.T) {
-	payload := []byte{byte(StreamOIDs), 0xFF, 0xFF, 0x7F} // count 2^21-ish, 0 rows
-	if _, err := DecodeResponse(RespChunk, payload); CodeOf(err) != CodeMalformed {
-		t.Fatalf("hostile chunk count: %v", err)
+	// huge is a uvarint of 2^63+: it wraps negative under int conversion.
+	huge := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	type input struct {
+		op      Opcode
+		payload []byte
 	}
-	// An overlong varint (more than 64 bits of payload) is malformed; a
-	// merely huge OID is well-formed wire-wise and rejected by the engine.
-	req := bytes.Repeat([]byte{0xFF}, 11)
-	if _, err := DecodeRequest(OpDelete, req); CodeOf(err) != CodeMalformed {
-		t.Fatalf("overlong OID varint: %v", err)
+	cases := map[string]input{
+		"hostile chunk count": {RespChunk, []byte{byte(StreamOIDs), 0xFF, 0xFF, 0x7F}}, // count 2^21-ish, 0 rows
+		// An overlong varint (more than 64 bits of payload) is malformed; a
+		// merely huge OID is well-formed wire-wise and rejected by the engine.
+		"overlong OID varint": {OpDelete, bytes.Repeat([]byte{0xFF}, 11)},
+	}
+	values := map[string][]byte{
+		"string length wraps negative":    cat([]byte{byte(object.KString)}, huge),
+		"tuple arity wraps negative":      cat([]byte{byte(object.KTuple), 0}, huge),
+		"set arity wraps negative":        cat([]byte{byte(object.KSet)}, huge),
+		"list arity wraps negative":       cat([]byte{byte(object.KList)}, huge),
+		"tuple type name wraps negative":  cat([]byte{byte(object.KTuple)}, huge),
+		"string length exceeds remaining": {byte(object.KString), 0x10, 'a'},
+		"set arity exceeds remaining":     {byte(object.KSet), 0x7f},
+	}
+	for name, v := range values {
+		cases["response value: "+name] = input{RespValue, v}
+		cases["call argument: "+name] = input{OpCall, cat([]byte{1, 'f', 1}, v)}
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			var err error
+			if c.op >= RespHello {
+				_, err = DecodeResponse(c.op, c.payload)
+			} else {
+				_, err = DecodeRequest(c.op, c.payload)
+			}
+			var we *Error
+			if !errors.As(err, &we) || we.Code != CodeMalformed {
+				t.Fatalf("% x: %v, want a CodeMalformed *Error", c.payload, err)
+			}
+		})
 	}
 }
 

@@ -43,7 +43,7 @@ func (v *SnapshotView) Release() { v.release() }
 // GMR. Functions that are not provably side-effect free are refused — a
 // snapshot cannot apply updates.
 func (v *SnapshotView) Call(fn string, args ...Value) (Value, error) {
-	if !v.db.sideEffectFreeCall(fn) {
+	if !v.db.Queries.CallReadOnly(fn) {
 		return Null(), fmt.Errorf("gomdb: snapshot view: %s is not side-effect free", fn)
 	}
 	return v.snap.Call(fn, args...)
