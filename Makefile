@@ -49,6 +49,7 @@ ci:
 	$(MAKE) fuzz-parse FUZZ_TIME=15s
 	$(MAKE) fuzz-storage FUZZ_TIME=15s
 	$(GO) test -race -count=10 -run TestRecycledFramesSnapshotStress ./internal/storage/
+	$(GO) test -race -count=10 -run TestTouchRecycledFramesStress ./internal/storage/
 	$(GO) test -race -count=10 -run TestExtensionSnapshotStress .
 	$(MAKE) check-determinism
 	$(GO) run -race ./cmd/gomsim -seeds 17 -ops 100 -out $(OUT)/sim-artifacts

@@ -111,10 +111,26 @@ func BenchmarkForwardCompute(b *testing.B) {
 // index.
 func BenchmarkBackwardRange(b *testing.B) {
 	db, _ := geometryDB(b, 1000, false, true, gomdb.MaterializeOptions{Mode: gomdb.ModeObjDep})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lo := float64(i % 500)
 		if _, err := db.GMRs.Backward("Cuboid.volume", lo, lo+20); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTabularRetrieve measures a tabular retrieval that constrains the
+// result column on a GMR without a multidimensional index: an extension
+// scan that reads every tuple.
+func BenchmarkTabularRetrieve(b *testing.B) {
+	db, _ := geometryDB(b, 1000, false, true, gomdb.MaterializeOptions{Name: "Gv", Mode: gomdb.ModeObjDep})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := float64(i % 500)
+		if _, err := db.Retrieve("Gv", []gomdb.FieldSpec{gomdb.AnySpec(), gomdb.RangeSpec(lo, lo+20)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -169,6 +185,7 @@ func BenchmarkRotateInfoHiding(b *testing.B) {
 func BenchmarkGOMqlBackwardQuery(b *testing.B) {
 	db, _ := geometryDB(b, 1000, false, true, gomdb.MaterializeOptions{Mode: gomdb.ModeObjDep})
 	params := map[string]gomdb.Value{"lo": gomdb.Float(100), "hi": gomdb.Float(150)}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := db.Query(`range c: Cuboid retrieve c where c.volume > $lo and c.volume < $hi`, params); err != nil {

@@ -102,8 +102,8 @@ func (m *Manager) CollectResultGarbage() (int, error) {
 	// sequence) is deterministic for a given history.
 	for _, name := range m.GMRs() {
 		g := m.gmrs[name]
-		for _, k := range g.order {
-			for _, r := range g.entries[k].Results {
+		for _, e := range g.order {
+			for _, r := range e.Results {
 				pushValue(r)
 			}
 		}

@@ -154,6 +154,8 @@ type Options struct {
 // entry is one tuple of a GMR extension:
 // [O1,...,On, f1, V1, ..., fm, Vm].
 type entry struct {
+	// key is the entry's argument key (argKey(Args)), its key in entries.
+	key     string
 	Args    []object.Value
 	Results []object.Value
 	Valid   []bool
@@ -192,7 +194,7 @@ type GMR struct {
 	SecondChance bool
 
 	entries map[string]*entry
-	order   []string // insertion order: determinism + cache eviction
+	order   []*entry // insertion order: determinism + cache eviction
 	// argIndex maps an argument object to the entry keys whose argument
 	// list contains it — the "supplementary index" Section 4.2 mentions as
 	// the alternative to exhaustively searching the RRR. It guarantees
@@ -327,8 +329,9 @@ func (g *GMR) insertEntryLocked(e *entry) error {
 	// A fresh entry counts as referenced, so it survives at least one
 	// eviction sweep before becoming a candidate victim.
 	e.ref.Store(true)
+	e.key = k
 	g.entries[k] = e
-	g.order = append(g.order, k)
+	g.order = append(g.order, e)
 	for _, a := range e.Args {
 		if a.Kind == object.KRef {
 			if g.argIndex[a.R] == nil {
@@ -398,12 +401,11 @@ func (g *GMR) unindexResult(e *entry, i int) error {
 	return nil
 }
 
-// touchIdx charges the index-leaf visit of a range scan for entry e.
+// touchIdx charges the index-leaf visit of a range scan for entry e: one
+// logical read of its index record.
 func (g *GMR) touchIdx(e *entry, i int) error {
 	if i < len(e.idx) && !e.idx[i].IsZero() {
-		if _, err := g.idxHeap[i].Read(e.idx[i]); err != nil {
-			return err
-		}
+		return g.idxHeap[i].Touch(e.idx[i])
 	}
 	return nil
 }
@@ -470,10 +472,36 @@ func (g *GMR) rewrite(e *entry) error {
 // touch reads the entry record from the heap file, charging the page access
 // a real system would pay to fetch the tuple.
 func (g *GMR) touch(e *entry) error {
-	if err := g.heap.View(e.rid, func([]byte) error { return nil }); err != nil {
+	if err := g.heap.Touch(e.rid); err != nil {
 		return err
 	}
 	g.mgr.Clock.AddCPU(2)
+	return nil
+}
+
+// scan calls fn for every entry of the extension in insertion order, after
+// reading its record as touch does. Consecutive entries whose records share
+// a page are read as one page run (HeapFile.TouchRun), which charges exactly
+// what one touch per entry charges.
+func (g *GMR) scan(fn func(e *entry)) error {
+	var slots [64]uint16
+	for i := 0; i < len(g.order); {
+		page := g.order[i].rid.Page
+		n := 0
+		for i+n < len(g.order) && n < len(slots) && g.order[i+n].rid.Page == page {
+			slots[n] = g.order[i+n].rid.Slot
+			n++
+		}
+		k, err := g.heap.TouchRun(page, slots[:n])
+		g.mgr.Clock.AddCPU(2 * int64(k))
+		for _, e := range g.order[i : i+k] {
+			fn(e)
+		}
+		if err != nil {
+			return err
+		}
+		i += n
+	}
 	return nil
 }
 
@@ -505,8 +533,8 @@ func (g *GMR) removeEntryLocked(k string) error {
 	}
 	delete(g.entries, k)
 	g.mgr.clearEntryTraces(g, k)
-	for i, ok := range g.order {
-		if ok == k {
+	for i, oe := range g.order {
+		if oe == e {
 			g.order = append(g.order[:i], g.order[i+1:]...)
 			break
 		}
@@ -544,17 +572,16 @@ func (g *GMR) evictOldest() {
 		if len(g.order) == 0 {
 			return
 		}
-		k := g.order[0]
-		e := g.entries[k]
-		if e != nil && e.ref.Load() {
+		e := g.order[0]
+		if e.ref.Load() {
 			e.ref.Store(false)
 			copy(g.order, g.order[1:])
-			g.order[len(g.order)-1] = k
+			g.order[len(g.order)-1] = e
 			continue
 		}
 		// Called from insertEntry's locked region: use the lock-free body
 		// (the insert's deferred epoch bump covers the eviction too).
-		_ = g.removeEntryLocked(k)
+		_ = g.removeEntryLocked(e.key)
 		return
 	}
 }
@@ -570,8 +597,7 @@ func (g *GMR) lookup(args []object.Value) (*entry, bool) {
 // diagnostics, and tests. args and results alias internal state and must not
 // be mutated.
 func (g *GMR) Entries(fn func(args []object.Value, results []object.Value, valid []bool) bool) {
-	for _, k := range g.order {
-		e := g.entries[k]
+	for _, e := range g.order {
 		if !fn(e.Args, e.Results, e.Valid) {
 			return
 		}

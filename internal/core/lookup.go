@@ -185,12 +185,10 @@ func (m *Manager) All(fid string) ([]Match, error) {
 		return nil, err
 	}
 	out := make([]Match, 0, len(g.entries))
-	for _, k := range g.order {
-		e := g.entries[k]
-		if err := g.touch(e); err != nil {
-			return nil, err
-		}
+	if err := g.scan(func(e *entry) {
 		out = append(out, Match{Args: e.Args, Result: e.Results[i]})
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

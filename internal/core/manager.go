@@ -916,9 +916,9 @@ func (m *Manager) InvalidateAll(name string) error {
 			return err
 		}
 	}
-	for _, k := range g.order {
+	for _, e := range g.order {
 		for i := range g.Funcs {
-			if err := g.markInvalid(k, i); err != nil {
+			if err := g.markInvalid(e.key, i); err != nil {
 				return err
 			}
 		}

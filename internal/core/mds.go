@@ -253,14 +253,12 @@ func (m *Manager) Retrieve(name string, spec []FieldSpec) ([]Row, error) {
 	}
 	// Extension scan: every tuple is read to test the specification (unlike
 	// the MDS path, which visits only intersecting buckets).
-	for _, k := range g.order {
-		e := g.entries[k]
-		if err := g.touch(e); err != nil {
-			return nil, err
-		}
+	if err := g.scan(func(e *entry) {
 		if match(e.Args, e.Results) {
 			rows = append(rows, detachedRow(e))
 		}
+	}); err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

@@ -117,9 +117,9 @@ func (m *Manager) entryRowsAt(g *GMR, ver uint64) []Row {
 	defer m.snapMu.RUnlock()
 	live := make(map[string]bool, len(g.order))
 	var rows []Row
-	for _, k := range g.order {
-		live[k] = true
-		if row, ok := m.entryRowAt(g, k, ver); ok {
+	for _, e := range g.order {
+		live[e.key] = true
+		if row, ok := m.entryRowAt(g, e.key, ver); ok {
 			rows = append(rows, row)
 		}
 	}

@@ -157,12 +157,13 @@ type Manager struct {
 	// parity). See internal/shard.
 	alloc OIDAllocator
 
-	// layoutMu guards the lazily populated layout caches below: Layout and
-	// AttrIndex are called on the concurrent read path, so the first
-	// resolution of a type's layout must not race with other readers.
+	// layouts is the lazily built per-type layout cache, published
+	// read-only: Layout and AttrIndex run on the concurrent read path, so a
+	// hit loads the map and takes no lock. A miss builds the type's layout
+	// under layoutMu and publishes a copy of the map with it added; a
+	// published map and its typeLayouts are never modified.
 	layoutMu sync.Mutex
-	layouts  map[string][]AttrDef
-	attrIdx  map[string]map[string]int
+	layouts  atomic.Pointer[map[string]*typeLayout]
 
 	// depFcts interns the ObjDepFct ids decoded from records (type names
 	// are interned through Reg).
@@ -205,8 +206,6 @@ func NewManager(reg *Registry, pool *storage.BufferPool, clock *storage.Clock) *
 		rids:    make(map[OID]storage.RID),
 		extents: make(map[string]*extent),
 		nextOID: 1,
-		layouts: make(map[string][]AttrDef),
-		attrIdx: make(map[string]map[string]int),
 	}
 }
 
@@ -321,40 +320,55 @@ func (m *Manager) VersionCaptureCount() int {
 	return n
 }
 
-// Layout returns the flattened (inheritance-resolved) attribute layout of a
-// tuple type.
-func (m *Manager) Layout(typeName string) []AttrDef {
-	m.layoutMu.Lock()
-	defer m.layoutMu.Unlock()
-	return m.layoutLocked(typeName)
+// typeLayout is the flattened attribute layout of one type and the position
+// of each attribute in it.
+type typeLayout struct {
+	attrs []AttrDef
+	idx   map[string]int
 }
 
-func (m *Manager) layoutLocked(typeName string) []AttrDef {
-	if l, ok := m.layouts[typeName]; ok {
-		return l
-	}
-	l := m.Reg.InheritedAttrs(typeName)
-	m.layouts[typeName] = l
-	idx := make(map[string]int, len(l))
-	for i, a := range l {
-		idx[a.Name] = i
-	}
-	m.attrIdx[typeName] = idx
-	return l
-}
+// Layout returns the flattened (inheritance-resolved) attribute layout of a
+// tuple type.
+func (m *Manager) Layout(typeName string) []AttrDef { return m.layoutOf(typeName).attrs }
 
 // AttrIndex returns the position of attr in the flattened layout of
 // typeName, or -1.
 func (m *Manager) AttrIndex(typeName, attr string) int {
-	m.layoutMu.Lock()
-	defer m.layoutMu.Unlock()
-	if _, ok := m.attrIdx[typeName]; !ok {
-		m.layoutLocked(typeName)
-	}
-	if i, ok := m.attrIdx[typeName][attr]; ok {
+	if i, ok := m.layoutOf(typeName).idx[attr]; ok {
 		return i
 	}
 	return -1
+}
+
+// layoutOf returns typeName's layout from the published cache, building and
+// publishing it on the first request.
+func (m *Manager) layoutOf(typeName string) *typeLayout {
+	if p := m.layouts.Load(); p != nil {
+		if l, ok := (*p)[typeName]; ok {
+			return l
+		}
+	}
+	m.layoutMu.Lock()
+	defer m.layoutMu.Unlock()
+	var cur map[string]*typeLayout
+	if p := m.layouts.Load(); p != nil {
+		cur = *p
+	}
+	if l, ok := cur[typeName]; ok {
+		return l
+	}
+	l := &typeLayout{attrs: m.Reg.InheritedAttrs(typeName)}
+	l.idx = make(map[string]int, len(l.attrs))
+	for i, a := range l.attrs {
+		l.idx[a.Name] = i
+	}
+	next := make(map[string]*typeLayout, len(cur)+1)
+	for k, v := range cur {
+		next[k] = v
+	}
+	next[typeName] = l
+	m.layouts.Store(&next)
+	return l
 }
 
 // Create stores a new tuple-structured instance of typeName with the given

@@ -36,6 +36,19 @@ type Executor struct {
 	// of the executor, never on the shared receiver, so concurrent
 	// read-only queries do not interfere.
 	rangeTypes map[string]string
+	// steps holds the path steps the executing query has resolved (see
+	// resolveStep). Query-local like rangeTypes.
+	steps []stepPlan
+}
+
+// stepPlan is the resolution of path step seg on static type typ: an
+// attribute read, or a call of the qualified operation fid; resType is the
+// static type of the step's result.
+type stepPlan struct {
+	typ, seg string
+	attr     bool
+	fid      string
+	resType  string
 }
 
 // NewExecutor returns an executor with the paper's default maintenance
@@ -86,6 +99,7 @@ func (ex *Executor) RunQuery(q *Query, params map[string]object.Value) (*Result,
 	}
 	exq := *ex
 	exq.rangeTypes = rt
+	exq.steps = nil
 	if q.Kind == MaterializeStmt {
 		return exq.runMaterialize(q, params)
 	}
@@ -290,7 +304,7 @@ func (ex *Executor) evalPath(p *PathE, b binding, params map[string]object.Value
 	return cur, nil
 }
 
-// step resolves one path segment: an attribute read, or a (nullary)
+// step evaluates one path segment: an attribute read, or a (nullary)
 // operation invocation — the paper's uniform treatment of stored and
 // computed properties. curType is the static type when known; if it has no
 // subtypes an operation step dispatches statically without reading the
@@ -307,22 +321,46 @@ func (ex *Executor) step(cur object.Value, curType, seg string) (object.Value, s
 			}
 			dispatch = typ
 		}
-		if at, ok := ex.En.Sch.AttrType(dispatch, seg); ok {
+		sp := ex.resolveStep(dispatch, seg)
+		switch {
+		case sp.attr:
 			v, err := ex.En.ReadAttr(cur, seg)
-			return v, at, err
-		}
-		if fn, ok := ex.En.Sch.ResolveOp(dispatch, seg); ok {
-			v, err := ex.En.CallFunction(dispatch+"."+seg, []object.Value{cur})
-			return v, fn.ResultType, err
+			return v, sp.resType, err
+		case sp.fid != "":
+			v, err := ex.En.CallFunction(sp.fid, []object.Value{cur})
+			return v, sp.resType, err
 		}
 		return object.Null(), "", fmt.Errorf("gomql: type %q has neither attribute nor operation %q", dispatch, seg)
 	case object.KTuple:
 		v, err := ex.En.ReadAttr(cur, seg)
-		at, _ := ex.En.Sch.AttrType(cur.TupleType, seg)
+		at := ""
+		if sp := ex.resolveStep(cur.TupleType, seg); sp.attr {
+			at = sp.resType
+		}
 		return v, at, err
 	default:
 		return object.Null(), "", fmt.Errorf("gomql: path step %q on %v value", seg, cur.Kind)
 	}
+}
+
+// resolveStep resolves step seg on type typ once per query execution: an
+// attribute of typ's flattened layout wins over an operation resolved along
+// its supertype chain. Every candidate of the query then reuses the answer;
+// the reads and calls the step issues stay per candidate.
+func (ex *Executor) resolveStep(typ, seg string) stepPlan {
+	for _, sp := range ex.steps {
+		if sp.typ == typ && sp.seg == seg {
+			return sp
+		}
+	}
+	sp := stepPlan{typ: typ, seg: seg}
+	if at, ok := ex.En.Sch.AttrType(typ, seg); ok {
+		sp.attr, sp.resType = true, at
+	} else if fn, ok := ex.En.Sch.ResolveOp(typ, seg); ok {
+		sp.fid, sp.resType = typ+"."+seg, fn.ResultType
+	}
+	ex.steps = append(ex.steps, sp)
+	return sp
 }
 
 // invoke calls fn, qualifying an unqualified name by the dynamic type of the

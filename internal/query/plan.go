@@ -1,6 +1,7 @@
 package query
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -161,7 +162,7 @@ func (ex *Executor) tryBackward(q *Query, params map[string]object.Value, emitRo
 		matches, err = ex.Mgr.Backward(bestFid, w.lb, w.ub)
 	}
 	if err != nil {
-		if err == core.ErrIncomplete || strings.Contains(err.Error(), "not complete") {
+		if errors.Is(err, core.ErrIncomplete) {
 			return false, nil
 		}
 		return false, err

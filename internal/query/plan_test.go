@@ -4,6 +4,7 @@ package query_test
 // and plan selection.
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -154,5 +155,64 @@ func TestNotEqualBoundIgnored(t *testing.T) {
 	}
 	if len(res.Rows) != 10 {
 		t.Fatalf("!= filter returned %d rows", len(res.Rows))
+	}
+}
+
+// TestIncompleteGMRFallsBackToScan: a window query over a function whose GMR
+// is incomplete cannot be answered by a backward lookup (Backward reports
+// core.ErrIncomplete, wrapped), so the planner falls back to the extension
+// scan — on the live executor and on a snapshot executor alike — and
+// answers exactly what evaluating the function on every cuboid answers.
+func TestIncompleteGMRFallsBackToScan(t *testing.T) {
+	db, _ := geomDB(t, 60)
+	if _, err := db.Materialize(gomdb.MaterializeOptions{
+		Funcs: []string{"Cuboid.volume"}, Complete: false,
+		Strategy: gomdb.Immediate, Mode: gomdb.ModeObjDep,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const src = `range c: Cuboid retrieve c where c.volume > $lo and c.volume < $hi`
+	lo, hi := 50.0, 250.0
+	params := map[string]gomdb.Value{"lo": gomdb.Float(lo), "hi": gomdb.Float(hi)}
+	fn, _ := db.Schema.LookupFunction("Cuboid.volume")
+	var want []gomdb.OID
+	for _, c := range db.Extension("Cuboid") {
+		v, err := db.Engine.EvalRaw(fn, []gomdb.Value{gomdb.Ref(c)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.F > lo && v.F < hi {
+			want = append(want, c)
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("empty window")
+	}
+	var plans []string
+	db.Queries.Explain = func(s string) { plans = append(plans, s) }
+	run := map[string]func() (*gomdb.QueryResult, error){
+		"live": func() (*gomdb.QueryResult, error) { return db.Query(src, params) },
+		"snapshot": func() (*gomdb.QueryResult, error) {
+			v := db.SnapshotView()
+			defer v.Release()
+			return v.Query(src, params)
+		},
+	}
+	for _, name := range []string{"live", "snapshot"} {
+		plans = nil
+		res, err := run[name]()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(plans) != 1 || !strings.Contains(plans[0], "extension scan") {
+			t.Fatalf("%s: plans %q, want one extension scan", name, plans)
+		}
+		var got []gomdb.OID
+		for _, r := range res.Rows {
+			got = append(got, r[0].R)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: rows %v, want %v", name, got, want)
+		}
 	}
 }

@@ -202,6 +202,45 @@ func (bp *BufferPool) Pin(id PageID) (*Frame, error) {
 	return bp.pinMiss(id)
 }
 
+// touch charges n logical reads of page id exactly as n back-to-back
+// Pin/Unpin(clean) pairs would: n LogReads; on a resident page n hits and a
+// recency stamp n ticks on, all under one stripe lock; on a miss the
+// ordinary Pin path for the first read and n-1 hits after it. live(data)
+// inspects the page — under the stripe lock on a hit, pinned on a miss — and
+// returns how many of the n reads find what they read; when it returns
+// k < n, the reads stop after the failing (k+1)-th, as a caller's loop of
+// Pin/Unpin pairs that gives up at the first failure would. touch returns k.
+func (bp *BufferPool) touch(id PageID, n int, live func(data *[PageSize]byte) int) (int, error) {
+	if n <= 0 {
+		return 0, nil
+	}
+	sh := bp.shardFor(id)
+	sh.mu.Lock()
+	if f, ok := sh.frames[id]; ok {
+		k := live(&f.Data)
+		reads := int64(min(k+1, n))
+		bp.clock.addLogReads(reads)
+		bp.hits.Add(reads)
+		f.stamp.Store(bp.tick.Add(uint64(reads)))
+		sh.mu.Unlock()
+		return k, nil
+	}
+	sh.mu.Unlock()
+	f, err := bp.Pin(id)
+	if err != nil {
+		return 0, err
+	}
+	k := live(&f.Data)
+	if more := int64(min(k+1, n)) - 1; more > 0 {
+		sh.mu.Lock()
+		bp.clock.addLogReads(more)
+		bp.hits.Add(more)
+		f.stamp.Store(bp.tick.Add(uint64(more)))
+		sh.mu.Unlock()
+	}
+	return k, bp.Unpin(id, false)
+}
+
 // pinMiss faults page id in under missMu. Because only missMu holders insert
 // or evict frames, the second lookup is authoritative: a concurrent miss on
 // the same page that won the race has already installed the frame.
@@ -481,6 +520,21 @@ func (bp *BufferPool) Resident(id PageID) bool {
 	defer sh.mu.Unlock()
 	_, ok := sh.frames[id]
 	return ok
+}
+
+// RecencyOrder returns the resident pages least recently pinned first: the
+// order in which eviction takes them while none is pinned. Tests compare it
+// to show that two access paths leave the same replacement state.
+func (bp *BufferPool) RecencyOrder() []PageID {
+	bp.missMu.Lock()
+	defer bp.missMu.Unlock()
+	fs := append([]*Frame(nil), bp.frames...)
+	sort.Slice(fs, func(i, j int) bool { return fs[i].stamp.Load() < fs[j].stamp.Load() })
+	out := make([]PageID, len(fs))
+	for i, f := range fs {
+		out[i] = f.id
+	}
+	return out
 }
 
 // PinnedCount returns the number of frames with a nonzero pin count.

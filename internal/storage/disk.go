@@ -64,6 +64,9 @@ func (c *Clock) addPhysWrite() { atomic.AddInt64(&c.PhysWrites, 1) }
 func (c *Clock) addLogRead()   { atomic.AddInt64(&c.LogReads, 1) }
 func (c *Clock) addLogWrite()  { atomic.AddInt64(&c.LogWrites, 1) }
 
+// addLogReads charges n logical reads at once (BufferPool.touch).
+func (c *Clock) addLogReads(n int64) { atomic.AddInt64(&c.LogReads, n) }
+
 // SimMicros returns the total simulated microseconds of work charged so far.
 func (c *Clock) SimMicros() int64 {
 	ios := atomic.LoadInt64(&c.PhysReads) + atomic.LoadInt64(&c.PhysWrites)

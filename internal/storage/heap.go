@@ -190,6 +190,40 @@ func (h *HeapFile) View(rid RID, fn func(rec []byte) error) error {
 	return ferr
 }
 
+// Touch charges the read of the record at rid exactly as a View with an
+// empty callback does — one logical page read — without a callback and,
+// when the page is resident, under one stripe lock instead of a Pin and an
+// Unpin. It reports a missing record as View does.
+func (h *HeapFile) Touch(rid RID) error {
+	slots := [1]uint16{rid.Slot}
+	_, err := h.TouchRun(rid.Page, slots[:])
+	return err
+}
+
+// TouchRun charges the reads of the records in slots of one page, in order,
+// exactly as len(slots) Touch calls do (see BufferPool.touch): the same
+// logical reads, hits, misses and recency stamp. It stops at the first slot
+// that holds no record, returning how many records were read before it and
+// View's error for it.
+func (h *HeapFile) TouchRun(page PageID, slots []uint16) (int, error) {
+	n, err := h.pool.touch(page, len(slots), func(data *[PageSize]byte) int {
+		p := slotted{data}
+		for i, s := range slots {
+			if _, ok := p.read(s); !ok {
+				return i
+			}
+		}
+		return len(slots)
+	})
+	if err != nil {
+		return 0, err
+	}
+	if n < len(slots) {
+		return n, fmt.Errorf("storage: no record at %v in %s", RID{Page: page, Slot: slots[n]}, h.name)
+	}
+	return n, nil
+}
+
 // Read returns a copy of the record stored at rid.
 func (h *HeapFile) Read(rid RID) ([]byte, error) {
 	var out []byte
