@@ -51,6 +51,7 @@ ci:
 	$(GO) test -race -count=10 -run TestRecycledFramesSnapshotStress ./internal/storage/
 	$(GO) test -race -count=10 -run TestTouchRecycledFramesStress ./internal/storage/
 	$(GO) test -race -count=10 -run TestExtensionSnapshotStress .
+	$(GO) test -race -count=10 -run TestSnapshotReadersRaceWriters .
 	$(MAKE) check-determinism
 	$(GO) run -race ./cmd/gomsim -seeds 17 -ops 100 -out $(OUT)/sim-artifacts
 	$(GO) run -race ./cmd/gomsim -durable -crashes -seeds 25 -ops 100 -out $(OUT)/recovery-artifacts

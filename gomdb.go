@@ -222,7 +222,8 @@ type Database struct {
 
 	// mvccSt is the version state shared by the MVCC snapshot read path:
 	// the stable version, the reader pin registry, and the barrier taken by
-	// the few operations that cannot be versioned. See internal/mvcc.
+	// the few operations that cannot be versioned. The buffer pool owns it;
+	// the object and GMR managers take it from the pool. See internal/mvcc.
 	mvccSt *mvcc.State
 
 	// store is the durable page store (nil for an in-memory database); see
@@ -265,10 +266,6 @@ func newDatabase(cfg Config) *Database {
 	}
 	en := schema.NewEngine(sch, objs, clock)
 	mgr := core.NewManager(en, pool)
-	st := mvcc.NewState()
-	pool.SetMVCC(st)
-	objs.SetMVCC(st)
-	mgr.SetMVCC(st)
 	return &Database{
 		Clock:   clock,
 		Disk:    disk,
@@ -279,7 +276,7 @@ func newDatabase(cfg Config) *Database {
 		GMRs:    mgr,
 		Queries: query.NewExecutor(en, mgr),
 
-		mvccSt: st,
+		mvccSt: pool.Versions(),
 	}
 }
 
@@ -331,55 +328,79 @@ func (db *Database) unlockBarrier() {
 	db.mu.Unlock()
 }
 
+// readSpec classifies a read-classified method for dispatch.
+type readSpec struct {
+	// quiescent: the shared tier also requires GMRs.Quiescent(), because
+	// the live body may repair GMR state (force, revalidate, insert).
+	quiescent bool
+	// barrier: a call its classifier finds not read-only takes the reader
+	// barrier rather than the exclusive lock (a GOMql statement that may
+	// materialize).
+	barrier bool
+}
+
+// dispatch runs a read-classified method in one of three tiers:
+//
+//   - shared: the engine lock is free, the call is read-only and, when
+//     spec.quiescent, GMRs.Quiescent() holds — live() runs under the shared
+//     lock;
+//   - snapshot: a writer holds (or waits for) the engine and the call is
+//     read-only — snap() runs against an MVCC snapshot at the pinned stable
+//     version, without waiting. The pin is taken before classifying: it
+//     excludes barrier operations, so the schema metadata readOnly reads
+//     cannot change underneath it;
+//   - exclusive: otherwise — live() runs under the write lock, or under the
+//     barrier when the call is not read-only and spec.barrier is set.
+//
+// readOnly == nil means the call is always read-only. snap == nil means the
+// method has no snapshot tier: it waits for the shared lock instead. The
+// shared and exclusive tiers issue exactly the live body's calls, and the
+// snapshot tier charges a throwaway clock, so a single-threaded program's
+// simulated costs do not depend on the tier.
+func dispatch[T any](db *Database, spec readSpec, readOnly func() bool, live func() (T, error), snap func(*core.Snapshot) (T, error)) (T, error) {
+	var ro bool
+	if snap != nil && !db.mu.TryRLock() {
+		ver, release := db.mvccSt.Pin()
+		if ro = readOnly == nil || readOnly(); ro {
+			defer release()
+			return snap(db.GMRs.SnapshotAt(ver))
+		}
+		release()
+	} else {
+		if snap == nil {
+			db.mu.RLock()
+		}
+		if ro = readOnly == nil || readOnly(); ro && (!spec.quiescent || db.GMRs.Quiescent()) {
+			defer db.mu.RUnlock()
+			return live()
+		}
+		db.mu.RUnlock()
+	}
+	if !ro && spec.barrier {
+		db.lockBarrier()
+		defer db.unlockBarrier()
+	} else {
+		db.lockWrite()
+		defer db.unlockWrite()
+	}
+	return live()
+}
+
 // Query parses and executes a GOMql statement; $name parameters are bound
 // from params (pass nil when the query has none). Retrieve statements whose
 // plan is provably read-only execute under the shared lock when every GMR is
-// quiescent; materialize statements and statements the classifier cannot
-// prove side effect free execute exclusively. A read-only statement that
-// finds the engine write-locked does not wait for the writer: it pins the
-// current stable version and answers from an MVCC snapshot.
+// quiescent, exclusively when not, and against an MVCC snapshot when a
+// writer holds the engine. Materialize statements and statements the
+// classifier cannot prove side effect free run under the reader barrier.
 func (db *Database) Query(src string, params map[string]Value) (*QueryResult, error) {
 	q, err := query.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	var readOnly bool
-	if db.mu.TryRLock() {
-		// Uncontended: the historical shared fast path, charge-identical to
-		// the pre-MVCC engine for single-threaded programs (TryRLock cannot
-		// fail without a concurrent writer).
-		readOnly = db.Queries.ReadOnlyPlan(q)
-		if readOnly && db.GMRs.Quiescent() {
-			defer db.mu.RUnlock()
-			return db.Queries.RunQuery(q, params)
-		}
-		db.mu.RUnlock()
-	} else {
-		// A writer holds (or is waiting for) the engine. Pin the stable
-		// version before classifying — a pin excludes barrier operations, so
-		// the schema metadata the classifier reads cannot change underneath
-		// it — and answer read-only plans from the snapshot.
-		ver, release := db.mvccSt.Pin()
-		readOnly = db.Queries.ReadOnlyPlan(q)
-		if readOnly {
-			defer release()
-			return db.Queries.Snapshot(db.GMRs.SnapshotAt(ver)).RunQuery(q, params)
-		}
-		release()
-	}
-	if readOnly {
-		// Read-only but not quiescent: the run may force rematerializations,
-		// which the capture protocol covers, so the plain exclusive lock
-		// suffices.
-		db.lockWrite()
-		defer db.unlockWrite()
-		return db.Queries.RunQuery(q, params)
-	}
-	// The plan may materialize (the GOMql materialize statement) — a GMR
-	// catalog and schema mutation the capture protocol does not version.
-	db.lockBarrier()
-	defer db.unlockBarrier()
-	return db.Queries.RunQuery(q, params)
+	return dispatch(db, readSpec{quiescent: true, barrier: true},
+		func() bool { return db.Queries.ReadOnlyPlan(q) },
+		func() (*QueryResult, error) { return db.Queries.RunQuery(q, params) },
+		func(s *core.Snapshot) (*QueryResult, error) { return db.Queries.Snapshot(s).RunQuery(q, params) })
 }
 
 // DefineType registers a type with its public clause.
@@ -492,16 +513,12 @@ func (db *Database) Set(oid OID, attr string, v Value) error {
 	return db.Engine.SetAttrByName(oid, attr, v)
 }
 
-// GetAttr reads attribute attr of oid. When a writer holds the engine the
-// read is answered from an MVCC snapshot instead of waiting.
+// GetAttr reads attribute attr of oid: under the shared lock, or from an
+// MVCC snapshot when a writer holds the engine.
 func (db *Database) GetAttr(oid OID, attr string) (Value, error) {
-	if db.mu.TryRLock() {
-		defer db.mu.RUnlock()
-		return db.Engine.ReadAttr(Ref(oid), attr)
-	}
-	ver, release := db.mvccSt.Pin()
-	defer release()
-	return db.GMRs.SnapshotAt(ver).Engine().ReadAttr(Ref(oid), attr)
+	return dispatch(db, readSpec{}, nil,
+		func() (Value, error) { return db.Engine.ReadAttr(Ref(oid), attr) },
+		func(s *core.Snapshot) (Value, error) { return s.Engine().ReadAttr(Ref(oid), attr) })
 }
 
 // Insert performs the elementary update set.insert(elem).
@@ -523,30 +540,15 @@ func (db *Database) Remove(set OID, elem Value) error {
 // side-effect-free function runs under the shared lock when every GMR is
 // quiescent (complete and fully valid) — concurrent callers then hit the
 // materialized results in parallel. When a writer holds the engine, a
-// side-effect-free call does not wait: it pins the current stable version
-// and answers from an MVCC snapshot (quiescence does not matter there — the
-// snapshot recomputes entries that were invalid at its version without
-// storing anything). All other calls run exclusively.
+// side-effect-free call does not wait: it answers from an MVCC snapshot
+// (quiescence does not matter there — the snapshot recomputes entries that
+// were invalid at its version without storing anything). All other calls
+// run exclusively.
 func (db *Database) Call(fn string, args ...Value) (Value, error) {
-	if db.mu.TryRLock() {
-		if db.GMRs.Quiescent() && db.Queries.CallReadOnly(fn) {
-			defer db.mu.RUnlock()
-			return db.Engine.Invoke(fn, args...)
-		}
-		db.mu.RUnlock()
-	} else {
-		// Pin before classifying: a pin excludes barrier operations, so the
-		// schema metadata CallReadOnly reads cannot change underneath.
-		ver, release := db.mvccSt.Pin()
-		if db.Queries.CallReadOnly(fn) {
-			defer release()
-			return db.GMRs.SnapshotAt(ver).Call(fn, args...)
-		}
-		release()
-	}
-	db.lockWrite()
-	defer db.unlockWrite()
-	return db.Engine.Invoke(fn, args...)
+	return dispatch(db, readSpec{quiescent: true},
+		func() bool { return db.Queries.CallReadOnly(fn) },
+		func() (Value, error) { return db.Engine.Invoke(fn, args...) },
+		func(s *core.Snapshot) (Value, error) { return s.Call(fn, args...) })
 }
 
 // Flush drains the deferred-rematerialization queue: every result a Deferred
@@ -697,19 +699,9 @@ func (db *Database) Materialize(opts MaterializeOptions) (*GMR, error) {
 // waiting (invalid columns are recomputed at the snapshot version, not
 // repaired in place).
 func (db *Database) Retrieve(gmrName string, spec []FieldSpec) ([]Row, error) {
-	if db.mu.TryRLock() {
-		if db.GMRs.Quiescent() {
-			defer db.mu.RUnlock()
-			return db.GMRs.Retrieve(gmrName, spec)
-		}
-		db.mu.RUnlock()
-		db.lockWrite()
-		defer db.unlockWrite()
-		return db.GMRs.Retrieve(gmrName, spec)
-	}
-	ver, release := db.mvccSt.Pin()
-	defer release()
-	return db.GMRs.SnapshotAt(ver).Retrieve(gmrName, spec)
+	return dispatch(db, readSpec{quiescent: true}, nil,
+		func() ([]Row, error) { return db.GMRs.Retrieve(gmrName, spec) },
+		func(s *core.Snapshot) ([]Row, error) { return s.Retrieve(gmrName, spec) })
 }
 
 // Backward answers a backward query on a Complete GMR: every materialized
@@ -718,19 +710,9 @@ func (db *Database) Retrieve(gmrName string, spec []FieldSpec) ([]Row, error) {
 // them first and runs exclusively. When a writer holds the engine the query
 // is answered from an MVCC snapshot instead of waiting.
 func (db *Database) Backward(fid string, lb, ub float64) ([]Match, error) {
-	if db.mu.TryRLock() {
-		if db.GMRs.Quiescent() {
-			defer db.mu.RUnlock()
-			return db.GMRs.Backward(fid, lb, ub)
-		}
-		db.mu.RUnlock()
-		db.lockWrite()
-		defer db.unlockWrite()
-		return db.GMRs.Backward(fid, lb, ub)
-	}
-	ver, release := db.mvccSt.Pin()
-	defer release()
-	return db.GMRs.SnapshotAt(ver).Backward(fid, lb, ub)
+	return dispatch(db, readSpec{quiescent: true}, nil,
+		func() ([]Match, error) { return db.GMRs.Backward(fid, lb, ub) },
+		func(s *core.Snapshot) ([]Match, error) { return s.Backward(fid, lb, ub) })
 }
 
 // Sum aggregates a materialized function over the given argument objects
@@ -739,15 +721,8 @@ func (db *Database) Backward(fid string, lb, ub float64) ([]Match, error) {
 // the aggregation exclusively; quiescent managers answer under the shared
 // lock. There is no snapshot tier: a contended Sum blocks on the writer.
 func (db *Database) Sum(fid string, oids []OID) (float64, error) {
-	db.mu.RLock()
-	if db.GMRs.Quiescent() {
-		defer db.mu.RUnlock()
-		return db.GMRs.Sum(fid, oids)
-	}
-	db.mu.RUnlock()
-	db.lockWrite()
-	defer db.unlockWrite()
-	return db.GMRs.Sum(fid, oids)
+	return dispatch(db, readSpec{quiescent: true}, nil,
+		func() (float64, error) { return db.GMRs.Sum(fid, oids) }, nil)
 }
 
 // CheckConsistency audits a GMR against Definition 3.2 (and, with
@@ -758,13 +733,11 @@ func (db *Database) Sum(fid string, oids []OID) (float64, error) {
 // holds the engine, against an MVCC snapshot, verifying Definition 3.2
 // congruence at the pinned version.
 func (db *Database) CheckConsistency(gmrName string, tol float64, checkComplete bool) (*ConsistencyReport, error) {
-	if db.mu.TryRLock() {
-		defer db.mu.RUnlock()
-		return db.GMRs.CheckConsistency(gmrName, tol, checkComplete)
-	}
-	ver, release := db.mvccSt.Pin()
-	defer release()
-	return db.GMRs.SnapshotAt(ver).CheckConsistency(gmrName, tol, checkComplete)
+	return dispatch(db, readSpec{}, nil,
+		func() (*ConsistencyReport, error) { return db.GMRs.CheckConsistency(gmrName, tol, checkComplete) },
+		func(s *core.Snapshot) (*ConsistencyReport, error) {
+			return s.CheckConsistency(gmrName, tol, checkComplete)
+		})
 }
 
 // SetTrace installs (or, with nil, removes) a callback observing every
@@ -789,13 +762,10 @@ func (db *Database) Dematerialize(name string) error {
 // When a writer holds the engine the extension is reconstructed from an MVCC
 // snapshot instead of waiting.
 func (db *Database) Extension(typeName string) []OID {
-	if db.mu.TryRLock() {
-		defer db.mu.RUnlock()
-		return db.Objects.Extension(typeName)
-	}
-	ver, release := db.mvccSt.Pin()
-	defer release()
-	return db.Objects.ExtensionVersioned(typeName, ver)
+	oids, _ := dispatch(db, readSpec{}, nil,
+		func() ([]OID, error) { return db.Objects.Extension(typeName), nil },
+		func(s *core.Snapshot) ([]OID, error) { return s.Extension(typeName), nil })
+	return oids
 }
 
 // SimSeconds returns the simulated seconds of work performed so far. The

@@ -18,6 +18,7 @@ import (
 	"gomdb/internal/btree"
 	"gomdb/internal/gridfile"
 	"gomdb/internal/lang"
+	"gomdb/internal/mvcc"
 	"gomdb/internal/object"
 	"gomdb/internal/pred"
 	"gomdb/internal/storage"
@@ -212,6 +213,9 @@ type GMR struct {
 	nextAux uint64
 	// mds is the optional Grid File over all columns (Section 3.3).
 	mds *gridfile.GridFile
+	// vers holds the MVCC pre-images of entries by argument key (see
+	// snapshot.go); guarded by the manager's snapMu.
+	vers mvcc.Chains[string, entryState]
 
 	// colFid maps function ids (declared functions and subtype overrides)
 	// to column indexes; variants holds, per column, every override body so
@@ -312,7 +316,7 @@ func (g *GMR) insertEntryLocked(e *entry) error {
 	if _, dup := g.entries[k]; dup {
 		return fmt.Errorf("core: duplicate GMR entry for %v in %s", e.Args, g.Name)
 	}
-	g.mgr.captureEntry(g, k, nil)
+	g.capture(k, nil)
 	// A full cache frees a slot before the newcomer goes in: the eviction
 	// sweep then only judges entries by accesses since the previous sweep,
 	// and the fresh entry keeps its reference bit until the next one.
@@ -424,7 +428,7 @@ func (g *GMR) markInvalid(k string, i int) error {
 	}
 	g.mgr.snapMu.Lock()
 	defer g.mgr.snapMu.Unlock()
-	g.mgr.captureEntry(g, k, e)
+	g.capture(k, e)
 	e.Valid[i] = false
 	g.invalid[i][k] = true
 	return g.rewrite(e)
@@ -436,14 +440,14 @@ func (g *GMR) markInvalid(k string, i int) error {
 func (g *GMR) setResult(e *entry, i int, v object.Value) error {
 	g.mgr.snapMu.Lock()
 	defer g.mgr.snapMu.Unlock()
-	g.mgr.captureEntry(g, argKey(e.Args), e)
+	g.capture(e.key, e)
 	if err := g.mdsDelete(e); err != nil {
 		return err
 	}
 	if err := g.unindexResult(e, i); err != nil {
 		return err
 	}
-	k := argKey(e.Args)
+	k := e.key
 	e.Results[i] = v
 	e.Valid[i] = true
 	delete(g.invalid[i], k)
@@ -521,7 +525,7 @@ func (g *GMR) removeEntryLocked(k string) error {
 	if !ok {
 		return nil
 	}
-	g.mgr.captureEntry(g, k, e)
+	g.capture(k, e)
 	if err := g.mdsDelete(e); err != nil {
 		return err
 	}

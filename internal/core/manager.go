@@ -84,15 +84,12 @@ type Manager struct {
 	// goroutines may install or clear the hook.
 	trace atomic.Pointer[func(TraceEvent)]
 
-	// MVCC snapshot-read state (see snapshot.go). snapSt is the shared
-	// version source; entryVers holds copy-on-write pre-images of GMR
-	// entries keyed by (GMR name, argument key); snapMu serializes the
-	// entry mutators against pinned snapshot readers reconstructing entry
-	// state. snapMu is always locked by the mutators (cheap, uncontended
-	// without MVCC); captures are only taken once snapSt is attached.
-	snapSt    *mvcc.State
-	snapMu    sync.RWMutex
-	entryVers map[string]map[string][]entryCapture
+	// MVCC snapshot-read state (see snapshot.go). snapSt is the version
+	// state of the pool the manager is built on; snapMu serializes the
+	// entry mutators, which capture pre-images into each GMR's version
+	// chains, against pinned snapshot readers reconstructing entry state.
+	snapSt *mvcc.State
+	snapMu sync.RWMutex
 
 	// accessTraces holds the ordered forward trace of each materialized
 	// result column; accessStats aggregates them per GMR (access_trace.go).
@@ -145,6 +142,7 @@ func NewManager(en *schema.Engine, pool *storage.BufferPool) *Manager {
 		Objs:         en.Objs,
 		Clock:        en.Clock,
 		Pool:         pool,
+		snapSt:       pool.Versions(),
 		gmrs:         make(map[string]*GMR),
 		byFunc:       make(map[string]*GMR),
 		rrr:          NewRRR(pool),
@@ -284,7 +282,11 @@ func (m *Manager) Materialize(opts Options) (*GMR, error) {
 		}
 	}
 
+	// EntryCaptureCount walks gmrs under snapMu alone, without the engine
+	// lock, so the catalog changes under snapMu too.
+	m.snapMu.Lock()
 	m.gmrs[name] = g
+	m.snapMu.Unlock()
 	g.colFid = make(map[string]int, len(fns))
 	g.variants = make(map[int][]*lang.Function)
 	for i, fn := range fns {
@@ -364,7 +366,9 @@ func (m *Manager) dropState(g *GMR) {
 			delete(m.byFunc, fid)
 		}
 	}
+	m.snapMu.Lock()
 	delete(m.gmrs, g.Name)
+	m.snapMu.Unlock()
 	m.ca.dropGMR(g)
 }
 

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"gomdb/internal/lang"
-	"gomdb/internal/mvcc"
 	"gomdb/internal/object"
 	"gomdb/internal/schema"
 	"gomdb/internal/storage"
@@ -16,13 +15,12 @@ import (
 //
 // A writer holding the exclusive Database lock mutates GMR entries through
 // insertEntry / markInvalid / setResult / removeEntry. Each of those runs
-// under the manager's snapMu and, before mutating, records the entry's
-// pre-image in entryVers tagged with the current stable version S — meaning
-// "this was the entry's state at every version <= S". A reader pinned at
-// version V reconstructs an entry as the capture with the smallest tag
-// >= V, falling through to the live entry when no capture covers it
-// (nothing has mutated it since V). Captures tagged below the reclamation
-// floor (no pinned reader can reach them) are dropped at each publish.
+// under the manager's snapMu and, before mutating, captures the entry's
+// pre-image in the GMR's version chains (GMR.vers, an mvcc.Chains keyed by
+// argument key, which applies the tag rule). A reader pinned at version V
+// reconstructs an entry as the chains' capture for V, falling through to the
+// live entry when there is none. Captures no pinned reader can reach are
+// dropped at each publish.
 //
 // The Snapshot type bundles the reconstruction with a schema.Engine clone
 // whose object reads resolve through the versioned object/page overlays and
@@ -34,106 +32,97 @@ import (
 // return the same *values* the live path would have returned at version V,
 // not the same side effects.
 
-// entryCapture is one pre-image of a GMR entry: its state as of every
-// version <= ver. exists == false records that the entry was absent (the
+// entryState is one GMR entry's state at some version: a capture, or a copy
+// of the live entry. exists == false records that the entry was absent (the
 // pre-image of an insert). args may alias live state (argument vectors are
-// never mutated in place); results and valid are copies.
-type entryCapture struct {
-	ver     uint64
-	exists  bool
-	args    []object.Value
-	results []object.Value
-	valid   []bool
+// never mutated in place); cols is never modified once built.
+type entryState struct {
+	exists bool
+	args   []object.Value
+	cols   []colState
 }
 
-// SetMVCC attaches the shared version state, enabling entry captures. Must
-// be called before any concurrent use (the facade wires it at open).
-func (m *Manager) SetMVCC(st *mvcc.State) {
-	m.snapSt = st
-	if st != nil && m.entryVers == nil {
-		m.entryVers = make(map[string]map[string][]entryCapture)
+// colState is one result column of an entry: the result, whether it is
+// valid, and its backward-index tie-break key (entry.aux).
+type colState struct {
+	result object.Value
+	valid  bool
+	aux    uint64
+}
+
+// stateOf copies the state of live entry e.
+func stateOf(e *entry) entryState {
+	cols := make([]colState, len(e.Results))
+	for i := range cols {
+		cols[i] = colState{result: e.Results[i], valid: e.Valid[i], aux: e.aux[i]}
+	}
+	return entryState{exists: true, args: e.Args, cols: cols}
+}
+
+// row returns the state as a Row that shares nothing mutable with it.
+func (st entryState) row() Row {
+	r := Row{Args: st.args, Results: make([]object.Value, len(st.cols)), Valid: make([]bool, len(st.cols))}
+	for i, c := range st.cols {
+		r.Results[i], r.Valid[i] = c.result, c.valid
+	}
+	return r
+}
+
+// capture records the pre-image of entry k (e == nil: absent) unless the
+// current epoch already has one. Caller holds snapMu.
+func (g *GMR) capture(k string, e *entry) {
+	if c := g.vers.Capture(k, g.mgr.snapSt.Stable()); c != nil && e != nil {
+		*c = stateOf(e)
 	}
 }
 
-// captureEntry records the pre-image of entry k of g (e == nil: absent)
-// unless the current stable version already has one. Caller holds snapMu.
-func (m *Manager) captureEntry(g *GMR, k string, e *entry) {
-	if m.snapSt == nil {
-		return
-	}
-	stable := m.snapSt.Stable()
-	per := m.entryVers[g.Name]
-	if per == nil {
-		per = make(map[string][]entryCapture)
-		m.entryVers[g.Name] = per
-	}
-	caps := per[k]
-	if n := len(caps); n > 0 && caps[n-1].ver == stable {
-		return
-	}
-	c := entryCapture{ver: stable}
-	if e != nil {
-		c.exists = true
-		c.args = e.Args
-		c.results = append([]object.Value(nil), e.Results...)
-		c.valid = append([]bool(nil), e.Valid...)
-	}
-	per[k] = append(caps, c)
-}
-
-// entryRowAt reconstructs entry k of g as of version ver. Caller holds
-// snapMu (read or write). The returned row never aliases live entry state.
-func (m *Manager) entryRowAt(g *GMR, k string, ver uint64) (Row, bool) {
-	caps := m.entryVers[g.Name][k]
-	i := sort.Search(len(caps), func(i int) bool { return caps[i].ver >= ver })
-	if i < len(caps) {
-		c := caps[i]
-		if !c.exists {
-			return Row{}, false
-		}
-		return Row{
-			Args:    c.args,
-			Results: append([]object.Value(nil), c.results...),
-			Valid:   append([]bool(nil), c.valid...),
-		}, true
+// entryAt returns entry k's state as of version ver. Caller holds snapMu
+// (read or write).
+func (g *GMR) entryAt(k string, ver uint64) (entryState, bool) {
+	if c, ok := g.vers.At(k, ver); ok {
+		return c, c.exists
 	}
 	e, ok := g.entries[k]
 	if !ok {
-		return Row{}, false
+		return entryState{}, false
 	}
-	return Row{
-		Args:    e.Args,
-		Results: append([]object.Value(nil), e.Results...),
-		Valid:   append([]bool(nil), e.Valid...),
-	}, true
+	return stateOf(e), true
 }
 
-// entryRowsAt reconstructs the full extension of g as of version ver: the
+// entriesAt reconstructs the full extension of g as of version ver: the
 // live insertion order first (entries inserted after ver reconstruct to
 // absent and drop out), then any since-removed entries that still existed
 // at ver, in sorted key order.
-func (m *Manager) entryRowsAt(g *GMR, ver uint64) []Row {
-	m.snapMu.RLock()
-	defer m.snapMu.RUnlock()
-	live := make(map[string]bool, len(g.order))
-	var rows []Row
+func (g *GMR) entriesAt(ver uint64) []entryState {
+	g.mgr.snapMu.RLock()
+	defer g.mgr.snapMu.RUnlock()
+	var out []entryState
 	for _, e := range g.order {
-		live[e.key] = true
-		if row, ok := m.entryRowAt(g, e.key, ver); ok {
-			rows = append(rows, row)
+		if st, ok := g.entryAt(e.key, ver); ok {
+			out = append(out, st)
 		}
 	}
-	var extras []string
-	for k := range m.entryVers[g.Name] {
-		if !live[k] {
-			extras = append(extras, k)
+	var removed []string
+	for _, k := range g.vers.Keys(nil) {
+		if _, live := g.entries[k]; !live {
+			removed = append(removed, k)
 		}
 	}
-	sort.Strings(extras)
-	for _, k := range extras {
-		if row, ok := m.entryRowAt(g, k, ver); ok {
-			rows = append(rows, row)
+	sort.Strings(removed)
+	for _, k := range removed {
+		if st, ok := g.entryAt(k, ver); ok {
+			out = append(out, st)
 		}
+	}
+	return out
+}
+
+// rowsAt is entriesAt as Rows.
+func (g *GMR) rowsAt(ver uint64) []Row {
+	states := g.entriesAt(ver)
+	rows := make([]Row, len(states))
+	for i, st := range states {
+		rows[i] = st.row()
 	}
 	return rows
 }
@@ -141,26 +130,10 @@ func (m *Manager) entryRowsAt(g *GMR, ver uint64) []Row {
 // ReclaimEntryCaptures drops entry pre-images no pinned reader can reach
 // (tags below floor). Called from the facade's publish point.
 func (m *Manager) ReclaimEntryCaptures(floor uint64) {
-	if m.snapSt == nil {
-		return
-	}
 	m.snapMu.Lock()
 	defer m.snapMu.Unlock()
-	for name, per := range m.entryVers {
-		for k, caps := range per {
-			j := 0
-			for j < len(caps) && caps[j].ver < floor {
-				j++
-			}
-			if j == len(caps) {
-				delete(per, k)
-			} else if j > 0 {
-				per[k] = append([]entryCapture(nil), caps[j:]...)
-			}
-		}
-		if len(per) == 0 {
-			delete(m.entryVers, name)
-		}
+	for _, g := range m.gmrs {
+		g.vers.Reclaim(floor, nil)
 	}
 }
 
@@ -170,10 +143,8 @@ func (m *Manager) EntryCaptureCount() int {
 	m.snapMu.RLock()
 	defer m.snapMu.RUnlock()
 	n := 0
-	for _, per := range m.entryVers {
-		for _, caps := range per {
-			n += len(caps)
-		}
+	for _, g := range m.gmrs {
+		n += g.vers.Len()
 	}
 	return n
 }
@@ -230,10 +201,10 @@ func (s *Snapshot) Forward(fid string, args []object.Value) (object.Value, error
 	i := g.funcIndex(fid)
 	if g.admitsArgs(args) {
 		s.m.snapMu.RLock()
-		row, ok := s.m.entryRowAt(g, argKey(args), s.ver)
+		st, ok := g.entryAt(argKey(args), s.ver)
 		s.m.snapMu.RUnlock()
-		if ok && row.Valid[i] {
-			return row.Results[i], nil
+		if ok && st.cols[i].valid {
+			return st.cols[i].result, nil
 		}
 	}
 	return s.computeRaw(g.Funcs[i], args)
@@ -278,9 +249,11 @@ func (s *Snapshot) Extension(typeName string) []object.OID {
 // Backward answers a backward range query at the pinned version: every
 // argument combination whose fid result lies in [lb, ub], with results that
 // were invalid at the version recomputed on the fly (the live path
-// revalidates the column first — same values, no mutation). Matches are
-// ordered by ascending result, ties by argument key, mirroring the live
-// index scan.
+// revalidates the column first — same values, no mutation). Matches come in
+// the order the live index scan would have returned them at the version:
+// ascending result; among equal results, the entries valid at the version
+// by index tie-break key, then the recomputed ones by argument key, the
+// order in which revalidation would have re-indexed them.
 func (s *Snapshot) Backward(fid string, lb, ub float64) ([]Match, error) {
 	g, ok := s.m.byFunc[fid]
 	if !ok {
@@ -293,35 +266,44 @@ func (s *Snapshot) Backward(fid string, lb, ub float64) ([]Match, error) {
 	if g.resIdx[i] == nil {
 		return nil, fmt.Errorf("core: %s has a non-numeric result; no backward index", fid)
 	}
-	rows := s.m.entryRowsAt(g, s.ver)
 	type scored struct {
 		f float64
-		m Match
+		// aux orders the entries valid at the version; recomputed ones
+		// order by key, after them.
+		aux        uint64
+		recomputed bool
+		key        string
+		m          Match
 	}
 	var hits []scored
-	for _, row := range rows {
-		v := row.Results[i]
-		if !row.Valid[i] {
-			fresh, err := s.computeRaw(g.Funcs[i], row.Args)
+	for _, st := range g.entriesAt(s.ver) {
+		c := st.cols[i]
+		h := scored{aux: c.aux, m: Match{Args: st.args, Result: c.result}}
+		if !c.valid {
+			fresh, err := s.computeRaw(g.Funcs[i], st.args)
 			if err != nil {
 				return nil, err
 			}
-			v = fresh
+			h.m.Result, h.recomputed, h.key = fresh, true, argKey(st.args)
 		}
-		f, ok := v.AsFloat()
-		if !ok {
+		f, ok := h.m.Result.AsFloat()
+		if !ok || f < lb || f > ub {
 			continue
 		}
-		if f < lb || f > ub {
-			continue
-		}
-		hits = append(hits, scored{f: f, m: Match{Args: row.Args, Result: v}})
+		h.f = f
+		hits = append(hits, h)
 	}
 	sort.Slice(hits, func(a, b int) bool {
-		if hits[a].f != hits[b].f {
-			return hits[a].f < hits[b].f
+		x, y := &hits[a], &hits[b]
+		switch {
+		case x.f != y.f:
+			return x.f < y.f
+		case x.recomputed != y.recomputed:
+			return y.recomputed
+		case x.recomputed:
+			return x.key < y.key
 		}
-		return argKey(hits[a].m.Args) < argKey(hits[b].m.Args)
+		return x.aux < y.aux
 	})
 	out := make([]Match, len(hits))
 	for j, h := range hits {
@@ -345,7 +327,7 @@ func (s *Snapshot) Retrieve(name string, spec []FieldSpec) ([]Row, error) {
 	}
 	n, mm := len(g.ArgTypes), len(g.Funcs)
 	var rows []Row
-	for _, row := range s.m.entryRowsAt(g, s.ver) {
+	for _, row := range g.rowsAt(s.ver) {
 		for i := 0; i < mm; i++ {
 			if spec[n+i].constrained() && !row.Valid[i] {
 				fresh, err := s.computeRaw(g.Funcs[i], row.Args)
@@ -376,5 +358,5 @@ func (s *Snapshot) CheckConsistency(name string, tol float64, checkComplete bool
 	get := func(oid object.OID) (*object.Obj, error) {
 		return s.m.Objs.GetVersioned(oid, s.ver)
 	}
-	return s.m.audit(g, s.m.entryRowsAt(g, s.ver), s.en, get, s.Extension, tol, checkComplete)
+	return s.m.audit(g, g.rowsAt(s.ver), s.en, get, s.Extension, tol, checkComplete)
 }

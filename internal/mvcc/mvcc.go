@@ -19,6 +19,11 @@
 //     that captured it); no such capture means the unit is unchanged since
 //     V and the live state serves.
 //
+// Chains (chain.go) is the one implementation of the capture overlays: the
+// page, OID directory and GMR entry overlays all keep their pre-images in
+// it, each under its own lock. The buffer pool owns the State; the layers
+// built on the pool take it from there.
+//
 // Pins are cheap and short-lived (one query). Barrier operations block new
 // pins and drain the active ones, then run with the engine to themselves.
 package mvcc

@@ -61,7 +61,7 @@ type extent struct {
 	order []OID
 	pos   map[OID]int
 	// undo logs, oldest first, every add and remove the MVCC writer made
-	// since the reclamation floor (see appendAt). Empty without MVCC.
+	// since the reclamation floor (see appendAt).
 	undo []extUndo
 }
 
@@ -175,7 +175,8 @@ type Manager struct {
 	// Writes counts Put calls.
 	Writes int64
 
-	// MVCC snapshot-read state. Writers capture pre-images of OID directory
+	// MVCC snapshot-read state. st is the version state of the pool the
+	// manager is built on. Writers capture pre-images of OID directory
 	// entries and log extent mutations (extent.undo) under verMu before
 	// mutating; pinned readers reconstruct both at their version under
 	// verMu.RLock, with the record bytes served by the storage layer's page
@@ -183,16 +184,16 @@ type Manager struct {
 	// the exclusive Database lock or with no writer present.
 	st      *mvcc.State
 	verMu   sync.RWMutex
-	ridVers map[OID][]ridCapture
+	ridVers mvcc.Chains[OID, ridCapture]
 
 	// journal, non-nil only while a durable store is attached, records every
 	// directory mutation since the last checkpoint (see directory.go).
 	journal *dirJournal
 }
 
-// ridCapture is a pre-image of one OID-directory entry as of publish ver.
+// ridCapture is a pre-image of one OID-directory entry; present is false
+// when the object did not exist.
 type ridCapture struct {
-	ver     uint64
 	rid     storage.RID
 	present bool
 }
@@ -206,6 +207,7 @@ func NewManager(reg *Registry, pool *storage.BufferPool, clock *storage.Clock) *
 		rids:    make(map[OID]storage.RID),
 		extents: make(map[string]*extent),
 		nextOID: 1,
+		st:      pool.Versions(),
 	}
 }
 
@@ -224,22 +226,12 @@ type OIDAllocator interface {
 // injects it at construction / open time, before schema definition).
 func (m *Manager) SetOIDAllocator(a OIDAllocator) { m.alloc = a }
 
-// SetMVCC attaches the shared MVCC version state, enabling pre-image
-// capture on directory mutations and undo logging on extent mutations.
-func (m *Manager) SetMVCC(st *mvcc.State) {
-	m.st = st
-	m.ridVers = make(map[OID][]ridCapture)
-}
-
-// captureRID records the pre-image of oid's directory entry for the current
-// epoch. Caller holds verMu.
+// captureRID records the pre-image of oid's directory entry for the epoch
+// whose pre-state is stable. Caller holds verMu.
 func (m *Manager) captureRID(oid OID, stable uint64) {
-	caps := m.ridVers[oid]
-	if n := len(caps); n > 0 && caps[n-1].ver == stable {
-		return
+	if c := m.ridVers.Capture(oid, stable); c != nil {
+		c.rid, c.present = m.rids[oid]
 	}
-	rid, ok := m.rids[oid]
-	m.ridVers[oid] = append(caps, ridCapture{ver: stable, rid: rid, present: ok})
 }
 
 // GetVersioned reads and decodes the object with the given OID as of MVCC
@@ -247,19 +239,15 @@ func (m *Manager) captureRID(oid OID, stable uint64) {
 // dangling-reference error when the object did not exist at ver.
 func (m *Manager) GetVersioned(oid OID, ver uint64) (*Obj, error) {
 	m.verMu.RLock()
-	rid, present := m.rids[oid]
-	caps := m.ridVers[oid]
-	for _, c := range caps {
-		if c.ver >= ver {
-			rid, present = c.rid, c.present
-			break
-		}
+	c, ok := m.ridVers.At(oid, ver)
+	if !ok {
+		c.rid, c.present = m.rids[oid]
 	}
 	m.verMu.RUnlock()
-	if !present {
+	if !c.present {
 		return nil, fmt.Errorf("object: dangling reference %v", oid)
 	}
-	rec, err := m.heap.ReadVersioned(rid, ver)
+	rec, err := m.heap.ReadVersioned(c.rid, ver)
 	if err != nil {
 		return nil, err
 	}
@@ -284,22 +272,9 @@ func (m *Manager) ExtensionVersioned(typeName string, ver uint64) []OID {
 // ReclaimVersions drops directory captures and extent undo records no pinned
 // reader can reach (tags below floor).
 func (m *Manager) ReclaimVersions(floor uint64) {
-	if m.st == nil {
-		return
-	}
 	m.verMu.Lock()
 	defer m.verMu.Unlock()
-	for oid, caps := range m.ridVers {
-		j := 0
-		for j < len(caps) && caps[j].ver < floor {
-			j++
-		}
-		if j == len(caps) {
-			delete(m.ridVers, oid)
-		} else if j > 0 {
-			m.ridVers[oid] = append([]ridCapture(nil), caps[j:]...)
-		}
-	}
+	m.ridVers.Reclaim(floor, nil)
 	for _, ext := range m.extents {
 		ext.reclaim(floor)
 	}
@@ -310,10 +285,7 @@ func (m *Manager) ReclaimVersions(floor uint64) {
 func (m *Manager) VersionCaptureCount() int {
 	m.verMu.RLock()
 	defer m.verMu.RUnlock()
-	n := 0
-	for _, caps := range m.ridVers {
-		n += len(caps)
-	}
+	n := m.ridVers.Len()
 	for _, ext := range m.extents {
 		n += len(ext.undo)
 	}
@@ -419,13 +391,11 @@ func (m *Manager) store(o *Obj) (OID, error) {
 	if err != nil {
 		return NilOID, err
 	}
-	if m.st != nil {
-		m.verMu.Lock()
-		defer m.verMu.Unlock()
-		stable := m.st.Stable()
-		m.captureRID(o.OID, stable)
-		extentOf(m.extents, o.Type).logAdd(stable)
-	}
+	m.verMu.Lock()
+	defer m.verMu.Unlock()
+	stable := m.st.Stable()
+	m.captureRID(o.OID, stable)
+	extentOf(m.extents, o.Type).logAdd(stable)
 	m.rids[o.OID] = rid
 	extentOf(m.extents, o.Type).add(o.OID)
 	if m.journal != nil {
@@ -527,14 +497,10 @@ func (m *Manager) Put(o *Obj) error {
 		return err
 	}
 	if newRID != rid {
-		if m.st != nil {
-			m.verMu.Lock()
-			m.captureRID(o.OID, m.st.Stable())
-			m.rids[o.OID] = newRID
-			m.verMu.Unlock()
-		} else {
-			m.rids[o.OID] = newRID
-		}
+		m.verMu.Lock()
+		m.captureRID(o.OID, m.st.Stable())
+		m.rids[o.OID] = newRID
+		m.verMu.Unlock()
 		if m.journal != nil {
 			m.journal.move(o.OID, newRID)
 		}
@@ -557,14 +523,12 @@ func (m *Manager) Delete(oid OID) error {
 		return err
 	}
 	ext := m.extents[typ]
-	if m.st != nil {
-		m.verMu.Lock()
-		defer m.verMu.Unlock()
-		stable := m.st.Stable()
-		m.captureRID(oid, stable)
-		if ext != nil {
-			ext.logRemove(stable, oid)
-		}
+	m.verMu.Lock()
+	defer m.verMu.Unlock()
+	stable := m.st.Stable()
+	m.captureRID(oid, stable)
+	if ext != nil {
+		ext.logRemove(stable, oid)
 	}
 	delete(m.rids, oid)
 	if ext != nil {

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"gomdb/internal/mvcc"
 )
 
 // PinDebug, when enabled, makes Frame.MarkDirty assert that the frame is
@@ -125,8 +127,8 @@ type BufferPool struct {
 	hits   atomic.Int64
 	misses atomic.Int64
 
-	// pv, when non-nil, is the MVCC copy-on-write page overlay (see
-	// pageversions.go) attached by SetMVCC.
+	// pv is the MVCC copy-on-write page overlay (see pageversions.go); it
+	// owns the version state every layer built on the pool shares.
 	pv *pageVersions
 }
 
@@ -157,6 +159,7 @@ func NewPoolShards(disk *Disk, capacity, shards int) *BufferPool {
 		clock:  disk.clock,
 		shards: make([]shard, n),
 		mask:   uint32(n - 1),
+		pv:     &pageVersions{st: mvcc.NewState()},
 	}
 	for i := range bp.shards {
 		bp.shards[i].frames = make(map[PageID]*Frame)

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -12,9 +11,9 @@ import (
 // pageVersions is the copy-on-write page overlay of the MVCC snapshot read
 // path. Writers (which run one at a time, under the exclusive Database
 // lock) capture a page's pre-image the first time they mutate it in the
-// current epoch, tagged with the current stable version; pinned readers
-// reconstruct the page state at their version from the captures, falling
-// through to the live page when no capture covers it.
+// current epoch; pinned readers reconstruct the page state at their version
+// from the captures, falling through to the live page when no capture
+// covers it. The tag rule is mvcc.Chains'.
 //
 // The overlay is striped by page id. A stripe's RWMutex serializes the
 // writer's capture-and-mutate regions (MutatePage) against readers copying
@@ -32,33 +31,19 @@ type pageVersions struct {
 	held atomic.Uint64
 }
 
+// pvStripe holds the version chains of the pages that map to it. Each
+// capture's buffer comes from capturePool and goes back to it when the
+// capture is reclaimed.
 type pvStripe struct {
-	mu sync.RWMutex
-	m  map[PageID][]pageCapture
-	// spare holds emptied capture slices for reuse, so a page's first
-	// capture of an epoch does not allocate a new slice.
-	spare [][]pageCapture
-}
-
-// pageCapture is one pre-image: the page bytes as of publish ver. Captures
-// for a page are kept sorted by ascending ver. data comes from capturePool
-// and goes back to it when dropBelow reclaims the capture.
-type pageCapture struct {
-	ver  uint64
-	data *[PageSize]byte
+	mu   sync.RWMutex
+	caps mvcc.Chains[PageID, *[PageSize]byte]
 }
 
 // capturePool recycles pre-image buffers: nearly every capture is reclaimed
 // at the next publish, so steady-state capturing allocates nothing.
 var capturePool = sync.Pool{New: func() any { return new([PageSize]byte) }}
 
-func newPageVersions(st *mvcc.State) *pageVersions {
-	pv := &pageVersions{st: st}
-	for i := range pv.stripes {
-		pv.stripes[i].m = make(map[PageID][]pageCapture)
-	}
-	return pv
-}
+func recycleCapture(data *[PageSize]byte) { capturePool.Put(data) }
 
 func stripeOf(id PageID) int { return int(uint64(id) % 64) }
 
@@ -78,140 +63,72 @@ func (pv *pageVersions) setHeld(i int, on bool) {
 	}
 }
 
-// mutate runs fn (the caller's in-place mutation of f.Data) under the
-// page's stripe write lock, capturing the pre-image first if this is the
-// page's first mutation of the current epoch.
-func (pv *pageVersions) mutate(f *Frame, fn func()) {
+// MutatePage runs fn, which mutates f.Data in place, under the page's
+// stripe write lock, capturing the pre-image first if this is the page's
+// first mutation of the current epoch. The caller must hold the frame
+// pinned.
+func (bp *BufferPool) MutatePage(f *Frame, fn func()) {
+	pv := bp.pv
 	i := stripeOf(f.id)
 	s := &pv.stripes[i]
 	stable := pv.st.Stable()
 	s.mu.Lock()
-	caps, ok := s.m[f.id]
-	if !ok && len(s.spare) > 0 {
-		caps = s.spare[len(s.spare)-1]
-		s.spare = s.spare[:len(s.spare)-1]
-	}
-	if n := len(caps); n == 0 || caps[n-1].ver < stable {
-		data := capturePool.Get().(*[PageSize]byte)
-		*data = f.Data
-		s.m[f.id] = append(caps, pageCapture{ver: stable, data: data})
+	if c := s.caps.Capture(f.id, stable); c != nil {
+		*c = capturePool.Get().(*[PageSize]byte)
+		**c = f.Data
 		pv.setHeld(i, true)
 	}
 	fn()
 	s.mu.Unlock()
 }
 
-// readAt copies the state of page id as of version ver into dst: the
-// capture with the smallest tag >= ver when one exists, the live page
-// otherwise (nothing has mutated it since ver). The live fall-through runs
-// under the stripe read lock so a concurrent capture-and-mutate cannot
-// tear it.
-func (pv *pageVersions) readAt(bp *BufferPool, id PageID, ver uint64, dst *[PageSize]byte) error {
-	s := &pv.stripes[stripeOf(id)]
+// ReadVersioned copies the state of page id as of version ver into dst. It
+// charges nothing, like ReadSnapshot, but unlike ReadSnapshot it is safe
+// concurrently with a writer that mutates pages through MutatePage: the live
+// fall-through runs under the stripe read lock, so a concurrent
+// capture-and-mutate cannot tear it.
+func (bp *BufferPool) ReadVersioned(id PageID, ver uint64, dst *[PageSize]byte) error {
+	s := &bp.pv.stripes[stripeOf(id)]
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	caps := s.m[id]
-	i := sort.Search(len(caps), func(i int) bool { return caps[i].ver >= ver })
-	if i < len(caps) {
-		*dst = *caps[i].data
+	if data, ok := s.caps.At(id, ver); ok {
+		*dst = *data
 		return nil
 	}
 	return bp.ReadSnapshot(id, dst)
 }
 
-// dropBelow reclaims every capture tagged below floor — no pinned reader
-// can reach them. Called from the facade's publish point, it visits only the
+// ReclaimVersions drops the page captures no pinned reader can reach (tags
+// below floor). Called from the facade's publish point, it visits only the
 // stripes whose held bit is set and clears the bit of each it empties. The
-// buffers go back to capturePool under the stripe lock, which readAt holds
-// while it copies one; an emptied capture slice is kept on the stripe's
-// spare list for the next page captured there.
-func (pv *pageVersions) dropBelow(floor uint64) {
+// buffers go back to capturePool under the stripe lock, which ReadVersioned
+// holds while it copies one.
+func (bp *BufferPool) ReclaimVersions(floor uint64) {
+	pv := bp.pv
 	for held := pv.held.Load(); held != 0; held &= held - 1 {
 		i := bits.TrailingZeros64(held)
 		s := &pv.stripes[i]
 		s.mu.Lock()
-		for id, caps := range s.m {
-			j := 0
-			for j < len(caps) && caps[j].ver < floor {
-				capturePool.Put(caps[j].data)
-				j++
-			}
-			if j == 0 {
-				continue
-			}
-			n := copy(caps, caps[j:])
-			clear(caps[n:])
-			if n == 0 {
-				delete(s.m, id)
-				s.spare = append(s.spare, caps[:0])
-			} else {
-				s.m[id] = caps[:n]
-			}
-		}
-		if len(s.m) == 0 {
+		s.caps.Reclaim(floor, recycleCapture)
+		if s.caps.Len() == 0 {
 			pv.setHeld(i, false)
 		}
 		s.mu.Unlock()
 	}
 }
 
-// captureCount returns the total number of live page captures (audits).
-func (pv *pageVersions) captureCount() int {
+// VersionCaptureCount reports the number of retained page pre-images.
+func (bp *BufferPool) VersionCaptureCount() int {
 	n := 0
-	for i := range pv.stripes {
-		s := &pv.stripes[i]
+	for i := range bp.pv.stripes {
+		s := &bp.pv.stripes[i]
 		s.mu.RLock()
-		for _, caps := range s.m {
-			n += len(caps)
-		}
+		n += s.caps.Len()
 		s.mu.RUnlock()
 	}
 	return n
 }
 
-// SetMVCC attaches the shared version state to the pool, enabling the
-// copy-on-write page overlay. Must be called before any concurrent use.
-func (bp *BufferPool) SetMVCC(st *mvcc.State) {
-	if st == nil {
-		bp.pv = nil
-		return
-	}
-	bp.pv = newPageVersions(st)
-}
-
-// MutatePage runs fn, which mutates f.Data in place, under the MVCC page
-// overlay's capture-and-mutate protocol. Without MVCC state attached it
-// simply runs fn. The caller must hold the frame pinned.
-func (bp *BufferPool) MutatePage(f *Frame, fn func()) {
-	if bp.pv == nil {
-		fn()
-		return
-	}
-	bp.pv.mutate(f, fn)
-}
-
-// ReadVersioned copies the state of page id as of version ver into dst.
-// It charges nothing, like ReadSnapshot, but unlike ReadSnapshot it is safe
-// concurrently with a writer that mutates pages through MutatePage.
-func (bp *BufferPool) ReadVersioned(id PageID, ver uint64, dst *[PageSize]byte) error {
-	if bp.pv == nil {
-		return bp.ReadSnapshot(id, dst)
-	}
-	return bp.pv.readAt(bp, id, ver, dst)
-}
-
-// ReclaimVersions drops page captures no pinned reader can reach (tags
-// below floor).
-func (bp *BufferPool) ReclaimVersions(floor uint64) {
-	if bp.pv != nil {
-		bp.pv.dropBelow(floor)
-	}
-}
-
-// VersionCaptureCount reports the number of retained page pre-images.
-func (bp *BufferPool) VersionCaptureCount() int {
-	if bp.pv == nil {
-		return 0
-	}
-	return bp.pv.captureCount()
-}
+// Versions returns the pool's MVCC version state: the stable version its
+// page captures are tagged with, shared by every layer built on the pool.
+func (bp *BufferPool) Versions() *mvcc.State { return bp.pv.st }

@@ -65,7 +65,7 @@ func TestSnapshotReadersRaceWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
 				oid := oids[(r+i)%n]
-				switch i % 4 {
+				switch i % 5 {
 				case 0:
 					v, err := db.Call("Rectangle.area", gomdb.Ref(oid))
 					if err != nil {
@@ -96,6 +96,9 @@ func TestSnapshotReadersRaceWriters(t *testing.T) {
 						report(fmt.Errorf("reader Query rows = %d, want %d", len(qr.Rows), n))
 						return
 					}
+				case 4:
+					// Audits sample the version state without the engine lock.
+					db.MVCCStats()
 				}
 			}
 		}(r)

@@ -276,3 +276,50 @@ func TestBarrierExcludesPinnedReaders(t *testing.T) {
 		t.Fatalf("captures leaked after barrier: %+v", st)
 	}
 }
+
+// TestSnapshotBackwardTieOrder: a snapshot Backward returns ties in the
+// order the live index scan does. Entries valid at the version keep their
+// index order (the one rematerialized last comes last); results invalid at
+// the version, which the live path would revalidate and re-index in
+// argument-key order, come after them.
+func TestSnapshotBackwardTieOrder(t *testing.T) {
+	check := func(t *testing.T, db *gomdb.Database, lb, ub float64) {
+		t.Helper()
+		end := holdBatch(t, db)
+		snap, err := db.Backward("Rectangle.area", lb, ub)
+		end()
+		if err != nil {
+			t.Fatal(err)
+		}
+		live, err := db.Backward("Rectangle.area", lb, ub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snap) != len(live) {
+			t.Fatalf("snapshot has %d matches, live %d", len(snap), len(live))
+		}
+		for i := range live {
+			if snap[i].Args[0].R != live[i].Args[0].R {
+				t.Fatalf("match %d: snapshot %v, live %v", i, snap[i].Args[0], live[i].Args[0])
+			}
+		}
+	}
+	t.Run("valid", func(t *testing.T) {
+		db, oids, _ := materializedRectangleDB(t, 3)
+		// Rectangle 0 now ties rectangle 1 at area 4 and was re-indexed last.
+		if err := db.Set(oids[0], "Width", gomdb.Float(2)); err != nil {
+			t.Fatal(err)
+		}
+		check(t, db, 4, 4)
+	})
+	t.Run("recomputed", func(t *testing.T) {
+		db, oids, _ := materializedRectangleDBLazy(t, 4)
+		// Rectangles 0 and 2 tie rectangle 1 at area 4 but are invalid.
+		for _, i := range []int{2, 0} {
+			if err := db.Set(oids[i], "Width", gomdb.Float(2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(t, db, 4, 4)
+	})
+}
