@@ -115,57 +115,58 @@ func buildBackend(shards int, dbKind string, n int, seed int64, bufferPages int)
 	if bufferPages > 0 {
 		ecfg.BufferPages = bufferPages
 	}
+	// One engine is served embedded, more through the router; the fixture
+	// is defined on every engine and populated through the placement.
+	var (
+		engines []*gomdb.Database
+		place   shard.Placement
+		backend server.Backend
+	)
 	if shards > 1 {
 		db := shard.Open(shard.Config{Shards: shards, Engine: ecfg})
-		switch {
-		case ocbBase != nil:
-			if err := ocb.DefineSharded(db, ocbBase.P); err != nil {
-				return nil, err
-			}
-			if _, err := ocb.PopulateSharded(db, ocbBase); err != nil {
-				return nil, err
-			}
-		case dbKind == "geometry":
-			if err := fixtures.DefineGeometrySharded(db, false); err != nil {
-				return nil, err
-			}
-			if _, err := fixtures.PopulateGeometrySharded(db, n, seed); err != nil {
-				return nil, err
-			}
-		case dbKind == "none":
-		default:
-			return nil, fmt.Errorf("-db %q is not available with -shards > 1 (use geometry, ocb, or none)", dbKind)
+		for i := 0; i < shards; i++ {
+			engines = append(engines, db.Shard(i))
 		}
-		return server.Sharded{DB: db}, nil
+		place, backend = db, server.Sharded{DB: db}
+	} else {
+		db := gomdb.Open(ecfg)
+		engines = []*gomdb.Database{db}
+		place, backend = shard.Single(db), server.Embedded{DB: db}
 	}
-	db := gomdb.Open(ecfg)
+	define := func(fn func(*gomdb.Database) error) error {
+		for _, db := range engines {
+			if err := fn(db); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	switch {
 	case ocbBase != nil:
-		if err := ocb.Define(db, ocbBase.P); err != nil {
-			return nil, err
-		}
-		if _, err := ocb.Populate(db, ocbBase); err != nil {
-			return nil, err
+		err = define(func(db *gomdb.Database) error { return ocb.Define(db, ocbBase.P) })
+		if err == nil {
+			_, err = ocb.Populate(place, ocbBase)
 		}
 	case dbKind == "geometry":
-		if err := fixtures.DefineGeometry(db, false); err != nil {
-			return nil, err
-		}
-		if _, err := fixtures.PopulateGeometry(db, n, seed); err != nil {
-			return nil, err
-		}
-	case dbKind == "company":
-		if err := fixtures.DefineCompany(db); err != nil {
-			return nil, err
-		}
-		if _, err := fixtures.PopulateCompany(db, fixtures.Figure15Config()); err != nil {
-			return nil, err
+		err = define(func(db *gomdb.Database) error { return fixtures.DefineGeometry(db, false) })
+		if err == nil {
+			_, err = fixtures.PopulateGeometryOn(place, n, seed)
 		}
 	case dbKind == "none":
+	case shards > 1:
+		return nil, fmt.Errorf("-db %q is not available with -shards > 1 (use geometry, ocb, or none)", dbKind)
+	case dbKind == "company":
+		err = fixtures.DefineCompany(engines[0])
+		if err == nil {
+			_, err = fixtures.PopulateCompany(engines[0], fixtures.Figure15Config())
+		}
 	default:
 		return nil, fmt.Errorf("unknown -db %q (geometry, company, ocb, or none)", dbKind)
 	}
-	return server.Embedded{DB: db}, nil
+	if err != nil {
+		return nil, err
+	}
+	return backend, nil
 }
 
 // parseOCB recognizes -db ocb and -db ocb:<seed> and generates the base

@@ -588,6 +588,9 @@ func (tx *Tx) NewSet(typeName string, elems ...Value) (OID, error) {
 // Delete removes an object (Database.Delete).
 func (tx *Tx) Delete(oid OID) error { return tx.db.Engine.Delete(oid) }
 
+// Exists reports whether oid denotes a live object (Database.Exists).
+func (tx *Tx) Exists(oid OID) bool { return tx.db.Objects.Exists(oid) }
+
 // Set performs the elementary update oid.set_attr(v) (Database.Set).
 func (tx *Tx) Set(oid OID, attr string, v Value) error {
 	return tx.db.Engine.SetAttrByName(oid, attr, v)

@@ -34,6 +34,7 @@ import (
 
 	"gomdb"
 	"gomdb/internal/ocb"
+	"gomdb/internal/shard"
 )
 
 // ocbSeed fixes every base and stream of the suite.
@@ -251,7 +252,7 @@ func measureOCBMix(def ocbMixDef) (*OCBMix, error) {
 	if err := ocb.Define(probe, def.P); err != nil {
 		return nil, err
 	}
-	if _, err := ocb.Populate(probe, base); err != nil {
+	if _, err := ocb.Populate(shard.Single(probe), base); err != nil {
 		return nil, err
 	}
 	heapPages := probe.Objects.HeapPages()
@@ -310,7 +311,7 @@ func measureOCBCell(def ocbMixDef, base *ocb.Base, stream []ocb.Op, strat gomdb.
 	if err := ocb.Define(db, def.P); err != nil {
 		return nil, nil, err
 	}
-	w, err := ocb.Populate(db, base)
+	w, err := ocb.Populate(shard.Single(db), base)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -89,15 +89,17 @@ func NumCPUWarning() string {
 // every shard, the partitioned cuboid base, and a complete <<volume,weight>>
 // GMR per shard. Each shard gets the same warm-cache pool sizing as the
 // throughput suite so reads never serialize on miss storms.
-func shardBenchDB(cuboids, shards int) (*shard.DB, *fixtures.ShardedGeometry, string, error) {
+func shardBenchDB(cuboids, shards int) (*shard.DB, *fixtures.Geometry, string, error) {
 	db := shard.Open(shard.Config{
 		Shards: shards,
 		Engine: gomdb.Config{BufferPages: 8192},
 	})
-	if err := fixtures.DefineGeometrySharded(db, false); err != nil {
+	if err := db.EachShard(func(_ int, sh *gomdb.Database) error {
+		return fixtures.DefineGeometry(sh, false)
+	}); err != nil {
 		return nil, nil, "", err
 	}
-	g, err := fixtures.PopulateGeometrySharded(db, cuboids, cuboidSeed)
+	g, err := fixtures.PopulateGeometryOn(db, cuboids, cuboidSeed)
 	if err != nil {
 		return nil, nil, "", err
 	}
@@ -129,7 +131,7 @@ func shardBenchDB(cuboids, shards int) (*shard.DB, *fixtures.ShardedGeometry, st
 }
 
 // runShardMixOp performs one operation of the named mix against the router.
-func runShardMixOp(db *shard.DB, g *fixtures.ShardedGeometry, gmrName, mix string, rng *rand.Rand) error {
+func runShardMixOp(db *shard.DB, g *fixtures.Geometry, gmrName, mix string, rng *rand.Rand) error {
 	op := mix
 	if mix == "mixed" {
 		switch r := rng.Intn(10); {
@@ -161,7 +163,7 @@ func runShardMixOp(db *shard.DB, g *fixtures.ShardedGeometry, gmrName, mix strin
 
 // runShardUpdateOp moves one vertex of a random cuboid: the RRR lookup and
 // the <<volume,weight>> invalidation both run on the owning shard alone.
-func runShardUpdateOp(db *shard.DB, g *fixtures.ShardedGeometry, rng *rand.Rand) error {
+func runShardUpdateOp(db *shard.DB, g *fixtures.Geometry, rng *rand.Rand) error {
 	c := g.Cuboids[rng.Intn(len(g.Cuboids))]
 	v, err := db.GetAttr(c, "V1")
 	if err != nil {

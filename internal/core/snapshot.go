@@ -175,7 +175,7 @@ func (s *Snapshot) Version() uint64 { return s.ver }
 
 // Engine returns the snapshot's evaluation engine: object reads resolve at
 // the pinned version, materialized calls route to Snapshot.Forward, and
-// mutations fail with schema.ErrShadowMutation.
+// mutations fail with schema.ErrReadOnlyView.
 func (s *Snapshot) Engine() *schema.Engine { return s.en }
 
 // intercept answers invocations of materialized functions from the
@@ -236,7 +236,7 @@ func (s *Snapshot) dispatch(fn *lang.Function, args []object.Value) *lang.Functi
 
 // Call invokes a declared function or operation against the snapshot
 // (the snapshot path of Database.Call). Mutating operations fail with
-// schema.ErrShadowMutation.
+// schema.ErrReadOnlyView.
 func (s *Snapshot) Call(fn string, args ...object.Value) (object.Value, error) {
 	return s.en.CallFunction(fn, args)
 }

@@ -10,6 +10,7 @@ import (
 
 	"gomdb"
 	"gomdb/internal/lang"
+	"gomdb/internal/shard"
 )
 
 // Materials available to the generator; SpecWeight values follow the paper's
@@ -307,74 +308,127 @@ func NewVertex(db *gomdb.Database, x, y, z float64) gomdb.OID {
 	return db.MustNew("Vertex", gomdb.Float(x), gomdb.Float(y), gomdb.Float(z))
 }
 
-// NewCuboid creates a Cuboid at origin (ox, oy, oz) with extents (l, w, h),
-// its eight boundary vertices, the given material and value, and a
-// user-supplied CuboidID. Vertex layout follows the standard corner order:
-// V2 = V1 + length·x̂, V4 = V1 + width·ŷ, V5 = V1 + height·ẑ.
+// NewCuboid creates a Cuboid and its eight boundary vertices on db
+// (NewCuboidOn), panicking on error.
 func NewCuboid(db *gomdb.Database, id int64, ox, oy, oz, l, w, h float64, mat gomdb.OID, value float64) gomdb.OID {
-	v := func(x, y, z float64) gomdb.Value {
-		return gomdb.Ref(NewVertex(db, x, y, z))
+	oid, err := NewCuboidOn(shard.Single(db), 0, id, ox, oy, oz, l, w, h, mat, value)
+	if err != nil {
+		panic(err)
 	}
-	attrs := []gomdb.Value{
-		v(ox, oy, oz),       // V1
-		v(ox+l, oy, oz),     // V2
-		v(ox+l, oy+w, oz),   // V3
-		v(ox, oy+w, oz),     // V4
-		v(ox, oy, oz+h),     // V5
-		v(ox+l, oy, oz+h),   // V6
-		v(ox+l, oy+w, oz+h), // V7
-		v(ox, oy+w, oz+h),   // V8
-		gomdb.Ref(mat),      // Mat
-		gomdb.Float(value),  // Value
-		gomdb.Int(id),       // CuboidID
-	}
-	return db.MustNew("Cuboid", attrs...)
+	return oid
 }
 
-// Geometry is a populated Cuboid database.
+// creator is what NewCuboidOn creates through: a Placement, or a router
+// batch's *shard.Tx.
+type creator interface {
+	NewOn(sh int, typeName string, attrs ...gomdb.Value) (gomdb.OID, error)
+}
+
+// NewCuboidOn creates a Cuboid at origin (ox, oy, oz) with extents (l, w, h)
+// on shard sh: first its eight boundary vertices in the standard corner
+// order — V2 = V1 + length·x̂, V4 = V1 + width·ŷ, V5 = V1 + height·ẑ — then
+// the cuboid with the given material, value and user-supplied CuboidID. It
+// stops at the first create that fails and returns its error.
+func NewCuboidOn(c creator, sh int, id int64, ox, oy, oz, l, w, h float64, mat gomdb.OID, value float64) (gomdb.OID, error) {
+	corners := [8][3]float64{
+		{ox, oy, oz},             // V1
+		{ox + l, oy, oz},         // V2
+		{ox + l, oy + w, oz},     // V3
+		{ox, oy + w, oz},         // V4
+		{ox, oy, oz + h},         // V5
+		{ox + l, oy, oz + h},     // V6
+		{ox + l, oy + w, oz + h}, // V7
+		{ox, oy + w, oz + h},     // V8
+	}
+	attrs := make([]gomdb.Value, 0, 11)
+	for _, v := range corners {
+		oid, err := c.NewOn(sh, "Vertex", gomdb.Float(v[0]), gomdb.Float(v[1]), gomdb.Float(v[2]))
+		if err != nil {
+			return 0, err
+		}
+		attrs = append(attrs, gomdb.Ref(oid))
+	}
+	attrs = append(attrs, gomdb.Ref(mat), gomdb.Float(value), gomdb.Int(id))
+	return c.NewOn(sh, "Cuboid", attrs...)
+}
+
+// Geometry is a populated Cuboid database, on one engine or spread over the
+// shards of a router.
 type Geometry struct {
-	DB        *gomdb.Database
 	Cuboids   []gomdb.OID
 	ByID      map[int64]gomdb.OID // the CuboidID index of the paper's footnote 8
 	MaterialO []gomdb.OID
 	Robots    []gomdb.OID
 	NextID    int64
+	at        shard.Placement
+	db        *gomdb.Database // the engine of a one-engine base, nil under the router
 	rng       *rand.Rand
 }
 
-// PopulateGeometry creates n Cuboid instances (each with 8 vertices and a
-// material reference, as in the paper's 8000-cuboid database), two robots,
-// and the material catalogue.
+// PopulateGeometry creates the geometry base of PopulateGeometryOn on one
+// engine.
 func PopulateGeometry(db *gomdb.Database, n int, seed int64) (*Geometry, error) {
+	g, err := PopulateGeometryOn(shard.Single(db), n, seed)
+	if err != nil {
+		return nil, err
+	}
+	g.db = db
+	return g, nil
+}
+
+// PopulateGeometryOn creates, through p, the material catalogue, two robots
+// and n Cuboid instances, each with 8 vertices and a material reference, as
+// in the paper's 8000-cuboid database. Materials and robots (with their Pos
+// vertices) are shared reference data every cuboid's weight and distance
+// computations read, so they are replicated; each cuboid graph is
+// co-located on the shard its CuboidID hashes to. The creation order does
+// not depend on p, so under the router's shared OID allocator the same
+// population has the same OIDs, and the same record bytes, at every shard
+// count.
+func PopulateGeometryOn(p shard.Placement, n int, seed int64) (*Geometry, error) {
 	g := &Geometry{
-		DB:   db,
+		at:   p,
 		ByID: make(map[int64]gomdb.OID, n),
 		rng:  rand.New(rand.NewSource(seed)),
 	}
 	for _, m := range Materials {
-		oid, err := db.New("Material", gomdb.Str(m.Name), gomdb.Float(m.SpecWeight))
+		oid, err := p.NewReplicated("Material", gomdb.Str(m.Name), gomdb.Float(m.SpecWeight))
 		if err != nil {
 			return nil, err
 		}
 		g.MaterialO = append(g.MaterialO, oid)
 	}
 	for i := 0; i < 2; i++ {
-		pos := NewVertex(db, float64(100+i*50), 0, 0)
-		oid, err := db.New("Robot", gomdb.Str(fmt.Sprintf("R%d", i+1)), gomdb.Ref(pos))
+		pos, err := p.NewReplicated("Vertex", gomdb.Float(float64(100+i*50)), gomdb.Float(0), gomdb.Float(0))
+		if err != nil {
+			return nil, err
+		}
+		oid, err := p.NewReplicated("Robot", gomdb.Str(fmt.Sprintf("R%d", i+1)), gomdb.Ref(pos))
 		if err != nil {
 			return nil, err
 		}
 		g.Robots = append(g.Robots, oid)
 	}
 	for i := 0; i < n; i++ {
-		g.CreateRandomCuboid()
+		if _, err := g.createRandomCuboid(); err != nil {
+			return nil, err
+		}
 	}
 	return g, nil
 }
 
 // CreateRandomCuboid creates one Cuboid of randomly chosen dimensions (the
-// benchmark's I operation) and registers it in the CuboidID index.
+// benchmark's I operation) and registers it in the CuboidID index. It
+// panics if a create fails.
 func (g *Geometry) CreateRandomCuboid() gomdb.OID {
+	oid, err := g.createRandomCuboid()
+	if err != nil {
+		panic(err)
+	}
+	return oid
+}
+
+func (g *Geometry) createRandomCuboid() (gomdb.OID, error) {
 	g.NextID++
 	id := g.NextID
 	l := 1 + g.rng.Float64()*9
@@ -382,10 +436,14 @@ func (g *Geometry) CreateRandomCuboid() gomdb.OID {
 	h := 1 + g.rng.Float64()*9
 	mat := g.MaterialO[g.rng.Intn(len(g.MaterialO))]
 	val := 10 + g.rng.Float64()*90
-	oid := NewCuboid(g.DB, id, g.rng.Float64()*100, g.rng.Float64()*100, g.rng.Float64()*100, l, w, h, mat, val)
+	sh := g.at.ShardFor(uint64(id))
+	oid, err := NewCuboidOn(g.at, sh, id, g.rng.Float64()*100, g.rng.Float64()*100, g.rng.Float64()*100, l, w, h, mat, val)
+	if err != nil {
+		return 0, err
+	}
 	g.Cuboids = append(g.Cuboids, oid)
 	g.ByID[id] = oid
-	return oid
+	return oid, nil
 }
 
 // RandomCuboid returns a uniformly chosen live cuboid.
@@ -393,7 +451,8 @@ func (g *Geometry) RandomCuboid() gomdb.OID {
 	return g.Cuboids[g.rng.Intn(len(g.Cuboids))]
 }
 
-// DeleteRandomCuboid removes a random cuboid (the D operation).
+// DeleteRandomCuboid removes a random cuboid (the D operation) from a
+// one-engine base.
 func (g *Geometry) DeleteRandomCuboid() error {
 	if len(g.Cuboids) == 0 {
 		return nil
@@ -402,13 +461,13 @@ func (g *Geometry) DeleteRandomCuboid() error {
 	oid := g.Cuboids[i]
 	g.Cuboids[i] = g.Cuboids[len(g.Cuboids)-1]
 	g.Cuboids = g.Cuboids[:len(g.Cuboids)-1]
-	o, err := g.DB.Objects.Get(oid)
+	o, err := g.db.Objects.Get(oid)
 	if err != nil {
 		return err
 	}
-	idIdx := g.DB.Objects.AttrIndex("Cuboid", "CuboidID")
+	idIdx := g.db.Objects.AttrIndex("Cuboid", "CuboidID")
 	delete(g.ByID, o.Attrs[idIdx].I)
-	return g.DB.Delete(oid)
+	return g.db.Delete(oid)
 }
 
 // Rng exposes the generator's random stream so operation mixes draw from the
@@ -419,7 +478,7 @@ func (g *Geometry) Rng() *rand.Rand { return g.rng }
 // Figure 2 / Section 3.1 example: two iron cuboids with volumes 300 and 200
 // (weights 2358 and 1572) and one gold cuboid with volume 100 (weight 1900).
 func ExampleGeometry(db *gomdb.Database) (*Geometry, error) {
-	g := &Geometry{DB: db, ByID: make(map[int64]gomdb.OID), rng: rand.New(rand.NewSource(1))}
+	g := &Geometry{at: shard.Single(db), db: db, ByID: make(map[int64]gomdb.OID), rng: rand.New(rand.NewSource(1))}
 	iron, err := db.New("Material", gomdb.Str("Iron"), gomdb.Float(7.86))
 	if err != nil {
 		return nil, err

@@ -200,17 +200,6 @@ func Define(db *gomdb.Database, p Params) error {
 	return nil
 }
 
-// DefineSharded defines the schema on every shard of the router (schema
-// metadata replicates; only instances partition).
-func DefineSharded(db *shard.DB, p Params) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	return db.EachShard(func(_ int, sh *gomdb.Database) error {
-		return Define(sh, p)
-	})
-}
-
 func defineOps(db *gomdb.Database, p Params, c int) error {
 	self := lang.Self()
 	name := ClassName(c)
@@ -336,30 +325,13 @@ type World struct {
 	Classes [][]gomdb.OID
 }
 
-// Populate creates every instance of b on a plain database, deepest class
-// first so references resolve to already-created objects.
-func Populate(db *gomdb.Database, b *Base) (*World, error) {
-	w := &World{Classes: make([][]gomdb.OID, b.P.Classes)}
-	for c := b.P.Classes - 1; c >= 0; c-- {
-		oids := make([]gomdb.OID, 0, len(b.Insts[c]))
-		for i := range b.Insts[c] {
-			oid, err := db.New(ClassName(c), b.attrs(w, c, i)...)
-			if err != nil {
-				return nil, fmt.Errorf("ocb: populate %s[%d]: %w", ClassName(c), i, err)
-			}
-			oids = append(oids, oid)
-		}
-		w.Classes[c] = oids
-	}
-	return w, nil
-}
-
-// PopulateSharded creates b through the shard router in the exact creation
-// order Populate uses, so the shared OID allocator hands out identical OIDs
+// Populate creates every instance of b through p, deepest class first so
+// references resolve to already-created objects. The creation order does not
+// depend on p, so the router's shared OID allocator hands out the same OIDs
 // at every shard count. Deep classes (1..Classes-1) replicate — they are
 // reference data every class-0 chain may traverse, and one replicated create
 // consumes exactly one OID — while class 0 partitions by creation id.
-func PopulateSharded(db *shard.DB, b *Base) (*World, error) {
+func Populate(p shard.Placement, b *Base) (*World, error) {
 	w := &World{Classes: make([][]gomdb.OID, b.P.Classes)}
 	for c := b.P.Classes - 1; c >= 0; c-- {
 		oids := make([]gomdb.OID, 0, len(b.Insts[c]))
@@ -367,10 +339,9 @@ func PopulateSharded(db *shard.DB, b *Base) (*World, error) {
 			var oid gomdb.OID
 			var err error
 			if c > 0 {
-				oid, err = db.NewReplicated(ClassName(c), b.attrs(w, c, i)...)
+				oid, err = p.NewReplicated(ClassName(c), b.attrs(w, c, i)...)
 			} else {
-				sh := db.ShardFor(uint64(b.id(c, i)))
-				oid, err = db.NewOn(sh, ClassName(c), b.attrs(w, c, i)...)
+				oid, err = p.NewOn(p.ShardFor(uint64(b.id(c, i))), ClassName(c), b.attrs(w, c, i)...)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("ocb: populate %s[%d]: %w", ClassName(c), i, err)

@@ -216,7 +216,7 @@ func TestGenAcrossGOMAXPROCS(t *testing.T) {
 		if err := Define(db, testParams); err != nil {
 			t.Fatal(err)
 		}
-		w, err := Populate(db, base)
+		w, err := Populate(shard.Single(db), base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +264,7 @@ func TestShardCountParity(t *testing.T) {
 	if err := Define(plainDB, testParams); err != nil {
 		t.Fatal(err)
 	}
-	plainW, err := Populate(plainDB, base)
+	plainW, err := Populate(shard.Single(plainDB), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,10 +275,10 @@ func TestShardCountParity(t *testing.T) {
 	}
 	runShard := func(n int) routed {
 		db := shard.Open(shard.Config{Shards: n, Engine: gomdb.Config{BufferPages: 64}})
-		if err := DefineSharded(db, testParams); err != nil {
+		if err := db.EachShard(func(_ int, sh *gomdb.Database) error { return Define(sh, testParams) }); err != nil {
 			t.Fatal(err)
 		}
-		w, err := PopulateSharded(db, base)
+		w, err := Populate(db, base)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", n, err)
 		}
@@ -337,7 +337,7 @@ func TestDegenerateParams(t *testing.T) {
 			if err := Define(db, tc.p); err != nil {
 				t.Fatal(err)
 			}
-			w, err := Populate(db, base)
+			w, err := Populate(shard.Single(db), base)
 			if err != nil {
 				t.Fatal(err)
 			}

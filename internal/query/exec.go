@@ -61,7 +61,7 @@ func NewExecutor(en *schema.Engine, mgr *core.Manager) *Executor {
 // GMR read resolves at the snapshot's pinned version, and nothing the copy
 // does mutates engine or GMR state. The caller must only run plans that
 // ReadOnlyPlan accepts (a materialize or mutation statement fails with
-// schema.ErrShadowMutation).
+// schema.ErrReadOnlyView).
 func (ex *Executor) Snapshot(snap *core.Snapshot) *Executor {
 	cp := *ex
 	cp.En = snap.Engine()

@@ -44,7 +44,7 @@ type Engine struct {
 
 	// snapshot marks a read-only MVCC clone created by SnapshotAt: object
 	// reads resolve at version ver, mutations are refused with
-	// ErrShadowMutation. See snapshot.go.
+	// ErrReadOnlyView. See snapshot.go.
 	snapshot bool
 	ver      uint64
 }
@@ -216,7 +216,7 @@ func (en *Engine) CallFunction(name string, args []object.Value) (object.Value, 
 		if len(hooks) > 0 && en.snapshot {
 			// A hooked public operation mutates the receiver (and cascades
 			// into GMR maintenance) — not allowed on a snapshot.
-			return object.Null(), ErrShadowMutation
+			return object.Null(), ErrReadOnlyView
 		}
 		if len(hooks) > 0 {
 			recvObj, err = en.Objs.Get(args[0].R)
@@ -318,7 +318,7 @@ func (en *Engine) SetAttr(recv object.Value, attr string, v object.Value) error 
 		return fmt.Errorf("schema: set_%s on %v value", attr, recv.Kind)
 	}
 	if en.snapshot {
-		return ErrShadowMutation
+		return ErrReadOnlyView
 	}
 	o, err := en.Objs.Get(recv.R)
 	if err != nil {
@@ -358,7 +358,7 @@ func (en *Engine) InsertElem(coll, elem object.Value) error {
 		return fmt.Errorf("schema: insert on %v value", coll.Kind)
 	}
 	if en.snapshot {
-		return ErrShadowMutation
+		return ErrReadOnlyView
 	}
 	o, err := en.Objs.Get(coll.R)
 	if err != nil {
@@ -404,7 +404,7 @@ func (en *Engine) RemoveElem(coll, elem object.Value) error {
 		return fmt.Errorf("schema: remove on %v value", coll.Kind)
 	}
 	if en.snapshot {
-		return ErrShadowMutation
+		return ErrReadOnlyView
 	}
 	o, err := en.Objs.Get(coll.R)
 	if err != nil {

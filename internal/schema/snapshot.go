@@ -7,14 +7,14 @@ import (
 	"gomdb/internal/storage"
 )
 
-// ErrShadowMutation is returned when an evaluation running in a read-only
+// ErrReadOnlyView is returned when an evaluation running in a read-only
 // snapshot engine (SnapshotAt) attempts an elementary update or a hooked
 // public operation: a pinned MVCC reader must neither change objects nor
 // cascade into GMR maintenance.
-var ErrShadowMutation = errors.New("schema: mutation attempted during shadow evaluation")
+var ErrReadOnlyView = errors.New("schema: mutation attempted on a read-only snapshot view")
 
 // SnapshotAt returns a read-only evaluation clone bound to MVCC version ver.
-// It refuses mutations with ErrShadowMutation, its object reads resolve
+// It refuses mutations with ErrReadOnlyView, its object reads resolve
 // through the versioned overlays (safe concurrently with a writer), and its
 // simulated charges land on the caller-supplied throwaway clock, so a pinned
 // reader never perturbs the engine's clock. The interceptor is cleared; the

@@ -41,10 +41,10 @@ func plainBackend(t *testing.T) (server.Backend, *gomdb.Database) {
 func shardBackend(t *testing.T) server.Backend {
 	t.Helper()
 	db := shard.Open(shard.Config{Shards: 4, Engine: gomdb.DefaultConfig()})
-	if err := fixtures.DefineGeometrySharded(db, false); err != nil {
+	if err := db.EachShard(func(_ int, sh *gomdb.Database) error { return fixtures.DefineGeometry(sh, false) }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fixtures.PopulateGeometrySharded(db, popCuboids, popSeed); err != nil {
+	if _, err := fixtures.PopulateGeometryOn(db, popCuboids, popSeed); err != nil {
 		t.Fatal(err)
 	}
 	return server.Sharded{DB: db}

@@ -39,7 +39,7 @@ func ocbPlainBackend(t *testing.T) server.Backend {
 	if err := ocb.Define(db, ocbServeParams); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ocb.Populate(db, base); err != nil {
+	if _, err := ocb.Populate(shard.Single(db), base); err != nil {
 		t.Fatal(err)
 	}
 	return server.Embedded{DB: db}
@@ -53,10 +53,10 @@ func ocbShardBackend(t *testing.T) server.Backend {
 		t.Fatal(err)
 	}
 	db := shard.Open(shard.Config{Shards: 4, Engine: gomdb.DefaultConfig()})
-	if err := ocb.DefineSharded(db, ocbServeParams); err != nil {
+	if err := db.EachShard(func(_ int, sh *gomdb.Database) error { return ocb.Define(sh, ocbServeParams) }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ocb.PopulateSharded(db, base); err != nil {
+	if _, err := ocb.Populate(db, base); err != nil {
 		t.Fatal(err)
 	}
 	return server.Sharded{DB: db}

@@ -25,7 +25,7 @@ import (
 // two-phase commit across shards is the served-process tier's problem;
 // within one process the paper's recovery unit is the engine.)
 //
-// What a crash may expose, rule by rule (ROADMAP 5(d); this list grows as
+// What a crash may expose, rule by rule (ROADMAP 7(c); this list grows as
 // the sim audits more of it):
 //
 //  1. A GMR exists on the router iff it exists on ALL shards. Materialize

@@ -40,7 +40,7 @@ func failGMRWrites(db *shard.DB, sh int) *storage.Disk {
 func TestCreateFailingAfterStoreIsRouted(t *testing.T) {
 	for _, inBatch := range []bool{false, true} {
 		db := openSharded(t, 2)
-		g, err := fixtures.PopulateGeometrySharded(db, 12, 5)
+		g, err := fixtures.PopulateGeometryOn(db, 12, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func TestCreateFailingAfterStoreIsRouted(t *testing.T) {
 func TestDeleteFailingBeforeRemovalStaysRouted(t *testing.T) {
 	for _, inBatch := range []bool{false, true} {
 		db := openSharded(t, 2)
-		g, err := fixtures.PopulateGeometrySharded(db, 12, 5)
+		g, err := fixtures.PopulateGeometryOn(db, 12, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestPartialGMRDroppedOnReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fixtures.PopulateGeometrySharded(db, 18, 9); err != nil {
+	if _, err := fixtures.PopulateGeometryOn(db, 18, 9); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Checkpoint(); err != nil {

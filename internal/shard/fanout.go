@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"gomdb"
-	"gomdb/internal/object"
 )
 
 // Write fan-outs run SEQUENTIALLY in shard-index order, never in parallel.
@@ -223,154 +222,13 @@ func (db *DB) SetTrace(fn func(gomdb.TraceEvent)) {
 
 // Tx is the batch-update handle for a coordinated multi-shard batch: it
 // routes each operation to the owner shard's open batch, with the same
-// placement rules as the router's top-level methods. The batch holds the
-// router's routing lock for its whole extent (see Batch), so Tx methods
-// touch the owner table without locking; a Tx must not escape its batch
-// function and is not safe for concurrent use.
+// placement rules as the router's top-level methods (both embed points). The
+// batch holds the router's routing lock for its whole extent (see Batch), so
+// Tx methods touch the owner table without locking; a Tx must not escape its
+// batch function and is not safe for concurrent use.
 type Tx struct {
-	db  *DB
+	points
 	txs []*gomdb.Tx
-}
-
-// New creates a tuple-structured instance inside the batch, placed like
-// DB.New (reference affinity, else OID hash).
-func (tx *Tx) New(typeName string, attrs ...gomdb.Value) (gomdb.OID, error) {
-	db := tx.db
-	sh, constrained, err := db.routeRefsLocked(attrs)
-	if err != nil {
-		return 0, err
-	}
-	if !constrained {
-		sh = db.ShardFor(uint64(db.alloc.PeekOID()))
-	}
-	return tx.create(sh, typeName, func(t *gomdb.Tx) (gomdb.OID, error) { return t.New(typeName, attrs...) })
-}
-
-// create runs create in shard sh's open batch and records ownership
-// (DB.createLocked; the batch holds every shard's lock, so the shard is
-// probed directly).
-func (tx *Tx) create(sh int, typeName string, create func(*gomdb.Tx) (gomdb.OID, error)) (gomdb.OID, error) {
-	db := tx.db
-	next := db.alloc.PeekOID()
-	oid, err := create(tx.txs[sh])
-	return db.routeCreatedLocked(sh, typeName, next, oid, err, db.shards[sh].Objects.Exists)
-}
-
-// NewOn creates a tuple-structured instance on an explicit shard inside the
-// batch (DB.NewOn).
-func (tx *Tx) NewOn(sh int, typeName string, attrs ...gomdb.Value) (gomdb.OID, error) {
-	db := tx.db
-	if err := db.checkRefsOnLocked(sh, attrs); err != nil {
-		return 0, err
-	}
-	return tx.create(sh, typeName, func(t *gomdb.Tx) (gomdb.OID, error) { return t.New(typeName, attrs...) })
-}
-
-// NewSet creates a set-structured instance inside the batch, placed like
-// DB.NewSet (element-reference affinity, else OID hash).
-func (tx *Tx) NewSet(typeName string, elems ...gomdb.Value) (gomdb.OID, error) {
-	db := tx.db
-	sh, constrained, err := db.routeRefsLocked(elems)
-	if err != nil {
-		return 0, err
-	}
-	if !constrained {
-		sh = db.ShardFor(uint64(db.alloc.PeekOID()))
-	}
-	return tx.create(sh, typeName, func(t *gomdb.Tx) (gomdb.OID, error) { return t.NewSet(typeName, elems...) })
-}
-
-// Delete removes an object inside the batch (DB.Delete).
-func (tx *Tx) Delete(oid gomdb.OID) error {
-	db := tx.db
-	sh, ok := db.owner[oid]
-	if !ok {
-		return fmt.Errorf("%w: oid %v", ErrUnknownOID, oid)
-	}
-	err := deleteOn(sh, len(tx.txs), func(i int) error { return tx.txs[i].Delete(oid) })
-	if err == nil || !liveOn(sh, len(tx.txs), func(i int) bool { return db.shards[i].Objects.Exists(oid) }) {
-		delete(db.owner, oid)
-	}
-	return err
-}
-
-// Set performs an elementary update inside the batch (DB.Set).
-func (tx *Tx) Set(oid gomdb.OID, attr string, v gomdb.Value) error {
-	db := tx.db
-	sh, ok := db.owner[oid]
-	if !ok {
-		return fmt.Errorf("%w: oid %v", ErrUnknownOID, oid)
-	}
-	if sh == replicated {
-		if v.Kind == object.KRef && db.owner[v.R] != replicated {
-			return fmt.Errorf("%w: replicated object would reference routed oid %v", ErrCrossShardRef, v.R)
-		}
-		for i, t := range tx.txs {
-			if err := t.Set(oid, attr, v); err != nil {
-				return fmt.Errorf("shard %d replica: %w", i, err)
-			}
-		}
-		return nil
-	}
-	if err := db.checkRefsOnLocked(sh, []gomdb.Value{v}); err != nil {
-		return err
-	}
-	return tx.txs[sh].Set(oid, attr, v)
-}
-
-// GetAttr reads an attribute inside the batch (DB.GetAttr).
-func (tx *Tx) GetAttr(oid gomdb.OID, attr string) (gomdb.Value, error) {
-	sh, ok := tx.db.owner[oid]
-	if !ok {
-		return gomdb.Null(), fmt.Errorf("%w: oid %v", ErrUnknownOID, oid)
-	}
-	if sh == replicated {
-		sh = 0
-	}
-	return tx.txs[sh].GetAttr(oid, attr)
-}
-
-// Owner reports oid's owning shard inside the batch (DB.Owner). The batch
-// holds the routing lock, so DB.Owner would self-deadlock here.
-func (tx *Tx) Owner(oid gomdb.OID) (int, bool) {
-	sh, ok := tx.db.owner[oid]
-	return sh, ok
-}
-
-// Insert performs set.insert(elem) inside the batch (DB.Insert).
-func (tx *Tx) Insert(set gomdb.OID, elem gomdb.Value) error {
-	sh, ok := tx.db.owner[set]
-	if !ok {
-		return fmt.Errorf("%w: oid %v", ErrUnknownOID, set)
-	}
-	if sh == replicated {
-		sh = 0
-	}
-	if err := tx.db.checkRefsOnLocked(sh, []gomdb.Value{elem}); err != nil {
-		return err
-	}
-	return tx.txs[sh].Insert(set, elem)
-}
-
-// Remove performs set.remove(elem) inside the batch (DB.Remove).
-func (tx *Tx) Remove(set gomdb.OID, elem gomdb.Value) error {
-	sh, ok := tx.db.owner[set]
-	if !ok {
-		return fmt.Errorf("%w: oid %v", ErrUnknownOID, set)
-	}
-	if sh == replicated {
-		sh = 0
-	}
-	return tx.txs[sh].Remove(set, elem)
-}
-
-// Call invokes a function inside the batch, routed like DB.Call.
-func (tx *Tx) Call(fn string, args ...gomdb.Value) (gomdb.Value, error) {
-	sh, _, err := tx.db.routeRefsLocked(args)
-	if err != nil {
-		return gomdb.Null(), err
-	}
-	return tx.txs[sh].Call(fn, args...)
 }
 
 // Batch runs fn as one coordinated update batch. The router's routing lock
@@ -395,9 +253,11 @@ func (db *DB) Batch(fn func(*Tx) error) error {
 // client failure, or the router stays locked.
 func (db *DB) BeginBatch() *Tx {
 	db.mu.Lock()
-	tx := &Tx{db: db, txs: make([]*gomdb.Tx, len(db.shards))}
-	for i, sh := range db.shards {
-		tx.txs[i] = sh.BeginBatch()
+	tx := &Tx{points: points{db: db, lock: held{}}}
+	for _, sh := range db.shards {
+		t := sh.BeginBatch()
+		tx.txs = append(tx.txs, t)
+		tx.on = append(tx.on, t)
 	}
 	return tx
 }

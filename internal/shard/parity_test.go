@@ -30,7 +30,7 @@ func runParityPlan(t *testing.T, shards int) parityRun {
 	t.Helper()
 	db := openSharded(t, shards)
 	defer db.Close()
-	g, err := fixtures.PopulateGeometrySharded(db, 48, 17)
+	g, err := fixtures.PopulateGeometryOn(db, 48, 17)
 	if err != nil {
 		t.Fatal(err)
 	}

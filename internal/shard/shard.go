@@ -95,6 +95,9 @@ const replicated = -1
 // contract as gomdb.Database: point and scatter reads run concurrently,
 // writes serialize per shard, maintenance fan-outs serialize globally.
 type DB struct {
+	// points serves the point operations, routing through the shards'
+	// engines under mu.
+	points
 	shards []*gomdb.Database
 	alloc  *allocator
 	path   string
@@ -188,6 +191,7 @@ func open(cfg Config) (*DB, error) {
 		partitioned: make(map[string]bool),
 		path:        cfg.Engine.Path,
 	}
+	db.points = points{db: db, lock: &db.mu}
 	durable := cfg.Engine.Path != ""
 	if durable {
 		if err := db.prepareDirs(n); err != nil {
@@ -212,6 +216,7 @@ func open(cfg Config) (*DB, error) {
 			sh = gomdb.Open(ecfg)
 		}
 		db.shards = append(db.shards, sh)
+		db.on = append(db.on, sh)
 	}
 	if durable {
 		err := db.dropPartialGMRs()
@@ -246,15 +251,6 @@ func (db *DB) EachShard(fn func(i int, sh *gomdb.Database) error) error {
 	return nil
 }
 
-// Owner reports which shard owns oid: the shard index, or -1 with ok=true
-// for a replicated object. ok=false means no shard knows the OID.
-func (db *DB) Owner(oid gomdb.OID) (int, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	sh, ok := db.owner[oid]
-	return sh, ok
-}
-
 // RoutedOIDs returns every OID the routing table knows, in ascending order —
 // the audit surface for checking that every entry resolves to a live object.
 func (db *DB) RoutedOIDs() []gomdb.OID {
@@ -266,14 +262,6 @@ func (db *DB) RoutedOIDs() []gomdb.OID {
 	db.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// ShardFor is the placement hash: it maps a key (normally a prospective OID)
-// to a shard index by Fibonacci multiplicative hashing — the same constant
-// the RRR uses to scramble OIDs into page probes, applied here to spread
-// consecutively allocated OIDs evenly across shards.
-func (db *DB) ShardFor(key uint64) int {
-	return int((key * 0x9e3779b97f4a7c15) >> 33 % uint64(len(db.shards)))
 }
 
 // routeRefs inspects the KRef values among vals and returns the owning shard
@@ -319,87 +307,6 @@ func (db *DB) checkRefsOnLocked(sh int, vals []gomdb.Value) error {
 	return nil
 }
 
-// New creates a tuple-structured instance, placing it with the graph it
-// references: the owner of the first routed reference among attrs wins; an
-// unconstrained create (no refs, or only replicated refs) is placed by OID
-// hash. References owned by two different shards are refused.
-func (db *DB) New(typeName string, attrs ...gomdb.Value) (gomdb.OID, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	sh, constrained, err := db.routeRefsLocked(attrs)
-	if err != nil {
-		return 0, err
-	}
-	if !constrained {
-		sh = db.ShardFor(uint64(db.alloc.PeekOID()))
-	}
-	return db.createLocked(sh, typeName, func(s *gomdb.Database) (gomdb.OID, error) {
-		return s.New(typeName, attrs...)
-	})
-}
-
-// NewOn creates a tuple-structured instance on an explicit shard — the
-// placement primitive for co-locating a graph before its internal references
-// exist (create the vertices on shard s, then the cuboid referencing them).
-func (db *DB) NewOn(sh int, typeName string, attrs ...gomdb.Value) (gomdb.OID, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.checkRefsOnLocked(sh, attrs); err != nil {
-		return 0, err
-	}
-	return db.createLocked(sh, typeName, func(s *gomdb.Database) (gomdb.OID, error) {
-		return s.New(typeName, attrs...)
-	})
-}
-
-// NewSet creates a set- or list-structured instance, routed like New.
-func (db *DB) NewSet(typeName string, elems ...gomdb.Value) (gomdb.OID, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	sh, constrained, err := db.routeRefsLocked(elems)
-	if err != nil {
-		return 0, err
-	}
-	if !constrained {
-		sh = db.ShardFor(uint64(db.alloc.PeekOID()))
-	}
-	return db.createLocked(sh, typeName, func(s *gomdb.Database) (gomdb.OID, error) {
-		return s.NewSet(typeName, elems...)
-	})
-}
-
-// createLocked runs create against shard sh and records ownership. Caller
-// holds db.mu exclusively (creates serialize through the router so the
-// PeekOID-based placement and the owner table stay coherent).
-func (db *DB) createLocked(sh int, typeName string, create func(*gomdb.Database) (gomdb.OID, error)) (gomdb.OID, error) {
-	next := db.alloc.PeekOID()
-	oid, err := create(db.shards[sh])
-	return db.routeCreatedLocked(sh, typeName, next, oid, err, db.shards[sh].Exists)
-}
-
-// routeCreatedLocked records the routing entry of a create on shard sh. The
-// engine stores an object BEFORE it runs the type's new-object hooks, so a
-// hook that fails (a GMR insert hitting a disk fault) returns an error over
-// an object that exists: next, the OID the allocator was about to hand out,
-// is then live on the shard and must be routed like any other — a live
-// object without an entry can be neither reached nor deleted. The caller
-// still gets the error. exists probes the shard (under its lock at top
-// level, directly inside a batch that already holds it).
-func (db *DB) routeCreatedLocked(sh int, typeName string, next, oid gomdb.OID, err error, exists func(gomdb.OID) bool) (gomdb.OID, error) {
-	if err != nil {
-		if !exists(next) {
-			return 0, err
-		}
-		oid = next
-	}
-	db.owner[oid] = sh
-	db.partitioned[typeName] = true
-	if err != nil {
-		return 0, err
-	}
-	return oid, nil
-}
-
 // NewReplicated creates the object on every shard under the same OID — the
 // replication primitive for shared reference data (materials, robots). The
 // first shard allocates; each subsequent shard's allocation is pinned to the
@@ -438,12 +345,133 @@ func (db *DB) NewReplicated(typeName string, attrs ...gomdb.Value) (gomdb.OID, e
 	return oid, nil
 }
 
+// handle is one shard's point-op surface: its *gomdb.Database at top level,
+// or the *gomdb.Tx of its open batch.
+type handle interface {
+	New(typeName string, attrs ...gomdb.Value) (gomdb.OID, error)
+	NewSet(typeName string, elems ...gomdb.Value) (gomdb.OID, error)
+	Delete(oid gomdb.OID) error
+	Exists(oid gomdb.OID) bool
+	Set(oid gomdb.OID, attr string, v gomdb.Value) error
+	GetAttr(oid gomdb.OID, attr string) (gomdb.Value, error)
+	Insert(set gomdb.OID, elem gomdb.Value) error
+	Remove(set gomdb.OID, elem gomdb.Value) error
+	Call(fn string, args ...gomdb.Value) (gomdb.Value, error)
+}
+
+// points is the routing scope DB and Tx both embed: the point operations,
+// written once. The two scopes differ in what on[i] is (shard i's engine, or
+// its batch handle) and in lock: &db.mu at top level, held{} inside a batch,
+// which took db.mu when it began. At top level the routing lock is never held
+// across a shard call except by a create, whose PeekOID-based placement and
+// owner-table entry must stay coherent.
+type points struct {
+	db   *DB
+	on   []handle
+	lock rwLocker
+}
+
+type rwLocker interface {
+	Lock()
+	Unlock()
+	RLock()
+	RUnlock()
+}
+
+// held is the routing lock of a batch body: the batch already holds db.mu.
+type held struct{}
+
+func (held) Lock()    {}
+func (held) Unlock()  {}
+func (held) RLock()   {}
+func (held) RUnlock() {}
+
+// Owner reports which shard owns oid: the shard index, or -1 with ok=true
+// for a replicated object. ok=false means no shard knows the OID.
+func (p *points) Owner(oid gomdb.OID) (int, bool) {
+	p.lock.RLock()
+	defer p.lock.RUnlock()
+	sh, ok := p.db.owner[oid]
+	return sh, ok
+}
+
+// ShardFor is the placement hash: it maps a key (normally a prospective OID)
+// to a shard index by Fibonacci multiplicative hashing — the same constant
+// the RRR uses to scramble OIDs into page probes, applied here to spread
+// consecutively allocated OIDs evenly across shards.
+func (p *points) ShardFor(key uint64) int {
+	return int((key * 0x9e3779b97f4a7c15) >> 33 % uint64(len(p.on)))
+}
+
+// New creates a tuple-structured instance, placing it with the graph it
+// references: the owner of the first routed reference among attrs wins; an
+// unconstrained create (no refs, or only replicated refs) is placed by OID
+// hash. References owned by two different shards are refused.
+func (p *points) New(typeName string, attrs ...gomdb.Value) (gomdb.OID, error) {
+	return p.create(typeName, attrs, p.placeLocked, handle.New)
+}
+
+// NewOn creates a tuple-structured instance on an explicit shard — the
+// placement primitive for co-locating a graph before its internal references
+// exist (create the vertices on shard s, then the cuboid referencing them).
+func (p *points) NewOn(sh int, typeName string, attrs ...gomdb.Value) (gomdb.OID, error) {
+	on := func(vals []gomdb.Value) (int, error) { return sh, p.db.checkRefsOnLocked(sh, vals) }
+	return p.create(typeName, attrs, on, handle.New)
+}
+
+// NewSet creates a set- or list-structured instance, routed like New.
+func (p *points) NewSet(typeName string, elems ...gomdb.Value) (gomdb.OID, error) {
+	return p.create(typeName, elems, p.placeLocked, handle.NewSet)
+}
+
+// placeLocked picks the shard of a create that names none: the owner of the
+// first routed reference among vals, else the OID hash.
+func (p *points) placeLocked(vals []gomdb.Value) (int, error) {
+	sh, constrained, err := p.db.routeRefsLocked(vals)
+	if err == nil && !constrained {
+		sh = p.ShardFor(uint64(p.db.alloc.PeekOID()))
+	}
+	return sh, err
+}
+
+// create runs a create on the shard place picks and records ownership, under
+// the routing lock (creates serialize through the router so the PeekOID-based
+// placement and the owner table stay coherent). The engine stores an object
+// BEFORE it runs the type's new-object hooks, so a hook that fails (a GMR
+// insert hitting a disk fault) returns an error over an object that exists:
+// next, the OID the allocator was about to hand out, is then live on the
+// shard and must be routed like any other — a live object without an entry
+// can be neither reached nor deleted. The caller still gets the error.
+func (p *points) create(typeName string, vals []gomdb.Value, place func([]gomdb.Value) (int, error),
+	create func(h handle, typeName string, vals ...gomdb.Value) (gomdb.OID, error)) (gomdb.OID, error) {
+	p.lock.Lock()
+	defer p.lock.Unlock()
+	sh, err := place(vals)
+	if err != nil {
+		return 0, err
+	}
+	next := p.db.alloc.PeekOID()
+	oid, err := create(p.on[sh], typeName, vals...)
+	if err != nil {
+		if !p.on[sh].Exists(next) {
+			return 0, err
+		}
+		oid = next
+	}
+	p.db.owner[oid] = sh
+	p.db.partitioned[typeName] = true
+	if err != nil {
+		return 0, err
+	}
+	return oid, nil
+}
+
 // route resolves oid's shard for a point operation; a replicated object
 // routes reads to shard 0.
-func (db *DB) route(oid gomdb.OID) (int, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	sh, ok := db.owner[oid]
+func (p *points) route(oid gomdb.OID) (int, error) {
+	p.lock.RLock()
+	defer p.lock.RUnlock()
+	sh, ok := p.db.owner[oid]
 	if !ok {
 		return 0, fmt.Errorf("%w: oid %v", ErrUnknownOID, oid)
 	}
@@ -453,124 +481,112 @@ func (db *DB) route(oid gomdb.OID) (int, error) {
 	return sh, nil
 }
 
-// Delete removes an object: point-routed to its owner, or broadcast to every
-// replica in shard order for a replicated object. The engine runs the forget
-// hooks before it removes the object, so a failed delete can leave the object
-// alive; its routing entry then stays (the mirror of routeCreatedLocked).
-func (db *DB) Delete(oid gomdb.OID) error {
-	db.mu.Lock()
-	sh, ok := db.owner[oid]
-	if !ok {
-		db.mu.Unlock()
-		return fmt.Errorf("%w: oid %v", ErrUnknownOID, oid)
-	}
-	delete(db.owner, oid)
-	db.mu.Unlock()
-	err := deleteOn(sh, len(db.shards), func(i int) error { return db.shards[i].Delete(oid) })
-	if err != nil && liveOn(sh, len(db.shards), func(i int) bool { return db.shards[i].Exists(oid) }) {
-		db.mu.Lock()
-		db.owner[oid] = sh
-		db.mu.Unlock()
-	}
-	return err
-}
-
-// deleteOn runs del on owner sh, or on every one of n replicas in shard
-// order, stopping at the first error.
-func deleteOn(sh, n int, del func(i int) error) error {
+// each runs fn on owner sh, or on every replica in shard order for a
+// replicated object, stopping at the first error.
+func (p *points) each(sh int, fn func(handle) error) error {
 	if sh != replicated {
-		return del(sh)
+		return fn(p.on[sh])
 	}
-	for i := 0; i < n; i++ {
-		if err := del(i); err != nil {
+	for i, h := range p.on {
+		if err := fn(h); err != nil {
 			return fmt.Errorf("shard %d replica: %w", i, err)
 		}
 	}
 	return nil
 }
 
-// liveOn reports whether an object still exists on its owner sh (on any of
-// the n replicas for a replicated object).
-func liveOn(sh, n int, exists func(i int) bool) bool {
+// live reports whether oid still exists on owner sh (on any replica for a
+// replicated object).
+func (p *points) live(sh int, oid gomdb.OID) bool {
 	if sh != replicated {
-		return exists(sh)
+		return p.on[sh].Exists(oid)
 	}
-	for i := 0; i < n; i++ {
-		if exists(i) {
+	for _, h := range p.on {
+		if h.Exists(oid) {
 			return true
 		}
 	}
 	return false
 }
 
+// Delete removes an object: point-routed to its owner, or broadcast to every
+// replica in shard order for a replicated object. The engine runs the forget
+// hooks before it removes the object, so a failed delete can leave the object
+// alive; its routing entry then comes back (the mirror of create).
+func (p *points) Delete(oid gomdb.OID) error {
+	p.lock.Lock()
+	sh, ok := p.db.owner[oid]
+	delete(p.db.owner, oid)
+	p.lock.Unlock()
+	if !ok {
+		return fmt.Errorf("%w: oid %v", ErrUnknownOID, oid)
+	}
+	err := p.each(sh, func(h handle) error { return h.Delete(oid) })
+	if err != nil && p.live(sh, oid) {
+		p.lock.Lock()
+		p.db.owner[oid] = sh
+		p.lock.Unlock()
+	}
+	return err
+}
+
 // Set performs the elementary update oid.set_attr(v), point-routed to the
 // owner — its RRR invalidation sweep runs on that shard alone. A replicated
 // object's update broadcasts to every replica in shard order. A reference
 // value must stay on the owner's shard (or be replicated).
-func (db *DB) Set(oid gomdb.OID, attr string, v gomdb.Value) error {
-	db.mu.RLock()
-	sh, ok := db.owner[oid]
-	if !ok {
-		db.mu.RUnlock()
-		return fmt.Errorf("%w: oid %v", ErrUnknownOID, oid)
-	}
+func (p *points) Set(oid gomdb.OID, attr string, v gomdb.Value) error {
+	p.lock.RLock()
+	sh, ok := p.db.owner[oid]
 	var err error
-	if sh == replicated {
-		for _, ref := range []gomdb.Value{v} {
-			if ref.Kind == object.KRef && db.owner[ref.R] != replicated {
-				err = fmt.Errorf("%w: replicated object would reference routed oid %v", ErrCrossShardRef, ref.R)
-			}
+	switch {
+	case !ok:
+		err = fmt.Errorf("%w: oid %v", ErrUnknownOID, oid)
+	case sh == replicated:
+		if v.Kind == object.KRef && p.db.owner[v.R] != replicated {
+			err = fmt.Errorf("%w: replicated object would reference routed oid %v", ErrCrossShardRef, v.R)
 		}
-	} else {
-		err = db.checkRefsOnLocked(sh, []gomdb.Value{v})
+	default:
+		err = p.db.checkRefsOnLocked(sh, []gomdb.Value{v})
 	}
-	db.mu.RUnlock()
+	p.lock.RUnlock()
 	if err != nil {
 		return err
 	}
-	if sh == replicated {
-		for i, s := range db.shards {
-			if err := s.Set(oid, attr, v); err != nil {
-				return fmt.Errorf("shard %d replica: %w", i, err)
-			}
-		}
-		return nil
-	}
-	return db.shards[sh].Set(oid, attr, v)
+	return p.each(sh, func(h handle) error { return h.Set(oid, attr, v) })
 }
 
 // GetAttr reads attribute attr of oid from its owner (shard 0 for a
 // replicated object — all replicas are identical).
-func (db *DB) GetAttr(oid gomdb.OID, attr string) (gomdb.Value, error) {
-	sh, err := db.route(oid)
+func (p *points) GetAttr(oid gomdb.OID, attr string) (gomdb.Value, error) {
+	sh, err := p.route(oid)
 	if err != nil {
 		return gomdb.Null(), err
 	}
-	return db.shards[sh].GetAttr(oid, attr)
+	return p.on[sh].GetAttr(oid, attr)
 }
 
 // Insert performs set.insert(elem), point-routed to the set's owner.
-func (db *DB) Insert(set gomdb.OID, elem gomdb.Value) error {
-	sh, err := db.route(set)
+func (p *points) Insert(set gomdb.OID, elem gomdb.Value) error {
+	sh, err := p.route(set)
 	if err != nil {
 		return err
 	}
-	db.mu.RLock()
-	err = db.checkRefsOnLocked(sh, []gomdb.Value{elem})
-	db.mu.RUnlock()
+	p.lock.RLock()
+	err = p.db.checkRefsOnLocked(sh, []gomdb.Value{elem})
+	p.lock.RUnlock()
 	if err != nil {
 		return err
 	}
-	return db.shards[sh].Insert(set, elem)
+	return p.on[sh].Insert(set, elem)
 }
 
 // Remove performs set.remove(elem), point-routed to the set's owner.
-func (db *DB) Remove(set gomdb.OID, elem gomdb.Value) error {
-	sh, err := db.route(set)
+func (p *points) Remove(set gomdb.OID, elem gomdb.Value) error {
+	sh, err := p.route(set)
 	if err != nil {
 		return err
 	}
-	return db.shards[sh].Remove(set, elem)
+	return p.on[sh].Remove(set, elem)
 }
 
 // Call invokes a declared function or operation, point-routed by its
@@ -578,12 +594,12 @@ func (db *DB) Remove(set gomdb.OID, elem gomdb.Value) error {
 // forward lookup then probes only that shard's GMR). Arguments owned by two
 // different shards are refused; a call with no routed refs (literals,
 // replicated objects) runs on shard 0.
-func (db *DB) Call(fn string, args ...gomdb.Value) (gomdb.Value, error) {
-	db.mu.RLock()
-	sh, _, err := db.routeRefsLocked(args)
-	db.mu.RUnlock()
+func (p *points) Call(fn string, args ...gomdb.Value) (gomdb.Value, error) {
+	p.lock.RLock()
+	sh, _, err := p.db.routeRefsLocked(args)
+	p.lock.RUnlock()
 	if err != nil {
 		return gomdb.Null(), err
 	}
-	return db.shards[sh].Call(fn, args...)
+	return p.on[sh].Call(fn, args...)
 }

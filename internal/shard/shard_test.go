@@ -18,7 +18,7 @@ func openSharded(t *testing.T, n int) *shard.DB {
 		Shards: n,
 		Engine: gomdb.Config{BufferPages: 4096},
 	})
-	if err := fixtures.DefineGeometrySharded(db, false); err != nil {
+	if err := db.EachShard(func(_ int, sh *gomdb.Database) error { return fixtures.DefineGeometry(sh, false) }); err != nil {
 		t.Fatal(err)
 	}
 	return db
@@ -26,7 +26,7 @@ func openSharded(t *testing.T, n int) *shard.DB {
 
 func TestRoutingAndCoLocation(t *testing.T) {
 	db := openSharded(t, 4)
-	g, err := fixtures.PopulateGeometrySharded(db, 40, 11)
+	g, err := fixtures.PopulateGeometryOn(db, 40, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestScatterMatchesUnsharded(t *testing.T) {
 	})
 
 	db := openSharded(t, 4)
-	sg, err := fixtures.PopulateGeometrySharded(db, n, seed)
+	sg, err := fixtures.PopulateGeometryOn(db, n, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestScatterMatchesUnsharded(t *testing.T) {
 
 func TestQueryRefusals(t *testing.T) {
 	db := openSharded(t, 2)
-	if _, err := fixtures.PopulateGeometrySharded(db, 8, 3); err != nil {
+	if _, err := fixtures.PopulateGeometryOn(db, 8, 3); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Query("range c: Cuboid retrieve avg(c.volume)", nil); !errors.Is(err, shard.ErrNotCombinable) {
@@ -350,7 +350,7 @@ func TestQueryRefusals(t *testing.T) {
 
 func TestMultiPartitionedArgsRefused(t *testing.T) {
 	db := openSharded(t, 2)
-	g, err := fixtures.PopulateGeometrySharded(db, 8, 3)
+	g, err := fixtures.PopulateGeometryOn(db, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestMultiPartitionedArgsRefused(t *testing.T) {
 
 func TestBatchRouting(t *testing.T) {
 	db := openSharded(t, 3)
-	g, err := fixtures.PopulateGeometrySharded(db, 12, 5)
+	g, err := fixtures.PopulateGeometryOn(db, 12, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

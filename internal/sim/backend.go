@@ -4,19 +4,18 @@ import (
 	"fmt"
 
 	"gomdb"
-	"gomdb/internal/fixtures"
-	"gomdb/internal/ocb"
 	"gomdb/internal/shard"
 )
 
 // mutator is the update half of the backend seam: the surface a workload op
-// needs, served either by the backend itself (per-op locking and routing) or
-// by the handle of one open batch, so the same fixture code applies an op at
-// top level and inside a batch body. Placement is part of it because the
-// router needs it: a new graph goes to the shard its key hashes to
-// (ShardFor), is created there object by object (NewOn), and a transient
-// argument object is put next to its receiver (Owner). A single engine has
-// one place, 0. Like backend it has two implementations, local and placed.
+// needs, served either at top level (per-op locking and routing) or by the
+// handle of one open batch, so the same fixture code applies an op at top
+// level and inside a batch body. Placement is part of it because the router
+// needs it: a new graph goes to the shard its key hashes to (ShardFor), is
+// created there object by object (NewOn), and a transient argument object is
+// put next to its receiver (Owner). A single engine has one place, 0.
+// *shard.DB and *shard.Tx serve it, and shard.Single serves it for one
+// engine and for its batch.
 type mutator interface {
 	ShardFor(key uint64) int
 	NewOn(sh int, typeName string, attrs ...gomdb.Value) (gomdb.OID, error)
@@ -28,12 +27,19 @@ type mutator interface {
 	Owner(oid gomdb.OID) (int, bool)
 }
 
+// placer is the top-level mutator, which can also replicate: what a fixture
+// populates its base through (it is a shard.Placement).
+type placer interface {
+	mutator
+	NewReplicated(typeName string, attrs ...gomdb.Value) (gomdb.OID, error)
+}
+
 // backend is the engine under test: one *gomdb.Database or the *shard.DB
 // router. The upper-case methods are the surface the two already share
 // verbatim — both implementations get them by embedding — and the lower-case
 // ones are everything that genuinely differs between them. (That split is
-// the measured input for ROADMAP item 2's facade: eleven methods need no
-// adapter, eleven do.)
+// the measured input for ROADMAP item 5's facade: eleven methods need no
+// adapter, nine do.)
 type backend interface {
 	Call(fn string, args ...gomdb.Value) (gomdb.Value, error)
 	Dematerialize(name string) error
@@ -49,10 +55,10 @@ type backend interface {
 	Snapshot() gomdb.Clock
 
 	materialize(opts gomdb.MaterializeOptions) error
-	// direct is the per-op mutation handle; batch runs fn on the handle of
-	// one update batch (one critical section, one flush + checkpoint point
-	// at its end).
-	direct() mutator
+	// direct is the per-op mutation handle, which also populates the
+	// fixture; batch runs fn on the handle of one update batch (one critical
+	// section, one flush + checkpoint point at its end).
+	direct() placer
 	batch(fn func(mutator)) error
 	// engines lists the engine instances in index order: what GC, the
 	// broken-invalidation hook and fault clearing iterate over.
@@ -70,11 +76,6 @@ type backend interface {
 	scope() string
 	// recovered describes a crash recovery, given the fixture's census.
 	recovered(noun string, n int) string
-
-	// The population helpers of internal/fixtures and internal/ocb are typed
-	// per engine kind, so the fixture seam reaches them through here.
-	populateGeometry(n int, seed int64) (*geometry, error)
-	populateOCB(b *ocb.Base) (*ocb.World, error)
 }
 
 // openBackend opens the engine one run — or one post-crash recovery —
@@ -118,34 +119,10 @@ func openBackend(cfg EngineConfig, dir string, define func(*gomdb.Database) erro
 	return single{db}, nil
 }
 
-// local adapts the update surface of one engine (*gomdb.Database, or the
-// *gomdb.Tx of its open batch) to mutator: every object lives in place 0.
-type local struct {
-	engineOps
-	db *gomdb.Database
-}
-
-// engineOps is what *gomdb.Database and *gomdb.Tx share.
-type engineOps interface {
-	New(typeName string, attrs ...gomdb.Value) (gomdb.OID, error)
-	Delete(oid gomdb.OID) error
-	Set(oid gomdb.OID, attr string, v gomdb.Value) error
-	GetAttr(oid gomdb.OID, attr string) (gomdb.Value, error)
-	Call(fn string, args ...gomdb.Value) (gomdb.Value, error)
-}
-
-func (l local) ShardFor(uint64) int { return 0 }
-
-func (l local) NewOn(_ int, typeName string, attrs ...gomdb.Value) (gomdb.OID, error) {
-	return l.New(typeName, attrs...)
-}
-
-func (l local) Owner(oid gomdb.OID) (int, bool) { return 0, l.db.Objects.Exists(oid) }
-
 // single is the one-engine backend.
 type single struct{ *gomdb.Database }
 
-func (s single) direct() mutator { return local{s.Database, s.Database} }
+func (s single) direct() placer { return shard.Single(s.Database) }
 
 func (s single) materialize(opts gomdb.MaterializeOptions) error {
 	_, err := s.Materialize(opts)
@@ -154,7 +131,7 @@ func (s single) materialize(opts gomdb.MaterializeOptions) error {
 
 func (s single) batch(fn func(mutator)) error {
 	return s.Batch(func(tx *gomdb.Tx) error {
-		fn(local{tx, s.Database})
+		fn(shard.Single(tx))
 		return nil
 	})
 }
@@ -176,46 +153,16 @@ func (s single) recovered(string, int) string {
 		info.WALPagesReplayed, info.TornPagesRepaired)
 }
 
-func (s single) populateGeometry(n int, seed int64) (*geometry, error) {
-	g, err := fixtures.PopulateGeometry(s.Database, n, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &geometry{cuboids: g.Cuboids, robots: g.Robots, mats: g.MaterialO, nextID: g.NextID}, nil
-}
-
-func (s single) populateOCB(b *ocb.Base) (*ocb.World, error) { return ocb.Populate(s.Database, b) }
-
-// placed is the router's mutator (*shard.DB, or the *shard.Tx of its open
-// batch): both already place and locate objects; only the batch handle lacks
-// the placement hash, which the router supplies for either.
-type placed struct {
-	routerOps
-	db *shard.DB
-}
-
-// routerOps is what *shard.DB and *shard.Tx share.
-type routerOps interface {
-	NewOn(sh int, typeName string, attrs ...gomdb.Value) (gomdb.OID, error)
-	Delete(oid gomdb.OID) error
-	Set(oid gomdb.OID, attr string, v gomdb.Value) error
-	GetAttr(oid gomdb.OID, attr string) (gomdb.Value, error)
-	Call(fn string, args ...gomdb.Value) (gomdb.Value, error)
-	Owner(oid gomdb.OID) (int, bool)
-}
-
-func (p placed) ShardFor(key uint64) int { return p.db.ShardFor(key) }
-
 // routed is the scatter-gather router over cfg.Shards engines.
 type routed struct{ *shard.DB }
 
-func (r routed) direct() mutator { return placed{r.DB, r.DB} }
+func (r routed) direct() placer { return r.DB }
 
 func (r routed) materialize(opts gomdb.MaterializeOptions) error { return r.Materialize(opts) }
 
 func (r routed) batch(fn func(mutator)) error {
 	return r.Batch(func(tx *shard.Tx) error {
-		fn(placed{tx, r.DB})
+		fn(tx)
 		return nil
 	})
 }
@@ -241,13 +188,3 @@ func (r routed) audit() []string { return AuditSharded(r.DB) }
 func (r routed) scope() string   { return fmt.Sprintf(", %d shards", r.Shards()) }
 
 func (r routed) recovered(noun string, n int) string { return fmt.Sprintf("%s=%d", noun, n) }
-
-func (r routed) populateGeometry(n int, seed int64) (*geometry, error) {
-	g, err := fixtures.PopulateGeometrySharded(r.DB, n, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &geometry{cuboids: g.Cuboids, robots: g.Robots, mats: g.MaterialO, nextID: g.NextID}, nil
-}
-
-func (r routed) populateOCB(b *ocb.Base) (*ocb.World, error) { return ocb.PopulateSharded(r.DB, b) }

@@ -6,6 +6,7 @@ import (
 	"gomdb"
 	"gomdb/internal/fixtures"
 	"gomdb/internal/ocb"
+	"gomdb/internal/shard"
 )
 
 // fixture is the object base a plan runs over: the hand-built geometry
@@ -17,7 +18,7 @@ type fixture interface {
 	// define installs the schema on one engine.
 	define(db *gomdb.Database) error
 	// populate creates the initial base.
-	populate(b backend, plan Plan) error
+	populate(p shard.Placement, plan Plan) error
 	// catalog is the GMR catalog mat/demat/retrieve ops index into.
 	catalog() []gmrSpec
 	// roots are the live instances of the type every catalog function ranges
@@ -80,10 +81,10 @@ type geometry struct {
 
 func (g *geometry) define(db *gomdb.Database) error { return fixtures.DefineGeometry(db, false) }
 
-func (g *geometry) populate(b backend, plan Plan) error {
-	pop, err := b.populateGeometry(plan.Init, plan.Seed)
+func (g *geometry) populate(p shard.Placement, plan Plan) error {
+	pop, err := fixtures.PopulateGeometryOn(p, plan.Init, plan.Seed)
 	if err == nil {
-		*g = *pop
+		*g = geometry{cuboids: pop.Cuboids, robots: pop.Robots, mats: pop.MaterialO, nextID: pop.NextID}
 	}
 	return err
 }
@@ -186,34 +187,17 @@ func (g *geometry) update(a mutator, op Op) (string, error) {
 	return "", fmt.Errorf("sim: %s is not an update op", op.Kind)
 }
 
-// createCuboid builds one cuboid through the error-checked path (the fixture
-// helper panics on failure, which a fault window must not). The id is taken
+// createCuboid builds one cuboid from the op's dimensions through
+// fixtures.NewCuboidOn, which returns a failed create's error where
+// CreateRandomCuboid would panic, as a fault window must not. The id is taken
 // before anything is created because it is the placement key — the whole
 // graph goes to the shard it hashes to — so a create that fails half-way
 // still consumes it, as in fixtures.CreateRandomCuboid.
 func (g *geometry) createCuboid(a mutator, op Op) (gomdb.OID, error) {
 	g.nextID++
-	sh := a.ShardFor(uint64(g.nextID))
-	ox, oy, oz := op.F[0], op.F[1], op.F[2]
-	l, wd, h := op.F[3], op.F[4], op.F[5]
-	corners := [8][3]float64{
-		{ox, oy, oz}, {ox + l, oy, oz}, {ox + l, oy + wd, oz}, {ox, oy + wd, oz},
-		{ox, oy, oz + h}, {ox + l, oy, oz + h}, {ox + l, oy + wd, oz + h}, {ox, oy + wd, oz + h},
-	}
-	attrs := make([]gomdb.Value, 0, 11)
-	for _, c := range corners {
-		v, err := a.NewOn(sh, "Vertex", gomdb.Float(c[0]), gomdb.Float(c[1]), gomdb.Float(c[2]))
-		if err != nil {
-			return 0, err
-		}
-		attrs = append(attrs, gomdb.Ref(v))
-	}
-	attrs = append(attrs,
-		gomdb.Ref(g.mats[op.N%len(g.mats)]),
-		gomdb.Float(op.F[6]),
-		gomdb.Int(g.nextID),
-	)
-	oid, err := a.NewOn(sh, "Cuboid", attrs...)
+	f := op.F
+	oid, err := fixtures.NewCuboidOn(a, a.ShardFor(uint64(g.nextID)), g.nextID,
+		f[0], f[1], f[2], f[3], f[4], f[5], g.mats[op.N%len(g.mats)], f[6])
 	if err != nil {
 		return 0, err
 	}
@@ -234,7 +218,7 @@ func (g *geometry) dropCuboid(oid gomdb.OID) {
 // objects each, class 0 carrying every catalog function. Streams over it
 // never create or delete, so the per-class OID lists only change by resync.
 // Under the router class 0 partitions by creation id and the deeper classes
-// replicate (ocb.PopulateSharded).
+// replicate (ocb.Populate).
 type generated struct {
 	p       ocb.Params
 	base    *ocb.Base
@@ -244,8 +228,8 @@ type generated struct {
 
 func (f *generated) define(db *gomdb.Database) error { return ocb.Define(db, f.p) }
 
-func (f *generated) populate(b backend, _ Plan) error {
-	w, err := b.populateOCB(f.base)
+func (f *generated) populate(p shard.Placement, _ Plan) error {
+	w, err := ocb.Populate(p, f.base)
 	if err == nil {
 		f.classes = w.Classes
 	}

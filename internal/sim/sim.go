@@ -217,7 +217,7 @@ func Run(cfg EngineConfig, plan Plan) (res *Result) {
 	if r.b, err = openBackend(cfg, r.dir, r.fx.define); !setup("open", err) {
 		return res
 	}
-	if !setup("populate", r.fx.populate(r.b, plan)) {
+	if !setup("populate", r.fx.populate(r.b.direct(), plan)) {
 		return res
 	}
 	// Make the initial object base durable so the earliest possible crash
