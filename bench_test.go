@@ -87,6 +87,7 @@ func geometryDB(b *testing.B, n int, encaps bool, materialize bool, strategy gom
 // function (GMR probe).
 func BenchmarkForwardLookup(b *testing.B) {
 	db, g := geometryDB(b, 1000, false, true, gomdb.MaterializeOptions{Mode: gomdb.ModeObjDep})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := db.Call("Cuboid.volume", gomdb.Ref(g.Cuboids[i%len(g.Cuboids)])); err != nil {
@@ -189,6 +190,21 @@ func BenchmarkGOMqlBackwardQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := db.Query(`range c: Cuboid retrieve c where c.volume > $lo and c.volume < $hi`, params); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGOMqlWindowQuery measures the window query of the read-hot
+// workload end to end: a backward plan whose candidates each make three
+// forward calls (two comparisons and the projected c.volume).
+func BenchmarkGOMqlWindowQuery(b *testing.B) {
+	db, _ := geometryDB(b, 1000, false, true, gomdb.MaterializeOptions{Mode: gomdb.ModeObjDep})
+	params := map[string]gomdb.Value{"lo": gomdb.Float(100), "hi": gomdb.Float(150)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Query(`range c: Cuboid retrieve c.volume where c.volume > $lo and c.volume < $hi`, params); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -352,8 +352,11 @@ type readSpec struct {
 //   - exclusive: otherwise — live() runs under the write lock, or under the
 //     barrier when the call is not read-only and spec.barrier is set.
 //
-// readOnly == nil means the call is always read-only. snap == nil means the
-// method has no snapshot tier: it waits for the shared lock instead. The
+// readOnly == nil means the call is always read-only. readOnly may resolve
+// names for the body it admits: the body runs under the same lock or pin,
+// and the exclusive tier runs readOnly again once it holds its lock.
+// snap == nil means the method has no snapshot tier: it waits for the
+// shared lock instead. The
 // shared and exclusive tiers issue exactly the live body's calls, and the
 // snapshot tier charges a throwaway clock, so a single-threaded program's
 // simulated costs do not depend on the tier.
@@ -382,6 +385,11 @@ func dispatch[T any](db *Database, spec readSpec, readOnly func() bool, live fun
 	} else {
 		db.lockWrite()
 		defer db.unlockWrite()
+	}
+	if readOnly != nil {
+		// What readOnly resolved was valid under the hold it ran in, which
+		// is released: resolve again under the exclusive one.
+		readOnly()
 	}
 	return live()
 }
@@ -544,11 +552,24 @@ func (db *Database) Remove(set OID, elem Value) error {
 // (quiescence does not matter there — the snapshot recomputes entries that
 // were invalid at its version without storing anything). All other calls
 // run exclusively.
+//
+// The name is resolved to dense ids once (one map probe), and a
+// materialized hit borrows args: it allocates nothing.
 func (db *Database) Call(fn string, args ...Value) (Value, error) {
+	var c schema.Callee
+	var known bool
 	return dispatch(db, readSpec{quiescent: true},
-		func() bool { return db.Queries.CallReadOnly(fn) },
-		func() (Value, error) { return db.Engine.Invoke(fn, args...) },
-		func(s *core.Snapshot) (Value, error) { return s.Call(fn, args...) })
+		func() bool {
+			c, known = db.Schema.Callee(fn)
+			return known && db.Schema.CalleeReadOnly(c)
+		},
+		func() (Value, error) {
+			if !known {
+				return Null(), db.Engine.Unresolved(fn, args)
+			}
+			return db.GMRs.Call(c, args)
+		},
+		func(s *core.Snapshot) (Value, error) { return s.Call(c, args) })
 }
 
 // Flush drains the deferred-rematerialization queue: every result a Deferred
@@ -613,7 +634,11 @@ func (tx *Tx) Remove(set OID, elem Value) error {
 
 // Call invokes a declared function or operation (Database.Call).
 func (tx *Tx) Call(fn string, args ...Value) (Value, error) {
-	return tx.db.Engine.Invoke(fn, args...)
+	c, ok := tx.db.Schema.Callee(fn)
+	if !ok {
+		return Null(), tx.db.Engine.Unresolved(fn, args)
+	}
+	return tx.db.GMRs.Call(c, args)
 }
 
 // Batch runs fn as one update batch: the exclusive engine lock is taken once

@@ -80,11 +80,11 @@ func (ca *CATable) dropGMR(g *GMR) {
 // as the paper's Cuboid.scale example shows) and must already be a modified
 // (hook-carrying) update operation.
 func (m *Manager) DefineCompensation(typeName, opName, fid string, c *lang.Function) error {
-	g, ok := m.byFunc[fid]
+	_, ref, ok := m.colByName(fid)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotMaterialized, fid)
 	}
-	i := g.funcIndex(fid)
+	g, i := ref.g, ref.col
 	argOK := false
 	for _, at := range g.ArgTypes {
 		if m.Sch.Reg.IsSubtypeOf(typeName, at) || m.Sch.Reg.IsSubtypeOf(at, typeName) {
@@ -128,7 +128,7 @@ func (m *Manager) DefineCompensation(typeName, opName, fid string, c *lang.Funct
 		undo = append(undo, m.En.Hooks.Install(tn, opName, hook))
 	}
 	undo = append(undo, func() { delete(m.ca.m[k], fid) })
-	m.uninstall[g.Name] = append(m.uninstall[g.Name], undo...)
+	m.compensations[g.Name] = append(m.compensations[g.Name], undo...)
 	return nil
 }
 
@@ -137,10 +137,11 @@ func (m *Manager) DefineCompensation(typeName, opName, fid string, c *lang.Funct
 // before the update with the update's arguments:
 // new := recv.c(args..., old).
 func (m *Manager) Compensate(recv *object.Obj, fid string, col int, opName string, updArgs []object.Value) error {
-	g := m.byFunc[fid]
-	if g == nil {
+	_, ref, ok := m.colByName(fid)
+	if !ok {
 		return nil
 	}
+	g := ref.g
 	tuples, err := m.rrr.Lookup(recv.OID)
 	if err != nil {
 		return err

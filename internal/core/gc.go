@@ -43,8 +43,8 @@ func (m *Manager) ReorganizeRRR() (int, error) {
 
 // gmrByFctID resolves a function id or predicate pseudo-id to its GMR.
 func (m *Manager) gmrByFctID(fid string) *GMR {
-	if g, ok := m.byFunc[fid]; ok {
-		return g
+	if _, c, ok := m.colByName(fid); ok {
+		return c.g
 	}
 	if len(fid) > 2 && fid[:2] == "p:" {
 		return m.gmrs[fid[2:]]

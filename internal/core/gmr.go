@@ -217,10 +217,9 @@ type GMR struct {
 	// snapshot.go); guarded by the manager's snapMu.
 	vers mvcc.Chains[string, entryState]
 
-	// colFid maps function ids (declared functions and subtype overrides)
-	// to column indexes; variants holds, per column, every override body so
-	// the hook planner can analyze all of them.
-	colFid   map[string]int
+	// variants holds, per column, every subtype override of the column's
+	// function, so the hook planner can analyze all of them; the
+	// manager's column table maps each of them to the column.
 	variants map[int][]*lang.Function
 
 	mgr *Manager
@@ -239,18 +238,11 @@ func (g *GMR) FuncIDs() []string {
 // predicate of a restricted GMR is itself materialized (Section 6.1).
 func (g *GMR) predID() string { return "p:" + g.Name }
 
-// colFid maps function ids — including subtype overrides of materialized
-// operations — to their column index.
-//
-// funcIndex returns the column of the named function, or -1.
+// funcIndex returns the column of the named function — a materialized
+// function or one of its overrides — or -1.
 func (g *GMR) funcIndex(fid string) int {
-	if i, ok := g.colFid[fid]; ok {
-		return i
-	}
-	for i, f := range g.Funcs {
-		if f.Name == fid {
-			return i
-		}
+	if _, c, ok := g.mgr.colByName(fid); ok && c.g == g {
+		return c.col
 	}
 	return -1
 }

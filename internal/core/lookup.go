@@ -9,6 +9,7 @@ import (
 	"gomdb/internal/btree"
 	"gomdb/internal/lang"
 	"gomdb/internal/object"
+	"gomdb/internal/schema"
 )
 
 // Retrieval operations on GMRs (Section 3.2): forward queries that probe a
@@ -24,27 +25,57 @@ var ErrNotMaterialized = errors.New("core: function is not materialized")
 // planner falls back to an extension scan instead.
 var ErrIncomplete = errors.New("core: GMR extension is not complete")
 
-// intercept is the CallInterceptor installed into the engine: "an invocation
-// f(o1,...,on) would be transformed to [a selection on] <<f1,...,fm>> if the
-// GMR is present".
-func (m *Manager) intercept(fn *lang.Function, args []object.Value) (object.Value, bool, error) {
-	if _, ok := m.byFunc[fn.Name]; !ok {
+// intercept is the CallInterceptor installed into the engine for calls
+// nested inside GOMpl bodies: "an invocation f(o1,...,on) would be
+// transformed to [a selection on] <<f1,...,fm>> if the GMR is present".
+func (m *Manager) intercept(fid schema.FuncID, args []object.Value) (object.Value, bool, error) {
+	c := m.colOf(fid)
+	if c.g == nil {
 		return object.Null(), false, nil
 	}
-	v, err := m.Forward(fn.Name, args)
+	v, err := m.forward(c, fid, args)
 	return v, true, err
 }
 
-// Forward answers a forward query: the result of fid for the given argument
-// combination. Invalid or missing results are (re)computed; computed results
-// refresh or extend the GMR where the restriction and completeness rules
-// allow it (Section 3.2).
+// Call invokes the function or operation a call name resolved to (see
+// schema.Schema.Callee) — the facade's and the query executor's call path.
+// An invocation of a materialized function is answered by the forward
+// query, which borrows args: a valid hit keeps nothing and allocates
+// nothing. Any other call copies args once, for the evaluation that keeps
+// them.
+func (m *Manager) Call(c schema.Callee, args []object.Value) (object.Value, error) {
+	fid, dt, err := m.En.Resolve(c, args)
+	if err != nil {
+		return object.Null(), err
+	}
+	if col := m.colOf(fid); col.g != nil && m.En.Intercepts() {
+		return m.forward(col, fid, args)
+	}
+	return m.En.Apply(c, fid, dt, cloneArgs(args))
+}
+
+// cloneArgs copies a borrowed argument list for a path that keeps it.
+func cloneArgs(args []object.Value) []object.Value {
+	return append([]object.Value(nil), args...)
+}
+
+// Forward answers a forward query for the function named fid (a
+// materialized function or one of its overrides); see forward.
 func (m *Manager) Forward(fid string, args []object.Value) (object.Value, error) {
-	g, ok := m.byFunc[fid]
+	id, c, ok := m.colByName(fid)
 	if !ok {
 		return object.Null(), fmt.Errorf("%w: %s", ErrNotMaterialized, fid)
 	}
-	i := g.funcIndex(fid)
+	return m.forward(c, id, args)
+}
+
+// forward answers a forward query: the result of function fid, materialized
+// in column c, for the given argument combination. Invalid or missing
+// results are (re)computed; computed results refresh or extend the GMR where
+// the restriction and completeness rules allow it (Section 3.2). forward
+// borrows args: the paths that keep them (the incremental insert) copy them.
+func (m *Manager) forward(c colRef, fid schema.FuncID, args []object.Value) (object.Value, error) {
+	g, i := c.g, c.col
 	if !g.admitsArgs(args) {
 		// Outside the restricted atomic domain: compute with the "normal"
 		// function, do not store.
@@ -75,21 +106,23 @@ func (m *Manager) Forward(fid string, args []object.Value) (object.Value, error)
 	}
 	// Incremental GMR: cache the freshly computed result (Section 3.2,
 	// "missing GMR entries whose results are computed during the evaluation
-	// of some query may be inserted").
+	// of some query may be inserted"). The entry and the RRR keep the
+	// argument list, so it is copied here.
+	owned := cloneArgs(args)
 	if g.Restriction != nil {
-		holds, err := m.evalPredicate(g, args)
+		holds, err := m.evalPredicate(g, owned)
 		if err != nil {
 			return object.Null(), err
 		}
 		if !holds {
 			atomic.AddInt64(&m.Stats.ForwardMisses, 1)
-			return m.computeRaw(g.Funcs[i], args)
+			return m.computeRaw(g.Funcs[i], owned)
 		}
 	}
-	if err := m.computeEntry(g, args); err != nil {
+	if err := m.computeEntry(g, owned); err != nil {
 		return object.Null(), err
 	}
-	e, _ := g.lookup(args)
+	e, _ := g.lookup(owned)
 	if e == nil {
 		return object.Null(), fmt.Errorf("core: entry vanished after insert in %s", g.Name)
 	}
@@ -104,7 +137,7 @@ func (m *Manager) Forward(fid string, args []object.Value) (object.Value, error)
 // tuple access is charged elsewhere (the hit path reads the record via
 // touch; the other two exits pay the rematerialization itself), so this
 // bookkeeping is deliberately free of simulated-clock charges.
-func (m *Manager) noteForward(g *GMR, e *entry, fid string, hit bool) {
+func (m *Manager) noteForward(g *GMR, e *entry, fid schema.FuncID, hit bool) {
 	op := "forward_miss"
 	if hit {
 		atomic.AddInt64(&m.Stats.ForwardHits, 1)
@@ -113,13 +146,13 @@ func (m *Manager) noteForward(g *GMR, e *entry, fid string, hit bool) {
 		atomic.AddInt64(&m.Stats.ForwardMisses, 1)
 	}
 	e.ref.Store(true)
-	m.emit(op, g.Name, fid, object.NilOID)
+	m.emit(op, g.Name, m.Sch.Func(fid).Name, object.NilOID)
 }
 
 // computeRaw evaluates the plain function (dynamically dispatched) without
 // tracking, interception, or GMR bookkeeping.
 func (m *Manager) computeRaw(fn *lang.Function, args []object.Value) (object.Value, error) {
-	return m.En.EvalRaw(m.dispatch(fn, args), args)
+	return m.En.EvalRaw(dispatch(m.En, fn, args), args)
 }
 
 // Match is one backward-query result row.
@@ -133,14 +166,14 @@ type Match struct {
 // column valid (an invalid result might lie in the range), so invalid
 // entries are rematerialized first — this is where lazy GMRs pay their debt.
 func (m *Manager) Backward(fid string, lb, ub float64) ([]Match, error) {
-	g, ok := m.byFunc[fid]
+	_, c, ok := m.colByName(fid)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotMaterialized, fid)
 	}
+	g, i := c.g, c.col
 	if !g.Complete {
 		return nil, fmt.Errorf("%w: %s", ErrIncomplete, g.Name)
 	}
-	i := g.funcIndex(fid)
 	if g.resIdx[i] == nil {
 		return nil, fmt.Errorf("core: %s has a non-numeric result; no backward index", fid)
 	}
@@ -149,7 +182,14 @@ func (m *Manager) Backward(fid string, lb, ub float64) ([]Match, error) {
 	if err := m.revalidateColumn(g, i); err != nil {
 		return nil, err
 	}
+	// Count first, so the result is allocated once whatever the window
+	// holds; the count reads no page and charges nothing.
+	n := 0
+	g.resIdx[i].Range(lb, ub, func(btree.Key, any) bool { n++; return true })
 	var out []Match
+	if n > 0 {
+		out = make([]Match, 0, n)
+	}
 	var scanErr error
 	g.resIdx[i].Range(lb, ub, func(_ btree.Key, v any) bool {
 		e := v.(*entry)
@@ -173,14 +213,14 @@ func (m *Manager) Backward(fid string, lb, ub float64) ([]Match, error) {
 // All returns every (args, result) pair of column fid with all results
 // valid — the access path for aggregate queries over materialized results.
 func (m *Manager) All(fid string) ([]Match, error) {
-	g, ok := m.byFunc[fid]
+	_, c, ok := m.colByName(fid)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotMaterialized, fid)
 	}
+	g, i := c.g, c.col
 	if !g.Complete {
 		return nil, fmt.Errorf("%w: %s", ErrIncomplete, g.Name)
 	}
-	i := g.funcIndex(fid)
 	if err := m.revalidateColumn(g, i); err != nil {
 		return nil, err
 	}
@@ -199,11 +239,11 @@ func (m *Manager) All(fid string) ([]Match, error) {
 // Cuboid can be found by inspecting the (incomplete) GMR no invalidated or
 // missing results need be (re-)computed".
 func (m *Manager) BackwardAny(fid string, lb, ub float64) (Match, bool, error) {
-	g, ok := m.byFunc[fid]
+	_, c, ok := m.colByName(fid)
 	if !ok {
 		return Match{}, false, fmt.Errorf("%w: %s", ErrNotMaterialized, fid)
 	}
-	i := g.funcIndex(fid)
+	g, i := c.g, c.col
 	if g.resIdx[i] == nil {
 		return Match{}, false, fmt.Errorf("core: %s has a non-numeric result; no backward index", fid)
 	}
@@ -251,9 +291,14 @@ func (m *Manager) Sum(fid string, oids []object.OID) (float64, error) {
 		}
 		return sum, nil
 	}
+	id, c, ok := m.colByName(fid)
+	if !ok && len(oids) > 0 {
+		return 0, fmt.Errorf("%w: %s", ErrNotMaterialized, fid)
+	}
 	sum := 0.0
 	for _, oid := range oids {
-		v, err := m.Forward(fid, []object.Value{object.Ref(oid)})
+		arg := [1]object.Value{object.Ref(oid)}
+		v, err := m.forward(c, id, arg[:])
 		if err != nil {
 			return 0, err
 		}

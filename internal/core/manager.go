@@ -63,12 +63,21 @@ type Manager struct {
 	Clock *storage.Clock
 	Pool  *storage.BufferPool
 
-	gmrs      map[string]*GMR
-	byFunc    map[string]*GMR
-	rrr       *RRR
-	ca        *CATable
-	uninstall map[string][]func()
-	extractor *lang.Extractor
+	gmrs map[string]*GMR
+	// cols maps a schema function id to the GMR column that materializes
+	// it: a materialized function, or a subtype override of one. Indexed
+	// by schema.FuncID, it is the forward path's only table (see
+	// DESIGN.md, "Forward path"); Materialize, Drop and the definition of
+	// an override after materialization rewrite it, all under the reader
+	// barrier.
+	cols []colRef
+	rrr  *RRR
+	ca   *CATable
+	// uninstall undoes each GMR's schema rewrite (installHooks);
+	// compensations undoes its compensating actions (DefineCompensation).
+	uninstall     map[string][]func()
+	compensations map[string][]func()
+	extractor     *lang.Extractor
 
 	// Intern maps string constants to numeric codes shared between
 	// restriction formulas and query predicates, so the Section 6
@@ -137,24 +146,60 @@ func (m *Manager) Quiescent() bool {
 // functions to forward GMR queries.
 func NewManager(en *schema.Engine, pool *storage.BufferPool) *Manager {
 	m := &Manager{
-		En:           en,
-		Sch:          en.Sch,
-		Objs:         en.Objs,
-		Clock:        en.Clock,
-		Pool:         pool,
-		snapSt:       pool.Versions(),
-		gmrs:         make(map[string]*GMR),
-		byFunc:       make(map[string]*GMR),
-		rrr:          NewRRR(pool),
-		ca:           newCATable(),
-		uninstall:    make(map[string][]func()),
-		extractor:    lang.NewExtractor(en.Sch, en.Sch),
-		Intern:       pred.NewInterner(),
-		accessTraces: make(map[traceKey][]object.OID),
-		accessStats:  make(map[string]*AccessStats),
+		En:            en,
+		Sch:           en.Sch,
+		Objs:          en.Objs,
+		Clock:         en.Clock,
+		Pool:          pool,
+		snapSt:        pool.Versions(),
+		gmrs:          make(map[string]*GMR),
+		rrr:           NewRRR(pool),
+		ca:            newCATable(),
+		uninstall:     make(map[string][]func()),
+		compensations: make(map[string][]func()),
+		extractor:     lang.NewExtractor(en.Sch, en.Sch),
+		Intern:        pred.NewInterner(),
+		accessTraces:  make(map[traceKey][]object.OID),
+		accessStats:   make(map[string]*AccessStats),
 	}
 	en.SetInterceptor(m.intercept)
+	en.Sch.OnDefineOp(m.opDefined)
 	return m
+}
+
+// colRef names the GMR column materializing a function; the zero value
+// means the function is not materialized.
+type colRef struct {
+	g   *GMR
+	col int
+}
+
+// colOf returns the column materializing function fid.
+func (m *Manager) colOf(fid schema.FuncID) colRef {
+	if uint(fid) < uint(len(m.cols)) {
+		return m.cols[fid]
+	}
+	return colRef{}
+}
+
+// setCol records (or, with the zero colRef, clears) the column of fid.
+func (m *Manager) setCol(fid schema.FuncID, c colRef) {
+	for int(fid) >= len(m.cols) {
+		m.cols = append(m.cols, colRef{})
+	}
+	m.cols[fid] = c
+}
+
+// colByName resolves a function name — a materialized function or an
+// override, as the name-taking APIs and RRR tuples spell it — to its id and
+// column.
+func (m *Manager) colByName(name string) (schema.FuncID, colRef, bool) {
+	fid, ok := m.Sch.FuncByName(name)
+	if !ok {
+		return schema.NoFunc, colRef{}, false
+	}
+	c := m.colOf(fid)
+	return fid, c, c.g != nil
 }
 
 // RRR exposes the reverse reference relation for tests and diagnostics.
@@ -178,8 +223,8 @@ func (m *Manager) Get(name string) (*GMR, bool) {
 
 // GMRFor returns the GMR materializing function fid, if any.
 func (m *Manager) GMRFor(fid string) (*GMR, bool) {
-	g, ok := m.byFunc[fid]
-	return g, ok
+	_, c, ok := m.colByName(fid)
+	return c.g, ok
 }
 
 // Materialize creates a GMR per opts, precomputes its extension if Complete,
@@ -192,6 +237,7 @@ func (m *Manager) Materialize(opts Options) (*GMR, error) {
 		return nil, errors.New("core: materialize needs at least one function")
 	}
 	fns := make([]*lang.Function, len(opts.Funcs))
+	fids := make([]schema.FuncID, len(opts.Funcs))
 	for i, name := range opts.Funcs {
 		fn, err := m.Sch.LookupFunction(name)
 		if err != nil {
@@ -200,7 +246,8 @@ func (m *Manager) Materialize(opts Options) (*GMR, error) {
 		if !fn.SideEffectFree {
 			return nil, fmt.Errorf("core: %s is not declared side-effect free and cannot be materialized", fn.Name)
 		}
-		if _, dup := m.byFunc[fn.Name]; dup {
+		fids[i], _ = m.Sch.FuncIDOf(fn)
+		if m.colOf(fids[i]).g != nil {
 			return nil, fmt.Errorf("core: %s is already materialized", fn.Name)
 		}
 		fns[i] = fn
@@ -287,24 +334,22 @@ func (m *Manager) Materialize(opts Options) (*GMR, error) {
 	m.snapMu.Lock()
 	m.gmrs[name] = g
 	m.snapMu.Unlock()
-	g.colFid = make(map[string]int, len(fns))
 	g.variants = make(map[int][]*lang.Function)
 	for i, fn := range fns {
-		m.byFunc[fn.Name] = g
-		g.colFid[fn.Name] = i
+		m.setCol(fids[i], colRef{g, i})
 		// Substitutability: the extension of the argument type includes
 		// subtype instances, and the materialized invocation dispatches
 		// dynamically. Register every subtype override of the operation so
-		// (a) the interceptor catches calls that resolve to the override,
-		// (b) the hook planner analyzes the override's relevant paths, and
-		// (c) funcIndex maps the override to the right column.
+		// (a) the forward path answers calls that resolve to the override
+		// from the column, and (b) the hook planner analyzes the override's
+		// relevant paths.
 		for _, variant := range m.overridesOf(fn) {
-			if other, dup := m.byFunc[variant.Name]; dup && other != g {
+			vid, _ := m.Sch.FuncIDOf(variant)
+			if other := m.colOf(vid).g; other != nil && other != g {
 				m.dropState(g)
 				return nil, fmt.Errorf("core: override %s is already materialized in %s", variant.Name, other.Name)
 			}
-			m.byFunc[variant.Name] = g
-			g.colFid[variant.Name] = i
+			m.setCol(vid, colRef{g, i})
 			g.variants[i] = append(g.variants[i], variant)
 		}
 	}
@@ -361,9 +406,13 @@ func (m *Manager) dropState(g *GMR) {
 		undo()
 	}
 	delete(m.uninstall, g.Name)
-	for fid, owner := range m.byFunc {
-		if owner == g {
-			delete(m.byFunc, fid)
+	for _, undo := range m.compensations[g.Name] {
+		undo()
+	}
+	delete(m.compensations, g.Name)
+	for fid, c := range m.cols {
+		if c.g == g {
+			m.cols[fid] = colRef{}
 		}
 	}
 	m.snapMu.Lock()
@@ -477,21 +526,65 @@ func (m *Manager) evalPredicate(g *GMR, args []object.Value) (bool, error) {
 }
 
 // dispatch resolves the variant of a materialized operation that a dynamic
-// invocation on args would execute (subtype overrides win); free functions
-// and non-reference receivers dispatch statically.
-func (m *Manager) dispatch(fn *lang.Function, args []object.Value) *lang.Function {
+// invocation on args would execute (subtype overrides win), reading the
+// receiver's type through en: the live engine's charged read, or a snapshot
+// engine's read at its pinned version. Free functions and non-reference
+// receivers dispatch statically.
+func dispatch(en *schema.Engine, fn *lang.Function, args []object.Value) *lang.Function {
 	dot := strings.IndexByte(fn.Name, '.')
 	if dot < 0 || len(args) == 0 || args[0].Kind != object.KRef {
 		return fn
 	}
-	typ, err := m.Objs.TypeOf(args[0].R)
+	typ, err := en.TypeOf(args[0].R)
 	if err != nil {
 		return fn
 	}
-	if variant, ok := m.Sch.ResolveOp(typ, fn.Name[dot+1:]); ok {
+	if variant, ok := en.Sch.ResolveOp(typ, fn.Name[dot+1:]); ok {
 		return variant
 	}
 	return fn
+}
+
+// opDefined keeps the GMRs current when DefineOp attaches an operation
+// after materialization. An override of a materialized operation (or of one
+// of its overrides) joins that column as a variant, as if it had been
+// defined before Materialize: the column table maps it, the schema rewrite
+// is re-planned over its body, and every entry whose receiver now
+// dispatches to it is recomputed with it, so Definition 3.2 holds across
+// the definition.
+func (m *Manager) opDefined(typeName, opName string, fid schema.FuncID) error {
+	t := m.Sch.Reg.Lookup(typeName)
+	if t == nil || t.Super == "" {
+		return nil
+	}
+	base, ok := m.Sch.ResolveOp(t.Super, opName)
+	if !ok {
+		return nil
+	}
+	bid, _ := m.Sch.FuncIDOf(base)
+	c := m.colOf(bid)
+	if c.g == nil {
+		return nil
+	}
+	g, fn := c.g, m.Sch.Func(fid)
+	m.setCol(fid, c)
+	g.variants[c.col] = append(g.variants[c.col], fn)
+	for _, undo := range m.uninstall[g.Name] {
+		undo()
+	}
+	delete(m.uninstall, g.Name)
+	if err := m.installHooks(g); err != nil {
+		return err
+	}
+	for _, e := range append([]*entry(nil), g.order...) {
+		if dispatch(m.En, g.Funcs[c.col], e.Args) != fn {
+			continue
+		}
+		if err := m.rematerializeWith(g, e, c.col, e.triggersOf(c.col)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // overridesOf returns the subtype overrides of a type-associated operation.
@@ -527,7 +620,7 @@ func (m *Manager) computeEntry(g *GMR, args []object.Value) error {
 	accessedPer := make([]map[object.OID]struct{}, len(g.Funcs))
 	tracePer := make([][]object.OID, len(g.Funcs))
 	for i, fn := range g.Funcs {
-		v, accessed, trace, err := m.En.EvalTrackedOrdered(m.dispatch(fn, args), args)
+		v, accessed, trace, err := m.En.EvalTrackedOrdered(dispatch(m.En, fn, args), args)
 		if err != nil {
 			return fmt.Errorf("core: materializing %s: %w", fn.Name, err)
 		}
@@ -669,7 +762,7 @@ func (m *Manager) Invalidate(o *object.Obj, relev map[string]bool) error {
 			}
 			continue
 		}
-		g, ok := m.byFunc[t.F]
+		_, c, ok := m.colByName(t.F)
 		if !ok {
 			// The GMR was dropped; stale tuple.
 			if err := m.removeTuple(t); err != nil {
@@ -677,6 +770,7 @@ func (m *Manager) Invalidate(o *object.Obj, relev map[string]bool) error {
 			}
 			continue
 		}
+		g, i := c.g, c.col
 		k := t.argSuffix()
 		e, ok := g.entries[k]
 		if !ok {
@@ -687,7 +781,6 @@ func (m *Manager) Invalidate(o *object.Obj, relev map[string]bool) error {
 			}
 			continue
 		}
-		i := g.funcIndex(t.F)
 		atomic.AddInt64(&m.Stats.Invalidations, 1)
 		m.emit("invalidate", g.Name, t.F, o.OID)
 		switch g.Strategy {
@@ -758,7 +851,7 @@ func (m *Manager) rematerialize(g *GMR, e *entry, i int) error {
 // are removed.
 func (m *Manager) rematerializeWith(g *GMR, e *entry, i int, triggers []object.OID) error {
 	fn := g.Funcs[i]
-	v, accessed, trace, err := m.En.EvalTrackedOrdered(m.dispatch(fn, e.Args), e.Args)
+	v, accessed, trace, err := m.En.EvalTrackedOrdered(dispatch(m.En, fn, e.Args), e.Args)
 	if err != nil {
 		return fmt.Errorf("core: rematerializing %s: %w", fn.Name, err)
 	}

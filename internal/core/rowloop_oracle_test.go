@@ -33,7 +33,7 @@ func (g *GMR) oracleTouch(e *entry) error {
 
 // OracleBackward is Backward with the per-row loop.
 func (m *Manager) OracleBackward(fid string, lb, ub float64) ([]Match, error) {
-	g := m.byFunc[fid]
+	g, _ := m.GMRFor(fid)
 	i := g.funcIndex(fid)
 	m.Stats.BackwardQueries++
 	m.emit("backward", g.Name, fid, object.NilOID)
@@ -60,7 +60,7 @@ func (m *Manager) OracleBackward(fid string, lb, ub float64) ([]Match, error) {
 
 // OracleBackwardAny is BackwardAny with the per-row loop.
 func (m *Manager) OracleBackwardAny(fid string, lb, ub float64) (Match, bool, error) {
-	g := m.byFunc[fid]
+	g, _ := m.GMRFor(fid)
 	i := g.funcIndex(fid)
 	m.Stats.BackwardQueries++
 	m.emit("backward", g.Name, fid, object.NilOID)
@@ -86,7 +86,7 @@ func (m *Manager) OracleBackwardAny(fid string, lb, ub float64) (Match, bool, er
 
 // OracleAll is All with the per-entry loop.
 func (m *Manager) OracleAll(fid string) ([]Match, error) {
-	g := m.byFunc[fid]
+	g, _ := m.GMRFor(fid)
 	i := g.funcIndex(fid)
 	if err := m.revalidateColumn(g, i); err != nil {
 		return nil, err
@@ -174,10 +174,10 @@ func (m *Manager) OracleRetrieve(name string, spec []FieldSpec) ([]Row, error) {
 
 // oracleForward is Forward with the per-row tuple read on a valid hit.
 func (m *Manager) oracleForward(fid string, args []object.Value) (object.Value, error) {
-	g := m.byFunc[fid]
-	i := g.funcIndex(fid)
+	id, c, _ := m.colByName(fid)
+	g, i := c.g, c.col
 	if e, ok := g.lookup(args); ok && e.Valid[i] && g.admitsArgs(args) {
-		m.noteForward(g, e, fid, true)
+		m.noteForward(g, e, id, true)
 		if err := g.oracleTouch(e); err != nil {
 			return object.Null(), err
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"gomdb/internal/lang"
 	"gomdb/internal/object"
@@ -178,27 +177,24 @@ func (s *Snapshot) Version() uint64 { return s.ver }
 // mutations fail with schema.ErrReadOnlyView.
 func (s *Snapshot) Engine() *schema.Engine { return s.en }
 
-// intercept answers invocations of materialized functions from the
-// snapshot, mirroring Manager.intercept.
-func (s *Snapshot) intercept(fn *lang.Function, args []object.Value) (object.Value, bool, error) {
-	if _, ok := s.m.byFunc[fn.Name]; !ok {
+// intercept answers invocations of materialized functions nested inside
+// GOMpl bodies from the snapshot, mirroring Manager.intercept.
+func (s *Snapshot) intercept(fid schema.FuncID, args []object.Value) (object.Value, bool, error) {
+	c := s.m.colOf(fid)
+	if c.g == nil {
 		return object.Null(), false, nil
 	}
-	v, err := s.Forward(fn.Name, args)
+	v, err := s.forward(c, args)
 	return v, true, err
 }
 
-// Forward answers a forward query at the pinned version: the stored result
+// forward answers a forward query at the pinned version: the stored result
 // when the entry was valid at the version, a recomputation against the
 // versioned object base otherwise — exactly the value the live path would
 // have returned (rematerialization and incremental insertion recompute the
-// same function), without its GMR side effects.
-func (s *Snapshot) Forward(fid string, args []object.Value) (object.Value, error) {
-	g, ok := s.m.byFunc[fid]
-	if !ok {
-		return object.Null(), fmt.Errorf("%w: %s", ErrNotMaterialized, fid)
-	}
-	i := g.funcIndex(fid)
+// same function), without its GMR side effects. It borrows args.
+func (s *Snapshot) forward(c colRef, args []object.Value) (object.Value, error) {
+	g, i := c.g, c.col
 	if g.admitsArgs(args) {
 		s.m.snapMu.RLock()
 		st, ok := g.entryAt(argKey(args), s.ver)
@@ -214,31 +210,23 @@ func (s *Snapshot) Forward(fid string, args []object.Value) (object.Value, error
 // mirroring Manager.computeRaw (dynamic dispatch resolved at the version,
 // nested materialized calls uninterested — EvalRaw disables interception).
 func (s *Snapshot) computeRaw(fn *lang.Function, args []object.Value) (object.Value, error) {
-	return s.en.EvalRaw(s.dispatch(fn, args), args)
+	return s.en.EvalRaw(dispatch(s.en, fn, args), args)
 }
 
-// dispatch mirrors Manager.dispatch with the receiver read at the pinned
-// version.
-func (s *Snapshot) dispatch(fn *lang.Function, args []object.Value) *lang.Function {
-	dot := strings.IndexByte(fn.Name, '.')
-	if dot < 0 || len(args) == 0 || args[0].Kind != object.KRef {
-		return fn
-	}
-	o, err := s.m.Objs.GetVersioned(args[0].R, s.ver)
-	if err != nil {
-		return fn
-	}
-	if variant, ok := s.m.Sch.ResolveOp(o.Type, fn.Name[dot+1:]); ok {
-		return variant
-	}
-	return fn
-}
-
-// Call invokes a declared function or operation against the snapshot
-// (the snapshot path of Database.Call). Mutating operations fail with
+// Call invokes the function or operation a call name resolved to against
+// the snapshot (the snapshot path of Database.Call), mirroring Manager.Call:
+// a materialized function is answered by the forward query, which borrows
+// args; any other call copies them. Mutating operations fail with
 // schema.ErrReadOnlyView.
-func (s *Snapshot) Call(fn string, args ...object.Value) (object.Value, error) {
-	return s.en.CallFunction(fn, args)
+func (s *Snapshot) Call(c schema.Callee, args []object.Value) (object.Value, error) {
+	fid, dt, err := s.en.Resolve(c, args)
+	if err != nil {
+		return object.Null(), err
+	}
+	if col := s.m.colOf(fid); col.g != nil && s.en.Intercepts() {
+		return s.forward(col, args)
+	}
+	return s.en.Apply(c, fid, dt, cloneArgs(args))
 }
 
 // Extension returns the extension of typeName at the pinned version.
@@ -255,14 +243,14 @@ func (s *Snapshot) Extension(typeName string) []object.OID {
 // by index tie-break key, then the recomputed ones by argument key, the
 // order in which revalidation would have re-indexed them.
 func (s *Snapshot) Backward(fid string, lb, ub float64) ([]Match, error) {
-	g, ok := s.m.byFunc[fid]
+	_, c, ok := s.m.colByName(fid)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotMaterialized, fid)
 	}
+	g, i := c.g, c.col
 	if !g.Complete {
 		return nil, fmt.Errorf("%w: %s", ErrIncomplete, g.Name)
 	}
-	i := g.funcIndex(fid)
 	if g.resIdx[i] == nil {
 		return nil, fmt.Errorf("core: %s has a non-numeric result; no backward index", fid)
 	}

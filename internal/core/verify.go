@@ -128,6 +128,11 @@ func (m *Manager) audit(g *GMR, rows []Row, en *schema.Engine, get func(object.O
 				continue
 			}
 			rep.Valid++
+			if len(g.variants[i]) > 0 {
+				// The entry holds the result of the override its
+				// receiver dispatches to.
+				fn = dispatch(en, fn, r.Args)
+			}
 			fresh, err := en.EvalRaw(fn, r.Args)
 			if err != nil {
 				rep.Violations = append(rep.Violations,

@@ -42,12 +42,12 @@ type Executor struct {
 }
 
 // stepPlan is the resolution of path step seg on static type typ: an
-// attribute read, or a call of the qualified operation fid; resType is the
-// static type of the step's result.
+// attribute read, or (op) a call of the operation "typ.seg", resolved to
+// the callee's dense ids; resType is the static type of the step's result.
 type stepPlan struct {
 	typ, seg string
-	attr     bool
-	fid      string
+	attr, op bool
+	callee   schema.Callee
 	resType  string
 }
 
@@ -125,8 +125,21 @@ func (ex *Executor) runRetrieve(q *Query, params map[string]object.Value) (*Resu
 		res.Columns = append(res.Columns, label)
 	}
 
+	// Rows are carved from slab, which reserve sizes by a plan's candidate
+	// count; the full slice expression keeps an append to one row from
+	// overwriting the next. Without a reservation each row is its own slab.
+	var slab []object.Value
+	reserve := func(rows int) {
+		slab = make([]object.Value, rows*len(q.Targets))
+		res.Rows = make([][]object.Value, 0, rows)
+	}
 	emitRow := func(b binding) error {
-		row := make([]object.Value, len(q.Targets))
+		n := len(q.Targets)
+		if len(slab) < n {
+			slab = make([]object.Value, n)
+		}
+		row := slab[:n:n]
+		slab = slab[n:]
 		for i, t := range q.Targets {
 			v, err := ex.evalOperand(t.Path, b, params)
 			if err != nil {
@@ -140,7 +153,7 @@ func (ex *Executor) runRetrieve(q *Query, params map[string]object.Value) (*Resu
 
 	// Try the backward-query plan for single-variable queries.
 	if len(q.Ranges) == 1 && q.Where != nil {
-		done, err := ex.tryBackward(q, params, emitRow)
+		done, err := ex.tryBackward(q, params, reserve, emitRow)
 		if err != nil {
 			return nil, err
 		}
@@ -326,8 +339,9 @@ func (ex *Executor) step(cur object.Value, curType, seg string) (object.Value, s
 		case sp.attr:
 			v, err := ex.En.ReadAttr(cur, seg)
 			return v, sp.resType, err
-		case sp.fid != "":
-			v, err := ex.En.CallFunction(sp.fid, []object.Value{cur})
+		case sp.op:
+			arg := [1]object.Value{cur}
+			v, err := ex.call(sp.callee, arg[:])
 			return v, sp.resType, err
 		}
 		return object.Null(), "", fmt.Errorf("gomql: type %q has neither attribute nor operation %q", dispatch, seg)
@@ -357,10 +371,21 @@ func (ex *Executor) resolveStep(typ, seg string) stepPlan {
 	if at, ok := ex.En.Sch.AttrType(typ, seg); ok {
 		sp.attr, sp.resType = true, at
 	} else if fn, ok := ex.En.Sch.ResolveOp(typ, seg); ok {
-		sp.fid, sp.resType = typ+"."+seg, fn.ResultType
+		sp.callee, sp.op = ex.En.Sch.Callee(typ + "." + seg)
+		sp.resType = fn.ResultType
 	}
 	ex.steps = append(ex.steps, sp)
 	return sp
+}
+
+// call invokes a resolved callee on the executor's call path: the pinned
+// snapshot's when the executor has one, the GMR manager's otherwise. Both
+// borrow args for a materialized hit.
+func (ex *Executor) call(c schema.Callee, args []object.Value) (object.Value, error) {
+	if ex.Snap != nil {
+		return ex.Snap.Call(c, args)
+	}
+	return ex.Mgr.Call(c, args)
 }
 
 // invoke calls fn, qualifying an unqualified name by the dynamic type of the

@@ -60,7 +60,7 @@ func (b matFnBound) planKey() string {
 
 // tryBackward attempts to answer a single-variable query via a backward GMR
 // range retrieval. It returns done=true if the query was fully answered.
-func (ex *Executor) tryBackward(q *Query, params map[string]object.Value, emitRow func(binding) error) (bool, error) {
+func (ex *Executor) tryBackward(q *Query, params map[string]object.Value, reserve func(rows int), emitRow func(binding) error) (bool, error) {
 	conjuncts := flattenConjuncts(q.Where)
 	if conjuncts == nil {
 		return false, nil
@@ -168,6 +168,7 @@ func (ex *Executor) tryBackward(q *Query, params map[string]object.Value, emitRo
 		return false, err
 	}
 	ex.explain("plan: backward GMR index on %s over [%g, %g], %d candidates", bestFid, w.lb, w.ub, len(matches))
+	reserve(len(matches))
 	b := binding{}
 	for _, m := range matches {
 		// For multi-argument functions, the fixed argument positions must

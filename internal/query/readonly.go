@@ -1,7 +1,5 @@
 package query
 
-import "strings"
-
 // Static read-only classification of parsed statements: the Database facade
 // runs a statement under its shared read lock only when ReadOnlyPlan proves
 // that no evaluation step can mutate engine or GMR state. The analysis uses
@@ -98,7 +96,7 @@ func (ex *Executor) pathReadOnly(p *PathE, rt map[string]string) bool {
 			curType = at
 			continue
 		}
-		if !ex.opReadOnly(curType, seg) {
+		if !ex.En.Sch.OpReadOnly(curType, seg) {
 			return false
 		}
 		fn, ok := ex.En.Sch.ResolveOp(curType, seg)
@@ -122,33 +120,12 @@ func (ex *Executor) pathReadOnly(p *PathE, rt map[string]string) bool {
 // operation name. Qualified names check every dynamic-dispatch override;
 // unqualified names must resolve to a free function (an unqualified
 // operation dispatches on the runtime type of its first argument, which is
-// unknown statically). It reads schema metadata only — no object loads, no
-// simulated-clock charges — and is also the facade's admission test for
-// Call's shared-lock and snapshot paths, so an embedded call and a GOMql
-// call of the same function classify alike.
+// unknown statically). It reads the schema's precomputed classification
+// (schema.Schema.CalleeReadOnly) — no object loads, no simulated-clock
+// charges — the same table the facade admits Call's shared-lock and
+// snapshot paths by, so an embedded call and a GOMql call of the same
+// function classify alike.
 func (ex *Executor) CallReadOnly(name string) bool {
-	if i := strings.IndexByte(name, '.'); i >= 0 {
-		return ex.opReadOnly(name[:i], name[i+1:])
-	}
-	fn, ok := ex.En.Sch.ResolveStatic(name)
-	return ok && fn.SideEffectFree
-}
-
-// opReadOnly reports whether invoking op on any instance of declType (or a
-// subtype) is side-effect free: every override is declared SideEffectFree
-// and no update-notification hook is installed for it. Side-effect freedom
-// is transitive by contract — a SideEffectFree body only invokes
-// SideEffectFree operations — so checking the entry points suffices.
-func (ex *Executor) opReadOnly(declType, opName string) bool {
-	subs := ex.En.Sch.Reg.WithSubtypes(declType)
-	if len(subs) == 0 {
-		return false
-	}
-	for _, tn := range subs {
-		fn, ok := ex.En.Sch.ResolveOp(tn, opName)
-		if !ok || !fn.SideEffectFree || ex.En.Hooks.Installed(tn, opName) {
-			return false
-		}
-	}
-	return true
+	c, ok := ex.En.Sch.Callee(name)
+	return ok && ex.En.Sch.CalleeReadOnly(c)
 }

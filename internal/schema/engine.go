@@ -14,7 +14,7 @@ import (
 // materialized functions into forward GMR lookups (Section 3.2: "every
 // invocation of a materialized function is mapped to a forward query").
 // It returns handled=false to fall through to normal evaluation.
-type CallInterceptor func(fn *lang.Function, args []object.Value) (v object.Value, handled bool, err error)
+type CallInterceptor func(fid FuncID, args []object.Value) (v object.Value, handled bool, err error)
 
 // Engine executes GOMpl operations against an object manager. It implements
 // lang.Runtime and carries the update-hook table the GMR manager installs
@@ -51,7 +51,7 @@ type Engine struct {
 
 // NewEngine wires an engine over a schema and object manager.
 func NewEngine(sch *Schema, objs *object.Manager, clock *storage.Clock) *Engine {
-	return &Engine{Sch: sch, Objs: objs, Clock: clock, Hooks: NewHookTable()}
+	return &Engine{Sch: sch, Objs: objs, Clock: clock, Hooks: sch.hooks}
 }
 
 // SetInterceptor installs (or clears, with nil) the materialized-call
@@ -139,79 +139,64 @@ func (en *Engine) ReadElems(coll object.Value) ([]object.Value, error) {
 	}
 }
 
-// resolveCall determines the function and dispatch type for a Call name.
-func (en *Engine) resolveCall(name string, args []object.Value) (*lang.Function, string, error) {
-	dot := strings.IndexByte(name, '.')
-	if dot < 0 {
-		fn, ok := en.Sch.ResolveStatic(name)
-		if !ok {
-			return nil, "", fmt.Errorf("schema: unknown function %q", name)
-		}
-		return fn, "", nil
-	}
-	declType, opName := name[:dot], name[dot+1:]
-	dispatchType := declType
-	// Dynamic dispatch needs the receiver's type tag, which costs an object
-	// read. When the declared type has no subtypes the dispatch is static —
-	// in particular, invoking a materialized function then reaches the GMR
-	// without touching the argument object, as the paper's rewrite into a
-	// forward query implies.
-	if len(args) > 0 && args[0].Kind == object.KRef && en.Sch.Reg.HasSubtypes(declType) {
-		typ, err := en.TypeOf(args[0].R)
-		if err != nil {
-			return nil, "", err
-		}
-		dispatchType = typ
-	}
-	fn, ok := en.Sch.ResolveOp(dispatchType, opName)
-	if !ok {
-		return nil, "", fmt.Errorf("schema: no operation %q on type %q", opName, dispatchType)
-	}
-	return fn, dispatchType, nil
-}
-
-// CallFunction implements lang.Runtime: dynamic dispatch, GMR interception,
-// information-hiding atomicity, and public-operation update hooks.
+// CallFunction implements lang.Runtime: the call-name probe, dynamic
+// dispatch, GMR interception, information-hiding atomicity, and
+// public-operation update hooks. Calls nested inside GOMpl bodies come
+// through here; the interceptor is a dynamic call, so it may keep args.
 func (en *Engine) CallFunction(name string, args []object.Value) (object.Value, error) {
-	fn, dispatchType, err := en.resolveCall(name, args)
+	c, ok := en.Sch.Callee(name)
+	if !ok {
+		return object.Null(), en.Unresolved(name, args)
+	}
+	fid, dt, err := en.Resolve(c, args)
 	if err != nil {
 		return object.Null(), err
 	}
-	if en.interceptor != nil && en.noIntercept.Load() == 0 {
-		v, handled, err := en.interceptor(fn, args)
+	if en.interceptor != nil && en.Intercepts() {
+		v, handled, err := en.interceptor(fid, args)
 		if handled || err != nil {
 			return v, err
 		}
 	}
-	opName := name
-	if i := strings.IndexByte(name, '.'); i >= 0 {
-		opName = name[i+1:]
+	return en.Apply(c, fid, dt, args)
+}
+
+// Intercepts reports whether invocations of materialized functions are
+// answered from their GMRs: not while EvalRaw or a tracked
+// (re)materialization runs.
+func (en *Engine) Intercepts() bool { return en.noIntercept.Load() == 0 }
+
+// Apply runs the resolved function fid of a call of c dispatched on type dt
+// (Resolve's results) without GMR interception: the Section 5.3 atomicity
+// rule, the public-operation update hooks, and the evaluation. The hooks
+// and the evaluation are dynamic calls, so Apply keeps args: a caller that
+// borrows its arguments passes a copy.
+func (en *Engine) Apply(c Callee, fid FuncID, dt int32, args []object.Value) (object.Value, error) {
+	fn := en.Sch.ids.funcs[fid]
+	if dt < 0 {
+		return lang.Eval(en, fn, args)
 	}
+	dispatchType, opName := en.Sch.ids.types[dt].name, en.Sch.ids.slots[c.slot]
 
 	// Section 5.3: a public operation of a strictly encapsulated type is
 	// atomic with respect to materialization tracking — record the receiver
 	// and suspend tracking for the subobjects it touches.
-	restoreTracking := false
-	if dispatchType != "" {
+	if en.Tracking() {
 		t := en.Sch.Reg.Lookup(dispatchType)
 		if t != nil && t.StrictEncapsulated && en.Sch.HasInvalidatedFctDecl(dispatchType) &&
-			en.Sch.IsPublic(dispatchType, opName) && en.Tracking() {
+			en.Sch.IsPublic(dispatchType, opName) {
 			if args[0].Kind == object.KRef {
 				en.track(args[0].R)
 			}
 			en.suspend++
-			restoreTracking = true
+			defer func() { en.suspend-- }()
 		}
-	}
-	if restoreTracking {
-		defer func() { en.suspend-- }()
 	}
 
 	// Public-operation update hooks (installed only for ops with a
 	// non-empty InvalidatedFct or CompensatedFct under information hiding).
-	var recvObj *object.Obj
 	var hooks []*UpdateHook
-	if dispatchType != "" && len(args) > 0 && args[0].Kind == object.KRef {
+	if len(args) > 0 && args[0].Kind == object.KRef {
 		hooks = en.Hooks.lookup(dispatchType, opName)
 		if len(hooks) > 0 && en.snapshot {
 			// A hooked public operation mutates the receiver (and cascades
@@ -219,7 +204,7 @@ func (en *Engine) CallFunction(name string, args []object.Value) (object.Value, 
 			return object.Null(), ErrReadOnlyView
 		}
 		if len(hooks) > 0 {
-			recvObj, err = en.Objs.Get(args[0].R)
+			recvObj, err := en.Objs.Get(args[0].R)
 			if err != nil {
 				return object.Null(), err
 			}
@@ -240,7 +225,7 @@ func (en *Engine) CallFunction(name string, args []object.Value) (object.Value, 
 
 	if len(hooks) > 0 {
 		// Re-read: the body may have changed the receiver.
-		recvObj, err = en.Objs.Get(args[0].R)
+		recvObj, err := en.Objs.Get(args[0].R)
 		if err != nil {
 			return object.Null(), err
 		}

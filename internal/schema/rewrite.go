@@ -32,20 +32,26 @@ type hookKey struct {
 	Op   string // "set_<A>", "insert", "remove", "create", "delete", or a public op name
 }
 
-// HookTable holds the installed update hooks per (type, operation).
+// HookTable holds the installed update hooks per (type, operation). A hooked
+// public operation is not read-only, so every installation and removal
+// re-classifies the schema's calls.
 type HookTable struct {
-	m map[hookKey][]*UpdateHook
+	m   map[hookKey][]*UpdateHook
+	sch *Schema
 }
 
-// NewHookTable returns an empty table.
-func NewHookTable() *HookTable { return &HookTable{m: make(map[hookKey][]*UpdateHook)} }
+func newHookTable(sch *Schema) *HookTable {
+	return &HookTable{m: make(map[hookKey][]*UpdateHook), sch: sch}
+}
 
 // Install rewrites operation op of typeName to additionally run hook, and
 // returns a function that undoes the rewrite (used when a GMR is dropped).
 func (ht *HookTable) Install(typeName, op string, hook *UpdateHook) func() {
 	k := hookKey{typeName, op}
 	ht.m[k] = append(ht.m[k], hook)
+	ht.sch.classifyOp(op)
 	return func() {
+		defer ht.sch.classifyOp(op)
 		hooks := ht.m[k]
 		for i, h := range hooks {
 			if h == hook {

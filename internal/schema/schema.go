@@ -38,17 +38,29 @@ type Schema struct {
 	// that do not appear here are declared result-invariant (e.g. rotate
 	// for volume).
 	invalidatedFct map[string]map[string]map[string]bool
+
+	// ids are the dense-id tables (ids.go); hooks is the schema rewrite's
+	// hook table, whose installations feed the read-only classification.
+	ids   idTables
+	hooks *HookTable
+	// opDefined, when set, is told of every operation DefineOp attaches
+	// (the GMR manager registers subtype overrides of materialized
+	// operations with it).
+	opDefined func(typeName, opName string, id FuncID) error
 }
 
 // New returns an empty schema.
 func New() *Schema {
-	return &Schema{
+	s := &Schema{
 		Reg:            object.NewRegistry(),
 		ops:            make(map[string]map[string]*lang.Function),
 		free:           make(map[string]*lang.Function),
 		public:         make(map[string]map[string]bool),
 		invalidatedFct: make(map[string]map[string]map[string]bool),
+		ids:            newIDTables(),
 	}
+	s.hooks = newHookTable(s)
+	return s
 }
 
 // DefineType registers a type with its public clause. Attribute operations
@@ -69,6 +81,7 @@ func (s *Schema) DefineType(t *object.Type, publicNames ...string) error {
 		}
 	}
 	s.public[t.Name] = pub
+	s.reindex()
 	return nil
 }
 
@@ -94,7 +107,19 @@ func (s *Schema) DefineOp(typeName string, opName string, fn *lang.Function) err
 		return fmt.Errorf("schema: duplicate operation %s.%s", typeName, opName)
 	}
 	m[opName] = fn
+	id := s.addFunc(fn)
+	s.reindex()
+	if s.opDefined != nil {
+		return s.opDefined(typeName, opName, id)
+	}
 	return nil
+}
+
+// OnDefineOp registers the function DefineOp tells of every operation it
+// attaches, after the id tables include it; an error it returns is
+// DefineOp's.
+func (s *Schema) OnDefineOp(fn func(typeName, opName string, id FuncID) error) {
+	s.opDefined = fn
 }
 
 // DefineFunc registers a free function (e.g. a multi-argument function such
@@ -107,6 +132,8 @@ func (s *Schema) DefineFunc(fn *lang.Function) error {
 		return fmt.Errorf("schema: duplicate function %q", fn.Name)
 	}
 	s.free[fn.Name] = fn
+	s.addFunc(fn)
+	s.reindex()
 	return nil
 }
 

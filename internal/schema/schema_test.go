@@ -291,7 +291,7 @@ func TestEvalRawBypassesInterceptor(t *testing.T) {
 	defineShape(t, en, false)
 	s := newShape(t, en, 1, 0)
 	intercepted := 0
-	en.SetInterceptor(func(fn *lang.Function, args []object.Value) (object.Value, bool, error) {
+	en.SetInterceptor(func(_ schema.FuncID, args []object.Value) (object.Value, bool, error) {
 		intercepted++
 		return object.Float(-1), true, nil
 	})

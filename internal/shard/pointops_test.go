@@ -123,6 +123,10 @@ func pointScript(t *testing.T, ops pointOps, mat, robot, spare gomdb.OID) (log [
 	refuse("Insert cross-shard", shard.ErrCrossShardRef, ops.Insert(ws, gomdb.Ref(c3)))
 	_, err = ops.NewOn(1, "Robot", gomdb.Str("r"), c3v1)
 	refuse("NewOn cross-shard", shard.ErrCrossShardRef, err)
+	_, err = ops.NewOn(5, "Vertex", f(0), f(0), f(0))
+	refuse("NewOn shard 5 of 3", shard.ErrNoSuchShard, err)
+	_, err = ops.NewOn(-1, "Vertex", f(0), f(0), f(0))
+	refuse("NewOn shard -1", shard.ErrNoSuchShard, err)
 	_, err = ops.NewSet("Workpieces", gomdb.Ref(c1), gomdb.Ref(c3))
 	refuse("NewSet cross-shard", shard.ErrCrossShardRef, err)
 	_, err = ops.Call("Cuboid.distance", gomdb.Ref(c1), gomdb.Ref(c3))

@@ -74,6 +74,9 @@ var (
 	// ErrShardCountMismatch is returned by OpenAt when the directory was
 	// written with a different shard count.
 	ErrShardCountMismatch = errors.New("shard: directory shard count differs from Config.Shards")
+	// ErrNoSuchShard is returned by NewOn for a shard number outside
+	// [0, shard count).
+	ErrNoSuchShard = errors.New("shard: no such shard")
 )
 
 // Config configures a sharded database.
@@ -415,7 +418,12 @@ func (p *points) New(typeName string, attrs ...gomdb.Value) (gomdb.OID, error) {
 // placement primitive for co-locating a graph before its internal references
 // exist (create the vertices on shard s, then the cuboid referencing them).
 func (p *points) NewOn(sh int, typeName string, attrs ...gomdb.Value) (gomdb.OID, error) {
-	on := func(vals []gomdb.Value) (int, error) { return sh, p.db.checkRefsOnLocked(sh, vals) }
+	on := func(vals []gomdb.Value) (int, error) {
+		if sh < 0 || sh >= len(p.on) {
+			return 0, fmt.Errorf("%w: %d of %d", ErrNoSuchShard, sh, len(p.on))
+		}
+		return sh, p.db.checkRefsOnLocked(sh, vals)
+	}
 	return p.create(typeName, attrs, on, handle.New)
 }
 

@@ -43,10 +43,11 @@ func (v *SnapshotView) Release() { v.release() }
 // GMR. Functions that are not provably side-effect free are refused — a
 // snapshot cannot apply updates.
 func (v *SnapshotView) Call(fn string, args ...Value) (Value, error) {
-	if !v.db.Queries.CallReadOnly(fn) {
+	c, ok := v.db.Schema.Callee(fn)
+	if !ok || !v.db.Schema.CalleeReadOnly(c) {
 		return Null(), fmt.Errorf("gomdb: snapshot view: %s is not side-effect free", fn)
 	}
-	return v.snap.Call(fn, args...)
+	return v.snap.Call(c, args)
 }
 
 // Query executes a read-only GOMql statement at the pinned version.

@@ -215,9 +215,9 @@ func TestReadDispatchAllocations(t *testing.T) {
 		want float64
 		fn   func()
 	}{
-		{"Call hit", 1, func() { db.Call("Rectangle.area", ref) }},
+		{"Call hit", 0, func() { db.Call("Rectangle.area", ref) }},
 		{"GetAttr", 0, func() { db.GetAttr(oids[0], "Width") }},
-		{"Backward", 3, func() { db.Backward("Rectangle.area", 2, 6) }},
+		{"Backward", 1, func() { db.Backward("Rectangle.area", 2, 6) }},
 		{"Extension", 1, func() { db.Extension("Rectangle") }},
 		{"Retrieve", 13, func() {
 			db.Retrieve(gmr, []gomdb.FieldSpec{gomdb.AnySpec(), gomdb.RangeSpec(2, 6)})
@@ -227,5 +227,43 @@ func TestReadDispatchAllocations(t *testing.T) {
 		if got := testing.AllocsPerRun(200, c.fn); got != c.want {
 			t.Errorf("%s allocates %v times per call, want %v", c.name, got, c.want)
 		}
+	}
+	// A hit inside a batch takes the same borrowed-argument path.
+	if err := db.Batch(func(tx *gomdb.Tx) error {
+		if got := testing.AllocsPerRun(200, func() { tx.Call("Rectangle.area", ref) }); got != 0 {
+			t.Errorf("Tx.Call hit allocates %v times per call, want 0", got)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWindowQueryAllocationsFlat pins that a GOMql window query allocates
+// the same number of times whatever its candidate count: the projection and
+// both comparisons of every candidate are forward hits that borrow a stack
+// argument, the backward lookup sizes its result once, and the result rows
+// are carved from one slab.
+func TestWindowQueryAllocationsFlat(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	db, _, _ := materializedRectangleDB(t, 40) // areas 2, 4, ..., 80
+	const q = `range r: Rectangle retrieve r.area where r.area > $lo and r.area < $hi`
+	window := func(lo, hi float64, want int) float64 {
+		params := map[string]gomdb.Value{"lo": gomdb.Float(lo), "hi": gomdb.Float(hi)}
+		res, err := db.Query(q, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != want {
+			t.Fatalf("window (%g, %g) has %d rows, want %d", lo, hi, len(res.Rows), want)
+		}
+		return testing.AllocsPerRun(100, func() { db.Query(q, params) })
+	}
+	one := window(1, 3, 1)
+	many := window(1, 47, 23)
+	if many != one {
+		t.Errorf("a 23-candidate window allocates %v times, a 1-candidate window %v", many, one)
 	}
 }
