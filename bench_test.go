@@ -152,6 +152,46 @@ func BenchmarkScaleWithGMR(b *testing.B) {
 	}
 }
 
+// BenchmarkVertexMove measures update-cold's vertex move on a 150-page pool
+// under a larger base, volume rematerialized immediately and weight lazily:
+// read a cuboid's vertex reference, set one coordinate of that vertex. Half
+// the moves hit one of the four vertices volume and weight depend on: they
+// rematerialize volume at once, demoting and re-adding its ObjDepFct marks,
+// and invalidate weight. The other half change nothing materialized.
+func BenchmarkVertexMove(b *testing.B) {
+	cfg := gomdb.DefaultConfig()
+	cfg.BufferPages = 150
+	db := gomdb.Open(cfg)
+	if err := fixtures.DefineGeometry(db, false); err != nil {
+		b.Fatal(err)
+	}
+	g, err := fixtures.PopulateGeometry(db, 1000, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, opts := range []gomdb.MaterializeOptions{
+		{Name: "Gvol", Funcs: []string{"Cuboid.volume"}, Complete: true, Mode: gomdb.ModeObjDep, Strategy: gomdb.Immediate},
+		{Name: "Gwt", Funcs: []string{"Cuboid.weight"}, Complete: true, Mode: gomdb.ModeObjDep, Strategy: gomdb.Lazy},
+	} {
+		if _, err := db.Materialize(opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	vertices := [...]string{"V1", "V2", "V3", "V4", "V5", "V6", "V7", "V8"}
+	coords := [...]string{"X", "Y", "Z"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ref, err := db.GetAttr(g.Cuboids[(i*7919)%len(g.Cuboids)], vertices[i%8])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := db.Set(ref.R, coords[i%3], gomdb.Float(float64(i%97))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkScaleInfoHiding measures the same update under information
 // hiding (one invalidation per scale).
 func BenchmarkScaleInfoHiding(b *testing.B) {

@@ -129,7 +129,14 @@ func (m *Manager) DefineCompensation(typeName, opName, fid string, c *lang.Funct
 	}
 	undo = append(undo, func() { delete(m.ca.m[k], fid) })
 	m.compensations[g.Name] = append(m.compensations[g.Name], undo...)
+	m.caHooks[g.Name] = append(m.caHooks[g.Name], caHook{typeName, opName, hook})
 	return nil
+}
+
+// caHook is one compensating action's hook on typeName.op and its subtypes.
+type caHook struct {
+	typ, op string
+	hook    *schema.UpdateHook
 }
 
 // Compensate applies the compensating action for fid and update operation

@@ -278,19 +278,22 @@ func argKey(args []object.Value) string {
 	return string(appendArgKey(b[:0], args))
 }
 
-// encodeEntry serializes an entry for the heap file: the argument count, the
+// appendEntry appends an entry's heap record to b: the argument count, the
 // arguments, then each result with its validity bit, every one a value.
-func encodeEntry(e *entry) []byte {
-	var enc object.Encoder
-	enc.Value(object.Int(int64(len(e.Args))))
-	for _, a := range e.Args {
-		enc.Value(a)
-	}
+func appendEntry(b []byte, e *entry) []byte {
+	b = object.AppendValue(b, object.Int(int64(len(e.Args))))
+	b = appendArgKey(b, e.Args)
 	for i, r := range e.Results {
-		enc.Value(r)
-		enc.Value(object.Bool(e.Valid[i]))
+		b = object.AppendValue(b, r)
+		b = object.AppendValue(b, object.Bool(e.Valid[i]))
 	}
-	return enc.Buf
+	return b
+}
+
+// entryRecord builds e's heap record in the manager's write buffer.
+func (g *GMR) entryRecord(e *entry) []byte {
+	g.mgr.wbuf = appendEntry(g.mgr.wbuf[:0], e)
+	return g.mgr.wbuf
 }
 
 // insertEntry adds a new entry to the extension, heap, and indexes.
@@ -315,7 +318,7 @@ func (g *GMR) insertEntryLocked(e *entry) error {
 	if g.MaxEntries > 0 && len(g.entries) >= g.MaxEntries {
 		g.evictOldest()
 	}
-	rid, err := g.heap.Insert(encodeEntry(e))
+	rid, err := g.heap.Insert(g.entryRecord(e))
 	if err != nil {
 		return err
 	}
@@ -457,7 +460,7 @@ func (g *GMR) setResult(e *entry, i int, v object.Value) error {
 
 // rewrite persists the entry to the heap file (charging the I/O).
 func (g *GMR) rewrite(e *entry) error {
-	rid, err := g.heap.Update(e.rid, encodeEntry(e))
+	rid, err := g.heap.Update(e.rid, g.entryRecord(e))
 	if err != nil {
 		return err
 	}

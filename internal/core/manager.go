@@ -74,9 +74,11 @@ type Manager struct {
 	rrr  *RRR
 	ca   *CATable
 	// uninstall undoes each GMR's schema rewrite (installHooks);
-	// compensations undoes its compensating actions (DefineCompensation).
+	// compensations undoes its compensating actions (DefineCompensation),
+	// whose hooks caHooks lists for types defined later (typeDefined).
 	uninstall     map[string][]func()
 	compensations map[string][]func()
+	caHooks       map[string][]caHook
 	extractor     *lang.Extractor
 
 	// Intern maps string constants to numeric codes shared between
@@ -106,6 +108,12 @@ type Manager struct {
 	// the traces describe.
 	accessTraces map[traceKey][]object.OID
 	accessStats  map[string]*AccessStats
+
+	// wbuf is the write buffer every GMR entry record is built in. It is
+	// valid until the manager's next entry write; entry writes are
+	// serialized like every GMR mutation, and the heap copies a record and
+	// never keeps it.
+	wbuf []byte
 
 	// breakInvalidation, when set, makes Invalidate silently drop every
 	// notification. It exists solely so the simulation harness
@@ -157,6 +165,7 @@ func NewManager(en *schema.Engine, pool *storage.BufferPool) *Manager {
 		ca:            newCATable(),
 		uninstall:     make(map[string][]func()),
 		compensations: make(map[string][]func()),
+		caHooks:       make(map[string][]caHook),
 		extractor:     lang.NewExtractor(en.Sch, en.Sch),
 		Intern:        pred.NewInterner(),
 		accessTraces:  make(map[traceKey][]object.OID),
@@ -164,6 +173,7 @@ func NewManager(en *schema.Engine, pool *storage.BufferPool) *Manager {
 	}
 	en.SetInterceptor(m.intercept)
 	en.Sch.OnDefineOp(m.opDefined)
+	en.Sch.OnDefineType(m.typeDefined)
 	return m
 }
 
@@ -410,6 +420,7 @@ func (m *Manager) dropState(g *GMR) {
 		undo()
 	}
 	delete(m.compensations, g.Name)
+	delete(m.caHooks, g.Name)
 	for fid, c := range m.cols {
 		if c.g == g {
 			m.cols[fid] = colRef{}
@@ -569,11 +580,7 @@ func (m *Manager) opDefined(typeName, opName string, fid schema.FuncID) error {
 	g, fn := c.g, m.Sch.Func(fid)
 	m.setCol(fid, c)
 	g.variants[c.col] = append(g.variants[c.col], fn)
-	for _, undo := range m.uninstall[g.Name] {
-		undo()
-	}
-	delete(m.uninstall, g.Name)
-	if err := m.installHooks(g); err != nil {
+	if err := m.replanHooks(g); err != nil {
 		return err
 	}
 	for _, e := range append([]*entry(nil), g.order...) {
@@ -585,6 +592,39 @@ func (m *Manager) opDefined(typeName, opName string, fid schema.FuncID) error {
 		}
 	}
 	return nil
+}
+
+// typeDefined extends the schema rewrite to a type defined after GMRs were
+// materialized. installHooks hooks the subtypes that exist when it runs, so
+// a new subtype re-plans every GMR's rewrite and takes on the compensating
+// actions of its supertypes: its instances then enter complete GMRs on
+// creation, invalidate on update and compensate, as their supertypes'
+// instances do. A GMR its supertypes take no part in reinstalls the same
+// hooks.
+func (m *Manager) typeDefined(typeName string) error {
+	if t := m.Sch.Reg.Lookup(typeName); t == nil || t.Super == "" {
+		return nil
+	}
+	for _, name := range m.GMRs() {
+		if err := m.replanHooks(m.gmrs[name]); err != nil {
+			return err
+		}
+		for _, h := range m.caHooks[name] {
+			if h.typ != typeName && m.Sch.Reg.IsSubtypeOf(typeName, h.typ) {
+				m.compensations[name] = append(m.compensations[name], m.En.Hooks.Install(typeName, h.op, h.hook))
+			}
+		}
+	}
+	return nil
+}
+
+// replanHooks undoes g's schema rewrite and installs it afresh.
+func (m *Manager) replanHooks(g *GMR) error {
+	for _, undo := range m.uninstall[g.Name] {
+		undo()
+	}
+	delete(m.uninstall, g.Name)
+	return m.installHooks(g)
 }
 
 // overridesOf returns the subtype overrides of a type-associated operation.
@@ -685,17 +725,9 @@ func (m *Manager) addRRR(oid object.OID, fid string, args []object.Value) error 
 		return err
 	}
 	if isNew && first {
-		o, err := m.Objs.Get(oid)
-		if err != nil {
-			return err
-		}
-		if o.AddDepFct(fid) {
-			if err := m.Objs.Put(o); err != nil {
-				return err
-			}
-		}
+		_, err = m.Objs.AddDepFct(oid, fid)
 	}
-	return nil
+	return err
 }
 
 // removeRRR removes an RRR tuple and demotes the ObjDepFct marking when the
@@ -723,17 +755,9 @@ func (m *Manager) finishRemove(oid object.OID, fid string) func(existed, last bo
 			return err
 		}
 		if existed && last && m.Objs.Exists(oid) {
-			o, err := m.Objs.Get(oid)
-			if err != nil {
-				return err
-			}
-			if o.RemoveDepFct(fid) {
-				if err := m.Objs.Put(o); err != nil {
-					return err
-				}
-			}
+			_, err = m.Objs.RemoveDepFct(oid, fid)
 		}
-		return nil
+		return err
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -24,6 +25,9 @@ type RRR struct {
 	heap  *storage.HeapFile
 	byObj map[object.OID]map[string]storage.RID
 	dep   map[depKey]int
+	// wbuf is the write buffer a tuple record is built in, valid until the
+	// next Insert.
+	wbuf []byte
 }
 
 type depKey struct {
@@ -76,15 +80,15 @@ func rrrKey(f string, args []object.Value) string {
 	return string(appendArgKey(append(append(b[:0], f...), 0), args))
 }
 
-// encodeTuple encodes t as the list value [F, O, Args...], written straight
-// from its parts: a list's Kind byte, its length, then its elements.
-func encodeTuple(t Tuple) []byte {
-	var e object.Encoder
-	e.U8(uint8(object.KList))
-	e.Uvarint(uint64(2 + len(t.Args)))
-	e.Value(object.String_(t.F))
-	e.Value(object.Ref(t.O))
-	return appendArgKey(e.Buf, t.Args)
+// appendTuple appends t to b as the list value [F, O, Args...], written
+// straight from its parts: a list's Kind byte, its length, then its
+// elements.
+func appendTuple(b []byte, t Tuple) []byte {
+	b = append(b, uint8(object.KList))
+	b = binary.AppendUvarint(b, uint64(2+len(t.Args)))
+	b = object.AppendValue(b, object.String_(t.F))
+	b = object.AppendValue(b, object.Ref(t.O))
+	return appendArgKey(b, t.Args)
 }
 
 func decodeTuple(buf []byte) (Tuple, error) {
@@ -117,7 +121,8 @@ func (r *RRR) Insert(o object.OID, f string, args []object.Value) (isNew, firstF
 	if _, dup := m[k]; dup {
 		return false, false, nil
 	}
-	rid, err := r.heap.Insert(encodeTuple(Tuple{O: o, F: f, Args: args}))
+	r.wbuf = appendTuple(r.wbuf[:0], Tuple{O: o, F: f, Args: args})
+	rid, err := r.heap.Insert(r.wbuf)
 	if err != nil {
 		return false, false, err
 	}

@@ -35,12 +35,7 @@ func (e *Encoder) Str(s string)     { e.Buf = appendStr(e.Buf, s) }
 func (e *Encoder) Value(v Value)    { e.Buf = AppendValue(e.Buf, v) }
 
 // Values appends a count-prefixed run of values.
-func (e *Encoder) Values(vs []Value) {
-	e.Uvarint(uint64(len(vs)))
-	for _, v := range vs {
-		e.Value(v)
-	}
-}
+func (e *Encoder) Values(vs []Value) { e.Buf = appendValues(e.Buf, vs) }
 
 // AppendValue appends the encoding of v to b: its Kind, then its payload.
 // It is what Encoder.Value runs, in a form whose buffer can stay on the
@@ -283,18 +278,26 @@ func (d *Decoder) skipValue() {
 	}
 }
 
-// encodeObj serializes an object record: type name, attributes, elements,
+// appendObj appends an object record to b: type name, attributes, elements,
 // and the ObjDepFct marking set.
-func encodeObj(o *Obj) []byte {
-	var e Encoder
-	e.Str(o.Type)
-	e.Values(o.Attrs)
-	e.Values(o.Elems)
-	e.Uvarint(uint64(len(o.DepFcts)))
+func appendObj(b []byte, o *Obj) []byte {
+	b = appendStr(b, o.Type)
+	b = appendValues(b, o.Attrs)
+	b = appendValues(b, o.Elems)
+	b = binary.AppendUvarint(b, uint64(len(o.DepFcts)))
 	for _, f := range o.DepFcts {
-		e.Str(f)
+		b = appendStr(b, f)
 	}
-	return e.Buf
+	return b
+}
+
+// appendValues appends a count-prefixed run of values, as Encoder.Values.
+func appendValues(b []byte, vs []Value) []byte {
+	b = binary.AppendUvarint(b, uint64(len(vs)))
+	for _, v := range vs {
+		b = AppendValue(b, v)
+	}
+	return b
 }
 
 // decodeObj decodes a whole object record. The type name and the ObjDepFct

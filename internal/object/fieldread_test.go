@@ -189,14 +189,16 @@ func TestReadAttrAllocatesNothing(t *testing.T) {
 	}
 }
 
-// FuzzObjectRecord feeds arbitrary bytes to the object-record decoders. None
-// may panic, and whenever the full decode succeeds the field reader must
-// return the same value for every attribute and fail past the last one.
+// FuzzObjectRecord feeds arbitrary bytes to the object-record decoders and
+// editors. None may panic. Whenever the full decode succeeds the field
+// reader must return the same value for every attribute and fail past the
+// last one, and every edit must match the decode → mutate → encode oracle
+// (checkEdits); whenever it fails, every edit must fail too.
 func FuzzObjectRecord(f *testing.F) {
-	f.Add(encodeObj(&Obj{Type: "Vertex", Attrs: []Value{Float(1), Float(-2.5), Float(3)}}))
-	f.Add(encodeObj(&Obj{Type: "Part", Attrs: randomPart(rand.New(rand.NewSource(2)), 9),
+	f.Add(appendObj(nil, &Obj{Type: "Vertex", Attrs: []Value{Float(1), Float(-2.5), Float(3)}}))
+	f.Add(appendObj(nil, &Obj{Type: "Part", Attrs: randomPart(rand.New(rand.NewSource(2)), 9),
 		DepFcts: []string{"Base.label", "Part.mass"}}))
-	f.Add(encodeObj(&Obj{Type: "Points", Elems: []Value{Ref(1), Ref(2), Ref(3)}}))
+	f.Add(appendObj(nil, &Obj{Type: "Points", Elems: []Value{Ref(1), Ref(2), Ref(3)}}))
 	f.Fuzz(func(t *testing.T, rec []byte) {
 		m := &Manager{Reg: NewRegistry()}
 		o, err := m.decodeObj(1, rec)
@@ -219,6 +221,11 @@ func FuzzObjectRecord(f *testing.F) {
 			case i < len(o.Attrs) && !sameValue(v, o.Attrs[i]):
 				t.Fatalf("attribute %d: field reader %v, full decode %v", i, v, o.Attrs[i])
 			}
+		}
+		if err == nil {
+			checkEdits(t, m, rec, o)
+		} else {
+			checkEditsFail(t, rec)
 		}
 		d := NewDecoder(rec)
 		d.Value()

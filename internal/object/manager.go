@@ -32,28 +32,6 @@ func (o *Obj) HasDepFct(fid string) bool {
 	return i < len(o.DepFcts) && o.DepFcts[i] == fid
 }
 
-// AddDepFct inserts fid into ObjDepFct; reports whether it was new.
-func (o *Obj) AddDepFct(fid string) bool {
-	i := sort.SearchStrings(o.DepFcts, fid)
-	if i < len(o.DepFcts) && o.DepFcts[i] == fid {
-		return false
-	}
-	o.DepFcts = append(o.DepFcts, "")
-	copy(o.DepFcts[i+1:], o.DepFcts[i:])
-	o.DepFcts[i] = fid
-	return true
-}
-
-// RemoveDepFct removes fid from ObjDepFct; reports whether it was present.
-func (o *Obj) RemoveDepFct(fid string) bool {
-	i := sort.SearchStrings(o.DepFcts, fid)
-	if i >= len(o.DepFcts) || o.DepFcts[i] != fid {
-		return false
-	}
-	o.DepFcts = append(o.DepFcts[:i], o.DepFcts[i+1:]...)
-	return true
-}
-
 // extent tracks the instances of one exact type with O(1) membership and
 // swap-removal while preserving deterministic iteration for seeded
 // benchmarks.
@@ -189,6 +167,15 @@ type Manager struct {
 	// journal, non-nil only while a durable store is attached, records every
 	// directory mutation since the last checkpoint (see directory.go).
 	journal *dirJournal
+
+	// wbuf is the write buffer every record write (store, Put, edit) builds
+	// its record in. It is valid until the manager's next write; writes are
+	// serialized by the engine's exclusive lock, and the heap copies a
+	// record into its page and never keeps it.
+	wbuf []byte
+	// held is the buffer a hooked SetAttr keeps its receiver's record in
+	// until its AttrEdit stores (nil while lent).
+	held []byte
 }
 
 // ridCapture is a pre-image of one OID-directory entry; present is false
@@ -385,9 +372,9 @@ func (m *Manager) store(o *Obj) (OID, error) {
 		o.OID = m.nextOID
 		m.nextOID++
 	}
-	rec := encodeObj(o)
-	m.Clock.AddCPU(1 + int64(len(rec))/64)
-	rid, err := m.heap.Insert(rec)
+	m.wbuf = appendObj(m.wbuf[:0], o)
+	m.Clock.AddCPU(1 + int64(len(m.wbuf))/64)
+	rid, err := m.heap.Insert(m.wbuf)
 	if err != nil {
 		return NilOID, err
 	}
@@ -486,11 +473,19 @@ func noAttr(typ, attr string) error {
 
 // Put writes back a (possibly mutated) object.
 func (m *Manager) Put(o *Obj) error {
-	rid, ok := m.rids[o.OID]
-	if !ok {
+	if _, ok := m.rids[o.OID]; !ok {
 		return fmt.Errorf("object: put of deleted object %v", o.OID)
 	}
-	rec := encodeObj(o)
+	m.wbuf = appendObj(m.wbuf[:0], o)
+	return m.write(o.OID, m.wbuf)
+}
+
+// write stores rec as the record of the live object oid and charges what
+// every object write is charged: AddCPU(1+len/64), the heap update and one
+// Writes increment. A record that no longer fits its page moves, and the
+// directory entry follows it.
+func (m *Manager) write(oid OID, rec []byte) error {
+	rid := m.rids[oid]
 	m.Clock.AddCPU(1 + int64(len(rec))/64)
 	newRID, err := m.heap.Update(rid, rec)
 	if err != nil {
@@ -498,11 +493,11 @@ func (m *Manager) Put(o *Obj) error {
 	}
 	if newRID != rid {
 		m.verMu.Lock()
-		m.captureRID(o.OID, m.st.Stable())
-		m.rids[o.OID] = newRID
+		m.captureRID(oid, m.st.Stable())
+		m.rids[oid] = newRID
 		m.verMu.Unlock()
 		if m.journal != nil {
-			m.journal.move(o.OID, newRID)
+			m.journal.move(oid, newRID)
 		}
 	}
 	m.Writes++

@@ -106,10 +106,10 @@ func (ex *Executor) RunQuery(q *Query, params map[string]object.Value) (*Result,
 	return exq.runRetrieve(q, params)
 }
 
+// explain sends one plan line to Explain. Callers check Explain first, so
+// a query nobody explains does not box the arguments.
 func (ex *Executor) explain(format string, args ...any) {
-	if ex.Explain != nil {
-		ex.Explain(fmt.Sprintf(format, args...))
-	}
+	ex.Explain(fmt.Sprintf(format, args...))
 }
 
 // binding maps range variables to their current object.
@@ -163,7 +163,9 @@ func (ex *Executor) runRetrieve(q *Query, params map[string]object.Value) (*Resu
 	}
 
 	// Fallback: nested-loop scan over the range extensions.
-	ex.explain("plan: extension scan over %v", q.Ranges)
+	if ex.Explain != nil {
+		ex.explain("plan: extension scan over %v", q.Ranges)
+	}
 	var rec func(i int, b binding) error
 	rec = func(i int, b binding) error {
 		if i == len(q.Ranges) {

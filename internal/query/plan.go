@@ -139,17 +139,23 @@ func (ex *Executor) tryBackward(q *Query, params map[string]object.Value, reserv
 	// restriction predicate p, decided as ¬p ∧ σ′ unsatisfiable.
 	if g.Restriction != nil {
 		if g.Restriction.Formula == nil {
-			ex.explain("plan: GMR %s restricted without formula; falling back", g.Name)
+			if ex.Explain != nil {
+				ex.explain("plan: GMR %s restricted without formula; falling back", g.Name)
+			}
 			return false, nil
 		}
 		sigma, ok := ex.relevantFormula(conjuncts, rv, params)
 		if !ok {
-			ex.explain("plan: σ′ not expressible in the decidable class; falling back")
+			if ex.Explain != nil {
+				ex.explain("plan: σ′ not expressible in the decidable class; falling back")
+			}
 			return false, nil
 		}
 		covered, err := pred.Covers(g.Restriction.Formula, sigma)
 		if err != nil || !covered {
-			ex.explain("plan: restricted GMR %s not applicable (%v); falling back", g.Name, err)
+			if ex.Explain != nil {
+				ex.explain("plan: restricted GMR %s not applicable (%v); falling back", g.Name, err)
+			}
 			return false, nil
 		}
 	}
@@ -167,7 +173,9 @@ func (ex *Executor) tryBackward(q *Query, params map[string]object.Value, reserv
 		}
 		return false, err
 	}
-	ex.explain("plan: backward GMR index on %s over [%g, %g], %d candidates", bestFid, w.lb, w.ub, len(matches))
+	if ex.Explain != nil {
+		ex.explain("plan: backward GMR index on %s over [%g, %g], %d candidates", bestFid, w.lb, w.ub, len(matches))
+	}
 	reserve(len(matches))
 	b := binding{}
 	for _, m := range matches {

@@ -297,7 +297,9 @@ func (en *Engine) EvalRaw(fn *lang.Function, args []object.Value) (object.Value,
 
 // SetAttr implements lang.Runtime: the elementary update t.set_A with its
 // rewritten hook pipeline (Figure 4 / Figure 5 of the paper). Compensation
-// hooks run before the store, invalidation hooks after.
+// hooks run before the store, invalidation hooks after. Every update edits
+// the attribute in the record: one of a type without hooks for it builds no
+// object, a hooked one decodes the receiver once, for the hooks.
 func (en *Engine) SetAttr(recv object.Value, attr string, v object.Value) error {
 	if recv.Kind != object.KRef {
 		return fmt.Errorf("schema: set_%s on %v value", attr, recv.Kind)
@@ -305,29 +307,51 @@ func (en *Engine) SetAttr(recv object.Value, attr string, v object.Value) error 
 	if en.snapshot {
 		return ErrReadOnlyView
 	}
-	o, err := en.Objs.Get(recv.R)
-	if err != nil {
+	op := "set_" + attr
+	var hooks []*UpdateHook
+	e, err := en.Objs.SetAttr(recv.R, attr, v, func(typ string) bool {
+		hooks = en.Hooks.lookup(typ, op)
+		return len(hooks) > 0
+	})
+	if e.Obj == nil || err != nil {
 		return err
 	}
-	i := en.Objs.AttrIndex(o.Type, attr)
-	if i < 0 {
-		return fmt.Errorf("schema: type %q has no attribute %q", o.Type, attr)
+	args := hookArgs(hooks, v)
+	if err := en.runBefore(hooks, e.Obj, args); err != nil {
+		return err
 	}
-	hooks := en.Hooks.lookup(o.Type, "set_"+attr)
+	if err := e.Store(); err != nil {
+		return err
+	}
+	return en.runAfter(hooks, e.Obj, args)
+}
+
+// hookArgs returns the argument list an update's hooks are handed: one
+// slice per update, none when no hook runs.
+func hookArgs(hooks []*UpdateHook, v object.Value) []object.Value {
+	if len(hooks) == 0 {
+		return nil
+	}
+	return []object.Value{v}
+}
+
+// runBefore runs the Before hooks of an update.
+func (en *Engine) runBefore(hooks []*UpdateHook, o *object.Obj, args []object.Value) error {
 	for _, h := range hooks {
 		if h.Before != nil {
-			if err := h.Before(en, o, []object.Value{v}); err != nil {
+			if err := h.Before(en, o, args); err != nil {
 				return err
 			}
 		}
 	}
-	o.Attrs[i] = v
-	if err := en.Objs.Put(o); err != nil {
-		return err
-	}
+	return nil
+}
+
+// runAfter runs the After hooks of an update.
+func (en *Engine) runAfter(hooks []*UpdateHook, o *object.Obj, args []object.Value) error {
 	for _, h := range hooks {
 		if h.After != nil {
-			if err := h.After(en, o, []object.Value{v}); err != nil {
+			if err := h.After(en, o, args); err != nil {
 				return err
 			}
 		}
@@ -361,25 +385,15 @@ func (en *Engine) InsertElem(coll, elem object.Value) error {
 		}
 	}
 	hooks := en.Hooks.lookup(o.Type, "insert")
-	for _, h := range hooks {
-		if h.Before != nil {
-			if err := h.Before(en, o, []object.Value{elem}); err != nil {
-				return err
-			}
-		}
+	args := hookArgs(hooks, elem)
+	if err := en.runBefore(hooks, o, args); err != nil {
+		return err
 	}
 	o.Elems = append(o.Elems, elem)
 	if err := en.Objs.Put(o); err != nil {
 		return err
 	}
-	for _, h := range hooks {
-		if h.After != nil {
-			if err := h.After(en, o, []object.Value{elem}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return en.runAfter(hooks, o, args)
 }
 
 // RemoveElem implements lang.Runtime: the elementary update t.remove.
@@ -406,25 +420,15 @@ func (en *Engine) RemoveElem(coll, elem object.Value) error {
 		return nil
 	}
 	hooks := en.Hooks.lookup(o.Type, "remove")
-	for _, h := range hooks {
-		if h.Before != nil {
-			if err := h.Before(en, o, []object.Value{elem}); err != nil {
-				return err
-			}
-		}
+	args := hookArgs(hooks, elem)
+	if err := en.runBefore(hooks, o, args); err != nil {
+		return err
 	}
 	o.Elems = append(o.Elems[:idx], o.Elems[idx+1:]...)
 	if err := en.Objs.Put(o); err != nil {
 		return err
 	}
-	for _, h := range hooks {
-		if h.After != nil {
-			if err := h.After(en, o, []object.Value{elem}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return en.runAfter(hooks, o, args)
 }
 
 // Create stores a new tuple instance and fires the t.create hooks

@@ -18,7 +18,21 @@ import (
 // data — what is persisted is only the check that the code reopening the base
 // is congruent with the code that wrote it. A mismatch fails recovery rather
 // than silently decoding records against the wrong layout.
+//
+// Every durable commit stores it, so the value is cached: each mutator of
+// the hashed structure drops the cache (changed).
 func (s *Schema) Fingerprint() uint64 {
+	if !s.fpValid {
+		s.fp, s.fpValid = s.fingerprint(), true
+	}
+	return s.fp
+}
+
+// changed drops the cached fingerprint; every schema mutator calls it.
+func (s *Schema) changed() { s.fpValid = false }
+
+// fingerprint computes the fingerprint anew.
+func (s *Schema) fingerprint() uint64 {
 	var b strings.Builder
 	for _, tn := range s.Reg.Types() {
 		t := s.Reg.Lookup(tn)

@@ -15,7 +15,9 @@ import "gomdb/internal/object"
 // UpdateHook is one notification inserted into a rewritten update operation.
 // Before runs before the update is applied (compensating actions must see
 // the pre-update state, Section 5.4); After runs after it (invalidation must
-// see the post-update state, Section 4.3).
+// see the post-update state, Section 4.3). recv and args are lent for the
+// call: an update builds them once for all of its hooks, and a hook must
+// neither modify them nor keep them after it returns (copy what it keeps).
 type UpdateHook struct {
 	// Name identifies the hook for diagnostics (typically the GMR name).
 	Name string

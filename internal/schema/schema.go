@@ -47,6 +47,13 @@ type Schema struct {
 	// (the GMR manager registers subtype overrides of materialized
 	// operations with it).
 	opDefined func(typeName, opName string, id FuncID) error
+	// typeDefined, when set, is told of every type DefineType registers
+	// (the GMR manager extends its rewrites to new subtypes).
+	typeDefined func(typeName string) error
+
+	// fp caches Fingerprint while fpValid; changed drops it.
+	fp      uint64
+	fpValid bool
 }
 
 // New returns an empty schema.
@@ -81,8 +88,19 @@ func (s *Schema) DefineType(t *object.Type, publicNames ...string) error {
 		}
 	}
 	s.public[t.Name] = pub
+	s.changed()
 	s.reindex()
+	if s.typeDefined != nil {
+		return s.typeDefined(t.Name)
+	}
 	return nil
+}
+
+// OnDefineType registers the function DefineType tells of every type it
+// registers, after the registry and the id tables include it; an error it
+// returns is DefineType's.
+func (s *Schema) OnDefineType(fn func(typeName string) error) {
+	s.typeDefined = fn
 }
 
 // DefineOp attaches a type-associated operation. The function's first
@@ -107,6 +125,7 @@ func (s *Schema) DefineOp(typeName string, opName string, fn *lang.Function) err
 		return fmt.Errorf("schema: duplicate operation %s.%s", typeName, opName)
 	}
 	m[opName] = fn
+	s.changed()
 	id := s.addFunc(fn)
 	s.reindex()
 	if s.opDefined != nil {
@@ -132,6 +151,7 @@ func (s *Schema) DefineFunc(fn *lang.Function) error {
 		return fmt.Errorf("schema: duplicate function %q", fn.Name)
 	}
 	s.free[fn.Name] = fn
+	s.changed()
 	s.addFunc(fn)
 	s.reindex()
 	return nil
@@ -147,6 +167,7 @@ func (s *Schema) MakePublic(typeName string, names ...string) {
 	for _, n := range names {
 		pub[n] = true
 	}
+	s.changed()
 }
 
 // IsPublic reports whether member name is in typeName's public clause
@@ -181,6 +202,7 @@ func (s *Schema) DeclareInvalidatedFct(typeName, opName string, materializedFns 
 	for _, f := range materializedFns {
 		set[f] = true
 	}
+	s.changed()
 }
 
 // InvalidatedFct returns the declared InvalidatedFct(typeName.opName) set

@@ -205,11 +205,16 @@ func TestExtensionSnapshotStress(t *testing.T) {
 
 	var stop atomic.Bool
 	var checked atomic.Int64
-	var wg sync.WaitGroup
+	// ready holds the writer back until every reader has completed one
+	// snapshot read, so the writes cannot all finish before any reader ran.
+	var wg, ready sync.WaitGroup
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
+		ready.Add(1)
 		go func() {
 			defer wg.Done()
+			markReady := sync.OnceFunc(ready.Done)
+			defer markReady()
 			// An answer is checked once the writer has recorded a later
 			// version: until then the record for its version may be pending.
 			var pending []record
@@ -229,6 +234,7 @@ func TestExtensionSnapshotStress(t *testing.T) {
 				view := db.SnapshotView()
 				pending = append(pending, record{view.Version(), view.Extension("Cuboid")})
 				view.Release()
+				markReady()
 				drain(false)
 			}
 			drain(true)
@@ -253,6 +259,7 @@ func TestExtensionSnapshotStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ready.Wait()
 	for i := 0; i < 300 && !stop.Load(); i++ {
 		switch r := rng.Intn(10); {
 		case r < 4 || len(live) < 8:

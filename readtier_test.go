@@ -203,13 +203,15 @@ func TestQueryMaterializeTakesBarrier(t *testing.T) {
 
 // TestReadDispatchAllocations pins what the uncontended, quiescent read
 // tiers allocate per call, so the dispatcher adds nothing: a closure that
-// escaped to the heap would add one allocation per call.
+// escaped to the heap would add one allocation per call. The GOMql queries
+// box no plan-explanation arguments when nobody reads the explanation.
 func TestReadDispatchAllocations(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	db, oids, gmr := materializedRectangleDB(t, 8)
 	ref := gomdb.Ref(oids[0])
+	window := map[string]gomdb.Value{"lo": gomdb.Float(1), "hi": gomdb.Float(7)}
 	for _, c := range []struct {
 		name string
 		want float64
@@ -223,6 +225,8 @@ func TestReadDispatchAllocations(t *testing.T) {
 			db.Retrieve(gmr, []gomdb.FieldSpec{gomdb.AnySpec(), gomdb.RangeSpec(2, 6)})
 		}},
 		{"Sum", 1, func() { db.Sum("Rectangle.area", nil) }},
+		{"Query window", 46, func() { db.Query(windowQuery, window) }},
+		{"Query scan", 35, func() { db.Query(`range r: Rectangle retrieve r.area`, nil) }},
 	} {
 		if got := testing.AllocsPerRun(200, c.fn); got != c.want {
 			t.Errorf("%s allocates %v times per call, want %v", c.name, got, c.want)
@@ -239,6 +243,9 @@ func TestReadDispatchAllocations(t *testing.T) {
 	}
 }
 
+// windowQuery is a GOMql window query the backward GMR index answers.
+const windowQuery = `range r: Rectangle retrieve r.area where r.area > $lo and r.area < $hi`
+
 // TestWindowQueryAllocationsFlat pins that a GOMql window query allocates
 // the same number of times whatever its candidate count: the projection and
 // both comparisons of every candidate are forward hits that borrow a stack
@@ -249,21 +256,23 @@ func TestWindowQueryAllocationsFlat(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	db, _, _ := materializedRectangleDB(t, 40) // areas 2, 4, ..., 80
-	const q = `range r: Rectangle retrieve r.area where r.area > $lo and r.area < $hi`
 	window := func(lo, hi float64, want int) float64 {
 		params := map[string]gomdb.Value{"lo": gomdb.Float(lo), "hi": gomdb.Float(hi)}
-		res, err := db.Query(q, params)
+		res, err := db.Query(windowQuery, params)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(res.Rows) != want {
 			t.Fatalf("window (%g, %g) has %d rows, want %d", lo, hi, len(res.Rows), want)
 		}
-		return testing.AllocsPerRun(100, func() { db.Query(q, params) })
+		return testing.AllocsPerRun(100, func() { db.Query(windowQuery, params) })
 	}
 	one := window(1, 3, 1)
 	many := window(1, 47, 23)
 	if many != one {
 		t.Errorf("a 23-candidate window allocates %v times, a 1-candidate window %v", many, one)
+	}
+	if one != 46 {
+		t.Errorf("a window query allocates %v times, want 46", one)
 	}
 }
