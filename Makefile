@@ -246,10 +246,11 @@ sim-long:
 	$(GO) run ./cmd/gomsim -seed-base $(SIM_SEED_BASE) -seeds 20 -ops 200 -durable -crashes -faults
 
 # Coverage over the engine and storage layers (the simulation harness drives
-# most of both); writes cover.out and prints the per-function summary tail.
+# most of both); writes $(OUT)/cover.out and prints the per-function summary
+# tail.
 cover:
-	$(GO) test -coverprofile=cover.out -coverpkg=./internal/core/...,./internal/storage/... ./...
-	$(GO) tool cover -func=cover.out | tail -20
+	$(GO) test -coverprofile=$(OUT)/cover.out -coverpkg=./internal/core/...,./internal/storage/... ./...
+	$(GO) tool cover -func=$(OUT)/cover.out | tail -20
 
 examples:
 	$(GO) run ./examples/quickstart

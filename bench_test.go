@@ -144,12 +144,55 @@ func BenchmarkScaleWithGMR(b *testing.B) {
 		Strategy: gomdb.Immediate, Mode: gomdb.ModeObjDep,
 	})
 	unit := gomdb.Ref(fixtures.NewVertex(db, 1, 1, 1))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := db.Call("Cuboid.scale", gomdb.Ref(g.Cuboids[i%len(g.Cuboids)]), unit); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// updateColdDB builds update-cold's configuration at benchmark scale: 1 000
+// cuboids on a 150-page pool, volume materialized in Gvol and rematerialized
+// immediately, weight in Gwt and rematerialized lazily, both under ObjDepFct
+// marking.
+func updateColdDB(tb testing.TB) (*gomdb.Database, *fixtures.Geometry) {
+	tb.Helper()
+	cfg := gomdb.DefaultConfig()
+	cfg.BufferPages = 150
+	db := gomdb.Open(cfg)
+	if err := fixtures.DefineGeometry(db, false); err != nil {
+		tb.Fatal(err)
+	}
+	g, err := fixtures.PopulateGeometry(db, 1000, 42)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, opts := range []gomdb.MaterializeOptions{
+		{Name: "Gvol", Funcs: []string{"Cuboid.volume"}, Complete: true, Mode: gomdb.ModeObjDep, Strategy: gomdb.Immediate},
+		{Name: "Gwt", Funcs: []string{"Cuboid.weight"}, Complete: true, Mode: gomdb.ModeObjDep, Strategy: gomdb.Lazy},
+	} {
+		if _, err := db.Materialize(opts); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return db, g
+}
+
+var (
+	cuboidVertices = [...]string{"V1", "V2", "V3", "V4", "V5", "V6", "V7", "V8"}
+	vertexCoords   = [...]string{"X", "Y", "Z"}
+)
+
+// vertexMove performs move i of a fixed schedule over g's cuboids: read a
+// cuboid's vertex reference, set one coordinate of that vertex.
+func vertexMove(db *gomdb.Database, g *fixtures.Geometry, i int) error {
+	ref, err := db.GetAttr(g.Cuboids[(i*7919)%len(g.Cuboids)], cuboidVertices[i%8])
+	if err != nil {
+		return err
+	}
+	return db.Set(ref.R, vertexCoords[i%3], gomdb.Float(float64(i%97)))
 }
 
 // BenchmarkVertexMove measures update-cold's vertex move on a 150-page pool
@@ -159,34 +202,32 @@ func BenchmarkScaleWithGMR(b *testing.B) {
 // rematerialize volume at once, demoting and re-adding its ObjDepFct marks,
 // and invalidate weight. The other half change nothing materialized.
 func BenchmarkVertexMove(b *testing.B) {
-	cfg := gomdb.DefaultConfig()
-	cfg.BufferPages = 150
-	db := gomdb.Open(cfg)
-	if err := fixtures.DefineGeometry(db, false); err != nil {
-		b.Fatal(err)
-	}
-	g, err := fixtures.PopulateGeometry(db, 1000, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, opts := range []gomdb.MaterializeOptions{
-		{Name: "Gvol", Funcs: []string{"Cuboid.volume"}, Complete: true, Mode: gomdb.ModeObjDep, Strategy: gomdb.Immediate},
-		{Name: "Gwt", Funcs: []string{"Cuboid.weight"}, Complete: true, Mode: gomdb.ModeObjDep, Strategy: gomdb.Lazy},
-	} {
-		if _, err := db.Materialize(opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-	vertices := [...]string{"V1", "V2", "V3", "V4", "V5", "V6", "V7", "V8"}
-	coords := [...]string{"X", "Y", "Z"}
+	db, g := updateColdDB(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ref, err := db.GetAttr(g.Cuboids[(i*7919)%len(g.Cuboids)], vertices[i%8])
-		if err != nil {
+		if err := vertexMove(db, g, i); err != nil {
 			b.Fatal(err)
 		}
-		if err := db.Set(ref.R, coords[i%3], gomdb.Float(float64(i%97))); err != nil {
+	}
+}
+
+// BenchmarkUpdateColdScale measures update-cold's scale on
+// BenchmarkVertexMove's configuration: Cuboid.scale moves all eight
+// vertices, 24 elementary updates, and each of the 12 that hit a vertex
+// volume depends on rematerializes volume at once. Each cuboid is scaled up
+// on one visit and back down on the next, so volumes do not drift.
+func BenchmarkUpdateColdScale(b *testing.B) {
+	db, g := updateColdDB(b)
+	by := [2]gomdb.Value{
+		gomdb.Ref(fixtures.NewVertex(db, 1.25, 0.8, 1.5)),
+		gomdb.Ref(fixtures.NewVertex(db, 0.8, 1.25, 1/1.5)),
+	}
+	n := len(g.Cuboids)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Call("Cuboid.scale", gomdb.Ref(g.Cuboids[i%n]), by[(i/n)%2]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -199,6 +240,7 @@ func BenchmarkScaleInfoHiding(b *testing.B) {
 		Strategy: gomdb.Immediate, Mode: gomdb.ModeInfoHiding,
 	})
 	unit := gomdb.Ref(fixtures.NewVertex(db, 1, 1, 1))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := db.Call("Cuboid.scale", gomdb.Ref(g.Cuboids[i%len(g.Cuboids)]), unit); err != nil {

@@ -30,6 +30,12 @@ const degree = 32
 
 const maxKeys = degree - 1
 
+// maxDepth is the tree height Delete's descent stack holds without
+// allocating. A split leaves both halves at least half full and deletion
+// never merges, so a tree of height h once held at least (degree/2)^(h-1)
+// keys: 16 levels are beyond any memory.
+const maxDepth = 16
+
 type node struct {
 	leaf     bool
 	keys     []Key
@@ -147,8 +153,11 @@ func (t *Tree) splitChild(p *node, i int) {
 // bulk deletions anyway.
 func (t *Tree) Delete(key Key) bool {
 	n := t.root
-	var parents []*node
-	var idxs []int
+	// The descent path lives on the stack: maxDepth levels cover any tree
+	// that fits in memory, and a deeper one spills to the heap.
+	var pbuf [maxDepth]*node
+	var ibuf [maxDepth]int
+	parents, idxs := pbuf[:0], ibuf[:0]
 	for !n.leaf {
 		i := childIndex(n.keys, key)
 		parents = append(parents, n)

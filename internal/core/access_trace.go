@@ -1,11 +1,11 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 
 	"gomdb/internal/object"
-	"gomdb/internal/storage"
 )
 
 // Forward-trace capture for trace-driven clustering. Every (re)computation of
@@ -38,20 +38,26 @@ type AccessStats struct {
 
 // recordTrace stores the ordered forward trace of column col of the entry
 // with key k, replacing any previous trace for the same result. trace is
-// EvalTrackedOrdered's first-access order, so it holds no repeats.
+// EvalTrackedOrdered's first-access order, so it holds no repeats; it is
+// borrowed, and copied only when it differs from the stored trace (a
+// rematerialization mostly revisits what the last one did).
 func (m *Manager) recordTrace(g *GMR, k string, col int, trace []object.OID) {
 	tk := traceKey{g.Name, k, col}
 	if len(trace) == 0 {
 		delete(m.accessTraces, tk)
 		return
 	}
-	pages := make(map[storage.PageID]struct{}, len(trace))
+	if old, ok := m.accessTraces[tk]; !ok || !slices.Equal(old, trace) {
+		m.accessTraces[tk] = slices.Clone(trace)
+	}
+	m.pages = m.pages[:0]
 	for _, oid := range trace {
 		if rid, ok := m.Objs.RIDOf(oid); ok {
-			pages[rid.Page] = struct{}{}
+			m.pages = append(m.pages, rid.Page)
 		}
 	}
-	m.accessTraces[tk] = trace
+	slices.Sort(m.pages)
+	pages := len(slices.Compact(m.pages))
 	st := m.accessStats[g.Name]
 	if st == nil {
 		st = &AccessStats{}
@@ -59,10 +65,10 @@ func (m *Manager) recordTrace(g *GMR, k string, col int, trace []object.OID) {
 	}
 	st.Traces++
 	st.TraceObjects += int64(len(trace))
-	st.DistinctPages += int64(len(pages))
+	st.DistinctPages += int64(pages)
 	atomic.AddInt64(&m.Stats.ForwardTraces, 1)
 	atomic.AddInt64(&m.Stats.TraceObjects, int64(len(trace)))
-	atomic.AddInt64(&m.Stats.TracePages, int64(len(pages)))
+	atomic.AddInt64(&m.Stats.TracePages, int64(pages))
 }
 
 // clearEntryTraces drops the traces of every column of the entry with key k;

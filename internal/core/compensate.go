@@ -23,29 +23,10 @@ type CATable struct {
 
 func newCATable() *CATable { return &CATable{m: make(map[opKey]map[string]*lang.Function)} }
 
-// fctsFor returns CompensatedFct(t.u) (Definition 5.5), resolving typeName
-// through its supertype chain so an action declared on a supertype covers
-// subtype receivers.
-func (ca *CATable) fctsFor(reg *object.Registry, typeName, op string) map[string]bool {
-	var out map[string]bool
-	for tn := typeName; tn != ""; {
-		if byFct, ok := ca.m[opKey{tn, op}]; ok {
-			if out == nil {
-				out = make(map[string]bool, len(byFct))
-			}
-			for f := range byFct {
-				out[f] = true
-			}
-		}
-		t := reg.Lookup(tn)
-		if t == nil {
-			break
-		}
-		tn = t.Super
-	}
-	return out
-}
-
+// action returns the compensating action of fid for typeName.op, resolving
+// typeName through its supertype chain so an action declared on a supertype
+// covers subtype receivers; nil means fid is not in CompensatedFct(t.u)
+// (Definition 5.5).
 func (ca *CATable) action(reg *object.Registry, typeName, op, fid string) *lang.Function {
 	for tn := typeName; tn != ""; {
 		if c, ok := ca.m[opKey{tn, op}][fid]; ok {
@@ -195,14 +176,14 @@ func (m *Manager) Compensate(recv *object.Obj, fid string, col int, opName strin
 		// the total). The paper leaves the RRR untouched here, which would
 		// let updates to the newly involved objects go unnoticed until the
 		// next full rematerialization.
-		v, accessed, err := m.En.EvalTracked(c, cargs)
+		v, _, order, err := m.En.EvalTrackedOrdered(c, cargs)
 		if err != nil {
 			return fmt.Errorf("core: compensating action %s: %w", c.Name, err)
 		}
 		if err := g.setResult(e, col, v); err != nil {
 			return err
 		}
-		for _, oid := range sortedOIDs(accessed) {
+		for _, oid := range m.sortAccessed(order) {
 			if oid == recv.OID {
 				continue // the receiver's own tuples are already maintained
 			}

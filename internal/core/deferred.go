@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -52,7 +53,12 @@ func (e *entry) triggersOf(i int) []object.OID {
 	if e.triggers == nil {
 		return nil
 	}
-	return sortedOIDs(e.triggers[i])
+	out := make([]object.OID, 0, len(e.triggers[i]))
+	for oid := range e.triggers[i] {
+		out = append(out, oid)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // Flush recomputes every invalid result of every Deferred GMR. Caller holds

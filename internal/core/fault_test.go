@@ -6,6 +6,8 @@ package core_test
 // recover once the fault clears.
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -129,5 +131,84 @@ func TestDiskFailureDuringMaterialization(t *testing.T) {
 	}
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDiskFailureDuringDematerialize fails the RRR scan that Dematerialize
+// and InvalidateAll start with. The fault must surface, and nothing may be
+// removed before it: the GMR, its hooks, its RRR tuples and its ObjDepFct
+// marks all stay, and a retry on a healthy disk removes them.
+func TestDiskFailureDuringDematerialize(t *testing.T) {
+	cfg := gomdb.DefaultConfig()
+	cfg.BufferPages = 4
+	db := gomdb.Open(cfg)
+	if err := fixtures.DefineGeometry(db, false); err != nil {
+		t.Fatal(err)
+	}
+	g, err := fixtures.PopulateGeometry(db, 40, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gmr, err := db.Materialize(gomdb.MaterializeOptions{
+		Name: "Gvol", Funcs: []string{"Cuboid.volume"}, Complete: true, Mode: gomdb.ModeObjDep,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hooks, tuples := db.GMRs.InstalledHookCount(), db.GMRs.RRR().Len()
+	marked := func() int {
+		n := 0
+		for _, c := range g.Cuboids {
+			n += db.GMRs.RRR().FctCount(c, "Cuboid.volume")
+		}
+		return n
+	}
+	marks := marked()
+	if tuples == 0 || marks == 0 {
+		t.Fatalf("%d RRR tuples, %d of them on cuboids", tuples, marks)
+	}
+	for _, op := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Dematerialize", func() error { return db.Dematerialize(gmr.Name) }},
+		{"InvalidateAll", func() error { return db.GMRs.InvalidateAll(gmr.Name) }},
+	} {
+		db.Disk.SetFaultPlan(storage.FaultPlan{Rules: []storage.FaultRule{{Op: storage.FaultRead, File: "RRR"}}})
+		err := op.run()
+		db.Disk.ClearFaults()
+		if !errors.Is(err, storage.ErrInjectedFault) {
+			t.Fatalf("%s on a failing RRR heap: %v", op.name, err)
+		}
+		if _, ok := db.GMRs.Get(gmr.Name); !ok {
+			t.Fatalf("%s dropped the GMR", op.name)
+		}
+		if n := db.GMRs.InstalledHookCount(); n != hooks {
+			t.Fatalf("%s left %d hooks, want %d", op.name, n, hooks)
+		}
+		if n := db.GMRs.RRR().Len(); n != tuples {
+			t.Fatalf("%s left %d RRR tuples, want %d", op.name, n, tuples)
+		}
+		if n := marked(); n != marks {
+			t.Fatalf("%s left %d volume tuples on cuboids, want %d", op.name, n, marks)
+		}
+		for _, c := range g.Cuboids {
+			o, err := db.Objects.Get(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Contains(o.DepFcts, "Cuboid.volume") {
+				t.Fatalf("%s unmarked cuboid %v", op.name, c)
+			}
+		}
+	}
+	if err := db.Dematerialize(gmr.Name); err != nil {
+		t.Fatal(err)
+	}
+	if n := db.GMRs.RRR().Len(); n != 0 {
+		t.Fatalf("%d RRR tuples left after Dematerialize", n)
+	}
+	if n := db.GMRs.InstalledHookCount(); n != 0 {
+		t.Fatalf("%d hooks left after Dematerialize", n)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"gomdb/internal/lang"
@@ -211,8 +212,10 @@ func (m *Manager) installHooks(g *GMR) error {
 			if mode == ModeSchemaDep {
 				// Figure: invalidate(o, SchemaDepFct(t.op)); the manager is
 				// invoked on every update of a relevant operation.
+				deps := sortedKeys(schemaDep)
 				hook.After = func(_ *schema.Engine, recv *object.Obj, _ []object.Value) error {
-					relev := m.subtractCompensated(recv.Type, k.Op, copySet(schemaDep))
+					var buf [relevBuf]string
+					relev := m.subtractCompensated(recv.Type, k.Op, append(buf[:0], deps...))
 					if len(relev) == 0 {
 						return nil
 					}
@@ -223,7 +226,8 @@ func (m *Manager) installHooks(g *GMR) error {
 				// only a non-empty intersection invokes the manager, so
 				// "innocent" objects pay a single in-memory check.
 				hook.After = func(_ *schema.Engine, recv *object.Obj, _ []object.Value) error {
-					relev := intersectDep(recv.DepFcts, schemaDep)
+					var buf [relevBuf]string
+					relev := intersectDep(buf[:0], recv.DepFcts, schemaDep)
 					relev = m.subtractCompensated(recv.Type, k.Op, relev)
 					if len(relev) == 0 {
 						return nil
@@ -241,7 +245,8 @@ func (m *Manager) installHooks(g *GMR) error {
 			hook := &schema.UpdateHook{
 				Name: g.Name,
 				After: func(_ *schema.Engine, recv *object.Obj, _ []object.Value) error {
-					relev := intersectDep(recv.DepFcts, invFct)
+					var buf [relevBuf]string
+					relev := intersectDep(buf[:0], recv.DepFcts, invFct)
 					relev = m.subtractCompensated(recv.Type, k.Op, relev)
 					if len(relev) == 0 {
 						return nil
@@ -293,45 +298,29 @@ func (m *Manager) installHooks(g *GMR) error {
 	return nil
 }
 
-// intersectDep intersects an object's sorted ObjDepFct slice with a schema
-// set, allocating only when non-empty.
-func intersectDep(dep []string, set map[string]bool) map[string]bool {
-	var out map[string]bool
+// relevBuf is the stack buffer a hook builds its RelevFct in; an object
+// marked with more relevant functions spills to the heap.
+const relevBuf = 4
+
+// intersectDep appends to dst the functions of an object's ObjDepFct marks
+// that are in a schema set.
+func intersectDep(dst, dep []string, set map[string]bool) []string {
 	for _, f := range dep {
 		if set[f] {
-			if out == nil {
-				out = make(map[string]bool, 2)
-			}
-			out[f] = true
+			dst = append(dst, f)
 		}
 	}
-	return out
-}
-
-func copySet(s map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(s))
-	for k := range s {
-		out[k] = true
-	}
-	return out
+	return dst
 }
 
 // subtractCompensated removes functions with a compensating action for
-// (typeName, op) from relev — the "\\ RelevFct" of the modified insert' in
-// Section 5.4: compensated results were already fixed up by the Before hook
-// and must not be invalidated.
-func (m *Manager) subtractCompensated(typeName, op string, relev map[string]bool) map[string]bool {
-	if len(relev) == 0 {
-		return relev
-	}
-	comp := m.ca.fctsFor(m.Sch.Reg, typeName, op)
-	if len(comp) == 0 {
-		return relev
-	}
-	for f := range comp {
-		delete(relev, f)
-	}
-	return relev
+// (typeName, op) from relev, in place — the "\\ RelevFct" of the modified
+// insert' in Section 5.4: compensated results were already fixed up by the
+// Before hook and must not be invalidated.
+func (m *Manager) subtractCompensated(typeName, op string, relev []string) []string {
+	return slices.DeleteFunc(relev, func(f string) bool {
+		return m.ca.action(m.Sch.Reg, typeName, op, f) != nil
+	})
 }
 
 // InstalledHookCount reports how many hook rewrites exist; tests use it to

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -108,6 +109,13 @@ type Manager struct {
 	// the traces describe.
 	accessTraces map[traceKey][]object.OID
 	accessStats  map[string]*AccessStats
+
+	// sorted is sortAccessed's buffer, pages recordTrace's; tupleBufs are
+	// Invalidate's lookup buffers, one per nested Invalidate (takeTuples).
+	// Write-path state, like the extensions.
+	sorted    []object.OID
+	pages     []storage.PageID
+	tupleBufs [][]Tuple
 
 	// wbuf is the write buffer every GMR entry record is built in. It is
 	// valid until the manager's next entry write; entry writes are
@@ -388,25 +396,37 @@ func (m *Manager) Drop(name string) error {
 	if !ok {
 		return fmt.Errorf("core: no GMR %q", name)
 	}
-	// Remove RRR tuples and markings belonging to this GMR's functions.
+	if err := m.removeTuplesOf(g); err != nil {
+		return err
+	}
+	m.dropState(g)
+	return nil
+}
+
+// removeTuplesOf removes the RRR tuples of g's functions and restriction
+// predicate, demoting the ObjDepFct marks they carry. A scan that fails —
+// an I/O fault, a record that does not decode — removes nothing.
+func (m *Manager) removeTuplesOf(g *GMR) error {
 	fids := make(map[string]bool, len(g.Funcs)+1)
 	for _, f := range g.Funcs {
 		fids[f.Name] = true
 	}
 	fids[g.predID()] = true
 	var victims []Tuple
-	_ = m.rrr.Scan(func(t Tuple) bool {
+	err := m.rrr.Scan(func(t Tuple) bool {
 		if fids[t.F] {
 			victims = append(victims, t)
 		}
 		return true
 	})
+	if err != nil {
+		return err
+	}
 	for _, t := range victims {
-		if err := m.removeRRR(t.O, t.F, t.Args); err != nil {
+		if err := m.removeTuple(t); err != nil {
 			return err
 		}
 	}
-	m.dropState(g)
 	return nil
 }
 
@@ -523,12 +543,12 @@ func (m *Manager) considerEntry(g *GMR, args []object.Value) error {
 // evalPredicate evaluates p(args) with tracking and refreshes the RRR tuples
 // of the predicate materialization.
 func (m *Manager) evalPredicate(g *GMR, args []object.Value) (bool, error) {
-	v, accessed, err := m.En.EvalTracked(g.Restriction.Fn, args)
+	v, _, order, err := m.En.EvalTrackedOrdered(g.Restriction.Fn, args)
 	if err != nil {
 		return false, err
 	}
 	pid := g.predID()
-	for _, oid := range sortedOIDs(accessed) {
+	for _, oid := range m.sortAccessed(order) {
 		if err := m.addRRR(oid, pid, args); err != nil {
 			return false, err
 		}
@@ -657,10 +677,12 @@ func (m *Manager) overridesOf(fn *lang.Function) []*lang.Function {
 func (m *Manager) computeEntry(g *GMR, args []object.Value) error {
 	results := make([]object.Value, len(g.Funcs))
 	valid := make([]bool, len(g.Funcs))
-	accessedPer := make([]map[object.OID]struct{}, len(g.Funcs))
+	// The next column's evaluation reuses the tracker, so each column's
+	// trace is copied out; its sorted access set is derived when its RRR
+	// tuples go in.
 	tracePer := make([][]object.OID, len(g.Funcs))
 	for i, fn := range g.Funcs {
-		v, accessed, trace, err := m.En.EvalTrackedOrdered(dispatch(m.En, fn, args), args)
+		v, _, trace, err := m.En.EvalTrackedOrdered(dispatch(m.En, fn, args), args)
 		if err != nil {
 			return fmt.Errorf("core: materializing %s: %w", fn.Name, err)
 		}
@@ -670,22 +692,20 @@ func (m *Manager) computeEntry(g *GMR, args []object.Value) error {
 		}
 		results[i] = v
 		valid[i] = true
-		accessedPer[i] = accessed
-		tracePer[i] = trace
+		tracePer[i] = slices.Clone(trace)
 		atomic.AddInt64(&m.Stats.Rematerializations, 1)
 	}
 	e := &entry{Args: args, Results: results, Valid: valid}
 	if err := g.insertEntry(e); err != nil {
 		return err
 	}
-	k := argKey(args)
 	for i, fn := range g.Funcs {
-		for _, oid := range sortedOIDs(accessedPer[i]) {
+		for _, oid := range m.sortAccessed(tracePer[i]) {
 			if err := m.addRRR(oid, fn.Name, args); err != nil {
 				return err
 			}
 		}
-		m.recordTrace(g, k, i, tracePer[i])
+		m.recordTrace(g, e.key, i, tracePer[i])
 	}
 	return nil
 }
@@ -707,15 +727,14 @@ func (m *Manager) storeComplexResult(fn *lang.Function, v object.Value) (object.
 	return v, nil
 }
 
-// sortedOIDs returns the keys of an accessed-object set in ascending order,
-// so RRR tuples are inserted (and thus physically placed) deterministically.
-func sortedOIDs(set map[object.OID]struct{}) []object.OID {
-	out := make([]object.OID, 0, len(set))
-	for oid := range set {
-		out = append(out, oid)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// sortAccessed returns the objects of a tracked evaluation's first-access
+// order in ascending order, so RRR tuples are inserted (and thus physically
+// placed) deterministically. The result is the manager's buffer, valid until
+// the next call: every caller consumes it before it evaluates again.
+func (m *Manager) sortAccessed(order []object.OID) []object.OID {
+	m.sorted = append(m.sorted[:0], order...)
+	slices.Sort(m.sorted)
+	return m.sorted
 }
 
 // addRRR inserts an RRR tuple and maintains the object's ObjDepFct marking.
@@ -737,14 +756,10 @@ func (m *Manager) removeRRR(oid object.OID, fid string, args []object.Value) err
 	return m.finishRemove(oid, fid)(m.rrr.Remove(oid, fid, args))
 }
 
-// removeTuple removes a looked-up RRR tuple, reusing its stored relation key
-// instead of re-encoding the argument combination (tuples obtained by Scan
-// carry no key and fall back to the encoding path).
+// removeTuple removes a tuple Lookup or Scan returned, by its index key
+// instead of re-encoding the argument combination.
 func (m *Manager) removeTuple(t Tuple) error {
-	if t.key == "" {
-		return m.removeRRR(t.O, t.F, t.Args)
-	}
-	return m.finishRemove(t.O, t.F)(m.rrr.RemoveByKey(t.O, t.F, t.key))
+	return m.finishRemove(t.O, t.F)(m.rrr.removeKey(t.O, t.k))
 }
 
 // finishRemove performs the post-removal bookkeeping shared by removeRRR and
@@ -765,19 +780,21 @@ func (m *Manager) finishRemove(oid object.OID, fid string) func(existed, last bo
 // rewritten update operations after an object was modified. relev == nil
 // means "check everything" (the Figure 4 version); otherwise only tuples
 // whose function is in relev are processed (Sections 5.1/5.2/5.3).
-func (m *Manager) Invalidate(o *object.Obj, relev map[string]bool) error {
+func (m *Manager) Invalidate(o *object.Obj, relev []string) error {
 	if m.breakInvalidation {
 		// Deliberately-broken mode for the simulator's mutation smoke test:
 		// drop the notification so dependent entries go stale undetected.
 		return nil
 	}
 	atomic.AddInt64(&m.Stats.RRRLookups, 1)
-	tuples, err := m.rrr.Lookup(o.OID)
+	tuples, err := m.rrr.lookupInto(m.takeTuples(), o.OID)
+	defer m.putTuples(tuples)
 	if err != nil {
 		return err
 	}
+	var kb [keyBufSize]byte
 	for _, t := range tuples {
-		if relev != nil && !relev[t.F] {
+		if relev != nil && !slices.Contains(relev, t.F) {
 			continue
 		}
 		if strings.HasPrefix(t.F, "p:") {
@@ -795,8 +812,7 @@ func (m *Manager) Invalidate(o *object.Obj, relev map[string]bool) error {
 			continue
 		}
 		g, i := c.g, c.col
-		k := t.argSuffix()
-		e, ok := g.entries[k]
+		e, ok := g.entries[string(t.k.appendArgs(kb[:0]))]
 		if !ok {
 			// Blind reference (Section 4.2): the entry is gone; clean up
 			// lazily.
@@ -818,7 +834,7 @@ func (m *Manager) Invalidate(o *object.Obj, relev map[string]bool) error {
 			// longer visits o.
 			deferred := g.Strategy == Deferred
 			wasInvalid := !e.Valid[i]
-			if err := g.markInvalid(k, i); err != nil {
+			if err := g.markInvalid(e.key, i); err != nil {
 				return err
 			}
 			if deferred && g.SecondChance {
@@ -858,6 +874,26 @@ func (m *Manager) Invalidate(o *object.Obj, relev map[string]bool) error {
 	return nil
 }
 
+// takeTuples returns an empty tuple buffer for one Invalidate. A hook run
+// inside a rematerialization can nest an Invalidate in another, so each
+// takes its own buffer and putTuples returns it.
+func (m *Manager) takeTuples() []Tuple {
+	n := len(m.tupleBufs)
+	if n == 0 {
+		return nil
+	}
+	b := m.tupleBufs[n-1]
+	m.tupleBufs = m.tupleBufs[:n-1]
+	return b
+}
+
+// putTuples returns a buffer takeTuples handed out, cleared so it keeps no
+// decoded arguments alive.
+func (m *Manager) putTuples(b []Tuple) {
+	clear(b)
+	m.tupleBufs = append(m.tupleBufs, b[:0])
+}
+
 // rematerialize recomputes column i of entry e and refreshes the RRR. An
 // invalid Deferred result recomputed here, ahead of its flush, counts as a
 // force.
@@ -875,7 +911,7 @@ func (m *Manager) rematerialize(g *GMR, e *entry, i int) error {
 // are removed.
 func (m *Manager) rematerializeWith(g *GMR, e *entry, i int, triggers []object.OID) error {
 	fn := g.Funcs[i]
-	v, accessed, trace, err := m.En.EvalTrackedOrdered(dispatch(m.En, fn, e.Args), e.Args)
+	v, accessed, order, err := m.En.EvalTrackedOrdered(dispatch(m.En, fn, e.Args), e.Args)
 	if err != nil {
 		return fmt.Errorf("core: rematerializing %s: %w", fn.Name, err)
 	}
@@ -888,7 +924,7 @@ func (m *Manager) rematerializeWith(g *GMR, e *entry, i int, triggers []object.O
 	}
 	atomic.AddInt64(&m.Stats.Rematerializations, 1)
 	m.emit("rematerialize", g.Name, fn.Name, object.NilOID)
-	for _, oid := range sortedOIDs(accessed) {
+	for _, oid := range m.sortAccessed(order) {
 		if err := m.addRRR(oid, fn.Name, e.Args); err != nil {
 			return err
 		}
@@ -900,7 +936,7 @@ func (m *Manager) rematerializeWith(g *GMR, e *entry, i int, triggers []object.O
 			}
 		}
 	}
-	m.recordTrace(g, argKey(e.Args), i, trace)
+	m.recordTrace(g, e.key, i, order)
 	return nil
 }
 
@@ -987,12 +1023,12 @@ func (m *Manager) ForgetObject(o *object.Obj) error {
 			}
 		}
 	}
-	tuples, err := m.rrr.Lookup(o.OID)
+	tuples, err := m.rrr.lookupInto(nil, o.OID)
 	if err != nil {
 		return err
 	}
 	for _, t := range tuples {
-		if err := m.removeRRR(t.O, t.F, t.Args); err != nil {
+		if err := m.removeTuple(t); err != nil {
 			return err
 		}
 	}
@@ -1020,22 +1056,8 @@ func (m *Manager) InvalidateAll(name string) error {
 	if !ok {
 		return fmt.Errorf("core: no GMR %q", name)
 	}
-	fids := make(map[string]bool, len(g.Funcs)+1)
-	for _, f := range g.Funcs {
-		fids[f.Name] = true
-	}
-	fids[g.predID()] = true
-	var victims []Tuple
-	_ = m.rrr.Scan(func(t Tuple) bool {
-		if fids[t.F] {
-			victims = append(victims, t)
-		}
-		return true
-	})
-	for _, t := range victims {
-		if err := m.removeRRR(t.O, t.F, t.Args); err != nil {
-			return err
-		}
+	if err := m.removeTuplesOf(g); err != nil {
+		return err
 	}
 	for _, e := range g.order {
 		for i := range g.Funcs {

@@ -27,11 +27,15 @@ type Engine struct {
 
 	interceptor CallInterceptor
 
-	// trackers is a stack of access recorders; (re)materialization pushes
-	// one to collect the objects a computation visits. Tracking only runs
-	// during (re)materialization, which executes under the exclusive
-	// Database lock, so the stack needs no further synchronization.
+	// trackers[:depth] is the stack of active access recorders; each
+	// (re)materialization pushes one to collect the objects a computation
+	// visits. The recorders above depth are kept for reuse: the one at a
+	// nesting depth serves every tracked evaluation at that depth (see
+	// EvalTrackedOrdered). Tracking only runs during (re)materialization,
+	// which executes under the exclusive Database lock, so the stack needs
+	// no further synchronization.
 	trackers []*accessTracker
+	depth    int
 	// suspend > 0 disables tracking: inside a public operation of a
 	// strictly encapsulated type only the receiver is recorded, its
 	// subobjects are not (Section 5.3). Write-path-only, like trackers.
@@ -69,11 +73,28 @@ type accessTracker struct {
 	order []object.OID
 }
 
-func (en *Engine) track(oid object.OID) {
-	if en.suspend > 0 || len(en.trackers) == 0 {
+// maxReusedSet bounds the set a recorder clears for reuse: clearing a map
+// costs its capacity, so after one large evaluation (an aggregate over a big
+// collection, say) the recorder starts afresh instead of slowing every later
+// one.
+const maxReusedSet = 1024
+
+// reset empties the recorder for its next evaluation.
+func (t *accessTracker) reset() {
+	if t.set == nil || len(t.order) > maxReusedSet {
+		t.set = make(map[object.OID]struct{})
+		t.order = nil
 		return
 	}
-	for _, t := range en.trackers {
+	clear(t.set)
+	t.order = t.order[:0]
+}
+
+func (en *Engine) track(oid object.OID) {
+	if en.suspend > 0 || en.depth == 0 {
+		return
+	}
+	for _, t := range en.trackers[:en.depth] {
 		if _, seen := t.set[oid]; !seen {
 			t.set[oid] = struct{}{}
 			t.order = append(t.order, oid)
@@ -82,7 +103,7 @@ func (en *Engine) track(oid object.OID) {
 }
 
 // Tracking reports whether any access tracker is active (and not suspended).
-func (en *Engine) Tracking() bool { return len(en.trackers) > 0 && en.suspend == 0 }
+func (en *Engine) Tracking() bool { return en.depth > 0 && en.suspend == 0 }
 
 // ReadAttr implements lang.Runtime.
 func (en *Engine) ReadAttr(recv object.Value, attr string) (object.Value, error) {
@@ -240,22 +261,28 @@ func (en *Engine) Apply(c Callee, fid FuncID, dt int32, args []object.Value) (ob
 	return v, nil
 }
 
-// EvalTracked evaluates fn(args) with access tracking and without GMR
-// interception — the (re)materialization entry point. It returns the result
-// and the set of accessed objects for RRR maintenance.
-func (en *Engine) EvalTracked(fn *lang.Function, args []object.Value) (object.Value, map[object.OID]struct{}, error) {
-	v, set, _, err := en.EvalTrackedOrdered(fn, args)
-	return v, set, err
-}
-
-// EvalTrackedOrdered is EvalTracked plus the forward trace: the accessed
-// objects in first-access order. The trace is the input to trace-driven
-// clustering — consecutive positions are objects the computation touched
-// back-to-back, so co-locating them turns the function's read pattern into
-// sequential page access.
+// EvalTrackedOrdered evaluates fn(args) with access tracking and without
+// GMR interception — the (re)materialization entry point. It returns the
+// result, the set of accessed objects for RRR maintenance, and the forward
+// trace: the accessed objects in first-access order. The trace is the input
+// to trace-driven clustering — consecutive positions are objects the
+// computation touched back-to-back, so co-locating them turns the
+// function's read pattern into sequential page access.
+//
+// The set and the order are borrowed: they belong to the recorder of this
+// evaluation's nesting depth, which the next tracked evaluation at the same
+// depth clears and refills. A caller that evaluates again before it is done
+// with them (the columns of one entry, say) copies what it keeps. An
+// evaluation nested inside this one — a hook that rematerializes — runs at
+// the next depth and leaves them alone. UpdateHook's arguments are lent the
+// same way.
 func (en *Engine) EvalTrackedOrdered(fn *lang.Function, args []object.Value) (object.Value, map[object.OID]struct{}, []object.OID, error) {
-	tracker := &accessTracker{set: make(map[object.OID]struct{})}
-	en.trackers = append(en.trackers, tracker)
+	if en.depth == len(en.trackers) {
+		en.trackers = append(en.trackers, &accessTracker{})
+	}
+	tracker := en.trackers[en.depth]
+	tracker.reset()
+	en.depth++
 	en.noIntercept.Add(1)
 	// Track argument objects themselves: the paper's RRR examples include
 	// the argument objects (e.g. [id1, volume, <id1>]).
@@ -279,7 +306,7 @@ func (en *Engine) EvalTrackedOrdered(fn *lang.Function, args []object.Value) (ob
 	}
 	v, err := lang.Eval(en, fn, args)
 	en.noIntercept.Add(-1)
-	en.trackers = en.trackers[:len(en.trackers)-1]
+	en.depth--
 	if err != nil {
 		return object.Null(), nil, nil, err
 	}

@@ -18,6 +18,9 @@ import "gomdb/internal/object"
 // see the post-update state, Section 4.3). recv and args are lent for the
 // call: an update builds them once for all of its hooks, and a hook must
 // neither modify them nor keep them after it returns (copy what it keeps).
+// A tracked evaluation's results are lent the same way: EvalTrackedOrdered's
+// access set and order belong to the recorder of its nesting depth and are
+// refilled by the next tracked evaluation at that depth.
 type UpdateHook struct {
 	// Name identifies the hook for diagnostics (typically the GMR name).
 	Name string

@@ -246,14 +246,14 @@ func TestPublicOpHooks(t *testing.T) {
 }
 
 func TestTrackingAndEncapsulationBoundary(t *testing.T) {
-	// Open schema: EvalTracked marks the subobjects.
+	// Open schema: a tracked evaluation marks the subobjects.
 	en := newEngine(t)
 	defineShape(t, en, false)
 	s := newShape(t, en, 3, 4)
 	so, _ := en.Objs.Get(s)
 	p := so.Attrs[0].R
 	fn, _ := en.Sch.ResolveOp("Shape", "size")
-	v, accessed, err := en.EvalTracked(fn, []object.Value{object.Ref(s)})
+	v, accessed, _, err := en.EvalTrackedOrdered(fn, []object.Value{object.Ref(s)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestTrackingAndEncapsulationBoundary(t *testing.T) {
 	so2, _ := en2.Objs.Get(s2)
 	p2 := so2.Attrs[0].R
 	fn2, _ := en2.Sch.ResolveOp("Shape", "size")
-	_, accessed2, err := en2.EvalTracked(fn2, []object.Value{object.Ref(s2)})
+	_, accessed2, _, err := en2.EvalTrackedOrdered(fn2, []object.Value{object.Ref(s2)})
 	if err != nil {
 		t.Fatal(err)
 	}

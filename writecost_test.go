@@ -84,3 +84,49 @@ func TestWriteCostIndependentOfBaseSize(t *testing.T) {
 		t.Errorf("median bytes per New %d at 1k objects, %d at 8k; per Delete %d and %d", nb1, nb8, db1, db8)
 	}
 }
+
+// TestVertexMoveAllocations pins what update-cold's vertex move allocates
+// on BenchmarkVertexMove's configuration: GetAttr plus a hooked Set. The
+// RRR lookup, the invalidation and the rematerialization keep their
+// bookkeeping in reused buffers, so a move that rematerializes volume
+// allocates only for the evaluation (9, lang), the receiver its hooks are
+// handed (3), the hooks' argument slice (1) and the entry's MVCC pre-image
+// (1). Over the fixed schedule half the moves change nothing materialized.
+func TestVertexMoveAllocations(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	db, g := updateColdDB(t)
+	i := 0
+	if got := testing.AllocsPerRun(400, func() {
+		if err := vertexMove(db, g, i); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); got != 9 {
+		t.Errorf("a move of the schedule allocates %v times, want 9", got)
+	}
+	// V1 is one of the vertices volume reads: every move of it
+	// rematerializes volume.
+	c := g.Cuboids[0]
+	ref, err := db.GetAttr(c, "V1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := 0.0
+	remats := db.GMRs.Stats.Rematerializations
+	if got := testing.AllocsPerRun(400, func() {
+		x++
+		if _, err := db.GetAttr(c, "V1"); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Set(ref.R, "X", gomdb.Float(x)); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 14 {
+		t.Errorf("a rematerializing move allocates %v times, want 14", got)
+	}
+	if n := db.GMRs.Stats.Rematerializations - remats; n != 401 {
+		t.Errorf("%d rematerializations, want one per move of V1", n)
+	}
+}
