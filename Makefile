@@ -52,6 +52,7 @@ ci:
 	$(GO) test -race -count=10 -run TestTouchRecycledFramesStress ./internal/storage/
 	$(GO) test -race -count=10 -run TestExtensionSnapshotStress .
 	$(GO) test -race -count=10 -run TestSnapshotReadersRaceWriters .
+	$(GO) test -race -count=10 -run TestComputedCallsRaceWriter .
 	$(GO) test -race -count=10 -run TestIDTablesRaceDDL .
 	$(GO) test -race -count=10 -run TestRouterPointOpsRaceBatches ./internal/shard/
 	$(MAKE) check-determinism
@@ -197,6 +198,7 @@ fuzz-pred:
 fuzz-parse:
 	$(GO) test ./internal/query/ -run '^$$' -fuzz FuzzParseQuery -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/lang/ -run '^$$' -fuzz FuzzParseDefine -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/lang/ -run '^$$' -fuzz FuzzEvalMatchesOracle -fuzztime $(FUZZ_TIME)
 
 # Fuzz WAL recovery from the committed corpus in
 # internal/storage/testdata/fuzz: arbitrary wal.gomdb bytes must decode or be

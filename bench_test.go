@@ -100,6 +100,7 @@ func BenchmarkForwardLookup(b *testing.B) {
 // evaluation).
 func BenchmarkForwardCompute(b *testing.B) {
 	db, g := geometryDB(b, 1000, false, false, gomdb.MaterializeOptions{})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := db.Call("Cuboid.volume", gomdb.Ref(g.Cuboids[i%len(g.Cuboids)])); err != nil {

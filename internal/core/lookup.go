@@ -40,9 +40,8 @@ func (m *Manager) intercept(fid schema.FuncID, args []object.Value) (object.Valu
 // Call invokes the function or operation a call name resolved to (see
 // schema.Schema.Callee) — the facade's and the query executor's call path.
 // An invocation of a materialized function is answered by the forward
-// query, which borrows args: a valid hit keeps nothing and allocates
-// nothing. Any other call copies args once, for the evaluation that keeps
-// them.
+// query, any other by Apply; both borrow args, so a valid hit and an
+// evaluation keep nothing of them.
 func (m *Manager) Call(c schema.Callee, args []object.Value) (object.Value, error) {
 	fid, dt, err := m.En.Resolve(c, args)
 	if err != nil {
@@ -51,12 +50,7 @@ func (m *Manager) Call(c schema.Callee, args []object.Value) (object.Value, erro
 	if col := m.colOf(fid); col.g != nil && m.En.Intercepts() {
 		return m.forward(col, fid, args)
 	}
-	return m.En.Apply(c, fid, dt, cloneArgs(args))
-}
-
-// cloneArgs copies a borrowed argument list for a path that keeps it.
-func cloneArgs(args []object.Value) []object.Value {
-	return append([]object.Value(nil), args...)
+	return m.En.Apply(c, fid, dt, args)
 }
 
 // Forward answers a forward query for the function named fid (a
@@ -108,7 +102,7 @@ func (m *Manager) forward(c colRef, fid schema.FuncID, args []object.Value) (obj
 	// "missing GMR entries whose results are computed during the evaluation
 	// of some query may be inserted"). The entry and the RRR keep the
 	// argument list, so it is copied here.
-	owned := cloneArgs(args)
+	owned := append([]object.Value(nil), args...)
 	if g.Restriction != nil {
 		holds, err := m.evalPredicate(g, owned)
 		if err != nil {

@@ -215,8 +215,8 @@ func (s *Snapshot) computeRaw(fn *lang.Function, args []object.Value) (object.Va
 
 // Call invokes the function or operation a call name resolved to against
 // the snapshot (the snapshot path of Database.Call), mirroring Manager.Call:
-// a materialized function is answered by the forward query, which borrows
-// args; any other call copies them. Mutating operations fail with
+// a materialized function is answered by the forward query, any other by
+// Apply, and both borrow args. Mutating operations fail with
 // schema.ErrReadOnlyView.
 func (s *Snapshot) Call(c schema.Callee, args []object.Value) (object.Value, error) {
 	fid, dt, err := s.en.Resolve(c, args)
@@ -226,7 +226,7 @@ func (s *Snapshot) Call(c schema.Callee, args []object.Value) (object.Value, err
 	if col := s.m.colOf(fid); col.g != nil && s.en.Intercepts() {
 		return s.forward(col, args)
 	}
-	return s.en.Apply(c, fid, dt, cloneArgs(args))
+	return s.en.Apply(c, fid, dt, args)
 }
 
 // Extension returns the extension of typeName at the pinned version.

@@ -3,21 +3,24 @@
 // built programmatically (the schema layer attaches them to types); the
 // package provides
 //
-//   - an evaluator (eval.go) that executes bodies against the object base
-//     through a Runtime interface, recording every accessed object so the
-//     GMR manager can maintain the Reverse Reference Relation, and
+//   - an evaluator (compile.go, eval.go) that compiles each body once into
+//     closures over slot-indexed frames and executes it against the object
+//     base through a Runtime interface, through which the GMR manager
+//     records every accessed object to maintain the Reverse Reference
+//     Relation, and
 //   - the static path-extraction analysis of the paper's Appendix
 //     (extract.go) that computes the relevant path expressions — and from
 //     them RelAttr(f) (Definition 5.1) — directly from function bodies.
 //
-// Interpreting bodies instead of compiling them is the reproduction's
-// substitute for GOM's schema compiler; it is what makes both dynamic access
+// Bodies stay syntax trees, compiled on first evaluation rather than by a
+// schema compiler ahead of time; it is what makes both dynamic access
 // tracking and static analysis possible in one place.
 package lang
 
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"gomdb/internal/object"
 )
@@ -284,6 +287,10 @@ type Function struct {
 	// SideEffectFree declares the function free of updates; only such
 	// functions are materializable (Definition 3.1 requires it).
 	SideEffectFree bool
+
+	// code is the compiled body, built by the first Eval (compile.go). A
+	// Function is evaluated as it was when first evaluated.
+	code atomic.Pointer[compiled]
 }
 
 // ParamTypes returns the parameter type names.

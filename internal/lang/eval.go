@@ -19,7 +19,8 @@ type Runtime interface {
 	ReadElems(coll object.Value) ([]object.Value, error)
 	// CallFunction invokes a declared function. fn may be qualified
 	// ("Type.op") or a free-function name; for operations args[0] is the
-	// receiver and dispatch follows its dynamic type.
+	// receiver and dispatch follows its dynamic type. args is borrowed from
+	// the caller's frame for the call: the callee neither keeps nor grows it.
 	CallFunction(fn string, args []object.Value) (object.Value, error)
 	// SetAttr performs the elementary update t.set_A.
 	SetAttr(recv object.Value, attr string, v object.Value) error
@@ -31,330 +32,91 @@ type Runtime interface {
 	Charge(n int64)
 }
 
-// Eval executes fn with the given arguments and returns its result.
-func Eval(rt Runtime, fn *Function, args []object.Value) (object.Value, error) {
-	if len(args) != len(fn.Params) {
-		return object.Null(), fmt.Errorf("lang: %s expects %d arguments, got %d", fn.Name, len(fn.Params), len(args))
-	}
-	env := make(map[string]object.Value, len(args)+4)
-	for i, p := range fn.Params {
-		env[p.Name] = args[i]
-	}
-	val, returned, err := evalStmts(rt, fn.Body, env)
-	if err != nil {
-		return object.Null(), fmt.Errorf("lang: in %s: %w", fn.Name, err)
-	}
-	if !returned {
-		return object.Null(), nil
-	}
-	return val, nil
-}
-
-func evalStmts(rt Runtime, stmts []Stmt, env map[string]object.Value) (object.Value, bool, error) {
-	for _, s := range stmts {
-		rt.Charge(1)
-		switch st := s.(type) {
-		case Assign:
-			v, err := evalExpr(rt, st.E, env)
-			if err != nil {
-				return object.Null(), false, err
-			}
-			env[st.Var] = v
-		case SetAttr:
-			recv, err := evalExpr(rt, st.Recv, env)
-			if err != nil {
-				return object.Null(), false, err
-			}
-			v, err := evalExpr(rt, st.E, env)
-			if err != nil {
-				return object.Null(), false, err
-			}
-			if err := rt.SetAttr(recv, st.Name, v); err != nil {
-				return object.Null(), false, err
-			}
-		case Insert:
-			recv, err := evalExpr(rt, st.Recv, env)
-			if err != nil {
-				return object.Null(), false, err
-			}
-			v, err := evalExpr(rt, st.E, env)
-			if err != nil {
-				return object.Null(), false, err
-			}
-			if err := rt.InsertElem(recv, v); err != nil {
-				return object.Null(), false, err
-			}
-		case Remove:
-			recv, err := evalExpr(rt, st.Recv, env)
-			if err != nil {
-				return object.Null(), false, err
-			}
-			v, err := evalExpr(rt, st.E, env)
-			if err != nil {
-				return object.Null(), false, err
-			}
-			if err := rt.RemoveElem(recv, v); err != nil {
-				return object.Null(), false, err
-			}
-		case If:
-			cond, err := evalExpr(rt, st.Cond, env)
-			if err != nil {
-				return object.Null(), false, err
-			}
-			branch := st.Else
-			if cond.Truth() {
-				branch = st.Then
-			}
-			if v, ret, err := evalStmts(rt, branch, env); err != nil || ret {
-				return v, ret, err
-			}
-		case ForEach:
-			coll, err := evalExpr(rt, st.Coll, env)
-			if err != nil {
-				return object.Null(), false, err
-			}
-			elems, err := rt.ReadElems(coll)
-			if err != nil {
-				return object.Null(), false, err
-			}
-			saved, had := env[st.Var]
-			for _, e := range elems {
-				env[st.Var] = e
-				if v, ret, err := evalStmts(rt, st.Body, env); err != nil || ret {
-					return v, ret, err
-				}
-			}
-			if had {
-				env[st.Var] = saved
-			} else {
-				delete(env, st.Var)
-			}
-		case Return:
-			if st.E == nil {
-				return object.Null(), true, nil
-			}
-			v, err := evalExpr(rt, st.E, env)
-			return v, true, err
-		case ExprStmt:
-			if _, err := evalExpr(rt, st.E, env); err != nil {
-				return object.Null(), false, err
-			}
-		default:
-			return object.Null(), false, fmt.Errorf("unknown statement %T", s)
-		}
-	}
-	return object.Null(), false, nil
-}
-
-func evalExpr(rt Runtime, e Expr, env map[string]object.Value) (object.Value, error) {
-	rt.Charge(1)
-	switch ex := e.(type) {
-	case Lit:
-		return ex.Val, nil
-	case Var:
-		v, ok := env[ex.Name]
-		if !ok {
-			return object.Null(), fmt.Errorf("unbound variable %q", ex.Name)
-		}
-		return v, nil
-	case Attr:
-		recv, err := evalExpr(rt, ex.Recv, env)
-		if err != nil {
-			return object.Null(), err
-		}
-		return rt.ReadAttr(recv, ex.Name)
-	case Call:
-		args := make([]object.Value, len(ex.Args))
-		for i, a := range ex.Args {
-			v, err := evalExpr(rt, a, env)
-			if err != nil {
-				return object.Null(), err
-			}
-			args[i] = v
-		}
-		return rt.CallFunction(ex.Fn, args)
-	case Builtin:
-		args := make([]object.Value, len(ex.Args))
-		for i, a := range ex.Args {
-			v, err := evalExpr(rt, a, env)
-			if err != nil {
-				return object.Null(), err
-			}
-			args[i] = v
-		}
-		return evalBuiltin(rt, ex.Name, args)
-	case Bin:
-		return evalBin(rt, ex, env)
-	case Un:
-		v, err := evalExpr(rt, ex.E, env)
-		if err != nil {
-			return object.Null(), err
-		}
-		switch ex.Op {
-		case "-":
-			switch v.Kind {
-			case object.KInt:
-				return object.Int(-v.I), nil
-			case object.KFloat:
-				return object.Float(-v.F), nil
-			}
-			return object.Null(), fmt.Errorf("unary - on %v", v.Kind)
-		case "not":
-			return object.Bool(!v.Truth()), nil
-		}
-		return object.Null(), fmt.Errorf("unknown unary operator %q", ex.Op)
-	case MkTuple:
-		fields := make([]object.Value, len(ex.Fields))
-		for i, f := range ex.Fields {
-			v, err := evalExpr(rt, f, env)
-			if err != nil {
-				return object.Null(), err
-			}
-			fields[i] = v
-		}
-		return object.TupleVal(ex.TypeName, fields...), nil
-	case MkSet:
-		elems := make([]object.Value, 0, len(ex.Elems))
-		for _, el := range ex.Elems {
-			v, err := evalExpr(rt, el, env)
-			if err != nil {
-				return object.Null(), err
-			}
-			elems = append(elems, v)
-		}
-		return object.SetVal(elems...), nil
-	case Elems:
-		coll, err := evalExpr(rt, ex.Coll, env)
-		if err != nil {
-			return object.Null(), err
-		}
-		elems, err := rt.ReadElems(coll)
-		if err != nil {
-			return object.Null(), err
-		}
-		return object.SetVal(elems...), nil
-	}
-	return object.Null(), fmt.Errorf("unknown expression %T", e)
-}
-
-func evalBin(rt Runtime, ex Bin, env map[string]object.Value) (object.Value, error) {
-	// Short-circuit boolean operators.
-	if ex.Op == OpAnd || ex.Op == OpOr {
-		l, err := evalExpr(rt, ex.L, env)
-		if err != nil {
-			return object.Null(), err
-		}
-		if ex.Op == OpAnd && !l.Truth() {
-			return object.Bool(false), nil
-		}
-		if ex.Op == OpOr && l.Truth() {
-			return object.Bool(true), nil
-		}
-		r, err := evalExpr(rt, ex.R, env)
-		if err != nil {
-			return object.Null(), err
-		}
-		return object.Bool(r.Truth()), nil
-	}
-	l, err := evalExpr(rt, ex.L, env)
-	if err != nil {
-		return object.Null(), err
-	}
-	r, err := evalExpr(rt, ex.R, env)
-	if err != nil {
-		return object.Null(), err
-	}
-	switch ex.Op {
-	case OpAdd, OpSub, OpMul, OpDiv:
-		return evalArith(ex.Op, l, r)
-	case OpEq:
-		return object.Bool(l.Equal(r)), nil
-	case OpNe:
-		return object.Bool(!l.Equal(r)), nil
-	case OpLt, OpLe, OpGt, OpGe:
-		return evalCompare(ex.Op, l, r)
-	case OpIn:
-		if r.Kind == object.KRef {
-			elems, err := rt.ReadElems(r)
-			if err != nil {
-				return object.Null(), err
-			}
-			r = object.SetVal(elems...)
-		}
-		if r.Kind != object.KSet && r.Kind != object.KList {
-			return object.Null(), fmt.Errorf("'in' on non-collection %v", r.Kind)
-		}
-		return object.Bool(r.Contains(l)), nil
-	}
-	return object.Null(), fmt.Errorf("unknown binary operator %v", ex.Op)
-}
-
-func evalArith(op BinOp, l, r object.Value) (object.Value, error) {
+// arith stores l op r into *dst for an arithmetic operator; dst may be l
+// or r. Two ints stay an int, any other numeric pair becomes a float.
+func arith(dst *object.Value, op BinOp, l, r *object.Value) error {
 	if l.Kind == object.KInt && r.Kind == object.KInt {
+		a, b := l.I, r.I
 		switch op {
 		case OpAdd:
-			return object.Int(l.I + r.I), nil
+			*dst = object.Int(a + b)
+			return nil
 		case OpSub:
-			return object.Int(l.I - r.I), nil
+			*dst = object.Int(a - b)
+			return nil
 		case OpMul:
-			return object.Int(l.I * r.I), nil
+			*dst = object.Int(a * b)
+			return nil
 		case OpDiv:
-			if r.I == 0 {
-				return object.Null(), fmt.Errorf("integer division by zero")
+			if b == 0 {
+				return fmt.Errorf("integer division by zero")
 			}
-			return object.Int(l.I / r.I), nil
+			*dst = object.Int(a / b)
+			return nil
 		}
 	}
 	lf, okL := l.AsFloat()
 	rf, okR := r.AsFloat()
 	if !okL || !okR {
-		return object.Null(), fmt.Errorf("arithmetic on %v and %v", l.Kind, r.Kind)
+		return fmt.Errorf("arithmetic on %v and %v", l.Kind, r.Kind)
 	}
 	switch op {
 	case OpAdd:
-		return object.Float(lf + rf), nil
+		*dst = object.Float(lf + rf)
 	case OpSub:
-		return object.Float(lf - rf), nil
+		*dst = object.Float(lf - rf)
 	case OpMul:
-		return object.Float(lf * rf), nil
+		*dst = object.Float(lf * rf)
 	case OpDiv:
 		if rf == 0 {
-			return object.Null(), fmt.Errorf("division by zero")
+			return fmt.Errorf("division by zero")
 		}
-		return object.Float(lf / rf), nil
+		*dst = object.Float(lf / rf)
+	default:
+		return fmt.Errorf("bad arithmetic operator %v", op)
 	}
-	return object.Null(), fmt.Errorf("bad arithmetic operator %v", op)
+	return nil
 }
 
-func evalCompare(op BinOp, l, r object.Value) (object.Value, error) {
+// compare stores the truth of l op r into *dst for an ordering operator;
+// dst may be l or r. Two strings compare as strings, any other pair must be
+// numeric.
+func compare(dst *object.Value, op BinOp, l, r *object.Value) error {
 	if l.Kind == object.KString && r.Kind == object.KString {
+		a, b := l.S, r.S
 		switch op {
 		case OpLt:
-			return object.Bool(l.S < r.S), nil
+			*dst = object.Bool(a < b)
+			return nil
 		case OpLe:
-			return object.Bool(l.S <= r.S), nil
+			*dst = object.Bool(a <= b)
+			return nil
 		case OpGt:
-			return object.Bool(l.S > r.S), nil
+			*dst = object.Bool(a > b)
+			return nil
 		case OpGe:
-			return object.Bool(l.S >= r.S), nil
+			*dst = object.Bool(a >= b)
+			return nil
 		}
 	}
 	lf, okL := l.AsFloat()
 	rf, okR := r.AsFloat()
 	if !okL || !okR {
-		return object.Null(), fmt.Errorf("comparison of %v and %v", l.Kind, r.Kind)
+		return fmt.Errorf("comparison of %v and %v", l.Kind, r.Kind)
 	}
 	switch op {
 	case OpLt:
-		return object.Bool(lf < rf), nil
+		*dst = object.Bool(lf < rf)
 	case OpLe:
-		return object.Bool(lf <= rf), nil
+		*dst = object.Bool(lf <= rf)
 	case OpGt:
-		return object.Bool(lf > rf), nil
+		*dst = object.Bool(lf > rf)
 	case OpGe:
-		return object.Bool(lf >= rf), nil
+		*dst = object.Bool(lf >= rf)
+	default:
+		return fmt.Errorf("bad comparison operator %v", op)
 	}
-	return object.Null(), fmt.Errorf("bad comparison operator %v", op)
+	return nil
 }
 
 func evalBuiltin(rt Runtime, name string, args []object.Value) (object.Value, error) {

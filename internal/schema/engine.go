@@ -36,6 +36,13 @@ type Engine struct {
 	// no further synchronization.
 	trackers []*accessTracker
 	depth    int
+	// hookArgs[:lent] are the argument lists lent to the hooks of the
+	// hooked updates in progress, one per nesting level: an update run by
+	// the body of a hooked public operation, or by a hook, lends the next
+	// level. Hooked updates run on the exclusive tier only: a snapshot
+	// engine refuses them, and a call the shared tier admits is unhooked.
+	hookArgs [][]object.Value
+	lent     int
 	// suspend > 0 disables tracking: inside a public operation of a
 	// strictly encapsulated type only the receiver is recorded, its
 	// subobjects are not (Section 5.3). Write-path-only, like trackers.
@@ -163,7 +170,8 @@ func (en *Engine) ReadElems(coll object.Value) ([]object.Value, error) {
 // CallFunction implements lang.Runtime: the call-name probe, dynamic
 // dispatch, GMR interception, information-hiding atomicity, and
 // public-operation update hooks. Calls nested inside GOMpl bodies come
-// through here; the interceptor is a dynamic call, so it may keep args.
+// through here with args borrowed from the caller's frame; the interceptor
+// and Apply borrow them in turn.
 func (en *Engine) CallFunction(name string, args []object.Value) (object.Value, error) {
 	c, ok := en.Sch.Callee(name)
 	if !ok {
@@ -189,9 +197,9 @@ func (en *Engine) Intercepts() bool { return en.noIntercept.Load() == 0 }
 
 // Apply runs the resolved function fid of a call of c dispatched on type dt
 // (Resolve's results) without GMR interception: the Section 5.3 atomicity
-// rule, the public-operation update hooks, and the evaluation. The hooks
-// and the evaluation are dynamic calls, so Apply keeps args: a caller that
-// borrows its arguments passes a copy.
+// rule, the public-operation update hooks, and the evaluation. Apply
+// borrows args: the evaluation copies them into its frame, and the hooks
+// are lent a copy of args[1:] under UpdateHook's rule.
 func (en *Engine) Apply(c Callee, fid FuncID, dt int32, args []object.Value) (object.Value, error) {
 	fn := en.Sch.ids.funcs[fid]
 	if dt < 0 {
@@ -217,6 +225,7 @@ func (en *Engine) Apply(c Callee, fid FuncID, dt int32, args []object.Value) (ob
 	// Public-operation update hooks (installed only for ops with a
 	// non-empty InvalidatedFct or CompensatedFct under information hiding).
 	var hooks []*UpdateHook
+	var hookArgs []object.Value
 	if len(args) > 0 && args[0].Kind == object.KRef {
 		hooks = en.Hooks.lookup(dispatchType, opName)
 		if len(hooks) > 0 && en.snapshot {
@@ -229,12 +238,10 @@ func (en *Engine) Apply(c Callee, fid FuncID, dt int32, args []object.Value) (ob
 			if err != nil {
 				return object.Null(), err
 			}
-			for _, h := range hooks {
-				if h.Before != nil {
-					if err := h.Before(en, recvObj, args[1:]); err != nil {
-						return object.Null(), err
-					}
-				}
+			hookArgs = en.lendArgs(hooks, args[1:]...)
+			defer en.returnArgs(hooks)
+			if err := en.runBefore(hooks, recvObj, hookArgs); err != nil {
+				return object.Null(), err
 			}
 		}
 	}
@@ -250,12 +257,8 @@ func (en *Engine) Apply(c Callee, fid FuncID, dt int32, args []object.Value) (ob
 		if err != nil {
 			return object.Null(), err
 		}
-		for _, h := range hooks {
-			if h.After != nil {
-				if err := h.After(en, recvObj, args[1:]); err != nil {
-					return object.Null(), err
-				}
-			}
+		if err := en.runAfter(hooks, recvObj, hookArgs); err != nil {
+			return object.Null(), err
 		}
 	}
 	return v, nil
@@ -343,7 +346,8 @@ func (en *Engine) SetAttr(recv object.Value, attr string, v object.Value) error 
 	if e.Obj == nil || err != nil {
 		return err
 	}
-	args := hookArgs(hooks, v)
+	args := en.lendArgs(hooks, v)
+	defer en.returnArgs(hooks)
 	if err := en.runBefore(hooks, e.Obj, args); err != nil {
 		return err
 	}
@@ -353,13 +357,30 @@ func (en *Engine) SetAttr(recv object.Value, attr string, v object.Value) error 
 	return en.runAfter(hooks, e.Obj, args)
 }
 
-// hookArgs returns the argument list an update's hooks are handed: one
-// slice per update, none when no hook runs.
-func hookArgs(hooks []*UpdateHook, v object.Value) []object.Value {
+// lendArgs returns the argument list an update's hooks are lent: the
+// engine's buffer of the next nesting level holding a copy of vals, nil when
+// no hook runs. The update gives it back with returnArgs(hooks) once its
+// hooks are done. The copy keeps the hooks, which are dynamic calls, from
+// making the caller's arguments escape.
+func (en *Engine) lendArgs(hooks []*UpdateHook, vals ...object.Value) []object.Value {
 	if len(hooks) == 0 {
 		return nil
 	}
-	return []object.Value{v}
+	if en.lent == len(en.hookArgs) {
+		en.hookArgs = append(en.hookArgs, nil)
+	}
+	buf := append(en.hookArgs[en.lent][:0], vals...)
+	en.hookArgs[en.lent] = buf
+	en.lent++
+	return buf
+}
+
+// returnArgs gives back what lendArgs lent for hooks. The buffer keeps its
+// values until the next update at its level overwrites them.
+func (en *Engine) returnArgs(hooks []*UpdateHook) {
+	if len(hooks) > 0 {
+		en.lent--
+	}
 }
 
 // runBefore runs the Before hooks of an update.
@@ -412,7 +433,8 @@ func (en *Engine) InsertElem(coll, elem object.Value) error {
 		}
 	}
 	hooks := en.Hooks.lookup(o.Type, "insert")
-	args := hookArgs(hooks, elem)
+	args := en.lendArgs(hooks, elem)
+	defer en.returnArgs(hooks)
 	if err := en.runBefore(hooks, o, args); err != nil {
 		return err
 	}
@@ -447,7 +469,8 @@ func (en *Engine) RemoveElem(coll, elem object.Value) error {
 		return nil
 	}
 	hooks := en.Hooks.lookup(o.Type, "remove")
-	args := hookArgs(hooks, elem)
+	args := en.lendArgs(hooks, elem)
+	defer en.returnArgs(hooks)
 	if err := en.runBefore(hooks, o, args); err != nil {
 		return err
 	}

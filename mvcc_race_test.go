@@ -10,6 +10,7 @@ package gomdb_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -302,5 +303,136 @@ func TestExtensionSnapshotStress(t *testing.T) {
 	}
 	if st := db.MVCCStats(); st.ActivePins != 0 || st.ObjectCaptures != 0 {
 		t.Fatalf("after quiescence: %+v", st)
+	}
+}
+
+// TestComputedCallsRaceWriter races evaluations of computed functions
+// against a writer. Four readers call Cuboid.volume and Cuboid.length, which
+// no GMR holds, through db.Call (the shared tier, or the snapshot tier while
+// the writer holds the engine) and through snapshot views, so evaluations of
+// one compiled body run concurrently, each in its own frame. The writer
+// moves vertices of the other cuboids, singly and in batches, until the
+// readers are done. Every answer must equal the geometry computed in Go from
+// the readers' cuboids, which nothing moves. Meant to be run as
+// go test -race -count=10 -run TestComputedCallsRaceWriter.
+func TestComputedCallsRaceWriter(t *testing.T) {
+	db := gomdb.Open(gomdb.DefaultConfig())
+	if err := fixtures.DefineGeometry(db, false); err != nil {
+		t.Fatal(err)
+	}
+	g, err := fixtures.PopulateGeometry(db, 16, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read, moved := g.Cuboids[:8], g.Cuboids[8:]
+	vertex := func(c gomdb.OID, v string) [3]float64 {
+		ref, err := db.GetAttr(c, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var p [3]float64
+		for i, a := range vertexCoords {
+			x, err := db.GetAttr(ref.R, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p[i] = x.F
+		}
+		return p
+	}
+	// dist is Vertex.dist's arithmetic, operation for operation.
+	dist := func(a, b [3]float64) float64 {
+		dx, dy, dz := a[0]-b[0], a[1]-b[1], a[2]-b[2]
+		return math.Sqrt(dx*dx + dy*dy + dz*dz)
+	}
+	type geometry struct{ length, volume float64 }
+	want := make(map[gomdb.OID]geometry, len(read))
+	for _, c := range read {
+		v1 := vertex(c, "V1")
+		l, w, h := dist(v1, vertex(c, "V2")), dist(v1, vertex(c, "V4")), dist(v1, vertex(c, "V5"))
+		want[c] = geometry{length: l, volume: l * w * h}
+	}
+
+	var stop atomic.Bool // set when the readers are done
+	errs := make(chan error, 8)
+	report := func(err error) {
+		select {
+		case errs <- err:
+		default:
+		}
+	}
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < 400; i++ {
+				c := read[(r+i)%len(read)]
+				fn, exp := "Cuboid.volume", want[c].volume
+				if i%3 == 2 {
+					fn, exp = "Cuboid.length", want[c].length
+				}
+				var v gomdb.Value
+				var err error
+				if i%2 == 0 {
+					v, err = db.Call(fn, gomdb.Ref(c))
+				} else {
+					view := db.SnapshotView()
+					v, err = view.Call(fn, gomdb.Ref(c))
+					view.Release()
+				}
+				if err != nil {
+					report(fmt.Errorf("reader %d: %s(%v): %w", r, fn, c, err))
+					return
+				}
+				if f, ok := v.AsFloat(); !ok || f != exp {
+					report(fmt.Errorf("reader %d: %s(%v) = %v, want %v", r, fn, c, v, exp))
+					return
+				}
+			}
+		}(r)
+	}
+
+	move := func(set func(gomdb.OID, string, gomdb.Value) error, i int) error {
+		ref, err := db.GetAttr(moved[i%len(moved)], cuboidVertices[i%8])
+		if err != nil {
+			return err
+		}
+		return set(ref.R, vertexCoords[i%3], gomdb.Float(float64(i%13)))
+	}
+	writer := make(chan struct{})
+	go func() {
+		defer close(writer)
+		for i := 0; !stop.Load(); i++ {
+			if i%5 == 4 {
+				err := db.Batch(func(tx *gomdb.Tx) error {
+					for j := 0; j < 8; j++ {
+						if err := move(tx.Set, i+j); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					report(fmt.Errorf("writer batch: %w", err))
+					return
+				}
+				continue
+			}
+			if err := move(db.Set, i); err != nil {
+				report(fmt.Errorf("writer: %w", err))
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	stop.Store(true)
+	<-writer
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if st := db.MVCCStats(); st.ActivePins != 0 {
+		t.Fatalf("%d pins leaked", st.ActivePins)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"gomdb"
+	"gomdb/internal/fixtures"
 )
 
 // raceEnabled reports whether the test binary was built with -race, whose
@@ -88,10 +89,12 @@ func TestWriteCostIndependentOfBaseSize(t *testing.T) {
 // TestVertexMoveAllocations pins what update-cold's vertex move allocates
 // on BenchmarkVertexMove's configuration: GetAttr plus a hooked Set. The
 // RRR lookup, the invalidation and the rematerialization keep their
-// bookkeeping in reused buffers, so a move that rematerializes volume
-// allocates only for the evaluation (9, lang), the receiver its hooks are
-// handed (3), the hooks' argument slice (1) and the entry's MVCC pre-image
-// (1). Over the fixed schedule half the moves change nothing materialized.
+// bookkeeping in reused buffers, the evaluation runs in pooled frames and
+// passes call arguments in them, and the hooks' argument list is lent by the
+// engine, so a move that rematerializes volume allocates only for the
+// receiver its hooks are handed (3) and the entry's MVCC pre-image (1). The
+// evaluation's 9 argument slices and the hooks' argument slice are gone.
+// Over the fixed schedule half the moves change nothing materialized.
 func TestVertexMoveAllocations(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -103,8 +106,8 @@ func TestVertexMoveAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 		i++
-	}); got != 9 {
-		t.Errorf("a move of the schedule allocates %v times, want 9", got)
+	}); got != 3 {
+		t.Errorf("a move of the schedule allocates %v times, want 3", got)
 	}
 	// V1 is one of the vertices volume reads: every move of it
 	// rematerializes volume.
@@ -123,10 +126,38 @@ func TestVertexMoveAllocations(t *testing.T) {
 		if err := db.Set(ref.R, "X", gomdb.Float(x)); err != nil {
 			t.Fatal(err)
 		}
-	}); got != 14 {
-		t.Errorf("a rematerializing move allocates %v times, want 14", got)
+	}); got != 4 {
+		t.Errorf("a rematerializing move allocates %v times, want 4", got)
 	}
 	if n := db.GMRs.Stats.Rematerializations - remats; n != 401 {
 		t.Errorf("%d rematerializations, want one per move of V1", n)
+	}
+}
+
+// TestComputeAllocations pins the evaluation of a function without a GMR:
+// Cuboid.volume evaluates volume, length, width and height and three
+// Vertex.dist, with nine calls and three sqrt between them. Frames come from
+// each function's pool and call arguments are passed in them, so the whole
+// call allocates nothing.
+func TestComputeAllocations(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	db := gomdb.Open(gomdb.DefaultConfig())
+	if err := fixtures.DefineGeometry(db, false); err != nil {
+		t.Fatal(err)
+	}
+	g, err := fixtures.PopulateGeometry(db, 100, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	if got := testing.AllocsPerRun(400, func() {
+		if _, err := db.Call("Cuboid.volume", gomdb.Ref(g.Cuboids[i%len(g.Cuboids)])); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); got != 0 {
+		t.Errorf("Call(Cuboid.volume) without a GMR allocates %v times, want 0", got)
 	}
 }
