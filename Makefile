@@ -29,6 +29,7 @@ test-race:
 # Smoke outputs and sim reproducers go under OUT.
 OUT ?= /tmp
 ci:
+	mkdir -p $(OUT)
 	test -z "$$(gofmt -l .)"
 	$(GO) build ./...
 	$(GO) vet ./...

@@ -25,32 +25,15 @@ func newCATable() *CATable { return &CATable{m: make(map[opKey]map[string]*lang.
 
 // action returns the compensating action of fid for typeName.op, resolving
 // typeName through its supertype chain so an action declared on a supertype
-// covers subtype receivers; nil means fid is not in CompensatedFct(t.u)
-// (Definition 5.5).
-func (ca *CATable) action(reg *object.Registry, typeName, op, fid string) *lang.Function {
-	for tn := typeName; tn != ""; {
+// covers subtype receivers and the nearest declaration wins; nil means fid
+// is not in CompensatedFct(t.u) (Definition 5.5).
+func (ca *CATable) action(sch *schema.Schema, typeName, op, fid string) *lang.Function {
+	for _, tn := range sch.Chain(typeName) {
 		if c, ok := ca.m[opKey{tn, op}][fid]; ok {
 			return c
 		}
-		t := reg.Lookup(tn)
-		if t == nil {
-			break
-		}
-		tn = t.Super
 	}
 	return nil
-}
-
-// dropGMR removes all actions for a dropped GMR's functions.
-func (ca *CATable) dropGMR(g *GMR) {
-	for k, byFct := range ca.m {
-		for _, fn := range g.Funcs {
-			delete(byFct, fn.Name)
-		}
-		if len(byFct) == 0 {
-			delete(ca.m, k)
-		}
-	}
 }
 
 // DefineCompensation registers compensating action c for the materialized
@@ -93,38 +76,27 @@ func (m *Manager) DefineCompensation(typeName, opName, fid string, c *lang.Funct
 	}
 	m.ca.m[k][fid] = c
 
-	gi := i
-	op := opName
+	// The hook is installed once, on typeName: its subtypes inherit it, and
+	// it stands aside for a receiver whose nearer supertype declares an
+	// action of its own for the same operation and function.
 	hook := &schema.UpdateHook{
 		Name: "CA:" + g.Name,
 		Before: func(_ *schema.Engine, recv *object.Obj, args []object.Value) error {
-			if !recv.HasDepFct(fid) {
+			if !recv.HasDepFct(fid) || m.ca.action(m.Sch, recv.Type, opName, fid) != c {
 				return nil
 			}
-			return m.Compensate(recv, fid, gi, op, args)
+			return m.Compensate(recv, fid, i, c, args)
 		},
 	}
-	var undo []func()
-	for _, tn := range m.Sch.Reg.WithSubtypes(typeName) {
-		undo = append(undo, m.En.Hooks.Install(tn, opName, hook))
-	}
-	undo = append(undo, func() { delete(m.ca.m[k], fid) })
-	m.compensations[g.Name] = append(m.compensations[g.Name], undo...)
-	m.caHooks[g.Name] = append(m.caHooks[g.Name], caHook{typeName, opName, hook})
+	m.compensations[g.Name] = append(m.compensations[g.Name],
+		m.En.Hooks.Install(typeName, opName, hook), func() { delete(m.ca.m[k], fid) })
 	return nil
 }
 
-// caHook is one compensating action's hook on typeName.op and its subtypes.
-type caHook struct {
-	typ, op string
-	hook    *schema.UpdateHook
-}
-
-// Compensate applies the compensating action for fid and update operation
-// opName to every valid GMR entry whose argument list contains recv, invoked
-// before the update with the update's arguments:
-// new := recv.c(args..., old).
-func (m *Manager) Compensate(recv *object.Obj, fid string, col int, opName string, updArgs []object.Value) error {
+// Compensate applies the compensating action c of fid to every valid GMR
+// entry whose argument list contains recv, invoked before the update with
+// the update's arguments: new := recv.c(args..., old).
+func (m *Manager) Compensate(recv *object.Obj, fid string, col int, c *lang.Function, updArgs []object.Value) error {
 	_, ref, ok := m.colByName(fid)
 	if !ok {
 		return nil
@@ -159,10 +131,6 @@ func (m *Manager) Compensate(recv *object.Obj, fid string, col int, opName strin
 		if !e.Valid[col] {
 			// An already-invalid result cannot be compensated (the old
 			// value is unusable); it stays invalid.
-			continue
-		}
-		c := m.ca.action(m.Sch.Reg, recv.Type, opName, fid)
-		if c == nil {
 			continue
 		}
 		cargs := make([]object.Value, 0, len(updArgs)+2)

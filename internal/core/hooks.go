@@ -32,7 +32,8 @@ type hookPlan struct {
 	// relevant part of its declared InvalidatedFct (Definition 5.3).
 	public map[opKey]map[string]bool
 	// involved is the set of types touched by any materialization of this
-	// GMR; delete hooks are installed on all of them.
+	// GMR; delete hooks are installed on those without an involved
+	// supertype, whose hook they inherit.
 	involved map[string]bool
 	// conservative is set when static analysis failed; the basic Section 4
 	// machinery is used for every operation of every type.
@@ -125,7 +126,39 @@ func (m *Manager) planHooks(g *GMR) (*hookPlan, error) {
 			}
 		}
 	}
+	m.dropInherited(plan.elementary)
+	m.dropInherited(plan.public)
 	return plan, nil
+}
+
+// dropInherited removes from each (type, op) key of a plan the functions a
+// key of the same operation on a proper supertype carries, and the keys left
+// with none: a hook installed on the supertype runs for the type's
+// instances too, so one update invalidates each function at most once.
+func (m *Manager) dropInherited(plan map[opKey]map[string]bool) {
+	for k, fids := range plan {
+		for _, super := range m.Sch.Chain(k.Type) {
+			if super != k.Type {
+				for fid := range plan[opKey{super, k.Op}] {
+					delete(fids, fid)
+				}
+			}
+		}
+		if len(fids) == 0 {
+			delete(plan, k)
+		}
+	}
+}
+
+// inherits reports whether keys holds k's operation on a proper supertype of
+// k's type, whose hook k's type inherits.
+func (m *Manager) inherits(k opKey, keys map[opKey]bool) bool {
+	for _, super := range m.Sch.Chain(k.Type) {
+		if super != k.Type && keys[opKey{super, k.Op}] {
+			return true
+		}
+	}
+	return false
 }
 
 // declaredInvalidatingOps returns the public operations of typeName whose
@@ -150,7 +183,9 @@ func (m *Manager) declaredInvalidatingOps(typeName string, fids map[string]bool)
 
 // installHooks applies the rewrite plan: this is the point where "only those
 // types whose instances are involved in some materialization are modified
-// and recompiled" while the remainder of the schema stays untouched.
+// and recompiled" while the remainder of the schema stays untouched. Each
+// hook is installed once, on its declared type; subtypes, also those
+// defined later, inherit it through the hook table.
 func (m *Manager) installHooks(g *GMR) error {
 	plan, err := m.planHooks(g)
 	if err != nil {
@@ -158,8 +193,14 @@ func (m *Manager) installHooks(g *GMR) error {
 	}
 	var undo []func()
 	install := func(typeName, op string, h *schema.UpdateHook) {
-		for _, tn := range m.Sch.Reg.WithSubtypes(typeName) {
-			undo = append(undo, m.En.Hooks.Install(tn, op, h))
+		undo = append(undo, m.En.Hooks.Install(typeName, op, h))
+	}
+	// installTop installs h on the keys no supertype key covers.
+	installTop := func(keys map[opKey]bool, h *schema.UpdateHook) {
+		for k := range keys {
+			if !m.inherits(k, keys) {
+				install(k.Type, k.Op, h)
+			}
 		}
 	}
 
@@ -176,21 +217,16 @@ func (m *Manager) installHooks(g *GMR) error {
 		// those public operations: access tracking stops at the
 		// encapsulation boundary (only the outer object carries RRR
 		// tuples), so the notification must come from the outer operation.
+		keys := make(map[opKey]bool)
 		for tn := range plan.involved {
 			t := m.Sch.Reg.Lookup(tn)
 			if t == nil {
 				continue
 			}
-			hook := &schema.UpdateHook{
-				Name: g.Name,
-				After: func(_ *schema.Engine, recv *object.Obj, _ []object.Value) error {
-					return m.Invalidate(recv, nil)
-				},
-			}
 			if t.StrictEncapsulated && m.Sch.HasInvalidatedFctDecl(tn) {
 				for _, opName := range m.Sch.OpNames(tn) {
 					if _, ok := m.Sch.InvalidatedFct(tn, opName); ok {
-						install(tn, opName, hook)
+						keys[opKey{tn, opName}] = true
 					}
 				}
 				continue
@@ -198,13 +234,19 @@ func (m *Manager) installHooks(g *GMR) error {
 			switch t.Kind {
 			case object.TupleType:
 				for _, a := range m.Objs.Layout(tn) {
-					install(tn, "set_"+a.Name, hook)
+					keys[opKey{tn, "set_" + a.Name}] = true
 				}
 			case object.SetType, object.ListType:
-				install(tn, "insert", hook)
-				install(tn, "remove", hook)
+				keys[opKey{tn, "insert"}] = true
+				keys[opKey{tn, "remove"}] = true
 			}
 		}
+		installTop(keys, &schema.UpdateHook{
+			Name: g.Name,
+			After: func(_ *schema.Engine, recv *object.Obj, _ []object.Value) error {
+				return m.Invalidate(recv, nil)
+			},
+		})
 	case ModeSchemaDep, ModeObjDep, ModeInfoHiding:
 		for k, fids := range plan.elementary {
 			k, schemaDep := k, fids
@@ -272,26 +314,26 @@ func (m *Manager) installHooks(g *GMR) error {
 			return m.ForgetObject(recv)
 		},
 	}
+	deletes := make(map[opKey]bool, len(plan.involved))
 	for tn := range plan.involved {
-		install(tn, "delete", deleteHook)
+		deletes[opKey{tn, "delete"}] = true
 	}
+	installTop(deletes, deleteHook)
 
 	// Creation: new_object on the argument types of complete GMRs.
 	if g.Complete {
-		createHook := &schema.UpdateHook{
+		creates := make(map[opKey]bool)
+		for _, at := range g.ArgTypes {
+			if !object.IsAtomicName(at) {
+				creates[opKey{at, "create"}] = true
+			}
+		}
+		installTop(creates, &schema.UpdateHook{
 			Name: g.Name,
 			After: func(_ *schema.Engine, recv *object.Obj, _ []object.Value) error {
 				return m.NewObject(recv)
 			},
-		}
-		seen := make(map[string]bool)
-		for _, at := range g.ArgTypes {
-			if object.IsAtomicName(at) || seen[at] {
-				continue
-			}
-			seen[at] = true
-			install(at, "create", createHook)
-		}
+		})
 	}
 
 	m.uninstall[g.Name] = undo
@@ -319,12 +361,13 @@ func intersectDep(dst, dep []string, set map[string]bool) []string {
 // Before hook and must not be invalidated.
 func (m *Manager) subtractCompensated(typeName, op string, relev []string) []string {
 	return slices.DeleteFunc(relev, func(f string) bool {
-		return m.ca.action(m.Sch.Reg, typeName, op, f) != nil
+		return m.ca.action(m.Sch, typeName, op, f) != nil
 	})
 }
 
-// InstalledHookCount reports how many hook rewrites exist; tests use it to
-// show that dropping a GMR restores the original schema.
+// InstalledHookCount reports how many hooks are installed, each counted once
+// on its declared type; tests use it to show that dropping a GMR restores
+// the original schema.
 func (m *Manager) InstalledHookCount() int { return m.En.Hooks.Count() }
 
 // DescribePlan returns a human-readable rewrite plan; the gomql shell's

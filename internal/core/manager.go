@@ -75,11 +75,9 @@ type Manager struct {
 	rrr  *RRR
 	ca   *CATable
 	// uninstall undoes each GMR's schema rewrite (installHooks);
-	// compensations undoes its compensating actions (DefineCompensation),
-	// whose hooks caHooks lists for types defined later (typeDefined).
+	// compensations undoes its compensating actions (DefineCompensation).
 	uninstall     map[string][]func()
 	compensations map[string][]func()
-	caHooks       map[string][]caHook
 	extractor     *lang.Extractor
 
 	// Intern maps string constants to numeric codes shared between
@@ -173,7 +171,6 @@ func NewManager(en *schema.Engine, pool *storage.BufferPool) *Manager {
 		ca:            newCATable(),
 		uninstall:     make(map[string][]func()),
 		compensations: make(map[string][]func()),
-		caHooks:       make(map[string][]caHook),
 		extractor:     lang.NewExtractor(en.Sch, en.Sch),
 		Intern:        pred.NewInterner(),
 		accessTraces:  make(map[traceKey][]object.OID),
@@ -181,7 +178,6 @@ func NewManager(en *schema.Engine, pool *storage.BufferPool) *Manager {
 	}
 	en.SetInterceptor(m.intercept)
 	en.Sch.OnDefineOp(m.opDefined)
-	en.Sch.OnDefineType(m.typeDefined)
 	return m
 }
 
@@ -440,7 +436,6 @@ func (m *Manager) dropState(g *GMR) {
 		undo()
 	}
 	delete(m.compensations, g.Name)
-	delete(m.caHooks, g.Name)
 	for fid, c := range m.cols {
 		if c.g == g {
 			m.cols[fid] = colRef{}
@@ -449,7 +444,6 @@ func (m *Manager) dropState(g *GMR) {
 	m.snapMu.Lock()
 	delete(m.gmrs, g.Name)
 	m.snapMu.Unlock()
-	m.ca.dropGMR(g)
 }
 
 // populate computes the complete extension (Definition 3.4 / 6.1): one entry
@@ -600,7 +594,10 @@ func (m *Manager) opDefined(typeName, opName string, fid schema.FuncID) error {
 	g, fn := c.g, m.Sch.Func(fid)
 	m.setCol(fid, c)
 	g.variants[c.col] = append(g.variants[c.col], fn)
-	if err := m.replanHooks(g); err != nil {
+	for _, undo := range m.uninstall[g.Name] {
+		undo()
+	}
+	if err := m.installHooks(g); err != nil {
 		return err
 	}
 	for _, e := range append([]*entry(nil), g.order...) {
@@ -612,39 +609,6 @@ func (m *Manager) opDefined(typeName, opName string, fid schema.FuncID) error {
 		}
 	}
 	return nil
-}
-
-// typeDefined extends the schema rewrite to a type defined after GMRs were
-// materialized. installHooks hooks the subtypes that exist when it runs, so
-// a new subtype re-plans every GMR's rewrite and takes on the compensating
-// actions of its supertypes: its instances then enter complete GMRs on
-// creation, invalidate on update and compensate, as their supertypes'
-// instances do. A GMR its supertypes take no part in reinstalls the same
-// hooks.
-func (m *Manager) typeDefined(typeName string) error {
-	if t := m.Sch.Reg.Lookup(typeName); t == nil || t.Super == "" {
-		return nil
-	}
-	for _, name := range m.GMRs() {
-		if err := m.replanHooks(m.gmrs[name]); err != nil {
-			return err
-		}
-		for _, h := range m.caHooks[name] {
-			if h.typ != typeName && m.Sch.Reg.IsSubtypeOf(typeName, h.typ) {
-				m.compensations[name] = append(m.compensations[name], m.En.Hooks.Install(typeName, h.op, h.hook))
-			}
-		}
-	}
-	return nil
-}
-
-// replanHooks undoes g's schema rewrite and installs it afresh.
-func (m *Manager) replanHooks(g *GMR) error {
-	for _, undo := range m.uninstall[g.Name] {
-		undo()
-	}
-	delete(m.uninstall, g.Name)
-	return m.installHooks(g)
 }
 
 // overridesOf returns the subtype overrides of a type-associated operation.

@@ -488,20 +488,7 @@ func (en *Engine) Create(typeName string, attrs []object.Value) (object.OID, err
 	if err != nil {
 		return object.NilOID, err
 	}
-	if hooks := en.Hooks.lookup(typeName, "create"); len(hooks) > 0 {
-		o, err := en.Objs.Get(oid)
-		if err != nil {
-			return object.NilOID, err
-		}
-		for _, h := range hooks {
-			if h.After != nil {
-				if err := h.After(en, o, nil); err != nil {
-					return object.NilOID, err
-				}
-			}
-		}
-	}
-	return oid, nil
+	return en.created(typeName, oid)
 }
 
 // CreateCollection stores a new set/list instance and fires create hooks.
@@ -510,18 +497,22 @@ func (en *Engine) CreateCollection(typeName string, elems []object.Value) (objec
 	if err != nil {
 		return object.NilOID, err
 	}
-	if hooks := en.Hooks.lookup(typeName, "create"); len(hooks) > 0 {
-		o, err := en.Objs.Get(oid)
-		if err != nil {
-			return object.NilOID, err
-		}
-		for _, h := range hooks {
-			if h.After != nil {
-				if err := h.After(en, o, nil); err != nil {
-					return object.NilOID, err
-				}
-			}
-		}
+	return en.created(typeName, oid)
+}
+
+// created runs the t.create hooks of the new instance oid of typeName; an
+// instance of a type without them is not read back.
+func (en *Engine) created(typeName string, oid object.OID) (object.OID, error) {
+	hooks := en.Hooks.lookup(typeName, "create")
+	if len(hooks) == 0 {
+		return oid, nil
+	}
+	o, err := en.Objs.Get(oid)
+	if err != nil {
+		return object.NilOID, err
+	}
+	if err := en.runAfter(hooks, o, nil); err != nil {
+		return object.NilOID, err
 	}
 	return oid, nil
 }
@@ -533,12 +524,8 @@ func (en *Engine) Delete(oid object.OID) error {
 	if err != nil {
 		return err
 	}
-	for _, h := range en.Hooks.lookup(o.Type, "delete") {
-		if h.Before != nil {
-			if err := h.Before(en, o, nil); err != nil {
-				return err
-			}
-		}
+	if err := en.runBefore(en.Hooks.lookup(o.Type, "delete"), o, nil); err != nil {
+		return err
 	}
 	return en.Objs.Delete(oid)
 }

@@ -12,8 +12,9 @@ import (
 // that a call, once its name is resolved, dispatches by index — the
 // defunctionalized form of a call. The tables are rebuilt where their inputs
 // change (DefineType, DefineOp, DefineFunc, and hook installation for the
-// read-only classification), which the Database facade runs under its reader
-// barrier, so no concurrent reader ever sees a table move.
+// read-only classification and the resolved hooks), which the Database
+// facade runs under its reader barrier, so no concurrent reader ever sees a
+// table move.
 
 // FuncID densely numbers the declared functions — every operation attached
 // with DefineOp and every free function — in definition order. Ids are never
@@ -35,6 +36,10 @@ type Callee struct {
 // typeEntry is one type of the id tables.
 type typeEntry struct {
 	name string
+	// chain is the type followed by its supertypes, nearest first: what an
+	// update hook or a compensating action declared on any of them applies
+	// to.
+	chain []string
 	// subtypes: the type has subtypes, so a call declared on it dispatches
 	// on its receiver's dynamic type (which costs an object read).
 	subtypes bool
@@ -94,11 +99,19 @@ func (s *Schema) addFunc(fn *lang.Function) FuncID {
 // and operation names are appended.
 func (s *Schema) reindex() {
 	t := &s.ids
+	known := len(t.types)
 	for _, name := range s.Reg.Types() {
 		if _, ok := t.typeOf[name]; !ok {
+			var chain []string
+			for ty := s.Reg.Lookup(name); ty != nil; ty = s.Reg.Lookup(ty.Super) {
+				chain = append(chain, ty.Name)
+			}
 			t.typeOf[name] = int32(len(t.types))
-			t.types = append(t.types, typeEntry{name: name})
+			t.types = append(t.types, typeEntry{name: name, chain: chain})
 		}
+	}
+	if len(t.types) > known {
+		s.hooks.resolve()
 	}
 	for _, tn := range s.Reg.Types() {
 		for op := range s.ops[tn] {
@@ -173,6 +186,15 @@ func (s *Schema) classifySlot(slot int) {
 		}
 		te.readOnly[slot] = ro
 	}
+}
+
+// Chain returns typeName followed by its supertypes, nearest first; nil for
+// an unknown type.
+func (s *Schema) Chain(typeName string) []string {
+	if ti, ok := s.ids.typeOf[typeName]; ok {
+		return s.ids.types[ti].chain
+	}
+	return nil
 }
 
 // Func returns the function with id id.

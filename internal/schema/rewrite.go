@@ -1,6 +1,10 @@
 package schema
 
-import "gomdb/internal/object"
+import (
+	"slices"
+
+	"gomdb/internal/object"
+)
 
 // This file models the schema rewrite of Section 4.3. In GOM the elementary
 // update operations (t.set_A, t.insert, t.remove, t.create, t.delete) of
@@ -37,54 +41,69 @@ type hookKey struct {
 	Op   string // "set_<A>", "insert", "remove", "create", "delete", or a public op name
 }
 
-// HookTable holds the installed update hooks per (type, operation). A hooked
-// public operation is not read-only, so every installation and removal
+// HookTable holds the update hooks, each installed once on its declared
+// (type, operation). Like any operation, a rewritten one is inherited: an
+// update of an instance runs the hooks installed on its type and on every
+// supertype, in installation order. The table resolves that once per
+// installation, removal and type definition — all under the facade's reader
+// barrier — so an update finds its hooks with one map probe. A hooked public
+// operation is not read-only, so every installation and removal also
 // re-classifies the schema's calls.
 type HookTable struct {
+	installed []installation
+	// m maps (type, operation) to the hooks an update of an instance of the
+	// type runs: installed's hooks on the type's supertype chain.
 	m   map[hookKey][]*UpdateHook
 	sch *Schema
 }
 
-func newHookTable(sch *Schema) *HookTable {
-	return &HookTable{m: make(map[hookKey][]*UpdateHook), sch: sch}
+type installation struct {
+	key  hookKey
+	hook *UpdateHook
 }
 
-// Install rewrites operation op of typeName to additionally run hook, and
-// returns a function that undoes the rewrite (used when a GMR is dropped).
+// Install rewrites operation op of typeName, and of its subtypes, to
+// additionally run hook, and returns a function that undoes the rewrite
+// (used when a GMR is dropped).
 func (ht *HookTable) Install(typeName, op string, hook *UpdateHook) func() {
-	k := hookKey{typeName, op}
-	ht.m[k] = append(ht.m[k], hook)
+	in := installation{hookKey{typeName, op}, hook}
+	ht.installed = append(ht.installed, in)
+	ht.resolve()
 	ht.sch.classifyOp(op)
 	return func() {
-		defer ht.sch.classifyOp(op)
-		hooks := ht.m[k]
-		for i, h := range hooks {
-			if h == hook {
-				ht.m[k] = append(hooks[:i], hooks[i+1:]...)
-				break
+		if i := slices.Index(ht.installed, in); i >= 0 {
+			ht.installed = slices.Delete(ht.installed, i, i+1)
+		}
+		ht.resolve()
+		ht.sch.classifyOp(op)
+	}
+}
+
+// resolve rebuilds m from the installations and the types' supertype chains.
+func (ht *HookTable) resolve() {
+	m := make(map[hookKey][]*UpdateHook, len(ht.m))
+	for _, in := range ht.installed {
+		for _, te := range ht.sch.ids.types {
+			if slices.Contains(te.chain, in.key.Type) {
+				k := hookKey{te.name, in.key.Op}
+				m[k] = append(m[k], in.hook)
 			}
 		}
-		if len(ht.m[k]) == 0 {
-			delete(ht.m, k)
-		}
 	}
+	ht.m = m
 }
 
 func (ht *HookTable) lookup(typeName, op string) []*UpdateHook {
 	return ht.m[hookKey{typeName, op}]
 }
 
-// Installed reports whether any hook rewrites (typeName, op); tests use it
-// to verify that uninvolved types remain unmodified.
+// Installed reports whether any hook rewrites (typeName, op), its own or a
+// supertype's; tests use it to verify that uninvolved types remain
+// unmodified.
 func (ht *HookTable) Installed(typeName, op string) bool {
 	return len(ht.m[hookKey{typeName, op}]) > 0
 }
 
-// Count returns the total number of installed hooks.
-func (ht *HookTable) Count() int {
-	n := 0
-	for _, hs := range ht.m {
-		n += len(hs)
-	}
-	return n
-}
+// Count returns the number of installations: a hook counts once, on its
+// declared type, however many subtypes inherit it.
+func (ht *HookTable) Count() int { return len(ht.installed) }

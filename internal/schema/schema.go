@@ -47,9 +47,6 @@ type Schema struct {
 	// (the GMR manager registers subtype overrides of materialized
 	// operations with it).
 	opDefined func(typeName, opName string, id FuncID) error
-	// typeDefined, when set, is told of every type DefineType registers
-	// (the GMR manager extends its rewrites to new subtypes).
-	typeDefined func(typeName string) error
 
 	// fp caches Fingerprint while fpValid; changed drops it.
 	fp      uint64
@@ -66,13 +63,14 @@ func New() *Schema {
 		invalidatedFct: make(map[string]map[string]map[string]bool),
 		ids:            newIDTables(),
 	}
-	s.hooks = newHookTable(s)
+	s.hooks = &HookTable{sch: s}
 	return s
 }
 
 // DefineType registers a type with its public clause. Attribute operations
 // A and set_A are exported if the attribute is listed in publicNames or
-// marked Public in its AttrDef.
+// marked Public in its AttrDef. A subtype inherits the update hooks of its
+// supertypes, also those installed before it was defined.
 func (s *Schema) DefineType(t *object.Type, publicNames ...string) error {
 	if err := s.Reg.Register(t); err != nil {
 		return err
@@ -90,17 +88,7 @@ func (s *Schema) DefineType(t *object.Type, publicNames ...string) error {
 	s.public[t.Name] = pub
 	s.changed()
 	s.reindex()
-	if s.typeDefined != nil {
-		return s.typeDefined(t.Name)
-	}
 	return nil
-}
-
-// OnDefineType registers the function DefineType tells of every type it
-// registers, after the registry and the id tables include it; an error it
-// returns is DefineType's.
-func (s *Schema) OnDefineType(fn func(typeName string) error) {
-	s.typeDefined = fn
 }
 
 // DefineOp attaches a type-associated operation. The function's first
