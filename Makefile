@@ -55,6 +55,7 @@ ci:
 	$(GO) test -race -count=10 -run TestSnapshotReadersRaceWriters .
 	$(GO) test -race -count=10 -run TestComputedCallsRaceWriter .
 	$(GO) test -race -count=10 -run TestIDTablesRaceDDL .
+	$(GO) test -race -count=10 -run TestEntryCapturesRecycledRaceWriter .
 	$(GO) test -race -count=10 -run TestRouterPointOpsRaceBatches ./internal/shard/
 	$(MAKE) check-determinism
 	$(GO) run -race ./cmd/gomsim -seeds 17 -ops 100 -out $(OUT)/sim-artifacts

@@ -81,11 +81,11 @@ func (m *Manager) DefineCompensation(typeName, opName, fid string, c *lang.Funct
 	// action of its own for the same operation and function.
 	hook := &schema.UpdateHook{
 		Name: "CA:" + g.Name,
-		Before: func(_ *schema.Engine, recv *object.Obj, args []object.Value) error {
+		Before: func(_ *schema.Engine, recv object.Recv, args []object.Value) error {
 			if !recv.HasDepFct(fid) || m.ca.action(m.Sch, recv.Type, opName, fid) != c {
 				return nil
 			}
-			return m.Compensate(recv, fid, i, c, args)
+			return m.Compensate(recv.OID, fid, i, c, args)
 		},
 	}
 	m.compensations[g.Name] = append(m.compensations[g.Name],
@@ -96,13 +96,13 @@ func (m *Manager) DefineCompensation(typeName, opName, fid string, c *lang.Funct
 // Compensate applies the compensating action c of fid to every valid GMR
 // entry whose argument list contains recv, invoked before the update with
 // the update's arguments: new := recv.c(args..., old).
-func (m *Manager) Compensate(recv *object.Obj, fid string, col int, c *lang.Function, updArgs []object.Value) error {
+func (m *Manager) Compensate(recv object.OID, fid string, col int, c *lang.Function, updArgs []object.Value) error {
 	_, ref, ok := m.colByName(fid)
 	if !ok {
 		return nil
 	}
 	g := ref.g
-	tuples, err := m.rrr.Lookup(recv.OID)
+	tuples, err := m.rrr.Lookup(recv)
 	if err != nil {
 		return err
 	}
@@ -112,7 +112,7 @@ func (m *Manager) Compensate(recv *object.Obj, fid string, col int, c *lang.Func
 		}
 		inArgs := false
 		for _, a := range t.Args {
-			if a.Kind == object.KRef && a.R == recv.OID {
+			if a.Kind == object.KRef && a.R == recv {
 				inArgs = true
 				break
 			}
@@ -134,7 +134,7 @@ func (m *Manager) Compensate(recv *object.Obj, fid string, col int, c *lang.Func
 			continue
 		}
 		cargs := make([]object.Value, 0, len(updArgs)+2)
-		cargs = append(cargs, object.Ref(recv.OID))
+		cargs = append(cargs, object.Ref(recv))
 		cargs = append(cargs, updArgs...)
 		cargs = append(cargs, e.Results[col])
 		// The action is evaluated with access tracking and its accesses are
@@ -152,7 +152,7 @@ func (m *Manager) Compensate(recv *object.Obj, fid string, col int, c *lang.Func
 			return err
 		}
 		for _, oid := range m.sortAccessed(order) {
-			if oid == recv.OID {
+			if oid == recv {
 				continue // the receiver's own tuples are already maintained
 			}
 			if err := m.addRRR(oid, fid, t.Args); err != nil {
@@ -160,7 +160,7 @@ func (m *Manager) Compensate(recv *object.Obj, fid string, col int, c *lang.Func
 			}
 		}
 		atomic.AddInt64(&m.Stats.Compensations, 1)
-		m.emit("compensate", g.Name, fid, recv.OID)
+		m.emit("compensate", g.Name, fid, recv)
 	}
 	return nil
 }

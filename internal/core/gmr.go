@@ -223,6 +223,10 @@ type GMR struct {
 	variants map[int][]*lang.Function
 
 	mgr *Manager
+
+	// spare holds the column slices of reclaimed pre-images, for the next
+	// captures to fill (see snapshot.go); guarded by snapMu.
+	spare [][]colState
 }
 
 // FuncIDs returns the qualified names of the materialized functions.

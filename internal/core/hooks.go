@@ -243,8 +243,8 @@ func (m *Manager) installHooks(g *GMR) error {
 		}
 		installTop(keys, &schema.UpdateHook{
 			Name: g.Name,
-			After: func(_ *schema.Engine, recv *object.Obj, _ []object.Value) error {
-				return m.Invalidate(recv, nil)
+			After: func(_ *schema.Engine, recv object.Recv, _ []object.Value) error {
+				return m.Invalidate(recv.OID, nil)
 			},
 		})
 	case ModeSchemaDep, ModeObjDep, ModeInfoHiding:
@@ -255,26 +255,26 @@ func (m *Manager) installHooks(g *GMR) error {
 				// Figure: invalidate(o, SchemaDepFct(t.op)); the manager is
 				// invoked on every update of a relevant operation.
 				deps := sortedKeys(schemaDep)
-				hook.After = func(_ *schema.Engine, recv *object.Obj, _ []object.Value) error {
+				hook.After = func(_ *schema.Engine, recv object.Recv, _ []object.Value) error {
 					var buf [relevBuf]string
 					relev := m.subtractCompensated(recv.Type, k.Op, append(buf[:0], deps...))
 					if len(relev) == 0 {
 						return nil
 					}
-					return m.Invalidate(recv, relev)
+					return m.Invalidate(recv.OID, relev)
 				}
 			} else {
 				// Figure 5: RelevFct := o.ObjDepFct ∩ SchemaDepFct(t.op);
 				// only a non-empty intersection invokes the manager, so
 				// "innocent" objects pay a single in-memory check.
-				hook.After = func(_ *schema.Engine, recv *object.Obj, _ []object.Value) error {
+				hook.After = func(_ *schema.Engine, recv object.Recv, _ []object.Value) error {
 					var buf [relevBuf]string
 					relev := intersectDep(buf[:0], recv.DepFcts, schemaDep)
 					relev = m.subtractCompensated(recv.Type, k.Op, relev)
 					if len(relev) == 0 {
 						return nil
 					}
-					return m.Invalidate(recv, relev)
+					return m.Invalidate(recv.OID, relev)
 				}
 			}
 			install(k.Type, k.Op, hook)
@@ -286,14 +286,14 @@ func (m *Manager) installHooks(g *GMR) error {
 			k, invFct := k, fids
 			hook := &schema.UpdateHook{
 				Name: g.Name,
-				After: func(_ *schema.Engine, recv *object.Obj, _ []object.Value) error {
+				After: func(_ *schema.Engine, recv object.Recv, _ []object.Value) error {
 					var buf [relevBuf]string
 					relev := intersectDep(buf[:0], recv.DepFcts, invFct)
 					relev = m.subtractCompensated(recv.Type, k.Op, relev)
 					if len(relev) == 0 {
 						return nil
 					}
-					return m.Invalidate(recv, relev)
+					return m.Invalidate(recv.OID, relev)
 				},
 			}
 			install(k.Type, k.Op, hook)
@@ -307,11 +307,11 @@ func (m *Manager) installHooks(g *GMR) error {
 	// as well.
 	deleteHook := &schema.UpdateHook{
 		Name: g.Name,
-		Before: func(_ *schema.Engine, recv *object.Obj, _ []object.Value) error {
+		Before: func(_ *schema.Engine, recv object.Recv, _ []object.Value) error {
 			if mode != ModeBasic && len(recv.DepFcts) == 0 && !m.hasEntriesWithArg(recv.OID) {
 				return nil
 			}
-			return m.ForgetObject(recv)
+			return m.ForgetObject(recv.OID)
 		},
 	}
 	deletes := make(map[opKey]bool, len(plan.involved))
@@ -330,8 +330,8 @@ func (m *Manager) installHooks(g *GMR) error {
 		}
 		installTop(creates, &schema.UpdateHook{
 			Name: g.Name,
-			After: func(_ *schema.Engine, recv *object.Obj, _ []object.Value) error {
-				return m.NewObject(recv)
+			After: func(_ *schema.Engine, recv object.Recv, _ []object.Value) error {
+				return m.NewObject(recv.OID, recv.Type)
 			},
 		})
 	}

@@ -744,14 +744,14 @@ func (m *Manager) finishRemove(oid object.OID, fid string) func(existed, last bo
 // rewritten update operations after an object was modified. relev == nil
 // means "check everything" (the Figure 4 version); otherwise only tuples
 // whose function is in relev are processed (Sections 5.1/5.2/5.3).
-func (m *Manager) Invalidate(o *object.Obj, relev []string) error {
+func (m *Manager) Invalidate(oid object.OID, relev []string) error {
 	if m.breakInvalidation {
 		// Deliberately-broken mode for the simulator's mutation smoke test:
 		// drop the notification so dependent entries go stale undetected.
 		return nil
 	}
 	atomic.AddInt64(&m.Stats.RRRLookups, 1)
-	tuples, err := m.rrr.lookupInto(m.takeTuples(), o.OID)
+	tuples, err := m.rrr.lookupInto(m.takeTuples(), oid)
 	defer m.putTuples(tuples)
 	if err != nil {
 		return err
@@ -786,7 +786,7 @@ func (m *Manager) Invalidate(o *object.Obj, relev []string) error {
 			continue
 		}
 		atomic.AddInt64(&m.Stats.Invalidations, 1)
-		m.emit("invalidate", g.Name, t.F, o.OID)
+		m.emit("invalidate", g.Name, t.F, oid)
 		switch g.Strategy {
 		case Lazy, Deferred:
 			// lazy(o): (1) set Vi := false, (2) remove the RRR tuple so a
@@ -802,7 +802,7 @@ func (m *Manager) Invalidate(o *object.Obj, relev []string) error {
 				return err
 			}
 			if deferred && g.SecondChance {
-				e.addTrigger(i, o.OID)
+				e.addTrigger(i, oid)
 			} else if err := m.removeTuple(t); err != nil {
 				return err
 			}
@@ -943,19 +943,19 @@ func (m *Manager) predicateUpdate(t Tuple) error {
 
 // NewObject is GMR_Manager.new_object(o, t) (Section 4.2): extends every
 // complete GMR with entries for all argument combinations containing o.
-func (m *Manager) NewObject(o *object.Obj) error {
+func (m *Manager) NewObject(oid object.OID, typ string) error {
 	atomic.AddInt64(&m.Stats.NewObjects, 1)
-	m.emit("new_object", "", "", o.OID)
+	m.emit("new_object", "", "", oid)
 	for _, name := range m.GMRs() {
 		g := m.gmrs[name]
 		if !g.Complete {
 			continue
 		}
 		for i, at := range g.ArgTypes {
-			if object.IsAtomicName(at) || !m.Sch.Reg.IsSubtypeOf(o.Type, at) {
+			if object.IsAtomicName(at) || !m.Sch.Reg.IsSubtypeOf(typ, at) {
 				continue
 			}
-			combos, err := m.argCombinations(g, i, object.Ref(o.OID))
+			combos, err := m.argCombinations(g, i, object.Ref(oid))
 			if err != nil {
 				return err
 			}
@@ -976,18 +976,18 @@ func (m *Manager) NewObject(o *object.Obj) error {
 // have consumed the RRR tuple that step 1 of the paper's algorithm relies
 // on. RRR tuples of *other* objects that still reference the removed
 // entries become blind references, cleaned lazily on their next access.
-func (m *Manager) ForgetObject(o *object.Obj) error {
+func (m *Manager) ForgetObject(oid object.OID) error {
 	atomic.AddInt64(&m.Stats.ForgottenObjects, 1)
-	m.emit("forget_object", "", "", o.OID)
+	m.emit("forget_object", "", "", oid)
 	for _, name := range m.GMRs() {
 		g := m.gmrs[name]
-		for _, k := range g.entryKeysWithArg(o.OID) {
+		for _, k := range g.entryKeysWithArg(oid) {
 			if err := g.removeEntry(k); err != nil {
 				return err
 			}
 		}
 	}
-	tuples, err := m.rrr.lookupInto(nil, o.OID)
+	tuples, err := m.rrr.lookupInto(nil, oid)
 	if err != nil {
 		return err
 	}

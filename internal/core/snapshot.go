@@ -49,9 +49,14 @@ type colState struct {
 	aux    uint64
 }
 
-// stateOf copies the state of live entry e.
-func stateOf(e *entry) entryState {
-	cols := make([]colState, len(e.Results))
+// stateOf copies the state of live entry e, its columns into cols when cols
+// has room for them.
+func stateOf(e *entry, cols []colState) entryState {
+	n := len(e.Results)
+	if cap(cols) < n {
+		cols = make([]colState, n)
+	}
+	cols = cols[:n]
 	for i := range cols {
 		cols[i] = colState{result: e.Results[i], valid: e.Valid[i], aux: e.aux[i]}
 	}
@@ -68,10 +73,39 @@ func (st entryState) row() Row {
 }
 
 // capture records the pre-image of entry k (e == nil: absent) unless the
-// current epoch already has one. Caller holds snapMu.
+// current epoch already has one, in the columns of a reclaimed pre-image
+// when there is one. Caller holds snapMu.
 func (g *GMR) capture(k string, e *entry) {
 	if c := g.vers.Capture(k, g.mgr.snapSt.Stable()); c != nil && e != nil {
-		*c = stateOf(e)
+		var cols []colState
+		if n := len(g.spare); n > 0 {
+			cols, g.spare = g.spare[n-1], g.spare[:n-1]
+		}
+		*c = stateOf(e, cols)
+	}
+}
+
+// maxSpareCols bounds the reclaimed column slices a GMR keeps: a burst of
+// captures (an InvalidateAll, a large batch) gives the rest back to the
+// garbage collector.
+const maxSpareCols = 256
+
+// recycle keeps the columns of pre-image st, which Reclaim has trimmed, for
+// the next capture. Caller holds snapMu.
+//
+// It is safe because a reader uses a capture only while it holds the pin
+// that made the capture reachable: Reclaim trims a capture only when its tag
+// is below the floor, the smallest pinned version, and a reader pinned at v
+// reads only captures tagged v or later. Every snapshot read copies out of
+// the columns it reached before it unpins — forward takes the result,
+// Backward its matches, rowsAt (Retrieve, CheckConsistency) builds its Rows
+// after entriesAt drops snapMu but under the pin — so no reader holds a
+// capture's columns once the capture can be reclaimed.
+// TestEntryCapturesRecycledRaceWriter checks it.
+func (g *GMR) recycle(st entryState) {
+	if st.cols != nil && len(g.spare) < maxSpareCols {
+		clear(st.cols)
+		g.spare = append(g.spare, st.cols[:0])
 	}
 }
 
@@ -85,7 +119,7 @@ func (g *GMR) entryAt(k string, ver uint64) (entryState, bool) {
 	if !ok {
 		return entryState{}, false
 	}
-	return stateOf(e), true
+	return stateOf(e, nil), true
 }
 
 // entriesAt reconstructs the full extension of g as of version ver: the
@@ -127,12 +161,13 @@ func (g *GMR) rowsAt(ver uint64) []Row {
 }
 
 // ReclaimEntryCaptures drops entry pre-images no pinned reader can reach
-// (tags below floor). Called from the facade's publish point.
+// (tags below floor) and keeps their columns for the next captures. Called
+// from the facade's publish point.
 func (m *Manager) ReclaimEntryCaptures(floor uint64) {
 	m.snapMu.Lock()
 	defer m.snapMu.Unlock()
 	for _, g := range m.gmrs {
-		g.vers.Reclaim(floor, nil)
+		g.vers.Reclaim(floor, g.recycle)
 	}
 }
 

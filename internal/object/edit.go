@@ -131,10 +131,11 @@ func (m *Manager) edit(oid OID, splice func(dst, rec []byte) ([]byte, bool, erro
 // reads the record as Get does and resolves attr in the object's type. When
 // hooked reports that the type has no hooks for the update, SetAttr edits
 // attr's value in the record, writing as Put does, and returns an AttrEdit
-// with a nil Obj. Otherwise it writes nothing: the returned AttrEdit holds
-// the receiver decoded for the caller's hooks and the record it was decoded
-// from, and its Store writes the update. hooked may be nil.
-func (m *Manager) SetAttr(oid OID, attr string, v Value, hooked func(typ string) bool) (AttrEdit, error) {
+// that holds nothing. Otherwise it writes nothing and decodes nothing: the
+// returned AttrEdit holds the receiver's view for the caller's hooks, its
+// ObjDepFct set read into deps[:0], and the record it was read from, and its
+// Store writes the update. hooked may be nil.
+func (m *Manager) SetAttr(oid OID, attr string, v Value, deps []string, hooked func(typ string) bool) (AttrEdit, error) {
 	e := AttrEdit{m: m, v: v}
 	_, err := m.edit(oid, func(dst, rec []byte) ([]byte, bool, error) {
 		d := NewDecoder(rec)
@@ -147,10 +148,9 @@ func (m *Manager) SetAttr(oid OID, attr string, v Value, hooked func(typ string)
 			return dst, false, noAttr(typ, attr)
 		}
 		if hooked != nil && hooked(typ) {
-			o, err := m.decodeObj(oid, rec)
+			r, err := m.recvOf(oid, rec, deps)
 			if err == nil {
-				e.Obj, e.rec = o, append(m.held[:0], rec...)
-				m.held = nil
+				e.Recv, e.rec = r, m.hold(rec)
 			}
 			return dst, false, err
 		}
@@ -160,37 +160,58 @@ func (m *Manager) SetAttr(oid OID, attr string, v Value, hooked func(typ string)
 	return e, err
 }
 
-// An AttrEdit is a hooked attribute update between its read and its store.
-// Obj is the receiver in its pre-update state, decoded once for the
-// caller's hooks; rec holds the record Obj was decoded from, in the buffer
-// the manager lends to one hooked update at a time (a hooked update nested
-// in another's hooks finds it lent and grows its own).
-type AttrEdit struct {
-	Obj *Obj
-	m   *Manager
-	rec []byte
-	i   int
-	v   Value
+// hold copies rec into a spare held buffer.
+func (m *Manager) hold(rec []byte) []byte {
+	var b []byte
+	if n := len(m.held); n > 0 {
+		b, m.held = m.held[n-1], m.held[:n-1]
+	}
+	return append(b, rec...)
 }
 
-// Store writes the update as an edit of the record Obj was decoded from,
-// charged as Put of the mutated Obj is charged, writing the bytes that Put
-// writes, and sets the attribute in Obj, which then shows the post-update
-// state. The hooks that ran since SetAttr must have left Obj as they found
-// it.
+// An AttrEdit is a hooked attribute update between its read and its store.
+// Recv is the receiver's view in its pre-update state, read once for the
+// caller's hooks; an attribute update leaves it unchanged, so it serves the
+// After hooks too. rec holds the record Recv was read from, in a buffer the
+// manager lends until Store or Release gives it back.
+type AttrEdit struct {
+	Recv Recv
+	m    *Manager
+	rec  []byte
+	i    int
+	v    Value
+}
+
+// Hooked reports whether the edit waits for its Store: SetAttr found hooks
+// for the update and wrote nothing.
+func (e *AttrEdit) Hooked() bool { return e.rec != nil }
+
+// Store writes the update as an edit of the record Recv was read from,
+// charged as Put of the mutated object is charged and writing the bytes
+// that Put writes, and releases the record. The hooks that ran since SetAttr
+// must have left the record as they found it.
 func (e *AttrEdit) Store() error {
-	m, oid := e.m, e.Obj.OID
+	m, oid := e.m, e.Recv.OID
 	var err error
 	m.wbuf, err = spliceAttr(m.wbuf[:0], e.rec, e.i, e.v)
-	m.held = e.rec[:0]
+	e.Release()
 	if err != nil {
 		return err
 	}
 	if _, ok := m.rids[oid]; !ok {
 		return fmt.Errorf("object: put of deleted object %v", oid)
 	}
-	e.Obj.Attrs[e.i] = e.v
 	return m.write(oid, m.wbuf)
+}
+
+// Release gives the held record back to the manager without storing, for
+// an update whose Before hooks failed. Store releases it itself; releasing
+// twice is harmless.
+func (e *AttrEdit) Release() {
+	if e.rec != nil {
+		e.m.held = append(e.m.held, e.rec[:0])
+		e.rec = nil
+	}
 }
 
 // AddDepFct inserts fid into the ObjDepFct set of oid's record; it reports

@@ -180,9 +180,9 @@ func TestEditMatchesOracle(t *testing.T) {
 			hooked := rng.Intn(2) == 0
 			name = fmt.Sprintf("step %d: %v.set_%s(%v) hooked=%v", step, oid, attr, v, hooked)
 			var e AttrEdit
-			e, gotErr = edit.m.SetAttr(oid, attr, v, func(string) bool { return hooked })
-			if (e.Obj != nil) != hooked {
-				t.Fatalf("%s: SetAttr returned the object %v", name, e.Obj)
+			e, gotErr = edit.m.SetAttr(oid, attr, v, nil, func(string) bool { return hooked })
+			if e.Hooked() != hooked {
+				t.Fatalf("%s: SetAttr returned the receiver %v", name, e.Recv)
 			}
 			if hooked {
 				gotErr = e.Store()
@@ -226,10 +226,13 @@ func TestEditMatchesOracle(t *testing.T) {
 }
 
 // TestSetAttrHookedDecodes: when the caller reports hooks for the type,
-// SetAttr returns what Get returns, charges what Get charges and writes
-// nothing; Store then writes and charges what Put of the mutated object
-// does. A hooked update nested between another's read and store (as one in
-// a Before hook would be) leaves the outer one's record intact.
+// SetAttr reads the record once, as Get does, writes nothing and decodes
+// nothing: it allocates nothing once its buffers are warm, and the view it
+// returns holds the OID, type and ObjDepFct set Get returns, the set in the
+// caller's buffer. Store then writes and charges what Put of the mutated
+// object does. A hooked update nested between another's read and store (as
+// one in a Before hook would be) leaves the outer one's record intact, and a
+// released edit gives its record buffer back.
 func TestSetAttrHookedDecodes(t *testing.T) {
 	edit, oracle := newEditSide(t, 6), newEditSide(t, 6)
 	var oids [2]OID
@@ -239,24 +242,35 @@ func TestSetAttrHookedDecodes(t *testing.T) {
 			if oids[k], err = s.m.Create("Part", randomPart(rand.New(rand.NewSource(int64(k))), 3)); err != nil {
 				t.Fatal(err)
 			}
+			for _, fid := range []string{"Part.mass", "Base.label"} {
+				if _, err := s.m.AddDepFct(oids[k], fid); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 	}
 	oid, inner := oids[0], oids[1]
+	deps := make([]string, 0, 4)
 	var asked string
-	e, err := edit.m.SetAttr(oid, "Weight", Float(9), func(typ string) bool { asked = typ; return true })
+	reads := edit.m.Reads
+	e, err := edit.m.SetAttr(oid, "Weight", Float(9), deps, func(typ string) bool { asked = typ; return true })
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := edit.m.Reads - reads; n != 1 {
+		t.Fatalf("a hooked SetAttr read %d records, want 1", n)
 	}
 	want, err := oracle.m.Get(oid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if asked != "Part" || !reflect.DeepEqual(e.Obj, want) {
-		t.Fatalf("hooked SetAttr asked about %q and returned %+v, Get returns %+v", asked, e.Obj, want)
+	sameRecv(t, "hooked SetAttr", e.Recv, want)
+	if asked != "Part" || &e.Recv.DepFcts[0] != &deps[:1][0] {
+		t.Fatalf("hooked SetAttr asked about %q and read the ObjDepFct set into %p, not the caller's buffer %p", asked, e.Recv.DepFcts, deps)
 	}
 	sameState(t, "hooked SetAttr", edit, oracle, oids[:])
 	hooked := func(string) bool { return true }
-	n, err := edit.m.SetAttr(inner, "Name", String_("nested"), hooked)
+	n, err := edit.m.SetAttr(inner, "Name", String_("nested"), nil, hooked)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,14 +287,33 @@ func TestSetAttrHookedDecodes(t *testing.T) {
 	if err := oracle.m.Put(want); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(e.Obj, want) {
-		t.Fatalf("after Store the object is %+v, want %+v", e.Obj, want)
-	}
 	sameState(t, "hooked stores", edit, oracle, oids[:])
-	if _, err := edit.m.SetAttr(oid, "Nope", Float(1), hooked); err == nil {
+	if e.Hooked() {
+		t.Fatal("a stored edit still holds its record")
+	}
+	if _, err := edit.m.SetAttr(oid, "Nope", Float(1), deps, hooked); err == nil {
 		t.Fatal("SetAttr of an absent attribute succeeded")
 	}
-	e, err = edit.m.SetAttr(oid, "Weight", Float(1), hooked)
+	// A hooked update whose Before hooks fail releases its record buffer,
+	// and the next one takes it.
+	e, err = edit.m.SetAttr(oid, "Weight", Float(1), deps, hooked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Release()
+	e.Release()
+	if !raceEnabled() {
+		if a := testing.AllocsPerRun(50, func() {
+			e, err := edit.m.SetAttr(oid, "Weight", Float(1), deps, hooked)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Release()
+		}); a != 0 {
+			t.Errorf("a released hooked SetAttr allocates %v times, want 0", a)
+		}
+	}
+	e, err = edit.m.SetAttr(oid, "Weight", Float(1), deps, hooked)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,10 +325,18 @@ func TestSetAttrHookedDecodes(t *testing.T) {
 	}
 }
 
-// TestEditsAllocateNothing: an unhooked attribute set and both ObjDepFct
-// edits of a resident record allocate nothing — no decoded object and no
-// record bytes; a hooked set allocates its decoded object, what Get
-// allocates, and no record bytes.
+// sameRecv fails unless the receiver view r holds o's OID, type and
+// ObjDepFct set.
+func sameRecv(t *testing.T, what string, r Recv, o *Obj) {
+	t.Helper()
+	if r.OID != o.OID || r.Type != o.Type || !slices.Equal(r.DepFcts, o.DepFcts) {
+		t.Fatalf("%s: view %v %q %q, Get returns %v %q %q", what, r.OID, r.Type, r.DepFcts, o.OID, o.Type, o.DepFcts)
+	}
+}
+
+// TestEditsAllocateNothing: an unhooked attribute set, a hooked one with its
+// Store, ReadRecv and both ObjDepFct edits of a resident record allocate
+// nothing — no decoded object and no record bytes.
 func TestEditsAllocateNothing(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -312,28 +353,31 @@ func TestEditsAllocateNothing(t *testing.T) {
 	x := 0.0
 	if n := testing.AllocsPerRun(100, func() {
 		x++
-		if _, err := m.SetAttr(oid, "Weight", Float(x), nil); err != nil {
+		if _, err := m.SetAttr(oid, "Weight", Float(x), nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
 		t.Errorf("SetAttr allocates %v times per call, want 0", n)
 	}
-	get := testing.AllocsPerRun(100, func() {
-		if _, err := m.Get(oid); err != nil {
-			t.Fatal(err)
-		}
-	})
+	deps := make([]string, 0, 4)
 	if n := testing.AllocsPerRun(100, func() {
 		x++
-		e, err := m.SetAttr(oid, "Weight", Float(x), func(string) bool { return true })
+		e, err := m.SetAttr(oid, "Weight", Float(x), deps, func(string) bool { return true })
 		if err == nil {
 			err = e.Store()
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-	}); n != get {
-		t.Errorf("a hooked SetAttr and its Store allocate %v times per call, want Get's %v", n, get)
+	}); n != 0 {
+		t.Errorf("a hooked SetAttr and its Store allocate %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if r, err := m.ReadRecv(oid, deps); err != nil || len(r.DepFcts) != 1 {
+			t.Fatal(r, err)
+		}
+	}); n != 0 {
+		t.Errorf("ReadRecv allocates %v times per call, want 0", n)
 	}
 	for _, add := range []bool{true, false} {
 		if n := testing.AllocsPerRun(100, func() {

@@ -193,7 +193,8 @@ func TestReadAttrAllocatesNothing(t *testing.T) {
 // editors. None may panic. Whenever the full decode succeeds the field
 // reader must return the same value for every attribute and fail past the
 // last one, and every edit must match the decode → mutate → encode oracle
-// (checkEdits); whenever it fails, every edit must fail too.
+// (checkEdits) and the receiver view must hold the decoded OID, type and
+// ObjDepFct set; whenever it fails, every edit and the view must fail too.
 func FuzzObjectRecord(f *testing.F) {
 	f.Add(appendObj(nil, &Obj{Type: "Vertex", Attrs: []Value{Float(1), Float(-2.5), Float(3)}}))
 	f.Add(appendObj(nil, &Obj{Type: "Part", Attrs: randomPart(rand.New(rand.NewSource(2)), 9),
@@ -222,7 +223,12 @@ func FuzzObjectRecord(f *testing.F) {
 				t.Fatalf("attribute %d: field reader %v, full decode %v", i, v, o.Attrs[i])
 			}
 		}
+		r, rerr := m.recvOf(1, rec, nil)
+		if (rerr == nil) != (err == nil) {
+			t.Fatalf("the receiver view fails with %v, the full decode with %v", rerr, err)
+		}
 		if err == nil {
+			sameRecv(t, "receiver view", r, o)
 			checkEdits(t, m, rec, o)
 		} else {
 			checkEditsFail(t, rec)

@@ -27,9 +27,29 @@ type Obj struct {
 }
 
 // HasDepFct reports whether fid is in the object's ObjDepFct set.
-func (o *Obj) HasDepFct(fid string) bool {
-	i := sort.SearchStrings(o.DepFcts, fid)
-	return i < len(o.DepFcts) && o.DepFcts[i] == fid
+func (o *Obj) HasDepFct(fid string) bool { return hasDepFct(o.DepFcts, fid) }
+
+// Recv returns the receiver view of o. Its ObjDepFct set is o's.
+func (o *Obj) Recv() Recv { return Recv{OID: o.OID, Type: o.Type, DepFcts: o.DepFcts} }
+
+// A Recv is a receiver view: what an update operation hands the GMR manager
+// about the object it changes — which object it is, its type and which
+// materialized functions depend on it (Sections 4.3 and 5.2) — without the
+// object's state. ReadRecv reads one from the record; DepFcts then lives in
+// the caller's buffer.
+type Recv struct {
+	OID  OID
+	Type string
+	// DepFcts is the object's ObjDepFct set, sorted.
+	DepFcts []string
+}
+
+// HasDepFct reports whether fid is in the receiver's ObjDepFct set.
+func (r Recv) HasDepFct(fid string) bool { return hasDepFct(r.DepFcts, fid) }
+
+func hasDepFct(set []string, fid string) bool {
+	i := sort.SearchStrings(set, fid)
+	return i < len(set) && set[i] == fid
 }
 
 // extent tracks the instances of one exact type with O(1) membership and
@@ -173,9 +193,10 @@ type Manager struct {
 	// serialized by the engine's exclusive lock, and the heap copies a
 	// record into its page and never keeps it.
 	wbuf []byte
-	// held is the buffer a hooked SetAttr keeps its receiver's record in
-	// until its AttrEdit stores (nil while lent).
-	held []byte
+	// held are the spare buffers a hooked SetAttr keeps its receiver's
+	// record in until its AttrEdit stores or releases it: a stack, so that
+	// hooked updates nested in another's hooks each take one.
+	held [][]byte
 }
 
 // ridCapture is a pre-image of one OID-directory entry; present is false
@@ -434,6 +455,32 @@ func (m *Manager) Get(oid OID) (*Obj, error) {
 		return err
 	})
 	return o, err
+}
+
+// ReadRecv reads the receiver view of oid, charged as Get is: the type tag
+// and the ObjDepFct set, the latter appended to deps[:0], with the values
+// between them skipped, not built. It fails where Get fails.
+func (m *Manager) ReadRecv(oid OID, deps []string) (Recv, error) {
+	var r Recv
+	err := m.view(oid, func(rec []byte) (err error) {
+		r, err = m.recvOf(oid, rec, deps)
+		return err
+	})
+	return r, err
+}
+
+// recvOf reads the receiver view of oid's record rec into deps[:0].
+func (m *Manager) recvOf(oid OID, rec []byte, deps []string) (Recv, error) {
+	d := NewDecoder(rec)
+	r := Recv{OID: oid, Type: m.Reg.internName(d.RawStr())}
+	d.skipValues()
+	d.skipValues()
+	deps = deps[:0]
+	for n := d.Count(1); n > 0 && d.err == nil; n-- {
+		deps = append(deps, m.depFcts.intern(d.RawStr()))
+	}
+	r.DepFcts = deps
+	return r, d.err
 }
 
 // ReadAttr reads attribute attr of the tuple object oid straight from its

@@ -36,13 +36,13 @@ type Engine struct {
 	// no further synchronization.
 	trackers []*accessTracker
 	depth    int
-	// hookArgs[:lent] are the argument lists lent to the hooks of the
-	// hooked updates in progress, one per nesting level: an update run by
-	// the body of a hooked public operation, or by a hook, lends the next
-	// level. Hooked updates run on the exclusive tier only: a snapshot
-	// engine refuses them, and a call the shared tier admits is unhooked.
-	hookArgs [][]object.Value
-	lent     int
+	// levels[:lent] hold what the hooks of the hooked updates in progress
+	// are lent, one level per update: an update run by the body of a hooked
+	// public operation, or by a hook, takes the next level. Hooked updates
+	// run on the exclusive tier only: a snapshot engine refuses them, and a
+	// call the shared tier admits is unhooked.
+	levels []hookLevel
+	lent   int
 	// suspend > 0 disables tracking: inside a public operation of a
 	// strictly encapsulated type only the receiver is recorded, its
 	// subobjects are not (Section 5.3). Write-path-only, like trackers.
@@ -58,6 +58,13 @@ type Engine struct {
 	// ErrReadOnlyView. See snapshot.go.
 	snapshot bool
 	ver      uint64
+}
+
+// hookLevel is one nesting level's buffers: the argument list and the
+// receiver view's ObjDepFct set an update lends its hooks.
+type hookLevel struct {
+	args []object.Value
+	deps []string
 }
 
 // NewEngine wires an engine over a schema and object manager.
@@ -226,6 +233,7 @@ func (en *Engine) Apply(c Callee, fid FuncID, dt int32, args []object.Value) (ob
 	// non-empty InvalidatedFct or CompensatedFct under information hiding).
 	var hooks []*UpdateHook
 	var hookArgs []object.Value
+	lvl := en.lent
 	if len(args) > 0 && args[0].Kind == object.KRef {
 		hooks = en.Hooks.lookup(dispatchType, opName)
 		if len(hooks) > 0 && en.snapshot {
@@ -234,13 +242,13 @@ func (en *Engine) Apply(c Callee, fid FuncID, dt int32, args []object.Value) (ob
 			return object.Null(), ErrReadOnlyView
 		}
 		if len(hooks) > 0 {
-			recvObj, err := en.Objs.Get(args[0].R)
+			recv, err := en.readRecv(lvl, args[0].R)
 			if err != nil {
 				return object.Null(), err
 			}
 			hookArgs = en.lendArgs(hooks, args[1:]...)
 			defer en.returnArgs(hooks)
-			if err := en.runBefore(hooks, recvObj, hookArgs); err != nil {
+			if err := en.runBefore(hooks, recv, hookArgs); err != nil {
 				return object.Null(), err
 			}
 		}
@@ -253,11 +261,11 @@ func (en *Engine) Apply(c Callee, fid FuncID, dt int32, args []object.Value) (ob
 
 	if len(hooks) > 0 {
 		// Re-read: the body may have changed the receiver.
-		recvObj, err := en.Objs.Get(args[0].R)
+		recv, err := en.readRecv(lvl, args[0].R)
 		if err != nil {
 			return object.Null(), err
 		}
-		if err := en.runAfter(hooks, recvObj, hookArgs); err != nil {
+		if err := en.runAfter(hooks, recv, hookArgs); err != nil {
 			return object.Null(), err
 		}
 	}
@@ -327,9 +335,9 @@ func (en *Engine) EvalRaw(fn *lang.Function, args []object.Value) (object.Value,
 
 // SetAttr implements lang.Runtime: the elementary update t.set_A with its
 // rewritten hook pipeline (Figure 4 / Figure 5 of the paper). Compensation
-// hooks run before the store, invalidation hooks after. Every update edits
-// the attribute in the record: one of a type without hooks for it builds no
-// object, a hooked one decodes the receiver once, for the hooks.
+// hooks run before the store, invalidation hooks after. Every update reads
+// the record once and edits the attribute in it without decoding the
+// object; a hooked one hands its hooks the receiver's view from that read.
 func (en *Engine) SetAttr(recv object.Value, attr string, v object.Value) error {
 	if recv.Kind != object.KRef {
 		return fmt.Errorf("schema: set_%s on %v value", attr, recv.Kind)
@@ -339,44 +347,65 @@ func (en *Engine) SetAttr(recv object.Value, attr string, v object.Value) error 
 	}
 	op := "set_" + attr
 	var hooks []*UpdateHook
-	e, err := en.Objs.SetAttr(recv.R, attr, v, func(typ string) bool {
+	l := en.level(en.lent)
+	e, err := en.Objs.SetAttr(recv.R, attr, v, l.deps, func(typ string) bool {
 		hooks = en.Hooks.lookup(typ, op)
 		return len(hooks) > 0
 	})
-	if e.Obj == nil || err != nil {
+	if !e.Hooked() || err != nil {
 		return err
 	}
+	l.deps = e.Recv.DepFcts[:0]
 	args := en.lendArgs(hooks, v)
 	defer en.returnArgs(hooks)
-	if err := en.runBefore(hooks, e.Obj, args); err != nil {
+	if err := en.runBefore(hooks, e.Recv, args); err != nil {
+		e.Release()
 		return err
 	}
 	if err := e.Store(); err != nil {
 		return err
 	}
-	return en.runAfter(hooks, e.Obj, args)
+	return en.runAfter(hooks, e.Recv, args)
 }
 
-// lendArgs returns the argument list an update's hooks are lent: the
-// engine's buffer of the next nesting level holding a copy of vals, nil when
-// no hook runs. The update gives it back with returnArgs(hooks) once its
-// hooks are done. The copy keeps the hooks, which are dynamic calls, from
-// making the caller's arguments escape.
+// level returns nesting level i's buffers, adding the level when it is new.
+// The pointer is valid until the next level is added.
+func (en *Engine) level(i int) *hookLevel {
+	if i == len(en.levels) {
+		en.levels = append(en.levels, hookLevel{})
+	}
+	return &en.levels[i]
+}
+
+// readRecv reads oid's receiver view, charged as Get is, into nesting level
+// i's ObjDepFct buffer.
+func (en *Engine) readRecv(i int, oid object.OID) (object.Recv, error) {
+	l := en.level(i)
+	r, err := en.Objs.ReadRecv(oid, l.deps)
+	if err == nil {
+		l.deps = r.DepFcts[:0]
+	}
+	return r, err
+}
+
+// lendArgs returns the argument list an update's hooks are lent: the next
+// nesting level's buffer holding a copy of vals, nil when no hook runs. It
+// takes the level, whose ObjDepFct buffer the update may already have read
+// its receiver view into, and the update gives it back with
+// returnArgs(hooks) once its hooks are done. The copy keeps the hooks, which
+// are dynamic calls, from making the caller's arguments escape.
 func (en *Engine) lendArgs(hooks []*UpdateHook, vals ...object.Value) []object.Value {
 	if len(hooks) == 0 {
 		return nil
 	}
-	if en.lent == len(en.hookArgs) {
-		en.hookArgs = append(en.hookArgs, nil)
-	}
-	buf := append(en.hookArgs[en.lent][:0], vals...)
-	en.hookArgs[en.lent] = buf
+	l := en.level(en.lent)
+	l.args = append(l.args[:0], vals...)
 	en.lent++
-	return buf
+	return l.args
 }
 
-// returnArgs gives back what lendArgs lent for hooks. The buffer keeps its
-// values until the next update at its level overwrites them.
+// returnArgs gives back the level lendArgs took for hooks. Its buffers keep
+// their values until the next update at the level overwrites them.
 func (en *Engine) returnArgs(hooks []*UpdateHook) {
 	if len(hooks) > 0 {
 		en.lent--
@@ -384,10 +413,10 @@ func (en *Engine) returnArgs(hooks []*UpdateHook) {
 }
 
 // runBefore runs the Before hooks of an update.
-func (en *Engine) runBefore(hooks []*UpdateHook, o *object.Obj, args []object.Value) error {
+func (en *Engine) runBefore(hooks []*UpdateHook, recv object.Recv, args []object.Value) error {
 	for _, h := range hooks {
 		if h.Before != nil {
-			if err := h.Before(en, o, args); err != nil {
+			if err := h.Before(en, recv, args); err != nil {
 				return err
 			}
 		}
@@ -396,10 +425,10 @@ func (en *Engine) runBefore(hooks []*UpdateHook, o *object.Obj, args []object.Va
 }
 
 // runAfter runs the After hooks of an update.
-func (en *Engine) runAfter(hooks []*UpdateHook, o *object.Obj, args []object.Value) error {
+func (en *Engine) runAfter(hooks []*UpdateHook, recv object.Recv, args []object.Value) error {
 	for _, h := range hooks {
 		if h.After != nil {
-			if err := h.After(en, o, args); err != nil {
+			if err := h.After(en, recv, args); err != nil {
 				return err
 			}
 		}
@@ -435,14 +464,14 @@ func (en *Engine) InsertElem(coll, elem object.Value) error {
 	hooks := en.Hooks.lookup(o.Type, "insert")
 	args := en.lendArgs(hooks, elem)
 	defer en.returnArgs(hooks)
-	if err := en.runBefore(hooks, o, args); err != nil {
+	if err := en.runBefore(hooks, o.Recv(), args); err != nil {
 		return err
 	}
 	o.Elems = append(o.Elems, elem)
 	if err := en.Objs.Put(o); err != nil {
 		return err
 	}
-	return en.runAfter(hooks, o, args)
+	return en.runAfter(hooks, o.Recv(), args)
 }
 
 // RemoveElem implements lang.Runtime: the elementary update t.remove.
@@ -471,14 +500,14 @@ func (en *Engine) RemoveElem(coll, elem object.Value) error {
 	hooks := en.Hooks.lookup(o.Type, "remove")
 	args := en.lendArgs(hooks, elem)
 	defer en.returnArgs(hooks)
-	if err := en.runBefore(hooks, o, args); err != nil {
+	if err := en.runBefore(hooks, o.Recv(), args); err != nil {
 		return err
 	}
 	o.Elems = append(o.Elems[:idx], o.Elems[idx+1:]...)
 	if err := en.Objs.Put(o); err != nil {
 		return err
 	}
-	return en.runAfter(hooks, o, args)
+	return en.runAfter(hooks, o.Recv(), args)
 }
 
 // Create stores a new tuple instance and fires the t.create hooks
@@ -507,11 +536,13 @@ func (en *Engine) created(typeName string, oid object.OID) (object.OID, error) {
 	if len(hooks) == 0 {
 		return oid, nil
 	}
-	o, err := en.Objs.Get(oid)
+	recv, err := en.readRecv(en.lent, oid)
 	if err != nil {
 		return object.NilOID, err
 	}
-	if err := en.runAfter(hooks, o, nil); err != nil {
+	en.lendArgs(hooks)
+	defer en.returnArgs(hooks)
+	if err := en.runAfter(hooks, recv, nil); err != nil {
 		return object.NilOID, err
 	}
 	return oid, nil
@@ -519,12 +550,17 @@ func (en *Engine) created(typeName string, oid object.OID) (object.OID, error) {
 
 // Delete removes an object after firing the t.delete hooks
 // (GMR_Manager.forget_object runs before the object disappears, Figure 4).
+// The receiver's view is read whether or not the type has hooks: its type
+// names them.
 func (en *Engine) Delete(oid object.OID) error {
-	o, err := en.Objs.Get(oid)
+	recv, err := en.readRecv(en.lent, oid)
 	if err != nil {
 		return err
 	}
-	if err := en.runBefore(en.Hooks.lookup(o.Type, "delete"), o, nil); err != nil {
+	hooks := en.Hooks.lookup(recv.Type, "delete")
+	en.lendArgs(hooks)
+	defer en.returnArgs(hooks)
+	if err := en.runBefore(hooks, recv, nil); err != nil {
 		return err
 	}
 	return en.Objs.Delete(oid)

@@ -19,21 +19,29 @@ import (
 // UpdateHook is one notification inserted into a rewritten update operation.
 // Before runs before the update is applied (compensating actions must see
 // the pre-update state, Section 5.4); After runs after it (invalidation must
-// see the post-update state, Section 4.3). recv and args are lent for the
-// call: an update builds them once for all of its hooks, and a hook must
-// neither modify them nor keep them after it returns (copy what it keeps).
-// A tracked evaluation's results are lent the same way: EvalTrackedOrdered's
-// access set and order belong to the recorder of its nesting depth and are
-// refilled by the next tracked evaluation at that depth.
+// see the post-update state, Section 4.3). Like the paper's rewritten
+// operation, a hook is told which object changed and which materialized
+// functions depend on it, not the object's state: recv is the receiver's
+// view, read from its record. recv's ObjDepFct set and args are lent for the
+// call: they live in the engine's buffers of the update's nesting level, and
+// a hook must neither modify them nor keep them after it returns (copy what
+// it keeps). A tracked evaluation's results are lent the same way:
+// EvalTrackedOrdered's access set and order belong to the recorder of its
+// nesting depth and are refilled by the next tracked evaluation at that
+// depth.
 type UpdateHook struct {
 	// Name identifies the hook for diagnostics (typically the GMR name).
 	Name string
-	// Before is invoked with the receiver object in its pre-update state and
-	// the update's arguments (the new attribute value, or the inserted/
-	// removed element).
-	Before func(en *Engine, recv *object.Obj, args []object.Value) error
-	// After is invoked with the receiver in its post-update state.
-	After func(en *Engine, recv *object.Obj, args []object.Value) error
+	// Before is invoked with the receiver's view in its pre-update state
+	// and the update's arguments (the new attribute value, or the
+	// inserted/removed element).
+	Before func(en *Engine, recv object.Recv, args []object.Value) error
+	// After is invoked after the update with the receiver's view. The
+	// ObjDepFct set of a set_A's view is the one read before the update,
+	// which the update does not change; a public operation's receiver is
+	// read again after its body, an insert's or remove's is the rewritten
+	// collection's.
+	After func(en *Engine, recv object.Recv, args []object.Value) error
 }
 
 type hookKey struct {

@@ -190,17 +190,17 @@ func TestUpdateHookOrderAndUninstall(t *testing.T) {
 	var events []string
 	undo := en.Hooks.Install("Point", "set_X", &schema.UpdateHook{
 		Name: "t",
-		Before: func(_ *schema.Engine, recv *object.Obj, args []object.Value) error {
+		Before: func(en *schema.Engine, recv object.Recv, args []object.Value) error {
 			// Before must observe the pre-update state.
-			if f, _ := recv.Attrs[0].AsFloat(); f != 1 {
-				t.Errorf("before-hook sees X=%v, want 1", recv.Attrs[0])
+			if x, err := en.ReadAttr(object.Ref(recv.OID), "X"); err != nil || x.F != 1 {
+				t.Errorf("before-hook sees X=%v (%v), want 1", x, err)
 			}
 			events = append(events, "before")
 			return nil
 		},
-		After: func(_ *schema.Engine, recv *object.Obj, args []object.Value) error {
-			if f, _ := recv.Attrs[0].AsFloat(); f != 42 {
-				t.Errorf("after-hook sees X=%v, want 42", recv.Attrs[0])
+		After: func(en *schema.Engine, recv object.Recv, args []object.Value) error {
+			if x, err := en.ReadAttr(object.Ref(recv.OID), "X"); err != nil || x.F != 42 {
+				t.Errorf("after-hook sees X=%v (%v), want 42", x, err)
 			}
 			events = append(events, "after")
 			return nil
@@ -235,7 +235,7 @@ func TestPublicOpHooks(t *testing.T) {
 	fired := 0
 	en.Hooks.Install("Shape", "grow", &schema.UpdateHook{
 		Name:  "t",
-		After: func(*schema.Engine, *object.Obj, []object.Value) error { fired++; return nil },
+		After: func(*schema.Engine, object.Recv, []object.Value) error { fired++; return nil },
 	})
 	if _, err := en.CallFunction("Shape.grow", []object.Value{object.Ref(s), object.Float(1)}); err != nil {
 		t.Fatal(err)
@@ -341,14 +341,14 @@ func TestCreateDeleteHooks(t *testing.T) {
 	var created, deleted []object.OID
 	en.Hooks.Install("Point", "create", &schema.UpdateHook{
 		Name: "t",
-		After: func(_ *schema.Engine, recv *object.Obj, _ []object.Value) error {
+		After: func(_ *schema.Engine, recv object.Recv, _ []object.Value) error {
 			created = append(created, recv.OID)
 			return nil
 		},
 	})
 	en.Hooks.Install("Point", "delete", &schema.UpdateHook{
 		Name: "t",
-		Before: func(_ *schema.Engine, recv *object.Obj, _ []object.Value) error {
+		Before: func(_ *schema.Engine, recv object.Recv, _ []object.Value) error {
 			deleted = append(deleted, recv.OID)
 			return nil
 		},

@@ -22,7 +22,7 @@ func raceEnabled() bool {
 }
 
 // TestSetAttrAllocations: an update of a type without hooks edits its record
-// and allocates nothing; a hooked one decodes the receiver once and hands
+// and allocates nothing; a hooked one reads the receiver once and hands
 // every hook call of the update the same argument slice.
 func TestSetAttrAllocations(t *testing.T) {
 	en := newEngine(t)
@@ -43,7 +43,7 @@ func TestSetAttrAllocations(t *testing.T) {
 		}
 	}
 	var seen [][]object.Value
-	hook := func(_ *schema.Engine, _ *object.Obj, args []object.Value) error {
+	hook := func(_ *schema.Engine, _ object.Recv, args []object.Value) error {
 		seen = append(seen, args)
 		return nil
 	}

@@ -56,7 +56,7 @@ func TestNestedTrackedEvaluations(t *testing.T) {
 	var inner1, inner2 []object.OID
 	var innerSet map[object.OID]struct{}
 	en.Hooks.Install("Node", "val", &schema.UpdateHook{
-		Before: func(en *schema.Engine, recv *object.Obj, _ []object.Value) error {
+		Before: func(en *schema.Engine, recv object.Recv, _ []object.Value) error {
 			if recv.OID != b {
 				return nil
 			}

@@ -90,10 +90,10 @@ func TestWriteCostIndependentOfBaseSize(t *testing.T) {
 // on BenchmarkVertexMove's configuration: GetAttr plus a hooked Set. The
 // RRR lookup, the invalidation and the rematerialization keep their
 // bookkeeping in reused buffers, the evaluation runs in pooled frames and
-// passes call arguments in them, and the hooks' argument list is lent by the
-// engine, so a move that rematerializes volume allocates only for the
-// receiver its hooks are handed (3) and the entry's MVCC pre-image (1). The
-// evaluation's 9 argument slices and the hooks' argument slice are gone.
+// passes call arguments in them, the hooks are lent their argument list and
+// a receiver view read into the engine's buffers, and the entry's MVCC
+// pre-image is filled in the columns of a reclaimed one, so a move
+// allocates nothing, also one that rematerializes volume: nothing is left.
 // Over the fixed schedule half the moves change nothing materialized.
 func TestVertexMoveAllocations(t *testing.T) {
 	if raceEnabled() {
@@ -106,8 +106,8 @@ func TestVertexMoveAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 		i++
-	}); got != 3 {
-		t.Errorf("a move of the schedule allocates %v times, want 3", got)
+	}); got != 0 {
+		t.Errorf("a move of the schedule allocates %v times, want 0", got)
 	}
 	// V1 is one of the vertices volume reads: every move of it
 	// rematerializes volume.
@@ -126,11 +126,40 @@ func TestVertexMoveAllocations(t *testing.T) {
 		if err := db.Set(ref.R, "X", gomdb.Float(x)); err != nil {
 			t.Fatal(err)
 		}
-	}); got != 4 {
-		t.Errorf("a rematerializing move allocates %v times, want 4", got)
+	}); got != 0 {
+		t.Errorf("a rematerializing move allocates %v times, want 0", got)
 	}
 	if n := db.GMRs.Stats.Rematerializations - remats; n != 401 {
 		t.Errorf("%d rematerializations, want one per move of V1", n)
+	}
+}
+
+// TestScaleAllocations pins update-cold's scale on BenchmarkUpdateColdScale's
+// configuration: one Cuboid.scale runs 24 hooked set_X/Y/Z, 12 of which
+// rematerialize volume, and allocates nothing: its hooks are handed
+// receiver views, not decoded objects, and the entry's pre-image reuses a
+// reclaimed one's columns. Nothing is left.
+func TestScaleAllocations(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	db, g := updateColdDB(t)
+	by := [2]gomdb.Value{
+		gomdb.Ref(fixtures.NewVertex(db, 1.25, 0.8, 1.5)),
+		gomdb.Ref(fixtures.NewVertex(db, 0.8, 1.25, 1/1.5)),
+	}
+	i, n := 0, len(g.Cuboids)
+	remats := db.GMRs.Stats.Rematerializations
+	if got := testing.AllocsPerRun(400, func() {
+		if _, err := db.Call("Cuboid.scale", gomdb.Ref(g.Cuboids[i%n]), by[(i/n)%2]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); got != 0 {
+		t.Errorf("a scale allocates %v times, want 0", got)
+	}
+	if r := db.GMRs.Stats.Rematerializations - remats; r != 12*401 {
+		t.Errorf("%d rematerializations, want 12 per scale", r)
 	}
 }
 
