@@ -197,8 +197,12 @@ fuzz-pred:
 # Fuzz the two source parsers, GOMql (query.Parse) and GOMpl
 # (lang.ParseDefine), from the committed corpora under each package's
 # testdata/fuzz: arbitrary text must parse or fail with an error, never panic.
+# The two evaluators are fuzzed against their tree-walking oracles: a lowered
+# GOMql statement against the old query interpreter, a compiled GOMpl body
+# against the old tree-walker.
 fuzz-parse:
 	$(GO) test ./internal/query/ -run '^$$' -fuzz FuzzParseQuery -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/query/ -run '^$$' -fuzz FuzzQueryMatchesOracle -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/lang/ -run '^$$' -fuzz FuzzParseDefine -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/lang/ -run '^$$' -fuzz FuzzEvalMatchesOracle -fuzztime $(FUZZ_TIME)
 
@@ -257,10 +261,8 @@ cover:
 	$(GO) tool cover -func=$(OUT)/cover.out | tail -20
 
 examples:
-	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/geometry
 	$(GO) run ./examples/company
-	$(GO) run ./examples/restricted
 	$(GO) run ./examples/tabular
 
 clean:

@@ -401,7 +401,7 @@ func dispatch[T any](db *Database, spec readSpec, readOnly func() bool, live fun
 // writer holds the engine. Materialize statements and statements the
 // classifier cannot prove side effect free run under the reader barrier.
 func (db *Database) Query(src string, params map[string]Value) (*QueryResult, error) {
-	q, err := query.Parse(src)
+	q, err := db.Queries.Prepare(src)
 	if err != nil {
 		return nil, err
 	}

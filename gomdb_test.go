@@ -218,21 +218,37 @@ func TestTextualDefinitionLifecycle(t *testing.T) {
 
 func TestQueryErrors(t *testing.T) {
 	db := rectangleDB(t)
-	db.MustNew("Rectangle", gomdb.Float(1), gomdb.Float(1))
-	if _, err := db.Query(`range r: Missing retrieve r`, nil); err == nil {
-		t.Fatal("unknown type accepted")
+	rect := db.MustNew("Rectangle", gomdb.Float(1), gomdb.Float(1))
+	// Circle has no instances; Square overrides area with another result
+	// type.
+	db.MustDefineType(gomdb.NewTupleType("Circle", gomdb.PubAttr("Radius", "float")))
+	sq := gomdb.NewTupleType("Square")
+	sq.Super = "Rectangle"
+	db.MustDefineType(sq)
+	if err := db.DefineOpSrc("Square", `define area: int is return 1 end`, true); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := db.Query(`range r: Rectangle retrieve r.nope`, nil); err == nil {
-		t.Fatal("unknown path segment accepted")
-	}
-	if _, err := db.Query(`range r: Rectangle retrieve r where r.Width = $missing`, nil); err == nil {
-		t.Fatal("unbound parameter accepted")
-	}
-	if _, err := db.Query(`range r: Rectangle retrieve sum(r.area), r.Width`, nil); err == nil {
-		t.Fatal("mixed aggregate/plain targets accepted")
-	}
-	if _, err := db.Query(`range a: Rectangle, b: Rectangle materialize a.area`, nil); err == nil {
-		t.Fatal("multi-range materialize accepted")
+	for _, c := range []struct {
+		src    string
+		params map[string]gomdb.Value
+		what   string
+	}{
+		{`range r: Missing retrieve r`, nil, "unknown type"},
+		{`range r: Rectangle retrieve r.nope`, nil, "unknown path segment"},
+		{`range r: Rectangle retrieve r where r.Width = $missing`, nil, "unbound parameter"},
+		{`range r: Rectangle retrieve sum(r.Width), r.Width`, nil, "mixed aggregate/plain targets"},
+		{`range a: Rectangle, b: Rectangle materialize a.area`, nil, "multi-range materialize"},
+		// The static rules: each fails before any candidate is evaluated.
+		{`range c: Circle retrieve c.nope`, nil, "unknown path segment over an empty extension"},
+		{`range r: Rectangle retrieve r where r.Width > 100.0 and r.Height = $missing`, nil,
+			"unbound parameter in a branch no candidate reaches"},
+		{`range r: Rectangle retrieve r where p.Width > 0.0`, map[string]gomdb.Value{"p": gomdb.Ref(rect)},
+			"step on a parameter-rooted path"},
+		{`range r: Rectangle retrieve r.area`, nil, "operation step whose override declares another result type"},
+	} {
+		if _, err := db.Query(c.src, c.params); err == nil {
+			t.Errorf("%s accepted: %s", c.what, c.src)
+		}
 	}
 }
 

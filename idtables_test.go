@@ -7,6 +7,7 @@ package gomdb_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -168,13 +169,17 @@ func TestIDTablesFollowDefinitions(t *testing.T) {
 // materialized function beside a goroutine that materializes,
 // dematerializes and defines operations under the reader barrier. Every
 // call must return the right value whatever the tables hold at that moment.
+// One GOMql reader names an operation the DDL defines mid-run: its statement
+// fails until the definition and answers correctly after it, prepared once
+// and lowered again when the schema's generation moves.
 func TestIDTablesRaceDDL(t *testing.T) {
 	db, oids, _ := materializedRectangleDB(t, 8)
 	want := make([]float64, len(oids))
+	widths := make([]float64, len(oids))
 	for i, oid := range oids {
 		w, _ := db.GetAttr(oid, "Width")
 		h, _ := db.GetAttr(oid, "Height")
-		want[i] = w.F * h.F
+		want[i], widths[i] = w.F*h.F, w.F
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -200,7 +205,7 @@ func TestIDTablesRaceDDL(t *testing.T) {
 			}
 		}
 	}
-	wg.Add(4)
+	wg.Add(3)
 	go reader("shared", func(i int) (gomdb.Value, error) {
 		return db.Call("Rectangle.area", gomdb.Ref(oids[i]))
 	})
@@ -209,14 +214,62 @@ func TestIDTablesRaceDDL(t *testing.T) {
 		defer view.Release()
 		return view.Call("Rectangle.area", gomdb.Ref(oids[i]))
 	})
-	go reader("query", func(i int) (gomdb.Value, error) {
-		res, err := db.Query(`range r: Rectangle retrieve r.area where r.area = $a`,
-			map[string]gomdb.Value{"a": gomdb.Float(want[i])})
-		if err != nil || len(res.Rows) == 0 {
-			return gomdb.Null(), fmt.Errorf("query: %d rows, %v", len(res.Rows), err)
+	for _, q := range []struct {
+		who string
+		run func(src string, params map[string]gomdb.Value) (*gomdb.QueryResult, error)
+	}{
+		{"query", db.Query},
+		{"view query", func(src string, params map[string]gomdb.Value) (*gomdb.QueryResult, error) {
+			view := db.SnapshotView()
+			defer view.Release()
+			return view.Query(src, params)
+		}},
+	} {
+		wg.Add(1)
+		go reader(q.who, func(i int) (gomdb.Value, error) {
+			res, err := q.run(`range r: Rectangle retrieve r.area where r.area = $a`,
+				map[string]gomdb.Value{"a": gomdb.Float(want[i])})
+			if err != nil || len(res.Rows) == 0 {
+				return gomdb.Null(), fmt.Errorf("query: %v", err)
+			}
+			return res.Rows[0][0], nil
+		})
+	}
+	// The op reader: op10 = Width once round 10 defined it.
+	const opRound = 10 // the op query names op10
+	var opDefined atomic.Bool
+	failed, answered := make(chan struct{}), make(chan struct{})
+	var failOnce, answerOnce sync.Once
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		// An early return must not leave the DDL loop waiting.
+		defer failOnce.Do(func() { close(failed) })
+		defer answerOnce.Do(func() { close(answered) })
+		for n := 0; ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			i := n % len(oids)
+			defined := opDefined.Load()
+			res, err := db.Query(`range r: Rectangle retrieve r.op10 where r.area = $a`,
+				map[string]gomdb.Value{"a": gomdb.Float(want[i])})
+			switch {
+			case err != nil && (defined || !strings.Contains(err.Error(), "op10")):
+				t.Errorf("op query (defined %v): %v", defined, err)
+				return
+			case err != nil:
+				failOnce.Do(func() { close(failed) })
+			case len(res.Rows) == 0 || res.Rows[0][0].F != widths[i]:
+				t.Errorf("op query: rows %v, want width %v", res.Rows, widths[i])
+				return
+			default:
+				answerOnce.Do(func() { close(answered) })
+			}
 		}
-		return res.Rows[0][0], nil
-	})
+	}()
 	// A batch holds the engine now and then, so readers take the snapshot
 	// tier; its own calls run on the exclusive one.
 	go reader("batch", func(i int) (gomdb.Value, error) {
@@ -230,6 +283,9 @@ func TestIDTablesRaceDDL(t *testing.T) {
 	})
 
 	for round := 0; round < 20; round++ {
+		if round == opRound {
+			<-failed
+		}
 		if _, err := db.Materialize(gomdb.MaterializeOptions{
 			Name: "Gp", Funcs: []string{"Rectangle.perimeter"}, Complete: true,
 		}); err != nil {
@@ -238,10 +294,14 @@ func TestIDTablesRaceDDL(t *testing.T) {
 		if err := db.DefineOpSrc("Rectangle", fmt.Sprintf(`define op%d: float is return self.Width end`, round), true); err != nil {
 			t.Fatal(err)
 		}
+		if round == opRound {
+			opDefined.Store(true)
+		}
 		if err := db.Dematerialize("Gp"); err != nil {
 			t.Fatal(err)
 		}
 	}
+	<-answered
 	close(stop)
 	wg.Wait()
 }

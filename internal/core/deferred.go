@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -108,6 +109,13 @@ func (m *Manager) Flush() error {
 			t0 := time.Now()
 			err := m.rematerializeWith(g, e, c.col, e.triggersOf(c.col))
 			evalNanos += int64(time.Since(t0))
+			if errors.Is(err, object.ErrDangling) {
+				// The result read an object deleted since (ForgetObject
+				// left it invalid): the function is undefined until the
+				// reference is repaired, so the result stays invalid and a
+				// forward query reports the error, as under Lazy.
+				continue
+			}
 			if err != nil {
 				return err
 			}

@@ -976,6 +976,13 @@ func (m *Manager) NewObject(oid object.OID, typ string) error {
 // have consumed the RRR tuple that step 1 of the paper's algorithm relies
 // on. RRR tuples of *other* objects that still reference the removed
 // entries become blind references, cleaned lazily on their next access.
+//
+// An entry the object does not appear in as an argument but that read it
+// through a reference (a set's total over a deleted member) is marked
+// invalid before its tuple goes, whatever the GMR's strategy, and not
+// recomputed: its result held the deleted object's contribution, and a
+// recomputation now runs into the dangling reference, which the next
+// forward query reports.
 func (m *Manager) ForgetObject(oid object.OID) error {
 	atomic.AddInt64(&m.Stats.ForgottenObjects, 1)
 	m.emit("forget_object", "", "", oid)
@@ -991,7 +998,15 @@ func (m *Manager) ForgetObject(oid object.OID) error {
 	if err != nil {
 		return err
 	}
+	var kb [keyBufSize]byte
 	for _, t := range tuples {
+		if _, c, ok := m.colByName(t.F); ok {
+			if e, ok := c.g.entries[string(t.k.appendArgs(kb[:0]))]; ok {
+				if err := c.g.markInvalid(e.key, c.col); err != nil {
+					return err
+				}
+			}
+		}
 		if err := m.removeTuple(t); err != nil {
 			return err
 		}

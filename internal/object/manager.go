@@ -1,6 +1,7 @@
 package object
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -9,6 +10,10 @@ import (
 	"gomdb/internal/mvcc"
 	"gomdb/internal/storage"
 )
+
+// ErrDangling is the error of a read through a reference to an object that
+// does not exist (at the version read).
+var ErrDangling = errors.New("object: dangling reference")
 
 // Obj is the in-memory form of a stored object. Callers obtain it from
 // Manager.Get, mutate it, and write it back with Manager.Put.
@@ -253,7 +258,7 @@ func (m *Manager) GetVersioned(oid OID, ver uint64) (*Obj, error) {
 	}
 	m.verMu.RUnlock()
 	if !c.present {
-		return nil, fmt.Errorf("object: dangling reference %v", oid)
+		return nil, fmt.Errorf("%w %v", ErrDangling, oid)
 	}
 	rec, err := m.heap.ReadVersioned(c.rid, ver)
 	if err != nil {
@@ -425,7 +430,7 @@ func (m *Manager) Exists(oid OID) bool {
 func (m *Manager) view(oid OID, fn func(rec []byte) error) error {
 	rid, ok := m.rids[oid]
 	if !ok {
-		return fmt.Errorf("object: dangling reference %v", oid)
+		return fmt.Errorf("%w %v", ErrDangling, oid)
 	}
 	return m.heap.View(rid, func(rec []byte) error {
 		m.Clock.AddCPU(1 + int64(len(rec))/64)

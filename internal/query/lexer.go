@@ -6,11 +6,12 @@
 //	range c: Cuboid retrieve sum(c.weight) where c.CuboidID = $id
 //	range c: Cuboid materialize c.volume, c.weight where c.Mat.Name = "Iron"
 //
-// The planner recognizes invocations of materialized functions in the
-// selection predicate and rewrites them into forward or backward GMR
-// retrievals (Section 3.2), checking restricted-GMR applicability with the
-// Rosenkrantz–Hunt test of Section 6; everything else falls back to an
-// extension scan.
+// A statement's targets and predicate lower once to GOMpl functions that
+// lang.Eval runs (lower.go). The planner recognizes invocations of
+// materialized functions in the selection predicate and rewrites them into
+// forward or backward GMR retrievals (Section 3.2), checking restricted-GMR
+// applicability with the Rosenkrantz–Hunt test of Section 6; everything
+// else falls back to an extension scan.
 package query
 
 import (

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // Query AST.
@@ -37,6 +38,10 @@ type Query struct {
 	Ranges  []RangeDecl
 	Targets []Target
 	Where   PredE // nil when absent
+
+	// lowered is the statement lowered to GOMpl by its first run or
+	// classification (Executor.lower).
+	lowered atomic.Pointer[lowered]
 }
 
 // Predicate and operand expressions.

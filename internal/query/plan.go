@@ -58,12 +58,33 @@ func (b matFnBound) planKey() string {
 	return k
 }
 
-// tryBackward attempts to answer a single-variable query via a backward GMR
-// range retrieval. It returns done=true if the query was fully answered.
-func (ex *Executor) tryBackward(q *Query, params map[string]object.Value, reserve func(rows int), emitRow func(binding) error) (bool, error) {
+// backward is a backward GMR range retrieval answering a single-variable
+// query: its matches, and the bound the retrieval is for.
+type backward struct {
+	matches []core.Match
+	bound   matFnBound
+}
+
+// candidate returns the range variable's object of match m, and false when
+// m's fixed arguments differ from the constants the query binds them to (a
+// multi-argument function's GMR holds every combination).
+func (bw backward) candidate(m core.Match) (object.Value, bool) {
+	for i, fv := range bw.bound.fixed {
+		if i != bw.bound.varPos && !m.Args[i].Equal(fv) {
+			return object.Null(), false
+		}
+	}
+	return m.Args[bw.bound.varPos], true
+}
+
+// backwardPlan plans a single-variable query as a backward GMR range
+// retrieval and runs the retrieval. ok=false means no such plan applies and
+// the query scans; every candidate of a plan must still pass the where
+// clause.
+func (ex *Executor) backwardPlan(q *Query, params map[string]object.Value) (bw backward, ok bool, err error) {
 	conjuncts := flattenConjuncts(q.Where)
 	if conjuncts == nil {
-		return false, nil
+		return bw, false, nil
 	}
 	rv := q.Ranges[0]
 	var bounds []matFnBound
@@ -77,7 +98,7 @@ func (ex *Executor) tryBackward(q *Query, params map[string]object.Value, reserv
 		}
 	}
 	if len(bounds) == 0 {
-		return false, nil
+		return bw, false, nil
 	}
 	// Intersect the bounds per (function, fixed arguments) and pick the
 	// combination with the tightest (finite) window.
@@ -126,13 +147,13 @@ func (ex *Executor) tryBackward(q *Query, params map[string]object.Value, reserv
 		}
 	}
 	if bestKey == "" {
-		return false, nil
+		return bw, false, nil
 	}
 	best := windows[bestKey].bound
 	bestFid := best.fid
 	g, ok := ex.Mgr.GMRFor(bestFid)
 	if !ok {
-		return false, nil
+		return bw, false, nil
 	}
 	// Restricted GMRs need the applicability test of Section 6: the
 	// relevant part σ′ of the selection predicate must imply the
@@ -142,73 +163,40 @@ func (ex *Executor) tryBackward(q *Query, params map[string]object.Value, reserv
 			if ex.Explain != nil {
 				ex.explain("plan: GMR %s restricted without formula; falling back", g.Name)
 			}
-			return false, nil
+			return bw, false, nil
 		}
 		sigma, ok := ex.relevantFormula(conjuncts, rv, params)
 		if !ok {
 			if ex.Explain != nil {
 				ex.explain("plan: σ′ not expressible in the decidable class; falling back")
 			}
-			return false, nil
+			return bw, false, nil
 		}
 		covered, err := pred.Covers(g.Restriction.Formula, sigma)
 		if err != nil || !covered {
 			if ex.Explain != nil {
 				ex.explain("plan: restricted GMR %s not applicable (%v); falling back", g.Name, err)
 			}
-			return false, nil
+			return bw, false, nil
 		}
 	}
 	w := windows[bestKey]
-	var matches []core.Match
-	var err error
 	if ex.Snap != nil {
-		matches, err = ex.Snap.Backward(bestFid, w.lb, w.ub)
+		bw.matches, err = ex.Snap.Backward(bestFid, w.lb, w.ub)
 	} else {
-		matches, err = ex.Mgr.Backward(bestFid, w.lb, w.ub)
+		bw.matches, err = ex.Mgr.Backward(bestFid, w.lb, w.ub)
 	}
 	if err != nil {
 		if errors.Is(err, core.ErrIncomplete) {
-			return false, nil
+			return bw, false, nil
 		}
-		return false, err
+		return bw, false, err
 	}
 	if ex.Explain != nil {
-		ex.explain("plan: backward GMR index on %s over [%g, %g], %d candidates", bestFid, w.lb, w.ub, len(matches))
+		ex.explain("plan: backward GMR index on %s over [%g, %g], %d candidates", bestFid, w.lb, w.ub, len(bw.matches))
 	}
-	reserve(len(matches))
-	b := binding{}
-	for _, m := range matches {
-		// For multi-argument functions, the fixed argument positions must
-		// match the constants bound in the query.
-		if best.fixed != nil {
-			ok := true
-			for i, fv := range best.fixed {
-				if i == best.varPos {
-					continue
-				}
-				if !m.Args[i].Equal(fv) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-		}
-		b[rv.Var] = m.Args[best.varPos]
-		keep, err := ex.evalPred(q.Where, b, params)
-		if err != nil {
-			return false, err
-		}
-		if !keep {
-			continue
-		}
-		if err := emitRow(b); err != nil {
-			return false, err
-		}
-	}
-	return true, nil
+	bw.bound = best
+	return bw, true, nil
 }
 
 // classifyBound recognizes var.f ⊙ literal and f(..., var, ...) ⊙ literal
@@ -229,8 +217,9 @@ func (ex *Executor) classifyBound(cmp CmpE, rv RangeDecl, params map[string]obje
 	if op == "!=" {
 		return matFnBound{}, false
 	}
-	f, ok := ex.constFloat(lit, params)
-	if !ok {
+	c, ok := constValue(lit, params)
+	f, numeric := c.AsFloat()
+	if !ok || !numeric {
 		return matFnBound{}, false
 	}
 
@@ -277,8 +266,8 @@ func (ex *Executor) classifyCallBound(call *CallE, op string, bound float64, rv 
 			varPos = i
 			continue
 		}
-		v, err := ex.evalConstOperand(a, params)
-		if err != nil {
+		v, ok := constValue(a, params)
+		if !ok {
 			return matFnBound{}, false
 		}
 		fixed[i] = v
@@ -289,33 +278,16 @@ func (ex *Executor) classifyCallBound(call *CallE, op string, bound float64, rv 
 	return matFnBound{fid: fn.Name, op: op, bound: bound, varPos: varPos, fixed: fixed}, true
 }
 
-// constFloat extracts a numeric constant from a literal or parameter.
-func (ex *Executor) constFloat(op OperandE, params map[string]object.Value) (float64, bool) {
+// constValue is the value of a literal or a bound parameter.
+func constValue(op OperandE, params map[string]object.Value) (object.Value, bool) {
 	switch l := op.(type) {
 	case LitE:
-		if !l.IsNum {
-			return 0, false
-		}
-		return l.Num, true
+		return l.value(), true
 	case ParamE:
 		v, ok := params[l.Name]
-		if !ok {
-			return 0, false
-		}
-		return v.AsFloat()
+		return v, ok
 	}
-	return 0, false
-}
-
-// evalConstOperand evaluates an operand that must not depend on a range
-// variable (literal or parameter).
-func (ex *Executor) evalConstOperand(op OperandE, params map[string]object.Value) (object.Value, error) {
-	switch l := op.(type) {
-	case LitE, ParamE:
-		return ex.evalOperand(op, binding{}, params)
-	default:
-		return object.Null(), fmt.Errorf("gomql: operand %T is not constant", l)
-	}
+	return object.Null(), false
 }
 
 func reverseOp(op string) string {
@@ -492,9 +464,9 @@ func (ex *Executor) runMaterialize(q *Query, params map[string]object.Value) (*R
 		Mode:     ex.DefaultMode,
 	}
 	if q.Where != nil {
-		body, err := ex.predToLang(q.Where, rv, params)
+		body, err := lowerRestriction(ex.En.Sch, rv, q.Where, params)
 		if err != nil {
-			return nil, fmt.Errorf("gomql: restriction predicate: %w", err)
+			return nil, err
 		}
 		pfn := &lang.Function{
 			Name:           "p$" + strings.Join(funcs, "_"),
@@ -514,120 +486,4 @@ func (ex *Executor) runMaterialize(q *Query, params map[string]object.Value) (*R
 		Columns: []string{"gmr", "entries"},
 		Rows:    [][]object.Value{{object.String_(g.Name), object.Int(int64(g.Len()))}},
 	}, nil
-}
-
-// predToLang translates a where clause into a GOMpl boolean expression for
-// the executable restriction predicate (Section 6.1 materializes p itself).
-func (ex *Executor) predToLang(p PredE, rv RangeDecl, params map[string]object.Value) (lang.Expr, error) {
-	switch n := p.(type) {
-	case AndE:
-		l, err := ex.predToLang(n.L, rv, params)
-		if err != nil {
-			return nil, err
-		}
-		r, err := ex.predToLang(n.R, rv, params)
-		if err != nil {
-			return nil, err
-		}
-		return lang.And(l, r), nil
-	case OrE:
-		l, err := ex.predToLang(n.L, rv, params)
-		if err != nil {
-			return nil, err
-		}
-		r, err := ex.predToLang(n.R, rv, params)
-		if err != nil {
-			return nil, err
-		}
-		return lang.Or(l, r), nil
-	case NotE:
-		e, err := ex.predToLang(n.E, rv, params)
-		if err != nil {
-			return nil, err
-		}
-		return lang.Un{Op: "not", E: e}, nil
-	case CmpE:
-		l, err := ex.operandToLang(n.L, rv, params)
-		if err != nil {
-			return nil, err
-		}
-		r, err := ex.operandToLang(n.R, rv, params)
-		if err != nil {
-			return nil, err
-		}
-		switch n.Op {
-		case "=":
-			return lang.Eq(l, r), nil
-		case "!=":
-			return lang.Ne(l, r), nil
-		case "<":
-			return lang.Lt(l, r), nil
-		case "<=":
-			return lang.Le(l, r), nil
-		case ">":
-			return lang.Gt(l, r), nil
-		case ">=":
-			return lang.Ge(l, r), nil
-		}
-		return nil, fmt.Errorf("unknown operator %q", n.Op)
-	case InE:
-		el, err := ex.operandToLang(n.Elem, rv, params)
-		if err != nil {
-			return nil, err
-		}
-		coll, err := ex.operandToLang(n.Coll, rv, params)
-		if err != nil {
-			return nil, err
-		}
-		return lang.In(el, coll), nil
-	case TruthE:
-		return ex.operandToLang(n.Op, rv, params)
-	}
-	return nil, fmt.Errorf("unsupported predicate form %T", p)
-}
-
-func (ex *Executor) operandToLang(op OperandE, rv RangeDecl, params map[string]object.Value) (lang.Expr, error) {
-	switch o := op.(type) {
-	case LitE:
-		switch {
-		case o.IsNum:
-			return lang.F(o.Num), nil
-		case o.IsB:
-			return lang.B(o.Bool), nil
-		default:
-			return lang.S(o.Str), nil
-		}
-	case ParamE:
-		v, ok := params[o.Name]
-		if !ok {
-			return nil, fmt.Errorf("unbound parameter $%s", o.Name)
-		}
-		return lang.Lit{Val: v}, nil
-	case *PathE:
-		if o.Call != nil {
-			return nil, fmt.Errorf("function applications are not supported in restriction predicates")
-		}
-		if o.Root != rv.Var {
-			return nil, fmt.Errorf("restriction predicate may only reference %s", rv.Var)
-		}
-		// Static-type walk: attribute steps become reads, operation steps
-		// become calls.
-		var cur lang.Expr = lang.V(rv.Var)
-		curType := rv.Type
-		for _, seg := range o.Segs {
-			if at, ok := ex.En.Sch.AttrType(curType, seg); ok {
-				cur = lang.A(cur, seg)
-				curType = at
-				continue
-			}
-			if fn, ok := ex.En.Sch.ResolveOp(curType, seg); ok && len(fn.Params) == 1 {
-				cur = lang.CallFn(curType+"."+seg, cur)
-				curType = fn.ResultType
-				continue
-			}
-			return nil, fmt.Errorf("type %q has neither attribute nor unary operation %q", curType, seg)
-		}
-		return cur, nil
-	}
-	return nil, fmt.Errorf("unknown operand %T", op)
 }

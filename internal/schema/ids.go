@@ -95,9 +95,10 @@ func (s *Schema) addFunc(fn *lang.Function) FuncID {
 }
 
 // reindex rebuilds the type, slot and callee tables from the registry and
-// the operation maps. Ids already handed out keep their values: new types
-// and operation names are appended.
+// the operation maps, and starts a new generation. Ids already handed out
+// keep their values: new types and operation names are appended.
 func (s *Schema) reindex() {
+	s.gen++
 	t := &s.ids
 	known := len(t.types)
 	for _, name := range s.Reg.Types() {
@@ -187,6 +188,11 @@ func (s *Schema) classifySlot(slot int) {
 		te.readOnly[slot] = ro
 	}
 }
+
+// Generation numbers the schema's definitions: every DefineType, DefineOp
+// and DefineFunc starts a new one. What was resolved against the schema
+// (a lowered GOMql statement) holds while the generation does.
+func (s *Schema) Generation() uint64 { return s.gen }
 
 // Chain returns typeName followed by its supertypes, nearest first; nil for
 // an unknown type.

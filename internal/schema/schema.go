@@ -42,6 +42,7 @@ type Schema struct {
 	// ids are the dense-id tables (ids.go); hooks is the schema rewrite's
 	// hook table, whose installations feed the read-only classification.
 	ids   idTables
+	gen   uint64 // Generation
 	hooks *HookTable
 	// opDefined, when set, is told of every operation DefineOp attaches
 	// (the GMR manager registers subtype overrides of materialized

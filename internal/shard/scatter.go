@@ -181,7 +181,7 @@ func (db *DB) CheckConsistency(gmrName string, tol float64, checkComplete bool) 
 // read-only — and the materialize statement — are refused with a typed
 // error; sharded writes go through the typed API, which can route them.
 func (db *DB) Query(src string, params map[string]gomdb.Value) (*gomdb.QueryResult, error) {
-	q, err := query.Parse(src)
+	q, err := db.shards[0].Queries.Prepare(src)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"gomdb/internal/core"
-	"gomdb/internal/query"
 )
 
 // SnapshotView is an explicit handle on one MVCC snapshot: it pins the
@@ -53,7 +52,7 @@ func (v *SnapshotView) Call(fn string, args ...Value) (Value, error) {
 // Query executes a read-only GOMql statement at the pinned version.
 // Statements whose plan is not provably read-only are refused.
 func (v *SnapshotView) Query(src string, params map[string]Value) (*QueryResult, error) {
-	q, err := query.Parse(src)
+	q, err := v.db.Queries.Prepare(src)
 	if err != nil {
 		return nil, err
 	}
