@@ -57,6 +57,7 @@ ci:
 	$(GO) test -race -count=10 -run TestIDTablesRaceDDL .
 	$(GO) test -race -count=10 -run TestEntryCapturesRecycledRaceWriter .
 	$(GO) test -race -count=10 -run TestRouterPointOpsRaceBatches ./internal/shard/
+	$(GO) test -race -count=10 -run TestSharedClientStress ./internal/server/
 	$(MAKE) check-determinism
 	$(GO) run -race ./cmd/gomsim -seeds 17 -ops 100 -out $(OUT)/sim-artifacts
 	$(GO) run -race ./cmd/gomsim -durable -crashes -seeds 25 -ops 100 -out $(OUT)/recovery-artifacts

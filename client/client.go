@@ -10,7 +10,6 @@
 package client
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -38,9 +37,11 @@ type Client struct {
 	ops
 	opts Options
 
-	mu     sync.Mutex
-	conn   net.Conn
-	br     *bufio.Reader
+	mu    sync.Mutex
+	conn  net.Conn
+	codec *wire.Codec
+	// resp is the last response read, decoded in place; c.mu guards it.
+	resp   wire.Response
 	reqID  uint64
 	shards uint32
 	closed bool
@@ -63,7 +64,7 @@ func Dial(addr string, opts Options) (*Client, error) {
 // New wraps an established connection (any net.Conn) and performs the
 // handshake. On error the connection is left to the caller to close.
 func New(conn net.Conn, opts Options) (*Client, error) {
-	c := &Client{opts: opts, conn: conn, br: bufio.NewReader(conn)}
+	c := &Client{opts: opts, conn: conn, codec: wire.NewCodec(conn)}
 	c.ops = ops{c: c}
 	resp, err := c.roundTrip(&wire.Request{Op: wire.OpHello, WireVersion: wire.Version, Token: opts.Token})
 	if err != nil {
@@ -111,22 +112,28 @@ var (
 )
 
 // exchange performs one serialized request/response round trip and insists
-// on a response of kind want.
-func (c *Client) exchange(req *wire.Request, want wire.Opcode) (*wire.Response, error) {
+// on a response of kind want. The response is returned by value, copied
+// while c.mu is held: the client's own response is overwritten by the next
+// round trip on any goroutine.
+func (c *Client) exchange(req *wire.Request, want wire.Opcode) (wire.Response, error) {
 	c.mu.Lock()
-	resp, err := c.roundTrip(req)
+	var resp wire.Response
+	r, err := c.roundTrip(req)
+	if err == nil {
+		resp = *r
+	}
 	c.mu.Unlock()
 	if err != nil {
-		return nil, err
+		return wire.Response{}, err
 	}
 	if resp.Op != want {
-		return nil, wire.Errf(wire.CodeMalformed, "%s answered with %s, expected %s", req.Op, resp.Op, want)
+		return wire.Response{}, wire.Errf(wire.CodeMalformed, "%s answered with %s, expected %s", req.Op, resp.Op, want)
 	}
 	return resp, nil
 }
 
-// roundTrip writes req and reads its (non-stream) response. Callers hold
-// c.mu (New calls it before the client escapes its goroutine).
+// roundTrip writes req and reads its (non-stream) response into c.resp.
+// Callers hold c.mu (New calls it before the client escapes its goroutine).
 func (c *Client) roundTrip(req *wire.Request) (*wire.Response, error) {
 	id, err := c.send(req)
 	if err != nil {
@@ -139,43 +146,43 @@ func (c *Client) send(req *wire.Request) (uint64, error) {
 	if c.closed && req.Op != wire.OpGoodbye {
 		return 0, errClosed
 	}
-	payload, err := wire.EncodeRequest(req)
-	if err != nil {
+	id := c.reqID + 1
+	if err := c.codec.PutRequest(id, req); err != nil {
 		return 0, err
 	}
-	c.reqID++
-	id := c.reqID
+	c.reqID = id
 	if t := c.opts.CallTimeout; t > 0 {
 		c.conn.SetWriteDeadline(time.Now().Add(t))
 	}
-	if err := wire.WriteFrame(c.conn, &wire.Frame{Op: req.Op, ReqID: id, Payload: payload}); err != nil {
+	if err := c.codec.Flush(); err != nil {
 		return 0, err
 	}
 	return id, nil
 }
 
-// recv reads one response frame for request id and decodes it. RespError
-// becomes a structured *wire.Error.
+// recv reads one response frame for request id and decodes it into c.resp,
+// which it returns: valid until the next recv. RespError becomes a
+// structured *wire.Error.
 func (c *Client) recv(id uint64) (*wire.Response, error) {
 	if t := c.opts.CallTimeout; t > 0 {
 		c.conn.SetReadDeadline(time.Now().Add(t))
 	}
-	frame, err := wire.ReadFrame(c.br)
+	frame, err := c.codec.ReadFrame()
 	if err != nil {
 		return nil, err
 	}
+	resp := &c.resp
 	if frame.ReqID != id {
 		// A connection-level refusal (the server rejects before reading any
 		// request — full, draining) travels as a RespError with id 0.
 		if frame.Op == wire.RespError && frame.ReqID == 0 {
-			if resp, derr := wire.DecodeResponse(frame.Op, frame.Payload); derr == nil {
+			if c.codec.DecodeResponse(frame, resp) == nil {
 				return nil, resp.Err()
 			}
 		}
 		return nil, wire.Errf(wire.CodeMalformed, "response for request %d, expected %d", frame.ReqID, id)
 	}
-	resp, err := wire.DecodeResponse(frame.Op, frame.Payload)
-	if err != nil {
+	if err := c.codec.DecodeResponse(frame, resp); err != nil {
 		return nil, err
 	}
 	if err := resp.Err(); err != nil {
@@ -203,6 +210,8 @@ func stream[T any](c *Client, req *wire.Request, kind wire.StreamKind, rows func
 	if begin.Op != wire.RespStreamBegin || begin.Stream != kind {
 		return nil, nil, wire.Errf(wire.CodeMalformed, "expected %d-stream begin, got %s", kind, begin.Op)
 	}
+	// The next recv overwrites the begin frame; its columns are fresh.
+	columns := begin.Columns
 	var out []T
 	for {
 		resp, err := c.recv(id)
@@ -219,7 +228,7 @@ func stream[T any](c *Client, req *wire.Request, kind wire.StreamKind, rows func
 			if uint64(len(out)) != resp.Total {
 				return nil, nil, wire.Errf(wire.CodeMalformed, "stream delivered %d rows, server sent %d", len(out), resp.Total)
 			}
-			return begin.Columns, out, nil
+			return columns, out, nil
 		default:
 			return nil, nil, wire.Errf(wire.CodeMalformed, "unexpected %s inside stream", resp.Op)
 		}
@@ -238,12 +247,12 @@ type ops struct {
 
 // do round-trips one batchable operation and insists on a response of kind
 // want. An op on a closed batch fails without touching the connection.
-func (o ops) do(req *wire.Request, want wire.Opcode) (*wire.Response, error) {
+func (o ops) do(req *wire.Request, want wire.Opcode) (wire.Response, error) {
 	if o.b == nil {
 		return o.c.exchange(req, want)
 	}
 	if o.b.done {
-		return nil, errBatchClosed
+		return wire.Response{}, errBatchClosed
 	}
 	return o.c.exchange(&wire.Request{Op: wire.OpBatchOp, Sub: req}, want)
 }

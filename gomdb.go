@@ -406,7 +406,12 @@ func (db *Database) Query(src string, params map[string]Value) (*QueryResult, er
 		return nil, err
 	}
 	return dispatch(db, readSpec{quiescent: true, barrier: true},
-		func() bool { return db.Queries.ReadOnlyPlan(q) },
+		func() bool {
+			// A statement that does not lower runs exclusively, which
+			// reports the lowering error.
+			ok, _ := db.Queries.ReadOnlyPlan(q)
+			return ok
+		},
 		func() (*QueryResult, error) { return db.Queries.RunQuery(q, params) },
 		func(s *core.Snapshot) (*QueryResult, error) { return db.Queries.Snapshot(s).RunQuery(q, params) })
 }

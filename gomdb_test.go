@@ -302,7 +302,7 @@ func TestCallClassifierMatchesGOMql(t *testing.T) {
 		_, err := view.Call(c.name, c.args...)
 		viewAdmits := err == nil || !strings.Contains(err.Error(), "not side-effect free")
 		q := &query.Query{Targets: []query.Target{{Path: &query.PathE{Call: &query.CallE{Fn: c.name}}}}}
-		gomqlAdmits := db.Queries.ReadOnlyPlan(q)
+		gomqlAdmits, _ := db.Queries.ReadOnlyPlan(q)
 		if viewAdmits != c.want || gomqlAdmits != c.want {
 			t.Errorf("%s: snapshot Call admits %v (err %v), GOMql admits %v; want %v",
 				c.name, viewAdmits, err, gomqlAdmits, c.want)

@@ -204,16 +204,26 @@ func (d *Decoder) Count(min int) int {
 }
 
 // Values decodes a count-prefixed run of values.
-func (d *Decoder) Values() []Value {
+func (d *Decoder) Values() []Value { return d.ValuesInto(nil) }
+
+// ValuesInto decodes a count-prefixed run of values into dst's backing
+// array, growing it only when the run does not fit. A well-formed count
+// never yields nil, so a decode into a reused slice equals a fresh one; a
+// malformed count yields nil. Nested runs (tuple, set and list elements)
+// are always fresh.
+func (d *Decoder) ValuesInto(dst []Value) []Value {
 	n := d.Count(1)
 	if d.err != nil {
 		return nil
 	}
-	vs := make([]Value, n)
-	for i := range vs {
-		vs[i] = d.Value()
+	if dst == nil || cap(dst) < n {
+		dst = make([]Value, n)
 	}
-	return vs
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = d.Value()
+	}
+	return dst
 }
 
 func (d *Decoder) Value() Value {

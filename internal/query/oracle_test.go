@@ -417,7 +417,7 @@ func (tw *twins) check(t testing.TB, src string) compared {
 		}
 		return rejected
 	}
-	if !tw.a.Queries.ReadOnlyPlan(qa) {
+	if ok, _ := tw.a.Queries.ReadOnlyPlan(qa); !ok {
 		return skipped
 	}
 	beforeB := *cb

@@ -10,28 +10,28 @@ package query
 // ReadOnlyPlan reports whether executing q can be proven free of side
 // effects on the object base: q is a retrieve statement, it lowers (see
 // lower.go), and every call its lowering emits passes CallReadOnly's test.
-// Attribute reads never mutate. A statement that does not lower classifies
-// as a write; running it reports why.
+// Attribute reads never mutate. A statement that does not lower is not
+// classified: its lowering error is returned, the error running it reports.
 //
 // A true result is only sufficient for shared-lock execution if the GMR
 // manager is additionally quiescent (core.Manager.Quiescent): plan execution
 // issues forward and backward GMR queries, which insert or rematerialize
 // entries unless every GMR is complete and fully valid. The facade checks
 // both conditions.
-func (ex *Executor) ReadOnlyPlan(q *Query) bool {
+func (ex *Executor) ReadOnlyPlan(q *Query) (bool, error) {
 	if q == nil || q.Kind == MaterializeStmt {
-		return false
+		return false, nil
 	}
 	l, err := ex.lower(q)
 	if err != nil {
-		return false
+		return false, err
 	}
 	for _, c := range l.callees {
 		if !ex.En.Sch.CalleeReadOnly(c) {
-			return false
+			return false, nil
 		}
 	}
-	return true
+	return true, nil
 }
 
 // CallReadOnly classifies an application of the function or operation name

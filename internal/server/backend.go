@@ -42,6 +42,11 @@ type Backend interface {
 }
 
 // Tx is the interactive-batch handle: the batchable operations.
+//
+// An implementation borrows name, attr and args only for the call: the
+// session decodes every request into storage it reuses for the next one, so
+// a method that keeps args (as an entry key, a new object's attributes) must
+// keep a copy. name and attr are interned strings and may be kept.
 type Tx interface {
 	New(typeName string, attrs ...gomdb.Value) (gomdb.OID, error)
 	NewSet(typeName string, elems ...gomdb.Value) (gomdb.OID, error)

@@ -51,7 +51,7 @@ func shardBackend(t *testing.T) server.Backend {
 }
 
 // newServer wraps a backend in a Server with test-friendly timeouts.
-func newServer(t *testing.T, be server.Backend, mut func(*server.Config)) *server.Server {
+func newServer(t testing.TB, be server.Backend, mut func(*server.Config)) *server.Server {
 	t.Helper()
 	cfg := server.Config{
 		Backend:      be,
@@ -84,7 +84,7 @@ func pipeClient(t *testing.T, srv *server.Server, opts client.Options) *client.C
 
 // tcpServer starts srv on a loopback listener and returns its address. The
 // server is drained at test cleanup.
-func tcpServer(t *testing.T, srv *server.Server) string {
+func tcpServer(t testing.TB, srv *server.Server) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -102,7 +102,7 @@ func tcpServer(t *testing.T, srv *server.Server) string {
 }
 
 // tcpClient dials a client against addr.
-func tcpClient(t *testing.T, addr string, opts client.Options) *client.Client {
+func tcpClient(t testing.TB, addr string, opts client.Options) *client.Client {
 	t.Helper()
 	opts.DialTimeout = 5 * time.Second
 	c, err := client.Dial(addr, opts)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"errors"
 	"net"
 	"sync"
@@ -23,9 +22,12 @@ var errAborted = wire.Errf(wire.CodeBatch, "batch aborted by client")
 // loop (one request in flight per connection; streamed results interleave
 // nothing else).
 type session struct {
-	srv  *Server
-	conn net.Conn
-	br   *bufio.Reader
+	srv   *Server
+	conn  net.Conn
+	codec *wire.Codec
+	// req is the request being served, decoded in place: its Args and Sub
+	// are the codec's, valid until the next request is decoded.
+	req wire.Request
 
 	// mu guards tx: the serve goroutine opens and closes it, while Stats
 	// and teardown (the server's release path) inspect it concurrently.
@@ -36,7 +38,7 @@ type session struct {
 }
 
 func newSession(srv *Server, conn net.Conn) *session {
-	return &session{srv: srv, conn: conn, br: bufio.NewReader(conn)}
+	return &session{srv: srv, conn: conn, codec: wire.NewCodec(conn)}
 }
 
 // holdsBatch reports whether an interactive batch is open.
@@ -133,8 +135,8 @@ func (ss *session) handshake() bool {
 	if frame.Op != wire.OpHello {
 		return fail(wire.Errf(wire.CodeBadRequest, "first frame must be hello, got %s", frame.Op))
 	}
-	req, err := wire.DecodeRequest(frame.Op, frame.Payload)
-	if err != nil {
+	req := &ss.req
+	if err := ss.codec.DecodeRequest(frame, req); err != nil {
 		return fail(err)
 	}
 	if req.WireVersion != wire.Version {
@@ -168,30 +170,29 @@ func answerable(err error) bool {
 	return true
 }
 
-// readFrame reads one frame under the configured idle deadline.
-func (ss *session) readFrame() (*wire.Frame, error) {
+// readFrame reads one frame under the configured idle deadline. Its
+// payload is valid until the next readFrame.
+func (ss *session) readFrame() (wire.Frame, error) {
 	if t := ss.srv.cfg.ReadTimeout; t > 0 {
 		ss.conn.SetReadDeadline(time.Now().Add(t))
 	}
-	return wire.ReadFrame(ss.br)
+	return ss.codec.ReadFrame()
 }
 
 // writeResponse encodes and writes one response frame under the write
 // deadline. A false return means the connection is unusable.
 func (ss *session) writeResponse(reqID uint64, resp *wire.Response) bool {
-	payload, err := wire.EncodeResponse(resp)
-	if err != nil {
+	if err := ss.codec.PutResponse(reqID, resp); err != nil {
 		// Server-side encoding bug surfaced as a response: fall back to an
 		// error frame so the client is not left waiting.
-		resp = wire.ErrResponse(err)
-		if payload, err = wire.EncodeResponse(resp); err != nil {
+		if ss.codec.PutResponse(reqID, wire.ErrResponse(err)) != nil {
 			return false
 		}
 	}
 	if t := ss.srv.cfg.WriteTimeout; t > 0 {
 		ss.conn.SetWriteDeadline(time.Now().Add(t))
 	}
-	return wire.WriteFrame(ss.conn, &wire.Frame{Op: resp.Op, ReqID: reqID, Payload: payload}) == nil
+	return ss.codec.Flush() == nil
 }
 
 // reply is the common "engine call produced (resp, err)" path.
@@ -203,9 +204,9 @@ func (ss *session) reply(reqID uint64, resp *wire.Response, err error) bool {
 }
 
 // dispatch serves one request frame. A false return ends the session.
-func (ss *session) dispatch(frame *wire.Frame) bool {
-	req, err := wire.DecodeRequest(frame.Op, frame.Payload)
-	if err != nil {
+func (ss *session) dispatch(frame wire.Frame) bool {
+	req := &ss.req
+	if err := ss.codec.DecodeRequest(frame, req); err != nil {
 		// Framing is intact (length and CRC checked out), so a garbage
 		// payload is answered and the session continues.
 		return ss.writeResponse(frame.ReqID, wire.ErrResponse(err))

@@ -179,7 +179,9 @@ func (db *DB) CheckConsistency(gmrName string, tol float64, checkComplete bool) 
 // runs on every shard in parallel and the partial results merge under the
 // aggregate-aware rules above. Statements the classifier cannot prove
 // read-only — and the materialize statement — are refused with a typed
-// error; sharded writes go through the typed API, which can route them.
+// error; sharded writes go through the typed API, which can route them. A
+// statement that does not lower fails with its lowering error, as on one
+// engine.
 func (db *DB) Query(src string, params map[string]gomdb.Value) (*gomdb.QueryResult, error) {
 	q, err := db.shards[0].Queries.Prepare(src)
 	if err != nil {
@@ -189,7 +191,9 @@ func (db *DB) Query(src string, params map[string]gomdb.Value) (*gomdb.QueryResu
 		return nil, fmt.Errorf("%w: materialize statement (use DB.Materialize)", ErrNotReadOnly)
 	}
 	// Classification reads schema metadata only, identical on every shard.
-	if !db.shards[0].Queries.ReadOnlyPlan(q) {
+	if ok, err := db.shards[0].Queries.ReadOnlyPlan(q); err != nil {
+		return nil, err
+	} else if !ok {
 		return nil, ErrNotReadOnly
 	}
 	for _, t := range q.Targets {

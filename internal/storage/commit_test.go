@@ -203,3 +203,59 @@ func TestScanWALCommitCountMismatchRefused(t *testing.T) {
 		t.Fatal("the refused group was applied")
 	}
 }
+
+// Commit reuses its WAL group buffer, so every byte of a group must be
+// written afresh: a delta commit that follows a snapshot commit of the same
+// shape lands its directory record where the snapshot's flag byte was, and
+// recovery must still read it as a delta.
+func TestReusedGroupLogsDeltaAfterSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	ps, _ := mustOpenStore(t, dir)
+	pages := map[PageID]*[PageSize]byte{1: fillPage(1)}
+	if err := ps.Commit([]PageID{1}, memReader(pages), []byte("m1"), DirUpdate{Snapshot: true, Payload: []byte("snap1")}); err != nil {
+		t.Fatal(err)
+	}
+	pages[1] = fillPage(2)
+	if err := ps.Commit([]PageID{1}, memReader(pages), []byte("m2"), DirUpdate{Payload: []byte("delt2")}); err != nil {
+		t.Fatal(err)
+	}
+	ps.Abandon()
+	ps, img := mustOpenStore(t, dir)
+	defer ps.Close()
+	if string(img.DirSnapshot) != "snap1" || len(img.DirDeltas) != 1 || string(img.DirDeltas[0]) != "delt2" {
+		t.Fatalf("recovered directory %q + %q, want snapshot \"snap1\" then delta \"delt2\"", img.DirSnapshot, img.DirDeltas)
+	}
+	if *img.Pages[1] != *fillPage(2) {
+		t.Fatal("page 1 is not its latest committed image")
+	}
+}
+
+// The group buffer a store keeps between commits is capped: a group larger
+// than maxRetainedGroup is assembled in a buffer of its own, and the
+// smaller buffer kept before it stays.
+func TestGroupBufferRetentionCapped(t *testing.T) {
+	ps, _ := mustOpenStore(t, t.TempDir())
+	defer ps.Close()
+	pages := map[PageID]*[PageSize]byte{}
+	var small, large []PageID
+	for id := PageID(1); int(id)*walPageRecSize <= 2*maxRetainedGroup; id++ {
+		pages[id] = fillPage(byte(id))
+		large = append(large, id)
+		if id <= 4 {
+			small = append(small, id)
+		}
+	}
+	if err := ps.Commit(small, memReader(pages), []byte("s"), DirUpdate{}); err != nil {
+		t.Fatal(err)
+	}
+	kept := cap(ps.group)
+	if kept == 0 || kept > maxRetainedGroup {
+		t.Fatalf("after a small commit the store keeps a %d-byte group buffer", kept)
+	}
+	if err := ps.Commit(large, memReader(pages), []byte("l"), DirUpdate{}); err != nil {
+		t.Fatal(err)
+	}
+	if cap(ps.group) != kept {
+		t.Fatalf("after a %d-page commit the store keeps a %d-byte group buffer, want the %d-byte one", len(large), cap(ps.group), kept)
+	}
+}

@@ -103,6 +103,9 @@ type PageStore struct {
 	// run is the checkpoint's reused buffer of data-file records for one run
 	// of adjacent page ids (at most maxRunPages of them).
 	run []byte
+	// group is Commit's reused buffer for one WAL group, kept between
+	// commits only while it is at most maxRetainedGroup bytes.
+	group []byte
 
 	// failAfter, when >= 0, cuts the next commit's WAL group off after that
 	// many bytes and reports ErrSimulatedCrash — the crash-mid-flush
@@ -161,6 +164,11 @@ const (
 	// maxRunPages bounds the checkpoint's run buffer: a longer run of
 	// adjacent page ids is written in pieces of this many records.
 	maxRunPages = 32
+	// maxRetainedGroup bounds the WAL group buffer a store keeps between
+	// commits: a batch's group is a few dozen pages, while the first commit
+	// of a freshly loaded base logs every page, and keeping that buffer
+	// would pin megabytes for the store's life.
+	maxRetainedGroup = 512 << 10
 )
 
 // DirUpdate is what one commit does to the OID directory in dir.gomdb. The
@@ -426,7 +434,9 @@ func (ps *PageStore) Checkpoint(pages []PageID, read func(PageID, *[PageSize]byt
 // current state; on error (including the injected ErrSimulatedCrash) the
 // store must be abandoned and reopened — recovery then yields either the
 // previous commit or, if the group's commit record reached the disk, this
-// one.
+// one. read must fill the whole page. The group is assembled in a buffer the
+// store reuses from commit to commit, kept only up to maxRetainedGroup
+// (512 KiB), so every byte of it is written here.
 func (ps *PageStore) Commit(pages []PageID, read func(PageID, *[PageSize]byte) error, meta []byte, dir DirUpdate) error {
 	if ps.closed {
 		return errors.New("storage: commit on closed page store")
@@ -441,7 +451,14 @@ func (ps *PageStore) Commit(pages []PageID, read func(PageID, *[PageSize]byte) e
 	if hasDir {
 		size += walRecOverhead + 1 + len(dir.Payload)
 	}
-	group := make([]byte, size)
+	group := ps.group
+	if cap(group) < size {
+		group = make([]byte, size)
+	}
+	group = group[:size]
+	if size <= maxRetainedGroup {
+		ps.group = group
+	}
 	off := 0
 	for _, id := range pages {
 		p := walRecordAt(group[off:], walPageRec, 4+PageSize)
@@ -454,6 +471,7 @@ func (ps *PageStore) Commit(pages []PageID, read func(PageID, *[PageSize]byte) e
 	dirOff := off
 	if hasDir {
 		p := walRecordAt(group[off:], walDirRec, 1+len(dir.Payload))
+		p[0] = 0
 		if dir.Snapshot {
 			p[0] = 1
 		}

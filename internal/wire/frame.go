@@ -156,17 +156,61 @@ type Frame struct {
 // AppendFrame appends the encoded form of f to dst and returns the extended
 // slice.
 func AppendFrame(dst []byte, f *Frame) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, Magic)
-	dst = append(dst, Version, byte(f.Op))
-	dst = binary.BigEndian.AppendUint64(dst, f.ReqID)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.Payload)))
-	dst = append(dst, f.Payload...)
-	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(f.Payload, castagnoli))
+	start := len(dst)
+	dst = append(dst, blankHeader[:]...)
+	return sealFrame(append(dst, f.Payload...), start, f.Op, f.ReqID)
+}
+
+// blankHeader is the room a frame's header takes before sealFrame fills it.
+var blankHeader [headerSize]byte
+
+// sealFrame completes the frame that starts at b[start]: the header room
+// there is filled in for a payload that runs to the end of b, and the
+// payload's checksum is appended. Every frame this package writes is
+// finished here.
+func sealFrame(b []byte, start int, op Opcode, reqID uint64) []byte {
+	h := b[start : start+headerSize]
+	binary.BigEndian.PutUint32(h, Magic)
+	h[4], h[5] = Version, byte(op)
+	binary.BigEndian.PutUint64(h[6:], reqID)
+	binary.BigEndian.PutUint32(h[14:], uint32(len(b)-start-headerSize))
+	return binary.BigEndian.AppendUint32(b, crc32.Checksum(b[start+headerSize:], castagnoli))
 }
 
 // EncodeFrame returns the encoded form of f.
 func EncodeFrame(f *Frame) []byte {
 	return AppendFrame(make([]byte, 0, headerSize+len(f.Payload)+trailerSize), f)
+}
+
+// parseHeader checks a frame header and returns its opcode, request id and
+// payload length. The length is checked against MaxPayload here, before any
+// reader allocates or waits for the payload.
+func parseHeader(h []byte) (Opcode, uint64, int, error) {
+	if m := binary.BigEndian.Uint32(h); m != Magic {
+		return 0, 0, 0, Errf(CodeBadMagic, "bad magic 0x%08x", m)
+	}
+	if v := h[4]; v != Version {
+		return 0, 0, 0, Errf(CodeVersion, "protocol version %d, want %d", v, Version)
+	}
+	op := Opcode(h[5])
+	if !op.Known() {
+		return 0, 0, 0, Errf(CodeUnknownOp, "unknown opcode 0x%02x", byte(op))
+	}
+	n := binary.BigEndian.Uint32(h[14:])
+	if n > MaxPayload {
+		return 0, 0, 0, Errf(CodeTooLarge, "payload length %d exceeds %d", n, MaxPayload)
+	}
+	return op, binary.BigEndian.Uint64(h[6:]), int(n), nil
+}
+
+// checkCRC checks a payload followed by its CRC trailer.
+func checkCRC(body []byte) error {
+	n := len(body) - trailerSize
+	want := binary.BigEndian.Uint32(body[n:])
+	if got := crc32.Checksum(body[:n], castagnoli); got != want {
+		return Errf(CodeCRC, "payload checksum 0x%08x, frame says 0x%08x", got, want)
+	}
+	return nil
 }
 
 // DecodeFrame decodes one frame from the front of buf, returning the frame
@@ -178,33 +222,20 @@ func DecodeFrame(buf []byte) (*Frame, int, error) {
 	if len(buf) < headerSize {
 		return nil, 0, Errf(CodeMalformed, "truncated header: %d of %d bytes", len(buf), headerSize)
 	}
-	if m := binary.BigEndian.Uint32(buf); m != Magic {
-		return nil, 0, Errf(CodeBadMagic, "bad magic 0x%08x", m)
+	op, reqID, n, err := parseHeader(buf)
+	if err != nil {
+		return nil, 0, err
 	}
-	if v := buf[4]; v != Version {
-		return nil, 0, Errf(CodeVersion, "protocol version %d, want %d", v, Version)
-	}
-	op := Opcode(buf[5])
-	if !op.Known() {
-		return nil, 0, Errf(CodeUnknownOp, "unknown opcode 0x%02x", byte(op))
-	}
-	reqID := binary.BigEndian.Uint64(buf[6:])
-	n := binary.BigEndian.Uint32(buf[14:])
-	if n > MaxPayload {
-		return nil, 0, Errf(CodeTooLarge, "payload length %d exceeds %d", n, MaxPayload)
-	}
-	total := headerSize + int(n) + trailerSize
+	total := headerSize + n + trailerSize
 	if len(buf) < total {
 		return nil, 0, Errf(CodeMalformed, "truncated frame: %d of %d bytes", len(buf), total)
 	}
-	payload := buf[headerSize : headerSize+int(n)]
-	want := binary.BigEndian.Uint32(buf[headerSize+int(n):])
-	if got := crc32.Checksum(payload, castagnoli); got != want {
-		return nil, 0, Errf(CodeCRC, "payload checksum 0x%08x, frame says 0x%08x", got, want)
+	if err := checkCRC(buf[headerSize:total]); err != nil {
+		return nil, 0, err
 	}
 	// Copy the payload out so the frame does not alias the caller's buffer.
 	p := make([]byte, n)
-	copy(p, payload)
+	copy(p, buf[headerSize:])
 	return &Frame{Op: op, ReqID: reqID, Payload: p}, total, nil
 }
 
@@ -218,38 +249,52 @@ func WriteFrame(w io.Writer, f *Frame) error {
 // ReadFrame reads exactly one frame from r. A clean EOF before any header
 // byte is returned as io.EOF (the peer closed between frames); any other
 // truncation or violation is a structured *Error. The payload allocation is
-// bounded by MaxPayload, checked before allocating.
+// bounded by MaxPayload, checked before allocating. A connection that reads
+// frame after frame uses a Codec instead, which allocates nothing per frame.
 func ReadFrame(r io.Reader) (*Frame, error) {
 	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, Wrap(CodeMalformed, "short header", err)
+	n, err := io.ReadFull(r, hdr[:])
+	if err != nil {
+		return nil, shortHeader(n, err)
 	}
-	if m := binary.BigEndian.Uint32(hdr[:]); m != Magic {
-		return nil, Errf(CodeBadMagic, "bad magic 0x%08x", m)
+	op, reqID, size, err := parseHeader(hdr[:])
+	if err != nil {
+		return nil, err
 	}
-	if v := hdr[4]; v != Version {
-		return nil, Errf(CodeVersion, "protocol version %d, want %d", v, Version)
+	payload, err := readBody(r, size)
+	if err != nil {
+		return nil, err
 	}
-	op := Opcode(hdr[5])
-	if !op.Known() {
-		return nil, Errf(CodeUnknownOp, "unknown opcode 0x%02x", byte(op))
-	}
-	reqID := binary.BigEndian.Uint64(hdr[6:])
-	n := binary.BigEndian.Uint32(hdr[14:])
-	if n > MaxPayload {
-		return nil, Errf(CodeTooLarge, "payload length %d exceeds %d", n, MaxPayload)
-	}
-	body := make([]byte, int(n)+trailerSize)
+	return &Frame{Op: op, ReqID: reqID, Payload: payload}, nil
+}
+
+// readBody reads an n-byte payload and its CRC trailer from r into a fresh
+// buffer and checks the CRC.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	body := make([]byte, n+trailerSize)
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, Wrap(CodeMalformed, "short payload", err)
 	}
-	payload := body[:n]
-	want := binary.BigEndian.Uint32(body[n:])
-	if got := crc32.Checksum(payload, castagnoli); got != want {
-		return nil, Errf(CodeCRC, "payload checksum 0x%08x, frame says 0x%08x", got, want)
+	if err := checkCRC(body); err != nil {
+		return nil, err
 	}
-	return &Frame{Op: op, ReqID: reqID, Payload: payload}, nil
+	return body[:n], nil
+}
+
+// shortHeader classifies a header read that returned err after n bytes: a
+// clean EOF at the frame boundary is io.EOF, anything else is malformed.
+func shortHeader(n int, err error) error {
+	if n == 0 && err == io.EOF {
+		return io.EOF
+	}
+	return Wrap(CodeMalformed, "short header", unexpected(err))
+}
+
+// unexpected maps an EOF inside a frame to io.ErrUnexpectedEOF, as
+// io.ReadFull reports it.
+func unexpected(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -66,7 +68,48 @@ func FuzzDecodeFrame(f *testing.F) {
 				t.Fatalf("ReadFrame error is not structured: %v", serr)
 			}
 		}
+		// A connection's codec reading the input twice in a row must read
+		// what successive DecodeFrame calls read, both with the default
+		// buffer and with one small enough that most frames outgrow it.
+		twice := append(append([]byte(nil), data...), data...)
+		for _, size := range []int{readBufferSize, 64} {
+			codecMatchesDecodeFrame(t, twice, newCodec(readOnly{bytes.NewReader(twice)}, size))
+		}
 	})
+}
+
+// readOnly is a connection that is only read from.
+type readOnly struct{ io.Reader }
+
+func (readOnly) Write(p []byte) (int, error) { return len(p), nil }
+
+// codecMatchesDecodeFrame reads stream through c frame by frame and checks
+// each frame, and the first error, against DecodeFrame on what is left.
+func codecMatchesDecodeFrame(t *testing.T, stream []byte, c *Codec) {
+	t.Helper()
+	for rest := stream; ; {
+		got, gerr := c.ReadFrame()
+		if len(rest) == 0 {
+			if gerr != io.EOF {
+				t.Fatalf("codec at the end of the stream: %v, want io.EOF", gerr)
+			}
+			return
+		}
+		want, n, werr := DecodeFrame(rest)
+		if werr != nil {
+			if CodeOf(gerr) != CodeOf(werr) {
+				t.Fatalf("codec error %v, DecodeFrame error %v", gerr, werr)
+			}
+			return
+		}
+		if gerr != nil {
+			t.Fatalf("codec error %v where DecodeFrame reads a frame", gerr)
+		}
+		if got.Op != want.Op || got.ReqID != want.ReqID || !bytes.Equal(got.Payload, want.Payload) {
+			t.Fatal("codec and DecodeFrame disagree")
+		}
+		rest = rest[n:]
+	}
 }
 
 // FuzzDecodeRequest throws (opcode, payload) pairs at the payload decoders
@@ -112,6 +155,7 @@ func FuzzDecodeRequest(f *testing.F) {
 					t.Errorf("DecodeRequest error is not structured: %v", err)
 				}
 			}
+			decodeIntoMatchesFresh(t, Opcode(op), payload)
 			if resp, err := DecodeResponse(Opcode(op), payload); err == nil {
 				enc, eerr := EncodeResponse(resp)
 				if eerr != nil {
@@ -142,4 +186,107 @@ func FuzzDecodeRequest(f *testing.F) {
 			t.Fatal("payload decoder hung")
 		}
 	})
+}
+
+// dirtying are the requests and responses a codec decodes before the fuzzed
+// payload: between them they leave every field a decode into reused storage
+// could keep stale set — Args, Sub and its Args, HasOIDs and OIDs, Params,
+// Specs, stream rows, the error fields.
+func dirtying() []*Frame {
+	var frames []*Frame
+	for _, fx := range fixtureFrames() {
+		switch fx.Op {
+		case OpCall, OpNew, OpSum, OpQuery, OpRetrieve, OpMaterialize, OpBatchOp, OpBatchCommit,
+			RespError, RespChunk, RespStreamBegin, RespHello:
+			frames = append(frames, fx)
+		}
+	}
+	return frames
+}
+
+// decodeIntoMatchesFresh decodes payload into a request and a response left
+// dirty by a previous decode through one codec's storage, and checks each
+// against a fresh decode: equal values, or the same error text.
+func decodeIntoMatchesFresh(t *testing.T, op Opcode, payload []byte) {
+	fresh, ferr := DecodeRequest(op, payload)
+	freshResp, frerr := DecodeResponse(op, payload)
+	c := NewCodec(readOnly{bytes.NewReader(nil)})
+	var req Request
+	var resp Response
+	for _, prev := range dirtying() {
+		var err error
+		if prev.Op < RespHello {
+			err = c.DecodeRequest(*prev, &req)
+		} else {
+			err = c.DecodeResponse(*prev, &resp)
+		}
+		if err != nil {
+			// Not Fatal: this runs on the fuzz body's watchdog goroutine.
+			t.Errorf("fixture %s does not decode: %v", prev.Op, err)
+			return
+		}
+		f := Frame{Op: op, Payload: payload}
+		err = c.DecodeRequest(f, &req)
+		if (err == nil) != (ferr == nil) || err != nil && err.Error() != ferr.Error() {
+			t.Errorf("after %s: decode into reused storage fails with %v, fresh with %v", prev.Op, err, ferr)
+		} else if err == nil && !sameBits(reflect.ValueOf(req), reflect.ValueOf(*fresh)) {
+			t.Errorf("after %s: decode into reused storage\n got %+v\nwant %+v", prev.Op, req, *fresh)
+		}
+		err = c.DecodeResponse(f, &resp)
+		if (err == nil) != (frerr == nil) || err != nil && err.Error() != frerr.Error() {
+			t.Errorf("after %s: response decode into reused storage fails with %v, fresh with %v", prev.Op, err, frerr)
+		} else if err == nil && !sameBits(reflect.ValueOf(resp), reflect.ValueOf(*freshResp)) {
+			t.Errorf("after %s: response decode into reused storage\n got %+v\nwant %+v", prev.Op, resp, *freshResp)
+		}
+	}
+}
+
+// sameBits is reflect.DeepEqual with floats compared bit for bit, so that a
+// NaN the fuzzer decodes equals the same NaN decoded again.
+func sameBits(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Bool:
+		return a.Bool() == b.Bool()
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return a.Int() == b.Int()
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return a.Uint() == b.Uint()
+	case reflect.String:
+		return a.String() == b.String()
+	case reflect.Pointer:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return sameBits(a.Elem(), b.Elem())
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameBits(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !sameBits(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Map:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		for _, k := range a.MapKeys() {
+			if v := b.MapIndex(k); !v.IsValid() || !sameBits(a.MapIndex(k), v) {
+				return false
+			}
+		}
+		return true
+	}
+	panic("sameBits: unhandled kind " + a.Kind().String())
 }

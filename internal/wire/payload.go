@@ -259,23 +259,34 @@ func encodeRequest(e *object.Encoder, r *Request) error {
 
 // DecodeRequest decodes the payload of a request frame with opcode op. The
 // entire payload must be consumed. Errors are structured *Errors; the
-// decoder never panics.
+// decoder never panics. The request is fresh: a connection that decodes
+// request after request uses Codec.DecodeRequest, which reuses its storage.
 func DecodeRequest(op Opcode, payload []byte) (*Request, error) {
-	d := object.NewDecoder(payload)
-	r, err := decodeRequest(&d, op, true)
-	if err != nil {
+	r := new(Request)
+	if err := decodeRequestInto(r, op, payload, nil); err != nil {
 		return nil, err
-	}
-	if err := d.Finish(); err != nil {
-		return nil, Wrap(CodeMalformed, "request payload", err)
 	}
 	return r, nil
 }
 
-// decodeRequest decodes one request. Protocol-level refusals return as
-// errors; malformed bytes latch in d.
-func decodeRequest(d *object.Decoder, op Opcode, outer bool) (*Request, error) {
-	r := &Request{Op: op}
+// decodeRequestInto decodes a request payload into r, overwriting every
+// field. The storage r's slices and Sub point into comes from u (see
+// reuse); a nil u decodes everything fresh.
+func decodeRequestInto(r *Request, op Opcode, payload []byte, u *reuse) error {
+	d := object.NewDecoder(payload)
+	if err := decodeRequest(&d, r, op, true, u); err != nil {
+		return err
+	}
+	if err := d.Finish(); err != nil {
+		return Wrap(CodeMalformed, "request payload", err)
+	}
+	return nil
+}
+
+// decodeRequest decodes one request into r. Protocol-level refusals return
+// as errors; malformed bytes latch in d.
+func decodeRequest(d *object.Decoder, r *Request, op Opcode, outer bool, u *reuse) error {
+	*r = Request{Op: op}
 	switch op {
 	case OpHello:
 		r.WireVersion = d.U8()
@@ -283,7 +294,7 @@ func decodeRequest(d *object.Decoder, op Opcode, outer bool) (*Request, error) {
 	case OpPing, OpGoodbye, OpFlush, OpBatchBegin, OpSimSeconds:
 		// empty payload
 	case OpQuery:
-		r.Name = d.Str()
+		r.Name = u.name(d)
 		n := d.Count(1)
 		if n > 0 {
 			r.Params = make(map[string]object.Value, n)
@@ -292,26 +303,23 @@ func decodeRequest(d *object.Decoder, op Opcode, outer bool) (*Request, error) {
 				r.Params[k] = d.Value()
 			}
 		}
-	case OpCall:
-		r.Name = d.Str()
-		r.Args = d.Values()
+	case OpCall, OpNew, OpNewSet:
+		r.Name = u.name(d)
+		r.Args = u.values(d)
 	case OpGetAttr:
 		r.OID = object.OID(d.Uvarint())
-		r.Attr = d.Str()
+		r.Attr = u.name(d)
 	case OpSet:
 		r.OID = object.OID(d.Uvarint())
-		r.Attr = d.Str()
+		r.Attr = u.name(d)
 		r.Val = d.Value()
-	case OpNew, OpNewSet:
-		r.Name = d.Str()
-		r.Args = d.Values()
 	case OpDelete:
 		r.OID = object.OID(d.Uvarint())
 	case OpInsert, OpRemove:
 		r.OID = object.OID(d.Uvarint())
 		r.Val = d.Value()
 	case OpRetrieve:
-		r.Name = d.Str()
+		r.Name = u.name(d)
 		n := d.Count(1)
 		if n > 0 {
 			r.Specs = make([]core.FieldSpec, n)
@@ -336,11 +344,11 @@ func decodeRequest(d *object.Decoder, op Opcode, outer bool) (*Request, error) {
 			}
 		}
 	case OpBackward:
-		r.Name = d.Str()
+		r.Name = u.name(d)
 		r.Lo = d.F64()
 		r.Hi = d.F64()
 	case OpSum:
-		r.Name = d.Str()
+		r.Name = u.name(d)
 		r.HasOIDs = d.Bool()
 		n := d.Count(1)
 		if n > 0 {
@@ -350,7 +358,7 @@ func decodeRequest(d *object.Decoder, op Opcode, outer bool) (*Request, error) {
 			}
 		}
 	case OpExtension, OpDematerialize:
-		r.Name = d.Str()
+		r.Name = u.name(d)
 	case OpMaterialize:
 		m := &r.Mat
 		m.Name = d.Str()
@@ -385,19 +393,16 @@ func decodeRequest(d *object.Decoder, op Opcode, outer bool) (*Request, error) {
 			break
 		}
 		if !batchable(sub) {
-			return nil, Errf(CodeBadRequest, "opcode %s is not batchable", sub)
+			return Errf(CodeBadRequest, "opcode %s is not batchable", sub)
 		}
-		inner, err := decodeRequest(d, sub, false)
-		if err != nil {
-			return nil, err
-		}
-		r.Sub = inner
+		r.Sub = u.request()
+		return decodeRequest(d, r.Sub, sub, false, u)
 	case OpBatchCommit:
 		r.Abort = d.Bool()
 	default:
-		return nil, Errf(CodeUnknownOp, "opcode %s is not a request", op)
+		return Errf(CodeUnknownOp, "opcode %s is not a request", op)
 	}
-	return r, nil
+	return nil
 }
 
 // StreamKind selects the row encoding of a chunked result stream.
@@ -476,6 +481,13 @@ func (r *Response) Err() error {
 // EncodeResponse encodes r's payload (the frame body for r.Op).
 func EncodeResponse(r *Response) ([]byte, error) {
 	var e object.Encoder
+	if err := encodeResponse(&e, r); err != nil {
+		return nil, err
+	}
+	return e.Buf, nil
+}
+
+func encodeResponse(e *object.Encoder, r *Response) error {
 	switch r.Op {
 	case RespHello:
 		e.U8(r.WireVersion)
@@ -527,22 +539,32 @@ func EncodeResponse(r *Response) ([]byte, error) {
 				e.Uvarint(uint64(o))
 			}
 		default:
-			return nil, Errf(CodeMalformed, "bad stream kind %d", r.Stream)
+			return Errf(CodeMalformed, "bad stream kind %d", r.Stream)
 		}
 	case RespDone:
 		e.Uvarint(r.Total)
 	default:
-		return nil, Errf(CodeUnknownOp, "opcode %s is not a response", r.Op)
+		return Errf(CodeUnknownOp, "opcode %s is not a response", r.Op)
 	}
-	return e.Buf, nil
+	return nil
 }
 
 // DecodeResponse decodes the payload of a response frame with opcode op.
 // The entire payload must be consumed; errors are structured and the
 // decoder never panics.
 func DecodeResponse(op Opcode, payload []byte) (*Response, error) {
+	r := new(Response)
+	if err := decodeResponseInto(r, op, payload); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// decodeResponseInto decodes a response payload into r, overwriting every
+// field. Every slice it sets is fresh: stream rows are handed to the caller.
+func decodeResponseInto(r *Response, op Opcode, payload []byte) error {
 	d := object.NewDecoder(payload)
-	r := &Response{Op: op}
+	*r = Response{Op: op}
 	switch op {
 	case RespHello:
 		r.WireVersion = d.U8()
@@ -628,10 +650,10 @@ func DecodeResponse(op Opcode, payload []byte) (*Response, error) {
 	case RespDone:
 		r.Total = d.Uvarint()
 	default:
-		return nil, Errf(CodeUnknownOp, "opcode %s is not a response", op)
+		return Errf(CodeUnknownOp, "opcode %s is not a response", op)
 	}
 	if err := d.Finish(); err != nil {
-		return nil, Wrap(CodeMalformed, "response payload", err)
+		return Wrap(CodeMalformed, "response payload", err)
 	}
-	return r, nil
+	return nil
 }

@@ -6,6 +6,7 @@ package gomdb_test
 // barrier operations must exclude pinned readers.
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -322,4 +323,25 @@ func TestSnapshotBackwardTieOrder(t *testing.T) {
 		}
 		check(t, db, 4, 4)
 	})
+}
+
+// TestSnapshotQueryReportsLoweringError: a statement that breaks GOMql's
+// static rules fails with its lowering error through SnapshotView.Query, as
+// it does through Database.Query, not as a statement that is not read-only.
+func TestSnapshotQueryReportsLoweringError(t *testing.T) {
+	db, _, _ := materializedRectangleDB(t, 4)
+	const src = `range r: Rectangle retrieve r.nope`
+	_, dbErr := db.Query(src, nil)
+	view := db.SnapshotView()
+	defer view.Release()
+	_, viewErr := view.Query(src, nil)
+	if dbErr == nil || viewErr == nil {
+		t.Fatalf("Database.Query error %v, SnapshotView.Query error %v; want both to fail", dbErr, viewErr)
+	}
+	if dbErr.Error() != viewErr.Error() {
+		t.Errorf("SnapshotView.Query fails with %q, Database.Query with %q", viewErr, dbErr)
+	}
+	if !strings.Contains(viewErr.Error(), `"nope"`) {
+		t.Errorf("error %q does not name the unknown step", viewErr)
+	}
 }

@@ -56,7 +56,9 @@ func (v *SnapshotView) Query(src string, params map[string]Value) (*QueryResult,
 	if err != nil {
 		return nil, err
 	}
-	if !v.db.Queries.ReadOnlyPlan(q) {
+	if ok, err := v.db.Queries.ReadOnlyPlan(q); err != nil {
+		return nil, err
+	} else if !ok {
 		return nil, fmt.Errorf("gomdb: snapshot view: statement is not read-only")
 	}
 	return v.db.Queries.Snapshot(v.snap).RunQuery(q, params)
